@@ -4,7 +4,9 @@ Two families:
 
 * probability-weighted (Hansen-Hurwitz style) estimators over independent
   auxiliary draws, in a known-population-size form and a ratio form that
-  also estimates the population size;
+  also estimates the population size.  They need only each draw's p_v and
+  neighbors, whatever the draw source of ``vs_a_collect``: a known
+  distribution (VS-A) or the zoom-in sampler (RRZI-VSA, venue id = node id);
 * a ratio estimator over walk traces that divides out the stationary visit
   weights d_x + omega_x.
 
@@ -96,15 +98,18 @@ def _vsa_sums(sample: VsaSample, labeler: Labeler):
     return per_label, size.value
 
 
-def vsa_theta_known_n(sample: VsaSample, labeler: Labeler, n: int, seed: int = 0) -> EstimateReport:
-    """theta_hat_l = (1/(n B')) sum_i (1/p_i) sum_{u in nbrs_i} 1{l in L(u)}/d_u_bip."""
+def _known_n_theta(per_label: dict, n: int, b_prime: int) -> dict:
     if n <= 0:
         raise ValueError("n must be positive")
+    scale = 1.0 / (n * b_prime)
+    return {l: acc.value * scale for l, acc in per_label.items()}
+
+
+def vsa_theta_known_n(sample: VsaSample, labeler: Labeler, n: int, seed: int = 0) -> EstimateReport:
+    """theta_hat_l = (1/(n B')) sum_i (1/p_i) sum_{u in nbrs_i} 1{l in L(u)}/d_u_bip."""
     per_label, _ = _vsa_sums(sample, labeler)
-    scale = 1.0 / (n * sample.b_prime)
-    theta = {l: acc.value * scale for l, acc in per_label.items()}
     return EstimateReport(
-        "VS-A", theta, sample.b_prime, seed,
+        "VS-A", _known_n_theta(per_label, n, sample.b_prime), sample.b_prime, seed,
         target_samples=sample.harvested, query_count=sample.query_count,
     )
 
@@ -117,10 +122,13 @@ def vsa_estimate_n(sample: VsaSample) -> float:
     return size / sample.b_prime
 
 
-def vsa_theta_unknown_n(sample: VsaSample, labeler: Labeler, seed: int = 0) -> EstimateReport:
+def vsa_theta_unknown_n(
+    sample: VsaSample, labeler: Labeler, seed: int = 0, n: int | None = None
+) -> EstimateReport:
     """Ratio form: the known-n numerator normalized by n_hat instead of n.
 
-    The 1/B' factors cancel, leaving a pure ratio of weighted sums.
+    The 1/B' factors cancel, leaving a pure ratio of weighted sums.  Given
+    ``n``, the known-n form rides along as ``theta_known_n`` (same pass).
     """
     per_label, size = _vsa_sums(sample, labeler)
     if size <= 0.0:
@@ -129,6 +137,7 @@ def vsa_theta_unknown_n(sample: VsaSample, labeler: Labeler, seed: int = 0) -> E
     return EstimateReport(
         "VS-A", theta, sample.b_prime, seed,
         n_hat=size / sample.b_prime,
+        theta_known_n=None if n is None else _known_n_theta(per_label, n, sample.b_prime),
         target_samples=sample.harvested, query_count=sample.query_count,
     )
 

@@ -21,13 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from . import geo, ingest
-from .estimators import (
-    EstimateReport,
-    nrmse,
-    vsa_theta_known_n,
-    vsa_theta_unknown_n,
-    walk_theta,
-)
+from .estimators import EstimateReport, nrmse, vsa_theta_unknown_n, walk_theta
 from .graphs import (
     HybridNetwork,
     LabelDistribution,
@@ -51,6 +45,7 @@ from .seeds import replication_seeds, spawn_rng
 from .synth import SynthConfig, build_synthetic_hybrid, orient_edges
 
 METHODS = ("SRW", "VS-A", "RWT-VSA", "RWT-RWA", "RRZI-VSA")
+HARVEST_METHODS = ("VS-A", "RRZI-VSA")  # independent auxiliary draws; the rest walk
 LABEL_KINDS = ("degree", "in-degree", "out-degree")
 SOURCES = ("synthetic", "files", "lbsn")
 
@@ -200,12 +195,9 @@ class PreparedExperiment:
     alpha_total: float
     beta_total: float
     covered: list
-    p_full: AuxDistribution | None = None
-    p_covered: AuxDistribution | None = None
+    source: AuxDistribution | geo.ZoomInSource | None = None  # auxiliary draws
     qu: object = None
     weights: object = None
-    venue_index: geo.VenueIndex | None = None
-    root_region: geo.Region | None = None
 
 
 def _parse_bbox(text: str) -> geo.Region:
@@ -266,7 +258,7 @@ def build_network(cfg: ExperimentConfig):
         affiliation = ingest.load_affiliation(cfg.affiliation_path, target, auxiliary)
         index = None
         if cfg.venues_path:
-            venues = geo.load_venues(cfg.venues_path)
+            venues = geo.load_venues(cfg.venues_path, auxiliary.node_names)
             index = geo.VenueIndex(venues)
         return HybridNetwork(target, auxiliary, affiliation), index
     # lbsn
@@ -311,11 +303,11 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     )
 
     if cfg.method == "VS-A":
-        prep.p_full = AuxDistribution.uniform(hybrid.auxiliary.n)
+        prep.source = AuxDistribution.uniform(hybrid.auxiliary.n)
     elif cfg.method == "RWT-VSA":
         support = [v for v in range(hybrid.auxiliary.n) if hybrid.affiliation.right_adj[v]]
-        prep.p_covered = AuxDistribution.uniform_over(hybrid.auxiliary.n, support)
-        prep.qu = compute_qu(hybrid, prep.p_covered)
+        prep.source = AuxDistribution.uniform_over(hybrid.auxiliary.n, support)
+        prep.qu = compute_qu(hybrid, prep.source)
     elif cfg.method == "RWT-RWA":
         prep.weights = fixed_weight_scheme(hybrid, alpha_total, beta_total)
     elif cfg.method == "RRZI-VSA":
@@ -323,8 +315,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             raise ValueError("RRZI-VSA needs venue coordinates (venues_path or lbsn source)")
         if len(index) == 0:
             raise ValueError("venue index is empty")
-        prep.venue_index = index
-        prep.root_region = index.bounding_region()
+        prep.source = geo.ZoomInSource(index, index.bounding_region(), cfg.rrzi_k)
     return prep
 
 
@@ -351,7 +342,7 @@ def _walk_trace(prep: PreparedExperiment, rep_seed: int):
             rng, hybrid.target.n, lambda u: hybrid.target.adj[u] or qu[u] > 0
         )
         return rwt_vsa_run(
-            hybrid, prep.p_covered, prep.alpha_total, prep.budget, start, rep_seed,
+            hybrid, prep.source, prep.alpha_total, prep.budget, start, rep_seed,
             jump_always=cfg.jump_always, qu=qu,
         )
     ws = prep.weights
@@ -367,18 +358,12 @@ def _walk_trace(prep: PreparedExperiment, rep_seed: int):
 
 def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:
     cfg = prep.cfg
-    if cfg.method == "VS-A":
-        sample = vs_a_collect(prep.hybrid, prep.p_full, prep.budget, rep_seed)
-        report = vsa_theta_unknown_n(sample, prep.labeler, seed=rep_seed)
-        # carry the known-size normalization alongside the ratio form
-        known = vsa_theta_known_n(sample, prep.labeler, prep.hybrid.target.n, seed=rep_seed)
-        report.theta_known_n = known.theta
+    if cfg.method in HARVEST_METHODS:
+        sample = vs_a_collect(prep.hybrid, prep.source, prep.budget, rep_seed)
+        # the known-size normalization rides along with the ratio form
+        report = vsa_theta_unknown_n(sample, prep.labeler, seed=rep_seed, n=prep.hybrid.target.n)
+        report.method = cfg.method
         return report
-    if cfg.method == "RRZI-VSA":
-        return geo.rrzi_vsa_estimate(
-            prep.hybrid, prep.venue_index, prep.root_region, cfg.rrzi_k,
-            prep.budget, prep.labeler, rep_seed,
-        )
     trace = _walk_trace(prep, rep_seed)
     return walk_theta(trace, prep.labeler, method=cfg.method, seed=rep_seed)
 
@@ -441,7 +426,7 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
     else:
         reports = [one(t) for t in tasks]
 
-    if cfg.trace_out and reports and cfg.method in ("SRW", "RWT-VSA", "RWT-RWA"):
+    if cfg.trace_out and reports and cfg.method not in HARVEST_METHODS:
         # re-run replication 0 to export its trace (runs are pure and cheap)
         write_trace(_walk_trace(prep, seeds[0]), cfg.trace_out)
     if cfg.raw_out:
@@ -539,7 +524,6 @@ def _parse_label(text: str):
 FIGURE_KINDS = {
     "fig2-convergence": ("budget", "mean_estimate"),
     "fig3-nrmse": ("alpha", "nrmse"),
-    "fig7-style": ("alpha", "nrmse"),
 }
 
 

@@ -6,7 +6,8 @@ truncated region into four equal quadrants, descends into a uniformly
 chosen nonempty quadrant, and finally picks one venue uniformly in a fully
 accessible leaf.  Because a venue sits in exactly one leaf, the product of
 branching factors times the leaf pick gives the exact draw probability,
-which is what the indirect estimators need.
+which is what the indirect estimators need; ``ZoomInSource`` feeds these
+draws to ``samplers.vs_a_collect``.  Venue ids are auxiliary node ids.
 
 Region membership is half-open, [lat_min, lat_max) x [lon_min, lon_max),
 so quadrant splits partition a region exactly and no probability mass is
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimateReport, vsa_theta_known_n, vsa_theta_unknown_n
+from .estimators import EstimateReport, vsa_theta_unknown_n
 from .graphs import HybridNetwork, Labeler
-from .samplers import VsaDraw, VsaSample
+from .samplers import vs_a_collect
 from .seeds import STREAM_AUX, spawn_rng
 
 MAX_ZOOM_DEPTH = 60
@@ -122,10 +123,6 @@ class VenueIndex:
         return Region(min(lats), max(lats) + pad, min(lons), max(lons) + pad)
 
 
-def query_region(index: VenueIndex, region: Region, k: int):
-    return index.query(region, k)
-
-
 @dataclass
 class RrziDraw:
     """One venue draw with its exact inclusion probability and cost."""
@@ -136,7 +133,7 @@ class RrziDraw:
     api_calls: int
 
 
-def rrzi_draw(index: VenueIndex, root: Region, k: int, seed, *, _rng=None) -> RrziDraw:
+def rrzi_draw(index: VenueIndex, root: Region, k: int, seed) -> RrziDraw:
     """Zoom into the root region until a query is no longer truncated, then
     pick one venue uniformly in the leaf.
 
@@ -144,9 +141,9 @@ def rrzi_draw(index: VenueIndex, root: Region, k: int, seed, *, _rng=None) -> Rr
     to find the nonempty ones, and descends into one of those uniformly at
     random.  The recorded probability is the product of the per-level
     branching choices times the uniform leaf pick and equals the overall
-    probability of drawing that venue.
+    probability of drawing that venue.  ``seed`` is a master seed or an rng.
     """
-    rng = _rng if _rng is not None else spawn_rng(seed, STREAM_AUX)
+    rng = seed if hasattr(seed, "randrange") else spawn_rng(seed, STREAM_AUX)
     region = root
     p = 1.0
     path = []
@@ -164,12 +161,8 @@ def rrzi_draw(index: VenueIndex, root: Region, k: int, seed, *, _rng=None) -> Rr
         if not (region.lat_min < mid_lat < region.lat_max and region.lon_min < mid_lon < region.lon_max):
             break  # region no longer splittable in float precision
         quads = region.quadrants()
-        nonempty = []
-        for qi, quad in enumerate(quads):
-            sub, _ = index.query(quad, 1)
-            api_calls += 1
-            if sub:
-                nonempty.append(qi)
+        nonempty = [qi for qi, quad in enumerate(quads) if index.query(quad, 1)[0]]
+        api_calls += len(quads)
         choice = nonempty[rng.randrange(len(nonempty))]
         p /= len(nonempty)
         path.append(choice)
@@ -177,6 +170,19 @@ def rrzi_draw(index: VenueIndex, root: Region, k: int, seed, *, _rng=None) -> Rr
     raise RuntimeError(
         f"zoom exhausted (depth limit {MAX_ZOOM_DEPTH}); more than {k} venues share a location"
     )
+
+
+@dataclass(frozen=True)
+class ZoomInSource:
+    """Draw source for vs_a_collect: one zoom-in per draw, costing its API calls."""
+
+    index: VenueIndex
+    root: Region
+    k: int
+
+    def draw(self, rng) -> tuple:
+        d = rrzi_draw(self.index, self.root, self.k, rng)
+        return d.venue.id, d.p, d.api_calls
 
 
 def rrzi_vsa_estimate(
@@ -193,35 +199,16 @@ def rrzi_vsa_estimate(
     The returned report's theta is the ratio (unknown-n) form; the known-n
     form and the size estimate ride along.
     """
-    if b_prime < 1:
-        raise ValueError("b_prime must be >= 1")
-    rng = spawn_rng(seed, STREAM_AUX)
-    right = hybrid.affiliation.right_adj
-    left = hybrid.affiliation.left_adj
-    draws = []
-    degrees: dict = {}
-    api_calls = 0
-    for _ in range(b_prime):
-        d = rrzi_draw(index, root, k, seed, _rng=rng)
-        api_calls += d.api_calls
-        v = d.venue.id
-        if not 0 <= v < hybrid.auxiliary.n:
-            raise ValueError(f"venue id {v} is not an auxiliary node")
-        nbrs = tuple(right[v])
-        draws.append(VsaDraw(v, d.p, nbrs))
-        for u in nbrs:
-            if u not in degrees:
-                degrees[u] = len(left[u])
-    sample = VsaSample(draws, degrees, query_count=api_calls)
-    report = vsa_theta_unknown_n(sample, labeler, seed=seed)
-    known = vsa_theta_known_n(sample, labeler, hybrid.target.n, seed=seed)
+    sample = vs_a_collect(hybrid, ZoomInSource(index, root, k), b_prime, seed)
+    report = vsa_theta_unknown_n(sample, labeler, seed=seed, n=hybrid.target.n)
     report.method = "RRZI-VSA"
-    report.theta_known_n = known.theta
     return report
 
 
-def load_venues(path) -> list:
-    """Read a venue file: one "id lat lon" triple per line, '#' comments."""
+def load_venues(path, node_names=None) -> list:
+    """Read a venue file: one "id lat lon" triple per line, '#' comments.
+    Given ``node_names`` (the auxiliary graph's id dictionary), ids resolve by name."""
+    node_ids = None if node_names is None else {name: i for i, name in enumerate(node_names)}
     venues = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -231,8 +218,11 @@ def load_venues(path) -> list:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'id lat lon', got {line!r}")
+            vid = parts[0] if node_ids is None else node_ids.get(parts[0])
+            if vid is None:
+                raise ValueError(f"{path}:{lineno}: venue id {parts[0]!r} is not an auxiliary node id")
             try:
-                venues.append(Venue(int(parts[0]), float(parts[1]), float(parts[2])))
+                venues.append(Venue(int(vid), float(parts[1]), float(parts[2])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return venues

@@ -21,6 +21,7 @@ more intuitive per-node units and rescales (see experiment.py).
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -55,7 +56,8 @@ class AuxDistribution:
                 raise ValueError("probability vector length must equal n'")
             if any(p < 0 for p in probs):
                 raise ValueError("probabilities must be nonnegative")
-            total = sum(probs)
+            # fsum: a naive sum of ~1e5 equal shares misses 1 by ~2e-12
+            total = math.fsum(probs)
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"probabilities not normalized (sum={total!r})")
             self.probs = probs
@@ -97,6 +99,11 @@ class AuxDistribution:
             return range(self.n)
         return [v for v, p in enumerate(self.probs) if p > 0]
 
+    def draw(self, rng) -> tuple:
+        """(node, p_node, cost) for vs_a_collect; one query per draw."""
+        v = self.sample(rng)
+        return v, self.prob(v), 1
+
 
 @dataclass
 class VsaDraw:
@@ -126,29 +133,35 @@ class VsaSample:
         return sum(len(d.neighbors) for d in self.draws)
 
 
-def vs_a_collect(hybrid: HybridNetwork, p: AuxDistribution, b_prime: int, seed) -> VsaSample:
-    """B' i.i.d. auxiliary draws from p; each draw records the drawn node's
-    full affiliation neighbor list.  Draws that hit nodes without
-    affiliation edges are kept with an empty list (they contribute zero to
-    the estimators).
+def vs_a_collect(hybrid: HybridNetwork, source, b_prime: int, seed) -> VsaSample:
+    """B' i.i.d. auxiliary draws; each draw records the drawn node's full
+    affiliation neighbor list (empty for unaffiliated nodes, which add zero
+    to the estimators).  ``source.draw(rng)`` gives (v, p_v, cost): an
+    AuxDistribution costs one query a draw, a ``geo.ZoomInSource`` its API
+    calls; ``query_count`` sums the costs.
     """
     if b_prime < 1:
         raise ValueError("b_prime must be >= 1")
-    if p.n != hybrid.auxiliary.n:
+    n_aux = hybrid.auxiliary.n
+    if getattr(source, "n", n_aux) != n_aux:  # only sized sources can be checked up front
         raise ValueError("distribution size must match auxiliary graph")
     rng = spawn_rng(seed, STREAM_AUX)
     right = hybrid.affiliation.right_adj
     left = hybrid.affiliation.left_adj
     draws = []
     degrees: dict = {}
+    queries = 0
     for _ in range(b_prime):
-        v = p.sample(rng)
+        v, p, cost = source.draw(rng)
+        queries += cost
+        if not 0 <= v < n_aux:
+            raise ValueError(f"venue id {v} is not an auxiliary node")
         nbrs = tuple(right[v])
-        draws.append(VsaDraw(v, p.prob(v), nbrs))
+        draws.append(VsaDraw(v, p, nbrs))
         for u in nbrs:
             if u not in degrees:
                 degrees[u] = len(left[u])
-    return VsaSample(draws, degrees, query_count=b_prime)
+    return VsaSample(draws, degrees, query_count=queries)
 
 
 def compute_qu(hybrid: HybridNetwork, p: AuxDistribution) -> np.ndarray:

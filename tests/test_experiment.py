@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hybridsample import cli, experiment as ex
@@ -210,8 +212,8 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     # coincident venues above the truncation limit make every zoom-in draw
     # fail at run time, which must surface as exit code 2 with the seed named
     (tmp_path / "target.txt").write_text("a b\nb c\n")
-    (tmp_path / "aux.txt").write_text("x y\ny z\n")
-    (tmp_path / "aff.txt").write_text("a x\nb y\nc z\n")
+    (tmp_path / "aux.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "aff.txt").write_text("a 0\nb 1\nc 2\n")
     (tmp_path / "venues.txt").write_text("0 40.5 -74.0\n1 40.5 -74.0\n2 40.5 -74.0\n")
     code = cli.main([
         "run",
@@ -255,3 +257,59 @@ def test_cli_lbsn_source(tmp_path, capsys):
     assert code == 0
     text = res.read_text()
     assert text.count("VS-A") == 1  # one populated degree label (triangle)
+
+
+# sha256 of (result CSV, raw_out) for n_per_graph=2000, extra_pairs=4000,
+# runs=20, recorded before VS-A and RRZI-VSA shared one harvest loop; the
+# RNG streams and the estimator arithmetic must not move them.
+PINNED_DIGESTS = {
+    ("VS-A", 1): ("bb30801afb480ebe9c752faed062e14ac21763a7e353fb13c9e4dbd17e6e2ce2",
+                  "9542a096ec2de0f87e491f914a977531b372648d620d6da6f60576bef8066f23"),
+    ("VS-A", 2): ("35f717bc7dcea8400bd70eab766c890408677901bc2d95475af29d3b31753220",
+                  "9931645582bc2104b1599869160027b7d07e7d2bc2a0e33ad009f87a1c0ef4d8"),
+    ("RRZI-VSA", 1): ("e6f1ea556c70ab22c81e945fa4b88e7af1e2583c8e47a036747b8189fe636250",
+                      "43534cc3bb98da837dc49b19aa7ac3f444e5ea9fc7803fe5498c72d1062c2a66"),
+    ("RRZI-VSA", 2): ("77bd89a9dd191d4613ecdab4dc0f540f28b41b6754e50f76110e8ed51adf1199",
+                      "ffc996c8f355fe1f4d3301d968af6f83bdd8711aba7ff69a850950291819c16a"),
+    ("RWT-VSA", 1): ("ba1d2261fa609f25653689dfb4d46ee2aa050c00d8db4c69494de7d6a273c77e",
+                     "103aee4eaabf17773a6f40add6c67d107a005fdb554a9a426ffc94e957262c4b"),
+    ("RWT-VSA", 2): ("96f5ef6514eb0d48728667c88c730aed5538d6c477f12a92f09eabc7b0b9df1f",
+                     "6f033048d40303dadf0b50d8b1004a12ebedfbb11fcfce2cba5fe3d08be0c3d4"),
+}
+
+
+@pytest.mark.parametrize("method,seed", sorted(PINNED_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, method, seed):
+    raw = tmp_path / "raw.csv"
+    cfg = ex.make_config({"n_per_graph": "2000", "extra_pairs": "4000", "method": method,
+                          "seed": str(seed), "runs": "20", "raw_out": str(raw)})
+    text = ex.format_result_csv(ex.run_experiment(cfg))
+    digests = (hashlib.sha256(text.encode()).hexdigest(),
+               hashlib.sha256(raw.read_bytes()).hexdigest())
+    assert digests == PINNED_DIGESTS[(method, seed)]
+
+
+def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):
+    cfgp = _write_cfg(tmp_path)
+    net = tmp_path / "net"
+    assert cli.main(["generate", "--config", str(cfgp), "--out-dir", str(net)]) == 0
+    cfg = ex.make_config(ex.parse_config_file(cfgp), {
+        "source": "files", "method": "RRZI-VSA",
+        "target_path": str(net / "target.txt"),
+        "auxiliary_path": str(net / "auxiliary.txt"),
+        "affiliation_path": str(net / "affiliation.txt"),
+        "venues_path": str(net / "venues.txt"),
+    })
+    hybrid, index = ex.build_network(cfg)
+    written = ex.synthetic_venues(hybrid.auxiliary.n, ex.geo.NYC_REGION, cfg.seed)
+    names = hybrid.auxiliary.node_names
+    assert names != [str(i) for i in range(len(names))]  # ids were re-interned
+    assert len(index) == hybrid.auxiliary.n
+    for v in index.venues:
+        own = written[int(names[v.id])]
+        assert (v.lat, v.lon) == (own.lat, own.lon)
+    # an id that names no auxiliary node is an error naming the venues file
+    with open(net / "venues.txt", "a", encoding="utf-8") as fh:
+        fh.write("999999 40.5 -74.0\n")
+    with pytest.raises(ValueError, match="venues.txt"):
+        ex.build_network(cfg)

@@ -10,8 +10,8 @@ from hybridsample.geo import (
     Region,
     Venue,
     VenueIndex,
+    ZoomInSource,
     load_venues,
-    query_region,
     rrzi_draw,
     rrzi_vsa_estimate,
     write_venues,
@@ -23,7 +23,8 @@ from hybridsample.graphs import (
     degree_labels,
     ground_truth_theta,
 )
-from hybridsample.seeds import spawn_rng
+from hybridsample.samplers import vs_a_collect
+from hybridsample.seeds import STREAM_AUX, spawn_rng
 
 
 def grid_index(n, region=Region(0.0, 1.0, 0.0, 1.0), seed=5):
@@ -61,7 +62,6 @@ def test_query_region_basics():
     assert len(all_) == 10 and not truncated
     some, truncated = idx.query(Region(0.0, 1.0, 0.0, 1.0), 9)
     assert truncated and [v.id for v in some] == list(range(9))  # smallest ids win
-    assert query_region(idx, empty, 1) == ([], False)
     with pytest.raises(ValueError):
         idx.query(empty, 0)
 
@@ -99,7 +99,7 @@ def test_rrzi_probability_closure_and_match():
     rng = spawn_rng(123, 2)
     counts = {}
     for _ in range(6000):
-        draw = rrzi_draw(idx, root, k=3, seed=0, _rng=rng)
+        draw = rrzi_draw(idx, root, k=3, seed=rng)
         assert draw.p == pytest.approx(exact[draw.venue.id], abs=1e-12)
         counts[draw.venue.id] = counts.get(draw.venue.id, 0) + 1
     for vid, c in counts.items():
@@ -140,6 +140,31 @@ def test_rrzi_vsa_single_full_venue_exact():
     for l, t in truth.theta.items():
         assert rep.theta[l] == pytest.approx(t, abs=1e-12)
         assert rep.theta_known_n[l] == pytest.approx(t, abs=1e-12)
+
+
+def test_zoom_in_source_harvest_cost_is_api_calls():
+    h = HybridNetwork(
+        Graph(20, [(i, i + 1) for i in range(19)]),
+        Graph(20, []),
+        BipartiteGraph(20, 20, [(u, u) for u in range(20)]),
+    )
+    idx = grid_index(20, seed=8)
+    root = Region(0.0, 1.0, 0.0, 1.0)
+    sample = vs_a_collect(h, ZoomInSource(idx, root, 3), 30, seed=4)
+    # the same draws, replayed from the harvest loop's stream
+    rng = spawn_rng(4, STREAM_AUX)
+    draws = [rrzi_draw(idx, root, 3, rng) for _ in range(30)]
+    assert [d.venue for d in sample.draws] == [d.venue.id for d in draws]
+    assert [d.p for d in sample.draws] == [d.p for d in draws]
+    assert sample.query_count == sum(d.api_calls for d in draws) > 30
+
+
+def test_rrzi_vsa_rejects_venue_outside_auxiliary_graph():
+    h = three_user_hybrid()
+    idx = VenueIndex([Venue(h.auxiliary.n, 0.5, 0.5)])
+    with pytest.raises(ValueError, match="not an auxiliary node"):
+        rrzi_vsa_estimate(h, idx, Region(0.0, 1.0, 0.0, 1.0), k=3, b_prime=2,
+                          labeler=degree_labels(h.target), seed=0)
 
 
 def test_rrzi_vsa_enumeration_ratio_unbiased():
@@ -220,3 +245,12 @@ def test_venue_file_roundtrip(tmp_path):
     bad.write_text("1 2\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
         load_venues(bad)
+
+
+def test_venue_ids_resolve_by_auxiliary_name(tmp_path):
+    path = tmp_path / "venues.txt"
+    write_venues([Venue(7, 40.5, -74.0), Venue(3, 41.0, -73.5)], path)
+    loaded = load_venues(path, node_names=["7", "5", "3"])
+    assert loaded == [Venue(2, 41.0, -73.5), Venue(0, 40.5, -74.0)]
+    with pytest.raises(ValueError, match="venues.txt:2: venue id '7'"):
+        load_venues(path, node_names=["3"])

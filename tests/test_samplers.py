@@ -89,6 +89,15 @@ def test_compute_qu_unreachable_mass():
         compute_qu(h, AuxDistribution.uniform(2))
 
 
+def test_uniform_over_accepts_its_own_output_at_scale():
+    # a naive sum of 99,991 equal shares misses 1 by more than 1e-12
+    n = 99_991
+    share = 1.0 / n
+    assert abs(sum([share] * n) - 1.0) > 1e-12
+    d = AuxDistribution.uniform_over(n, range(n))
+    assert d.prob(0) == d.prob(n - 1) == share
+
+
 # ---------------------------------------------------------------- vs_a_collect
 
 
