@@ -20,6 +20,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import geo, ingest
 from .estimators import EstimateReport, nrmse, vsa_theta_unknown_n, walk_theta
 from .graphs import (
@@ -47,6 +49,16 @@ from .synth import SynthConfig, build_synthetic_hybrid, orient_edges
 METHODS = ("SRW", "VS-A", "RWT-VSA", "RWT-RWA", "RRZI-VSA")
 HARVEST_METHODS = ("VS-A", "RRZI-VSA")  # independent auxiliary draws; the rest walk
 LABEL_KINDS = ("degree", "in-degree", "out-degree")
+# The cached row views (part of the hybrid, attribute) that each method's
+# replications index; prepare_experiment builds them.
+LIST_VIEWS = {
+    "SRW": (("target", "adj"),),
+    "VS-A": (("affiliation", "left_adj"), ("affiliation", "right_adj")),
+    "RWT-VSA": (("target", "adj"), ("affiliation", "right_adj")),
+    "RWT-RWA": (("target", "adj"), ("auxiliary", "adj"),
+                ("affiliation", "left_adj"), ("affiliation", "right_adj")),
+    "RRZI-VSA": (("affiliation", "left_adj"), ("affiliation", "right_adj")),
+}
 SOURCES = ("synthetic", "files", "lbsn")
 
 RESULT_COLUMNS = (
@@ -305,7 +317,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     if cfg.method == "VS-A":
         prep.source = AuxDistribution.uniform(hybrid.auxiliary.n)
     elif cfg.method == "RWT-VSA":
-        support = [v for v in range(hybrid.auxiliary.n) if hybrid.affiliation.right_adj[v]]
+        support = np.flatnonzero(hybrid.affiliation.right_degrees).tolist()
         prep.source = AuxDistribution.uniform_over(hybrid.auxiliary.n, support)
         prep.qu = compute_qu(hybrid, prep.source)
     elif cfg.method == "RWT-RWA":
@@ -316,6 +328,9 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         if len(index) == 0:
             raise ValueError("venue index is empty")
         prep.source = geo.ZoomInSource(index, index.bounding_region(), cfg.rrzi_k)
+    # built once and cached on the graph, so no replication pays for them
+    for part, view in LIST_VIEWS[cfg.method]:
+        getattr(getattr(hybrid, part), view)
     return prep
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geo import Region, Venue, VenueIndex
 from .graphs import BipartiteGraph, Graph, HybridNetwork
 
@@ -99,12 +101,12 @@ def load_affiliation(path, left_graph: Graph, right_graph: Graph) -> BipartiteGr
 
 
 def write_affiliation(aff: BipartiteGraph, path, left_names=None, right_names=None) -> None:
+    rows = np.repeat(np.arange(aff.n_left), aff.left_degrees).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for u, nbrs in enumerate(aff.left_adj):
-            for v in nbrs:
-                a = left_names[u] if left_names is not None else u
-                b = right_names[v] if right_names is not None else v
-                fh.write(f"{a} {b}\n")
+        for u, v in zip(rows, aff.left_indices.tolist()):
+            a = left_names[u] if left_names is not None else u
+            b = right_names[v] if right_names is not None else v
+            fh.write(f"{a} {b}\n")
 
 
 def load_checkins(path, bbox: Region | None = None) -> list:
@@ -182,10 +184,10 @@ def build_hybrid_from_lbsn(social: Graph, checkins) -> tuple:
 
     n_users = len(names)
     target = social if n_users == social.n else Graph(
-        n_users, social.edges(), node_names=names
+        n_users, social.edge_array(), node_names=names
     )
     auxiliary = Graph(len(venue_coords), ())
-    affiliation = BipartiteGraph(n_users, len(venue_coords), sorted(pairs))
+    affiliation = BipartiteGraph(n_users, len(venue_coords), list(pairs))
     index = VenueIndex(
         [Venue(i, lat, lon) for i, (lat, lon) in enumerate(venue_coords)]
     )

@@ -94,11 +94,6 @@ class AuxDistribution:
             return rng.randrange(self.n)
         return bisect_left(self._cum, rng.random())
 
-    def support(self):
-        if self.probs is None:
-            return range(self.n)
-        return [v for v, p in enumerate(self.probs) if p > 0]
-
     def draw(self, rng) -> tuple:
         """(node, p_node, cost) for vs_a_collect; one query per draw."""
         v = self.sample(rng)
@@ -156,7 +151,7 @@ def vs_a_collect(hybrid: HybridNetwork, source, b_prime: int, seed) -> VsaSample
         queries += cost
         if not 0 <= v < n_aux:
             raise ValueError(f"venue id {v} is not an auxiliary node")
-        nbrs = tuple(right[v])
+        nbrs = right[v]
         draws.append(VsaDraw(v, p, nbrs))
         for u in nbrs:
             if u not in degrees:
@@ -173,21 +168,27 @@ def compute_qu(hybrid: HybridNetwork, p: AuxDistribution) -> np.ndarray:
     Sums to 1 whenever every node carrying p-mass has affiliation edges.
     """
     aff = hybrid.affiliation
-    q = np.zeros(hybrid.target.n)
-    for v in p.support():
-        pv = p.prob(v)
-        if pv == 0.0:
-            continue
-        users = aff.right_adj[v]
-        if not users:
-            raise ValueError(
-                f"unreachable probability mass: auxiliary node {v} has p>0 "
-                "but no affiliation edges"
-            )
-        share = pv / len(users)
-        for u in users:
-            q[u] += share
-    return q
+    if p.n != aff.n_right:
+        raise ValueError("distribution size must match auxiliary graph")
+    pv = np.full(p.n, 1.0 / p.n) if p.probs is None else np.array(p.probs)
+    stranded = (pv > 0.0) & (aff.right_degrees == 0)
+    if stranded.any():
+        v = int(np.argmax(stranded))
+        raise ValueError(
+            f"unreachable probability mass: auxiliary node {v} has p>0 "
+            "but no affiliation edges"
+        )
+    return _spread(pv, aff.right_degrees, aff.right_indices, hybrid.target.n)
+
+
+def _spread(mass: np.ndarray, degrees: np.ndarray, indices: np.ndarray, n_out: int) -> np.ndarray:
+    """out[j] = sum over rows i holding j of mass[i] / degrees[i].
+
+    bincount adds in input order (row by row), so each sum matches a plain
+    loop over the rows bit for bit; rows without entries add nothing.
+    """
+    share = np.divide(mass, degrees, out=np.zeros(len(mass)), where=degrees > 0)
+    return np.bincount(indices, weights=np.repeat(share, degrees), minlength=n_out)
 
 
 @dataclass
@@ -325,7 +326,7 @@ def stationary_rwt_vsa(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) 
     """Stationary law of the jump-augmented target walk:
     pi_u = (d_u + alpha*q_u) / (2|E| + alpha)."""
     qu = compute_qu(hybrid, p)
-    deg = np.array([len(a) for a in hybrid.target.adj], dtype=float)
+    deg = hybrid.target.degrees.astype(float)
     return (deg + alpha * qu) / (hybrid.target.degree_sum + alpha)
 
 
@@ -342,17 +343,15 @@ def rwt_vsa_transition_matrix(hybrid: HybridNetwork, p: AuxDistribution, alpha: 
         raise ValueError(f"kernel construction limited to {KERNEL_SIZE_LIMIT} nodes")
     qu = compute_qu(hybrid, p)
     omega = alpha * qu
-    P = np.zeros((n, n))
-    for u in range(n):
-        d = len(hybrid.target.adj[u])
-        tot = d + omega[u]
-        if tot == 0:
-            P[u, u] = 1.0
-            continue
-        for v in hybrid.target.adj[u]:
-            P[u, v] += 1.0 / tot
-        if omega[u] > 0:
-            P[u, :] += (omega[u] / tot) * qu
+    target = hybrid.target
+    tot = target.degrees + omega
+    stuck = tot == 0
+    inv = np.divide(1.0, tot, out=np.zeros(n), where=~stuck)
+    jump = np.divide(omega, tot, out=np.zeros(n), where=~stuck)
+    P = jump[:, None] * qu[None, :]
+    rows = np.repeat(np.arange(n), target.degrees)
+    P[rows, target.indices] += inv[rows]
+    P[stuck, stuck] = 1.0
     return P
 
 
@@ -418,15 +417,16 @@ def fixed_weight_scheme(
     if abs(float(q.sum()) - 1.0) > 1e-9:
         raise ValueError(f"q not normalized (sum={float(q.sum())!r})")
     aff = hybrid.affiliation
-    for u in np.nonzero(q)[0]:
-        if not aff.left_adj[u]:
-            raise ValueError(
-                f"q-mass on target node {u} with no affiliation edges; "
-                "jumps cannot reach it"
-            )
+    stranded = (q != 0) & (aff.left_degrees == 0)
+    if stranded.any():
+        u = int(np.argmax(stranded))
+        raise ValueError(
+            f"q-mass on target node {u} with no affiliation edges; "
+            "jumps cannot reach it"
+        )
 
-    deg_t = np.array([len(a) for a in hybrid.target.adj], dtype=float)
-    deg_a = np.array([len(a) for a in hybrid.auxiliary.adj], dtype=float)
+    deg_t = hybrid.target.degrees.astype(float)
+    deg_a = hybrid.auxiliary.degrees.astype(float)
     if two_e is None:
         two_e = float(hybrid.target.degree_sum)
     if two_e_prime is None:
@@ -437,24 +437,12 @@ def fixed_weight_scheme(
         raise ValueError("target graph has no edges and alpha=0; walk is degenerate")
     pi_u = (deg_t + omega) / (two_e + alpha)
 
-    w = np.zeros(hybrid.auxiliary.n)
-    for u in range(hybrid.target.n):
-        venues = aff.left_adj[u]
-        if venues:
-            share = beta * pi_u[u] / len(venues)
-            for v in venues:
-                w[v] += share
+    w = _spread(beta * pi_u, aff.left_degrees, aff.left_indices, hybrid.auxiliary.n)
 
     denom_v = two_e_prime + beta
     pi_v = (deg_a + w) / denom_v if denom_v > 0 else np.zeros(hybrid.auxiliary.n)
 
-    q_prime = np.zeros(hybrid.target.n)
-    for v in range(hybrid.auxiliary.n):
-        users = aff.right_adj[v]
-        if users:
-            share = pi_v[v] / len(users)
-            for u in users:
-                q_prime[u] += share
+    q_prime = _spread(pi_v, aff.right_degrees, aff.right_indices, hybrid.target.n)
 
     return WeightSystem(alpha, beta, two_e, two_e_prime, q, omega, pi_u, w, pi_v, q_prime)
 
@@ -477,16 +465,14 @@ def closed_form_weights(hybrid: HybridNetwork, alpha: float, beta: float):
         raise ValueError("closed-form solver is restricted to small instances")
     aff = hybrid.affiliation
     A = np.zeros((n, npr))
-    for u in range(n):
-        for v in aff.left_adj[u]:
-            A[u, v] = 1.0
+    A[np.repeat(np.arange(n), aff.left_degrees), aff.left_indices] = 1.0
     dbu = A.sum(axis=1)
     dbv = A.sum(axis=0)
     inv_u = np.where(dbu > 0, 1.0 / np.where(dbu > 0, dbu, 1.0), 0.0)
     inv_v = np.where(dbv > 0, 1.0 / np.where(dbv > 0, dbv, 1.0), 0.0)
 
-    deg_t = np.array([len(a) for a in hybrid.target.adj], dtype=float)
-    deg_a = np.array([len(a) for a in hybrid.auxiliary.adj], dtype=float)
+    deg_t = hybrid.target.degrees.astype(float)
+    deg_a = hybrid.auxiliary.degrees.astype(float)
     two_e = float(hybrid.target.degree_sum)
     two_e_prime = float(hybrid.auxiliary.degree_sum)
     c = beta / (two_e + alpha)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import BipartiteGraph, Graph, HybridNetwork
 from .seeds import spawn_rng
 
@@ -32,6 +34,13 @@ class SynthConfig:
                 raise ValueError(f"attachment count {m} must be < n_per_graph")
         if self.extra_pairs < 0:
             raise ValueError("extra_pairs must be >= 0")
+        # every target node already has one of its n possible pairs
+        free = 2 * self.n_per_graph * (self.n_per_graph - 1)
+        if self.extra_pairs > free:
+            raise ValueError(
+                f"extra_pairs={self.extra_pairs} exceeds the {free} free affiliation "
+                f"pairs of n_per_graph={self.n_per_graph} (at most 2n(n-1))"
+            )
 
 
 def generate_ba(n: int, m: int, seed) -> Graph:
@@ -43,25 +52,28 @@ def generate_ba(n: int, m: int, seed) -> Graph:
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = seed if hasattr(seed, "randrange") else spawn_rng(seed)
-    edges: list[tuple[int, int]] = []
-    endpoints: list[int] = []
+    randrange = rng.randrange
+    # Edge k is (endpoints[2k], endpoints[2k + 1]); the filled prefix is the
+    # running endpoint list the attachment draws from.
+    endpoints = [0] * (2 * ba_edge_count(n, m))
+    filled = 0
     core = m + 1
     for u in range(core):
         for v in range(u + 1, core):
-            edges.append((u, v))
-            endpoints.append(u)
-            endpoints.append(v)
+            endpoints[filled] = u
+            endpoints[filled + 1] = v
+            filled += 2
     for new in range(core, n):
         picks: list[int] = []
         while len(picks) < m:
-            t = endpoints[rng.randrange(len(endpoints))]
+            t = endpoints[randrange(filled)]
             if t not in picks:
                 picks.append(t)
         for t in picks:
-            edges.append((new, t))
-            endpoints.append(new)
-            endpoints.append(t)
-    return Graph(n, edges)
+            endpoints[filled] = new
+            endpoints[filled + 1] = t
+            filled += 2
+    return Graph(n, np.array(endpoints, dtype=np.int64).reshape(-1, 2))
 
 
 def ba_edge_count(n: int, m: int) -> int:
@@ -80,23 +92,22 @@ def build_synthetic_hybrid(cfg: SynthConfig) -> HybridNetwork:
     aux = generate_ba(n, cfg.m2, spawn_rng(cfg.seed, 1))
     g3 = generate_ba(n, cfg.m3, spawn_rng(cfg.seed, 2))
 
-    target_edges = list(g1.edges())
-    target_edges.extend((u + n, v + n) for u, v in g3.edges())
     rng_bridge = spawn_rng(cfg.seed, 3)
-    target_edges.append((rng_bridge.randrange(n), n + rng_bridge.randrange(n)))
-    target = Graph(2 * n, target_edges)
+    bridge = (rng_bridge.randrange(n), n + rng_bridge.randrange(n))
+    target = Graph(2 * n, np.concatenate((g1.edge_array(), g3.edge_array() + n, [bridge])))
 
+    # affiliation pairs (u, v) packed as u * n + v
     rng_aff = spawn_rng(cfg.seed, 4)
-    pairs = set()
-    for u in range(2 * n):
-        pairs.add((u, rng_aff.randrange(n)))
-    added = 0
-    while added < cfg.extra_pairs:
-        pair = (rng_aff.randrange(2 * n), rng_aff.randrange(n))
-        if pair not in pairs:
-            pairs.add(pair)
-            added += 1
-    affiliation = BipartiteGraph(2 * n, n, sorted(pairs))
+    keys = [u * n + rng_aff.randrange(n) for u in range(2 * n)]
+    taken = set(keys)
+    while len(keys) < 2 * n + cfg.extra_pairs:
+        u = rng_aff.randrange(2 * n)
+        key = u * n + rng_aff.randrange(n)
+        if key not in taken:
+            taken.add(key)
+            keys.append(key)
+    u, v = np.divmod(np.array(keys, dtype=np.int64), n)
+    affiliation = BipartiteGraph(2 * n, n, np.column_stack((u, v)))
     return HybridNetwork(target, aux, affiliation)
 
 
@@ -111,14 +122,9 @@ def orient_edges(graph: Graph, seed, p_forward: float = 0.45, p_backward: float 
     if p_forward < 0 or p_backward < 0 or p_forward + p_backward > 1:
         raise ValueError("orientation probabilities must be nonnegative and sum <= 1")
     rng = seed if hasattr(seed, "random") else spawn_rng(seed, 5)
-    arcs = []
-    for u, v in graph.edges():
-        r = rng.random()
-        if r < p_forward:
-            arcs.append((u, v))
-        elif r < p_forward + p_backward:
-            arcs.append((v, u))
-        else:
-            arcs.append((u, v))
-            arcs.append((v, u))
+    edges = graph.edge_array()
+    r = np.array([rng.random() for _ in range(len(edges))])
+    forward = r < p_forward
+    backward = ~forward & (r < p_forward + p_backward)
+    arcs = np.concatenate((edges[~backward], edges[~forward][:, ::-1]))
     return Graph(graph.n, arcs, directed=True, node_names=graph.node_names)

@@ -65,6 +65,21 @@ def test_run_experiment_all_methods_execute(method):
     assert all(r.nrmse >= 0 for r in table.rows)
 
 
+@pytest.mark.parametrize("method", ex.METHODS)
+def test_list_views_built_in_prepare_only(method):
+    prep = ex.prepare_experiment(small_cfg(method=method))
+
+    def cached():
+        return {(part, view) for part in ("target", "auxiliary", "affiliation")
+                for view in ("adj", "in_adj", "left_adj", "right_adj")
+                if view in vars(getattr(prep.hybrid, part))}
+
+    built = cached()
+    assert built == set(ex.LIST_VIEWS[method])
+    ex.run_experiment(prep.cfg, prep)
+    assert cached() == built  # replications build no view of their own
+
+
 def test_run_experiment_deterministic_csv(tmp_path):
     cfg = small_cfg(method="RWT-VSA", alpha=2.0)
     a = ex.format_result_csv(ex.run_experiment(cfg))
@@ -260,8 +275,10 @@ def test_cli_lbsn_source(tmp_path, capsys):
 
 
 # sha256 of (result CSV, raw_out) for n_per_graph=2000, extra_pairs=4000,
-# runs=20, recorded before VS-A and RRZI-VSA shared one harvest loop; the
-# RNG streams and the estimator arithmetic must not move them.
+# runs=20, keyed by (case, seed). VS-A, RRZI-VSA and RWT-VSA were recorded
+# before VS-A and RRZI-VSA shared one harvest loop; SRW, RWT-RWA and
+# SRW-directed before the graphs moved to CSR arrays. The RNG streams, the
+# graph construction and the estimator arithmetic must not move them.
 PINNED_DIGESTS = {
     ("VS-A", 1): ("bb30801afb480ebe9c752faed062e14ac21763a7e353fb13c9e4dbd17e6e2ce2",
                   "9542a096ec2de0f87e491f914a977531b372648d620d6da6f60576bef8066f23"),
@@ -275,18 +292,35 @@ PINNED_DIGESTS = {
                      "103aee4eaabf17773a6f40add6c67d107a005fdb554a9a426ffc94e957262c4b"),
     ("RWT-VSA", 2): ("96f5ef6514eb0d48728667c88c730aed5538d6c477f12a92f09eabc7b0b9df1f",
                      "6f033048d40303dadf0b50d8b1004a12ebedfbb11fcfce2cba5fe3d08be0c3d4"),
+    ("SRW", 1): ("76adb2df8eabe3191a927cbcf32da778e0acaeb72f266951b1dabf796d94bf39",
+                 "939f9a63db22c96fd5a040bcfa58801790b62916653f0036abd6ded12a07d904"),
+    ("SRW", 2): ("13c560297f519a5f82c13a7a32d08d808fc62cb74199188688954e923ddd3d55",
+                 "bbba9c15377b438771973499df34f427562243ecd71a754dfbba7c1fa01869d7"),
+    ("RWT-RWA", 1): ("7d0abd938c4d508aba1dcda5bb7e8eb68b004730536f1401cd1552b5c31f7cf9",
+                     "bf0cbec47a655209b04a8f3a032ced61c9f8ab4b381e3fbbcda4ea806d2dc4b7"),
+    ("RWT-RWA", 2): ("67db72da4a556882559537d8199f5e89255cc66f9d917b713c1992a1abfa98e9",
+                     "b776a3f85acc3623b2e9e00827c38fe16f09c17bd3901c7b0b53d55849403917"),
+    ("SRW-directed", 1): ("e00f540343117bf2a188226a9f374b39a828af0d0ca587257accf88fd4609959",
+                          "9dbfd1801a51208c90986b3cd41a5a7df70d56cf69791cade44311cd1948e8fe"),
+}
+
+# config keys of the cases that are not just a method name; SRW-directed
+# runs through orient_edges and undirected_view
+PINNED_CASES = {
+    "SRW-directed": {"method": "SRW", "directed_target": "true", "label": "in-degree"},
 }
 
 
-@pytest.mark.parametrize("method,seed", sorted(PINNED_DIGESTS))
-def test_outputs_match_pinned_digests(tmp_path, method, seed):
+@pytest.mark.parametrize("case,seed", sorted(PINNED_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, case, seed):
     raw = tmp_path / "raw.csv"
-    cfg = ex.make_config({"n_per_graph": "2000", "extra_pairs": "4000", "method": method,
-                          "seed": str(seed), "runs": "20", "raw_out": str(raw)})
+    cfg = ex.make_config({"n_per_graph": "2000", "extra_pairs": "4000", "seed": str(seed),
+                          "runs": "20", "raw_out": str(raw),
+                          **PINNED_CASES.get(case, {"method": case})})
     text = ex.format_result_csv(ex.run_experiment(cfg))
     digests = (hashlib.sha256(text.encode()).hexdigest(),
                hashlib.sha256(raw.read_bytes()).hexdigest())
-    assert digests == PINNED_DIGESTS[(method, seed)]
+    assert digests == PINNED_DIGESTS[(case, seed)]
 
 
 def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):

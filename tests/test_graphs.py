@@ -1,6 +1,7 @@
 import collections
 import random
 
+import numpy as np
 import pytest
 
 from hybridsample.graphs import (
@@ -15,7 +16,21 @@ from hybridsample.graphs import (
     out_degree_labels,
     undirected_view,
 )
-from hybridsample.synth import SynthConfig, build_synthetic_hybrid, generate_ba
+from hybridsample.ingest import (
+    CheckinRecord,
+    build_hybrid_from_lbsn,
+    load_affiliation,
+    load_edge_list,
+    write_affiliation,
+    write_edge_list,
+)
+from hybridsample.synth import (
+    SynthConfig,
+    ba_edge_count,
+    build_synthetic_hybrid,
+    generate_ba,
+    orient_edges,
+)
 
 
 def test_path_graph_degree_theta():
@@ -76,7 +91,7 @@ def test_edge_out_of_range():
 def test_undirected_view_single_arc():
     g = Graph(2, [(0, 1)], directed=True)
     u = undirected_view(g)
-    assert u.adj[0] == [1] and u.adj[1] == [0]
+    assert u.adj[0] == (1,) and u.adj[1] == (0,)
     assert u.degree(0) == u.degree(1) == 1
 
 
@@ -144,3 +159,126 @@ def test_bipartite_transpose_consistency_on_synthetic():
 def test_hybrid_side_mismatch_rejected():
     with pytest.raises(ValueError):
         HybridNetwork(Graph(2, []), Graph(2, []), BipartiteGraph(3, 2, []))
+
+
+def _csr_rows(indptr, indices, degrees, n_rows, n_cols):
+    """Check one CSR triple; return the row id of every entry."""
+    assert len(indptr) == n_rows + 1
+    assert indptr[0] == 0 and indptr[-1] == len(indices)
+    assert np.all(np.diff(indptr) >= 0)
+    assert np.array_equal(np.diff(indptr), degrees)
+    assert np.all((indices >= 0) & (indices < n_cols))
+    rows = np.repeat(np.arange(n_rows), degrees)
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(indices[1:][same_row] > indices[:-1][same_row])  # strictly increasing
+    return rows
+
+
+def _assert_transposes(rows, indices, t_rows, t_indices, n_cols):
+    """(row, col) pairs of one CSR equal the (col, row) pairs of the other."""
+    keys = rows * n_cols + indices
+    t_keys = np.sort(t_indices * n_cols + t_rows)
+    assert np.array_equal(keys, t_keys)
+
+
+def _assert_graph_invariants(g):
+    rows = _csr_rows(g.indptr, g.indices, g.degrees, g.n, g.n)
+    assert not np.any(rows == g.indices)  # no self-loops
+    in_rows = _csr_rows(g.in_indptr, g.in_indices, g.in_degrees, g.n, g.n)
+    # undirected rows are symmetric; directed in-rows transpose the out-rows
+    _assert_transposes(rows, g.indices, in_rows, g.in_indices, g.n)
+    if g.directed:
+        assert len(g.indices) == g.num_edges
+    else:
+        assert g.degrees.sum() == g.degree_sum == 2 * g.num_edges
+    assert g.adj == [tuple(g.indices[a:b].tolist()) for a, b in zip(g.indptr, g.indptr[1:])]
+
+
+def _assert_hybrid_invariants(h):
+    _assert_graph_invariants(h.target)
+    _assert_graph_invariants(h.auxiliary)
+    aff = h.affiliation
+    rows = _csr_rows(aff.left_indptr, aff.left_indices, aff.left_degrees, aff.n_left, aff.n_right)
+    t_rows = _csr_rows(
+        aff.right_indptr, aff.right_indices, aff.right_degrees, aff.n_right, aff.n_left
+    )
+    _assert_transposes(rows, aff.left_indices, t_rows, aff.right_indices, aff.n_right)
+    assert aff.left_degrees.sum() == aff.right_degrees.sum() == aff.num_edges
+    assert h.covered_targets() == [u for u in range(aff.n_left) if aff.left_degrees[u]]
+
+
+def test_csr_invariants_synthetic_hybrid():
+    h = build_synthetic_hybrid(SynthConfig(n_per_graph=300, m1=2, m2=3, m3=5, extra_pairs=400, seed=3))
+    _assert_hybrid_invariants(h)
+    d = orient_edges(h.target, 4)
+    _assert_graph_invariants(d)
+    _assert_graph_invariants(undirected_view(d))
+
+
+def test_csr_invariants_ingested_hybrid(tmp_path):
+    h = build_synthetic_hybrid(SynthConfig(n_per_graph=200, m1=2, m2=3, m3=4, extra_pairs=150, seed=8))
+    for name, g in (("t.txt", h.target), ("a.txt", h.auxiliary)):
+        write_edge_list(g, tmp_path / name)
+    write_affiliation(h.affiliation, tmp_path / "aff.txt")
+    target = load_edge_list(tmp_path / "t.txt")
+    auxiliary = load_edge_list(tmp_path / "a.txt")
+    loaded = HybridNetwork(
+        target, auxiliary, load_affiliation(tmp_path / "aff.txt", target, auxiliary)
+    )
+    _assert_hybrid_invariants(loaded)
+    assert loaded.target.num_edges == h.target.num_edges
+    assert loaded.affiliation.num_edges == h.affiliation.num_edges
+
+
+def test_csr_invariants_lbsn_hybrid(tmp_path):
+    rng = random.Random(6)
+    lines = {f"u{rng.randrange(40)} u{rng.randrange(40)}" for _ in range(120)}
+    (tmp_path / "social.txt").write_text(
+        "".join(f"{line}\n" for line in sorted(lines) if len(set(line.split())) == 2)
+    )
+    social = load_edge_list(tmp_path / "social.txt")
+    recs = [
+        CheckinRecord(f"u{rng.randrange(50)}", 40.7, -74.0, f"v{rng.randrange(30)}", "t")
+        for _ in range(200)
+    ]
+    h, _ = build_hybrid_from_lbsn(social, recs)
+    assert h.target.n > social.n  # users seen only in check-ins
+    _assert_hybrid_invariants(h)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (50, 1), (200, 4), (1000, 7)])
+def test_ba_edge_count_matches_csr(n, m):
+    g = generate_ba(n, m, seed=n + m)
+    assert g.num_edges == ba_edge_count(n, m)
+    _assert_graph_invariants(g)
+
+
+def test_csr_matches_set_semantics():
+    rng = random.Random(12)
+    n = 40
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
+    pairs = [(a, b) for a, b in pairs if a != b]
+    und = Graph(n, pairs + [(b, a) for a, b in pairs[:50]])
+    dire = Graph(n, pairs, directed=True)
+    bip = BipartiteGraph(n, 7, [(a, b % 7) for a, b in pairs])
+    for u in range(n):
+        assert list(und.adj[u]) == sorted(
+            {b for a, b in pairs if a == u} | {a for a, b in pairs if b == u}
+        )
+        assert list(dire.adj[u]) == sorted({b for a, b in pairs if a == u})
+        assert list(dire.in_adj[u]) == sorted({a for a, b in pairs if b == u})
+        assert list(bip.left_adj[u]) == sorted({b % 7 for a, b in pairs if a == u})
+    assert np.array_equal(Graph(n, np.array(pairs)).indices, und.indices)
+
+
+def test_first_bad_edge_named():
+    with pytest.raises(ValueError, match="self-loop at node 1"):
+        Graph(3, [(0, 1), (1, 1), (0, 5)])
+    with pytest.raises(ValueError, match=r"edge \(0,5\) out of range for n=3"):
+        Graph(3, [(0, 1), (0, 5), (1, 1)])
+    with pytest.raises(ValueError, match="right id 4 out of range"):
+        BipartiteGraph(2, 2, [(0, 4), (5, 0)])
+    with pytest.raises(ValueError, match="left id 5 out of range"):
+        BipartiteGraph(2, 2, [(5, 4)])
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(3, [(0, 1, 2)])

@@ -23,7 +23,7 @@ def test_load_edge_list_path_graph(tmp_path):
     g = load_edge_list(p)
     assert g.n == 3 and g.num_edges == 2
     assert g.node_names == ["a", "b", "c"]
-    assert g.adj[g.node_names.index("b")] == [0, 2]
+    assert g.adj[g.node_names.index("b")] == (0, 2)
 
 
 def test_load_edge_list_dedup_and_comments(tmp_path):
@@ -66,7 +66,7 @@ def test_load_edge_list_order_insensitive(tmp_path):
     assert named_edges(g1) == named_edges(g2)
     # adjacency is normalized: sorted and deduplicated on both loads
     for g in (g1, g2):
-        assert all(adj == sorted(set(adj)) for adj in g.adj)
+        assert all(list(adj) == sorted(set(adj)) for adj in g.adj)
 
 
 def test_load_checkins_bbox_inclusive(tmp_path):
@@ -139,7 +139,7 @@ def test_build_hybrid_edge_count_matches_pair_set(tmp_path):
     assert hybrid.target.n == 6
     names = hybrid.target.node_names
     for extra in ("u4", "u5"):
-        assert hybrid.target.adj[names.index(extra)] == []
+        assert hybrid.target.adj[names.index(extra)] == ()
 
 
 def test_build_hybrid_coordinate_conflict_keeps_first(tmp_path, caplog):

@@ -106,3 +106,11 @@ def test_orient_edges_roundtrip():
     arcs = set(d.edges())
     both = sum(1 for a, b in arcs if (b, a) in arcs) // 2
     assert 0 < both < len(arcs)
+
+
+def test_extra_pairs_beyond_free_pairs_rejected():
+    # 2n target nodes x n auxiliary nodes, 2n of the pairs taken up front
+    with pytest.raises(ValueError, match=r"extra_pairs=181 exceeds the 180 free"):
+        SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=181)
+    h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=180))
+    assert h.affiliation.num_edges == 2 * 10 * 10
