@@ -8,7 +8,7 @@ from .estimators import (
     vsa_theta_unknown_n,
     walk_theta,
 )
-from .geo import NYC_REGION, Region, RrziDraw, Venue, VenueIndex, ZoomInSource, rrzi_draw, rrzi_vsa_estimate
+from .geo import NYC_REGION, Region, RrziDraw, Venue, VenueIndex, ZoomInSource, rrzi_draw
 from .graphs import (
     BipartiteGraph,
     Graph,

@@ -2,23 +2,22 @@
 
 A config names a network source (synthetic, plain files, or LBSN-style
 files), one sampling method, its parameters, and the replication count.
-``run_experiment`` builds the network once, computes ground truth, fans the
-replications out over worker threads with seeds derived from the master
-seed, and aggregates per-label mean estimates and NRMSE.
+``run_experiment`` builds the network once, computes ground truth, runs the
+replications one after another with seeds derived from the master seed,
+and aggregates per-label mean estimates and NRMSE.
 
 Jump-strength units: config ``alpha``/``beta`` are per-node (an alpha of 1
 gives a node of degree d a jump probability of about 1/(d+1), the scale the
 method comparisons are run at).  Internally the samplers work with total
 jumper mass, so the harness multiplies by the number of affiliation-covered
-target nodes (alpha) or auxiliary nodes (beta).  Set ``alpha_units =
-total`` to pass the values straight through.
+target nodes (alpha) or auxiliary nodes (beta).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -86,7 +85,7 @@ class ExperimentConfig:
     m1: int = 2
     m2: int = 5
     m3: int = 10
-    extra_pairs: int = 20_000
+    extra_pairs: int | None = None  # None: min(20000, 2n(n-1)), see build_network
     directed_target: bool = False
     # files source
     target_path: str = ""
@@ -100,13 +99,11 @@ class ExperimentConfig:
     # sampling
     alpha: float = 1.0
     beta: float = 1.0
-    alpha_units: str = "per-node"
     budget: str = "2%"
     runs: int = 200
     seed: int = 1
     label: str = "degree"
     rrzi_k: int = 25
-    jump_always: bool = False
     workers: int = 1
     # outputs
     out: str = ""
@@ -124,18 +121,18 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
-        if self.alpha_units not in ("per-node", "total"):
-            raise ValueError("alpha_units must be 'per-node' or 'total'")
         if self.rrzi_k < 1:
             raise ValueError("rrzi_k must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers != 1:
+            raise ValueError(f"workers={self.workers!r}: replications run serially, only 1 is accepted")
         resolve_budget(self.budget, 10**6)  # syntax check; real n applied later
 
 
-_BOOL_KEYS = {"directed_target", "jump_always"}
-_INT_KEYS = {"n_per_graph", "m1", "m2", "m3", "extra_pairs", "runs", "seed", "rrzi_k", "workers"}
-_FLOAT_KEYS = {"alpha", "beta"}
+# config key -> the type a string value converts to (int for ``int | None``)
+_KEY_TYPES = {
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in get_type_hints(ExperimentConfig).items()
+}
 
 
 def parse_config_file(path) -> dict:
@@ -157,21 +154,19 @@ def make_config(mapping: dict, overrides: dict | None = None) -> ExperimentConfi
     merged = dict(mapping)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in merged.items():
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(value, str):
-            if key in _BOOL_KEYS:
+        kind = _KEY_TYPES[key]
+        if isinstance(value, str) and kind is not str:
+            if kind is bool:
                 lowered = value.lower()
                 if lowered not in ("true", "false", "1", "0", "yes", "no"):
                     raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
                 value = lowered in ("true", "1", "yes")
-            elif key in _INT_KEYS:
-                value = int(value)
-            elif key in _FLOAT_KEYS:
-                value = float(value)
+            else:
+                value = kind(value)
         kwargs[key] = value
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
@@ -243,12 +238,14 @@ def build_network(cfg: ExperimentConfig):
     (possibly directed).
     """
     if cfg.source == "synthetic":
+        n = cfg.n_per_graph
+        extra_pairs = min(20_000, 2 * n * (n - 1)) if cfg.extra_pairs is None else cfg.extra_pairs
         syn = SynthConfig(
-            n_per_graph=cfg.n_per_graph,
+            n_per_graph=n,
             m1=cfg.m1,
             m2=cfg.m2,
             m3=cfg.m3,
-            extra_pairs=cfg.extra_pairs,
+            extra_pairs=extra_pairs,
             seed=cfg.seed,
         )
         hybrid = build_synthetic_hybrid(syn)
@@ -304,12 +301,8 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
 
     covered = hybrid.covered_targets()
     budget = resolve_budget(cfg.budget, hybrid.target.n)
-    if cfg.alpha_units == "per-node":
-        alpha_total = cfg.alpha * max(1, len(covered))
-        beta_total = cfg.beta * max(1, hybrid.auxiliary.n)
-    else:
-        alpha_total = cfg.alpha
-        beta_total = cfg.beta
+    alpha_total = cfg.alpha * max(1, len(covered))
+    beta_total = cfg.beta * max(1, hybrid.auxiliary.n)
     prep = PreparedExperiment(
         cfg, hybrid, labeler, truth, budget, alpha_total, beta_total, covered
     )
@@ -357,18 +350,14 @@ def _walk_trace(prep: PreparedExperiment, rep_seed: int):
             rng, hybrid.target.n, lambda u: hybrid.target.adj[u] or qu[u] > 0
         )
         return rwt_vsa_run(
-            hybrid, prep.source, prep.alpha_total, prep.budget, start, rep_seed,
-            jump_always=cfg.jump_always, qu=qu,
+            hybrid, prep.source, prep.alpha_total, prep.budget, start, rep_seed, qu=qu
         )
     ws = prep.weights
     x = _pick_where(rng, hybrid.target.n, lambda u: hybrid.target.adj[u] or ws.omega[u] > 0)
     xp = prep.covered[rng.randrange(len(prep.covered))]
     aux = hybrid.auxiliary
     y = _pick_where(rng, aux.n, lambda v: aux.adj[v] or ws.w[v] > 0)
-    return rwt_rwa_run(
-        hybrid, prep.alpha_total, prep.beta_total, None, prep.budget,
-        (x, xp, y), rep_seed, weights=ws,
-    )
+    return rwt_rwa_run(hybrid, ws, prep.budget, (x, xp, y), rep_seed)
 
 
 def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:
@@ -426,20 +415,12 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
     if prep is None:
         prep = prepare_experiment(cfg)
     seeds = replication_seeds(cfg.seed, cfg.runs)
-
-    def one(args):
-        idx, rep_seed = args
+    reports = []
+    for idx, rep_seed in enumerate(seeds):
         try:
-            return run_replication(prep, rep_seed)
+            reports.append(run_replication(prep, rep_seed))
         except Exception as exc:
             raise RuntimeError(f"replication {idx} (seed {rep_seed}) failed: {exc}") from exc
-
-    tasks = list(enumerate(seeds))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(one, tasks))
-    else:
-        reports = [one(t) for t in tasks]
 
     if cfg.trace_out and reports and cfg.method not in HARVEST_METHODS:
         # re-run replication 0 to export its trace (runs are pure and cheap)

@@ -21,9 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimateReport, vsa_theta_unknown_n
-from .graphs import HybridNetwork, Labeler
-from .samplers import vs_a_collect
 from .seeds import STREAM_AUX, spawn_rng
 
 MAX_ZOOM_DEPTH = 60
@@ -183,26 +180,6 @@ class ZoomInSource:
     def draw(self, rng) -> tuple:
         d = rrzi_draw(self.index, self.root, self.k, rng)
         return d.venue.id, d.p, d.api_calls
-
-
-def rrzi_vsa_estimate(
-    hybrid: HybridNetwork,
-    index: VenueIndex,
-    root: Region,
-    k: int,
-    b_prime: int,
-    labeler: Labeler,
-    seed,
-) -> EstimateReport:
-    """B' independent zoom-in draws fed into the indirect estimators.
-
-    The returned report's theta is the ratio (unknown-n) form; the known-n
-    form and the size estimate ride along.
-    """
-    sample = vs_a_collect(hybrid, ZoomInSource(index, root, k), b_prime, seed)
-    report = vsa_theta_unknown_n(sample, labeler, seed=seed, n=hybrid.target.n)
-    report.method = "RRZI-VSA"
-    return report
 
 
 def load_venues(path, node_names=None) -> list:

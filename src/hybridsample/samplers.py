@@ -20,7 +20,6 @@ more intuitive per-node units and rescales (see experiment.py).
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -30,8 +29,6 @@ import numpy as np
 
 from .graphs import Graph, HybridNetwork
 from .seeds import STREAM_AUX, STREAM_MH, STREAM_TARGET, spawn_rng
-
-log = logging.getLogger(__name__)
 
 KERNEL_SIZE_LIMIT = 2000
 CLOSED_FORM_CELL_LIMIT = 4_000_000
@@ -255,7 +252,6 @@ def rwt_vsa_run(
     start: int,
     seed,
     *,
-    jump_always: bool = False,
     qu: np.ndarray | None = None,
 ) -> SampleTrace:
     """Random walk on the target graph with jumps through auxiliary vertex
@@ -266,9 +262,6 @@ def rwt_vsa_run(
     auxiliary node from p and lands on a uniform affiliation neighbor of it.
     Otherwise the walker moves to a uniform target-graph neighbor.  Recorded
     visit weights are d_x + omega_x.
-
-    ``jump_always`` implements the infinite-jump-mass limit: every step is a
-    jump and weights are q_x itself (the visit law is then exactly q).
     """
     target = hybrid.target
     if target.directed:
@@ -295,18 +288,12 @@ def rwt_vsa_run(
     x = start
     for i in range(budget):
         d = len(adj[x])
-        if jump_always:
-            if qu[x] <= 0.0:
-                raise RuntimeError(f"node {x} outside the jump distribution support")
-            w_visit = float(qu[x])
-        else:
-            w_visit = d + float(omega[x])
+        ox = float(omega[x])
         nodes.append(x)
-        weights.append(w_visit)
+        weights.append(d + ox)
         if i + 1 == budget:
             break
-        ox = float(omega[x])
-        if jump_always or (ox > 0.0 and rng_t.random() < ox / (d + ox)):
+        if ox > 0.0 and rng_t.random() < ox / (d + ox):
             v = p.sample(rng_a)
             users = right[v]
             aux_queries += 1
@@ -364,10 +351,6 @@ class WeightSystem:
     machinery actually proposes, reconciled with q by the MH chain.
     """
 
-    alpha: float
-    beta: float
-    two_e: float
-    two_e_prime: float
     q: np.ndarray
     omega: np.ndarray
     pi_u: np.ndarray
@@ -391,9 +374,6 @@ def fixed_weight_scheme(
     alpha: float,
     beta: float,
     q: np.ndarray | None = None,
-    *,
-    two_e: float | None = None,
-    two_e_prime: float | None = None,
 ) -> WeightSystem:
     """Derive all coupled-walk quantities from a fixed desired distribution q:
 
@@ -403,9 +383,7 @@ def fixed_weight_scheme(
         pi_v    = (d_v + w_v) / (2|E'| + beta)
         q'_u    = sum_{v ~b u} pi_v / d_v_bip
 
-    The volume constants 2|E| and 2|E'| are read from the graphs; pass
-    ``two_e``/``two_e_prime`` to override them when the graphs at hand are
-    partial crawls of something larger.
+    q defaults to uniform over the affiliation-covered target nodes.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be >= 0")
@@ -427,10 +405,8 @@ def fixed_weight_scheme(
 
     deg_t = hybrid.target.degrees.astype(float)
     deg_a = hybrid.auxiliary.degrees.astype(float)
-    if two_e is None:
-        two_e = float(hybrid.target.degree_sum)
-    if two_e_prime is None:
-        two_e_prime = float(hybrid.auxiliary.degree_sum)
+    two_e = float(hybrid.target.degree_sum)
+    two_e_prime = float(hybrid.auxiliary.degree_sum)
 
     omega = alpha * q
     if two_e + alpha <= 0:
@@ -444,7 +420,7 @@ def fixed_weight_scheme(
 
     q_prime = _spread(pi_v, aff.right_degrees, aff.right_indices, hybrid.target.n)
 
-    return WeightSystem(alpha, beta, two_e, two_e_prime, q, omega, pi_u, w, pi_v, q_prime)
+    return WeightSystem(q, omega, pi_u, w, pi_v, q_prime)
 
 
 def closed_form_weights(hybrid: HybridNetwork, alpha: float, beta: float):
@@ -558,18 +534,15 @@ class RwtRwaDetail:
 
 def rwt_rwa_run(
     hybrid: HybridNetwork,
-    alpha: float,
-    beta: float,
-    q: np.ndarray | None,
+    ws: WeightSystem,
     budget: int,
     starts: tuple,
     seed,
     *,
-    weights: WeightSystem | None = None,
     detail: RwtRwaDetail | None = None,
-    burn_in: int = 0,
 ) -> SampleTrace:
-    """Coupled run of three chains advancing in lockstep.
+    """Coupled run of three chains advancing in lockstep, with the jump
+    weights and distributions of ``ws`` (see fixed_weight_scheme).
 
     Per round, from (x_i, x'_i, y_i):
 
@@ -581,17 +554,13 @@ def rwt_rwa_run(
     3. Target walk: with probability omega_x/(d_x + omega_x) jump to
        x'_{i+1}, else move to a uniform target-graph neighbor.
 
-    The trace records target visits with weights d_x + omega_x.  With
-    ``burn_in`` > 0 the first that many rounds run unrecorded.
+    The trace records target visits with weights d_x + omega_x.
     """
     target, aux, aff = hybrid.target, hybrid.auxiliary, hybrid.affiliation
     if target.directed or aux.directed:
         raise ValueError("walks need undirected graphs; use undirected_view")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    ws = weights if weights is not None else fixed_weight_scheme(hybrid, alpha, beta, q)
     x, xp, y = starts
     if not (0 <= x < target.n and 0 <= xp < target.n and 0 <= y < aux.n):
         raise ValueError("start nodes out of range")
@@ -611,20 +580,17 @@ def rwt_rwa_run(
     rng_a = spawn_rng(seed, STREAM_AUX)
 
     nodes = []
-    weights_out = []
+    weights = []
     jumped = [False] * budget
-    fallback_logged = 0
     if detail is not None:
         detail.aux_nodes.append(y)
         detail.mh_nodes.append(xp)
 
-    total_rounds = budget + burn_in
-    for i in range(total_rounds):
+    for i in range(budget):
         dx = len(t_adj[x])
-        if i >= burn_in:
-            nodes.append(x)
-            weights_out.append(dx + float(omega[x]))
-        if i + 1 == total_rounds:
+        nodes.append(x)
+        weights.append(dx + float(omega[x]))
+        if i + 1 == budget:
             break
 
         # MH chain fed by the auxiliary walker's affiliation neighbors.
@@ -643,7 +609,6 @@ def rwt_rwa_run(
             if venues:
                 y = venues[rng_a.randrange(len(venues))]
             elif dy > 0:
-                fallback_logged += 1
                 if detail is not None:
                     detail.fallback_jumps += 1
                 y = a_adj[y][rng_a.randrange(dy)]
@@ -663,8 +628,7 @@ def rwt_rwa_run(
             )
         if ox > 0.0 and rng_t.random() < ox / (dx + ox):
             x = xp
-            if i + 1 >= burn_in:
-                jumped[i + 1 - burn_in] = True
+            jumped[i + 1] = True
         else:
             x = t_adj[x][rng_t.randrange(dx)]
 
@@ -672,10 +636,4 @@ def rwt_rwa_run(
             detail.aux_nodes.append(y)
             detail.mh_nodes.append(xp)
 
-    if fallback_logged:
-        log.debug(
-            "auxiliary jumps fell back to walking moves %d time(s): target walker "
-            "had no affiliation edges when the jump fired",
-            fallback_logged,
-        )
-    return SampleTrace(nodes, weights_out, jumped, budget, 2 * total_rounds)
+    return SampleTrace(nodes, weights, jumped, budget, 2 * budget)

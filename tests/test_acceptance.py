@@ -18,8 +18,8 @@ from helpers import (
     three_user_hybrid,
 )
 from hybridsample import experiment as ex
-from hybridsample.estimators import vsa_estimate_n, vsa_theta_known_n
-from hybridsample.geo import Region, Venue, VenueIndex, rrzi_vsa_estimate
+from hybridsample.estimators import vsa_estimate_n, vsa_theta_known_n, vsa_theta_unknown_n
+from hybridsample.geo import Region, Venue, VenueIndex, ZoomInSource
 from hybridsample.graphs import BipartiteGraph
 from hybridsample.samplers import (
     AuxDistribution,
@@ -32,6 +32,7 @@ from hybridsample.samplers import (
     rwt_vsa_transition_matrix,
     simple_rw_run,
     stationary_rwt_vsa,
+    vs_a_collect,
 )
 from hybridsample.seeds import replication_seeds
 from hybridsample.synth import SynthConfig, build_synthetic_hybrid
@@ -197,7 +198,7 @@ def test_criterion_5_reduction_identities():
     assert walk.nodes == plain.nodes and walk.weights == plain.weights
 
     ws = fixed_weight_scheme(h, 0.0, 0.0)
-    coupled = rwt_rwa_run(h, 0.0, 0.0, None, 5000, (17, 0, 3), seed=MASTER_SEED, weights=ws)
+    coupled = rwt_rwa_run(h, ws, 5000, (17, 0, 3), seed=MASTER_SEED)
     assert coupled.nodes == plain.nodes and coupled.weights == plain.weights
     report(5, "alpha=0 and alpha=beta=0 walks are trace-identical to the plain walk", time.time() - t0, 30.0)
 
@@ -325,7 +326,8 @@ def test_criterion_8_rrzi_probability_closure():
     # ratio form recovers theta_a from the two expectations
     assert abs((e_theta * 3.0) / e_n - 1.0 / 3.0) < 1e-12
 
-    rep = rrzi_vsa_estimate(h, idx, root, k=1, b_prime=20_000, labeler=label_a, seed=MASTER_SEED)
+    sample = vs_a_collect(h, ZoomInSource(idx, root, 1), 20_000, seed=MASTER_SEED)
+    rep = vsa_theta_unknown_n(sample, label_a, seed=MASTER_SEED, n=h.target.n)
     assert rep.theta["a"] == pytest.approx(1.0 / 3.0, abs=0.02)
     report(8, "closure exact on 4 layouts; combined sampler unbiased on the enumeration instance", time.time() - t0, 5.0)
 
@@ -344,7 +346,7 @@ def test_criterion_9_disconnection_robustness():
     start = 152                  # ordinary low-degree node inside the first half
     budget = 10_000
 
-    coupled = rwt_rwa_run(h, alpha, beta, None, budget, (start, start, 0), seed=MASTER_SEED, weights=ws)
+    coupled = rwt_rwa_run(h, ws, budget, (start, start, 0), seed=MASTER_SEED)
     occ_first = sum(1 for x in coupled.nodes if x < n_half) / budget
     assert min(occ_first, 1 - occ_first) >= 0.2
 

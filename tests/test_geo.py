@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import rrzi_exact_probabilities, three_user_hybrid
-from hybridsample.estimators import nrmse
+from hybridsample.estimators import nrmse, vsa_theta_unknown_n
 from hybridsample.geo import (
     NYC_REGION,
     Region,
@@ -13,7 +13,6 @@ from hybridsample.geo import (
     ZoomInSource,
     load_venues,
     rrzi_draw,
-    rrzi_vsa_estimate,
     write_venues,
 )
 from hybridsample.graphs import (
@@ -136,7 +135,8 @@ def test_rrzi_vsa_single_full_venue_exact():
     idx = VenueIndex([Venue(0, 0.5, 0.5)])
     root = Region(0.0, 1.0, 0.0, 1.0)
     truth = ground_truth_theta(target, degree_labels(target))
-    rep = rrzi_vsa_estimate(h, idx, root, k=3, b_prime=4, labeler=degree_labels(target), seed=2)
+    sample = vs_a_collect(h, ZoomInSource(idx, root, 3), 4, seed=2)
+    rep = vsa_theta_unknown_n(sample, degree_labels(target), seed=2, n=h.target.n)
     for l, t in truth.theta.items():
         assert rep.theta[l] == pytest.approx(t, abs=1e-12)
         assert rep.theta_known_n[l] == pytest.approx(t, abs=1e-12)
@@ -163,8 +163,7 @@ def test_rrzi_vsa_rejects_venue_outside_auxiliary_graph():
     h = three_user_hybrid()
     idx = VenueIndex([Venue(h.auxiliary.n, 0.5, 0.5)])
     with pytest.raises(ValueError, match="not an auxiliary node"):
-        rrzi_vsa_estimate(h, idx, Region(0.0, 1.0, 0.0, 1.0), k=3, b_prime=2,
-                          labeler=degree_labels(h.target), seed=0)
+        vs_a_collect(h, ZoomInSource(idx, Region(0.0, 1.0, 0.0, 1.0), 3), 2, seed=0)
 
 
 def test_rrzi_vsa_enumeration_ratio_unbiased():
@@ -214,8 +213,10 @@ def test_rrzi_vsa_lbsn_city_pattern():
     truth = ground_truth_theta(social, labeler)
 
     def runs(b_prime, n_runs=25):
+        zoom = ZoomInSource(idx, root, 20)
         return [
-            rrzi_vsa_estimate(h, idx, root, k=20, b_prime=b_prime, labeler=labeler, seed=s)
+            vsa_theta_unknown_n(vs_a_collect(h, zoom, b_prime, seed=s), labeler,
+                                seed=s, n=h.target.n)
             for s in range(n_runs)
         ]
 

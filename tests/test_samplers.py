@@ -192,16 +192,6 @@ def test_rwt_vsa_alpha_zero_equals_simple_rw():
     assert not any(a.jumped)
 
 
-def test_rwt_vsa_jump_always_visits_q():
-    h = small_synthetic()
-    p = AuxDistribution.uniform(h.auxiliary.n)
-    q = compute_qu(h, p)
-    trace = rwt_vsa_run(h, p, 1.0, 200_000, 0, seed=8, jump_always=True)
-    freq = np.bincount(trace.nodes, minlength=h.target.n) / len(trace)
-    assert 0.5 * np.abs(freq - q).sum() < 0.02
-    assert trace.weights[0] == q[trace.nodes[0]]
-
-
 def test_rwt_vsa_empirical_stationarity_four_nodes():
     target = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     aux = Graph(2, [(0, 1)])
@@ -411,7 +401,7 @@ def test_rwt_rwa_zero_jump_reduction():
     h = small_synthetic()
     ws = fixed_weight_scheme(h, 0.0, 0.0)
     detail = RwtRwaDetail()
-    trace = rwt_rwa_run(h, 0.0, 0.0, None, 4000, (5, 0, 7), seed=42, weights=ws, detail=detail)
+    trace = rwt_rwa_run(h, ws, 4000, (5, 0, 7), seed=42, detail=detail)
     ref_target = simple_rw_run(h.target, 4000, 5, seed=42)
     assert trace.nodes == ref_target.nodes
     assert trace.weights == ref_target.weights
@@ -422,7 +412,7 @@ def test_rwt_rwa_zero_jump_reduction():
 def test_rwt_rwa_empirical_stationarity():
     h = small_synthetic()
     ws = fixed_weight_scheme(h, 1.0, 1.0)
-    trace = rwt_rwa_run(h, 1.0, 1.0, None, 10**6, (0, 0, 0), seed=99, weights=ws)
+    trace = rwt_rwa_run(h, ws, 10**6, (0, 0, 0), seed=99)
     freq = np.bincount(trace.nodes, minlength=h.target.n) / len(trace)
     assert np.abs(freq - ws.pi_u).max() < 0.01
 
@@ -435,7 +425,7 @@ def test_rwt_rwa_crosses_components_via_jumps():
     alpha = 1.0 * n_cov
     beta = 1.0 * h.auxiliary.n
     ws = fixed_weight_scheme(h, alpha, beta)
-    trace = rwt_rwa_run(h, alpha, beta, None, 10_000, (10, 10, 0), seed=2, weights=ws)
+    trace = rwt_rwa_run(h, ws, 10_000, (10, 10, 0), seed=2)
     in_first = sum(1 for x in trace.nodes if x < 500)
     assert in_first > 0.2 * len(trace)
     assert len(trace) - in_first > 0.2 * len(trace)
@@ -452,7 +442,7 @@ def test_rwt_rwa_fallback_jump_logged():
     q = np.array([1.0, 0.0])
     ws = fixed_weight_scheme(h, 5.0, 5.0, q)
     detail = RwtRwaDetail()
-    rwt_rwa_run(h, 5.0, 5.0, q, 4000, (0, 0, 0), seed=3, weights=ws, detail=detail)
+    rwt_rwa_run(h, ws, 4000, (0, 0, 0), seed=3, detail=detail)
     assert detail.fallback_jumps > 0
 
 
@@ -463,7 +453,7 @@ def test_rwt_rwa_misinitialized_mh_start():
     q = q / q.sum()
     ws = fixed_weight_scheme(h, 1.0, 1.0, q)
     with pytest.raises(RuntimeError, match="mis-initialized"):
-        rwt_rwa_run(h, 1.0, 1.0, q, 100, (1, 0, 0), seed=0, weights=ws)
+        rwt_rwa_run(h, ws, 100, (1, 0, 0), seed=0)
 
 
 def test_rwt_rwa_auxiliary_absorbed():
@@ -473,26 +463,7 @@ def test_rwt_rwa_auxiliary_absorbed():
     h = HybridNetwork(target, aux, aff)
     ws = fixed_weight_scheme(h, 0.0, 0.0)
     with pytest.raises(RuntimeError, match="auxiliary chain absorbed"):
-        rwt_rwa_run(h, 0.0, 0.0, None, 100, (0, 0, 2), seed=0, weights=ws)
-
-
-def test_rwt_rwa_burn_in_drops_prefix():
-    h = small_synthetic()
-    ws = fixed_weight_scheme(h, 1.0, 1.0)
-    full = rwt_rwa_run(h, 1.0, 1.0, None, 600, (0, 0, 0), seed=7, weights=ws)
-    tail = rwt_rwa_run(h, 1.0, 1.0, None, 400, (0, 0, 0), seed=7, weights=ws, burn_in=200)
-    assert tail.nodes == full.nodes[200:]
-    assert tail.weights == full.weights[200:]
-    assert len(tail) == 400
-
-
-def test_fixed_weight_scheme_volume_overrides():
-    h = small_synthetic()
-    base = fixed_weight_scheme(h, 1.0, 1.0)
-    crawl = fixed_weight_scheme(h, 1.0, 1.0, two_e=10 * base.two_e, two_e_prime=base.two_e_prime)
-    assert crawl.two_e == 10 * base.two_e
-    assert np.allclose(crawl.pi_u * (crawl.two_e + 1.0), base.pi_u * (base.two_e + 1.0))
-    assert not np.allclose(crawl.w, base.w)
+        rwt_rwa_run(h, ws, 100, (0, 0, 2), seed=0)
 
 
 def test_runs_deterministic_per_seed():
@@ -504,8 +475,8 @@ def test_runs_deterministic_per_seed():
     assert t1.nodes == t2.nodes and t1.jumped == t2.jumped
     assert t1.nodes != t3.nodes
     ws = fixed_weight_scheme(h, 1.0, 1.0)
-    r1 = rwt_rwa_run(h, 1.0, 1.0, None, 2000, (0, 0, 0), seed=5, weights=ws)
-    r2 = rwt_rwa_run(h, 1.0, 1.0, None, 2000, (0, 0, 0), seed=5, weights=ws)
+    r1 = rwt_rwa_run(h, ws, 2000, (0, 0, 0), seed=5)
+    r2 = rwt_rwa_run(h, ws, 2000, (0, 0, 0), seed=5)
     assert r1.nodes == r2.nodes
 
 
