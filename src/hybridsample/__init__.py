@@ -18,9 +18,6 @@ from .graphs import (
     constant_labels,
     degree_labels,
     ground_truth_theta,
-    in_degree_labels,
-    out_degree_labels,
-    undirected_view,
 )
 from .ingest import CheckinRecord, build_hybrid_from_lbsn, load_checkins, load_edge_list
 from .samplers import (

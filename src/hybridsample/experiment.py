@@ -23,15 +23,7 @@ import numpy as np
 
 from . import geo, ingest
 from .estimators import EstimateReport, nrmse, vsa_theta_unknown_n, walk_theta
-from .graphs import (
-    HybridNetwork,
-    LabelDistribution,
-    degree_labels,
-    ground_truth_theta,
-    in_degree_labels,
-    out_degree_labels,
-    undirected_view,
-)
+from .graphs import HybridNetwork, LabelDistribution, degree_labels, ground_truth_theta
 from .samplers import (
     AuxDistribution,
     compute_qu,
@@ -86,7 +78,6 @@ class ExperimentConfig:
     m2: int = 5
     m3: int = 10
     extra_pairs: int | None = None  # None: min(20000, 2n(n-1)), see build_network
-    directed_target: bool = False
     # files source
     target_path: str = ""
     auxiliary_path: str = ""
@@ -117,6 +108,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.label not in LABEL_KINDS:
             raise ValueError(f"unknown label kind {self.label!r}")
+        if self.label != "degree" and self.source != "synthetic":
+            raise ValueError(f"label={self.label} needs source=synthetic, got {self.source}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.alpha < 0 or self.beta < 0:
@@ -125,7 +118,11 @@ class ExperimentConfig:
             raise ValueError("rrzi_k must be >= 1")
         if self.workers != 1:
             raise ValueError(f"workers={self.workers!r}: replications run serially, only 1 is accepted")
+        if self.trace_out and self.method in HARVEST_METHODS:
+            raise ValueError(f"trace_out: {self.method} draws no walk, so there is no trace")
         resolve_budget(self.budget, 10**6)  # syntax check; real n applied later
+        if self.bbox:
+            _parse_bbox(self.bbox)
 
 
 # config key -> the type a string value converts to (int for ``int | None``)
@@ -160,13 +157,12 @@ def make_config(mapping: dict, overrides: dict | None = None) -> ExperimentConfi
             raise ValueError(f"unknown config key {key!r}")
         kind = _KEY_TYPES[key]
         if isinstance(value, str) and kind is not str:
-            if kind is bool:
-                lowered = value.lower()
-                if lowered not in ("true", "false", "1", "0", "yes", "no"):
-                    raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
-                value = lowered in ("true", "1", "yes")
-            else:
+            try:
                 value = kind(value)
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r} expects {kind.__name__}, got {value!r}"
+                ) from None
         kwargs[key] = value
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
@@ -179,12 +175,17 @@ def resolve_budget(budget, n: int) -> int:
         value = budget
     else:
         text = str(budget).strip()
-        if text.endswith("%"):
-            value = round(float(text[:-1]) / 100.0 * n)
-        elif "." in text:
-            value = round(float(text) * n)
-        else:
-            value = int(text)
+        try:
+            if text.endswith("%"):
+                value = round(float(text[:-1]) / 100.0 * n)
+            elif "." in text:
+                value = round(float(text) * n)
+            else:
+                value = int(text)
+        except ValueError:
+            raise ValueError(
+                f"budget {budget!r}: expected a count (2000), percent (2%) or fraction (0.02)"
+            ) from None
     if value < 1:
         raise ValueError(f"budget {budget!r} resolves to {value}; must be >= 1")
     return value
@@ -195,7 +196,7 @@ class PreparedExperiment:
     """Everything shared across replications of one experiment."""
 
     cfg: ExperimentConfig
-    hybrid: HybridNetwork          # walking version (undirected target)
+    hybrid: HybridNetwork
     labeler: object
     truth: LabelDistribution
     budget: int
@@ -210,10 +211,13 @@ class PreparedExperiment:
 def _parse_bbox(text: str) -> geo.Region:
     if text.lower() == "nyc":
         return geo.NYC_REGION
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("bbox expects 'lat_min,lat_max,lon_min,lon_max' or 'nyc'")
-    return geo.Region(*parts)
+    try:
+        parts = [float(x) for x in text.split(",")]
+        if len(parts) == 4:
+            return geo.Region(*parts)
+    except ValueError:  # not a number, or an empty region
+        pass
+    raise ValueError(f"bbox {text!r}: expected 'lat_min,lat_max,lon_min,lon_max' or 'nyc'")
 
 
 def synthetic_venues(n: int, region: geo.Region, seed: int) -> list:
@@ -234,8 +238,7 @@ def synthetic_venues(n: int, region: geo.Region, seed: int) -> list:
 def build_network(cfg: ExperimentConfig):
     """Build or load the hybrid network named by the config.
 
-    Returns (hybrid, venue_index_or_None) with the target graph as stored
-    (possibly directed).
+    Returns (hybrid, venue_index_or_None).
     """
     if cfg.source == "synthetic":
         n = cfg.n_per_graph
@@ -249,10 +252,6 @@ def build_network(cfg: ExperimentConfig):
             seed=cfg.seed,
         )
         hybrid = build_synthetic_hybrid(syn)
-        if cfg.directed_target:
-            hybrid = HybridNetwork(
-                orient_edges(hybrid.target, cfg.seed), hybrid.auxiliary, hybrid.affiliation
-            )
         index = None
         if cfg.method == "RRZI-VSA":
             index = geo.VenueIndex(
@@ -281,23 +280,16 @@ def build_network(cfg: ExperimentConfig):
 
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     cfg.validate()
-    stored, index = build_network(cfg)
-    label_graph = stored.target
+    hybrid, index = build_network(cfg)
+    target = hybrid.target
     if cfg.label == "degree":
-        if label_graph.directed:
-            raise ValueError("degree labels need an undirected target; use in/out-degree")
-        labeler = degree_labels(label_graph)
-    elif cfg.label == "in-degree":
-        labeler = in_degree_labels(label_graph)
+        degrees = target.degrees
     else:
-        labeler = out_degree_labels(label_graph)
-    truth = ground_truth_theta(label_graph, labeler)
-
-    hybrid = stored
-    if stored.target.directed:
-        hybrid = HybridNetwork(
-            undirected_view(stored.target), stored.auxiliary, stored.affiliation
-        )
+        # follower-style labels: arc (u, v) adds to u's out- and v's in-degree
+        arcs = orient_edges(target, cfg.seed)
+        degrees = np.bincount(arcs[:, 1 if cfg.label == "in-degree" else 0], minlength=target.n)
+    labeler = degree_labels(degrees)
+    truth = ground_truth_theta(target, labeler)
 
     covered = hybrid.covered_targets()
     budget = resolve_budget(cfg.budget, hybrid.target.n)
@@ -422,7 +414,7 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
         except Exception as exc:
             raise RuntimeError(f"replication {idx} (seed {rep_seed}) failed: {exc}") from exc
 
-    if cfg.trace_out and reports and cfg.method not in HARVEST_METHODS:
+    if cfg.trace_out:
         # re-run replication 0 to export its trace (runs are pure and cheap)
         write_trace(_walk_trace(prep, seeds[0]), cfg.trace_out)
     if cfg.raw_out:

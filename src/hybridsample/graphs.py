@@ -67,25 +67,23 @@ def _rows(indptr: np.ndarray, indices: np.ndarray, n_cols: int) -> list[tuple[in
 
 
 class Graph:
-    """Immutable simple graph in CSR form.
+    """Immutable undirected simple graph in CSR form.
 
     ``indptr``/``indices`` hold the sorted, deduplicated neighbors of every
-    node (row u is ``indices[indptr[u]:indptr[u + 1]]``) and ``degrees`` the
-    row lengths.  Undirected by default, with both directions of each edge
-    stored.  Directed graphs keep the out-rows there and the in-rows in
-    ``in_indptr``/``in_indices``/``in_degrees``.  Self-loops are rejected;
-    duplicate input edges are merged silently.
+    node (row u is ``indices[indptr[u]:indptr[u + 1]]``), both directions
+    of each edge stored, and ``degrees`` the row lengths.  Self-loops are
+    rejected; duplicate input edges, in either direction, are merged
+    silently.
 
-    ``adj`` and ``in_adj`` are the same rows as tuples, built on first use
-    and cached: the per-step samplers index them, which is much faster than
-    numpy scalar indexing.
+    ``adj`` is the same rows as tuples, built on first use and cached: the
+    per-step samplers index it, which is much faster than numpy scalar
+    indexing.
     """
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]] | np.ndarray = (),
-        directed: bool = False,
         node_names: Sequence[str] | None = None,
     ):
         if n < 0:
@@ -93,7 +91,6 @@ class Graph:
         if node_names is not None and len(node_names) != n:
             raise ValueError("node_names length must equal n")
         self.n = n
-        self.directed = directed
         self.node_names = list(node_names) if node_names is not None else None
 
         e = _pair_array(edges)
@@ -106,63 +103,36 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             raise ValueError(f"self-loop at node {u} not allowed")
         u, v = e[:, 0], e[:, 1]
-        if directed:
-            self.indptr, self.indices, self.degrees = _csr(u, v, n, n)
-            self.in_indptr, self.in_indices, self.in_degrees = _csr(v, u, n, n)
-            self.num_edges = len(self.indices)
-        else:
-            both_u = np.concatenate((u, v))
-            both_v = np.concatenate((v, u))
-            self.indptr, self.indices, self.degrees = _csr(both_u, both_v, n, n)
-            self.in_indptr, self.in_indices, self.in_degrees = (
-                self.indptr, self.indices, self.degrees
-            )
-            self.num_edges = len(self.indices) // 2
+        self.indptr, self.indices, self.degrees = _csr(
+            np.concatenate((u, v)), np.concatenate((v, u)), n, n
+        )
+        self.num_edges = len(self.indices) // 2
 
     @cached_property
     def adj(self) -> list[tuple[int, ...]]:
-        """Out-neighbor rows as tuples (all neighbors if undirected)."""
+        """Neighbor rows as tuples."""
         return _rows(self.indptr, self.indices, self.n)
-
-    @cached_property
-    def in_adj(self) -> list[tuple[int, ...]]:
-        """In-neighbor rows as tuples; the same rows if undirected."""
-        return _rows(self.in_indptr, self.in_indices, self.n) if self.directed else self.adj
 
     @property
     def degree_sum(self) -> int:
-        """Sum of degrees; equals 2|E| for undirected graphs."""
-        if self.directed:
-            raise ValueError("degree_sum is defined for undirected graphs")
+        """Sum of degrees, 2|E|."""
         return 2 * self.num_edges
 
     def degree(self, u: int) -> int:
-        if self.directed:
-            raise ValueError("use in_degree/out_degree on directed graphs")
         return int(self.degrees[u])
-
-    def out_degree(self, u: int) -> int:
-        return int(self.degrees[u])
-
-    def in_degree(self, u: int) -> int:
-        return int(self.in_degrees[u])
 
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of the edges in ``edges()`` order."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        if not self.directed:
-            keep = rows < self.indices
-            return np.column_stack((rows[keep], self.indices[keep]))
-        return np.column_stack((rows, self.indices))
+        keep = rows < self.indices
+        return np.column_stack((rows[keep], self.indices[keep]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Each edge once: (u, v) with u < v when undirected, arcs
-        otherwise; sorted by u, then v."""
+        """Each edge once as (u, v) with u < v, sorted by u, then v."""
         return map(tuple, self.edge_array().tolist())
 
     def __repr__(self) -> str:
-        kind = "directed" if self.directed else "undirected"
-        return f"Graph(n={self.n}, m={self.num_edges}, {kind})"
+        return f"Graph(n={self.n}, m={self.num_edges})"
 
 
 class BipartiteGraph:
@@ -245,18 +215,6 @@ def bip_neighbors(hybrid: HybridNetwork, side: str, node: int) -> list[int]:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def undirected_view(graph: Graph) -> Graph:
-    """Undirected version of a graph: adj(u) = out(u) | in(u), deduplicated.
-
-    Undirected input is returned unchanged, which makes the operation
-    idempotent.  Directional degrees of the original stay queryable through
-    labelers built on the original graph.
-    """
-    if not graph.directed:
-        return graph
-    return Graph(graph.n, graph.edge_array(), directed=False, node_names=graph.node_names)
-
-
 @dataclass
 class LabelDistribution:
     """Per-label fractions theta_l over the n nodes of a graph."""
@@ -291,25 +249,9 @@ def ground_truth_theta(graph: Graph, labeler: Labeler) -> LabelDistribution:
     return LabelDistribution(theta, graph.n)
 
 
-def degree_labels(graph: Graph) -> Labeler:
-    """Single-label labeler: the node's degree in an undirected graph."""
-    if graph.directed:
-        raise ValueError("degree labels need an undirected graph; see in/out variants")
-    deg = graph.degrees.tolist()
-    return lambda u: (deg[u],)
-
-
-def in_degree_labels(graph: Graph) -> Labeler:
-    if not graph.directed:
-        raise ValueError("in-degree labels need a directed graph")
-    deg = graph.in_degrees.tolist()
-    return lambda u: (deg[u],)
-
-
-def out_degree_labels(graph: Graph) -> Labeler:
-    if not graph.directed:
-        raise ValueError("out-degree labels need a directed graph")
-    deg = graph.degrees.tolist()
+def degree_labels(degrees) -> Labeler:
+    """Single-label labeler: node u's label is ``degrees[u]``."""
+    deg = np.asarray(degrees).tolist()
     return lambda u: (deg[u],)
 
 

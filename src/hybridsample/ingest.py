@@ -154,8 +154,6 @@ def build_hybrid_from_lbsn(social: Graph, checkins) -> tuple:
     in check-ins are added as isolated target nodes.  Returns
     (HybridNetwork, VenueIndex).
     """
-    if social.directed:
-        raise ValueError("expected an undirected friendship graph")
     if social.node_names is None:
         raise ValueError("social graph needs an id dictionary (load_edge_list)")
     user_ids = {name: i for i, name in enumerate(social.node_names)}

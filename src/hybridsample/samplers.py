@@ -75,6 +75,9 @@ class AuxDistribution:
         support = sorted(set(support))
         if not support:
             raise ValueError("support must be nonempty")
+        for v in (support[0], support[-1]):
+            if not 0 <= v < n:
+                raise ValueError(f"support id {v} out of range for n'={n}")
         probs = [0.0] * n
         share = 1.0 / len(support)
         for v in support:
@@ -220,8 +223,6 @@ def simple_rw_run(graph: Graph, budget: int, start: int, seed, *, stream: int = 
     ``stream`` selects the derived RNG stream so that walks embedded in
     coupled runs can be reproduced exactly.
     """
-    if graph.directed:
-        raise ValueError("simple_rw_run walks undirected graphs; use undirected_view")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not 0 <= start < graph.n:
@@ -264,8 +265,6 @@ def rwt_vsa_run(
     visit weights are d_x + omega_x.
     """
     target = hybrid.target
-    if target.directed:
-        raise ValueError("walks need an undirected target; use undirected_view")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if budget < 1:
@@ -557,8 +556,6 @@ def rwt_rwa_run(
     The trace records target visits with weights d_x + omega_x.
     """
     target, aux, aff = hybrid.target, hybrid.auxiliary, hybrid.affiliation
-    if target.directed or aux.directed:
-        raise ValueError("walks need undirected graphs; use undirected_view")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     x, xp, y = starts

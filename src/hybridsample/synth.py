@@ -16,6 +16,8 @@ import numpy as np
 from .graphs import BipartiteGraph, Graph, HybridNetwork
 from .seeds import spawn_rng
 
+ORIENT_ONE_WAY = 0.45  # per direction; both arcs with the remaining 0.1
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -111,20 +113,16 @@ def build_synthetic_hybrid(cfg: SynthConfig) -> HybridNetwork:
     return HybridNetwork(target, aux, affiliation)
 
 
-def orient_edges(graph: Graph, seed, p_forward: float = 0.45, p_backward: float = 0.45) -> Graph:
-    """Directed version of an undirected graph for follower-style experiments.
+def orient_edges(graph: Graph, seed) -> np.ndarray:
+    """Follower-style arcs of an undirected graph, as an (m', 2) array.
 
-    Each edge (u, v) with u < v becomes u->v with probability p_forward,
-    v->u with p_backward, and both arcs otherwise.
+    Each edge (u, v) with u < v becomes u->v with probability ORIENT_ONE_WAY,
+    v->u with the same probability, and both arcs otherwise.  The arcs only
+    give in- and out-degree labels; the walks use the undirected graph.
     """
-    if graph.directed:
-        raise ValueError("orient_edges expects an undirected graph")
-    if p_forward < 0 or p_backward < 0 or p_forward + p_backward > 1:
-        raise ValueError("orientation probabilities must be nonnegative and sum <= 1")
     rng = seed if hasattr(seed, "random") else spawn_rng(seed, 5)
     edges = graph.edge_array()
     r = np.array([rng.random() for _ in range(len(edges))])
-    forward = r < p_forward
-    backward = ~forward & (r < p_forward + p_backward)
-    arcs = np.concatenate((edges[~backward], edges[~forward][:, ::-1]))
-    return Graph(graph.n, arcs, directed=True, node_names=graph.node_names)
+    forward = r < ORIENT_ONE_WAY
+    backward = ~forward & (r < 2 * ORIENT_ONE_WAY)
+    return np.concatenate((edges[~backward], edges[~forward][:, ::-1]))

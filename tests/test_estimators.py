@@ -161,8 +161,8 @@ def test_unknown_n_no_effective_samples():
 
 def test_unknown_n_error_shrinks_with_budget():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=400, m1=2, m2=3, m3=5, extra_pairs=400, seed=4))
-    truth = ground_truth_theta(h.target, degree_labels(h.target))
-    labeler = degree_labels(h.target)
+    truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
+    labeler = degree_labels(h.target.degrees)
     p = AuxDistribution.uniform(h.auxiliary.n)
 
     def mean_abs_err(b_prime, runs=30):
@@ -208,11 +208,11 @@ def test_walk_theta_uniform_weights_is_frequency():
 
 def test_walk_theta_long_run_rwt_vsa():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=12, seed=2))
-    truth = ground_truth_theta(h.target, degree_labels(h.target))
+    truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
     support = [v for v in range(h.auxiliary.n) if h.affiliation.right_adj[v]]
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
     trace = rwt_vsa_run(h, p, 1.0, 10**6, 0, seed=17)
-    rep = walk_theta(trace, degree_labels(h.target))
+    rep = walk_theta(trace, degree_labels(h.target.degrees))
     for l, t in truth.theta.items():
         assert rep.theta.get(l, 0.0) == pytest.approx(t, abs=0.01)
 
@@ -220,9 +220,9 @@ def test_walk_theta_long_run_rwt_vsa():
 def test_walk_theta_simple_rw_reweighted():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=12, seed=2))
     # bridge makes the target connected, so the degree-weighted walk covers it
-    truth = ground_truth_theta(h.target, degree_labels(h.target))
+    truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
     trace = simple_rw_run(h.target, 10**6, 0, seed=23)
-    rep = walk_theta(trace, degree_labels(h.target))
+    rep = walk_theta(trace, degree_labels(h.target.degrees))
     for l, t in truth.theta.items():
         assert rep.theta.get(l, 0.0) == pytest.approx(t, abs=0.01)
 

@@ -1,10 +1,13 @@
+import collections
 import hashlib
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from hybridsample import cli, experiment as ex
 from hybridsample.seeds import replication_seeds
+from hybridsample.synth import orient_edges
 
 SMALL = dict(n_per_graph=60, m1=2, m2=3, m3=4, extra_pairs=40, runs=2, seed=5, budget="2%")
 
@@ -28,10 +31,22 @@ def test_config_validation_errors():
         ex.make_config({"method": "bogus"})
     with pytest.raises(ValueError, match="unknown config key"):
         ex.make_config({"nope": "1"})
-    with pytest.raises(ValueError, match="boolean"):
-        ex.make_config({"directed_target": "maybe"})
     with pytest.raises(ValueError, match="workers"):
         ex.make_config({"workers": "2"})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("runs", "abc"), ("alpha", "x"), ("budget", "1e3"), ("bbox", "1,2,a,4"), ("bbox", "2,1,3,4"),
+])
+def test_config_value_that_fails_to_convert_names_its_key(key, value):
+    with pytest.raises(ValueError, match=key):
+        ex.make_config({key: value})
+
+
+@pytest.mark.parametrize("method", ex.HARVEST_METHODS)
+def test_trace_out_rejected_for_harvest_methods(method):
+    with pytest.raises(ValueError, match="trace_out"):
+        ex.make_config({"method": method, "trace_out": "trace.csv"})
 
 
 def test_config_defaults_survive_string_coercion():
@@ -85,7 +100,7 @@ def test_list_views_built_in_prepare_only(method):
 
     def cached():
         return {(part, view) for part in ("target", "auxiliary", "affiliation")
-                for view in ("adj", "in_adj", "left_adj", "right_adj")
+                for view in ("adj", "left_adj", "right_adj")
                 if view in vars(getattr(prep.hybrid, part))}
 
     built = cached()
@@ -102,11 +117,29 @@ def test_run_experiment_deterministic_csv(tmp_path):
 
 
 def test_directed_target_labels():
-    cfg = small_cfg(method="SRW", directed_target=True, label="in-degree")
-    table = ex.run_experiment(cfg)
-    assert table.rows
-    with pytest.raises(ValueError, match="in/out-degree"):
-        ex.run_experiment(small_cfg(method="SRW", directed_target=True, label="degree"))
+    # in/out-degree label the arcs of the oriented target; the walk runs on
+    # the undirected target as built
+    for label in ("in-degree", "out-degree"):
+        cfg = small_cfg(method="SRW", label=label)
+        prep = ex.prepare_experiment(cfg)
+        built, _ = ex.build_network(cfg)
+        assert np.array_equal(prep.hybrid.target.indices, built.target.indices)
+        assert ex.run_experiment(cfg, prep).rows
+    with pytest.raises(ValueError, match="label=in-degree"):
+        small_cfg(label="in-degree", source="files").validate()
+
+
+@pytest.mark.parametrize("label,end", [("in-degree", 1), ("out-degree", 0)])
+def test_orientation_label_truth_counts_arcs(label, end):
+    cfg = small_cfg(label=label)
+    prep = ex.prepare_experiment(cfg)
+    n = prep.hybrid.target.n
+    arcs = orient_edges(prep.hybrid.target, cfg.seed)
+    per_node = collections.Counter(arcs[:, end].tolist())
+    assert all(prep.labeler(u) == (per_node[u],) for u in range(n))
+    counts = collections.Counter(per_node[u] for u in range(n))
+    assert prep.truth.theta == {d: c / n for d, c in counts.items()}
+    assert sum(d * c for d, c in counts.items()) == len(arcs)
 
 
 def test_result_csv_roundtrip(tmp_path):
@@ -235,6 +268,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--set", "source=lbsn"]) == 1
 
 
+def test_cli_orientation_label_needs_synthetic_source(tmp_path, capsys):
+    cfgp = _write_cfg(tmp_path, method="SRW")
+    net = tmp_path / "net"
+    assert cli.main(["generate", "--config", str(cfgp), "--out-dir", str(net)]) == 0
+    code = cli.main([
+        "run",
+        "--config", str(cfgp),
+        "--set", "source=files",
+        "--set", f"target_path={net/'target.txt'}",
+        "--set", f"auxiliary_path={net/'auxiliary.txt'}",
+        "--set", f"affiliation_path={net/'affiliation.txt'}",
+        "--set", "label=in-degree",
+    ])
+    assert code == 1
+    assert "label=in-degree" in capsys.readouterr().err
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     # coincident venues above the truncation limit make every zoom-in draw
     # fail at run time, which must surface as exit code 2 with the seed named
@@ -289,7 +339,8 @@ def test_cli_lbsn_source(tmp_path, capsys):
 # sha256 of (result CSV, raw_out) for n_per_graph=2000, extra_pairs=4000,
 # runs=20, keyed by (case, seed). VS-A, RRZI-VSA and RWT-VSA were recorded
 # before VS-A and RRZI-VSA shared one harvest loop; SRW, RWT-RWA and
-# SRW-directed before the graphs moved to CSR arrays. The RNG streams, the
+# SRW-directed before the graphs moved to CSR arrays; SRW-directed also
+# before orientation became a label source only. The RNG streams, the
 # graph construction and the estimator arithmetic must not move them.
 PINNED_DIGESTS = {
     ("VS-A", 1): ("bb30801afb480ebe9c752faed062e14ac21763a7e353fb13c9e4dbd17e6e2ce2",
@@ -317,9 +368,9 @@ PINNED_DIGESTS = {
 }
 
 # config keys of the cases that are not just a method name; SRW-directed
-# runs through orient_edges and undirected_view
+# labels nodes by their in-degree under orient_edges
 PINNED_CASES = {
-    "SRW-directed": {"method": "SRW", "directed_target": "true", "label": "in-degree"},
+    "SRW-directed": {"method": "SRW", "label": "in-degree"},
 }
 
 

@@ -134,9 +134,9 @@ def test_rrzi_vsa_single_full_venue_exact():
     h = HybridNetwork(target, aux, aff)
     idx = VenueIndex([Venue(0, 0.5, 0.5)])
     root = Region(0.0, 1.0, 0.0, 1.0)
-    truth = ground_truth_theta(target, degree_labels(target))
+    truth = ground_truth_theta(target, degree_labels(target.degrees))
     sample = vs_a_collect(h, ZoomInSource(idx, root, 3), 4, seed=2)
-    rep = vsa_theta_unknown_n(sample, degree_labels(target), seed=2, n=h.target.n)
+    rep = vsa_theta_unknown_n(sample, degree_labels(target.degrees), seed=2, n=h.target.n)
     for l, t in truth.theta.items():
         assert rep.theta[l] == pytest.approx(t, abs=1e-12)
         assert rep.theta_known_n[l] == pytest.approx(t, abs=1e-12)
@@ -209,7 +209,7 @@ def test_rrzi_vsa_lbsn_city_pattern():
     h = HybridNetwork(social, Graph(n_venues, []), BipartiteGraph(n_users, n_venues, sorted(pairs)))
     idx = VenueIndex(venues)
     root = idx.bounding_region()
-    labeler = degree_labels(social)
+    labeler = degree_labels(social.degrees)
     truth = ground_truth_theta(social, labeler)
 
     def runs(b_prime, n_runs=25):

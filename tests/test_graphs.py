@@ -12,9 +12,6 @@ from hybridsample.graphs import (
     constant_labels,
     degree_labels,
     ground_truth_theta,
-    in_degree_labels,
-    out_degree_labels,
-    undirected_view,
 )
 from hybridsample.ingest import (
     CheckinRecord,
@@ -29,13 +26,12 @@ from hybridsample.synth import (
     ba_edge_count,
     build_synthetic_hybrid,
     generate_ba,
-    orient_edges,
 )
 
 
 def test_path_graph_degree_theta():
     g = Graph(3, [(0, 1), (1, 2)])
-    dist = ground_truth_theta(g, degree_labels(g))
+    dist = ground_truth_theta(g, degree_labels(g.degrees))
     assert dist.theta == {1: 2 / 3, 2: 1 / 3}
 
 
@@ -47,7 +43,7 @@ def test_constant_labeler_theta_is_one():
 
 def test_theta_matches_independent_degree_histogram():
     g = generate_ba(10_000, 2, seed=5)
-    dist = ground_truth_theta(g, degree_labels(g))
+    dist = ground_truth_theta(g, degree_labels(g.degrees))
     hist = collections.Counter(len(g.adj[u]) for u in range(g.n))
     assert set(dist.theta) == set(hist)
     for label, count in hist.items():
@@ -61,8 +57,8 @@ def test_theta_permutation_invariant():
     perm = list(range(g.n))
     rng.shuffle(perm)
     relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    a = ground_truth_theta(g, degree_labels(g))
-    b = ground_truth_theta(relabeled, degree_labels(relabeled))
+    a = ground_truth_theta(g, degree_labels(g.degrees))
+    b = ground_truth_theta(relabeled, degree_labels(relabeled.degrees))
     assert a.theta == b.theta
 
 
@@ -86,48 +82,6 @@ def test_duplicate_edges_merged_and_handshake():
 def test_edge_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, [(0, 5)])
-
-
-def test_undirected_view_single_arc():
-    g = Graph(2, [(0, 1)], directed=True)
-    u = undirected_view(g)
-    assert u.adj[0] == (1,) and u.adj[1] == (0,)
-    assert u.degree(0) == u.degree(1) == 1
-
-
-def test_undirected_view_dedups_reciprocal_arcs():
-    g = Graph(2, [(0, 1), (1, 0)], directed=True)
-    u = undirected_view(g)
-    assert u.num_edges == 1
-
-
-def test_undirected_view_symmetry_and_idempotence():
-    rng = random.Random(17)
-    arcs = {(rng.randrange(100), rng.randrange(100)) for _ in range(400)}
-    arcs = [(a, b) for a, b in arcs if a != b]
-    g = Graph(100, arcs, directed=True)
-    u = undirected_view(g)
-    for a in range(u.n):
-        for b in u.adj[a]:
-            assert a in u.adj[b]
-    assert undirected_view(u) is u
-    # directional degrees of the original stay queryable
-    labeler_in = in_degree_labels(g)
-    labeler_out = out_degree_labels(g)
-    some = next(a for a, _ in arcs)
-    assert labeler_in(some) == (len(g.in_adj[some]),)
-    assert labeler_out(some) == (len(g.adj[some]),)
-
-
-def test_degree_labeler_kind_checks():
-    und = Graph(2, [(0, 1)])
-    dire = Graph(2, [(0, 1)], directed=True)
-    with pytest.raises(ValueError):
-        degree_labels(dire)
-    with pytest.raises(ValueError):
-        in_degree_labels(und)
-    with pytest.raises(ValueError):
-        dire.degree(0)
 
 
 def test_bip_neighbors_basics():
@@ -184,13 +138,8 @@ def _assert_transposes(rows, indices, t_rows, t_indices, n_cols):
 def _assert_graph_invariants(g):
     rows = _csr_rows(g.indptr, g.indices, g.degrees, g.n, g.n)
     assert not np.any(rows == g.indices)  # no self-loops
-    in_rows = _csr_rows(g.in_indptr, g.in_indices, g.in_degrees, g.n, g.n)
-    # undirected rows are symmetric; directed in-rows transpose the out-rows
-    _assert_transposes(rows, g.indices, in_rows, g.in_indices, g.n)
-    if g.directed:
-        assert len(g.indices) == g.num_edges
-    else:
-        assert g.degrees.sum() == g.degree_sum == 2 * g.num_edges
+    _assert_transposes(rows, g.indices, rows, g.indices, g.n)  # symmetric rows
+    assert g.degrees.sum() == g.degree_sum == 2 * g.num_edges
     assert g.adj == [tuple(g.indices[a:b].tolist()) for a, b in zip(g.indptr, g.indptr[1:])]
 
 
@@ -210,9 +159,6 @@ def _assert_hybrid_invariants(h):
 def test_csr_invariants_synthetic_hybrid():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=300, m1=2, m2=3, m3=5, extra_pairs=400, seed=3))
     _assert_hybrid_invariants(h)
-    d = orient_edges(h.target, 4)
-    _assert_graph_invariants(d)
-    _assert_graph_invariants(undirected_view(d))
 
 
 def test_csr_invariants_ingested_hybrid(tmp_path):
@@ -259,14 +205,11 @@ def test_csr_matches_set_semantics():
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
     pairs = [(a, b) for a, b in pairs if a != b]
     und = Graph(n, pairs + [(b, a) for a, b in pairs[:50]])
-    dire = Graph(n, pairs, directed=True)
     bip = BipartiteGraph(n, 7, [(a, b % 7) for a, b in pairs])
     for u in range(n):
         assert list(und.adj[u]) == sorted(
             {b for a, b in pairs if a == u} | {a for a, b in pairs if b == u}
         )
-        assert list(dire.adj[u]) == sorted({b for a, b in pairs if a == u})
-        assert list(dire.in_adj[u]) == sorted({a for a, b in pairs if b == u})
         assert list(bip.left_adj[u]) == sorted({b % 7 for a, b in pairs if a == u})
     assert np.array_equal(Graph(n, np.array(pairs)).indices, und.indices)
 

@@ -98,6 +98,12 @@ def test_uniform_over_accepts_its_own_output_at_scale():
     assert d.prob(0) == d.prob(n - 1) == share
 
 
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_uniform_over_rejects_ids_outside_range(bad):
+    with pytest.raises(ValueError, match=f"support id {bad} out of range"):
+        AuxDistribution.uniform_over(5, [0, bad])
+
+
 # ---------------------------------------------------------------- vs_a_collect
 
 

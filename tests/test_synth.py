@@ -1,6 +1,9 @@
+import collections
+
+import numpy as np
 import pytest
 
-from hybridsample.graphs import undirected_view
+from hybridsample.graphs import Graph
 from hybridsample.synth import (
     SynthConfig,
     ba_edge_count,
@@ -98,14 +101,17 @@ def test_hybrid_deterministic():
 
 def test_orient_edges_roundtrip():
     g = generate_ba(120, 2, seed=3)
-    d = orient_edges(g, 44)
-    assert d.directed
-    u = undirected_view(d)
-    assert list(u.edges()) == list(g.edges())
+    arcs = orient_edges(g, 44)
+    assert arcs.shape[1] == 2
+    pairs = set(map(tuple, arcs.tolist()))
+    assert len(pairs) == len(arcs)  # no arc repeats
+    # every edge keeps at least one arc, and the arcs give back the edges
+    assert all((u, v) in pairs or (v, u) in pairs for u, v in g.edges())
+    assert list(Graph(g.n, arcs).edges()) == list(g.edges())
     # all three arc outcomes occur at this size
-    arcs = set(d.edges())
-    both = sum(1 for a, b in arcs if (b, a) in arcs) // 2
-    assert 0 < both < len(arcs)
+    outcomes = collections.Counter(((u, v) in pairs, (v, u) in pairs) for u, v in g.edges())
+    assert set(outcomes) == {(True, False), (False, True), (True, True)}
+    assert np.array_equal(orient_edges(g, 44), arcs)
 
 
 def test_extra_pairs_beyond_free_pairs_rejected():
