@@ -122,6 +122,8 @@ class ExperimentConfig:
             raise ValueError(f"trace_out: {self.method} draws no walk, so there is no trace")
         resolve_budget(self.budget, 10**6)  # syntax check; real n applied later
         if self.bbox:
+            if self.source != "lbsn":
+                raise ValueError(f"bbox filters check-ins of source=lbsn; source={self.source} has none")
             _parse_bbox(self.bbox)
 
 

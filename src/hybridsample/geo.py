@@ -90,6 +90,7 @@ class VenueIndex:
             raise ValueError("duplicate venue ids")
         self._lats = np.array([v.lat for v in self.venues])
         self._lons = np.array([v.lon for v in self.venues])
+        self._steps = {}  # (region, k) -> zoom step; see zoom_step
 
     def __len__(self) -> int:
         return len(self.venues)
@@ -111,6 +112,30 @@ class VenueIndex:
         if len(idx) > k:
             return [self.venues[i] for i in idx[:k]], True
         return [self.venues[i] for i in idx], False
+
+    def zoom_step(self, region: Region, k: int) -> tuple:
+        """One zoom-in level at a region: (hits, truncated, quads, nonempty).
+
+        ``hits`` (as a tuple) and ``truncated`` are ``query(region, k)``.
+        For a truncated region that still splits in float precision,
+        ``quads`` are its quadrants and ``nonempty`` the indices of those a
+        ``query(quad, 1)`` finds nonempty; otherwise both are empty.  Zoom
+        cells repeat across draws and the index is immutable, so each step
+        is computed once and kept.
+        """
+        key = (region, k)
+        step = self._steps.get(key)
+        if step is None:
+            hits, truncated = self.query(region, k)
+            quads = nonempty = ()
+            mid_lat = (region.lat_min + region.lat_max) / 2.0
+            mid_lon = (region.lon_min + region.lon_max) / 2.0
+            if truncated and (region.lat_min < mid_lat < region.lat_max
+                              and region.lon_min < mid_lon < region.lon_max):
+                quads = region.quadrants()
+                nonempty = tuple(qi for qi, quad in enumerate(quads) if self.query(quad, 1)[0])
+            step = self._steps[key] = (tuple(hits), truncated, quads, nonempty)
+        return step
 
     def bounding_region(self, pad: float = 1e-6) -> Region:
         if not self.venues:
@@ -139,6 +164,8 @@ def rrzi_draw(index: VenueIndex, root: Region, k: int, seed) -> RrziDraw:
     random.  The recorded probability is the product of the per-level
     branching choices times the uniform leaf pick and equals the overall
     probability of drawing that venue.  ``seed`` is a master seed or an rng.
+    Levels are read from ``index.zoom_step``, which runs each query once per
+    cell; ``api_calls`` still charges every query of the draw.
     """
     rng = seed if hasattr(seed, "randrange") else spawn_rng(seed, STREAM_AUX)
     region = root
@@ -146,19 +173,15 @@ def rrzi_draw(index: VenueIndex, root: Region, k: int, seed) -> RrziDraw:
     path = []
     api_calls = 0
     for _ in range(MAX_ZOOM_DEPTH + 1):
-        hits, truncated = index.query(region, k)
+        hits, truncated, quads, nonempty = index.zoom_step(region, k)
         api_calls += 1
         if not truncated:
             if not hits:
                 raise ValueError("region contains no venues")
             venue = hits[rng.randrange(len(hits))]
             return RrziDraw(venue, p / len(hits), path, api_calls)
-        mid_lat = (region.lat_min + region.lat_max) / 2.0
-        mid_lon = (region.lon_min + region.lon_max) / 2.0
-        if not (region.lat_min < mid_lat < region.lat_max and region.lon_min < mid_lon < region.lon_max):
+        if not quads:
             break  # region no longer splittable in float precision
-        quads = region.quadrants()
-        nonempty = [qi for qi, quad in enumerate(quads) if index.query(quad, 1)[0]]
         api_calls += len(quads)
         choice = nonempty[rng.randrange(len(nonempty))]
         p /= len(nonempty)

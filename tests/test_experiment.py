@@ -43,6 +43,18 @@ def test_config_value_that_fails_to_convert_names_its_key(key, value):
         ex.make_config({key: value})
 
 
+@pytest.mark.parametrize("value", ["1,2,a,4", "2,1,3,4", "1,2,3"])
+def test_bbox_parse_error_names_bbox_on_lbsn_source(value):
+    with pytest.raises(ValueError, match="bbox .*expected 'lat_min,lat_max,lon_min,lon_max'"):
+        ex.make_config({"source": "lbsn", "bbox": value})
+
+
+@pytest.mark.parametrize("source", ["synthetic", "files"])
+def test_bbox_rejected_for_sources_without_checkins(source):
+    with pytest.raises(ValueError, match=f"bbox.*source={source}"):
+        ex.make_config({"source": source, "bbox": "nyc"})
+
+
 @pytest.mark.parametrize("method", ex.HARVEST_METHODS)
 def test_trace_out_rejected_for_harvest_methods(method):
     with pytest.raises(ValueError, match="trace_out"):
@@ -215,6 +227,12 @@ def test_cli_truth_small_network_default_extra_pairs(capsys):
     # the default extra_pairs shrinks to the 2n(n-1) free pairs of a small network
     assert cli.main(["truth", "--set", "n_per_graph=100"]) == 0
     assert capsys.readouterr().out.startswith("label,theta")
+
+
+def test_cli_bbox_on_synthetic_source_is_config_error(capsys):
+    assert cli.main(["truth", "--set", "n_per_graph=100", "--set", "bbox=nyc"]) == 1
+    err = capsys.readouterr().err
+    assert "bbox" in err and "source=synthetic" in err
 
 
 def test_cli_run_twice_byte_identical(tmp_path):

@@ -117,13 +117,53 @@ def test_rrzi_deterministic_and_cost_tracks_depth():
 
 
 def test_rrzi_empty_root_and_max_depth():
+    # each error is raised again by a second draw on the same (memoising) index
     idx = grid_index(5)
-    with pytest.raises(ValueError, match="no venues"):
-        rrzi_draw(idx, Region(5.0, 6.0, 5.0, 6.0), k=2, seed=0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no venues"):
+            rrzi_draw(idx, Region(5.0, 6.0, 5.0, 6.0), k=2, seed=0)
     # more than K venues at one point can never become fully accessible
     stacked = VenueIndex([Venue(i, 0.5, 0.5) for i in range(3)])
-    with pytest.raises(RuntimeError, match="depth"):
-        rrzi_draw(stacked, Region(0.0, 1.0, 0.0, 1.0), k=2, seed=0)
+    for seed in (0, 0, 1):
+        with pytest.raises(RuntimeError, match="depth"):
+            rrzi_draw(stacked, Region(0.0, 1.0, 0.0, 1.0), k=2, seed=seed)
+
+
+def _draws(idx, root, k, seeds):
+    return [
+        (d.venue, d.p, d.zoom_path, d.api_calls)
+        for d in (rrzi_draw(idx, root, k, seed=s) for s in seeds)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 3, 25])
+def test_rrzi_zoom_cache_does_not_change_draws(k):
+    root = Region(0.0, 1.0, 0.0, 1.0)
+    fresh = _draws(grid_index(2000, seed=11), root, k, range(200))
+    # warmed by other seeds, and at every k, since steps are kept per (cell, k)
+    warmed = grid_index(2000, seed=11)
+    for warm_k in (1, 3, 25):
+        _draws(warmed, root, warm_k, range(1000, 1200))
+    assert _draws(warmed, root, k, range(200)) == fresh
+
+
+def test_rrzi_zoom_cache_serves_repeated_draws(monkeypatch):
+    idx = grid_index(2000, seed=11)
+    root = Region(0.0, 1.0, 0.0, 1.0)
+    first = _draws(idx, root, 3, range(100))
+    calls = []
+    real_query = VenueIndex.query
+
+    def counting_query(self, region, k):
+        calls.append((region, k))
+        return real_query(self, region, k)
+
+    monkeypatch.setattr(VenueIndex, "query", counting_query)
+    assert _draws(idx, root, 3, range(100)) == first
+    assert calls == []
+    # new seeds query only the cells they reach first, each once
+    _draws(idx, root, 3, range(100, 300))
+    assert len(calls) == len(set(calls)) > 0
 
 
 def test_rrzi_vsa_single_full_venue_exact():
