@@ -14,14 +14,15 @@ from .graphs import (
     Graph,
     HybridNetwork,
     LabelDistribution,
+    LabelTable,
     bip_neighbors,
-    constant_labels,
     degree_labels,
     ground_truth_theta,
 )
 from .ingest import CheckinRecord, build_hybrid_from_lbsn, load_checkins, load_edge_list
 from .samplers import (
     AuxDistribution,
+    Jumps,
     SampleTrace,
     VsaSample,
     WeightSystem,

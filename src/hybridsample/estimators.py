@@ -22,31 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Labeler
+import numpy as np
+
+from .graphs import LabelTable
 from .samplers import SampleTrace, VsaSample
-
-
-class CompensatedSum:
-    """Neumaier compensated accumulator; keeps long sums exact enough for
-    the 1e-12 oracle tolerances even when terms span orders of magnitude."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
 
 
 @dataclass
@@ -76,10 +55,30 @@ class EstimateReport:
         return rows
 
 
-def _vsa_sums(sample: VsaSample, labeler: Labeler):
-    """Accumulate per-label and size terms sum_i (1/p_i) sum_u 1{l}/d_u_bip."""
-    per_label: dict = {}
-    size = CompensatedSum()
+def _label_sums(labels: LabelTable, nodes: np.ndarray, terms: np.ndarray):
+    """({label: sum of terms[i] over the i whose node carries it}, sum of all
+    terms).  Every sum is one math.fsum, exactly rounded whatever the order
+    of its terms, so the terms are grouped by label code in any order."""
+    total = math.fsum(terms.tolist())
+    # entry j * len(nodes) + i: 1 + the code of the j-th label of nodes[i], or 0
+    slots = labels.slots.take(nodes, axis=1).ravel()
+    order = slots.argsort()
+    grouped = terms.take(order, mode="wrap").tolist()  # wrap: entry k is terms[k % len]
+    counts = np.bincount(slots, minlength=len(labels.values) + 1)
+    present = counts.nonzero()[0]
+    per_label = {}
+    end = 0
+    for slot, count in zip(present.tolist(), counts.take(present).tolist()):
+        if slot:  # slot 0 (a node short of labels) sorts first and adds nowhere
+            per_label[labels.values[slot - 1]] = math.fsum(grouped[end:end + count])
+        end += count
+    return per_label, total
+
+
+def _vsa_terms(sample: VsaSample) -> tuple[list, list]:
+    """(harvested users, their terms (1/p_i) / d_u_bip), in draw order."""
+    users = []
+    terms = []
     deg = sample.bip_degree
     for draw in sample.draws:
         if draw.p <= 0.0:
@@ -87,27 +86,31 @@ def _vsa_sums(sample: VsaSample, labeler: Labeler):
         inv_p = 1.0 / draw.p
         for u in draw.neighbors:
             d = deg[u]
-            assert d > 0, "harvested node recorded with zero affiliation degree"
-            contrib = inv_p / d
-            size.add(contrib)
-            for l in labeler(u):
-                acc = per_label.get(l)
-                if acc is None:
-                    acc = per_label[l] = CompensatedSum()
-                acc.add(contrib)
-    return per_label, size.value
+            if d <= 0:
+                raise ValueError(
+                    f"harvested node {u} recorded with affiliation degree {d}; expected > 0"
+                )
+            users.append(u)
+            terms.append(inv_p / d)
+    return users, terms
+
+
+def _vsa_sums(sample: VsaSample, labels: LabelTable):
+    """Per-label and size terms sum_i (1/p_i) sum_u 1{l in L(u)}/d_u_bip."""
+    users, terms = _vsa_terms(sample)
+    return _label_sums(labels, np.array(users, dtype=np.int64), np.array(terms, dtype=float))
 
 
 def _known_n_theta(per_label: dict, n: int, b_prime: int) -> dict:
     if n <= 0:
         raise ValueError("n must be positive")
     scale = 1.0 / (n * b_prime)
-    return {l: acc.value * scale for l, acc in per_label.items()}
+    return {l: s * scale for l, s in per_label.items()}
 
 
-def vsa_theta_known_n(sample: VsaSample, labeler: Labeler, n: int, seed: int = 0) -> EstimateReport:
+def vsa_theta_known_n(sample: VsaSample, labels: LabelTable, n: int, seed: int = 0) -> EstimateReport:
     """theta_hat_l = (1/(n B')) sum_i (1/p_i) sum_{u in nbrs_i} 1{l in L(u)}/d_u_bip."""
-    per_label, _ = _vsa_sums(sample, labeler)
+    per_label, _ = _vsa_sums(sample, labels)
     return EstimateReport(
         "VS-A", _known_n_theta(per_label, n, sample.b_prime), sample.b_prime, seed,
         target_samples=sample.harvested, query_count=sample.query_count,
@@ -118,22 +121,22 @@ def vsa_estimate_n(sample: VsaSample) -> float:
     """n_hat = (1/B') sum_i (1/p_i) sum_{u in nbrs_i} 1/d_u_bip."""
     if sample.b_prime < 1:
         raise ValueError("empty sample")
-    _, size = _vsa_sums(sample, lambda u: ())
-    return size / sample.b_prime
+    _, terms = _vsa_terms(sample)
+    return math.fsum(terms) / sample.b_prime
 
 
 def vsa_theta_unknown_n(
-    sample: VsaSample, labeler: Labeler, seed: int = 0, n: int | None = None
+    sample: VsaSample, labels: LabelTable, seed: int = 0, n: int | None = None
 ) -> EstimateReport:
     """Ratio form: the known-n numerator normalized by n_hat instead of n.
 
     The 1/B' factors cancel, leaving a pure ratio of weighted sums.  Given
     ``n``, the known-n form rides along as ``theta_known_n`` (same pass).
     """
-    per_label, size = _vsa_sums(sample, labeler)
+    per_label, size = _vsa_sums(sample, labels)
     if size <= 0.0:
         raise RuntimeError("no effective samples: every draw hit an unaffiliated node")
-    theta = {l: acc.value / size for l, acc in per_label.items()}
+    theta = {l: s / size for l, s in per_label.items()}
     return EstimateReport(
         "VS-A", theta, sample.b_prime, seed,
         n_hat=size / sample.b_prime,
@@ -142,7 +145,7 @@ def vsa_theta_unknown_n(
     )
 
 
-def walk_theta(trace: SampleTrace, labeler: Labeler, method: str = "RW", seed: int = 0) -> EstimateReport:
+def walk_theta(trace: SampleTrace, labels: LabelTable, method: str = "RW", seed: int = 0) -> EstimateReport:
     """Ratio estimator over a walk trace:
 
         theta_hat_l = sum_i 1{l in L(x_i)}/w_i  /  sum_i 1/w_i
@@ -152,20 +155,14 @@ def walk_theta(trace: SampleTrace, labeler: Labeler, method: str = "RW", seed: i
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    per_label: dict = {}
-    z = CompensatedSum()
-    for x, wgt in zip(trace.nodes, trace.weights):
-        if wgt <= 0.0:
-            raise ValueError(f"nonpositive visit weight {wgt} at node {x}")
-        inv = 1.0 / wgt
-        z.add(inv)
-        for l in labeler(x):
-            acc = per_label.get(l)
-            if acc is None:
-                acc = per_label[l] = CompensatedSum()
-            acc.add(inv)
-    zv = z.value
-    theta = {l: acc.value / zv for l, acc in per_label.items()}
+    nodes = np.asarray(trace.nodes, dtype=np.int64)
+    weights = np.asarray(trace.weights, dtype=float)
+    bad = ~(np.isfinite(weights) & (weights > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"nonpositive or non-finite visit weight {weights[i]} at node {nodes[i]}")
+    per_label, z = _label_sums(labels, nodes, 1.0 / weights)
+    theta = {l: s / z for l, s in per_label.items()}
     return EstimateReport(
         method, theta, trace.budget, seed,
         target_samples=trace.budget, query_count=trace.query_count,
@@ -179,7 +176,4 @@ def nrmse(estimates, truth: float) -> float:
         raise ValueError("need at least one estimate")
     if truth <= 0.0:
         raise ValueError("NRMSE undefined for zero-mass label")
-    acc = CompensatedSum()
-    for e in estimates:
-        acc.add((e - truth) ** 2)
-    return (acc.value / len(estimates)) ** 0.5 / truth
+    return (math.fsum((e - truth) ** 2 for e in estimates) / len(estimates)) ** 0.5 / truth

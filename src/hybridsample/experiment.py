@@ -23,9 +23,10 @@ import numpy as np
 
 from . import geo, ingest
 from .estimators import EstimateReport, nrmse, vsa_theta_unknown_n, walk_theta
-from .graphs import HybridNetwork, LabelDistribution, degree_labels, ground_truth_theta
+from .graphs import HybridNetwork, LabelDistribution, LabelTable, degree_labels, ground_truth_theta
 from .samplers import (
     AuxDistribution,
+    Jumps,
     compute_qu,
     fixed_weight_scheme,
     rwt_rwa_run,
@@ -199,7 +200,7 @@ class PreparedExperiment:
 
     cfg: ExperimentConfig
     hybrid: HybridNetwork
-    labeler: object
+    labels: LabelTable
     truth: LabelDistribution
     budget: int
     alpha_total: float
@@ -207,7 +208,8 @@ class PreparedExperiment:
     covered: list
     source: AuxDistribution | geo.ZoomInSource | None = None  # auxiliary draws
     qu: object = None
-    weights: object = None
+    jumps: Jumps | None = None  # RWT-VSA
+    weights: object = None  # RWT-RWA
 
 
 def _parse_bbox(text: str) -> geo.Region:
@@ -290,15 +292,15 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         # follower-style labels: arc (u, v) adds to u's out- and v's in-degree
         arcs = orient_edges(target, cfg.seed)
         degrees = np.bincount(arcs[:, 1 if cfg.label == "in-degree" else 0], minlength=target.n)
-    labeler = degree_labels(degrees)
-    truth = ground_truth_theta(target, labeler)
+    labels = degree_labels(degrees)
+    truth = ground_truth_theta(target, labels)
 
     covered = hybrid.covered_targets()
     budget = resolve_budget(cfg.budget, hybrid.target.n)
     alpha_total = cfg.alpha * max(1, len(covered))
     beta_total = cfg.beta * max(1, hybrid.auxiliary.n)
     prep = PreparedExperiment(
-        cfg, hybrid, labeler, truth, budget, alpha_total, beta_total, covered
+        cfg, hybrid, labels, truth, budget, alpha_total, beta_total, covered
     )
 
     if cfg.method == "VS-A":
@@ -307,6 +309,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         support = np.flatnonzero(hybrid.affiliation.right_degrees).tolist()
         prep.source = AuxDistribution.uniform_over(hybrid.auxiliary.n, support)
         prep.qu = compute_qu(hybrid, prep.source)
+        prep.jumps = Jumps(target.degrees, alpha_total * prep.qu)
     elif cfg.method == "RWT-RWA":
         prep.weights = fixed_weight_scheme(hybrid, alpha_total, beta_total)
     elif cfg.method == "RRZI-VSA":
@@ -344,7 +347,7 @@ def _walk_trace(prep: PreparedExperiment, rep_seed: int):
             rng, hybrid.target.n, lambda u: hybrid.target.adj[u] or qu[u] > 0
         )
         return rwt_vsa_run(
-            hybrid, prep.source, prep.alpha_total, prep.budget, start, rep_seed, qu=qu
+            hybrid, prep.source, prep.alpha_total, prep.budget, start, rep_seed, jumps=prep.jumps
         )
     ws = prep.weights
     x = _pick_where(rng, hybrid.target.n, lambda u: hybrid.target.adj[u] or ws.omega[u] > 0)
@@ -359,11 +362,11 @@ def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:
     if cfg.method in HARVEST_METHODS:
         sample = vs_a_collect(prep.hybrid, prep.source, prep.budget, rep_seed)
         # the known-size normalization rides along with the ratio form
-        report = vsa_theta_unknown_n(sample, prep.labeler, seed=rep_seed, n=prep.hybrid.target.n)
+        report = vsa_theta_unknown_n(sample, prep.labels, seed=rep_seed, n=prep.hybrid.target.n)
         report.method = cfg.method
         return report
     trace = _walk_trace(prep, rep_seed)
-    return walk_theta(trace, prep.labeler, method=cfg.method, seed=rep_seed)
+    return walk_theta(trace, prep.labels, method=cfg.method, seed=rep_seed)
 
 
 def _label_key(label):

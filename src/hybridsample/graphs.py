@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-Labeler = Callable[[int], tuple]
 
 
 def _pair_array(pairs) -> np.ndarray:
@@ -215,6 +213,51 @@ def bip_neighbors(hybrid: HybridNetwork, side: str, node: int) -> list[int]:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+class LabelTable:
+    """The labels L(u) of every node as a CSR of integer codes.
+
+    Node u carries ``values[c]`` for each c in ``codes[indptr[u]:indptr[u + 1]]``;
+    a node may carry several labels or none.  ``values`` holds the label
+    values as Python objects, so estimates are keyed by them.
+    """
+
+    def __init__(self, indptr, codes, values: Sequence):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.codes = np.asarray(codes, dtype=np.int64)
+        self.values = list(values)
+        per_node = self.indptr[1:] - self.indptr[:-1]
+        if (len(self.indptr) == 0 or self.indptr[0] != 0 or self.indptr[-1] != len(self.codes)
+                or (per_node < 0).any()):
+            raise ValueError("indptr must run from 0 to len(codes) without decreasing")
+        if len(self.codes) and not 0 <= self.codes.min() <= self.codes.max() < len(self.values):
+            raise ValueError("label codes out of range")
+        # slots[j, u] is 1 + the code of node u's j-th label, 0 where u has
+        # fewer labels: the estimators gather the codes of many visits with
+        # one take, a fixed few numpy calls however short the sample.
+        self.slots = np.zeros((max(1, int(per_node.max(initial=0))), self.n), dtype=np.int64)
+        node = np.repeat(np.arange(self.n), per_node)
+        self.slots[np.arange(len(self.codes)) - self.indptr[node], node] = self.codes + 1
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable]) -> "LabelTable":
+        """Table from one iterable of labels per node, in node order."""
+        index: dict = {}
+        codes = []
+        indptr = [0]
+        for row in rows:
+            codes.extend(index.setdefault(l, len(index)) for l in row)
+            indptr.append(len(codes))
+        return cls(indptr, codes, index)
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    def of(self, u: int) -> tuple:
+        """The labels of node u."""
+        return tuple(self.values[c] for c in self.codes[self.indptr[u]:self.indptr[u + 1]].tolist())
+
+
 @dataclass
 class LabelDistribution:
     """Per-label fractions theta_l over the n nodes of a graph."""
@@ -234,26 +277,22 @@ class LabelDistribution:
         return self.theta[label]
 
 
-def ground_truth_theta(graph: Graph, labeler: Labeler) -> LabelDistribution:
+def ground_truth_theta(graph: Graph, labels: LabelTable) -> LabelDistribution:
     """Exhaustive label fractions: theta_l = (1/n) * #{u : l in L(u)}.
 
-    Labels that no node carries are omitted.
+    Labels that no node carries are omitted.  The counts are integers, so
+    every fraction is exactly rounded.
     """
     if graph.n == 0:
         raise ValueError("empty target graph")
-    counts: dict = {}
-    for u in range(graph.n):
-        for l in labeler(u):
-            counts[l] = counts.get(l, 0) + 1
-    theta = {l: c / graph.n for l, c in counts.items()}
+    if labels.n != graph.n:
+        raise ValueError(f"label table covers {labels.n} nodes, graph has {graph.n}")
+    counts = np.bincount(labels.codes, minlength=len(labels.values)).tolist()
+    theta = {l: c / graph.n for l, c in zip(labels.values, counts) if c}
     return LabelDistribution(theta, graph.n)
 
 
-def degree_labels(degrees) -> Labeler:
-    """Single-label labeler: node u's label is ``degrees[u]``."""
-    deg = np.asarray(degrees).tolist()
-    return lambda u: (deg[u],)
-
-
-def constant_labels(label="a") -> Labeler:
-    return lambda u: (label,)
+def degree_labels(degrees) -> LabelTable:
+    """One label per node: node u's label is ``degrees[u]``."""
+    values, codes = np.unique(np.asarray(degrees), return_inverse=True)
+    return LabelTable(np.arange(len(codes) + 1), codes.astype(np.int64), values.tolist())

@@ -193,10 +193,11 @@ def _spread(mass: np.ndarray, degrees: np.ndarray, indices: np.ndarray, n_out: i
 
 @dataclass
 class SampleTrace:
-    """Ordered node visits of a walk with per-visit estimator weights."""
+    """Ordered node visits of a walk (int64 array) with per-visit estimator
+    weights (float64 array) and jump flags."""
 
-    nodes: list
-    weights: list
+    nodes: np.ndarray
+    weights: np.ndarray
     jumped: list
     budget: int
     query_count: int
@@ -209,11 +210,29 @@ class SampleTrace:
         return self.budget
 
 
+class Jumps:
+    """Jump weights omega_x of a walk on a graph with degrees d_x.
+
+    ``prob`` holds the jump probabilities omega_x / (d_x + omega_x), 0.0
+    where omega_x = 0, as Python floats: the walk loops read one at every
+    step, and a list item is read several times faster than a numpy scalar
+    and holds the same IEEE value as dividing at each step.  The list costs
+    a few ms per 100k nodes, so build it once per experiment, not per walk.
+    """
+
+    def __init__(self, degrees: np.ndarray, omega: np.ndarray):
+        self.omega = omega
+        self.prob = np.divide(
+            omega, degrees + omega, out=np.zeros(len(omega)), where=omega > 0
+        ).tolist()
+
+
 def write_trace(trace: SampleTrace, path) -> None:
     """Export a trace as line-oriented records: step,node,weight,jumped."""
+    rows = zip(trace.nodes.tolist(), trace.weights.tolist(), trace.jumped)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,node,weight,jumped\n")
-        for i, (x, w, j) in enumerate(zip(trace.nodes, trace.weights, trace.jumped)):
+        for i, (x, w, j) in enumerate(rows):
             fh.write(f"{i},{x},{w!r},{int(j)}\n")
 
 
@@ -230,19 +249,17 @@ def simple_rw_run(graph: Graph, budget: int, start: int, seed, *, stream: int = 
     adj = graph.adj
     if not adj[start]:
         raise RuntimeError(f"absorbing node {start}: walk cannot leave it")
-    rng = spawn_rng(seed, stream)
-    nodes = []
-    weights = []
+    randrange = spawn_rng(seed, stream).randrange
+    path = [start]
+    visit = path.append
     x = start
-    for i in range(budget):
-        d = len(adj[x])
-        if d == 0:
-            raise RuntimeError(f"absorbing node {x}: walk cannot leave it")
-        nodes.append(x)
-        weights.append(float(d))
-        if i + 1 < budget:
-            x = adj[x][rng.randrange(d)]
-    return SampleTrace(nodes, weights, [False] * budget, budget, budget)
+    for _ in range(budget - 1):
+        row = adj[x]
+        x = row[randrange(len(row))]
+        visit(x)
+    # every node entered has the edge it was entered by, so none is absorbing
+    nodes = np.array(path, dtype=np.int64)
+    return SampleTrace(nodes, graph.degrees[nodes].astype(float), [False] * budget, budget, budget)
 
 
 def rwt_vsa_run(
@@ -253,7 +270,7 @@ def rwt_vsa_run(
     start: int,
     seed,
     *,
-    qu: np.ndarray | None = None,
+    jumps: Jumps | None = None,
 ) -> SampleTrace:
     """Random walk on the target graph with jumps through auxiliary vertex
     sampling.
@@ -262,7 +279,9 @@ def rwt_vsa_run(
     omega_x / (d_x + omega_x) where omega_x = alpha * q_x; a jump draws an
     auxiliary node from p and lands on a uniform affiliation neighbor of it.
     Otherwise the walker moves to a uniform target-graph neighbor.  Recorded
-    visit weights are d_x + omega_x.
+    visit weights are d_x + omega_x.  ``jumps`` is
+    ``Jumps(target.degrees, alpha * compute_qu(hybrid, p))``, made here when
+    not given.
     """
     target = hybrid.target
     if alpha < 0:
@@ -271,40 +290,38 @@ def rwt_vsa_run(
         raise ValueError("budget must be >= 1")
     if not 0 <= start < target.n:
         raise ValueError("start node out of range")
-    if qu is None:
-        qu = compute_qu(hybrid, p)
-    omega = alpha * qu
+    if jumps is None:
+        jumps = Jumps(target.degrees, alpha * compute_qu(hybrid, p))
+    jump = jumps.prob
 
     adj = target.adj
     right = hybrid.affiliation.right_adj
     rng_t = spawn_rng(seed, STREAM_TARGET)
     rng_a = spawn_rng(seed, STREAM_AUX)
 
-    nodes = []
-    weights = []
+    path = [start]
     jumped = [False] * budget
     aux_queries = 0
     x = start
-    for i in range(budget):
-        d = len(adj[x])
-        ox = float(omega[x])
-        nodes.append(x)
-        weights.append(d + ox)
-        if i + 1 == budget:
-            break
-        if ox > 0.0 and rng_t.random() < ox / (d + ox):
+    for i in range(1, budget):
+        jx = jump[x]
+        if jx > 0.0 and rng_t.random() < jx:
             v = p.sample(rng_a)
             users = right[v]
             aux_queries += 1
             # compute_qu vetoes p-mass on unaffiliated nodes up front
             x = users[rng_a.randrange(len(users))]
-            jumped[i + 1] = True
+            jumped[i] = True
         else:
-            if d == 0:
+            row = adj[x]
+            if not row:
                 raise RuntimeError(
                     f"absorbing node {x}; increase alpha or fix affiliation coverage"
                 )
-            x = adj[x][rng_t.randrange(d)]
+            x = row[rng_t.randrange(len(row))]
+        path.append(x)
+    nodes = np.array(path, dtype=np.int64)
+    weights = target.degrees[nodes] + jumps.omega[nodes]
     return SampleTrace(nodes, weights, jumped, budget, budget + aux_queries)
 
 
@@ -348,6 +365,9 @@ class WeightSystem:
     q is the desired jump-target distribution on the target side; omega and
     w are jumper-edge weights; q_prime is the distribution the affiliation
     machinery actually proposes, reconciled with q by the MH chain.
+    ``target_jumps``/``aux_jumps`` hold omega and w with the walkers' jump
+    probabilities, and ``q_lists`` is (q, q_prime) as lists of Python floats
+    for the MH step of every round (see Jumps).
     """
 
     q: np.ndarray
@@ -356,6 +376,9 @@ class WeightSystem:
     w: np.ndarray
     pi_v: np.ndarray
     q_prime: np.ndarray
+    target_jumps: Jumps
+    aux_jumps: Jumps
+    q_lists: tuple[list, list]
 
 
 def default_desired_distribution(hybrid: HybridNetwork) -> np.ndarray:
@@ -419,7 +442,10 @@ def fixed_weight_scheme(
 
     q_prime = _spread(pi_v, aff.right_degrees, aff.right_indices, hybrid.target.n)
 
-    return WeightSystem(q, omega, pi_u, w, pi_v, q_prime)
+    return WeightSystem(
+        q, omega, pi_u, w, pi_v, q_prime,
+        Jumps(deg_t, omega), Jumps(deg_a, w), (q.tolist(), q_prime.tolist()),
+    )
 
 
 def closed_form_weights(hybrid: HybridNetwork, alpha: float, beta: float):
@@ -570,67 +596,64 @@ def rwt_rwa_run(
     a_adj = aux.adj
     left = aff.left_adj
     right = aff.right_adj
-    omega = ws.omega
-    w = ws.w
+    jump_t = ws.target_jumps.prob
+    jump_a = ws.aux_jumps.prob
+    q, q_prime = ws.q_lists
     rng_t = spawn_rng(seed, STREAM_TARGET)
     rng_m = spawn_rng(seed, STREAM_MH)
     rng_a = spawn_rng(seed, STREAM_AUX)
 
-    nodes = []
-    weights = []
+    path = [x]
     jumped = [False] * budget
     if detail is not None:
         detail.aux_nodes.append(y)
         detail.mh_nodes.append(xp)
 
-    for i in range(budget):
-        dx = len(t_adj[x])
-        nodes.append(x)
-        weights.append(dx + float(omega[x]))
-        if i + 1 == budget:
-            break
-
+    for i in range(1, budget):
         # MH chain fed by the auxiliary walker's affiliation neighbors.
         users = right[y]
         if users:
             proposal = users[rng_m.randrange(len(users))]
-            xp = mh_step(xp, proposal, ws.q, ws.q_prime, rng_m)
+            xp = mh_step(xp, proposal, q, q_prime, rng_m)
 
         # Auxiliary walk with jumps through the target walker's affiliations.
-        dy = len(a_adj[y])
-        wy = float(w[y])
-        if dy == 0 and wy == 0.0:
+        a_row = a_adj[y]
+        jy = jump_a[y]
+        if not a_row and jy == 0.0:
             raise RuntimeError(f"auxiliary chain absorbed at node {y}")
-        if wy > 0.0 and rng_a.random() < wy / (dy + wy):
+        if jy > 0.0 and rng_a.random() < jy:
             venues = left[x]
             if venues:
                 y = venues[rng_a.randrange(len(venues))]
-            elif dy > 0:
+            elif a_row:
                 if detail is not None:
                     detail.fallback_jumps += 1
-                y = a_adj[y][rng_a.randrange(dy)]
+                y = a_row[rng_a.randrange(len(a_row))]
             else:
                 raise RuntimeError(
                     f"auxiliary chain absorbed: node {y} has no neighbors and the "
                     f"target walker at {x} has no affiliation edges to jump through"
                 )
         else:
-            y = a_adj[y][rng_a.randrange(dy)]
+            y = a_row[rng_a.randrange(len(a_row))]
 
         # Target walk jumping to the fresh MH sample.
-        ox = float(omega[x])
-        if dx == 0 and ox == 0.0:
+        t_row = t_adj[x]
+        jx = jump_t[x]
+        if not t_row and jx == 0.0:
             raise RuntimeError(
                 f"absorbing node {x}; increase alpha or fix affiliation coverage"
             )
-        if ox > 0.0 and rng_t.random() < ox / (dx + ox):
+        if jx > 0.0 and rng_t.random() < jx:
             x = xp
-            jumped[i + 1] = True
+            jumped[i] = True
         else:
-            x = t_adj[x][rng_t.randrange(dx)]
+            x = t_row[rng_t.randrange(len(t_row))]
+        path.append(x)
 
         if detail is not None:
             detail.aux_nodes.append(y)
             detail.mh_nodes.append(xp)
 
-    return SampleTrace(nodes, weights, jumped, budget, 2 * budget)
+    nodes = np.array(path, dtype=np.int64)
+    return SampleTrace(nodes, target.degrees[nodes] + ws.omega[nodes], jumped, budget, 2 * budget)

@@ -8,6 +8,7 @@ linear algebra on explicitly constructed kernels.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -102,6 +103,39 @@ def exact_vsa_expectations(aff: BipartiteGraph, probs, labeler, b_prime, estimat
             continue
         total += weight * estimator(list(seq))
     return total
+
+
+def reference_walk_theta(nodes, weights, rows) -> dict:
+    """walk_theta one visit at a time: per label, the math.fsum of 1/w_i
+    over the visits whose node carries it (``rows[x]`` holds the labels of
+    node x), over the math.fsum of every 1/w_i."""
+    per_label: dict = {}
+    for x, w in zip(nodes, weights):
+        for l in rows[x]:
+            per_label.setdefault(l, []).append(1.0 / w)
+    z = math.fsum(1.0 / w for w in weights)
+    return {l: math.fsum(terms) / z for l, terms in per_label.items()}
+
+
+def reference_theta(sample, rows, n):
+    """(ratio theta, known-n theta, n_hat) of a VsaSample one harvested user
+    at a time, each sum a math.fsum of the terms (1/p_i) / d_u_bip."""
+    per_label: dict = {}
+    every = []
+    for draw in sample.draws:
+        inv_p = 1.0 / draw.p
+        for u in draw.neighbors:
+            term = inv_p / sample.bip_degree[u]
+            every.append(term)
+            for l in rows[u]:
+                per_label.setdefault(l, []).append(term)
+    size = math.fsum(every)
+    scale = 1.0 / (n * sample.b_prime)
+    return (
+        {l: math.fsum(t) / size for l, t in per_label.items()},
+        {l: math.fsum(t) * scale for l, t in per_label.items()},
+        size / sample.b_prime,
+    )
 
 
 def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int) -> dict:

@@ -20,7 +20,7 @@ from helpers import (
 from hybridsample import experiment as ex
 from hybridsample.estimators import vsa_estimate_n, vsa_theta_known_n, vsa_theta_unknown_n
 from hybridsample.geo import Region, Venue, VenueIndex, ZoomInSource
-from hybridsample.graphs import BipartiteGraph
+from hybridsample.graphs import BipartiteGraph, LabelTable
 from hybridsample.samplers import (
     AuxDistribution,
     VsaDraw,
@@ -49,11 +49,12 @@ def report(num, detail, elapsed, limit):
 # --------------------------------------------------------------------------- 1
 
 
-def _mixed_labels(u):
-    return ("a", "x") if u % 2 == 0 else ("b", "x")
+def _mixed_labels(n):
+    """Even nodes carry ("a", "x"), odd nodes ("b", "x")."""
+    return LabelTable.from_rows(("a", "x") if u % 2 == 0 else ("b", "x") for u in range(n))
 
 
-def _expected_estimates(aff, probs, labeler, n_t, b_prime):
+def _expected_estimates(aff, probs, labels, n_t, b_prime):
     """(E[theta_hat per label], E[n_hat]) by exhaustive sequence enumeration,
     evaluating the real estimators on every p-weighted draw sequence."""
     e_theta = {}
@@ -67,7 +68,7 @@ def _expected_estimates(aff, probs, labeler, n_t, b_prime):
         if weight == 0.0:
             continue
         sample = VsaSample([draw_of[v] for v in seq], degrees, len(seq))
-        for l, t in vsa_theta_known_n(sample, labeler, n=n_t).theta.items():
+        for l, t in vsa_theta_known_n(sample, labels, n=n_t).theta.items():
             e_theta[l] = e_theta.get(l, 0.0) + weight * t
         e_n += weight * vsa_estimate_n(sample)
     return e_theta, e_n
@@ -84,9 +85,10 @@ def test_criterion_1_exact_unbiasedness():
         total = sum(nonuniform)
         p_vectors = [[1.0 / n_a] * n_a, [x / total for x in nonuniform]]
         big = (n_t, n_a) == (4, 3)
+        labels = _mixed_labels(n_t)
         truth = {}
         for u in range(n_t):
-            for l in _mixed_labels(u):
+            for l in labels.of(u):
                 truth[l] = truth.get(l, 0.0) + 1.0 / n_t
         for gi, neighbor_sets in enumerate(enumerate_bipartite(n_t, n_a, full_coverage=True)):
             pairs = [(u, v) for u, vs in enumerate(neighbor_sets) for v in vs]
@@ -95,7 +97,7 @@ def test_criterion_1_exact_unbiasedness():
             bps = (1, 2) if not big else ((1, 2) if gi % 8 == 0 else (1,))
             for probs in probs_list:
                 for b_prime in bps:
-                    e_theta, e_n = _expected_estimates(aff, probs, _mixed_labels, n_t, b_prime)
+                    e_theta, e_n = _expected_estimates(aff, probs, labels, n_t, b_prime)
                     for label, t in truth.items():
                         assert abs(e_theta.get(label, 0.0) - t) < 1e-12
                     assert abs(e_n - n_t) < 1e-12  # full coverage
@@ -109,8 +111,9 @@ def test_criterion_1_exact_unbiasedness():
             aff = BipartiteGraph(n_t, n_a, pairs)
             covered = frozenset(u for u, vs in enumerate(neighbor_sets) if vs)
 
-            def labels(u, cov=covered):
-                return ("a",) if (u in cov and u % 2 == 0) else ()
+            labels = LabelTable.from_rows(
+                ("a",) if (u in covered and u % 2 == 0) else () for u in range(n_t)
+            )
 
             truth_a = sum(1.0 for u in covered if u % 2 == 0) / n_t
             for b_prime in (1, 2):
@@ -195,11 +198,11 @@ def test_criterion_5_reduction_identities():
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
     walk = rwt_vsa_run(h, p, 0.0, 5000, 17, seed=MASTER_SEED)
     plain = simple_rw_run(h.target, 5000, 17, seed=MASTER_SEED)
-    assert walk.nodes == plain.nodes and walk.weights == plain.weights
+    assert np.array_equal(walk.nodes, plain.nodes) and np.array_equal(walk.weights, plain.weights)
 
     ws = fixed_weight_scheme(h, 0.0, 0.0)
     coupled = rwt_rwa_run(h, ws, 5000, (17, 0, 3), seed=MASTER_SEED)
-    assert coupled.nodes == plain.nodes and coupled.weights == plain.weights
+    assert np.array_equal(coupled.nodes, plain.nodes) and np.array_equal(coupled.weights, plain.weights)
     report(5, "alpha=0 and alpha=beta=0 walks are trace-identical to the plain walk", time.time() - t0, 30.0)
 
 
@@ -307,7 +310,7 @@ def test_criterion_8_rrzi_probability_closure():
     exact = rrzi_exact_probabilities(idx, root, k=1)
     assert abs(sum(exact.values()) - 1.0) < 1e-12
     aff = h.affiliation
-    label_a = lambda u: ("a",) if u == 0 else ()
+    label_a = LabelTable.from_rows([("a",), (), ()])
 
     def known_theta(v):
         draws = [VsaDraw(v, exact[v], tuple(aff.right_adj[v]))]

@@ -1,18 +1,24 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from helpers import exact_vsa_expectations, three_user_hybrid, two_user_hybrid
+from helpers import (
+    exact_vsa_expectations,
+    reference_theta,
+    reference_walk_theta,
+    three_user_hybrid,
+    two_user_hybrid,
+)
 from hybridsample.estimators import (
-    CompensatedSum,
     nrmse,
     vsa_estimate_n,
     vsa_theta_known_n,
     vsa_theta_unknown_n,
     walk_theta,
 )
-from hybridsample.graphs import constant_labels, degree_labels, ground_truth_theta
+from hybridsample.graphs import Graph, LabelTable, degree_labels, ground_truth_theta
 from hybridsample.samplers import (
     AuxDistribution,
     SampleTrace,
@@ -36,8 +42,12 @@ def make_sample(hybrid, venues, probs):
     return VsaSample(draws, degrees, query_count=len(draws))
 
 
-def label_a_first_user(u):
-    return ("a",) if u == 0 else ()
+# node 0 carries "a"; nodes 1 and 2 carry no label
+LABEL_A_FIRST_USER = LabelTable.from_rows([("a",), (), ()])
+
+
+def constant_labels(n, label="a"):
+    return LabelTable.from_rows([(label,)] * n)
 
 
 # ------------------------------------------------------------ exact expectations
@@ -48,10 +58,10 @@ def test_known_n_unbiased_two_user_enumeration():
     probs = [0.5, 0.5]
 
     def estimate(seq):
-        return vsa_theta_known_n(make_sample(h, seq, probs), label_a_first_user, n=2).theta.get("a", 0.0)
+        return vsa_theta_known_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=2).theta.get("a", 0.0)
 
     for b_prime in (1, 2):
-        expect = exact_vsa_expectations(h.affiliation, probs, label_a_first_user, b_prime, estimate)
+        expect = exact_vsa_expectations(h.affiliation, probs, LABEL_A_FIRST_USER, b_prime, estimate)
         assert expect == pytest.approx(0.5, abs=1e-12)
 
 
@@ -60,9 +70,9 @@ def test_known_n_all_one_label_expectation_is_one():
     probs = [0.3, 0.7]
 
     def estimate(seq):
-        return vsa_theta_known_n(make_sample(h, seq, probs), constant_labels("x"), n=3).theta.get("x", 0.0)
+        return vsa_theta_known_n(make_sample(h, seq, probs), constant_labels(3, "x"), n=3).theta.get("x", 0.0)
 
-    expect = exact_vsa_expectations(h.affiliation, probs, constant_labels("x"), 2, estimate)
+    expect = exact_vsa_expectations(h.affiliation, probs, constant_labels(3, "x"), 2, estimate)
     assert expect == pytest.approx(1.0, abs=1e-12)
 
 
@@ -106,7 +116,7 @@ def test_exact_unbiasedness_five_venue_instance():
     theta_a_truth = 1 / 3
 
     def theta_of(seq):
-        return vsa_theta_known_n(make_sample(h, seq, probs), label_a_first_user, n=3).theta.get("a", 0.0)
+        return vsa_theta_known_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=3).theta.get("a", 0.0)
 
     def n_of(seq):
         return vsa_estimate_n(make_sample(h, seq, probs))
@@ -122,9 +132,9 @@ def test_duplicating_a_draw_blends_estimate():
     h = three_user_hybrid()
     probs = [0.4, 0.6]
     seq = [0, 1, 1]
-    base = vsa_theta_known_n(make_sample(h, seq, probs), label_a_first_user, n=3).theta.get("a", 0.0)
-    dup = vsa_theta_known_n(make_sample(h, seq + [0], probs), label_a_first_user, n=3).theta.get("a", 0.0)
-    solo = vsa_theta_known_n(make_sample(h, [0], probs), label_a_first_user, n=3).theta.get("a", 0.0)
+    base = vsa_theta_known_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=3).theta.get("a", 0.0)
+    dup = vsa_theta_known_n(make_sample(h, seq + [0], probs), LABEL_A_FIRST_USER, n=3).theta.get("a", 0.0)
+    solo = vsa_theta_known_n(make_sample(h, [0], probs), LABEL_A_FIRST_USER, n=3).theta.get("a", 0.0)
     assert dup == pytest.approx((3 * base + solo) / 4, abs=1e-12)
 
 
@@ -134,7 +144,7 @@ def test_duplicating_a_draw_blends_estimate():
 def test_unknown_n_equals_known_n_rescaled():
     h = three_user_hybrid()
     sample = vs_a_collect(h, AuxDistribution.uniform(2), 40, seed=3)
-    labeler = label_a_first_user
+    labeler = LABEL_A_FIRST_USER
     known = vsa_theta_known_n(sample, labeler, n=3)
     ratio = vsa_theta_unknown_n(sample, labeler)
     n_hat = vsa_estimate_n(sample)
@@ -146,7 +156,7 @@ def test_unknown_n_equals_known_n_rescaled():
 def test_unknown_n_single_label_is_one():
     h = three_user_hybrid()
     sample = vs_a_collect(h, AuxDistribution.uniform(2), 5, seed=1)
-    rep = vsa_theta_unknown_n(sample, constant_labels("z"))
+    rep = vsa_theta_unknown_n(sample, constant_labels(3, "z"))
     assert rep.theta == {"z": pytest.approx(1.0, abs=1e-12)}
 
 
@@ -156,7 +166,7 @@ def test_unknown_n_no_effective_samples():
     h = HybridNetwork(Graph(1, []), Graph(1, []), BipartiteGraph(1, 1, []))
     sample = vs_a_collect(h, AuxDistribution.uniform(1), 3, seed=0)
     with pytest.raises(RuntimeError, match="no effective samples"):
-        vsa_theta_unknown_n(sample, constant_labels())
+        vsa_theta_unknown_n(sample, constant_labels(1))
 
 
 def test_unknown_n_error_shrinks_with_budget():
@@ -184,8 +194,8 @@ def test_unknown_n_scale_free_in_p():
         sample.bip_degree,
         sample.query_count,
     )
-    a = vsa_theta_unknown_n(sample, label_a_first_user).theta
-    b = vsa_theta_unknown_n(scaled, label_a_first_user).theta
+    a = vsa_theta_unknown_n(sample, LABEL_A_FIRST_USER).theta
+    b = vsa_theta_unknown_n(scaled, LABEL_A_FIRST_USER).theta
     for l in a:
         assert a[l] == pytest.approx(b[l], rel=1e-12)
 
@@ -195,14 +205,14 @@ def test_unknown_n_scale_free_in_p():
 
 def test_walk_theta_single_node():
     trace = SampleTrace([3], [2.0], [False], 1, 1)
-    rep = walk_theta(trace, constant_labels("a"))
+    rep = walk_theta(trace, constant_labels(4))
     assert rep.theta == {"a": 1.0}
 
 
 def test_walk_theta_uniform_weights_is_frequency():
     nodes = [0, 1, 1, 2, 2, 2]
     trace = SampleTrace(nodes, [5.0] * 6, [False] * 6, 6, 6)
-    rep = walk_theta(trace, lambda u: (u,))
+    rep = walk_theta(trace, LabelTable.from_rows((u,) for u in range(3)))
     assert rep.theta == {0: pytest.approx(1 / 6), 1: pytest.approx(2 / 6), 2: pytest.approx(3 / 6)}
 
 
@@ -229,18 +239,75 @@ def test_walk_theta_simple_rw_reweighted():
 
 def test_walk_theta_rejects_empty_and_bad_weights():
     with pytest.raises(ValueError):
-        walk_theta(SampleTrace([], [], [], 0, 0), constant_labels())
+        walk_theta(SampleTrace([], [], [], 0, 0), constant_labels(1))
     with pytest.raises(ValueError, match="weight"):
-        walk_theta(SampleTrace([0], [0.0], [False], 1, 1), constant_labels())
+        walk_theta(SampleTrace([0], [0.0], [False], 1, 1), constant_labels(1))
 
 
 def test_compensated_summation_matches_fsum():
+    # visit weights over 18 orders of magnitude, on two labels
     rng = random.Random(9)
-    values = [10.0 ** rng.uniform(-12, 6) for _ in range(5000)]
-    acc = CompensatedSum()
-    for v in values:
-        acc.add(v)
-    assert acc.value == pytest.approx(math.fsum(values), rel=1e-15)
+    weights = [10.0 ** rng.uniform(-6, 12) for _ in range(5000)]
+    nodes = [rng.randrange(2) for _ in weights]
+    trace = SampleTrace(np.array(nodes), np.array(weights), [False] * 5000, 5000, 5000)
+    rep = walk_theta(trace, LabelTable.from_rows([("even",), ("odd",)]))
+    inv = [1.0 / w for w in weights]
+    for label, node in (("even", 0), ("odd", 1)):
+        want = math.fsum(t for t, x in zip(inv, nodes) if x == node) / math.fsum(inv)
+        assert rep.theta[label] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_walk_theta_rejects_nonfinite_weight_naming_node(bad):
+    trace = SampleTrace(np.array([0, 2, 1]), np.array([1.0, bad, 2.0]), [False] * 3, 3, 3)
+    with pytest.raises(ValueError, match=f"visit weight {bad} at node 2"):
+        walk_theta(trace, constant_labels(3))
+
+
+def test_vsa_zero_affiliation_degree_names_node():
+    # the check must survive python -O, unlike an assert
+    sample = VsaSample([VsaDraw(0, 0.5, (1, 2))], {1: 1, 2: 0}, query_count=1)
+    with pytest.raises(ValueError, match="harvested node 2 .*affiliation degree 0"):
+        vsa_theta_unknown_n(sample, constant_labels(3))
+
+
+def _random_rows(rng, n):
+    """Per-node label tuples: none, one or several labels of mixed types."""
+    pool = ["a", "b", 3, 7, 12]
+    return [tuple(rng.sample(pool, rng.choice((0, 1, 1, 2, 3)))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_label_table_estimators_match_fsum_reference(trial):
+    rng = random.Random(100 + trial)
+    n = rng.randrange(1, 40)
+    rows = _random_rows(rng, n)
+    labels = LabelTable.from_rows(rows)
+
+    counts = {}
+    for row in rows:
+        for l in row:
+            counts[l] = counts.get(l, 0) + 1
+    assert ground_truth_theta(Graph(n), labels).theta == {l: c / n for l, c in counts.items()}
+
+    steps = rng.randrange(1, 400)
+    nodes = [rng.randrange(n) for _ in range(steps)]
+    weights = [10.0 ** rng.uniform(-3, 9) for _ in range(steps)]
+    trace = SampleTrace(np.array(nodes), np.array(weights), [False] * steps, steps, steps)
+    assert walk_theta(trace, labels).theta == reference_walk_theta(nodes, weights, rows)
+
+    draws = [
+        VsaDraw(v, rng.uniform(1e-4, 1.0), tuple(rng.sample(range(n), rng.randrange(min(n, 5) + 1))))
+        for v in range(rng.randrange(1, 60))
+    ]
+    draws.append(VsaDraw(0, 0.3, (0,)))  # at least one harvested user
+    degree = {u: rng.randrange(1, 9) for u in range(n)}
+    sample = VsaSample(draws, degree, query_count=len(draws))
+    theta, known, n_hat = reference_theta(sample, rows, n)
+    rep = vsa_theta_unknown_n(sample, labels, n=n)
+    assert (rep.theta, rep.theta_known_n, rep.n_hat) == (theta, known, n_hat)
+    assert vsa_theta_known_n(sample, labels, n=n).theta == known
+    assert vsa_estimate_n(sample) == n_hat
 
 
 # ------------------------------------------------------------ NRMSE

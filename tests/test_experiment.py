@@ -148,7 +148,7 @@ def test_orientation_label_truth_counts_arcs(label, end):
     n = prep.hybrid.target.n
     arcs = orient_edges(prep.hybrid.target, cfg.seed)
     per_node = collections.Counter(arcs[:, end].tolist())
-    assert all(prep.labeler(u) == (per_node[u],) for u in range(n))
+    assert all(prep.labels.of(u) == (per_node[u],) for u in range(n))
     counts = collections.Counter(per_node[u] for u in range(n))
     assert prep.truth.theta == {d: c / n for d, c in counts.items()}
     assert sum(d * c for d, c in counts.items()) == len(arcs)
@@ -402,6 +402,23 @@ def test_outputs_match_pinned_digests(tmp_path, case, seed):
     digests = (hashlib.sha256(text.encode()).hexdigest(),
                hashlib.sha256(raw.read_bytes()).hexdigest())
     assert digests == PINNED_DIGESTS[(case, seed)]
+
+
+# sha256 of the trace_out file (replication 0) of the PINNED_DIGESTS config
+# at seed 1, recorded while traces were lists built one visit at a time.
+PINNED_TRACE_OUT = {
+    "SRW": "9b98c5558d69f3af194cd919a8c792e75a64bf02556432d81e26734bba302325",
+    "RWT-RWA": "be42a1d62aea02e79fc05067a7ab96aea01082887cf23de1daeb987ec413118c",
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_TRACE_OUT))
+def test_trace_out_matches_pinned_digest(tmp_path, method):
+    path = tmp_path / "trace.csv"
+    cfg = ex.make_config({"n_per_graph": "2000", "extra_pairs": "4000", "seed": "1",
+                          "runs": "20", "method": method, "trace_out": str(path)})
+    ex.run_experiment(cfg)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACE_OUT[method]
 
 
 def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):

@@ -214,7 +214,6 @@ def test_rrzi_vsa_enumeration_ratio_unbiased():
     exact = rrzi_exact_probabilities(idx, root, k=2)
     assert exact == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
 
-    label_a = lambda u: ("a",) if u == 0 else ()
     aff = h.affiliation
     # enumeration over single draws, weighted by the oracle probabilities
     num = 0.0

@@ -8,8 +8,8 @@ from hybridsample.graphs import (
     BipartiteGraph,
     Graph,
     HybridNetwork,
+    LabelTable,
     bip_neighbors,
-    constant_labels,
     degree_labels,
     ground_truth_theta,
 )
@@ -37,8 +37,22 @@ def test_path_graph_degree_theta():
 
 def test_constant_labeler_theta_is_one():
     g = Graph(5, [(0, 1), (2, 3)])
-    dist = ground_truth_theta(g, constant_labels("a"))
+    dist = ground_truth_theta(g, LabelTable.from_rows([("a",)] * g.n))
     assert dist.theta == {"a": 1.0}
+
+
+def test_label_table_rows_roundtrip_and_checks():
+    rows = [("a", 3), (), (3,), ("b", "a", 7)]
+    table = LabelTable.from_rows(rows)
+    assert [table.of(u) for u in range(table.n)] == rows
+    with pytest.raises(ValueError, match="indptr"):
+        LabelTable([0, 2], [0], ["a"])
+    with pytest.raises(ValueError, match="indptr"):
+        LabelTable([0, 2, 1], [0], ["a"])
+    with pytest.raises(ValueError, match="codes out of range"):
+        LabelTable([0, 1], [1], ["a"])
+    with pytest.raises(ValueError, match="covers 3 nodes"):
+        ground_truth_theta(Graph(2, [(0, 1)]), LabelTable.from_rows([("a",)] * 3))
 
 
 def test_theta_matches_independent_degree_histogram():
@@ -65,7 +79,7 @@ def test_theta_permutation_invariant():
 def test_empty_graph_rejected():
     g = Graph(0, [])
     with pytest.raises(ValueError, match="empty target graph"):
-        ground_truth_theta(g, constant_labels())
+        ground_truth_theta(g, LabelTable.from_rows([]))
 
 
 def test_self_loop_rejected():

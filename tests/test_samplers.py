@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -193,8 +194,8 @@ def test_rwt_vsa_alpha_zero_equals_simple_rw():
     p = AuxDistribution.uniform(h.auxiliary.n)
     a = rwt_vsa_run(h, p, 0.0, 5000, 5, seed=42)
     b = simple_rw_run(h.target, 5000, 5, seed=42)
-    assert a.nodes == b.nodes
-    assert a.weights == b.weights
+    assert np.array_equal(a.nodes, b.nodes)
+    assert np.array_equal(a.weights, b.weights)
     assert not any(a.jumped)
 
 
@@ -409,10 +410,10 @@ def test_rwt_rwa_zero_jump_reduction():
     detail = RwtRwaDetail()
     trace = rwt_rwa_run(h, ws, 4000, (5, 0, 7), seed=42, detail=detail)
     ref_target = simple_rw_run(h.target, 4000, 5, seed=42)
-    assert trace.nodes == ref_target.nodes
-    assert trace.weights == ref_target.weights
+    assert np.array_equal(trace.nodes, ref_target.nodes)
+    assert np.array_equal(trace.weights, ref_target.weights)
     ref_aux = simple_rw_run(h.auxiliary, 4000, 7, seed=42, stream=STREAM_AUX)
-    assert detail.aux_nodes == ref_aux.nodes
+    assert np.array_equal(detail.aux_nodes, ref_aux.nodes)
 
 
 def test_rwt_rwa_empirical_stationarity():
@@ -478,12 +479,12 @@ def test_runs_deterministic_per_seed():
     t1 = rwt_vsa_run(h, p, 2.0, 2000, 0, seed=5)
     t2 = rwt_vsa_run(h, p, 2.0, 2000, 0, seed=5)
     t3 = rwt_vsa_run(h, p, 2.0, 2000, 0, seed=6)
-    assert t1.nodes == t2.nodes and t1.jumped == t2.jumped
-    assert t1.nodes != t3.nodes
+    assert np.array_equal(t1.nodes, t2.nodes) and t1.jumped == t2.jumped
+    assert not np.array_equal(t1.nodes, t3.nodes)
     ws = fixed_weight_scheme(h, 1.0, 1.0)
     r1 = rwt_rwa_run(h, ws, 2000, (0, 0, 0), seed=5)
     r2 = rwt_rwa_run(h, ws, 2000, (0, 0, 0), seed=5)
-    assert r1.nodes == r2.nodes
+    assert np.array_equal(r1.nodes, r2.nodes)
 
 
 def test_write_trace_format(tmp_path):
@@ -498,3 +499,73 @@ def test_write_trace_format(tmp_path):
     assert (int(step), int(node)) == (0, trace.nodes[0])
     assert float(weight) == trace.weights[0]
     assert jumped in ("0", "1")
+
+
+# ------------------------------------------------------------ trace arrays
+
+# Walk cases on one 2x500 network: (method, per-node alpha, per-node beta).
+TRACE_CASES = [("SRW", 0, 0), ("RWT-VSA", 0, 0), ("RWT-VSA", 1, 0)] + [
+    ("RWT-RWA", a, b) for a in (0, 1) for b in (0, 1)
+]
+
+# sha256 of the int64 nodes, float64 weights and bool jumped of each case's
+# trace, recorded while traces were lists built one visit at a time.
+PINNED_TRACE_DIGESTS = {
+    ("SRW", 0, 0):
+        "657425f9b92522608645ab49e734cc43addcce5015593a9476e3f061c6131365",
+    ("RWT-VSA", 0, 0):
+        "657425f9b92522608645ab49e734cc43addcce5015593a9476e3f061c6131365",
+    ("RWT-VSA", 1, 0):
+        "3ad9986814a98c3303e48034f0d980d948576fdcc84ea40847408817d50b8217",
+    ("RWT-RWA", 0, 0):
+        "657425f9b92522608645ab49e734cc43addcce5015593a9476e3f061c6131365",
+    ("RWT-RWA", 0, 1):
+        "657425f9b92522608645ab49e734cc43addcce5015593a9476e3f061c6131365",
+    ("RWT-RWA", 1, 0):
+        "cbd61de041522b3d10dc3b3dc975a8514f12448f192a817d74ae2701f89e4e56",
+    ("RWT-RWA", 1, 1):
+        "f25c832f48c9729c0655860a3ae7a583ad8d9ccb1a995c46950499db60aeb526",
+}
+
+
+@pytest.fixture(scope="module")
+def net_2x500():
+    return build_synthetic_hybrid(
+        SynthConfig(n_per_graph=500, m1=2, m2=3, m3=5, extra_pairs=1000, seed=11)
+    )
+
+
+def _case_trace(h, method, alpha, beta):
+    """(trace, omega) of a 3000-step walk; alpha and beta are per node, as
+    in experiment configs."""
+    covered = h.covered_targets()
+    alpha_total, beta_total = alpha * len(covered), beta * h.auxiliary.n
+    start = covered[0]
+    if method == "SRW":
+        return simple_rw_run(h.target, 3000, start, seed=4), np.zeros(h.target.n)
+    if method == "RWT-VSA":
+        support = np.flatnonzero(h.affiliation.right_degrees).tolist()
+        p = AuxDistribution.uniform_over(h.auxiliary.n, support)
+        trace = rwt_vsa_run(h, p, alpha_total, 3000, start, seed=4)
+        return trace, alpha_total * compute_qu(h, p)
+    ws = fixed_weight_scheme(h, alpha_total, beta_total)
+    return rwt_rwa_run(h, ws, 3000, (start, start, 0), seed=4), ws.omega
+
+
+@pytest.mark.parametrize("method,alpha,beta", TRACE_CASES)
+def test_trace_weights_are_degree_plus_omega(net_2x500, method, alpha, beta):
+    trace, omega = _case_trace(net_2x500, method, alpha, beta)
+    for i, x in enumerate(trace.nodes):
+        assert trace.weights[i] == net_2x500.target.degree(x) + float(omega[x])
+    assert any(trace.jumped) == (alpha > 0)
+
+
+@pytest.mark.parametrize("method,alpha,beta", TRACE_CASES)
+def test_traces_match_pinned_digests(net_2x500, method, alpha, beta):
+    trace, _ = _case_trace(net_2x500, method, alpha, beta)
+    digest = hashlib.sha256(
+        np.asarray(trace.nodes, dtype=np.int64).tobytes()
+        + np.asarray(trace.weights, dtype=np.float64).tobytes()
+        + np.asarray(trace.jumped, dtype=bool).tobytes()
+    ).hexdigest()
+    assert digest == PINNED_TRACE_DIGESTS[(method, alpha, beta)]
