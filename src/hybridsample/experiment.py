@@ -3,8 +3,9 @@
 A config names a network source (synthetic, plain files, or LBSN-style
 files), one sampling method, its parameters, and the replication count.
 ``run_experiment`` builds the network once, computes ground truth, runs the
-replications one after another with seeds derived from the master seed,
-and aggregates per-label mean estimates and NRMSE.
+replications with seeds derived from the master seed (the walk methods'
+in lockstep batches, the harvest methods' one after another), and
+aggregates per-label mean estimates and NRMSE.
 
 Jump-strength units: config ``alpha``/``beta`` are per-node (an alpha of 1
 gives a node of degree d a jump probability of about 1/(d+1), the scale the
@@ -27,6 +28,7 @@ from .graphs import HybridNetwork, LabelDistribution, LabelTable, degree_labels,
 from .samplers import (
     AuxDistribution,
     Jumps,
+    WalkError,
     compute_qu,
     fixed_weight_scheme,
     rwt_rwa_run,
@@ -41,16 +43,14 @@ from .synth import SynthConfig, build_synthetic_hybrid, orient_edges
 METHODS = ("SRW", "VS-A", "RWT-VSA", "RWT-RWA", "RRZI-VSA")
 HARVEST_METHODS = ("VS-A", "RRZI-VSA")  # independent auxiliary draws; the rest walk
 LABEL_KINDS = ("degree", "in-degree", "out-degree")
-# The cached row views (part of the hybrid, attribute) that each method's
-# replications index; prepare_experiment builds them.
+# The cached row views (part of the hybrid, attribute) that each harvest
+# method's replications index; prepare_experiment builds them.  The walks
+# read the CSR arrays.
 LIST_VIEWS = {
-    "SRW": (("target", "adj"),),
     "VS-A": (("affiliation", "left_adj"), ("affiliation", "right_adj")),
-    "RWT-VSA": (("target", "adj"), ("affiliation", "right_adj")),
-    "RWT-RWA": (("target", "adj"), ("auxiliary", "adj"),
-                ("affiliation", "left_adj"), ("affiliation", "right_adj")),
     "RRZI-VSA": (("affiliation", "left_adj"), ("affiliation", "right_adj")),
 }
+CHUNK_VISITS = 1 << 20  # most visits (budget x replications) of one lockstep batch
 SOURCES = ("synthetic", "files", "lbsn")
 
 RESULT_COLUMNS = (
@@ -319,42 +319,52 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             raise ValueError("venue index is empty")
         prep.source = geo.ZoomInSource(index, index.bounding_region(), cfg.rrzi_k)
     # built once and cached on the graph, so no replication pays for them
-    for part, view in LIST_VIEWS[cfg.method]:
+    for part, view in LIST_VIEWS.get(cfg.method, ()):
         getattr(getattr(hybrid, part), view)
     return prep
 
 
-def _pick_where(rng, n: int, ok) -> int:
+def _pick_where(rng, ok: np.ndarray) -> int:
+    n = len(ok)
     for _ in range(20 * n + 20):
         x = rng.randrange(n)
-        if ok(x):
+        if ok[x]:
             return x
     raise RuntimeError("could not find a usable start node")
 
 
-def _walk_trace(prep: PreparedExperiment, rep_seed: int):
-    """Run one walk replication; start nodes come from a per-replication RNG
-    stream separate from the chain streams."""
+def _walk_batch(prep: PreparedExperiment, seeds: list):
+    """Run the walk replications of ``seeds`` as one lockstep batch.  Each
+    replication's start nodes come from its own RNG stream, separate from
+    the chain streams; a replication that finds none raises WalkError."""
     cfg = prep.cfg
-    hybrid = prep.hybrid
-    rng = spawn_rng(rep_seed, 98)
+    hybrid, ws = prep.hybrid, prep.weights
+    target = hybrid.target
     if cfg.method == "SRW":
-        start = _pick_where(rng, hybrid.target.n, lambda u: hybrid.target.adj[u])
-        return simple_rw_run(hybrid.target, prep.budget, start, rep_seed)
+        ok = target.degrees > 0
+    elif cfg.method == "RWT-VSA":
+        ok = (target.degrees > 0) | (prep.qu > 0)
+    else:
+        ok = (target.degrees > 0) | (ws.omega > 0)
+        ok_aux = (hybrid.auxiliary.degrees > 0) | (ws.w > 0)
+    starts = []
+    for r, rep_seed in enumerate(seeds):
+        rng = spawn_rng(rep_seed, 98)
+        try:
+            start = _pick_where(rng, ok)
+            if cfg.method == "RWT-RWA":  # (x, x', y)
+                start = (start, prep.covered[rng.randrange(len(prep.covered))],
+                         _pick_where(rng, ok_aux))
+        except RuntimeError as exc:
+            raise WalkError(r, str(exc)) from None
+        starts.append(start)
+    if cfg.method == "SRW":
+        return simple_rw_run(target, prep.budget, starts, seeds)
     if cfg.method == "RWT-VSA":
-        qu = prep.qu
-        start = _pick_where(
-            rng, hybrid.target.n, lambda u: hybrid.target.adj[u] or qu[u] > 0
-        )
         return rwt_vsa_run(
-            hybrid, prep.source, prep.alpha_total, prep.budget, start, rep_seed, jumps=prep.jumps
+            hybrid, prep.source, prep.alpha_total, prep.budget, starts, seeds, jumps=prep.jumps
         )
-    ws = prep.weights
-    x = _pick_where(rng, hybrid.target.n, lambda u: hybrid.target.adj[u] or ws.omega[u] > 0)
-    xp = prep.covered[rng.randrange(len(prep.covered))]
-    aux = hybrid.auxiliary
-    y = _pick_where(rng, aux.n, lambda v: aux.adj[v] or ws.w[v] > 0)
-    return rwt_rwa_run(hybrid, ws, prep.budget, (x, xp, y), rep_seed)
+    return rwt_rwa_run(hybrid, ws, prep.budget, starts, seeds)
 
 
 def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:
@@ -365,8 +375,36 @@ def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:
         report = vsa_theta_unknown_n(sample, prep.labels, seed=rep_seed, n=prep.hybrid.target.n)
         report.method = cfg.method
         return report
-    trace = _walk_trace(prep, rep_seed)
+    trace = _walk_batch(prep, [rep_seed]).trace(0)
     return walk_theta(trace, prep.labels, method=cfg.method, seed=rep_seed)
+
+
+def _failure(idx: int, rep_seed: int, exc: Exception) -> RuntimeError:
+    reason = exc.reason if isinstance(exc, WalkError) else exc
+    return RuntimeError(f"replication {idx} (seed {rep_seed}) failed: {reason}")
+
+
+def _walk_reports(prep: PreparedExperiment, seeds: list) -> list:
+    """Estimates of all walk replications, run in lockstep batches of at
+    most CHUNK_VISITS visits; replication 0's trace goes to trace_out."""
+    cfg = prep.cfg
+    per_batch = max(1, CHUNK_VISITS // prep.budget)
+    reports = []
+    for lo in range(0, len(seeds), per_batch):
+        chunk = seeds[lo:lo + per_batch]
+        try:
+            batch = _walk_batch(prep, chunk)
+        except WalkError as exc:
+            raise _failure(lo + exc.replication, chunk[exc.replication], exc) from exc
+        for r, rep_seed in enumerate(chunk):
+            trace = batch.trace(r)
+            if lo + r == 0 and cfg.trace_out:
+                write_trace(trace, cfg.trace_out)
+            try:
+                reports.append(walk_theta(trace, prep.labels, method=cfg.method, seed=rep_seed))
+            except Exception as exc:
+                raise _failure(lo + r, rep_seed, exc) from exc
+    return reports
 
 
 def _label_key(label):
@@ -412,16 +450,16 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
     if prep is None:
         prep = prepare_experiment(cfg)
     seeds = replication_seeds(cfg.seed, cfg.runs)
-    reports = []
-    for idx, rep_seed in enumerate(seeds):
-        try:
-            reports.append(run_replication(prep, rep_seed))
-        except Exception as exc:
-            raise RuntimeError(f"replication {idx} (seed {rep_seed}) failed: {exc}") from exc
+    if cfg.method in HARVEST_METHODS:
+        reports = []
+        for idx, rep_seed in enumerate(seeds):
+            try:
+                reports.append(run_replication(prep, rep_seed))
+            except Exception as exc:
+                raise _failure(idx, rep_seed, exc) from exc
+    else:
+        reports = _walk_reports(prep, seeds)
 
-    if cfg.trace_out:
-        # re-run replication 0 to export its trace (runs are pure and cheap)
-        write_trace(_walk_trace(prep, seeds[0]), cfg.trace_out)
     if cfg.raw_out:
         with open(cfg.raw_out, "w", encoding="utf-8") as fh:
             fh.write("method,label,theta_hat,theta_true,budget,seed\n")

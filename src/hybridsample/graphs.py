@@ -73,9 +73,9 @@ class Graph:
     rejected; duplicate input edges, in either direction, are merged
     silently.
 
-    ``adj`` is the same rows as tuples, built on first use and cached: the
-    per-step samplers index it, which is much faster than numpy scalar
-    indexing.
+    ``adj`` is the same rows as tuples, built on first use and cached; a
+    Python loop indexes them much faster than numpy scalars.  The walks
+    read the arrays.
     """
 
     def __init__(

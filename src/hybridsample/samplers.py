@@ -23,15 +23,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .graphs import Graph, HybridNetwork
-from .seeds import STREAM_AUX, STREAM_MH, STREAM_TARGET, spawn_rng
+from .seeds import STREAM_AUX, STREAM_AUX_JUMP, STREAM_MH, STREAM_TARGET, spawn_generator, spawn_rng
 
 KERNEL_SIZE_LIMIT = 2000
 CLOSED_FORM_CELL_LIMIT = 4_000_000
+BLOCK_STEPS = 256  # steps of uniforms a walk draws from each stream at a time
 
 
 class AuxDistribution:
@@ -93,6 +95,28 @@ class AuxDistribution:
         if self.probs is None:
             return rng.randrange(self.n)
         return bisect_left(self._cum, rng.random())
+
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """Nodes drawn from p by uniforms u in [0, 1), one per uniform;
+        never a node without p-mass."""
+        support, cum = self._support_cum
+        if cum is None:
+            return support[(u * len(support)).astype(np.int64)]
+        return support[np.searchsorted(cum, u, side="right")]
+
+    @cached_property
+    def _support_cum(self) -> tuple:
+        """(nodes with p-mass, their cumulative p; None for equal masses)."""
+        if self.probs is None:
+            return np.arange(self.n), None
+        probs = np.asarray(self.probs)
+        support = np.flatnonzero(probs)
+        mass = probs[support]
+        if (mass == mass[0]).all():
+            return support, None
+        cum = np.cumsum(mass)
+        cum[-1] = 1.0
+        return support, cum
 
     def draw(self, rng) -> tuple:
         """(node, p_node, cost) for vs_a_collect; one query per draw."""
@@ -211,20 +235,118 @@ class SampleTrace:
 
 
 class Jumps:
-    """Jump weights omega_x of a walk on a graph with degrees d_x.
+    """Jump weights omega_x of a walk on a graph with degrees d_x, and the
+    totals d_x + omega_x that are its visit weights.
 
-    ``prob`` holds the jump probabilities omega_x / (d_x + omega_x), 0.0
-    where omega_x = 0, as Python floats: the walk loops read one at every
-    step, and a list item is read several times faster than a numpy scalar
-    and holds the same IEEE value as dividing at each step.  The list costs
-    a few ms per 100k nodes, so build it once per experiment, not per walk.
+    A step scales its uniform u by the total: the walker moves to neighbour
+    floor(s) of its row when s = u (d_x + omega_x) < d_x, and jumps
+    otherwise (the virtual jumper edge of weight omega_x).  At omega_x = 0
+    that is a plain walk's pick from the same uniform.
     """
 
     def __init__(self, degrees: np.ndarray, omega: np.ndarray):
         self.omega = omega
-        self.prob = np.divide(
-            omega, degrees + omega, out=np.zeros(len(omega)), where=omega > 0
-        ).tolist()
+        self.total = degrees + omega
+
+
+@dataclass
+class WalkBatch:
+    """R walks of one budget run in lockstep.
+
+    ``nodes[t, r]`` is visit t of walk r and ``flags[t, r]`` says whether a
+    jump entered it; ``weight`` is the visit weight of every node and
+    ``queries[r]`` walk r's query count.  ``len()`` and ``jumped`` count the
+    visits and jumps of all walks together.
+    """
+
+    nodes: np.ndarray
+    flags: np.ndarray
+    weight: np.ndarray
+    queries: list
+
+    def __len__(self) -> int:
+        return self.nodes.size
+
+    @property
+    def jumped(self) -> list:
+        """Jump flags of every visit, walk by walk."""
+        return self.flags.T.ravel().tolist()
+
+    def trace(self, r: int) -> SampleTrace:
+        nodes = self.nodes[:, r].copy()
+        jumped = self.flags[:, r].tolist()
+        return SampleTrace(nodes, self.weight[nodes], jumped, len(nodes), self.queries[r])
+
+
+class WalkError(RuntimeError):
+    """A walk of a lockstep batch cannot go on; ``replication`` is its
+    column in the batch and ``reason`` names the node."""
+
+    def __init__(self, replication: int, reason: str):
+        super().__init__(f"replication {replication}: {reason}")
+        self.replication = replication
+        self.reason = reason
+
+
+class _Uniforms:
+    """One logical stream of each walk of a batch: k uniforms a step from
+    the walk's own generator, drawn BLOCK_STEPS steps at a time.  A walk
+    reads the same numbers whatever the batch size or block length."""
+
+    def __init__(self, seeds, stream: int, k: int):
+        self.gens = [spawn_generator(s, stream) for s in seeds]
+        self.k = k
+
+    def block(self, steps: int) -> np.ndarray:
+        """(k, steps, R) array: [j, i, r] is walk r's j-th uniform at step i."""
+        buf = np.empty((len(self.gens), steps, self.k))
+        for gen, out in zip(self.gens, buf):
+            gen.random(out=out)
+        return buf.transpose(2, 1, 0).copy()
+
+
+def _blocks(budget: int):
+    """(first step, steps) of each block of steps 1..budget-1."""
+    t = 1
+    while t < budget:
+        steps = min(BLOCK_STEPS, budget - t)
+        yield t, steps
+        t += steps
+
+
+def _entries(indices: np.ndarray) -> np.ndarray:
+    """CSR entries to pick from with ``take(mode="clip")``: a pick past its
+    row (a jump's, or an empty row's) reads some valid id, which the step
+    then discards or flags as an error."""
+    return indices if len(indices) else np.zeros(1, dtype=np.int64)
+
+
+def _batch_args(start, seed):
+    """(starts as an int64 array, seeds as a list, whether one walk was asked)."""
+    one = np.ndim(seed) == 0
+    seeds = [seed] if one else list(seed)
+    starts = np.array([start] if one else start, dtype=np.int64)
+    if len(starts) != len(seeds):
+        raise ValueError("need one start per seed")
+    return starts, seeds, one
+
+
+def _first_error(checks, states: dict):
+    """Raise WalkError for the first (step, walk) flagged by any check.
+
+    ``checks`` is a list of ((steps, R) masks, message template) in the
+    order a round makes them; ``states`` maps each template field to the
+    (steps, R) nodes it names.
+    """
+    flagged = checks[0][0].copy()
+    for mask, _ in checks[1:]:
+        flagged |= mask
+    if not flagged.any():
+        return
+    t, r = np.unravel_index(np.argmax(flagged), flagged.shape)
+    for mask, template in checks:
+        if mask[t, r]:
+            raise WalkError(int(r), template.format(**{k: v[t, r] for k, v in states.items()}))
 
 
 def write_trace(trace: SampleTrace, path) -> None:
@@ -236,30 +358,39 @@ def write_trace(trace: SampleTrace, path) -> None:
             fh.write(f"{i},{x},{w!r},{int(j)}\n")
 
 
-def simple_rw_run(graph: Graph, budget: int, start: int, seed, *, stream: int = STREAM_TARGET) -> SampleTrace:
+def simple_rw_run(
+    graph: Graph, budget: int, start, seed, *, stream: int = STREAM_TARGET
+) -> SampleTrace | WalkBatch:
     """Uniform-neighbor random walk; visit weight is the node degree.
 
-    ``stream`` selects the derived RNG stream so that walks embedded in
-    coupled runs can be reproduced exactly.
+    ``start`` and ``seed`` are one walk's, giving its SampleTrace, or
+    sequences of R walks', giving a WalkBatch of R walks run in lockstep.
+    Step t sets x = indices[indptr[x] + floor(u_t d_x)] with u_t the walk's
+    t-th uniform of ``stream``, so a walk embedded in a coupled run on the
+    same stream is reproduced exactly.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if not 0 <= start < graph.n:
+    starts, seeds, one = _batch_args(start, seed)
+    if ((starts < 0) | (starts >= graph.n)).any():
         raise ValueError("start node out of range")
-    adj = graph.adj
-    if not adj[start]:
-        raise RuntimeError(f"absorbing node {start}: walk cannot leave it")
-    randrange = spawn_rng(seed, stream).randrange
-    path = [start]
-    visit = path.append
-    x = start
-    for _ in range(budget - 1):
-        row = adj[x]
-        x = row[randrange(len(row))]
-        visit(x)
+    stuck = graph.degrees[starts] == 0
+    if stuck.any():
+        r = int(np.argmax(stuck))
+        raise WalkError(r, f"absorbing node {starts[r]}: walk cannot leave it")
+    deg = graph.degrees.astype(float)
+    base, cols = graph.indptr, graph.indices
+    nodes = np.empty((budget, len(seeds)), dtype=np.int64)
+    nodes[0] = starts
+    uniforms = _Uniforms(seeds, stream, 1)
     # every node entered has the edge it was entered by, so none is absorbing
-    nodes = np.array(path, dtype=np.int64)
-    return SampleTrace(nodes, graph.degrees[nodes].astype(float), [False] * budget, budget, budget)
+    for t0, steps in _blocks(budget):
+        u = uniforms.block(steps)[0]
+        for i in range(steps):
+            x = nodes[t0 + i - 1]
+            cols.take(base[x] + (u[i] * deg[x]).astype(np.int64), mode="clip", out=nodes[t0 + i])
+    batch = WalkBatch(nodes, np.zeros(nodes.shape, dtype=bool), deg, [budget] * len(seeds))
+    return batch.trace(0) if one else batch
 
 
 def rwt_vsa_run(
@@ -267,62 +398,67 @@ def rwt_vsa_run(
     p: AuxDistribution,
     alpha: float,
     budget: int,
-    start: int,
+    start,
     seed,
     *,
     jumps: Jumps | None = None,
-) -> SampleTrace:
+) -> SampleTrace | WalkBatch:
     """Random walk on the target graph with jumps through auxiliary vertex
     sampling.
 
     At each step the walker at x jumps with probability
     omega_x / (d_x + omega_x) where omega_x = alpha * q_x; a jump draws an
-    auxiliary node from p and lands on a uniform affiliation neighbor of it.
-    Otherwise the walker moves to a uniform target-graph neighbor.  Recorded
-    visit weights are d_x + omega_x.  ``jumps`` is
+    auxiliary node from p and lands on a uniform affiliation neighbor of it,
+    one query.  Otherwise the walker moves to a uniform target-graph
+    neighbor.  Recorded visit weights are d_x + omega_x.  ``jumps`` is
     ``Jumps(target.degrees, alpha * compute_qu(hybrid, p))``, made here when
-    not given.
+    not given; ``start`` and ``seed`` are as in simple_rw_run.
+
+    Streams: the move takes one STREAM_TARGET uniform a step (see Jumps),
+    so alpha = 0 gives simple_rw_run's trace; the landing takes two
+    STREAM_AUX uniforms a step, the node of p and the neighbor.
     """
     target = hybrid.target
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if not 0 <= start < target.n:
+    starts, seeds, one = _batch_args(start, seed)
+    if ((starts < 0) | (starts >= target.n)).any():
         raise ValueError("start node out of range")
     if jumps is None:
         jumps = Jumps(target.degrees, alpha * compute_qu(hybrid, p))
-    jump = jumps.prob
-
-    adj = target.adj
-    right = hybrid.affiliation.right_adj
-    rng_t = spawn_rng(seed, STREAM_TARGET)
-    rng_a = spawn_rng(seed, STREAM_AUX)
-
-    path = [start]
-    jumped = [False] * budget
-    aux_queries = 0
-    x = start
-    for i in range(1, budget):
-        jx = jump[x]
-        if jx > 0.0 and rng_t.random() < jx:
-            v = p.sample(rng_a)
-            users = right[v]
-            aux_queries += 1
-            # compute_qu vetoes p-mass on unaffiliated nodes up front
-            x = users[rng_a.randrange(len(users))]
-            jumped[i] = True
-        else:
-            row = adj[x]
-            if not row:
-                raise RuntimeError(
-                    f"absorbing node {x}; increase alpha or fix affiliation coverage"
-                )
-            x = row[rng_t.randrange(len(row))]
-        path.append(x)
-    nodes = np.array(path, dtype=np.int64)
-    weights = target.degrees[nodes] + jumps.omega[nodes]
-    return SampleTrace(nodes, weights, jumped, budget, budget + aux_queries)
+    aff = hybrid.affiliation
+    deg = target.degrees.astype(float)
+    total = jumps.total
+    base, cols = target.indptr, _entries(target.indices)
+    nodes = np.empty((budget, len(seeds)), dtype=np.int64)
+    nodes[0] = starts
+    flags = np.zeros(nodes.shape, dtype=bool)
+    moves = _Uniforms(seeds, STREAM_TARGET, 1)
+    landings = _Uniforms(seeds, STREAM_AUX, 2)
+    for t0, steps in _blocks(budget):
+        u = moves.block(steps)[0]
+        a = landings.block(steps)
+        # compute_qu vetoes p-mass on unaffiliated nodes up front
+        v = p.pick(a[0])
+        land = aff.right_indices[aff.right_indptr[v] + (a[1] * aff.right_degrees[v]).astype(np.int64)]
+        for i in range(steps):
+            t = t0 + i
+            x = nodes[t - 1]
+            s = u[i] * total[x]
+            np.greater_equal(s, deg[x], out=flags[t])
+            cols.take(base[x] + s.astype(np.int64), mode="clip", out=nodes[t])
+            np.copyto(nodes[t], land[i], where=flags[t])
+        left = nodes[t0 - 1:t0 + steps - 1]
+        _first_error(
+            [(total[left] == 0.0,
+              "absorbing node {x}; increase alpha or fix affiliation coverage")],
+            {"x": left},
+        )
+    queries = (budget + flags.sum(axis=0)).tolist()
+    batch = WalkBatch(nodes, flags, total, queries)
+    return batch.trace(0) if one else batch
 
 
 def stationary_rwt_vsa(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
@@ -365,9 +501,8 @@ class WeightSystem:
     q is the desired jump-target distribution on the target side; omega and
     w are jumper-edge weights; q_prime is the distribution the affiliation
     machinery actually proposes, reconciled with q by the MH chain.
-    ``target_jumps``/``aux_jumps`` hold omega and w with the walkers' jump
-    probabilities, and ``q_lists`` is (q, q_prime) as lists of Python floats
-    for the MH step of every round (see Jumps).
+    ``target_jumps``/``aux_jumps`` hold omega and w with the walkers' visit
+    weights (see Jumps).
     """
 
     q: np.ndarray
@@ -378,7 +513,6 @@ class WeightSystem:
     q_prime: np.ndarray
     target_jumps: Jumps
     aux_jumps: Jumps
-    q_lists: tuple[list, list]
 
 
 def default_desired_distribution(hybrid: HybridNetwork) -> np.ndarray:
@@ -444,7 +578,7 @@ def fixed_weight_scheme(
 
     return WeightSystem(
         q, omega, pi_u, w, pi_v, q_prime,
-        Jumps(deg_t, omega), Jumps(deg_a, w), (q.tolist(), q_prime.tolist()),
+        Jumps(deg_t, omega), Jumps(deg_a, w),
     )
 
 
@@ -522,6 +656,22 @@ def mh_step(current: int, proposal: int, q, q_prime, rng) -> int:
     return current
 
 
+def mh_accept(current, proposal, u, q, q_prime) -> np.ndarray:
+    """mh_step for arrays of states: whether each proposal is taken, given
+    its uniform u in [0, 1).
+
+    Every current state must have positive q and q' mass (the caller
+    checks), and q, q' are nonnegative.  The ratio is mh_step's expression,
+    so u < ratio is mh_step's test, and it also decides mh_step's two early
+    returns: a proposal without q-mass gives ratio 0 (or nan, 0/0), never
+    taken, and one with q-mass but no q'-mass gives inf, always taken.  Run
+    it under ``np.errstate(divide="ignore", invalid="ignore")`` to silence
+    those divisions.
+    """
+    ratio = (q[proposal] * q_prime[current]) / (q[current] * q_prime[proposal])
+    return u < ratio
+
+
 def run_mh_chain(q, q_prime, start: int, steps: int, seed) -> list:
     """Standalone MH chain with proposals drawn i.i.d. from q_prime.
 
@@ -548,9 +698,9 @@ def run_mh_chain(q, q_prime, start: int, steps: int, seed) -> list:
 
 @dataclass
 class RwtRwaDetail:
-    """Side-channel record of a coupled run: companion chain paths and the
-    count of auxiliary jumps that fell back to a walking move because the
-    target walker had no affiliation edges."""
+    """Side-channel record of a coupled run: companion chain paths (flat,
+    walk by walk) and the count of auxiliary jumps that fell back to a
+    walking move because the target walker had no affiliation edges."""
 
     aux_nodes: list = field(default_factory=list)
     mh_nodes: list = field(default_factory=list)
@@ -561,11 +711,11 @@ def rwt_rwa_run(
     hybrid: HybridNetwork,
     ws: WeightSystem,
     budget: int,
-    starts: tuple,
+    starts,
     seed,
     *,
     detail: RwtRwaDetail | None = None,
-) -> SampleTrace:
+) -> SampleTrace | WalkBatch:
     """Coupled run of three chains advancing in lockstep, with the jump
     weights and distributions of ``ws`` (see fixed_weight_scheme).
 
@@ -579,81 +729,121 @@ def rwt_rwa_run(
     3. Target walk: with probability omega_x/(d_x + omega_x) jump to
        x'_{i+1}, else move to a uniform target-graph neighbor.
 
-    The trace records target visits with weights d_x + omega_x.
+    The trace records target visits with weights d_x + omega_x.  ``starts``
+    and ``seed`` are one walk's (x, x', y) and seed, giving a SampleTrace,
+    or sequences of R walks', giving a WalkBatch run in lockstep.  With
+    ``detail`` the auxiliary and MH paths are appended to it walk by walk.
+
+    Streams, each read the same number of times in every round: the MH
+    step takes two STREAM_MH uniforms (proposal, acceptance); each walk
+    takes one uniform of its own stream for its move (see Jumps), so at
+    alpha = beta = 0 both walks are simple_rw_run's; the auxiliary jump's
+    landing, or its fallback move, takes one STREAM_AUX_JUMP uniform.
     """
     target, aux, aff = hybrid.target, hybrid.auxiliary, hybrid.affiliation
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    x, xp, y = starts
-    if not (0 <= x < target.n and 0 <= xp < target.n and 0 <= y < aux.n):
+    triples, seeds, one = _batch_args(starts, seed)
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise ValueError("starts must be (x, x', y) triples")
+    x0, xp, y = triples.T.copy()
+    if ((x0 < 0) | (x0 >= target.n) | (xp < 0) | (xp >= target.n) | (y < 0) | (y >= aux.n)).any():
         raise ValueError("start nodes out of range")
-    if ws.q[xp] <= 0.0 or ws.q_prime[xp] <= 0.0:
-        raise RuntimeError(
-            f"chain mis-initialized: MH start {xp} has zero desired or proposal mass"
+    q, q_prime = ws.q, ws.q_prime
+    bad_mass = (q <= 0.0) | (q_prime <= 0.0)
+    if bad_mass[xp].any():
+        r = int(np.argmax(bad_mass[xp]))
+        raise WalkError(
+            r, f"chain mis-initialized: MH start {xp[r]} has zero desired or proposal mass"
         )
 
-    t_adj = target.adj
-    a_adj = aux.adj
-    left = aff.left_adj
-    right = aff.right_adj
-    jump_t = ws.target_jumps.prob
-    jump_a = ws.aux_jumps.prob
-    q, q_prime = ws.q_lists
-    rng_t = spawn_rng(seed, STREAM_TARGET)
-    rng_m = spawn_rng(seed, STREAM_MH)
-    rng_a = spawn_rng(seed, STREAM_AUX)
-
-    path = [x]
-    jumped = [False] * budget
-    if detail is not None:
-        detail.aux_nodes.append(y)
-        detail.mh_nodes.append(xp)
-
-    for i in range(1, budget):
-        # MH chain fed by the auxiliary walker's affiliation neighbors.
-        users = right[y]
-        if users:
-            proposal = users[rng_m.randrange(len(users))]
-            xp = mh_step(xp, proposal, q, q_prime, rng_m)
-
-        # Auxiliary walk with jumps through the target walker's affiliations.
-        a_row = a_adj[y]
-        jy = jump_a[y]
-        if not a_row and jy == 0.0:
-            raise RuntimeError(f"auxiliary chain absorbed at node {y}")
-        if jy > 0.0 and rng_a.random() < jy:
-            venues = left[x]
-            if venues:
-                y = venues[rng_a.randrange(len(venues))]
-            elif a_row:
-                if detail is not None:
-                    detail.fallback_jumps += 1
-                y = a_row[rng_a.randrange(len(a_row))]
-            else:
-                raise RuntimeError(
-                    f"auxiliary chain absorbed: node {y} has no neighbors and the "
-                    f"target walker at {x} has no affiliation edges to jump through"
-                )
-        else:
-            y = a_row[rng_a.randrange(len(a_row))]
-
-        # Target walk jumping to the fresh MH sample.
-        t_row = t_adj[x]
-        jx = jump_t[x]
-        if not t_row and jx == 0.0:
-            raise RuntimeError(
-                f"absorbing node {x}; increase alpha or fix affiliation coverage"
+    t_deg, a_deg = target.degrees.astype(float), aux.degrees.astype(float)
+    l_deg, r_deg = aff.left_degrees.astype(float), aff.right_degrees.astype(float)
+    no_venue, has_users = aff.left_degrees == 0, aff.right_degrees > 0
+    t_total, a_total = ws.target_jumps.total, ws.aux_jumps.total
+    walks = len(seeds)
+    # A round makes five picks k, each the entry floor(s_k) of a row, with
+    # s_k = u_k * scale: the MH proposal (right row of y), the auxiliary
+    # move (auxiliary row of y, scaled by d + w), the venue (left row of x),
+    # the fallback move (auxiliary row of y) and the target move (target
+    # row of x, scaled by d + omega).  Their rows share the tables scale,
+    # deg and base at offsets[k] + node; a move with s_k >= d_k is a jump.
+    n_t, n_a = target.n, aux.n
+    offsets = np.repeat(np.cumsum([0, n_a, n_a, n_t, n_a])[:, None], walks, axis=1)
+    of_node = np.array([0, 0, 1, 0, 1])  # each pick's row is of y or of x
+    scale = np.concatenate((r_deg, a_total, l_deg, a_deg, t_total))
+    deg = np.concatenate((r_deg, a_deg, l_deg, a_deg, t_deg))
+    base = np.concatenate((aff.right_indptr[:-1], aux.indptr[:-1], aff.left_indptr[:-1],
+                           aux.indptr[:-1], target.indptr[:-1]))
+    r_cols, a_cols = _entries(aff.right_indices), _entries(aux.indices)
+    l_cols, t_cols = _entries(aff.left_indices), _entries(target.indices)
+    nodes = np.empty((budget, walks), dtype=np.int64)
+    nodes[0] = x0
+    flags = np.zeros(nodes.shape, dtype=bool)
+    mh_u = _Uniforms(seeds, STREAM_MH, 2)
+    aux_u = _Uniforms(seeds, STREAM_AUX, 1)
+    land_u = _Uniforms(seeds, STREAM_AUX_JUMP, 1)
+    move_u = _Uniforms(seeds, STREAM_TARGET, 1)
+    state = np.stack((y, x0, xp))  # (y, x, x') of every walk
+    aux_path, mh_path, fallbacks = [y[None]], [xp[None]], 0
+    # a zero-mass MH proposal divides by zero (see mh_accept)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t0, steps in _blocks(budget):
+            m = mh_u.block(steps)
+            uj = land_u.block(steps)[0]
+            u = np.stack((m[0], aux_u.block(steps)[0], uj, uj, move_u.block(steps)[0]), axis=1)
+            # states[i]: (y, x, x') entering round t0 + i; jumped[i]: s_k >= d_k
+            states = np.empty((steps + 1, 3, walks), dtype=np.int64)
+            states[0] = state
+            jumped = np.empty((steps, 5, walks), dtype=bool)
+            for i in range(steps):
+                y, x, xp = states[i, 0], states[i, 1], states[i, 2]
+                y_next, x_next, xp_next = states[i + 1, 0], states[i + 1, 1], states[i + 1, 2]
+                rows = states[i].take(of_node, axis=0)
+                rows += offsets
+                s = u[i] * scale[rows]
+                d = deg[rows]
+                jump = np.greater_equal(s, d, out=jumped[i])
+                pos = base[rows] + s.astype(np.int64)
+                # MH chain fed by the auxiliary walker's affiliation neighbors
+                proposal = r_cols.take(pos[0], mode="clip")
+                accept = mh_accept(xp, proposal, m[1, i], q, q_prime)
+                accept &= has_users[y]
+                xp_next[:] = xp
+                np.copyto(xp_next, proposal, where=accept)
+                # auxiliary walk, jumping through the target walker's
+                # affiliations, or walking when it has none
+                a_cols.take(pos[1], mode="clip", out=y_next)
+                land = l_cols.take(pos[2], mode="clip")
+                np.copyto(land, a_cols.take(pos[3], mode="clip"), where=no_venue[x])
+                np.copyto(y_next, land, where=jump[1])
+                # target walk jumping to the fresh MH sample
+                t_cols.take(pos[4], mode="clip", out=x_next)
+                np.copyto(x_next, xp_next, where=jump[4])
+            state = states[-1]
+            nodes[t0:t0 + steps] = states[1:, 1]
+            flags[t0:t0 + steps] = jumped[:, 4]
+            ys, xs, xps = states[:-1, 0], states[:-1, 1], states[:-1, 2]
+            _first_error(
+                [
+                    (has_users[ys] & bad_mass[xps],
+                     "chain mis-initialized: state {xp} has zero desired or proposal mass"),
+                    (a_total[ys] == 0.0, "auxiliary chain absorbed at node {y}"),
+                    ((a_deg[ys] == 0.0) & no_venue[xs],
+                     "auxiliary chain absorbed: node {y} has no neighbors and the "
+                     "target walker at {x} has no affiliation edges to jump through"),
+                    (t_total[xs] == 0.0,
+                     "absorbing node {x}; increase alpha or fix affiliation coverage"),
+                ],
+                {"x": xs, "xp": xps, "y": ys},
             )
-        if jx > 0.0 and rng_t.random() < jx:
-            x = xp
-            jumped[i] = True
-        else:
-            x = t_row[rng_t.randrange(len(t_row))]
-        path.append(x)
-
-        if detail is not None:
-            detail.aux_nodes.append(y)
-            detail.mh_nodes.append(xp)
-
-    nodes = np.array(path, dtype=np.int64)
-    return SampleTrace(nodes, target.degrees[nodes] + ws.omega[nodes], jumped, budget, 2 * budget)
+            fallbacks += int(np.count_nonzero(jumped[:, 1] & no_venue[xs]))
+            if detail is not None:
+                aux_path.append(states[1:, 0])
+                mh_path.append(states[1:, 2])
+    if detail is not None:
+        detail.aux_nodes.extend(np.concatenate(aux_path).T.ravel().tolist())
+        detail.mh_nodes.extend(np.concatenate(mh_path).T.ravel().tolist())
+        detail.fallback_jumps += fallbacks
+    batch = WalkBatch(nodes, flags, t_total, [2 * budget] * len(seeds))
+    return batch.trace(0) if one else batch

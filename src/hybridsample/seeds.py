@@ -16,6 +16,7 @@ import numpy as np
 STREAM_TARGET = 0
 STREAM_MH = 1
 STREAM_AUX = 2
+STREAM_AUX_JUMP = 3  # where a coupled auxiliary walker's jump lands
 
 
 def spawn_seed(master: int, *key: int) -> int:
@@ -27,6 +28,11 @@ def spawn_seed(master: int, *key: int) -> int:
 
 def spawn_rng(master: int, *key: int) -> random.Random:
     return random.Random(spawn_seed(master, *key))
+
+
+def spawn_generator(master: int, *key: int) -> np.random.Generator:
+    """PCG64 generator of the stream ``key`` of ``master``."""
+    return np.random.Generator(np.random.PCG64(spawn_seed(master, *key)))
 
 
 def replication_seeds(master: int, runs: int) -> list[int]:

@@ -116,9 +116,41 @@ def test_list_views_built_in_prepare_only(method):
                 if view in vars(getattr(prep.hybrid, part))}
 
     built = cached()
-    assert built == set(ex.LIST_VIEWS[method])
+    if method in ex.HARVEST_METHODS:
+        assert built == {("affiliation", "left_adj"), ("affiliation", "right_adj")}
+        assert built == set(ex.LIST_VIEWS[method])
+    else:
+        assert built == set()  # the walks read the CSR arrays
     ex.run_experiment(prep.cfg, prep)
     assert cached() == built  # replications build no view of their own
+
+
+@pytest.mark.parametrize("method", ["SRW", "RWT-VSA", "RWT-RWA"])
+def test_walk_batches_do_not_move_results(tmp_path, monkeypatch, method):
+    cfg = small_cfg(method=method, runs=5, raw_out=str(tmp_path / "raw.csv"))
+    whole = ex.format_result_csv(ex.run_experiment(cfg))
+    raw = (tmp_path / "raw.csv").read_text()
+    monkeypatch.setattr(ex, "CHUNK_VISITS", 2 * ex.prepare_experiment(cfg).budget)
+    assert ex.format_result_csv(ex.run_experiment(cfg)) == whole  # batches of 2, 2, 1
+    assert (tmp_path / "raw.csv").read_text() == raw
+
+
+def test_walk_failure_names_replication_across_batches(monkeypatch):
+    cfg = small_cfg(method="SRW", runs=5)
+    prep = ex.prepare_experiment(cfg)
+    failing_seed = replication_seeds(cfg.seed, cfg.runs)[3]
+    monkeypatch.setattr(ex, "CHUNK_VISITS", 2 * prep.budget)
+    walk = ex.simple_rw_run
+
+    def fail_replication_3(graph, budget, starts, seeds):
+        if failing_seed in seeds:
+            raise ex.WalkError(seeds.index(failing_seed), "absorbing node 9: walk cannot leave it")
+        return walk(graph, budget, starts, seeds)
+
+    monkeypatch.setattr(ex, "simple_rw_run", fail_replication_3)
+    with pytest.raises(RuntimeError, match=rf"^replication 3 \(seed {failing_seed}\) failed: "
+                                           r"absorbing node 9: walk cannot leave it$"):
+        ex.run_experiment(cfg, prep)
 
 
 def test_run_experiment_deterministic_csv(tmp_path):
@@ -355,11 +387,11 @@ def test_cli_lbsn_source(tmp_path, capsys):
 
 
 # sha256 of (result CSV, raw_out) for n_per_graph=2000, extra_pairs=4000,
-# runs=20, keyed by (case, seed). VS-A, RRZI-VSA and RWT-VSA were recorded
-# before VS-A and RRZI-VSA shared one harvest loop; SRW, RWT-RWA and
-# SRW-directed before the graphs moved to CSR arrays; SRW-directed also
-# before orientation became a label source only. The RNG streams, the
-# graph construction and the estimator arithmetic must not move them.
+# runs=20, keyed by (case, seed). VS-A and RRZI-VSA were recorded before
+# VS-A and RRZI-VSA shared one harvest loop. The walk cases (SRW, RWT-VSA,
+# RWT-RWA, SRW-directed) were recorded when the walks moved to lockstep
+# batches on numpy streams (seed version 2). The RNG streams, the graph
+# construction and the estimator arithmetic must not move them.
 PINNED_DIGESTS = {
     ("VS-A", 1): ("bb30801afb480ebe9c752faed062e14ac21763a7e353fb13c9e4dbd17e6e2ce2",
                   "9542a096ec2de0f87e491f914a977531b372648d620d6da6f60576bef8066f23"),
@@ -369,20 +401,20 @@ PINNED_DIGESTS = {
                       "43534cc3bb98da837dc49b19aa7ac3f444e5ea9fc7803fe5498c72d1062c2a66"),
     ("RRZI-VSA", 2): ("77bd89a9dd191d4613ecdab4dc0f540f28b41b6754e50f76110e8ed51adf1199",
                       "ffc996c8f355fe1f4d3301d968af6f83bdd8711aba7ff69a850950291819c16a"),
-    ("RWT-VSA", 1): ("ba1d2261fa609f25653689dfb4d46ee2aa050c00d8db4c69494de7d6a273c77e",
-                     "103aee4eaabf17773a6f40add6c67d107a005fdb554a9a426ffc94e957262c4b"),
-    ("RWT-VSA", 2): ("96f5ef6514eb0d48728667c88c730aed5538d6c477f12a92f09eabc7b0b9df1f",
-                     "6f033048d40303dadf0b50d8b1004a12ebedfbb11fcfce2cba5fe3d08be0c3d4"),
-    ("SRW", 1): ("76adb2df8eabe3191a927cbcf32da778e0acaeb72f266951b1dabf796d94bf39",
-                 "939f9a63db22c96fd5a040bcfa58801790b62916653f0036abd6ded12a07d904"),
-    ("SRW", 2): ("13c560297f519a5f82c13a7a32d08d808fc62cb74199188688954e923ddd3d55",
-                 "bbba9c15377b438771973499df34f427562243ecd71a754dfbba7c1fa01869d7"),
-    ("RWT-RWA", 1): ("7d0abd938c4d508aba1dcda5bb7e8eb68b004730536f1401cd1552b5c31f7cf9",
-                     "bf0cbec47a655209b04a8f3a032ced61c9f8ab4b381e3fbbcda4ea806d2dc4b7"),
-    ("RWT-RWA", 2): ("67db72da4a556882559537d8199f5e89255cc66f9d917b713c1992a1abfa98e9",
-                     "b776a3f85acc3623b2e9e00827c38fe16f09c17bd3901c7b0b53d55849403917"),
-    ("SRW-directed", 1): ("e00f540343117bf2a188226a9f374b39a828af0d0ca587257accf88fd4609959",
-                          "9dbfd1801a51208c90986b3cd41a5a7df70d56cf69791cade44311cd1948e8fe"),
+    ("RWT-VSA", 1): ("a648aa3235067afa0c834869e740bf79abb28b6a28c34e8abc7af7182164812c",
+                     "b4aaeb100006e73e9ca719df236785196f875d1d65c3ea78262a1cd51ba75840"),
+    ("RWT-VSA", 2): ("08c74c7942b0eafd552b18ad1f8b9a23f1ed53636e2dfa8452f52420c3d80136",
+                     "5531bf3f309422a371c6fc340a22422a927cae87d9c21e10e6f14006fbd126ef"),
+    ("SRW", 1): ("5fa803c2552bc91153ad5a92943d270d2039ea40c46c395f136ea56622f8b5ec",
+                 "d9f4a090c7c271af4f1c95160154f529a7e1c8af0c4eb55b6eb2a5c10b3b9e4a"),
+    ("SRW", 2): ("9a8769c4f82365d174b517cb08cebd80fc9e0a0fe46ca5f2a9b95680720728d1",
+                 "077d95b87285afd4d79fb3abff00b8982fc03870f4da729d345c8b43535b35b5"),
+    ("RWT-RWA", 1): ("fa2171f6494038ec0a3c5e9f682e93ad47f3d844a18b7881be5f616349f59d74",
+                     "965a7025e3e3a2cddd3f380ca7de6a2afd6b778c3a5c81e1762734cf57b27d85"),
+    ("RWT-RWA", 2): ("f009c1049f11f1b7bf182e23617e249f236480a49ca4b565ac4776ada815ca4f",
+                     "11a96341a479e8d8d79cdcc3b87792f8b547bc9188ea13953363b8721172dae6"),
+    ("SRW-directed", 1): ("d20afc19df10d5f538f08f58ad1dc72fe032bc559a645290c4244ca111cb8cac",
+                          "ca16b31cf8d4f246b99cd4adc05629fa0de6bed337133518343a80e4a81daf46"),
 }
 
 # config keys of the cases that are not just a method name; SRW-directed
@@ -405,10 +437,10 @@ def test_outputs_match_pinned_digests(tmp_path, case, seed):
 
 
 # sha256 of the trace_out file (replication 0) of the PINNED_DIGESTS config
-# at seed 1, recorded while traces were lists built one visit at a time.
+# at seed 1, recorded with seed version 2 (lockstep walks).
 PINNED_TRACE_OUT = {
-    "SRW": "9b98c5558d69f3af194cd919a8c792e75a64bf02556432d81e26734bba302325",
-    "RWT-RWA": "be42a1d62aea02e79fc05067a7ab96aea01082887cf23de1daeb987ec413118c",
+    "SRW": "e1c2ce8b0bebe0a94eca54c446469927e94218130ce0147f67e0a3c1e920d350",
+    "RWT-RWA": "7f409e53ad5a3721fb74d86adae72efd426cd852766611072c573e72bb9bf446",
 }
 
 

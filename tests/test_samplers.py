@@ -10,14 +10,17 @@ from helpers import (
     random_hybrid,
     two_user_hybrid,
 )
+from hybridsample import samplers
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
 from hybridsample.samplers import (
     AuxDistribution,
     RwtRwaDetail,
+    WalkError,
     closed_form_weights,
     compute_qu,
     default_desired_distribution,
     fixed_weight_scheme,
+    mh_accept,
     mh_step,
     run_mh_chain,
     rwt_rwa_run,
@@ -509,22 +512,23 @@ TRACE_CASES = [("SRW", 0, 0), ("RWT-VSA", 0, 0), ("RWT-VSA", 1, 0)] + [
 ]
 
 # sha256 of the int64 nodes, float64 weights and bool jumped of each case's
-# trace, recorded while traces were lists built one visit at a time.
+# trace, recorded with seed version 2 (lockstep walks on numpy streams).
+# The four zero-jump cases share one digest: they are the same plain walk.
 PINNED_TRACE_DIGESTS = {
     ("SRW", 0, 0):
-        "657425f9b92522608645ab49e734cc43addcce5015593a9476e3f061c6131365",
+        "489e6ef46c1f939ae989a558f575348046ff752b64d8f680768c54bbe4e760d5",
     ("RWT-VSA", 0, 0):
-        "657425f9b92522608645ab49e734cc43addcce5015593a9476e3f061c6131365",
+        "489e6ef46c1f939ae989a558f575348046ff752b64d8f680768c54bbe4e760d5",
     ("RWT-VSA", 1, 0):
-        "3ad9986814a98c3303e48034f0d980d948576fdcc84ea40847408817d50b8217",
+        "8aae3551957b9d7ee129d781641a1dc7b3fbd50e87bd776c6880e094e25ba581",
     ("RWT-RWA", 0, 0):
-        "657425f9b92522608645ab49e734cc43addcce5015593a9476e3f061c6131365",
+        "489e6ef46c1f939ae989a558f575348046ff752b64d8f680768c54bbe4e760d5",
     ("RWT-RWA", 0, 1):
-        "657425f9b92522608645ab49e734cc43addcce5015593a9476e3f061c6131365",
+        "489e6ef46c1f939ae989a558f575348046ff752b64d8f680768c54bbe4e760d5",
     ("RWT-RWA", 1, 0):
-        "cbd61de041522b3d10dc3b3dc975a8514f12448f192a817d74ae2701f89e4e56",
+        "39ed40b1cd6da82dfc05c913bb1fe7d9fcce82071b25483e7fed0f8e0beaf1e6",
     ("RWT-RWA", 1, 1):
-        "f25c832f48c9729c0655860a3ae7a583ad8d9ccb1a995c46950499db60aeb526",
+        "245b7064a109762568932af1aec696f064acc733b8efd9bfa4e147051b1053bd",
 }
 
 
@@ -569,3 +573,116 @@ def test_traces_match_pinned_digests(net_2x500, method, alpha, beta):
         + np.asarray(trace.jumped, dtype=bool).tobytes()
     ).hexdigest()
     assert digest == PINNED_TRACE_DIGESTS[(method, alpha, beta)]
+
+
+# ------------------------------------------------------------ lockstep batches
+
+
+def _case_run(h, method, alpha, beta, starts, seeds, detail=None):
+    """A 600-step run of a TRACE_CASES case; starts and seeds as the walk
+    functions take them (one walk's, or sequences)."""
+    covered = h.covered_targets()
+    alpha_total, beta_total = alpha * len(covered), beta * h.auxiliary.n
+    if method == "SRW":
+        return simple_rw_run(h.target, 600, starts, seeds)
+    if method == "RWT-VSA":
+        support = np.flatnonzero(h.affiliation.right_degrees).tolist()
+        p = AuxDistribution.uniform_over(h.auxiliary.n, support)
+        return rwt_vsa_run(h, p, alpha_total, 600, starts, seeds)
+    ws = fixed_weight_scheme(h, alpha_total, beta_total)
+    return rwt_rwa_run(h, ws, 600, starts, seeds, detail=detail)
+
+
+@pytest.mark.parametrize("method,alpha,beta", TRACE_CASES)
+def test_batch_replication_equals_lone_run(net_2x500, monkeypatch, method, alpha, beta):
+    # walk r reads only its own streams, a fixed count of uniforms a step,
+    # so neither the batch nor the block length can move its trace
+    covered = net_2x500.covered_targets()
+    seeds = [101 + r for r in range(5)]
+    if method == "RWT-RWA":
+        starts = [(covered[7 * r], covered[3 * r], r) for r in range(5)]
+    else:
+        starts = [covered[7 * r] for r in range(5)]
+    runs = []  # (batch, its RwtRwaDetail) at the default block and at 1 and 7
+    for block in (samplers.BLOCK_STEPS, 1, 7):
+        monkeypatch.setattr(samplers, "BLOCK_STEPS", block)
+        detail = RwtRwaDetail()
+        runs.append((_case_run(net_2x500, method, alpha, beta, starts, seeds, detail), detail))
+    monkeypatch.undo()
+    for r in range(5):
+        lone_detail = RwtRwaDetail()
+        lone = _case_run(net_2x500, method, alpha, beta, starts[r], seeds[r], lone_detail)
+        for batch, detail in runs:
+            trace = batch.trace(r)
+            assert np.array_equal(trace.nodes, lone.nodes)
+            assert np.array_equal(trace.weights, lone.weights)
+            assert trace.jumped == lone.jumped
+            assert trace.query_count == lone.query_count
+            # the companion paths of a batch are flat, walk by walk
+            part = slice(600 * r, 600 * (r + 1))
+            assert detail.aux_nodes[part] == lone_detail.aux_nodes
+            assert detail.mh_nodes[part] == lone_detail.mh_nodes
+
+
+class _FixedUniform:
+    """An rng whose random() always returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_mh_accept_matches_mh_step_exactly():
+    gen = np.random.default_rng(3)
+    n = 12
+    q = gen.random(n)
+    q[[1, 4, 7]] = 0.0
+    q_prime = gen.random(n)
+    q_prime[[2, 4, 9]] = 0.0
+    cases = []
+    for cur in range(n):
+        if q[cur] <= 0.0 or q_prime[cur] <= 0.0:
+            continue
+        for prop in range(n):
+            us = gen.random(40).tolist() + [0.0, 0.5, float(np.nextafter(1.0, 0.0))]
+            if q[prop] > 0.0 and q_prime[prop] > 0.0:
+                ratio = (q[prop] * q_prime[cur]) / (q[cur] * q_prime[prop])
+                if ratio < 1.0:  # the boundary: u == ratio is a rejection
+                    us += [ratio, float(np.nextafter(ratio, 0.0))]
+            cases += [(cur, prop, u) for u in us]
+    cur, prop, u = (np.array(col) for col in zip(*cases))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = np.where(mh_accept(cur, prop, u, q, q_prime), prop, cur)
+    want = [mh_step(int(c), int(p), q, q_prime, _FixedUniform(x)) for c, p, x in cases]
+    assert got.tolist() == want
+
+
+def test_rwt_vsa_batch_error_names_node_and_replication():
+    target = Graph(3, [(0, 1)])
+    aux = Graph(1, [])
+    aff = BipartiteGraph(3, 1, [(0, 0), (1, 0)])  # node 2 uncovered and isolated
+    h = HybridNetwork(target, aux, aff)
+    with pytest.raises(WalkError, match=r"replication 1: absorbing node 2;") as info:
+        rwt_vsa_run(h, AuxDistribution.uniform(1), 1.0, 10, [0, 2], [0, 1])
+    assert info.value.replication == 1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_rwt_vsa_one_step_law_matches_kernel(alpha):
+    # first transitions of many two-step walks against the dense kernel
+    target = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    aux = Graph(2, [(0, 1)])
+    aff = BipartiteGraph(4, 2, [(0, 0), (1, 0), (2, 1), (3, 1), (0, 1)])
+    h = HybridNetwork(target, aux, aff)
+    p = AuxDistribution.uniform(2)
+    walks = 8000
+    batch = rwt_vsa_run(h, p, alpha, 2, np.arange(walks) % 4, list(range(walks)))
+    counts = np.zeros((4, 4))
+    np.add.at(counts, (batch.nodes[0], batch.nodes[1]), 1.0)
+    P = rwt_vsa_transition_matrix(h, p, alpha)
+    n_from = counts.sum(axis=1, keepdims=True)
+    se = np.sqrt(n_from * P * (1.0 - P))
+    assert (np.abs(counts - n_from * P) <= 5.0 * se).all()
+    assert (batch.flags[1].sum() > 0) == (alpha > 0)
