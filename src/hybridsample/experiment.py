@@ -37,7 +37,7 @@ from .samplers import (
     vs_a_collect,
     write_trace,
 )
-from .seeds import replication_seeds, spawn_rng
+from .seeds import replication_seeds, spawn_generator, spawn_rng
 from .synth import SynthConfig, build_synthetic_hybrid, orient_edges
 
 METHODS = ("SRW", "VS-A", "RWT-VSA", "RWT-RWA", "RRZI-VSA")
@@ -226,17 +226,10 @@ def _parse_bbox(text: str) -> geo.Region:
 
 def synthetic_venues(n: int, region: geo.Region, seed: int) -> list:
     """Uniform venue coordinates inside a region, one per auxiliary node."""
-    rng = spawn_rng(seed, 6)
-    span_lat = region.lat_max - region.lat_min
-    span_lon = region.lon_max - region.lon_min
-    return [
-        geo.Venue(
-            i,
-            region.lat_min + rng.random() * span_lat,
-            region.lon_min + rng.random() * span_lon,
-        )
-        for i in range(n)
-    ]
+    u = spawn_generator(seed, 6).random((n, 2))
+    lat = region.lat_min + u[:, 0] * (region.lat_max - region.lat_min)
+    lon = region.lon_min + u[:, 1] * (region.lon_max - region.lon_min)
+    return [geo.Venue(i, a, b) for i, (a, b) in enumerate(zip(lat.tolist(), lon.tolist()))]
 
 
 def build_network(cfg: ExperimentConfig):

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import BipartiteGraph, Graph, HybridNetwork
-from .seeds import spawn_rng
+from .seeds import spawn_generator
 
 ORIENT_ONE_WAY = 0.45  # per direction; both arcs with the remaining 0.1
+CHUNK_GROWTH = 1.5  # attachment resolves nodes [a, CHUNK_GROWTH * a) together
+PAIR_BLOCK = 1 << 14  # affiliation candidates drawn per block
 
 
 @dataclass(frozen=True)
@@ -45,37 +47,16 @@ class SynthConfig:
             )
 
 
-def generate_ba(n: int, m: int, seed) -> Graph:
-    """Preferential-attachment graph: clique core of m+1 nodes, then each new
-    node attaches to m distinct existing nodes chosen proportionally to
-    current degree (repeated draws from the running edge-endpoint list,
-    rejecting duplicates within one node's picks).
+def generate_ba(n: int, m: int, seed: int, *key: int) -> Graph:
+    """Preferential-attachment graph drawn from ``spawn_generator(seed, *key)``.
+
+    The core is a clique on m+1 nodes; each later node attaches to the
+    first m distinct nodes it draws from the running edge-endpoint list,
+    i.e. proportionally to current degree (see ``ba_endpoints``).
     """
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    rng = seed if hasattr(seed, "randrange") else spawn_rng(seed)
-    randrange = rng.randrange
-    # Edge k is (endpoints[2k], endpoints[2k + 1]); the filled prefix is the
-    # running endpoint list the attachment draws from.
-    endpoints = [0] * (2 * ba_edge_count(n, m))
-    filled = 0
-    core = m + 1
-    for u in range(core):
-        for v in range(u + 1, core):
-            endpoints[filled] = u
-            endpoints[filled + 1] = v
-            filled += 2
-    for new in range(core, n):
-        picks: list[int] = []
-        while len(picks) < m:
-            t = endpoints[randrange(filled)]
-            if t not in picks:
-                picks.append(t)
-        for t in picks:
-            endpoints[filled] = new
-            endpoints[filled + 1] = t
-            filled += 2
-    return Graph(n, np.array(endpoints, dtype=np.int64).reshape(-1, 2))
+    return Graph(n, ba_endpoints(n, m, spawn_generator(seed, *key)).reshape(-1, 2))
 
 
 def ba_edge_count(n: int, m: int) -> int:
@@ -83,46 +64,162 @@ def ba_edge_count(n: int, m: int) -> int:
     return m * (m + 1) // 2 + (n - m - 1) * m
 
 
+def ba_endpoints(n: int, m: int, gen: np.random.Generator) -> np.ndarray:
+    """Endpoint list of the attachment graph: edge e is (ends[2e], ends[2e+1]),
+    the newer node and the node it picked.
+
+    Node j (after the clique core on nodes 0..m) draws positions
+    ``floor(u * f_j)`` in the list, f_j = 2 x (edges before j), and takes the
+    first m distinct endpoint values in draw order (Batagelj and Brandes,
+    Phys. Rev. E 71, 036113, 2005).  Its first m uniforms are row j-m-1 of
+    one (n-m-1, m) block; its draw m+k is entry j-m-1 of extra round k, a
+    (n-m-1,) vector drawn only once some node needs it.  So the graph does
+    not depend on CHUNK_GROWTH, which only sets how many nodes are resolved
+    together with numpy.
+    """
+    core = m + 1
+    ends = np.empty(2 * ba_edge_count(n, m), dtype=np.int64)
+    newer = np.repeat(np.arange(core), np.arange(core))  # core edge (v, u), u < v
+    ends[0:len(newer) * 2:2] = newer
+    ends[1:len(newer) * 2:2] = np.arange(len(newer)) - newer * (newer - 1) // 2
+    draws = gen.random((n - core, m))
+    rounds: list[np.ndarray] = []
+
+    def extra(k: int) -> np.ndarray:
+        while len(rounds) <= k:
+            rounds.append(gen.random(n - core))
+        return rounds[k]
+
+    start = core
+    while start < n:
+        stop = int(min(n, max(start + 1, start * CHUNK_GROWTH)))
+        _attach_chunk(ends, draws[start - core:stop - core], extra, start, m, core)
+        start = stop
+    return ends
+
+
+def _attach_chunk(ends, draws, extra, start, m, core) -> None:
+    """Fill the edges of nodes start .. start+len(draws)-1 into ends.
+
+    An endpoint before the chunk is read from ends.  Inside the chunk an
+    even position is its newer node, and an odd one holds whatever its
+    edge's accepted draw position holds: ``src`` maps chunk edges to those
+    positions, which always lie earlier, so following them ends.  src starts
+    at each node's first m draws; a node whose values repeat is redone
+    from its further draws, in node order.  A pass resolves the nodes from
+    ``lo`` on and redoes them; the first node whose picks change is then
+    right (every node before it was), so the next pass starts after it.
+    """
+    f0 = 2 * (m * (m + 1) // 2 + (start - core) * m)  # endpoints before the chunk
+    size = len(draws)
+    ends[f0:f0 + 2 * size * m:2] = np.repeat(np.arange(start, start + size), m)
+    f = f0 + 2 * m * np.arange(size)  # endpoints before each node
+    src = (draws * f[:, None]).astype(np.int64).ravel()
+
+    def resolve(pos: np.ndarray) -> np.ndarray:
+        pos = pos.copy()
+        live = np.flatnonzero((pos >= f0) & (pos % 2 == 1))
+        while live.size:
+            hop = src[(pos[live] - f0) >> 1]
+            pos[live] = hop
+            live = live[(hop >= f0) & (hop % 2 == 1)]
+        return ends[pos]
+
+    def picks(row: int) -> tuple[list[int], list[int]]:
+        """Accepted draw positions of a node, and their values."""
+        fj = int(f[row])
+        values: list[int] = []
+        accepted: list[int] = []
+        a = 0
+        while len(values) < m:
+            u = draws[row, a] if a < m else extra(a - m)[start - core + row]
+            p = q = int(u * fj)
+            while q >= f0 and q % 2:
+                q = int(src[(q - f0) >> 1])
+            value = int(ends[q])
+            if value not in values:
+                values.append(value)
+                accepted.append(p)
+            a += 1
+        return accepted, values
+
+    values = np.empty(size * m, dtype=np.int64)
+    redone: list[int] = []
+    lo = 0  # nodes before lo are final
+    while lo < size:
+        values[lo * m:] = resolve(src[lo * m:])
+        if m > 1:
+            ordered = np.sort(values[lo * m:].reshape(-1, m), axis=1)
+            repeats = lo + np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+            redone = sorted(set(redone).union(repeats.tolist()))
+        first = size
+        for row in redone:
+            if row < lo:
+                continue
+            accepted, picked = picks(row)
+            if accepted != src[row * m:(row + 1) * m].tolist():
+                src[row * m:(row + 1) * m] = accepted
+                if first == size:
+                    first = row
+                    values[row * m:(row + 1) * m] = picked
+        lo = first + 1
+    ends[f0 + 1:f0 + 2 * size * m:2] = values
+
+
+def affiliation_keys(n: int, extra_pairs: int, gen: np.random.Generator) -> np.ndarray:
+    """Affiliation pairs (u, v) of 2n target and n auxiliary nodes, packed as
+    u * n + v: target node u's pair with ``floor(g_u * n)`` from one
+    ``random(2n)`` call, then the first extra_pairs keys of a candidate
+    sequence, drawn in (PAIR_BLOCK, 2) blocks, that are neither taken nor
+    seen earlier in the sequence.
+    """
+    first = np.arange(2 * n, dtype=np.int64) * n + (gen.random(2 * n) * n).astype(np.int64)
+    taken = first  # sorted: one key per target node, in node order
+    parts = [first]
+    need = extra_pairs
+    while need:
+        u, v = (gen.random((PAIR_BLOCK, 2)) * (2 * n, n)).astype(np.int64).T
+        cand = u * n + v
+        keys, first_at = np.unique(cand, return_index=True)
+        at = np.minimum(np.searchsorted(taken, keys), len(taken) - 1)
+        new = cand[np.sort(first_at[taken[at] != keys])[:need]]
+        parts.append(new)
+        taken = np.sort(np.concatenate((taken, new)))
+        need -= len(new)
+    return np.concatenate(parts)
+
+
 def build_synthetic_hybrid(cfg: SynthConfig) -> HybridNetwork:
     """Two attachment graphs bridged by one edge as the target, a third as the
     auxiliary graph, and an affiliation graph built by (1) linking every
     target node to one random auxiliary node and (2) adding extra_pairs
-    distinct random pairs on top.
+    distinct random pairs on top.  Streams 0-2 of cfg.seed draw the three
+    graphs, 3 the bridge and 4 the affiliation pairs.
     """
     n = cfg.n_per_graph
-    g1 = generate_ba(n, cfg.m1, spawn_rng(cfg.seed, 0))
-    aux = generate_ba(n, cfg.m2, spawn_rng(cfg.seed, 1))
-    g3 = generate_ba(n, cfg.m3, spawn_rng(cfg.seed, 2))
+    g1 = generate_ba(n, cfg.m1, cfg.seed, 0)
+    g3 = generate_ba(n, cfg.m3, cfg.seed, 2)
+    u, v = (spawn_generator(cfg.seed, 3).random(2) * n).astype(np.int64).tolist()
+    edges = np.concatenate((g1.edge_array(), g3.edge_array() + n, [(u, n + v)]))
+    del g1, g3  # the target's CSR build is the peak of set-up; build it alone
+    target = Graph(2 * n, edges)
+    del edges
+    aux = generate_ba(n, cfg.m2, cfg.seed, 1)
 
-    rng_bridge = spawn_rng(cfg.seed, 3)
-    bridge = (rng_bridge.randrange(n), n + rng_bridge.randrange(n))
-    target = Graph(2 * n, np.concatenate((g1.edge_array(), g3.edge_array() + n, [bridge])))
-
-    # affiliation pairs (u, v) packed as u * n + v
-    rng_aff = spawn_rng(cfg.seed, 4)
-    keys = [u * n + rng_aff.randrange(n) for u in range(2 * n)]
-    taken = set(keys)
-    while len(keys) < 2 * n + cfg.extra_pairs:
-        u = rng_aff.randrange(2 * n)
-        key = u * n + rng_aff.randrange(n)
-        if key not in taken:
-            taken.add(key)
-            keys.append(key)
-    u, v = np.divmod(np.array(keys, dtype=np.int64), n)
+    u, v = np.divmod(affiliation_keys(n, cfg.extra_pairs, spawn_generator(cfg.seed, 4)), n)
     affiliation = BipartiteGraph(2 * n, n, np.column_stack((u, v)))
     return HybridNetwork(target, aux, affiliation)
 
 
-def orient_edges(graph: Graph, seed) -> np.ndarray:
+def orient_edges(graph: Graph, seed: int) -> np.ndarray:
     """Follower-style arcs of an undirected graph, as an (m', 2) array.
 
     Each edge (u, v) with u < v becomes u->v with probability ORIENT_ONE_WAY,
     v->u with the same probability, and both arcs otherwise.  The arcs only
     give in- and out-degree labels; the walks use the undirected graph.
     """
-    rng = seed if hasattr(seed, "random") else spawn_rng(seed, 5)
     edges = graph.edge_array()
-    r = np.array([rng.random() for _ in range(len(edges))])
+    r = spawn_generator(seed, 5).random(len(edges))
     forward = r < ORIENT_ONE_WAY
     backward = ~forward & (r < 2 * ORIENT_ONE_WAY)
     return np.concatenate((edges[~backward], edges[~forward][:, ::-1]))

@@ -138,6 +138,49 @@ def reference_theta(sample, rows, n):
     )
 
 
+def ba_exact_law(n: int, m: int) -> dict:
+    """Exact law of the preferential-attachment graph on n nodes: a clique
+    core on m+1 nodes, then each node picks m distinct earlier nodes one at
+    a time, t with probability c(t) / (f - sum of c over its earlier picks),
+    where c counts t's endpoints among the f edge endpoints so far.
+
+    Enumerates every pick order of each node, summing the orders of one set
+    of picks; maps each graph, as a sorted tuple of (u, v) edges with u < v,
+    to its probability.
+    """
+    core = m + 1
+    edges = [(u, v) for v in range(core) for u in range(v)]
+    law: dict = {}
+
+    def attach(node: int, edges: list, count: list, prob: float):
+        if node == n:
+            key = tuple(sorted(edges))
+            law[key] = law.get(key, 0.0) + prob
+            return
+        f = 2 * len(edges)
+        picked: dict = {}  # set of picks -> probability, summed over pick orders
+
+        def pick(chosen: list, p: float):
+            if len(chosen) == m:
+                key = tuple(sorted(chosen))
+                picked[key] = picked.get(key, 0.0) + p
+                return
+            left = f - sum(count[t] for t in chosen)
+            for t in range(node):
+                if t not in chosen:
+                    pick(chosen + [t], p * count[t] / left)
+
+        pick([], 1.0)
+        for chosen, p in picked.items():
+            new_count = count + [m]
+            for t in chosen:
+                new_count[t] += 1
+            attach(node + 1, edges + [(t, node) for t in chosen], new_count, prob * p)
+
+    attach(core, edges, [m] * core, 1.0)
+    return law
+
+
 def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int) -> dict:
     """Exact draw probability of every venue via recursion over the zoom tree."""
     out: dict = {}

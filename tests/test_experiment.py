@@ -387,34 +387,32 @@ def test_cli_lbsn_source(tmp_path, capsys):
 
 
 # sha256 of (result CSV, raw_out) for n_per_graph=2000, extra_pairs=4000,
-# runs=20, keyed by (case, seed). VS-A and RRZI-VSA were recorded before
-# VS-A and RRZI-VSA shared one harvest loop. The walk cases (SRW, RWT-VSA,
-# RWT-RWA, SRW-directed) were recorded when the walks moved to lockstep
-# batches on numpy streams (seed version 2). The RNG streams, the graph
+# runs=20, keyed by (case, seed), recorded at seed version 3, when the
+# synthetic networks moved to numpy streams. The RNG streams, the graph
 # construction and the estimator arithmetic must not move them.
 PINNED_DIGESTS = {
-    ("VS-A", 1): ("bb30801afb480ebe9c752faed062e14ac21763a7e353fb13c9e4dbd17e6e2ce2",
-                  "9542a096ec2de0f87e491f914a977531b372648d620d6da6f60576bef8066f23"),
-    ("VS-A", 2): ("35f717bc7dcea8400bd70eab766c890408677901bc2d95475af29d3b31753220",
-                  "9931645582bc2104b1599869160027b7d07e7d2bc2a0e33ad009f87a1c0ef4d8"),
-    ("RRZI-VSA", 1): ("e6f1ea556c70ab22c81e945fa4b88e7af1e2583c8e47a036747b8189fe636250",
-                      "43534cc3bb98da837dc49b19aa7ac3f444e5ea9fc7803fe5498c72d1062c2a66"),
-    ("RRZI-VSA", 2): ("77bd89a9dd191d4613ecdab4dc0f540f28b41b6754e50f76110e8ed51adf1199",
-                      "ffc996c8f355fe1f4d3301d968af6f83bdd8711aba7ff69a850950291819c16a"),
-    ("RWT-VSA", 1): ("a648aa3235067afa0c834869e740bf79abb28b6a28c34e8abc7af7182164812c",
-                     "b4aaeb100006e73e9ca719df236785196f875d1d65c3ea78262a1cd51ba75840"),
-    ("RWT-VSA", 2): ("08c74c7942b0eafd552b18ad1f8b9a23f1ed53636e2dfa8452f52420c3d80136",
-                     "5531bf3f309422a371c6fc340a22422a927cae87d9c21e10e6f14006fbd126ef"),
-    ("SRW", 1): ("5fa803c2552bc91153ad5a92943d270d2039ea40c46c395f136ea56622f8b5ec",
-                 "d9f4a090c7c271af4f1c95160154f529a7e1c8af0c4eb55b6eb2a5c10b3b9e4a"),
-    ("SRW", 2): ("9a8769c4f82365d174b517cb08cebd80fc9e0a0fe46ca5f2a9b95680720728d1",
-                 "077d95b87285afd4d79fb3abff00b8982fc03870f4da729d345c8b43535b35b5"),
-    ("RWT-RWA", 1): ("fa2171f6494038ec0a3c5e9f682e93ad47f3d844a18b7881be5f616349f59d74",
-                     "965a7025e3e3a2cddd3f380ca7de6a2afd6b778c3a5c81e1762734cf57b27d85"),
-    ("RWT-RWA", 2): ("f009c1049f11f1b7bf182e23617e249f236480a49ca4b565ac4776ada815ca4f",
-                     "11a96341a479e8d8d79cdcc3b87792f8b547bc9188ea13953363b8721172dae6"),
-    ("SRW-directed", 1): ("d20afc19df10d5f538f08f58ad1dc72fe032bc559a645290c4244ca111cb8cac",
-                          "ca16b31cf8d4f246b99cd4adc05629fa0de6bed337133518343a80e4a81daf46"),
+    ("VS-A", 1): ("da74afa97233cf555ee2ac78d47bb1f7af573f5be4a7543123d460d278149666",
+                  "bb65f246e78e85795058206ad1a41047263ef74a63e3e235ce56857fbdae0c3d"),
+    ("VS-A", 2): ("59a1da6c01c651fd126b9689b92bcae57d467b704ff1e8b1b36222645c6c0bc5",
+                  "9b5bad2d0dbde932927ee97100bfb73c798f434b8dcc72dd78e238de49a5977e"),
+    ("RRZI-VSA", 1): ("3f73000a8ae0a1f4416b2d421ff603952d790039ffcba541cbaa9548a51c38cf",
+                      "0dbee9ec76afba9f8f260d9ebf58754d90d8922a3abf43ccb89cbfce55db16de"),
+    ("RRZI-VSA", 2): ("a40a25bdca4e0917ad8122846d332e61e78f188a532c214c271873ed07e52658",
+                      "6dfd75b9adfa2aa1de97d25748a167e2a56bf466d8c0efbaa06977c7520623a4"),
+    ("RWT-VSA", 1): ("9587b903d0e31de788e653bf4f3fa60df3c772e22f94308342e6838c91a9f81a",
+                     "d4bc7b6b9a0cdb6f20826cac6e09291b0201f5b365fba57408c07f5e78c436a5"),
+    ("RWT-VSA", 2): ("650fcf0615221e68c3ed67e2668e61029af2a0463069185a29ad5c939e3bbc8e",
+                     "397fb8946fce8183961e9ce0074447b437b65f105f0610bc8b086431b844d180"),
+    ("SRW", 1): ("546125ff3b889ecbee55ab536763ad6b0567a64f6f487ed50313918b5926e66c",
+                 "841b4d7f0ac34a3f80d1561e42fb299b599be7315c89662992652e2f0a6c6248"),
+    ("SRW", 2): ("a6083a813ec74909b1a7b5e66747d5625d95e3f1571dc3eb0cf2590cbf3937c7",
+                 "3f36e1761c28ec53df2e8e95c41180ed9d7ae8b693bfc036fda13391e31a5a53"),
+    ("RWT-RWA", 1): ("90f50b2efdb8b1be8e84268bcf206344431beba4fd6c49ec0f34098289235108",
+                     "ca3991cfac605d80815f8da35e21d38852f85956c00476088f209aa6dd089e05"),
+    ("RWT-RWA", 2): ("ad5135745ece95549949548339fb5b95d82543ad15247f42e587d13357ced8b1",
+                     "a196139e0d060988301e814939b5db546a774cbc1761a66692b610176ab68937"),
+    ("SRW-directed", 1): ("4c52bbdde0c954befa182bb9f9bf2e063d18d3510219e1ffbb1956456f010d9c",
+                          "a75cc65ddf2c950bb9c348570be8b6fd1c95dfeb6e6779a9451b2c94228d72bb"),
 }
 
 # config keys of the cases that are not just a method name; SRW-directed
@@ -437,10 +435,10 @@ def test_outputs_match_pinned_digests(tmp_path, case, seed):
 
 
 # sha256 of the trace_out file (replication 0) of the PINNED_DIGESTS config
-# at seed 1, recorded with seed version 2 (lockstep walks).
+# at seed 1, recorded at seed version 3.
 PINNED_TRACE_OUT = {
-    "SRW": "e1c2ce8b0bebe0a94eca54c446469927e94218130ce0147f67e0a3c1e920d350",
-    "RWT-RWA": "7f409e53ad5a3721fb74d86adae72efd426cd852766611072c573e72bb9bf446",
+    "SRW": "8f8e8db2f27e6342f9f00779605532022d90bfaa111ec5b3852ba616ce188909",
+    "RWT-RWA": "a2382f2d0ccd3e50e7ad7765eb59cc1577cc93becab70f851bf59057ed40cf72",
 }
 
 

@@ -1,12 +1,18 @@
 import collections
+import math
 
 import numpy as np
 import pytest
+from helpers import ba_exact_law
 
+from hybridsample import synth
 from hybridsample.graphs import Graph
+from hybridsample.seeds import spawn_generator
 from hybridsample.synth import (
     SynthConfig,
+    affiliation_keys,
     ba_edge_count,
+    ba_endpoints,
     build_synthetic_hybrid,
     generate_ba,
     orient_edges,
@@ -120,3 +126,38 @@ def test_extra_pairs_beyond_free_pairs_rejected():
         SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=181)
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=180))
     assert h.affiliation.num_edges == 2 * 10 * 10
+
+
+@pytest.mark.parametrize("n,m", [(6, 1), (6, 2), (7, 3)])
+def test_ba_matches_exact_law(n, m):
+    law = ba_exact_law(n, m)
+    # every graph is expected at least 20 times, so its binomial SE is a fair scale
+    draws = math.ceil(20 / min(law.values()))
+    gen = spawn_generator(2024, n, m)
+    counts = collections.Counter()
+    for _ in range(draws):
+        pairs = np.sort(ba_endpoints(n, m, gen).reshape(-1, 2), axis=1)
+        counts[tuple(sorted(map(tuple, pairs.tolist())))] += 1
+    assert set(counts) <= set(law)  # no graph outside the law
+    for graph, p in law.items():
+        se = math.sqrt(p * (1 - p) / draws)
+        assert abs(counts[graph] / draws - p) <= 5 * se, (graph, counts[graph], p * draws)
+
+
+@pytest.mark.parametrize("n,m", [(50, 1), (500, 4), (3000, 10)])
+def test_ba_endpoints_do_not_depend_on_chunking(monkeypatch, n, m):
+    want = ba_endpoints(n, m, spawn_generator(7, n))
+    assert len(want) == 2 * ba_edge_count(n, m)
+    for growth in (1.0, math.inf):  # one node per chunk (sequential), one chunk
+        monkeypatch.setattr(synth, "CHUNK_GROWTH", growth)
+        assert np.array_equal(ba_endpoints(n, m, spawn_generator(7, n)), want)
+
+
+@pytest.mark.parametrize("n,extra", [(10, 0), (10, 37), (10, 180), (300, 5000)])
+def test_affiliation_keys_do_not_depend_on_block(monkeypatch, n, extra):
+    want = affiliation_keys(n, extra, spawn_generator(3, n))
+    assert len(want) == len(set(want.tolist())) == 2 * n + extra
+    assert np.array_equal(want[:2 * n] // n, np.arange(2 * n))
+    for block in (1, 7):
+        monkeypatch.setattr(synth, "PAIR_BLOCK", block)
+        assert np.array_equal(affiliation_keys(n, extra, spawn_generator(3, n)), want)
