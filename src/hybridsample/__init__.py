@@ -3,8 +3,6 @@
 from .estimators import (
     EstimateReport,
     nrmse,
-    vsa_estimate_n,
-    vsa_theta_known_n,
     vsa_theta_unknown_n,
     walk_theta,
 )
@@ -15,7 +13,6 @@ from .graphs import (
     HybridNetwork,
     LabelDistribution,
     LabelTable,
-    bip_neighbors,
     degree_labels,
     ground_truth_theta,
 )

@@ -64,83 +64,51 @@ def _label_sums(labels: LabelTable, nodes: np.ndarray, terms: np.ndarray):
     slots = labels.slots.take(nodes, axis=1).ravel()
     order = slots.argsort()
     grouped = terms.take(order, mode="wrap").tolist()  # wrap: entry k is terms[k % len]
-    counts = np.bincount(slots, minlength=len(labels.values) + 1)
-    present = counts.nonzero()[0]
+    counts = np.bincount(slots, minlength=len(labels.values) + 1).tolist()
     per_label = {}
-    end = 0
-    for slot, count in zip(present.tolist(), counts.take(present).tolist()):
-        if slot:  # slot 0 (a node short of labels) sorts first and adds nowhere
-            per_label[labels.values[slot - 1]] = math.fsum(grouped[end:end + count])
-        end += count
+    end = counts[0]  # slot 0 (a node short of labels) sorts first and adds nowhere
+    for value, count in zip(labels.values, counts[1:]):
+        if count:
+            per_label[value] = math.fsum(grouped[end:end + count])
+            end += count
     return per_label, total
-
-
-def _vsa_terms(sample: VsaSample) -> tuple[list, list]:
-    """(harvested users, their terms (1/p_i) / d_u_bip), in draw order."""
-    users = []
-    terms = []
-    deg = sample.bip_degree
-    for draw in sample.draws:
-        if draw.p <= 0.0:
-            raise ValueError("draw with nonpositive probability")
-        inv_p = 1.0 / draw.p
-        for u in draw.neighbors:
-            d = deg[u]
-            if d <= 0:
-                raise ValueError(
-                    f"harvested node {u} recorded with affiliation degree {d}; expected > 0"
-                )
-            users.append(u)
-            terms.append(inv_p / d)
-    return users, terms
-
-
-def _vsa_sums(sample: VsaSample, labels: LabelTable):
-    """Per-label and size terms sum_i (1/p_i) sum_u 1{l in L(u)}/d_u_bip."""
-    users, terms = _vsa_terms(sample)
-    return _label_sums(labels, np.array(users, dtype=np.int64), np.array(terms, dtype=float))
-
-
-def _known_n_theta(per_label: dict, n: int, b_prime: int) -> dict:
-    if n <= 0:
-        raise ValueError("n must be positive")
-    scale = 1.0 / (n * b_prime)
-    return {l: s * scale for l, s in per_label.items()}
-
-
-def vsa_theta_known_n(sample: VsaSample, labels: LabelTable, n: int, seed: int = 0) -> EstimateReport:
-    """theta_hat_l = (1/(n B')) sum_i (1/p_i) sum_{u in nbrs_i} 1{l in L(u)}/d_u_bip."""
-    per_label, _ = _vsa_sums(sample, labels)
-    return EstimateReport(
-        "VS-A", _known_n_theta(per_label, n, sample.b_prime), sample.b_prime, seed,
-        target_samples=sample.harvested, query_count=sample.query_count,
-    )
-
-
-def vsa_estimate_n(sample: VsaSample) -> float:
-    """n_hat = (1/B') sum_i (1/p_i) sum_{u in nbrs_i} 1/d_u_bip."""
-    if sample.b_prime < 1:
-        raise ValueError("empty sample")
-    _, terms = _vsa_terms(sample)
-    return math.fsum(terms) / sample.b_prime
 
 
 def vsa_theta_unknown_n(
     sample: VsaSample, labels: LabelTable, seed: int = 0, n: int | None = None
 ) -> EstimateReport:
-    """Ratio form: the known-n numerator normalized by n_hat instead of n.
+    """Ratio form of the Hansen-Hurwitz estimators over the draws:
 
-    The 1/B' factors cancel, leaving a pure ratio of weighted sums.  Given
-    ``n``, the known-n form rides along as ``theta_known_n`` (same pass).
+        theta_hat_l = sum_i (1/p_i) sum_{u in nbrs_i} 1{l in L(u)}/d_u_bip
+                      / sum_i (1/p_i) sum_{u in nbrs_i} 1/d_u_bip
+
+    The denominator over B' is the size estimate ``n_hat``.  Given ``n``,
+    the known-n form, the numerator over n B', rides along as
+    ``theta_known_n`` (same pass).
     """
-    per_label, size = _vsa_sums(sample, labels)
+    degrees, offsets, b_prime = sample.degrees, sample.offsets, sample.b_prime
+    bad = degrees <= 0
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(
+            f"harvested node {sample.users[j]} recorded with affiliation degree "
+            f"{degrees[j]}; expected > 0"
+        )
+    # the term of user u harvested by draw i: (1/p_i) / d_u_bip
+    terms = (1.0 / sample.p).repeat(offsets[1:] - offsets[:-1])
+    terms /= degrees
+    per_label, size = _label_sums(labels, sample.users, terms)
     if size <= 0.0:
         raise RuntimeError("no effective samples: every draw hit an unaffiliated node")
-    theta = {l: s / size for l, s in per_label.items()}
+    known = None
+    if n is not None:
+        if n <= 0:
+            raise ValueError("n must be positive")
+        scale = 1.0 / (n * b_prime)
+        known = {l: s * scale for l, s in per_label.items()}
     return EstimateReport(
-        "VS-A", theta, sample.b_prime, seed,
-        n_hat=size / sample.b_prime,
-        theta_known_n=None if n is None else _known_n_theta(per_label, n, sample.b_prime),
+        "VS-A", {l: s / size for l, s in per_label.items()}, b_prime, seed,
+        n_hat=size / b_prime, theta_known_n=known,
         target_samples=sample.harvested, query_count=sample.query_count,
     )
 

@@ -37,19 +37,12 @@ from .samplers import (
     vs_a_collect,
     write_trace,
 )
-from .seeds import replication_seeds, spawn_generator, spawn_rng
+from .seeds import replication_seeds, spawn_generator
 from .synth import SynthConfig, build_synthetic_hybrid, orient_edges
 
 METHODS = ("SRW", "VS-A", "RWT-VSA", "RWT-RWA", "RRZI-VSA")
 HARVEST_METHODS = ("VS-A", "RRZI-VSA")  # independent auxiliary draws; the rest walk
 LABEL_KINDS = ("degree", "in-degree", "out-degree")
-# The cached row views (part of the hybrid, attribute) that each harvest
-# method's replications index; prepare_experiment builds them.  The walks
-# read the CSR arrays.
-LIST_VIEWS = {
-    "VS-A": (("affiliation", "left_adj"), ("affiliation", "right_adj")),
-    "RRZI-VSA": (("affiliation", "left_adj"), ("affiliation", "right_adj")),
-}
 CHUNK_VISITS = 1 << 20  # most visits (budget x replications) of one lockstep batch
 SOURCES = ("synthetic", "files", "lbsn")
 
@@ -205,7 +198,6 @@ class PreparedExperiment:
     budget: int
     alpha_total: float
     beta_total: float
-    covered: list
     source: AuxDistribution | geo.ZoomInSource | None = None  # auxiliary draws
     qu: object = None
     jumps: Jumps | None = None  # RWT-VSA
@@ -288,18 +280,15 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     labels = degree_labels(degrees)
     truth = ground_truth_theta(target, labels)
 
-    covered = hybrid.covered_targets()
     budget = resolve_budget(cfg.budget, hybrid.target.n)
-    alpha_total = cfg.alpha * max(1, len(covered))
+    alpha_total = cfg.alpha * max(1, len(hybrid.covered_targets()))
     beta_total = cfg.beta * max(1, hybrid.auxiliary.n)
-    prep = PreparedExperiment(
-        cfg, hybrid, labels, truth, budget, alpha_total, beta_total, covered
-    )
+    prep = PreparedExperiment(cfg, hybrid, labels, truth, budget, alpha_total, beta_total)
 
     if cfg.method == "VS-A":
         prep.source = AuxDistribution.uniform(hybrid.auxiliary.n)
     elif cfg.method == "RWT-VSA":
-        support = np.flatnonzero(hybrid.affiliation.right_degrees).tolist()
+        support = np.flatnonzero(hybrid.affiliation.right_degrees)
         prep.source = AuxDistribution.uniform_over(hybrid.auxiliary.n, support)
         prep.qu = compute_qu(hybrid, prep.source)
         prep.jumps = Jumps(target.degrees, alpha_total * prep.qu)
@@ -311,46 +300,36 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         if len(index) == 0:
             raise ValueError("venue index is empty")
         prep.source = geo.ZoomInSource(index, index.bounding_region(), cfg.rrzi_k)
-    # built once and cached on the graph, so no replication pays for them
-    for part, view in LIST_VIEWS.get(cfg.method, ()):
-        getattr(getattr(hybrid, part), view)
     return prep
 
 
-def _pick_where(rng, ok: np.ndarray) -> int:
-    n = len(ok)
-    for _ in range(20 * n + 20):
-        x = rng.randrange(n)
-        if ok[x]:
-            return x
-    raise RuntimeError("could not find a usable start node")
-
-
 def _walk_batch(prep: PreparedExperiment, seeds: list):
-    """Run the walk replications of ``seeds`` as one lockstep batch.  Each
-    replication's start nodes come from its own RNG stream, separate from
-    the chain streams; a replication that finds none raises WalkError."""
+    """Run the walk replications of ``seeds`` as one lockstep batch.
+
+    Each replication's start nodes come from stream 98 of its seed,
+    separate from the chain streams: uniform u_j picks entry
+    floor(u_j * c) of the c usable nodes, u_0 for x and, for RWT-RWA's
+    (x, x', y), u_1 for x' among the covered targets and u_2 for y.  With no
+    usable node the batch raises WalkError.
+    """
     cfg = prep.cfg
     hybrid, ws = prep.hybrid, prep.weights
     target = hybrid.target
     if cfg.method == "SRW":
-        ok = target.degrees > 0
+        pools = [np.flatnonzero(target.degrees > 0)]
     elif cfg.method == "RWT-VSA":
-        ok = (target.degrees > 0) | (prep.qu > 0)
+        pools = [np.flatnonzero((target.degrees > 0) | (prep.qu > 0))]
     else:
-        ok = (target.degrees > 0) | (ws.omega > 0)
-        ok_aux = (hybrid.auxiliary.degrees > 0) | (ws.w > 0)
-    starts = []
-    for r, rep_seed in enumerate(seeds):
-        rng = spawn_rng(rep_seed, 98)
-        try:
-            start = _pick_where(rng, ok)
-            if cfg.method == "RWT-RWA":  # (x, x', y)
-                start = (start, prep.covered[rng.randrange(len(prep.covered))],
-                         _pick_where(rng, ok_aux))
-        except RuntimeError as exc:
-            raise WalkError(r, str(exc)) from None
-        starts.append(start)
+        pools = [np.flatnonzero((target.degrees > 0) | (ws.omega > 0)),
+                 np.flatnonzero(hybrid.affiliation.left_degrees),  # the covered targets
+                 np.flatnonzero((hybrid.auxiliary.degrees > 0) | (ws.w > 0))]
+    if not all(len(pool) for pool in pools):
+        raise WalkError(0, "no usable start node")
+    u = np.array([spawn_generator(rep_seed, 98).random(len(pools)) for rep_seed in seeds])
+    starts = np.column_stack([pool[(u[:, j] * len(pool)).astype(np.int64)]
+                              for j, pool in enumerate(pools)])
+    if cfg.method != "RWT-RWA":
+        starts = starts[:, 0]
     if cfg.method == "SRW":
         return simple_rw_run(target, prep.budget, starts, seeds)
     if cfg.method == "RWT-VSA":

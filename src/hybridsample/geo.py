@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import STREAM_AUX, spawn_rng
-
 MAX_ZOOM_DEPTH = 60
 
 
@@ -155,7 +153,7 @@ class RrziDraw:
     api_calls: int
 
 
-def rrzi_draw(index: VenueIndex, root: Region, k: int, seed) -> RrziDraw:
+def rrzi_draw(index: VenueIndex, root: Region, k: int, gen: np.random.Generator) -> RrziDraw:
     """Zoom into the root region until a query is no longer truncated, then
     pick one venue uniformly in the leaf.
 
@@ -163,11 +161,12 @@ def rrzi_draw(index: VenueIndex, root: Region, k: int, seed) -> RrziDraw:
     to find the nonempty ones, and descends into one of those uniformly at
     random.  The recorded probability is the product of the per-level
     branching choices times the uniform leaf pick and equals the overall
-    probability of drawing that venue.  ``seed`` is a master seed or an rng.
-    Levels are read from ``index.zoom_step``, which runs each query once per
-    cell; ``api_calls`` still charges every query of the draw.
+    probability of drawing that venue.  Each choice among c options reads
+    one uniform u of ``gen`` and takes option floor(u * c): one per level and
+    one for the leaf.  Levels are read from ``index.zoom_step``, which runs
+    each query once per cell; ``api_calls`` still charges every query of the
+    draw.
     """
-    rng = seed if hasattr(seed, "randrange") else spawn_rng(seed, STREAM_AUX)
     region = root
     p = 1.0
     path = []
@@ -178,12 +177,12 @@ def rrzi_draw(index: VenueIndex, root: Region, k: int, seed) -> RrziDraw:
         if not truncated:
             if not hits:
                 raise ValueError("region contains no venues")
-            venue = hits[rng.randrange(len(hits))]
+            venue = hits[int(gen.random() * len(hits))]
             return RrziDraw(venue, p / len(hits), path, api_calls)
         if not quads:
             break  # region no longer splittable in float precision
         api_calls += len(quads)
-        choice = nonempty[rng.randrange(len(nonempty))]
+        choice = nonempty[int(gen.random() * len(nonempty))]
         p /= len(nonempty)
         path.append(choice)
         region = quads[choice]
@@ -200,9 +199,11 @@ class ZoomInSource:
     root: Region
     k: int
 
-    def draw(self, rng) -> tuple:
-        d = rrzi_draw(self.index, self.root, self.k, rng)
-        return d.venue.id, d.p, d.api_calls
+    def draws(self, gen: np.random.Generator, count: int) -> tuple:
+        """(venue ids, their p, API calls) of ``count`` zoom-ins on ``gen``."""
+        draws = [rrzi_draw(self.index, self.root, self.k, gen) for _ in range(count)]
+        return ([d.venue.id for d in draws], [d.p for d in draws],
+                sum(d.api_calls for d in draws))
 
 
 def load_venues(path, node_names=None) -> list:

@@ -10,7 +10,6 @@ through an ingest-time dictionary kept on the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,40 +27,34 @@ def _pair_array(pairs) -> np.ndarray:
     return arr
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int):
-    """(indptr, indices, degrees) of the distinct (row, col) pairs.
+def _csr(blocks, n_rows: int, n_cols: int):
+    """(indptr, indices, degrees) of the distinct (row, col) pairs of the
+    (rows, cols) array pairs in ``blocks``.
 
-    Pairs are packed into int64 keys, sorted, and adjacent duplicates are
-    dropped, which leaves every row strictly increasing.  (np.unique would
-    do the same, but its hash path is ~70x slower on millions of keys.)
+    Pairs are packed into one preallocated array of int64 keys, sorted, and
+    adjacent duplicates are dropped, which leaves every row strictly
+    increasing.  Row r starts where the keys reach r * n_cols, and the keys
+    become the column indices in place, so the build holds about twice its
+    output at most.  (np.unique would dedupe too, but its hash path is ~70x
+    slower on millions of keys.)
     """
-    keys = rows * max(n_cols, 1) + cols
+    width = max(n_cols, 1)
+    keys = np.empty(sum(len(rows) for rows, _ in blocks), dtype=np.int64)
+    end = 0
+    for rows, cols in blocks:
+        np.multiply(rows, width, out=keys[end:end + len(rows)])
+        keys[end:end + len(rows)] += cols
+        end += len(rows)
     keys.sort()
     if len(keys) > 1:
         keep = np.empty(len(keys), dtype=bool)
         keep[0] = True
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        keys = keys[keep]
-    rows, indices = np.divmod(keys, max(n_cols, 1))
-    degrees = np.bincount(rows, minlength=n_rows)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    return indptr, indices, degrees
-
-
-def _rows(indptr: np.ndarray, indices: np.ndarray, n_cols: int) -> list[tuple[int, ...]]:
-    """CSR rows as tuples that share one int object per node id.
-
-    ``indices.tolist()`` would make a fresh 28-byte int per entry; sharing
-    leaves one 8-byte reference per entry (~100 MB less peak RSS at 2x100k).
-    Tuples of ints drop out of the cyclic garbage collector's scans after its
-    first pass, where lists would be rescanned, entry by entry, at every full
-    collection (building the rows of a 2x100k hybrid took ~2x longer).
-    """
-    ids = np.arange(n_cols).astype(object)
-    flat = tuple(ids[indices].tolist())
-    ptr = indptr.tolist()
-    return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+        if np.count_nonzero(keep) < len(keys):
+            keys = keys[keep]
+    indptr = keys.searchsorted(np.arange(0, (n_rows + 1) * width, width, dtype=np.int64))
+    np.remainder(keys, width, out=keys)
+    return indptr, keys, indptr[1:] - indptr[:-1]
 
 
 class Graph:
@@ -72,10 +65,6 @@ class Graph:
     of each edge stored, and ``degrees`` the row lengths.  Self-loops are
     rejected; duplicate input edges, in either direction, are merged
     silently.
-
-    ``adj`` is the same rows as tuples, built on first use and cached; a
-    Python loop indexes them much faster than numpy scalars.  The walks
-    read the arrays.
     """
 
     def __init__(
@@ -101,15 +90,8 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             raise ValueError(f"self-loop at node {u} not allowed")
         u, v = e[:, 0], e[:, 1]
-        self.indptr, self.indices, self.degrees = _csr(
-            np.concatenate((u, v)), np.concatenate((v, u)), n, n
-        )
+        self.indptr, self.indices, self.degrees = _csr(((u, v), (v, u)), n, n)
         self.num_edges = len(self.indices) // 2
-
-    @cached_property
-    def adj(self) -> list[tuple[int, ...]]:
-        """Neighbor rows as tuples."""
-        return _rows(self.indptr, self.indices, self.n)
 
     @property
     def degree_sum(self) -> int:
@@ -137,8 +119,7 @@ class BipartiteGraph:
     """Simple bipartite graph in CSR form, indexed from both sides.
 
     ``left_indptr``/``left_indices``/``left_degrees`` hold the sorted right
-    neighbors of every left node; ``right_*`` the transpose.  ``left_adj``
-    and ``right_adj`` are the rows as cached tuples (see Graph).
+    neighbors of every left node; ``right_*`` the transpose.
     """
 
     def __init__(
@@ -158,17 +139,9 @@ class BipartiteGraph:
                 raise ValueError(f"left id {u} out of range")
             raise ValueError(f"right id {v} out of range")
         u, v = e[:, 0], e[:, 1]
-        self.left_indptr, self.left_indices, self.left_degrees = _csr(u, v, n_left, n_right)
-        self.right_indptr, self.right_indices, self.right_degrees = _csr(v, u, n_right, n_left)
+        self.left_indptr, self.left_indices, self.left_degrees = _csr(((u, v),), n_left, n_right)
+        self.right_indptr, self.right_indices, self.right_degrees = _csr(((v, u),), n_right, n_left)
         self.num_edges = len(self.left_indices)
-
-    @cached_property
-    def left_adj(self) -> list[tuple[int, ...]]:
-        return _rows(self.left_indptr, self.left_indices, self.n_right)
-
-    @cached_property
-    def right_adj(self) -> list[tuple[int, ...]]:
-        return _rows(self.right_indptr, self.right_indices, self.n_left)
 
     def left_degree(self, u: int) -> int:
         return int(self.left_degrees[u])
@@ -197,20 +170,6 @@ class HybridNetwork:
     def covered_targets(self) -> list[int]:
         """Target nodes with at least one affiliation edge."""
         return np.flatnonzero(self.affiliation.left_degrees).tolist()
-
-
-def bip_neighbors(hybrid: HybridNetwork, side: str, node: int) -> list[int]:
-    """Sorted affiliation neighbors of a node on the given side ("left"/"right")."""
-    aff = hybrid.affiliation
-    if side == "left":
-        if not 0 <= node < aff.n_left:
-            raise ValueError(f"left id {node} out of range")
-        return aff.left_indices[aff.left_indptr[node]:aff.left_indptr[node + 1]].tolist()
-    if side == "right":
-        if not 0 <= node < aff.n_right:
-            raise ValueError(f"right id {node} out of range")
-        return aff.right_indices[aff.right_indptr[node]:aff.right_indptr[node + 1]].tolist()
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 class LabelTable:

@@ -21,15 +21,13 @@ more intuitive per-node units and rescales (see experiment.py).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
-from .graphs import Graph, HybridNetwork
-from .seeds import STREAM_AUX, STREAM_AUX_JUMP, STREAM_MH, STREAM_TARGET, spawn_generator, spawn_rng
+from .graphs import BipartiteGraph, Graph, HybridNetwork
+from .seeds import STREAM_AUX, STREAM_AUX_JUMP, STREAM_MH, STREAM_TARGET, spawn_generator
 
 KERNEL_SIZE_LIMIT = 2000
 CLOSED_FORM_CELL_LIMIT = 4_000_000
@@ -37,9 +35,8 @@ BLOCK_STEPS = 256  # steps of uniforms a walk draws from each stream at a time
 
 
 class AuxDistribution:
-    """Sampling distribution over auxiliary nodes.
-
-    Either uniform over all n' nodes or an explicit probability vector.
+    """Sampling distribution over auxiliary nodes: ``probs[v]`` is the
+    probability of node v, uniform over all n' nodes unless given.
     """
 
     def __init__(self, n: int, probs=None):
@@ -47,21 +44,18 @@ class AuxDistribution:
             raise ValueError("auxiliary graph must be nonempty")
         self.n = n
         if probs is None:
-            self.probs = None
-            self._cum = None
-        else:
-            probs = [float(p) for p in probs]
-            if len(probs) != n:
-                raise ValueError("probability vector length must equal n'")
-            if any(p < 0 for p in probs):
-                raise ValueError("probabilities must be nonnegative")
-            # fsum: a naive sum of ~1e5 equal shares misses 1 by ~2e-12
-            total = math.fsum(probs)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"probabilities not normalized (sum={total!r})")
-            self.probs = probs
-            self._cum = list(accumulate(probs))
-            self._cum[-1] = 1.0
+            self.probs = np.full(n, 1.0 / n)
+            return
+        probs = np.array(probs, dtype=float)
+        if probs.shape != (n,):
+            raise ValueError("probability vector length must equal n'")
+        if (probs < 0).any():
+            raise ValueError("probabilities must be nonnegative")
+        # fsum: a naive sum of ~1e5 equal shares misses 1 by ~2e-12
+        total = math.fsum(probs.tolist())
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities not normalized (sum={total!r})")
+        self.probs = probs
 
     @classmethod
     def uniform(cls, n: int) -> "AuxDistribution":
@@ -74,27 +68,15 @@ class AuxDistribution:
     @classmethod
     def uniform_over(cls, n: int, support) -> "AuxDistribution":
         """Uniform over a subset of auxiliary nodes, zero elsewhere."""
-        support = sorted(set(support))
-        if not support:
+        support = np.unique(np.asarray(support, dtype=np.int64))
+        if not len(support):
             raise ValueError("support must be nonempty")
         for v in (support[0], support[-1]):
             if not 0 <= v < n:
                 raise ValueError(f"support id {v} out of range for n'={n}")
-        probs = [0.0] * n
-        share = 1.0 / len(support)
-        for v in support:
-            probs[v] = share
+        probs = np.zeros(n)
+        probs[support] = 1.0 / len(support)
         return cls(n, probs)
-
-    def prob(self, v: int) -> float:
-        if self.probs is None:
-            return 1.0 / self.n
-        return self.probs[v]
-
-    def sample(self, rng) -> int:
-        if self.probs is None:
-            return rng.randrange(self.n)
-        return bisect_left(self._cum, rng.random())
 
     def pick(self, u: np.ndarray) -> np.ndarray:
         """Nodes drawn from p by uniforms u in [0, 1), one per uniform;
@@ -107,80 +89,87 @@ class AuxDistribution:
     @cached_property
     def _support_cum(self) -> tuple:
         """(nodes with p-mass, their cumulative p; None for equal masses)."""
-        if self.probs is None:
-            return np.arange(self.n), None
-        probs = np.asarray(self.probs)
-        support = np.flatnonzero(probs)
-        mass = probs[support]
+        support = np.flatnonzero(self.probs)
+        mass = self.probs[support]
         if (mass == mass[0]).all():
             return support, None
         cum = np.cumsum(mass)
         cum[-1] = 1.0
         return support, cum
 
-    def draw(self, rng) -> tuple:
-        """(node, p_node, cost) for vs_a_collect; one query per draw."""
-        v = self.sample(rng)
-        return v, self.prob(v), 1
-
-
-@dataclass
-class VsaDraw:
-    venue: int
-    p: float
-    neighbors: tuple
+    def draws(self, gen: np.random.Generator, count: int) -> tuple:
+        """(nodes, their p, query count) of ``count`` draws for vs_a_collect:
+        one uniform of ``gen`` and one query a draw."""
+        v = self.pick(gen.random(count))
+        return v, self.probs[v], count
 
 
 @dataclass
 class VsaSample:
-    """Independent auxiliary-node draws with their harvested neighbor lists.
+    """Independent auxiliary-node draws and the target nodes they harvest.
 
-    ``bip_degree`` maps each harvested target node to its affiliation degree
-    as recorded at collection time, so estimation does not need the network.
+    Draw i drew auxiliary node ``venues[i]`` with probability ``p[i]`` and
+    harvested its affiliation row ``users[offsets[i]:offsets[i + 1]]``.
+    ``degrees[j]`` is the affiliation degree of ``users[j]`` as recorded at
+    collection time, so estimation does not need the network.
     """
 
-    draws: list
-    bip_degree: dict
+    venues: np.ndarray
+    p: np.ndarray
+    offsets: np.ndarray
+    users: np.ndarray
+    degrees: np.ndarray
     query_count: int
 
     @property
     def b_prime(self) -> int:
-        return len(self.draws)
+        return len(self.venues)
 
     @property
     def harvested(self) -> int:
-        return sum(len(d.neighbors) for d in self.draws)
+        return len(self.users)
+
+
+def harvest(aff: BipartiteGraph, venues, p, query_count: int) -> VsaSample:
+    """The sample of draws of auxiliary nodes ``venues`` with probabilities
+    ``p``.  Each draw harvests the node's affiliation row (empty for an
+    unaffiliated node, which adds zero to the estimators); the rows of all
+    draws are gathered at once from the CSR arrays.
+    """
+    venues = np.asarray(venues, dtype=np.int64)
+    p = np.asarray(p, dtype=float)
+    off_range = (venues < 0) | (venues >= aff.n_right)
+    bad = off_range | ~(p > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if off_range[i]:
+            raise ValueError(f"venue id {venues[i]} is not an auxiliary node")
+        raise ValueError(f"draw of venue {venues[i]} with nonpositive probability {p[i]}")
+    counts = aff.right_degrees[venues]
+    offsets = np.zeros(len(venues) + 1, dtype=np.int64)
+    counts.cumsum(out=offsets[1:])
+    # entry j of draw i's row sits at right_indptr[venue] + (j - offsets[i])
+    pos = (aff.right_indptr[venues] - offsets[:-1]).repeat(counts)
+    pos += np.arange(offsets[-1])
+    users = aff.right_indices[pos]
+    return VsaSample(venues, p, offsets, users, aff.left_degrees[users], int(query_count))
 
 
 def vs_a_collect(hybrid: HybridNetwork, source, b_prime: int, seed) -> VsaSample:
-    """B' i.i.d. auxiliary draws; each draw records the drawn node's full
-    affiliation neighbor list (empty for unaffiliated nodes, which add zero
-    to the estimators).  ``source.draw(rng)`` gives (v, p_v, cost): an
-    AuxDistribution costs one query a draw, a ``geo.ZoomInSource`` its API
-    calls; ``query_count`` sums the costs.
+    """B' i.i.d. auxiliary draws, each harvesting the drawn node's
+    affiliation row (see harvest).  ``source.draws(gen, b_prime)`` gives
+    the nodes, probabilities and query count of all draws, read from the
+    STREAM_AUX generator of ``seed``: an AuxDistribution reads one uniform
+    and costs one query a draw, a ``geo.ZoomInSource`` reads one uniform per
+    zoom level plus one for the leaf and costs its API calls.
     """
     if b_prime < 1:
         raise ValueError("b_prime must be >= 1")
     n_aux = hybrid.auxiliary.n
     if getattr(source, "n", n_aux) != n_aux:  # only sized sources can be checked up front
         raise ValueError("distribution size must match auxiliary graph")
-    rng = spawn_rng(seed, STREAM_AUX)
-    right = hybrid.affiliation.right_adj
-    left = hybrid.affiliation.left_adj
-    draws = []
-    degrees: dict = {}
-    queries = 0
-    for _ in range(b_prime):
-        v, p, cost = source.draw(rng)
-        queries += cost
-        if not 0 <= v < n_aux:
-            raise ValueError(f"venue id {v} is not an auxiliary node")
-        nbrs = right[v]
-        draws.append(VsaDraw(v, p, nbrs))
-        for u in nbrs:
-            if u not in degrees:
-                degrees[u] = len(left[u])
-    return VsaSample(draws, degrees, query_count=queries)
+    venues, p, queries = source.draws(spawn_generator(seed, STREAM_AUX), b_prime)
+    return harvest(hybrid.affiliation, venues, p, queries)
 
 
 def compute_qu(hybrid: HybridNetwork, p: AuxDistribution) -> np.ndarray:
@@ -194,7 +183,7 @@ def compute_qu(hybrid: HybridNetwork, p: AuxDistribution) -> np.ndarray:
     aff = hybrid.affiliation
     if p.n != aff.n_right:
         raise ValueError("distribution size must match auxiliary graph")
-    pv = np.full(p.n, 1.0 / p.n) if p.probs is None else np.array(p.probs)
+    pv = p.probs
     stranded = (pv > 0.0) & (aff.right_degrees == 0)
     if stranded.any():
         v = int(np.argmax(stranded))
@@ -631,12 +620,13 @@ def closed_form_weights(hybrid: HybridNetwork, alpha: float, beta: float):
     return omega, w
 
 
-def mh_step(current: int, proposal: int, q, q_prime, rng) -> int:
-    """One Metropolis-Hastings accept/reject step.
+def mh_step(current: int, proposal: int, q, q_prime, u: float) -> int:
+    """One Metropolis-Hastings accept/reject step, taking the proposal when
+    its acceptance uniform u in [0, 1) falls below the acceptance ratio.
 
     q is the desired distribution, q_prime the proposal distribution.  The
-    acceptance ratio min{1, q[u] q'[cur] / (q[cur] q'[u])} only uses ratios,
-    so unnormalized vectors work.
+    ratio min{1, q[prop] q'[cur] / (q[cur] q'[prop])} only uses ratios, so
+    unnormalized vectors work.
     """
     qc = q[current]
     qpc = q_prime[current]
@@ -651,7 +641,7 @@ def mh_step(current: int, proposal: int, q, q_prime, rng) -> int:
     if qpu <= 0.0:
         return proposal
     ratio = (qu * qpc) / (qc * qpu)
-    if ratio >= 1.0 or rng.random() < ratio:
+    if ratio >= 1.0 or u < ratio:
         return proposal
     return current
 
@@ -675,23 +665,25 @@ def mh_accept(current, proposal, u, q, q_prime) -> np.ndarray:
 def run_mh_chain(q, q_prime, start: int, steps: int, seed) -> list:
     """Standalone MH chain with proposals drawn i.i.d. from q_prime.
 
-    Returns the visited states x_1..x_steps (x_1 = start).
+    Returns the visited states x_1..x_steps (x_1 = start).  Step i reads
+    the i-th pair of STREAM_MH uniforms: the proposal, the first node whose
+    cumulative q' mass exceeds u * sum(q') (never one without mass), and
+    the acceptance uniform.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    q = np.asarray(q, dtype=float)
-    qp = np.asarray(q_prime, dtype=float)
-    total = float(qp.sum())
-    if total <= 0:
+    cum = np.cumsum(np.asarray(q_prime, dtype=float))
+    if not cum[-1] > 0:
         raise ValueError("proposal distribution has no mass")
-    cum = list(accumulate(float(x) / total for x in qp))
-    cum[-1] = 1.0
-    rng = spawn_rng(seed, STREAM_MH)
+    u = spawn_generator(seed, STREAM_MH).random((steps - 1, 2))
+    proposals = np.searchsorted(cum, u[:, 0] * cum[-1], side="right").tolist()
+    # Python lists: the chain indexes one scalar at a time
+    q = np.asarray(q, dtype=float).tolist()
+    qp = np.asarray(q_prime, dtype=float).tolist()
     x = start
     out = [x]
-    for _ in range(steps - 1):
-        u = bisect_left(cum, rng.random())
-        x = mh_step(x, u, q, qp, rng)
+    for proposal, accept_u in zip(proposals, u[:, 1].tolist()):
+        x = mh_step(x, proposal, q, qp, accept_u)
         out.append(x)
     return out
 

@@ -8,8 +8,6 @@ plain walk) hold exactly.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 # Stream offsets for coupled walks.
@@ -24,10 +22,6 @@ def spawn_seed(master: int, *key: int) -> int:
     ss = np.random.SeedSequence(master, spawn_key=tuple(key))
     hi, lo = ss.generate_state(2, np.uint64)
     return (int(hi) << 64) | int(lo)
-
-
-def spawn_rng(master: int, *key: int) -> random.Random:
-    return random.Random(spawn_seed(master, *key))
 
 
 def spawn_generator(master: int, *key: int) -> np.random.Generator:

@@ -15,6 +15,7 @@ import numpy as np
 
 from hybridsample.geo import Region, VenueIndex
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
+from hybridsample.samplers import VsaSample
 
 
 def pair_hybrid():
@@ -41,6 +42,26 @@ def three_user_hybrid():
     aux = Graph(2, [])
     aff = BipartiteGraph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)])
     return HybridNetwork(target, aux, aff)
+
+
+def csr_rows(indptr, indices) -> list:
+    """CSR rows as tuples of ints, for oracles that loop over neighbors."""
+    ptr, flat = indptr.tolist(), indices.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+
+def hand_sample(draws, degree) -> VsaSample:
+    """VsaSample of hand-made (venue, p, harvested users) draws, with
+    ``degree[u]`` the affiliation degree recorded for user u."""
+    users = [u for _, _, nbrs in draws for u in nbrs]
+    return VsaSample(
+        np.array([v for v, _, _ in draws], dtype=np.int64),
+        np.array([p for _, p, _ in draws], dtype=float),
+        np.cumsum([0] + [len(nbrs) for _, _, nbrs in draws], dtype=np.int64),
+        np.array(users, dtype=np.int64),
+        np.array([degree[u] for u in users], dtype=np.int64),
+        len(draws),
+    )
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edges: int) -> Graph:
@@ -122,12 +143,13 @@ def reference_theta(sample, rows, n):
     at a time, each sum a math.fsum of the terms (1/p_i) / d_u_bip."""
     per_label: dict = {}
     every = []
-    for draw in sample.draws:
-        inv_p = 1.0 / draw.p
-        for u in draw.neighbors:
-            term = inv_p / sample.bip_degree[u]
+    offsets = sample.offsets.tolist()
+    for i, p in enumerate(sample.p.tolist()):
+        inv_p = 1.0 / p
+        for j in range(offsets[i], offsets[i + 1]):
+            term = inv_p / int(sample.degrees[j])
             every.append(term)
-            for l in rows[u]:
+            for l in rows[int(sample.users[j])]:
                 per_label.setdefault(l, []).append(term)
     size = math.fsum(every)
     scale = 1.0 / (n * sample.b_prime)

@@ -12,20 +12,21 @@ import numpy as np
 import pytest
 
 from helpers import (
+    csr_rows,
     enumerate_bipartite,
     random_hybrid,
     rrzi_exact_probabilities,
     three_user_hybrid,
 )
 from hybridsample import experiment as ex
-from hybridsample.estimators import vsa_estimate_n, vsa_theta_known_n, vsa_theta_unknown_n
+from hybridsample.estimators import vsa_theta_unknown_n
 from hybridsample.geo import Region, Venue, VenueIndex, ZoomInSource
-from hybridsample.graphs import BipartiteGraph, LabelTable
+from hybridsample.graphs import LabelTable
 from hybridsample.samplers import (
     AuxDistribution,
-    VsaDraw,
     VsaSample,
     fixed_weight_scheme,
+    harvest,
     run_mh_chain,
     rwt_rwa_run,
     rwt_vsa_run,
@@ -54,23 +55,46 @@ def _mixed_labels(n):
     return LabelTable.from_rows(("a", "x") if u % 2 == 0 else ("b", "x") for u in range(n))
 
 
-def _expected_estimates(aff, probs, labels, n_t, b_prime):
-    """(E[theta_hat per label], E[n_hat]) by exhaustive sequence enumeration,
-    evaluating the real estimators on every p-weighted draw sequence."""
-    e_theta = {}
-    e_n = 0.0
-    draw_of = [VsaDraw(v, probs[v], tuple(aff.right_adj[v])) for v in range(aff.n_right)]
-    degrees = {u: len(vs) for u, vs in enumerate(aff.left_adj) if vs}
-    for seq in itertools.product(range(aff.n_right), repeat=b_prime):
+def _expected_estimates(neighbor_sets, n_a, probs, labels, b_prime):
+    """(E[known-n theta_hat per label], E[n_hat]) by exhaustive enumeration
+    of the p-weighted draw sequences, evaluating the real estimator on the
+    sample of every sequence.
+
+    A draw of venue v harvests the users whose venue set in
+    ``neighbor_sets`` holds v, each recorded with its set size as degree.
+    The samples of all sequences are built as one set of arrays, and
+    sequence s is draws s*B'..(s+1)*B'-1 of it.
+    """
+    n_t = len(neighbor_sets)
+    users_of = [[u for u in range(n_t) if v in neighbor_sets[u]] for v in range(n_a)]
+    weights = {}
+    for seq in itertools.product(range(n_a), repeat=b_prime):
         weight = 1.0
         for v in seq:
             weight *= probs[v]
-        if weight == 0.0:
-            continue
-        sample = VsaSample([draw_of[v] for v in seq], degrees, len(seq))
-        for l, t in vsa_theta_known_n(sample, labels, n=n_t).theta.items():
+        if weight != 0.0:
+            weights[seq] = weight
+    flat = [v for seq in weights for v in seq]
+    users = [u for v in flat for u in users_of[v]]
+    offsets = list(itertools.accumulate((len(users_of[v]) for v in flat), initial=0))
+    venues_a = np.array(flat, dtype=np.int64)
+    p_a = np.array([probs[v] for v in flat])
+    offsets_a = np.array(offsets, dtype=np.int64)
+    users_a = np.array(users, dtype=np.int64)
+    degrees_a = np.array([len(neighbor_sets[u]) for u in users], dtype=np.int64)
+    e_theta = {}
+    e_n = 0.0
+    for s, weight in enumerate(weights.values()):
+        a, b = s * b_prime, (s + 1) * b_prime
+        lo, hi = offsets[a], offsets[b]
+        if lo == hi:
+            continue  # no harvested user: every estimate, n_hat too, is 0
+        sample = VsaSample(venues_a[a:b], p_a[a:b], offsets_a[a:b + 1] - lo,
+                           users_a[lo:hi], degrees_a[lo:hi], b_prime)
+        rep = vsa_theta_unknown_n(sample, labels, n=n_t)
+        for l, t in rep.theta_known_n.items():
             e_theta[l] = e_theta.get(l, 0.0) + weight * t
-        e_n += weight * vsa_estimate_n(sample)
+        e_n += weight * rep.n_hat
     return e_theta, e_n
 
 
@@ -91,13 +115,11 @@ def test_criterion_1_exact_unbiasedness():
             for l in labels.of(u):
                 truth[l] = truth.get(l, 0.0) + 1.0 / n_t
         for gi, neighbor_sets in enumerate(enumerate_bipartite(n_t, n_a, full_coverage=True)):
-            pairs = [(u, v) for u, vs in enumerate(neighbor_sets) for v in vs]
-            aff = BipartiteGraph(n_t, n_a, pairs)
             probs_list = p_vectors if not big else p_vectors[:1]
             bps = (1, 2) if not big else ((1, 2) if gi % 8 == 0 else (1,))
             for probs in probs_list:
                 for b_prime in bps:
-                    e_theta, e_n = _expected_estimates(aff, probs, labels, n_t, b_prime)
+                    e_theta, e_n = _expected_estimates(neighbor_sets, n_a, probs, labels, b_prime)
                     for label, t in truth.items():
                         assert abs(e_theta.get(label, 0.0) - t) < 1e-12
                     assert abs(e_n - n_t) < 1e-12  # full coverage
@@ -107,8 +129,6 @@ def test_criterion_1_exact_unbiasedness():
     for n_t, n_a in shapes_partial:
         probs = [1.0 / n_a] * n_a
         for neighbor_sets in enumerate_bipartite(n_t, n_a, full_coverage=False):
-            pairs = [(u, v) for u, vs in enumerate(neighbor_sets) for v in vs]
-            aff = BipartiteGraph(n_t, n_a, pairs)
             covered = frozenset(u for u, vs in enumerate(neighbor_sets) if vs)
 
             labels = LabelTable.from_rows(
@@ -117,7 +137,7 @@ def test_criterion_1_exact_unbiasedness():
 
             truth_a = sum(1.0 for u in covered if u % 2 == 0) / n_t
             for b_prime in (1, 2):
-                e_theta, e_n = _expected_estimates(aff, probs, labels, n_t, b_prime)
+                e_theta, e_n = _expected_estimates(neighbor_sets, n_a, probs, labels, b_prime)
                 assert abs(e_theta.get("a", 0.0) - truth_a) < 1e-12
                 assert abs(e_n - len(covered)) < 1e-12
             checked += 1
@@ -163,11 +183,13 @@ def test_criterion_3_closed_form_weights():
         pi_u = (deg_t + omega) / (h.target.degree_sum + alpha)
         pi_v = (deg_a + w) / (h.auxiliary.degree_sum + beta)
         aff = h.affiliation
+        left = csr_rows(aff.left_indptr, aff.left_indices)
+        right = csr_rows(aff.right_indptr, aff.right_indices)
         for u in range(h.target.n):
-            resid = omega[u] - alpha * sum(pi_v[v] / len(aff.right_adj[v]) for v in aff.left_adj[u])
+            resid = omega[u] - alpha * sum(pi_v[v] / len(right[v]) for v in left[u])
             worst = max(worst, abs(resid))
         for v in range(h.auxiliary.n):
-            resid = w[v] - beta * sum(pi_u[u] / len(aff.left_adj[u]) for u in aff.right_adj[v])
+            resid = w[v] - beta * sum(pi_u[u] / len(left[u]) for u in right[v])
             worst = max(worst, abs(resid))
     assert worst < 1e-9
     report(3, f"max weight-system residual {worst:.2e} over 10 hybrids", time.time() - t0, 10.0)
@@ -194,7 +216,7 @@ def test_criterion_4_mh_stationarity():
 def test_criterion_5_reduction_identities():
     t0 = time.time()
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=200, m1=2, m2=3, m3=5, extra_pairs=150, seed=8))
-    support = [v for v in range(h.auxiliary.n) if h.affiliation.right_adj[v]]
+    support = np.flatnonzero(h.affiliation.right_degrees)
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
     walk = rwt_vsa_run(h, p, 0.0, 5000, 17, seed=MASTER_SEED)
     plain = simple_rw_run(h.target, 5000, 17, seed=MASTER_SEED)
@@ -312,18 +334,10 @@ def test_criterion_8_rrzi_probability_closure():
     aff = h.affiliation
     label_a = LabelTable.from_rows([("a",), (), ()])
 
-    def known_theta(v):
-        draws = [VsaDraw(v, exact[v], tuple(aff.right_adj[v]))]
-        deg = {u: len(aff.left_adj[u]) for u in draws[0].neighbors}
-        return vsa_theta_known_n(VsaSample(draws, deg, 1), label_a, n=3).theta.get("a", 0.0)
-
-    def known_n(v):
-        draws = [VsaDraw(v, exact[v], tuple(aff.right_adj[v]))]
-        deg = {u: len(aff.left_adj[u]) for u in draws[0].neighbors}
-        return vsa_estimate_n(VsaSample(draws, deg, 1))
-
-    e_theta = sum(exact[v] * known_theta(v) for v in exact)
-    e_n = sum(exact[v] * known_n(v) for v in exact)
+    reports = {v: vsa_theta_unknown_n(harvest(aff, [v], [p], 1), label_a, n=3)
+               for v, p in exact.items()}
+    e_theta = sum(exact[v] * rep.theta_known_n.get("a", 0.0) for v, rep in reports.items())
+    e_n = sum(exact[v] * rep.n_hat for v, rep in reports.items())
     assert abs(e_theta - 1.0 / 3.0) < 1e-12        # theta_a over all 3 users
     assert abs(e_n - 3.0) < 1e-12                  # all users are covered
     # ratio form recovers theta_a from the two expectations

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,24 +7,18 @@ import pytest
 
 from helpers import (
     exact_vsa_expectations,
+    hand_sample,
     reference_theta,
     reference_walk_theta,
     three_user_hybrid,
     two_user_hybrid,
 )
-from hybridsample.estimators import (
-    nrmse,
-    vsa_estimate_n,
-    vsa_theta_known_n,
-    vsa_theta_unknown_n,
-    walk_theta,
-)
+from hybridsample.estimators import nrmse, vsa_theta_unknown_n, walk_theta
 from hybridsample.graphs import Graph, LabelTable, degree_labels, ground_truth_theta
 from hybridsample.samplers import (
     AuxDistribution,
     SampleTrace,
-    VsaDraw,
-    VsaSample,
+    harvest,
     rwt_vsa_run,
     simple_rw_run,
     vs_a_collect,
@@ -33,13 +28,7 @@ from hybridsample.synth import SynthConfig, build_synthetic_hybrid
 
 def make_sample(hybrid, venues, probs):
     """VsaSample for a fixed draw sequence (the enumeration oracle's path)."""
-    aff = hybrid.affiliation
-    draws = [VsaDraw(v, probs[v], tuple(aff.right_adj[v])) for v in venues]
-    degrees = {}
-    for d in draws:
-        for u in d.neighbors:
-            degrees[u] = len(aff.left_adj[u])
-    return VsaSample(draws, degrees, query_count=len(draws))
+    return harvest(hybrid.affiliation, venues, [probs[v] for v in venues], len(venues))
 
 
 # node 0 carries "a"; nodes 1 and 2 carry no label
@@ -58,7 +47,7 @@ def test_known_n_unbiased_two_user_enumeration():
     probs = [0.5, 0.5]
 
     def estimate(seq):
-        return vsa_theta_known_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=2).theta.get("a", 0.0)
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=2).theta_known_n.get("a", 0.0)
 
     for b_prime in (1, 2):
         expect = exact_vsa_expectations(h.affiliation, probs, LABEL_A_FIRST_USER, b_prime, estimate)
@@ -70,7 +59,7 @@ def test_known_n_all_one_label_expectation_is_one():
     probs = [0.3, 0.7]
 
     def estimate(seq):
-        return vsa_theta_known_n(make_sample(h, seq, probs), constant_labels(3, "x"), n=3).theta.get("x", 0.0)
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), constant_labels(3, "x"), n=3).theta_known_n.get("x", 0.0)
 
     expect = exact_vsa_expectations(h.affiliation, probs, constant_labels(3, "x"), 2, estimate)
     assert expect == pytest.approx(1.0, abs=1e-12)
@@ -83,7 +72,7 @@ def test_estimate_n_single_full_venue_exact():
     h = HybridNetwork(Graph(n, [(0, 1)]), Graph(1, []), BipartiteGraph(n, 1, [(u, 0) for u in range(n)]))
     for b_prime in (1, 4):
         sample = vs_a_collect(h, AuxDistribution.explicit([1.0]), b_prime, seed=0)
-        assert vsa_estimate_n(sample) == pytest.approx(n, abs=1e-12)
+        assert vsa_theta_unknown_n(sample, constant_labels(n)).n_hat == pytest.approx(n, abs=1e-12)
 
 
 def test_estimate_n_three_user_enumeration():
@@ -91,7 +80,7 @@ def test_estimate_n_three_user_enumeration():
     probs = [0.5, 0.5]
 
     def estimate(seq):
-        return vsa_estimate_n(make_sample(h, seq, probs))
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER).n_hat
 
     for b_prime in (1, 2):
         expect = exact_vsa_expectations(h.affiliation, probs, None, b_prime, estimate)
@@ -102,7 +91,8 @@ def test_estimate_n_monte_carlo_synthetic():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=300, m1=2, m2=3, m3=5, extra_pairs=300, seed=14))
     sample = vs_a_collect(h, AuxDistribution.uniform(h.auxiliary.n), 10_000, seed=5)
     covered = len(h.covered_targets())
-    assert vsa_estimate_n(sample) == pytest.approx(covered, rel=0.05)
+    n_hat = vsa_theta_unknown_n(sample, constant_labels(h.target.n)).n_hat
+    assert n_hat == pytest.approx(covered, rel=0.05)
 
 
 def test_exact_unbiasedness_five_venue_instance():
@@ -116,10 +106,10 @@ def test_exact_unbiasedness_five_venue_instance():
     theta_a_truth = 1 / 3
 
     def theta_of(seq):
-        return vsa_theta_known_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=3).theta.get("a", 0.0)
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
 
     def n_of(seq):
-        return vsa_estimate_n(make_sample(h, seq, probs))
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER).n_hat
 
     for b_prime in (1, 2):
         assert exact_vsa_expectations(aff, probs, None, b_prime, theta_of) == pytest.approx(
@@ -132,9 +122,9 @@ def test_duplicating_a_draw_blends_estimate():
     h = three_user_hybrid()
     probs = [0.4, 0.6]
     seq = [0, 1, 1]
-    base = vsa_theta_known_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=3).theta.get("a", 0.0)
-    dup = vsa_theta_known_n(make_sample(h, seq + [0], probs), LABEL_A_FIRST_USER, n=3).theta.get("a", 0.0)
-    solo = vsa_theta_known_n(make_sample(h, [0], probs), LABEL_A_FIRST_USER, n=3).theta.get("a", 0.0)
+    base = vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
+    dup = vsa_theta_unknown_n(make_sample(h, seq + [0], probs), LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
+    solo = vsa_theta_unknown_n(make_sample(h, [0], probs), LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
     assert dup == pytest.approx((3 * base + solo) / 4, abs=1e-12)
 
 
@@ -145,12 +135,11 @@ def test_unknown_n_equals_known_n_rescaled():
     h = three_user_hybrid()
     sample = vs_a_collect(h, AuxDistribution.uniform(2), 40, seed=3)
     labeler = LABEL_A_FIRST_USER
-    known = vsa_theta_known_n(sample, labeler, n=3)
-    ratio = vsa_theta_unknown_n(sample, labeler)
-    n_hat = vsa_estimate_n(sample)
+    ratio = vsa_theta_unknown_n(sample, labeler, n=3)
+    _, _, n_hat = reference_theta(sample, [("a",), (), ()], 3)
     assert ratio.n_hat == pytest.approx(n_hat, abs=1e-15)
     for l, v in ratio.theta.items():
-        assert v == pytest.approx(known.theta[l] * 3 / n_hat, rel=1e-12)
+        assert v == pytest.approx(ratio.theta_known_n[l] * 3 / n_hat, rel=1e-12)
 
 
 def test_unknown_n_single_label_is_one():
@@ -189,11 +178,7 @@ def test_unknown_n_error_shrinks_with_budget():
 def test_unknown_n_scale_free_in_p():
     h = three_user_hybrid()
     sample = vs_a_collect(h, AuxDistribution.explicit([0.25, 0.75]), 30, seed=6)
-    scaled = VsaSample(
-        [VsaDraw(d.venue, d.p * 3.0, d.neighbors) for d in sample.draws],
-        sample.bip_degree,
-        sample.query_count,
-    )
+    scaled = dataclasses.replace(sample, p=sample.p * 3.0)
     a = vsa_theta_unknown_n(sample, LABEL_A_FIRST_USER).theta
     b = vsa_theta_unknown_n(scaled, LABEL_A_FIRST_USER).theta
     for l in a:
@@ -219,7 +204,7 @@ def test_walk_theta_uniform_weights_is_frequency():
 def test_walk_theta_long_run_rwt_vsa():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=12, seed=2))
     truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
-    support = [v for v in range(h.auxiliary.n) if h.affiliation.right_adj[v]]
+    support = np.flatnonzero(h.affiliation.right_degrees)
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
     trace = rwt_vsa_run(h, p, 1.0, 10**6, 0, seed=17)
     rep = walk_theta(trace, degree_labels(h.target.degrees))
@@ -266,7 +251,7 @@ def test_walk_theta_rejects_nonfinite_weight_naming_node(bad):
 
 def test_vsa_zero_affiliation_degree_names_node():
     # the check must survive python -O, unlike an assert
-    sample = VsaSample([VsaDraw(0, 0.5, (1, 2))], {1: 1, 2: 0}, query_count=1)
+    sample = hand_sample([(0, 0.5, (1, 2))], {1: 1, 2: 0})
     with pytest.raises(ValueError, match="harvested node 2 .*affiliation degree 0"):
         vsa_theta_unknown_n(sample, constant_labels(3))
 
@@ -297,17 +282,15 @@ def test_label_table_estimators_match_fsum_reference(trial):
     assert walk_theta(trace, labels).theta == reference_walk_theta(nodes, weights, rows)
 
     draws = [
-        VsaDraw(v, rng.uniform(1e-4, 1.0), tuple(rng.sample(range(n), rng.randrange(min(n, 5) + 1))))
+        (v, rng.uniform(1e-4, 1.0), tuple(rng.sample(range(n), rng.randrange(min(n, 5) + 1))))
         for v in range(rng.randrange(1, 60))
     ]
-    draws.append(VsaDraw(0, 0.3, (0,)))  # at least one harvested user
+    draws.append((0, 0.3, (0,)))  # at least one harvested user
     degree = {u: rng.randrange(1, 9) for u in range(n)}
-    sample = VsaSample(draws, degree, query_count=len(draws))
+    sample = hand_sample(draws, degree)
     theta, known, n_hat = reference_theta(sample, rows, n)
     rep = vsa_theta_unknown_n(sample, labels, n=n)
     assert (rep.theta, rep.theta_known_n, rep.n_hat) == (theta, known, n_hat)
-    assert vsa_theta_known_n(sample, labels, n=n).theta == known
-    assert vsa_estimate_n(sample) == n_hat
 
 
 # ------------------------------------------------------------ NRMSE

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import rrzi_exact_probabilities, three_user_hybrid
+from helpers import csr_rows, rrzi_exact_probabilities, three_user_hybrid
 from hybridsample.estimators import nrmse, vsa_theta_unknown_n
 from hybridsample.geo import (
     NYC_REGION,
@@ -23,7 +23,12 @@ from hybridsample.graphs import (
     ground_truth_theta,
 )
 from hybridsample.samplers import vs_a_collect
-from hybridsample.seeds import STREAM_AUX, spawn_rng
+from hybridsample.seeds import STREAM_AUX, spawn_generator
+
+
+def aux_stream(seed):
+    """The generator a harvest of ``seed`` draws its zoom-ins from."""
+    return spawn_generator(seed, STREAM_AUX)
 
 
 def grid_index(n, region=Region(0.0, 1.0, 0.0, 1.0), seed=5):
@@ -68,7 +73,7 @@ def test_query_region_basics():
 def test_rrzi_no_zoom_uniform_leaf():
     idx = grid_index(4)
     root = Region(0.0, 1.0, 0.0, 1.0)
-    draw = rrzi_draw(idx, root, k=5, seed=3)
+    draw = rrzi_draw(idx, root, 5, aux_stream(3))
     assert draw.p == pytest.approx(1 / 4)
     assert draw.zoom_path == []
     assert draw.api_calls == 1
@@ -80,7 +85,7 @@ def test_rrzi_four_quadrant_symmetry():
     root = Region(0.0, 1.0, 0.0, 1.0)
     seen = set()
     for s in range(40):
-        draw = rrzi_draw(idx, root, k=1, seed=s)
+        draw = rrzi_draw(idx, root, 1, aux_stream(s))
         assert draw.p == pytest.approx(0.25, abs=1e-15)
         assert len(draw.zoom_path) == 1
         assert draw.api_calls == 1 + 4 + 1  # root query, 4 probes, leaf query
@@ -95,10 +100,10 @@ def test_rrzi_probability_closure_and_match():
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
     assert len(exact) == 20 and min(exact.values()) > 0.0
     # the recorded p of each draw equals the exact inclusion probability
-    rng = spawn_rng(123, 2)
+    gen = aux_stream(123)
     counts = {}
     for _ in range(6000):
-        draw = rrzi_draw(idx, root, k=3, seed=rng)
+        draw = rrzi_draw(idx, root, 3, gen)
         assert draw.p == pytest.approx(exact[draw.venue.id], abs=1e-12)
         counts[draw.venue.id] = counts.get(draw.venue.id, 0) + 1
     for vid, c in counts.items():
@@ -108,8 +113,8 @@ def test_rrzi_probability_closure_and_match():
 def test_rrzi_deterministic_and_cost_tracks_depth():
     idx = grid_index(50, seed=2)
     root = Region(0.0, 1.0, 0.0, 1.0)
-    a = rrzi_draw(idx, root, k=2, seed=9)
-    b = rrzi_draw(idx, root, k=2, seed=9)
+    a = rrzi_draw(idx, root, 2, aux_stream(9))
+    b = rrzi_draw(idx, root, 2, aux_stream(9))
     assert (a.venue, a.p, a.zoom_path, a.api_calls) == (b.venue, b.p, b.zoom_path, b.api_calls)
     # one query per visited region plus four probes per zoom level
     assert a.api_calls == 1 + 5 * len(a.zoom_path)
@@ -121,18 +126,18 @@ def test_rrzi_empty_root_and_max_depth():
     idx = grid_index(5)
     for _ in range(2):
         with pytest.raises(ValueError, match="no venues"):
-            rrzi_draw(idx, Region(5.0, 6.0, 5.0, 6.0), k=2, seed=0)
+            rrzi_draw(idx, Region(5.0, 6.0, 5.0, 6.0), 2, aux_stream(0))
     # more than K venues at one point can never become fully accessible
     stacked = VenueIndex([Venue(i, 0.5, 0.5) for i in range(3)])
     for seed in (0, 0, 1):
         with pytest.raises(RuntimeError, match="depth"):
-            rrzi_draw(stacked, Region(0.0, 1.0, 0.0, 1.0), k=2, seed=seed)
+            rrzi_draw(stacked, Region(0.0, 1.0, 0.0, 1.0), 2, aux_stream(seed))
 
 
 def _draws(idx, root, k, seeds):
     return [
         (d.venue, d.p, d.zoom_path, d.api_calls)
-        for d in (rrzi_draw(idx, root, k, seed=s) for s in seeds)
+        for d in (rrzi_draw(idx, root, k, aux_stream(s)) for s in seeds)
     ]
 
 
@@ -191,11 +196,11 @@ def test_zoom_in_source_harvest_cost_is_api_calls():
     idx = grid_index(20, seed=8)
     root = Region(0.0, 1.0, 0.0, 1.0)
     sample = vs_a_collect(h, ZoomInSource(idx, root, 3), 30, seed=4)
-    # the same draws, replayed from the harvest loop's stream
-    rng = spawn_rng(4, STREAM_AUX)
-    draws = [rrzi_draw(idx, root, 3, rng) for _ in range(30)]
-    assert [d.venue for d in sample.draws] == [d.venue.id for d in draws]
-    assert [d.p for d in sample.draws] == [d.p for d in draws]
+    # the same draws, replayed from the harvest's stream
+    gen = aux_stream(4)
+    draws = [rrzi_draw(idx, root, 3, gen) for _ in range(30)]
+    assert sample.venues.tolist() == [d.venue.id for d in draws]
+    assert sample.p.tolist() == [d.p for d in draws]
     assert sample.query_count == sum(d.api_calls for d in draws) > 30
 
 
@@ -215,13 +220,15 @@ def test_rrzi_vsa_enumeration_ratio_unbiased():
     assert exact == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
 
     aff = h.affiliation
+    left = csr_rows(aff.left_indptr, aff.left_indices)
+    right = csr_rows(aff.right_indptr, aff.right_indices)
     # enumeration over single draws, weighted by the oracle probabilities
     num = 0.0
     den = 0.0
     for v, pv in exact.items():
         inv = 1.0 / pv
-        num += pv * inv * sum(1.0 / len(aff.left_adj[u]) for u in aff.right_adj[v] if u == 0)
-        den += pv * inv * sum(1.0 / len(aff.left_adj[u]) for u in aff.right_adj[v])
+        num += pv * inv * sum(1.0 / len(left[u]) for u in right[v] if u == 0)
+        den += pv * inv * sum(1.0 / len(left[u]) for u in right[v])
     theta_a_truth = 1 / 3
     assert num / den == pytest.approx(theta_a_truth, abs=1e-12)
 

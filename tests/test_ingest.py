@@ -1,6 +1,9 @@
 import logging
 
+import numpy as np
 import pytest
+
+from helpers import csr_rows
 
 from hybridsample.geo import Region
 from hybridsample.ingest import (
@@ -23,7 +26,7 @@ def test_load_edge_list_path_graph(tmp_path):
     g = load_edge_list(p)
     assert g.n == 3 and g.num_edges == 2
     assert g.node_names == ["a", "b", "c"]
-    assert g.adj[g.node_names.index("b")] == (0, 2)
+    assert csr_rows(g.indptr, g.indices)[g.node_names.index("b")] == (0, 2)
 
 
 def test_load_edge_list_dedup_and_comments(tmp_path):
@@ -66,7 +69,7 @@ def test_load_edge_list_order_insensitive(tmp_path):
     assert named_edges(g1) == named_edges(g2)
     # adjacency is normalized: sorted and deduplicated on both loads
     for g in (g1, g2):
-        assert all(list(adj) == sorted(set(adj)) for adj in g.adj)
+        assert all(list(adj) == sorted(set(adj)) for adj in csr_rows(g.indptr, g.indices))
 
 
 def test_load_checkins_bbox_inclusive(tmp_path):
@@ -139,7 +142,7 @@ def test_build_hybrid_edge_count_matches_pair_set(tmp_path):
     assert hybrid.target.n == 6
     names = hybrid.target.node_names
     for extra in ("u4", "u5"):
-        assert hybrid.target.adj[names.index(extra)] == ()
+        assert hybrid.target.degrees[names.index(extra)] == 0
 
 
 def test_build_hybrid_coordinate_conflict_keeps_first(tmp_path, caplog):
@@ -166,7 +169,8 @@ def test_affiliation_roundtrip(tmp_path):
     out = tmp_path / "aff_out.txt"
     write_affiliation(aff, out, left_names=left.node_names, right_names=right.node_names)
     again = load_affiliation(out, left, right)
-    assert again.left_adj == aff.left_adj
+    assert np.array_equal(again.left_indptr, aff.left_indptr)
+    assert np.array_equal(again.left_indices, aff.left_indices)
     bad = tmp_path / "aff_bad.txt"
     bad.write_text("a zz\n")
     with pytest.raises(ValueError, match="unknown auxiliary id"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    csr_rows,
     left_stationary,
     pair_hybrid,
     random_hybrid,
@@ -20,6 +21,7 @@ from hybridsample.samplers import (
     compute_qu,
     default_desired_distribution,
     fixed_weight_scheme,
+    harvest,
     mh_accept,
     mh_step,
     run_mh_chain,
@@ -31,7 +33,7 @@ from hybridsample.samplers import (
     vs_a_collect,
     write_trace,
 )
-from hybridsample.seeds import STREAM_AUX
+from hybridsample.seeds import STREAM_AUX, spawn_generator
 from hybridsample.synth import SynthConfig, build_synthetic_hybrid
 
 
@@ -56,18 +58,20 @@ def test_aux_distribution_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         AuxDistribution.explicit([1.5, -0.5])
     d = AuxDistribution.explicit([0.25, 0.75])
-    assert d.prob(1) == 0.75
-    assert AuxDistribution.uniform(4).prob(2) == 0.25
+    assert d.probs[1] == 0.75
+    assert AuxDistribution.uniform(4).probs[2] == 0.25
 
 
 def test_aux_distribution_sampling_frequencies():
-    d = AuxDistribution.explicit([0.1, 0.6, 0.3])
-    rng = random.Random(5)
-    counts = [0, 0, 0]
-    for _ in range(30_000):
-        counts[d.sample(rng)] += 1
-    for v in range(3):
-        assert counts[v] / 30_000 == pytest.approx(d.prob(v), abs=0.01)
+    # dyadic p and the midpoints of N = 2^10 equal cells of [0, 1): pick gives
+    # each node exactly N p_v of the uniforms and a node without mass none,
+    # through the cumulative search and through the equal-mass shortcut
+    n_cells = 1024
+    u = (np.arange(n_cells) + 0.5) / n_cells
+    for probs in ([0.125, 0.5, 0.0, 0.375], [0.25, 0.0, 0.25, 0.25, 0.25], [0.5, 0.5]):
+        d = AuxDistribution.explicit(probs)
+        counts = np.bincount(d.pick(u), minlength=len(probs))
+        assert counts.tolist() == [n_cells * p for p in probs]
 
 
 # ---------------------------------------------------------------- compute_qu
@@ -87,7 +91,7 @@ def test_compute_qu_uncovered_user_gets_zero():
 
 def test_compute_qu_sums_to_one_on_synthetic():
     h = small_synthetic(40, 60, seed=8)
-    support = [v for v in range(h.auxiliary.n) if h.affiliation.right_adj[v]]
+    support = np.flatnonzero(h.affiliation.right_degrees)
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
     q = compute_qu(h, p)
     assert abs(q.sum() - 1.0) <= 1e-12
@@ -105,7 +109,7 @@ def test_uniform_over_accepts_its_own_output_at_scale():
     share = 1.0 / n
     assert abs(sum([share] * n) - 1.0) > 1e-12
     d = AuxDistribution.uniform_over(n, range(n))
-    assert d.prob(0) == d.prob(n - 1) == share
+    assert d.probs[0] == d.probs[n - 1] == share
 
 
 @pytest.mark.parametrize("bad", [-1, 7])
@@ -124,9 +128,9 @@ def test_vsa_collect_full_venue():
     )
     sample = vs_a_collect(h, AuxDistribution.explicit([1.0]), 3, seed=1)
     assert sample.b_prime == 3
-    for draw in sample.draws:
-        assert draw.neighbors == tuple(range(n))
-        assert draw.p == 1.0
+    assert sample.offsets.tolist() == [0, n, 2 * n, 3 * n]
+    assert sample.users.tolist() == list(range(n)) * 3
+    assert sample.p.tolist() == [1.0] * 3
     assert sample.harvested == 15
     assert sample.query_count == 3
 
@@ -134,28 +138,50 @@ def test_vsa_collect_full_venue():
 def test_vsa_collect_isolated_venue_draw_kept():
     h = HybridNetwork(Graph(1, []), Graph(1, []), BipartiteGraph(1, 1, []))
     sample = vs_a_collect(h, AuxDistribution.uniform(1), 2, seed=0)
-    assert all(d.neighbors == () for d in sample.draws)
+    assert sample.b_prime == 2
+    assert sample.offsets.tolist() == [0, 0, 0]
 
 
 def test_vsa_collect_reaches_exactly_covered_nodes():
     h = small_synthetic(30, 40, seed=6)
+    aff = h.affiliation
     sample = vs_a_collect(h, AuxDistribution.uniform(h.auxiliary.n), 4000, seed=2)
-    reached = set()
-    for d in sample.draws:
-        reached.update(d.neighbors)
-    covered = {u for u in range(h.target.n) if h.affiliation.left_adj[u]}
+    reached = set(sample.users.tolist())
+    covered = set(np.flatnonzero(aff.left_degrees).tolist())
     assert reached <= covered
     assert reached == covered  # 4000 draws on a 30-venue graph hit everything
-    # recorded degrees agree with the network
-    for u, d in sample.bip_degree.items():
-        assert d == len(h.affiliation.left_adj[u])
+    # each draw harvests its node's affiliation row, with the users' degrees
+    left = csr_rows(aff.left_indptr, aff.left_indices)
+    right = csr_rows(aff.right_indptr, aff.right_indices)
+    offsets = sample.offsets.tolist()
+    for i, v in enumerate(sample.venues.tolist()):
+        assert tuple(sample.users[offsets[i]:offsets[i + 1]].tolist()) == right[v]
+    for u, d in zip(sample.users.tolist(), sample.degrees.tolist()):
+        assert d == len(left[u])
 
 
 def test_vsa_collect_deterministic():
     h = small_synthetic()
     a = vs_a_collect(h, AuxDistribution.uniform(h.auxiliary.n), 50, seed=9)
     b = vs_a_collect(h, AuxDistribution.uniform(h.auxiliary.n), 50, seed=9)
-    assert [d.venue for d in a.draws] == [d.venue for d in b.draws]
+    assert a.venues.tolist() == b.venues.tolist()
+
+
+def test_vsa_collect_reads_one_aux_uniform_a_draw():
+    h = small_synthetic(30, 40, seed=6)
+    p = covered_uniform(h)
+    sample = vs_a_collect(h, p, 300, seed=11)
+    venues = p.pick(spawn_generator(11, STREAM_AUX).random(300))
+    assert sample.venues.tolist() == venues.tolist()
+    assert sample.p.tolist() == p.probs[venues].tolist()
+
+
+def test_harvest_rejects_bad_draws():
+    aff = BipartiteGraph(2, 2, [(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="venue id 2 is not an auxiliary node"):
+        harvest(aff, [0, 2], [0.5, 0.5], 2)
+    with pytest.raises(ValueError, match="venue 1 with nonpositive probability 0.0"):
+        harvest(aff, [0, 1], [0.5, 0.0], 2)
 
 
 # ---------------------------------------------------------------- simple walk
@@ -336,12 +362,14 @@ def _weight_residuals(h, alpha, beta, omega, w):
     pi_u = (deg_t + omega) / (h.target.degree_sum + alpha)
     pi_v = (deg_a + w) / (h.auxiliary.degree_sum + beta)
     aff = h.affiliation
+    left = csr_rows(aff.left_indptr, aff.left_indices)
+    right = csr_rows(aff.right_indptr, aff.right_indices)
     r_omega = omega.copy()
     for u in range(h.target.n):
-        r_omega[u] -= alpha * sum(pi_v[v] / len(aff.right_adj[v]) for v in aff.left_adj[u])
+        r_omega[u] -= alpha * sum(pi_v[v] / len(right[v]) for v in left[u])
     r_w = w.copy()
     for v in range(h.auxiliary.n):
-        r_w[v] -= beta * sum(pi_u[u] / len(aff.left_adj[u]) for u in aff.right_adj[v])
+        r_w[v] -= beta * sum(pi_u[u] / len(left[u]) for u in right[v])
     return max(np.abs(r_omega).max(), np.abs(r_w).max())
 
 
@@ -358,6 +386,8 @@ def test_closed_form_equals_fixed_point_iteration_limit():
     omega_cf, w_cf = closed_form_weights(h, alpha, beta)
     omega = alpha * default_desired_distribution(h)
     aff = h.affiliation
+    left = csr_rows(aff.left_indptr, aff.left_indices)
+    right = csr_rows(aff.right_indptr, aff.right_indices)
     deg_t = np.array([h.target.degree(u) for u in range(h.target.n)], dtype=float)
     deg_a = np.array([h.auxiliary.degree(v) for v in range(h.auxiliary.n)], dtype=float)
     w = np.zeros(h.auxiliary.n)
@@ -365,14 +395,14 @@ def test_closed_form_equals_fixed_point_iteration_limit():
         pi_u = (deg_t + omega) / (h.target.degree_sum + alpha)
         w = np.zeros(h.auxiliary.n)
         for u in range(h.target.n):
-            share = beta * pi_u[u] / len(aff.left_adj[u])
-            for v in aff.left_adj[u]:
+            share = beta * pi_u[u] / len(left[u])
+            for v in left[u]:
                 w[v] += share
         pi_v = (deg_a + w) / (h.auxiliary.degree_sum + beta)
         omega = np.zeros(h.target.n)
         for v in range(h.auxiliary.n):
-            share = alpha * pi_v[v] / len(aff.right_adj[v])
-            for u in aff.right_adj[v]:
+            share = alpha * pi_v[v] / len(right[v])
+            for u in right[v]:
                 omega[u] += share
     assert np.abs(omega - omega_cf).max() < 1e-9
     assert np.abs(w - w_cf).max() < 1e-9
@@ -383,22 +413,21 @@ def test_closed_form_equals_fixed_point_iteration_limit():
 
 def test_mh_step_identity_distributions_always_accept():
     q = np.array([0.2, 0.3, 0.5])
-    rng = random.Random(0)
     for proposal in range(3):
-        assert mh_step(1, proposal, q, q, rng) == proposal
+        for u in (0.0, 0.5, 0.999):
+            assert mh_step(1, proposal, q, q, u) == proposal
 
 
 def test_mh_step_zero_mass_proposal_never_accepted():
     q = np.array([0.5, 0.5, 0.0])
     qp = np.array([0.4, 0.4, 0.2])
-    rng = random.Random(0)
-    assert all(mh_step(0, 2, q, qp, rng) == 0 for _ in range(50))
+    assert all(mh_step(0, 2, q, qp, u) == 0 for u in np.linspace(0.0, 0.999, 50))
 
 
 def test_mh_step_misinitialized():
     q = np.array([0.0, 1.0])
     with pytest.raises(RuntimeError, match="mis-initialized"):
-        mh_step(0, 1, q, q, random.Random(0))
+        mh_step(0, 1, q, q, 0.5)
 
 
 def test_mh_chain_long_run_matches_desired():
@@ -630,16 +659,6 @@ def test_batch_replication_equals_lone_run(net_2x500, monkeypatch, method, alpha
             assert detail.mh_nodes[part] == lone_detail.mh_nodes
 
 
-class _FixedUniform:
-    """An rng whose random() always returns u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def test_mh_accept_matches_mh_step_exactly():
     gen = np.random.default_rng(3)
     n = 12
@@ -661,7 +680,7 @@ def test_mh_accept_matches_mh_step_exactly():
     cur, prop, u = (np.array(col) for col in zip(*cases))
     with np.errstate(divide="ignore", invalid="ignore"):
         got = np.where(mh_accept(cur, prop, u, q, q_prime), prop, cur)
-    want = [mh_step(int(c), int(p), q, q_prime, _FixedUniform(x)) for c, p, x in cases]
+    want = [mh_step(int(c), int(p), q, q_prime, x) for c, p, x in cases]
     assert got.tolist() == want
 
 

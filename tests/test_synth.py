@@ -31,7 +31,7 @@ def _components(graph):
         while stack:
             u = stack.pop()
             size += 1
-            for v in graph.adj[u]:
+            for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]].tolist():
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
@@ -78,7 +78,7 @@ def test_hybrid_construction_arithmetic():
     assert h.target.n == 200
     assert h.target.num_edges == ba_edge_count(100, 2) + ba_edge_count(100, 10) + 1
     assert h.auxiliary.num_edges == ba_edge_count(100, 5)
-    assert min(len(a) for a in h.affiliation.left_adj) >= 1
+    assert h.affiliation.left_degrees.min() >= 1
     assert h.affiliation.num_edges == 2 * 100 + 200
 
 
@@ -102,7 +102,8 @@ def test_hybrid_deterministic():
     b = build_synthetic_hybrid(cfg)
     assert list(a.target.edges()) == list(b.target.edges())
     assert list(a.auxiliary.edges()) == list(b.auxiliary.edges())
-    assert a.affiliation.left_adj == b.affiliation.left_adj
+    assert np.array_equal(a.affiliation.left_indptr, b.affiliation.left_indptr)
+    assert np.array_equal(a.affiliation.left_indices, b.affiliation.left_indices)
 
 
 def test_orient_edges_roundtrip():
