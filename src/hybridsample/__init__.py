@@ -19,16 +19,10 @@ from .graphs import (
 from .ingest import CheckinRecord, build_hybrid_from_lbsn, load_checkins, load_edge_list
 from .samplers import (
     AuxDistribution,
-    Jumps,
     SampleTrace,
     VsaSample,
-    WeightSystem,
-    closed_form_weights,
     compute_qu,
-    default_desired_distribution,
     fixed_weight_scheme,
-    mh_step,
-    run_mh_chain,
     rwt_rwa_run,
     rwt_vsa_run,
     rwt_vsa_transition_matrix,

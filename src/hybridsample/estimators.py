@@ -119,7 +119,8 @@ def walk_theta(trace: SampleTrace, labels: LabelTable, method: str = "RW", seed:
         theta_hat_l = sum_i 1{l in L(x_i)}/w_i  /  sum_i 1/w_i
 
     with w_i the recorded visit weight (degree plus jump weight; plain
-    degree for a simple walk).
+    degree for a simple walk).  ``target_samples`` counts the visits, which
+    are fewer than the budget for the hybrid walk.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
@@ -133,7 +134,7 @@ def walk_theta(trace: SampleTrace, labels: LabelTable, method: str = "RW", seed:
     theta = {l: s / z for l, s in per_label.items()}
     return EstimateReport(
         method, theta, trace.budget, seed,
-        target_samples=trace.budget, query_count=trace.query_count,
+        target_samples=len(trace), query_count=trace.query_count,
     )
 
 

@@ -29,6 +29,7 @@ from .samplers import (
     AuxDistribution,
     Jumps,
     WalkError,
+    WeightSystem,
     compute_qu,
     fixed_weight_scheme,
     rwt_rwa_run,
@@ -108,6 +109,9 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
+        if self.method == "RWT-RWA" and self.alpha > 0 and self.beta == 0:
+            raise ValueError(f"beta=0 with alpha={self.alpha!r}: an RWT-RWA walk on an "
+                             "auxiliary node returns to the target only through jump mass")
         if self.rrzi_k < 1:
             raise ValueError("rrzi_k must be >= 1")
         if self.workers != 1:
@@ -201,7 +205,7 @@ class PreparedExperiment:
     source: AuxDistribution | geo.ZoomInSource | None = None  # auxiliary draws
     qu: object = None
     jumps: Jumps | None = None  # RWT-VSA
-    weights: object = None  # RWT-RWA
+    weights: WeightSystem | None = None  # RWT-RWA
 
 
 def _parse_bbox(text: str) -> geo.Region:
@@ -306,37 +310,32 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
 def _walk_batch(prep: PreparedExperiment, seeds: list):
     """Run the walk replications of ``seeds`` as one lockstep batch.
 
-    Each replication's start nodes come from stream 98 of its seed,
-    separate from the chain streams: uniform u_j picks entry
-    floor(u_j * c) of the c usable nodes, u_0 for x and, for RWT-RWA's
-    (x, x', y), u_1 for x' among the covered targets and u_2 for y.  With no
-    usable node the batch raises WalkError.
+    Each replication starts at a usable target node picked by u_0, the
+    first uniform of stream 98 of its seed, separate from the walk's
+    streams: entry floor(u_0 * c) of the c usable nodes.  With no usable
+    node the batch raises WalkError.
     """
     cfg = prep.cfg
-    hybrid, ws = prep.hybrid, prep.weights
+    hybrid = prep.hybrid
     target = hybrid.target
     if cfg.method == "SRW":
-        pools = [np.flatnonzero(target.degrees > 0)]
+        usable = target.degrees > 0
     elif cfg.method == "RWT-VSA":
-        pools = [np.flatnonzero((target.degrees > 0) | (prep.qu > 0))]
+        usable = (target.degrees > 0) | (prep.qu > 0)
     else:
-        pools = [np.flatnonzero((target.degrees > 0) | (ws.omega > 0)),
-                 np.flatnonzero(hybrid.affiliation.left_degrees),  # the covered targets
-                 np.flatnonzero((hybrid.auxiliary.degrees > 0) | (ws.w > 0))]
-    if not all(len(pool) for pool in pools):
+        usable = prep.weights.total[:target.n] > 0
+    pool = np.flatnonzero(usable)
+    if not len(pool):
         raise WalkError(0, "no usable start node")
-    u = np.array([spawn_generator(rep_seed, 98).random(len(pools)) for rep_seed in seeds])
-    starts = np.column_stack([pool[(u[:, j] * len(pool)).astype(np.int64)]
-                              for j, pool in enumerate(pools)])
-    if cfg.method != "RWT-RWA":
-        starts = starts[:, 0]
+    u = np.array([spawn_generator(rep_seed, 98).random() for rep_seed in seeds])
+    starts = pool[(u * len(pool)).astype(np.int64)]
     if cfg.method == "SRW":
         return simple_rw_run(target, prep.budget, starts, seeds)
     if cfg.method == "RWT-VSA":
         return rwt_vsa_run(
             hybrid, prep.source, prep.alpha_total, prep.budget, starts, seeds, jumps=prep.jumps
         )
-    return rwt_rwa_run(hybrid, ws, prep.budget, starts, seeds)
+    return rwt_rwa_run(hybrid, prep.weights, prep.budget, starts, seeds)
 
 
 def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:

@@ -5,9 +5,9 @@ Three families are implemented:
 * auxiliary vertex sampling that harvests affiliation neighbors,
 * a target-graph random walk whose jumps route through auxiliary vertex
   sampling plus a uniform affiliation-neighbor step,
-* two coupled random walks (target and auxiliary) whose jumps route through
-  each other via the affiliation graph, with a Metropolis-Hastings chain
-  correcting the jump distribution on the target side.
+* one random walk on the weighted hybrid graph: the target and auxiliary
+  graphs joined by weighted affiliation edges, which carry the jumps of
+  each side into the other.
 
 Jump propensities are expressed as virtual jumper-edge weights omega_u (and
 w_v on the auxiliary side).  ``alpha`` and ``beta`` throughout this module
@@ -21,16 +21,15 @@ more intuitive per-node units and rescales (see experiment.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .graphs import BipartiteGraph, Graph, HybridNetwork
-from .seeds import STREAM_AUX, STREAM_AUX_JUMP, STREAM_MH, STREAM_TARGET, spawn_generator
+from .seeds import STREAM_AUX, STREAM_TARGET, spawn_generator
 
 KERNEL_SIZE_LIMIT = 2000
-CLOSED_FORM_CELL_LIMIT = 4_000_000
 BLOCK_STEPS = 256  # steps of uniforms a walk draws from each stream at a time
 
 
@@ -206,8 +205,10 @@ def _spread(mass: np.ndarray, degrees: np.ndarray, indices: np.ndarray, n_out: i
 
 @dataclass
 class SampleTrace:
-    """Ordered node visits of a walk (int64 array) with per-visit estimator
-    weights (float64 array) and jump flags."""
+    """Ordered target visits of a walk (int64 array) with per-visit
+    estimator weights (float64 array) and jump flags.  ``budget`` is the
+    walk's step count: one step a visit on the target graph, more for the
+    hybrid walk, whose auxiliary steps are not visits."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -216,11 +217,11 @@ class SampleTrace:
     query_count: int
 
     def __post_init__(self):
-        if not (len(self.nodes) == len(self.weights) == len(self.jumped) == self.budget):
-            raise ValueError("trace arrays must all have length budget")
+        if not (len(self.nodes) == len(self.weights) == len(self.jumped) <= self.budget):
+            raise ValueError("trace arrays must have one length, at most budget")
 
     def __len__(self) -> int:
-        return self.budget
+        return len(self.nodes)
 
 
 class Jumps:
@@ -242,29 +243,34 @@ class Jumps:
 class WalkBatch:
     """R walks of one budget run in lockstep.
 
-    ``nodes[t, r]`` is visit t of walk r and ``flags[t, r]`` says whether a
-    jump entered it; ``weight`` is the visit weight of every node and
-    ``queries[r]`` walk r's query count.  ``len()`` and ``jumped`` count the
-    visits and jumps of all walks together.
+    ``nodes[t, r]`` is the node of walk r after step t and ``flags[t, r]``
+    says whether a jump entered it; nodes below ``n_target`` are target
+    visits, the others the hybrid walk's auxiliary nodes.  ``weight`` is
+    the visit weight of every node and ``queries[r]`` walk r's query count.
+    ``len()`` and ``jumped`` count the steps and jumps of all walks together.
     """
 
     nodes: np.ndarray
     flags: np.ndarray
     weight: np.ndarray
     queries: list
+    n_target: int
 
     def __len__(self) -> int:
         return self.nodes.size
 
     @property
     def jumped(self) -> list:
-        """Jump flags of every visit, walk by walk."""
+        """Jump flags of every step, walk by walk."""
         return self.flags.T.ravel().tolist()
 
     def trace(self, r: int) -> SampleTrace:
-        nodes = self.nodes[:, r].copy()
-        jumped = self.flags[:, r].tolist()
-        return SampleTrace(nodes, self.weight[nodes], jumped, len(nodes), self.queries[r])
+        """Walk r's target visits, in order."""
+        steps = self.nodes[:, r]
+        visit = steps < self.n_target
+        nodes = steps[visit]
+        jumped = self.flags[visit, r].tolist()
+        return SampleTrace(nodes, self.weight[nodes], jumped, len(steps), self.queries[r])
 
 
 class WalkError(RuntimeError):
@@ -355,8 +361,8 @@ def simple_rw_run(
     ``start`` and ``seed`` are one walk's, giving its SampleTrace, or
     sequences of R walks', giving a WalkBatch of R walks run in lockstep.
     Step t sets x = indices[indptr[x] + floor(u_t d_x)] with u_t the walk's
-    t-th uniform of ``stream``, so a walk embedded in a coupled run on the
-    same stream is reproduced exactly.
+    t-th uniform of ``stream``, so the jump walks at zero jump weight
+    reproduce it exactly.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -378,7 +384,8 @@ def simple_rw_run(
         for i in range(steps):
             x = nodes[t0 + i - 1]
             cols.take(base[x] + (u[i] * deg[x]).astype(np.int64), mode="clip", out=nodes[t0 + i])
-    batch = WalkBatch(nodes, np.zeros(nodes.shape, dtype=bool), deg, [budget] * len(seeds))
+    flags = np.zeros(nodes.shape, dtype=bool)
+    batch = WalkBatch(nodes, flags, deg, [budget] * len(seeds), graph.n)
     return batch.trace(0) if one else batch
 
 
@@ -446,7 +453,7 @@ def rwt_vsa_run(
             {"x": left},
         )
     queries = (budget + flags.sum(axis=0)).tolist()
-    batch = WalkBatch(nodes, flags, total, queries)
+    batch = WalkBatch(nodes, flags, total, queries, target.n)
     return batch.trace(0) if one else batch
 
 
@@ -485,23 +492,28 @@ def rwt_vsa_transition_matrix(hybrid: HybridNetwork, p: AuxDistribution, alpha: 
 
 @dataclass
 class WeightSystem:
-    """Jump weights and distributions for the coupled two-walk sampler.
+    """The weighted hybrid graph of the RWT-RWA walk (see fixed_weight_scheme).
 
-    q is the desired jump-target distribution on the target side; omega and
-    w are jumper-edge weights; q_prime is the distribution the affiliation
-    machinery actually proposes, reconciled with q by the MH chain.
-    ``target_jumps``/``aux_jumps`` hold omega and w with the walkers' visit
-    weights (see Jumps).
+    Hybrid node z is target node z for z < n_t and auxiliary node z - n_t
+    otherwise.  Each row is kept in its own edge units, 1 for a target
+    graph edge and k = alpha/beta for an auxiliary one, so that its graph
+    entries weigh 1 each: ``total[z]`` is the degree ``deg[z]`` plus the
+    row's jump mass, d_x + omega_x on the target (the visit weight) and
+    d_v + w_v/k on the auxiliary side.  ``base[z]`` is where z's row of
+    its own graph starts.  The jump mass sits on z's affiliation entries:
+    ``cum`` holds their cumulative weights, the target rows' entries first,
+    then the auxiliary rows'; ``dest`` the hybrid node each leads to; row z's
+    last entry is ``last[z]``, and ``shift[z] + deg[z]`` is the cumulative
+    weight before its first.
     """
 
-    q: np.ndarray
-    omega: np.ndarray
-    pi_u: np.ndarray
-    w: np.ndarray
-    pi_v: np.ndarray
-    q_prime: np.ndarray
-    target_jumps: Jumps
-    aux_jumps: Jumps
+    total: np.ndarray
+    deg: np.ndarray
+    base: np.ndarray
+    shift: np.ndarray
+    last: np.ndarray
+    cum: np.ndarray
+    dest: np.ndarray
 
 
 def default_desired_distribution(hybrid: HybridNetwork) -> np.ndarray:
@@ -520,18 +532,26 @@ def fixed_weight_scheme(
     beta: float,
     q: np.ndarray | None = None,
 ) -> WeightSystem:
-    """Derive all coupled-walk quantities from a fixed desired distribution q:
+    """The weighted hybrid graph with jump masses alpha and beta:
 
-        omega_u = alpha * q_u
-        pi_u    = (d_u + omega_u) / (2|E| + alpha)
-        w_v     = beta * sum_{u ~b v} pi_u / d_u_bip
-        pi_v    = (d_v + w_v) / (2|E'| + beta)
-        q'_u    = sum_{v ~b u} pi_v / d_v_bip
+        omega_x = alpha * q_x                     target jump weight
+        c_x     = omega_x / d_x_bip               each affiliation edge of x
+        w_v     = sum over users x of v of c_x    auxiliary jump weight
 
-    q defaults to uniform over the affiliation-covered target nodes.
+    with target edges of weight 1 and auxiliary edges of weight
+    k = alpha/beta, so that the auxiliary side's jump mass sum(w)/k is beta
+    in auxiliary-edge units.  The weights are symmetric, so the walk is
+    reversible with stationary law proportional to d_x + omega_x on the
+    target and k d_v + w_v on the auxiliary side.  In an auxiliary row
+    (units of k) the edge to x weighs beta * q_x / d_x_bip, so alpha = 0
+    needs no division.  q defaults to uniform over the affiliation-covered
+    target nodes.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be >= 0")
+    if alpha > 0 and beta == 0:
+        raise ValueError("beta must be > 0 when alpha > 0: an auxiliary visit "
+                         "returns to the target only through jump mass")
     if q is None:
         q = default_desired_distribution(hybrid)
     q = np.asarray(q, dtype=float)
@@ -539,7 +559,7 @@ def fixed_weight_scheme(
         raise ValueError("q must have one entry per target node")
     if abs(float(q.sum()) - 1.0) > 1e-9:
         raise ValueError(f"q not normalized (sum={float(q.sum())!r})")
-    aff = hybrid.affiliation
+    target, aux, aff = hybrid.target, hybrid.auxiliary, hybrid.affiliation
     stranded = (q != 0) & (aff.left_degrees == 0)
     if stranded.any():
         u = int(np.argmax(stranded))
@@ -548,294 +568,79 @@ def fixed_weight_scheme(
             "jumps cannot reach it"
         )
 
-    deg_t = hybrid.target.degrees.astype(float)
-    deg_a = hybrid.auxiliary.degrees.astype(float)
-    two_e = float(hybrid.target.degree_sum)
-    two_e_prime = float(hybrid.auxiliary.degree_sum)
-
-    omega = alpha * q
-    if two_e + alpha <= 0:
-        raise ValueError("target graph has no edges and alpha=0; walk is degenerate")
-    pi_u = (deg_t + omega) / (two_e + alpha)
-
-    w = _spread(beta * pi_u, aff.left_degrees, aff.left_indices, hybrid.auxiliary.n)
-
-    denom_v = two_e_prime + beta
-    pi_v = (deg_a + w) / denom_v if denom_v > 0 else np.zeros(hybrid.auxiliary.n)
-
-    q_prime = _spread(pi_v, aff.right_degrees, aff.right_indices, hybrid.target.n)
-
+    share = np.divide(q, aff.left_degrees, out=np.zeros(target.n), where=aff.left_degrees > 0)
+    n_aff = aff.num_edges
+    cum = np.zeros(2 * n_aff + 1)  # cum[j + 1]: weight of the entries up to j
+    np.multiply(np.repeat(share, aff.left_degrees), alpha, out=cum[1:n_aff + 1])
+    np.multiply(share[aff.right_indices], beta, out=cum[n_aff + 1:])
+    np.cumsum(cum, out=cum)
+    deg = np.concatenate((target.degrees, aux.degrees)).astype(float)
+    mass = np.concatenate((alpha * q, beta * _spread(q, aff.left_degrees, aff.left_indices, aux.n)))
+    first = np.concatenate((aff.left_indptr[:-1], n_aff + aff.right_indptr))
     return WeightSystem(
-        q, omega, pi_u, w, pi_v, q_prime,
-        Jumps(deg_t, omega), Jumps(deg_a, w),
+        total=deg + mass,
+        deg=deg,
+        base=np.concatenate((target.indptr[:-1], aux.indptr[:-1])),
+        shift=cum[first[:-1]] - deg,
+        last=first[1:] - 1,
+        cum=cum[1:],
+        dest=np.concatenate((aff.left_indices + target.n, aff.right_indices)),
     )
 
 
-def closed_form_weights(hybrid: HybridNetwork, alpha: float, beta: float):
-    """Solve the self-consistent jump-weight system exactly:
-
-        omega = c' (I - c c' A Dv^-1 A^T Du^-1)^-1 A Dv^-1 (d_V + c A^T Du^-1 d_U)
-        w     = c  (I - c c' A^T Du^-1 A Dv^-1)^-1 A^T Du^-1 (d_U + c' A Dv^-1 d_V)
-
-    with c = beta/(2|E|+alpha), c' = alpha/(2|E'|+beta).  A is the affiliation
-    adjacency matrix; Du, Dv are diagonal affiliation-degree matrices, with
-    isolated nodes excluded from the inverses (their weight is zero).  Dense
-    solve; intended as an oracle on small instances.
-    """
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be >= 0")
-    n, npr = hybrid.target.n, hybrid.auxiliary.n
-    if n * npr > CLOSED_FORM_CELL_LIMIT:
-        raise ValueError("closed-form solver is restricted to small instances")
-    aff = hybrid.affiliation
-    A = np.zeros((n, npr))
-    A[np.repeat(np.arange(n), aff.left_degrees), aff.left_indices] = 1.0
-    dbu = A.sum(axis=1)
-    dbv = A.sum(axis=0)
-    inv_u = np.where(dbu > 0, 1.0 / np.where(dbu > 0, dbu, 1.0), 0.0)
-    inv_v = np.where(dbv > 0, 1.0 / np.where(dbv > 0, dbv, 1.0), 0.0)
-
-    deg_t = hybrid.target.degrees.astype(float)
-    deg_a = hybrid.auxiliary.degrees.astype(float)
-    two_e = float(hybrid.target.degree_sum)
-    two_e_prime = float(hybrid.auxiliary.degree_sum)
-    c = beta / (two_e + alpha)
-    cp = alpha / (two_e_prime + beta)
-
-    B1 = A * inv_v[None, :]          # A Dv^-1       (n x n')
-    B2 = A.T * inv_u[None, :]        # A^T Du^-1     (n' x n)
-
-    lhs_u = np.eye(n) - c * cp * (B1 @ B2)
-    rhs_u = cp * (B1 @ (deg_a + c * (B2 @ deg_t)))
-    lhs_v = np.eye(npr) - c * cp * (B2 @ B1)
-    rhs_v = c * (B2 @ (deg_t + cp * (B1 @ deg_a)))
-    try:
-        omega = np.linalg.solve(lhs_u, rhs_u)
-        w = np.linalg.solve(lhs_v, rhs_v)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cc' < 1 in theory
-        raise RuntimeError(
-            "singular weight system: cond(target side)="
-            f"{np.linalg.cond(lhs_u):.3e}, cond(auxiliary side)={np.linalg.cond(lhs_v):.3e}"
-        ) from exc
-    return omega, w
-
-
-def mh_step(current: int, proposal: int, q, q_prime, u: float) -> int:
-    """One Metropolis-Hastings accept/reject step, taking the proposal when
-    its acceptance uniform u in [0, 1) falls below the acceptance ratio.
-
-    q is the desired distribution, q_prime the proposal distribution.  The
-    ratio min{1, q[prop] q'[cur] / (q[cur] q'[prop])} only uses ratios, so
-    unnormalized vectors work.
-    """
-    qc = q[current]
-    qpc = q_prime[current]
-    if qc <= 0.0 or qpc <= 0.0:
-        raise RuntimeError(
-            f"chain mis-initialized: state {current} has zero desired or proposal mass"
-        )
-    qu = q[proposal]
-    if qu <= 0.0:
-        return current
-    qpu = q_prime[proposal]
-    if qpu <= 0.0:
-        return proposal
-    ratio = (qu * qpc) / (qc * qpu)
-    if ratio >= 1.0 or u < ratio:
-        return proposal
-    return current
-
-
-def mh_accept(current, proposal, u, q, q_prime) -> np.ndarray:
-    """mh_step for arrays of states: whether each proposal is taken, given
-    its uniform u in [0, 1).
-
-    Every current state must have positive q and q' mass (the caller
-    checks), and q, q' are nonnegative.  The ratio is mh_step's expression,
-    so u < ratio is mh_step's test, and it also decides mh_step's two early
-    returns: a proposal without q-mass gives ratio 0 (or nan, 0/0), never
-    taken, and one with q-mass but no q'-mass gives inf, always taken.  Run
-    it under ``np.errstate(divide="ignore", invalid="ignore")`` to silence
-    those divisions.
-    """
-    ratio = (q[proposal] * q_prime[current]) / (q[current] * q_prime[proposal])
-    return u < ratio
-
-
-def run_mh_chain(q, q_prime, start: int, steps: int, seed) -> list:
-    """Standalone MH chain with proposals drawn i.i.d. from q_prime.
-
-    Returns the visited states x_1..x_steps (x_1 = start).  Step i reads
-    the i-th pair of STREAM_MH uniforms: the proposal, the first node whose
-    cumulative q' mass exceeds u * sum(q') (never one without mass), and
-    the acceptance uniform.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    cum = np.cumsum(np.asarray(q_prime, dtype=float))
-    if not cum[-1] > 0:
-        raise ValueError("proposal distribution has no mass")
-    u = spawn_generator(seed, STREAM_MH).random((steps - 1, 2))
-    proposals = np.searchsorted(cum, u[:, 0] * cum[-1], side="right").tolist()
-    # Python lists: the chain indexes one scalar at a time
-    q = np.asarray(q, dtype=float).tolist()
-    qp = np.asarray(q_prime, dtype=float).tolist()
-    x = start
-    out = [x]
-    for proposal, accept_u in zip(proposals, u[:, 1].tolist()):
-        x = mh_step(x, proposal, q, qp, accept_u)
-        out.append(x)
-    return out
-
-
-@dataclass
-class RwtRwaDetail:
-    """Side-channel record of a coupled run: companion chain paths (flat,
-    walk by walk) and the count of auxiliary jumps that fell back to a
-    walking move because the target walker had no affiliation edges."""
-
-    aux_nodes: list = field(default_factory=list)
-    mh_nodes: list = field(default_factory=list)
-    fallback_jumps: int = 0
-
-
 def rwt_rwa_run(
-    hybrid: HybridNetwork,
-    ws: WeightSystem,
-    budget: int,
-    starts,
-    seed,
-    *,
-    detail: RwtRwaDetail | None = None,
+    hybrid: HybridNetwork, ws: WeightSystem, budget: int, start, seed
 ) -> SampleTrace | WalkBatch:
-    """Coupled run of three chains advancing in lockstep, with the jump
-    weights and distributions of ``ws`` (see fixed_weight_scheme).
+    """Random walk on the weighted hybrid graph of ``ws``, started on the
+    target.  The walk is reversible, so target visits have stationary law
+    proportional to d_x + omega_x, their recorded weight.
 
-    Per round, from (x_i, x'_i, y_i):
+    Step t from hybrid node z sets s = u_t total[z], with u_t the walk's
+    t-th STREAM_TARGET uniform: s < deg[z] moves to graph neighbour
+    floor(s) of z, and otherwise s - deg[z] picks z's affiliation entry by
+    cumulative weight, a jump.  At alpha = 0 a target walk never jumps and
+    its trace is simple_rw_run's.
 
-    1. MH chain: propose a uniform affiliation neighbor of y_i and
-       accept/reject against (q, q'), giving x'_{i+1}.
-    2. Auxiliary walk: with probability w_y/(d_y + w_y) jump to a uniform
-       affiliation neighbor of x_i (falling back to a walking move if x_i
-       has none), else move to a uniform auxiliary-graph neighbor.
-    3. Target walk: with probability omega_x/(d_x + omega_x) jump to
-       x'_{i+1}, else move to a uniform target-graph neighbor.
-
-    The trace records target visits with weights d_x + omega_x.  ``starts``
-    and ``seed`` are one walk's (x, x', y) and seed, giving a SampleTrace,
-    or sequences of R walks', giving a WalkBatch run in lockstep.  With
-    ``detail`` the auxiliary and MH paths are appended to it walk by walk.
-
-    Streams, each read the same number of times in every round: the MH
-    step takes two STREAM_MH uniforms (proposal, acceptance); each walk
-    takes one uniform of its own stream for its move (see Jumps), so at
-    alpha = beta = 0 both walks are simple_rw_run's; the auxiliary jump's
-    landing, or its fallback move, takes one STREAM_AUX_JUMP uniform.
+    Every step is one query, so a walk of ``budget`` steps costs ``budget``
+    queries; its trace keeps the target visits in order (WalkBatch.trace),
+    each flagged jumped when it was entered from an auxiliary node.
+    ``start`` (target nodes) and ``seed`` are as in simple_rw_run.
     """
-    target, aux, aff = hybrid.target, hybrid.auxiliary, hybrid.affiliation
+    target, aux = hybrid.target, hybrid.auxiliary
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    triples, seeds, one = _batch_args(starts, seed)
-    if triples.ndim != 2 or triples.shape[1] != 3:
-        raise ValueError("starts must be (x, x', y) triples")
-    x0, xp, y = triples.T.copy()
-    if ((x0 < 0) | (x0 >= target.n) | (xp < 0) | (xp >= target.n) | (y < 0) | (y >= aux.n)).any():
-        raise ValueError("start nodes out of range")
-    q, q_prime = ws.q, ws.q_prime
-    bad_mass = (q <= 0.0) | (q_prime <= 0.0)
-    if bad_mass[xp].any():
-        r = int(np.argmax(bad_mass[xp]))
-        raise WalkError(
-            r, f"chain mis-initialized: MH start {xp[r]} has zero desired or proposal mass"
-        )
-
-    t_deg, a_deg = target.degrees.astype(float), aux.degrees.astype(float)
-    l_deg, r_deg = aff.left_degrees.astype(float), aff.right_degrees.astype(float)
-    no_venue, has_users = aff.left_degrees == 0, aff.right_degrees > 0
-    t_total, a_total = ws.target_jumps.total, ws.aux_jumps.total
-    walks = len(seeds)
-    # A round makes five picks k, each the entry floor(s_k) of a row, with
-    # s_k = u_k * scale: the MH proposal (right row of y), the auxiliary
-    # move (auxiliary row of y, scaled by d + w), the venue (left row of x),
-    # the fallback move (auxiliary row of y) and the target move (target
-    # row of x, scaled by d + omega).  Their rows share the tables scale,
-    # deg and base at offsets[k] + node; a move with s_k >= d_k is a jump.
-    n_t, n_a = target.n, aux.n
-    offsets = np.repeat(np.cumsum([0, n_a, n_a, n_t, n_a])[:, None], walks, axis=1)
-    of_node = np.array([0, 0, 1, 0, 1])  # each pick's row is of y or of x
-    scale = np.concatenate((r_deg, a_total, l_deg, a_deg, t_total))
-    deg = np.concatenate((r_deg, a_deg, l_deg, a_deg, t_deg))
-    base = np.concatenate((aff.right_indptr[:-1], aux.indptr[:-1], aff.left_indptr[:-1],
-                           aux.indptr[:-1], target.indptr[:-1]))
-    r_cols, a_cols = _entries(aff.right_indices), _entries(aux.indices)
-    l_cols, t_cols = _entries(aff.left_indices), _entries(target.indices)
-    nodes = np.empty((budget, walks), dtype=np.int64)
-    nodes[0] = x0
+    starts, seeds, one = _batch_args(start, seed)
+    if ((starts < 0) | (starts >= target.n)).any():
+        raise ValueError("start node out of range")
+    n_t = target.n
+    total, deg, base, shift, last = ws.total, ws.deg, ws.base, ws.shift, ws.last
+    cum, dest = ws.cum, _entries(ws.dest)
+    t_cols, a_cols = _entries(target.indices), _entries(aux.indices)
+    nodes = np.empty((budget, len(seeds)), dtype=np.int64)
+    nodes[0] = starts
+    moves = _Uniforms(seeds, STREAM_TARGET, 1)
+    for t0, steps in _blocks(budget):
+        u = moves.block(steps)[0]
+        for i in range(steps):
+            z, nxt = nodes[t0 + i - 1], nodes[t0 + i]
+            s = total.take(z)
+            s *= u[i]
+            jump = s >= deg.take(z)
+            pos = base.take(z)
+            pos += s.astype(np.int64)
+            t_cols.take(pos, mode="clip", out=nxt)
+            on_aux = z >= n_t
+            np.copyto(nxt, a_cols.take(pos, mode="clip") + n_t, where=on_aux)
+            # jump: the entry whose cumulative weight passes s - deg[z]
+            s += shift.take(z)
+            j = cum.searchsorted(s, side="right")
+            np.minimum(j, last.take(z), out=j)
+            np.copyto(nxt, dest.take(j, mode="clip"), where=jump)
+        left = nodes[t0 - 1:t0 + steps - 1]
+        _first_error([(total[left] == 0.0, "absorbing node {x}; increase alpha or fix "
+                      "affiliation coverage")], {"x": left})
     flags = np.zeros(nodes.shape, dtype=bool)
-    mh_u = _Uniforms(seeds, STREAM_MH, 2)
-    aux_u = _Uniforms(seeds, STREAM_AUX, 1)
-    land_u = _Uniforms(seeds, STREAM_AUX_JUMP, 1)
-    move_u = _Uniforms(seeds, STREAM_TARGET, 1)
-    state = np.stack((y, x0, xp))  # (y, x, x') of every walk
-    aux_path, mh_path, fallbacks = [y[None]], [xp[None]], 0
-    # a zero-mass MH proposal divides by zero (see mh_accept)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t0, steps in _blocks(budget):
-            m = mh_u.block(steps)
-            uj = land_u.block(steps)[0]
-            u = np.stack((m[0], aux_u.block(steps)[0], uj, uj, move_u.block(steps)[0]), axis=1)
-            # states[i]: (y, x, x') entering round t0 + i; jumped[i]: s_k >= d_k
-            states = np.empty((steps + 1, 3, walks), dtype=np.int64)
-            states[0] = state
-            jumped = np.empty((steps, 5, walks), dtype=bool)
-            for i in range(steps):
-                y, x, xp = states[i, 0], states[i, 1], states[i, 2]
-                y_next, x_next, xp_next = states[i + 1, 0], states[i + 1, 1], states[i + 1, 2]
-                rows = states[i].take(of_node, axis=0)
-                rows += offsets
-                s = u[i] * scale[rows]
-                d = deg[rows]
-                jump = np.greater_equal(s, d, out=jumped[i])
-                pos = base[rows] + s.astype(np.int64)
-                # MH chain fed by the auxiliary walker's affiliation neighbors
-                proposal = r_cols.take(pos[0], mode="clip")
-                accept = mh_accept(xp, proposal, m[1, i], q, q_prime)
-                accept &= has_users[y]
-                xp_next[:] = xp
-                np.copyto(xp_next, proposal, where=accept)
-                # auxiliary walk, jumping through the target walker's
-                # affiliations, or walking when it has none
-                a_cols.take(pos[1], mode="clip", out=y_next)
-                land = l_cols.take(pos[2], mode="clip")
-                np.copyto(land, a_cols.take(pos[3], mode="clip"), where=no_venue[x])
-                np.copyto(y_next, land, where=jump[1])
-                # target walk jumping to the fresh MH sample
-                t_cols.take(pos[4], mode="clip", out=x_next)
-                np.copyto(x_next, xp_next, where=jump[4])
-            state = states[-1]
-            nodes[t0:t0 + steps] = states[1:, 1]
-            flags[t0:t0 + steps] = jumped[:, 4]
-            ys, xs, xps = states[:-1, 0], states[:-1, 1], states[:-1, 2]
-            _first_error(
-                [
-                    (has_users[ys] & bad_mass[xps],
-                     "chain mis-initialized: state {xp} has zero desired or proposal mass"),
-                    (a_total[ys] == 0.0, "auxiliary chain absorbed at node {y}"),
-                    ((a_deg[ys] == 0.0) & no_venue[xs],
-                     "auxiliary chain absorbed: node {y} has no neighbors and the "
-                     "target walker at {x} has no affiliation edges to jump through"),
-                    (t_total[xs] == 0.0,
-                     "absorbing node {x}; increase alpha or fix affiliation coverage"),
-                ],
-                {"x": xs, "xp": xps, "y": ys},
-            )
-            fallbacks += int(np.count_nonzero(jumped[:, 1] & no_venue[xs]))
-            if detail is not None:
-                aux_path.append(states[1:, 0])
-                mh_path.append(states[1:, 2])
-    if detail is not None:
-        detail.aux_nodes.extend(np.concatenate(aux_path).T.ravel().tolist())
-        detail.mh_nodes.extend(np.concatenate(mh_path).T.ravel().tolist())
-        detail.fallback_jumps += fallbacks
-    batch = WalkBatch(nodes, flags, t_total, [2 * budget] * len(seeds))
+    np.greater_equal(nodes[:-1], n_t, out=flags[1:])
+    flags[1:] &= nodes[1:] < n_t
+    batch = WalkBatch(nodes, flags, total, [budget] * len(seeds), n_t)
     return batch.trace(0) if one else batch

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Stream offsets for coupled walks.
+# Stream offsets of a replication seed: the walk's moves, the auxiliary draws.
 STREAM_TARGET = 0
-STREAM_MH = 1
 STREAM_AUX = 2
-STREAM_AUX_JUMP = 3  # where a coupled auxiliary walker's jump lands
 
 
 def spawn_seed(master: int, *key: int) -> int:

@@ -197,10 +197,11 @@ def build_synthetic_hybrid(cfg: SynthConfig) -> HybridNetwork:
     graphs, 3 the bridge and 4 the affiliation pairs.
     """
     n = cfg.n_per_graph
-    g1 = generate_ba(n, cfg.m1, cfg.seed, 0)
-    g3 = generate_ba(n, cfg.m3, cfg.seed, 2)
+    g1 = ba_endpoints(n, cfg.m1, spawn_generator(cfg.seed, 0)).reshape(-1, 2)
+    g3 = ba_endpoints(n, cfg.m3, spawn_generator(cfg.seed, 2)).reshape(-1, 2)
+    g3 += n
     u, v = (spawn_generator(cfg.seed, 3).random(2) * n).astype(np.int64).tolist()
-    edges = np.concatenate((g1.edge_array(), g3.edge_array() + n, [(u, n + v)]))
+    edges = np.concatenate((g1, g3, [(u, n + v)]))
     del g1, g3  # the target's CSR build is the peak of set-up; build it alone
     target = Graph(2 * n, edges)
     del edges

@@ -18,15 +18,6 @@ from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
 from hybridsample.samplers import VsaSample
 
 
-def pair_hybrid():
-    """Two users joined by one edge, two venues joined by one edge, and a
-    single affiliation edge (u0, v0)."""
-    target = Graph(2, [(0, 1)])
-    aux = Graph(2, [(0, 1)])
-    aff = BipartiteGraph(2, 2, [(0, 0)])
-    return HybridNetwork(target, aux, aff)
-
-
 def two_user_hybrid():
     """Users u0,u1; venues v0,v1; edges (u0,v0),(u1,v0),(u1,v1)."""
     target = Graph(2, [(0, 1)])
@@ -223,6 +214,37 @@ def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int) -> dict:
 
     descend(root, 1.0, 0)
     return out
+
+
+def hybrid_rows(h: HybridNetwork, ws) -> np.ndarray:
+    """Dense (N, N) weights of the RWT-RWA walk's rows over the hybrid
+    nodes (target x is x, auxiliary v is n_t + v), in each row's own units:
+    1 per graph edge, and the cumulative-weight steps of the row's
+    affiliation entries, which the walk's tables place in rows in node order.
+    """
+    n_t = h.target.n
+    rows = np.zeros((n_t + h.auxiliary.n, n_t + h.auxiliary.n))
+    for offset, g in ((0, h.target), (n_t, h.auxiliary)):
+        for z, nbrs in enumerate(csr_rows(g.indptr, g.indices)):
+            rows[offset + z, [offset + y for y in nbrs]] = 1.0
+    entry = np.diff(ws.cum, prepend=0.0).tolist()
+    first = 0
+    for z, last in enumerate(ws.last.tolist()):
+        for j in range(first, last + 1):
+            rows[z, int(ws.dest[j])] += entry[j]
+        first = last + 1
+    return rows
+
+
+def stationary_solve(P: np.ndarray) -> np.ndarray:
+    """Stationary row vector of an irreducible stochastic matrix: pi P = pi
+    with sum(pi) = 1, by one linear solve."""
+    n = len(P)
+    lhs = P.T - np.eye(n)
+    lhs[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    return np.linalg.solve(lhs, rhs)
 
 
 def left_stationary(P: np.ndarray) -> np.ndarray:

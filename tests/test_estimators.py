@@ -201,13 +201,24 @@ def test_walk_theta_uniform_weights_is_frequency():
     assert rep.theta == {0: pytest.approx(1 / 6), 1: pytest.approx(2 / 6), 2: pytest.approx(3 / 6)}
 
 
+def _pooled_trace(batch, burn_in: int) -> SampleTrace:
+    """One trace of the visits of every walk of a lockstep batch after its
+    first burn_in steps (walk_theta's sums do not depend on visit order)."""
+    nodes = batch.nodes[burn_in:].ravel()
+    jumped = batch.flags[burn_in:].ravel().tolist()
+    return SampleTrace(nodes, batch.weight[nodes], jumped, len(nodes), len(nodes))
+
+
 def test_walk_theta_long_run_rwt_vsa():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=12, seed=2))
     truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
     support = np.flatnonzero(h.affiliation.right_degrees)
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-    trace = rwt_vsa_run(h, p, 1.0, 10**6, 0, seed=17)
-    rep = walk_theta(trace, degree_labels(h.target.degrees))
+    # 1000 lockstep walks, 50 from each node: 1e6 visits after burn-in
+    walks = 1000
+    batch = rwt_vsa_run(h, p, 1.0, 1300, np.arange(walks) % h.target.n,
+                        [17 + r for r in range(walks)])
+    rep = walk_theta(_pooled_trace(batch, 300), degree_labels(h.target.degrees))
     for l, t in truth.theta.items():
         assert rep.theta.get(l, 0.0) == pytest.approx(t, abs=0.01)
 
@@ -216,8 +227,11 @@ def test_walk_theta_simple_rw_reweighted():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=12, seed=2))
     # bridge makes the target connected, so the degree-weighted walk covers it
     truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
-    trace = simple_rw_run(h.target, 10**6, 0, seed=23)
-    rep = walk_theta(trace, degree_labels(h.target.degrees))
+    # 1000 lockstep walks, 50 from each node: 1e6 visits after burn-in
+    walks = 1000
+    batch = simple_rw_run(h.target, 1300, np.arange(walks) % h.target.n,
+                          [23 + r for r in range(walks)])
+    rep = walk_theta(_pooled_trace(batch, 300), degree_labels(h.target.degrees))
     for l, t in truth.theta.items():
         assert rep.theta.get(l, 0.0) == pytest.approx(t, abs=0.01)
 

@@ -7,24 +7,16 @@ import pytest
 from helpers import (
     csr_rows,
     left_stationary,
-    pair_hybrid,
     random_hybrid,
-    two_user_hybrid,
 )
 from hybridsample import samplers
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
 from hybridsample.samplers import (
     AuxDistribution,
-    RwtRwaDetail,
     WalkError,
-    closed_form_weights,
     compute_qu,
-    default_desired_distribution,
     fixed_weight_scheme,
     harvest,
-    mh_accept,
-    mh_step,
-    run_mh_chain,
     rwt_rwa_run,
     rwt_vsa_run,
     rwt_vsa_transition_matrix,
@@ -196,12 +188,19 @@ def test_simple_rw_path_transition_probabilities():
     assert frac0 == pytest.approx(0.5, abs=0.02)
 
 
+def _visit_freq(batch, burn_in: int, n: int) -> np.ndarray:
+    """Visit frequencies of a lockstep batch after its first burn_in steps."""
+    kept = batch.nodes[burn_in:].ravel()
+    return np.bincount(kept, minlength=n) / len(kept)
+
+
 def test_simple_rw_cycle_uniform():
+    # 1100 lockstep walks, 100 from each node: 1.1e6 visits after burn-in
     n = 11
     g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    trace = simple_rw_run(g, 10**6, 0, seed=4)
-    freq = np.bincount(trace.nodes, minlength=n) / len(trace)
-    assert np.abs(freq - 1.0 / n).max() < 0.01
+    walks = 1100
+    batch = simple_rw_run(g, 1100, np.arange(walks) % n, [4 + r for r in range(walks)])
+    assert np.abs(_visit_freq(batch, 100, n) - 1.0 / n).max() < 0.01
 
 
 def test_simple_rw_degree_stationary_law():
@@ -209,10 +208,12 @@ def test_simple_rw_degree_stationary_law():
     from helpers import random_connected_graph
 
     g = random_connected_graph(rng, 40, 80)
-    trace = simple_rw_run(g, 10**6, 0, seed=7)
-    freq = np.bincount(trace.nodes, minlength=g.n) / len(trace)
+    # five walks from each CSR entry's row start at the degree law: 1190
+    # walks, 1.19e6 visits after burn-in
+    starts = np.tile(np.repeat(np.arange(g.n), g.degrees), 5)
+    batch = simple_rw_run(g, 1100, starts, [7 + r for r in range(len(starts))])
     pi = np.array([g.degree(u) for u in range(g.n)]) / g.degree_sum
-    assert np.abs(freq - pi).max() < 0.01
+    assert np.abs(_visit_freq(batch, 100, g.n) - pi).max() < 0.01
 
 
 def test_simple_rw_absorbing_error():
@@ -240,11 +241,12 @@ def test_rwt_vsa_empirical_stationarity_four_nodes():
     aff = BipartiteGraph(4, 2, [(0, 0), (1, 0), (2, 1), (3, 1), (0, 1)])
     h = HybridNetwork(target, aux, aff)
     p = AuxDistribution.uniform(2)
-    trace = rwt_vsa_run(h, p, 1.0, 10**6, 0, seed=13)
-    freq = np.bincount(trace.nodes, minlength=4) / len(trace)
+    # 1000 lockstep walks, 250 from each node: 1e6 visits after burn-in
+    walks = 1000
+    batch = rwt_vsa_run(h, p, 1.0, 1100, np.arange(walks) % 4, [13 + r for r in range(walks)])
     pi = stationary_rwt_vsa(h, p, 1.0)
-    assert np.abs(freq - pi).max() < 0.01
-    assert trace.query_count == trace.budget + sum(trace.jumped)
+    assert np.abs(_visit_freq(batch, 100, 4) - pi).max() < 0.01
+    assert batch.queries == (1100 + batch.flags.sum(axis=0)).tolist()
 
 
 def test_rwt_vsa_absorbing_error():
@@ -306,31 +308,38 @@ def test_detailed_balance_small_hybrids():
 
 def test_fixed_weight_scheme_beta_zero():
     h = small_synthetic()
-    ws = fixed_weight_scheme(h, 1.0, 0.0)
-    assert np.all(ws.w == 0.0)
-    deg = np.array([h.auxiliary.degree(v) for v in range(h.auxiliary.n)], dtype=float)
-    assert np.allclose(ws.pi_v, deg / h.auxiliary.degree_sum)
+    # a walk that jumps to the auxiliary side could never come back
+    with pytest.raises(ValueError, match="beta must be > 0 when alpha > 0"):
+        fixed_weight_scheme(h, 1.0, 0.0)
+    ws = fixed_weight_scheme(h, 0.0, 0.0)  # no jump mass: the two plain graphs
+    assert np.array_equal(ws.total, ws.deg)
 
 
 def test_fixed_weight_scheme_hand_numbers():
-    h = two_user_hybrid()
-    # both users linked to one shared venue; p concentrated there gives q = (1/2, 1/2)
+    # both users linked to one venue, q = (1/2, 1/2), alpha = 2, beta = 1:
+    # omega = (1, 1), each affiliation edge weighs c = 1 in target units and
+    # c / k = 1/2 in the venue's (k = alpha / beta = 2)
     hb = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0), (1, 0)]))
     q = compute_qu(hb, AuxDistribution.explicit([1.0]))
-    ws = fixed_weight_scheme(hb, 1.0, 1.0, q)
-    assert np.allclose(ws.omega, [0.5, 0.5])
-    assert np.allclose(ws.pi_u, [0.5, 0.5])            # (1 + 0.5) / (2 + 1)
-    assert np.allclose(ws.w, [1.0])                     # 0.5/1 + 0.5/1
-    assert np.allclose(ws.pi_v, [1.0])                  # (0 + 1) / (0 + 1)
-    assert np.allclose(ws.q_prime, [0.5, 0.5])
-    assert h.affiliation.num_edges == 3  # the asymmetric variant stays available
+    ws = fixed_weight_scheme(hb, 2.0, 1.0, q)
+    assert ws.total.tolist() == [2.0, 2.0, 1.0]
+    assert ws.deg.tolist() == [1.0, 1.0, 0.0]
+    assert ws.cum.tolist() == [1.0, 2.0, 2.5, 3.0]
+    assert ws.dest.tolist() == [2, 2, 0, 1]
+    assert ws.last.tolist() == [0, 1, 3]
+    assert (ws.shift + ws.deg).tolist() == [0.0, 1.0, 2.0]  # weight before each row
 
 
-def test_fixed_weight_scheme_pi_v_normalized_on_synthetic():
+def test_fixed_weight_scheme_jump_masses_on_synthetic():
+    # each side's jump mass in its own edge units: alpha, then beta
     h = small_synthetic(50, 80, seed=10)
     ws = fixed_weight_scheme(h, 2.0, 3.0)
-    assert abs(ws.pi_u.sum() - 1.0) <= 1e-12
-    assert abs(ws.pi_v.sum() - 1.0) <= 1e-12
+    n_t, n_aff = h.target.n, h.affiliation.num_edges
+    mass = ws.total - ws.deg
+    assert abs(mass[:n_t].sum() - 2.0) <= 1e-12
+    assert abs(mass[n_t:].sum() - 3.0) <= 1e-12
+    assert abs(ws.cum[n_aff - 1] - 2.0) <= 1e-12
+    assert abs(ws.cum[-1] - 5.0) <= 1e-12
 
 
 def test_fixed_weight_scheme_rejects_uncovered_q_mass():
@@ -339,176 +348,55 @@ def test_fixed_weight_scheme_rejects_uncovered_q_mass():
         fixed_weight_scheme(h, 1.0, 1.0, np.array([0.5, 0.5]))
 
 
-def test_closed_form_alpha_zero():
-    h = small_synthetic()
-    omega, w = closed_form_weights(h, 0.0, 2.0)
-    assert np.abs(omega).max() == 0.0
-    assert np.all(w >= 0.0)
-
-
-def test_closed_form_pair_hand_algebra():
-    h = pair_hybrid()
-    omega, w = closed_form_weights(h, 1.0, 1.0)
-    # scalar fixed point: omega_u0 = c'(d_v0 + c d_u0) / (1 - c c'), c = c' = 1/3
-    assert omega[0] == pytest.approx(0.5, abs=1e-12)
-    assert omega[1] == 0.0
-    assert w[0] == pytest.approx(0.5, abs=1e-12)
-    assert w[1] == 0.0
-
-
-def _weight_residuals(h, alpha, beta, omega, w):
-    deg_t = np.array([h.target.degree(u) for u in range(h.target.n)], dtype=float)
-    deg_a = np.array([h.auxiliary.degree(v) for v in range(h.auxiliary.n)], dtype=float)
-    pi_u = (deg_t + omega) / (h.target.degree_sum + alpha)
-    pi_v = (deg_a + w) / (h.auxiliary.degree_sum + beta)
-    aff = h.affiliation
-    left = csr_rows(aff.left_indptr, aff.left_indices)
-    right = csr_rows(aff.right_indptr, aff.right_indices)
-    r_omega = omega.copy()
-    for u in range(h.target.n):
-        r_omega[u] -= alpha * sum(pi_v[v] / len(right[v]) for v in left[u])
-    r_w = w.copy()
-    for v in range(h.auxiliary.n):
-        r_w[v] -= beta * sum(pi_u[u] / len(left[u]) for u in right[v])
-    return max(np.abs(r_omega).max(), np.abs(r_w).max())
-
-
-def test_closed_form_satisfies_residual_system():
-    rng = random.Random(31)
-    h = random_hybrid(rng, 50, 30)
-    assert _weight_residuals(h, 1.3, 0.8, *closed_form_weights(h, 1.3, 0.8)) < 1e-9
-
-
-def test_closed_form_equals_fixed_point_iteration_limit():
-    rng = random.Random(6)
-    h = random_hybrid(rng, 60, 40)
-    alpha, beta = 1.1, 2.3
-    omega_cf, w_cf = closed_form_weights(h, alpha, beta)
-    omega = alpha * default_desired_distribution(h)
-    aff = h.affiliation
-    left = csr_rows(aff.left_indptr, aff.left_indices)
-    right = csr_rows(aff.right_indptr, aff.right_indices)
-    deg_t = np.array([h.target.degree(u) for u in range(h.target.n)], dtype=float)
-    deg_a = np.array([h.auxiliary.degree(v) for v in range(h.auxiliary.n)], dtype=float)
-    w = np.zeros(h.auxiliary.n)
-    for _ in range(400):
-        pi_u = (deg_t + omega) / (h.target.degree_sum + alpha)
-        w = np.zeros(h.auxiliary.n)
-        for u in range(h.target.n):
-            share = beta * pi_u[u] / len(left[u])
-            for v in left[u]:
-                w[v] += share
-        pi_v = (deg_a + w) / (h.auxiliary.degree_sum + beta)
-        omega = np.zeros(h.target.n)
-        for v in range(h.auxiliary.n):
-            share = alpha * pi_v[v] / len(right[v])
-            for u in right[v]:
-                omega[u] += share
-    assert np.abs(omega - omega_cf).max() < 1e-9
-    assert np.abs(w - w_cf).max() < 1e-9
-
-
-# ---------------------------------------------------------------- MH chain
-
-
-def test_mh_step_identity_distributions_always_accept():
-    q = np.array([0.2, 0.3, 0.5])
-    for proposal in range(3):
-        for u in (0.0, 0.5, 0.999):
-            assert mh_step(1, proposal, q, q, u) == proposal
-
-
-def test_mh_step_zero_mass_proposal_never_accepted():
-    q = np.array([0.5, 0.5, 0.0])
-    qp = np.array([0.4, 0.4, 0.2])
-    assert all(mh_step(0, 2, q, qp, u) == 0 for u in np.linspace(0.0, 0.999, 50))
-
-
-def test_mh_step_misinitialized():
-    q = np.array([0.0, 1.0])
-    with pytest.raises(RuntimeError, match="mis-initialized"):
-        mh_step(0, 1, q, q, 0.5)
-
-
-def test_mh_chain_long_run_matches_desired():
-    rng = random.Random(21)
-    h = random_hybrid(rng, 10, 5)
-    ws = fixed_weight_scheme(h, 4.0, 3.0)
-    states = run_mh_chain(ws.q, ws.q_prime, 0, 10**6, seed=5)
-    freq = np.bincount(states, minlength=10) / len(states)
-    assert 0.5 * np.abs(freq - ws.q).sum() < 0.02
-
-
 # ---------------------------------------------------------------- rwt_rwa
 
 
 def test_rwt_rwa_zero_jump_reduction():
+    # at alpha = 0 a target walk never jumps, whatever beta
     h = small_synthetic()
-    ws = fixed_weight_scheme(h, 0.0, 0.0)
-    detail = RwtRwaDetail()
-    trace = rwt_rwa_run(h, ws, 4000, (5, 0, 7), seed=42, detail=detail)
-    ref_target = simple_rw_run(h.target, 4000, 5, seed=42)
-    assert np.array_equal(trace.nodes, ref_target.nodes)
-    assert np.array_equal(trace.weights, ref_target.weights)
-    ref_aux = simple_rw_run(h.auxiliary, 4000, 7, seed=42, stream=STREAM_AUX)
-    assert np.array_equal(detail.aux_nodes, ref_aux.nodes)
-
-
-def test_rwt_rwa_empirical_stationarity():
-    h = small_synthetic()
-    ws = fixed_weight_scheme(h, 1.0, 1.0)
-    trace = rwt_rwa_run(h, ws, 10**6, (0, 0, 0), seed=99)
-    freq = np.bincount(trace.nodes, minlength=h.target.n) / len(trace)
-    assert np.abs(freq - ws.pi_u).max() < 0.01
+    ref = simple_rw_run(h.target, 4000, 5, seed=42)
+    for beta in (0.0, 1.0):
+        trace = rwt_rwa_run(h, fixed_weight_scheme(h, 0.0, beta), 4000, 5, seed=42)
+        assert np.array_equal(trace.nodes, ref.nodes)
+        assert np.array_equal(trace.weights, ref.weights)
+        assert not any(trace.jumped) and trace.query_count == 4000
 
 
 def test_rwt_rwa_crosses_components_via_jumps():
+    # the two halves of the target are joined by one bridge edge; the walk
+    # crosses through the auxiliary side.  20 walks of 10,000 steps from a
+    # first-half node: their mean share of target visits in the first half is
+    # the stationary share of d + omega within 4 SE, the SE taken from the
+    # spread of the walks' shares
+    n = 500
     h = build_synthetic_hybrid(
-        SynthConfig(n_per_graph=500, m1=2, m2=5, m3=10, extra_pairs=1000, seed=1)
+        SynthConfig(n_per_graph=n, m1=2, m2=5, m3=10, extra_pairs=1000, seed=1)
     )
-    n_cov = len(h.covered_targets())
-    alpha = 1.0 * n_cov
-    beta = 1.0 * h.auxiliary.n
+    covered = h.covered_targets()
+    alpha, beta = 1.0 * len(covered), 1.0 * h.auxiliary.n
     ws = fixed_weight_scheme(h, alpha, beta)
-    trace = rwt_rwa_run(h, ws, 10_000, (10, 10, 0), seed=2)
-    in_first = sum(1 for x in trace.nodes if x < 500)
-    assert in_first > 0.2 * len(trace)
-    assert len(trace) - in_first > 0.2 * len(trace)
-    assert any(trace.jumped)
+    walks = 20
+    batch = rwt_rwa_run(h, ws, 10_000, [10] * walks, [2 + r for r in range(walks)])
+    share = np.array([np.mean(batch.trace(r).nodes < n) for r in range(walks)])
+    weight = h.target.degrees.astype(float)
+    weight[covered] += alpha / len(covered)
+    exact = weight[:n].sum() / weight.sum()
+    se = share.std(ddof=1) / np.sqrt(walks)
+    assert abs(share.mean() - exact) < 4 * se
+    assert share.min() > 0.0 and share.max() < 1.0
+    assert batch.flags.any()
 
 
-def test_rwt_rwa_fallback_jump_logged():
-    # target node 1 has no affiliation edges; jumps landing while the walker
-    # sits there fall back to plain auxiliary moves
-    target = Graph(2, [(0, 1)])
+def test_rwt_rwa_absorbing_start():
+    # target node 2 has no edges and no q-mass, so no weight to leave by
+    target = Graph(3, [(0, 1)])
     aux = Graph(2, [(0, 1)])
-    aff = BipartiteGraph(2, 2, [(0, 0), (0, 1)])
+    aff = BipartiteGraph(3, 2, [(0, 0), (1, 1)])
     h = HybridNetwork(target, aux, aff)
-    q = np.array([1.0, 0.0])
-    ws = fixed_weight_scheme(h, 5.0, 5.0, q)
-    detail = RwtRwaDetail()
-    rwt_rwa_run(h, ws, 4000, (0, 0, 0), seed=3, detail=detail)
-    assert detail.fallback_jumps > 0
-
-
-def test_rwt_rwa_misinitialized_mh_start():
-    h = small_synthetic()
-    q = default_desired_distribution(h)
-    q = np.where(np.arange(len(q)) == 0, 0.0, q)
-    q = q / q.sum()
-    ws = fixed_weight_scheme(h, 1.0, 1.0, q)
-    with pytest.raises(RuntimeError, match="mis-initialized"):
-        rwt_rwa_run(h, ws, 100, (1, 0, 0), seed=0)
-
-
-def test_rwt_rwa_auxiliary_absorbed():
-    target = Graph(2, [(0, 1)])
-    aux = Graph(3, [(0, 1)])  # node 2 isolated; beta=0 gives it no jump mass
-    aff = BipartiteGraph(2, 3, [(0, 0), (1, 1)])
-    h = HybridNetwork(target, aux, aff)
-    ws = fixed_weight_scheme(h, 0.0, 0.0)
-    with pytest.raises(RuntimeError, match="auxiliary chain absorbed"):
-        rwt_rwa_run(h, ws, 100, (0, 0, 2), seed=0)
+    ws = fixed_weight_scheme(h, 1.0, 1.0)
+    with pytest.raises(WalkError, match=r"replication 1: absorbing node 2;") as info:
+        rwt_rwa_run(h, ws, 100, [0, 2], [0, 1])
+    assert info.value.replication == 1
 
 
 def test_runs_deterministic_per_seed():
@@ -520,9 +408,11 @@ def test_runs_deterministic_per_seed():
     assert np.array_equal(t1.nodes, t2.nodes) and t1.jumped == t2.jumped
     assert not np.array_equal(t1.nodes, t3.nodes)
     ws = fixed_weight_scheme(h, 1.0, 1.0)
-    r1 = rwt_rwa_run(h, ws, 2000, (0, 0, 0), seed=5)
-    r2 = rwt_rwa_run(h, ws, 2000, (0, 0, 0), seed=5)
-    assert np.array_equal(r1.nodes, r2.nodes)
+    r1 = rwt_rwa_run(h, ws, 2000, 0, seed=5)
+    r2 = rwt_rwa_run(h, ws, 2000, 0, seed=5)
+    r3 = rwt_rwa_run(h, ws, 2000, 0, seed=6)
+    assert np.array_equal(r1.nodes, r2.nodes) and r1.jumped == r2.jumped
+    assert not np.array_equal(r1.nodes, r3.nodes)
 
 
 def test_write_trace_format(tmp_path):
@@ -543,11 +433,12 @@ def test_write_trace_format(tmp_path):
 
 # Walk cases on one 2x500 network: (method, per-node alpha, per-node beta).
 TRACE_CASES = [("SRW", 0, 0), ("RWT-VSA", 0, 0), ("RWT-VSA", 1, 0)] + [
-    ("RWT-RWA", a, b) for a in (0, 1) for b in (0, 1)
+    ("RWT-RWA", a, b) for a, b in ((0, 0), (0, 1), (1, 1), (1, 5))
 ]
 
 # sha256 of the int64 nodes, float64 weights and bool jumped of each case's
-# trace, recorded at seed version 3 (synthetic networks on numpy streams).
+# trace, recorded at seed version 3 (synthetic networks on numpy streams);
+# the jumping RWT-RWA cases at seed version 5 (one walk on the hybrid graph).
 # The four zero-jump cases share one digest: they are the same plain walk.
 PINNED_TRACE_DIGESTS = {
     ("SRW", 0, 0):
@@ -560,10 +451,10 @@ PINNED_TRACE_DIGESTS = {
         "36bf9405328d8ace2e4d9334e1e5c0d7dc812cada815119d10d1f53ee34076f1",
     ("RWT-RWA", 0, 1):
         "36bf9405328d8ace2e4d9334e1e5c0d7dc812cada815119d10d1f53ee34076f1",
-    ("RWT-RWA", 1, 0):
-        "e78ba1baf135c6fc841b37c318573a0c8007d527a389c3d14162fe1dc9e648a6",
     ("RWT-RWA", 1, 1):
-        "ae48eb1166b9faa2efc6efa60b657856b22dbf56a87a72db3f06140400c3e6d1",
+        "4fdd927106131a05952039eccbb964ac21ebcc1c9da9e51075e43e4bdb2688f1",
+    ("RWT-RWA", 1, 5):
+        "e32ca48943a9fca446d6e845ef38e893834eeaff89b4c201eba337c355dcc469",
 }
 
 
@@ -587,8 +478,10 @@ def _case_trace(h, method, alpha, beta):
         p = AuxDistribution.uniform_over(h.auxiliary.n, support)
         trace = rwt_vsa_run(h, p, alpha_total, 3000, start, seed=4)
         return trace, alpha_total * compute_qu(h, p)
+    q = np.zeros(h.target.n)
+    q[covered] = 1.0 / len(covered)
     ws = fixed_weight_scheme(h, alpha_total, beta_total)
-    return rwt_rwa_run(h, ws, 3000, (start, start, 0), seed=4), ws.omega
+    return rwt_rwa_run(h, ws, 3000, start, seed=4), alpha_total * q
 
 
 @pytest.mark.parametrize("method,alpha,beta", TRACE_CASES)
@@ -613,7 +506,7 @@ def test_traces_match_pinned_digests(net_2x500, method, alpha, beta):
 # ------------------------------------------------------------ lockstep batches
 
 
-def _case_run(h, method, alpha, beta, starts, seeds, detail=None):
+def _case_run(h, method, alpha, beta, starts, seeds):
     """A 600-step run of a TRACE_CASES case; starts and seeds as the walk
     functions take them (one walk's, or sequences)."""
     covered = h.covered_targets()
@@ -625,7 +518,7 @@ def _case_run(h, method, alpha, beta, starts, seeds, detail=None):
         p = AuxDistribution.uniform_over(h.auxiliary.n, support)
         return rwt_vsa_run(h, p, alpha_total, 600, starts, seeds)
     ws = fixed_weight_scheme(h, alpha_total, beta_total)
-    return rwt_rwa_run(h, ws, 600, starts, seeds, detail=detail)
+    return rwt_rwa_run(h, ws, 600, starts, seeds)
 
 
 @pytest.mark.parametrize("method,alpha,beta", TRACE_CASES)
@@ -634,54 +527,20 @@ def test_batch_replication_equals_lone_run(net_2x500, monkeypatch, method, alpha
     # so neither the batch nor the block length can move its trace
     covered = net_2x500.covered_targets()
     seeds = [101 + r for r in range(5)]
-    if method == "RWT-RWA":
-        starts = [(covered[7 * r], covered[3 * r], r) for r in range(5)]
-    else:
-        starts = [covered[7 * r] for r in range(5)]
-    runs = []  # (batch, its RwtRwaDetail) at the default block and at 1 and 7
+    starts = [covered[7 * r] for r in range(5)]
+    runs = []  # at the default block and at 1 and 7
     for block in (samplers.BLOCK_STEPS, 1, 7):
         monkeypatch.setattr(samplers, "BLOCK_STEPS", block)
-        detail = RwtRwaDetail()
-        runs.append((_case_run(net_2x500, method, alpha, beta, starts, seeds, detail), detail))
+        runs.append(_case_run(net_2x500, method, alpha, beta, starts, seeds))
     monkeypatch.undo()
     for r in range(5):
-        lone_detail = RwtRwaDetail()
-        lone = _case_run(net_2x500, method, alpha, beta, starts[r], seeds[r], lone_detail)
-        for batch, detail in runs:
+        lone = _case_run(net_2x500, method, alpha, beta, starts[r], seeds[r])
+        for batch in runs:
             trace = batch.trace(r)
             assert np.array_equal(trace.nodes, lone.nodes)
             assert np.array_equal(trace.weights, lone.weights)
             assert trace.jumped == lone.jumped
-            assert trace.query_count == lone.query_count
-            # the companion paths of a batch are flat, walk by walk
-            part = slice(600 * r, 600 * (r + 1))
-            assert detail.aux_nodes[part] == lone_detail.aux_nodes
-            assert detail.mh_nodes[part] == lone_detail.mh_nodes
-
-
-def test_mh_accept_matches_mh_step_exactly():
-    gen = np.random.default_rng(3)
-    n = 12
-    q = gen.random(n)
-    q[[1, 4, 7]] = 0.0
-    q_prime = gen.random(n)
-    q_prime[[2, 4, 9]] = 0.0
-    cases = []
-    for cur in range(n):
-        if q[cur] <= 0.0 or q_prime[cur] <= 0.0:
-            continue
-        for prop in range(n):
-            us = gen.random(40).tolist() + [0.0, 0.5, float(np.nextafter(1.0, 0.0))]
-            if q[prop] > 0.0 and q_prime[prop] > 0.0:
-                ratio = (q[prop] * q_prime[cur]) / (q[cur] * q_prime[prop])
-                if ratio < 1.0:  # the boundary: u == ratio is a rejection
-                    us += [ratio, float(np.nextafter(ratio, 0.0))]
-            cases += [(cur, prop, u) for u in us]
-    cur, prop, u = (np.array(col) for col in zip(*cases))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        got = np.where(mh_accept(cur, prop, u, q, q_prime), prop, cur)
-    want = [mh_step(int(c), int(p), q, q_prime, x) for c, p, x in cases]
-    assert got.tolist() == want
+            assert (trace.budget, trace.query_count) == (lone.budget, lone.query_count)
 
 
 def test_rwt_vsa_batch_error_names_node_and_replication():
