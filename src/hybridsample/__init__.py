@@ -25,9 +25,7 @@ from .samplers import (
     fixed_weight_scheme,
     rwt_rwa_run,
     rwt_vsa_run,
-    rwt_vsa_transition_matrix,
     simple_rw_run,
-    stationary_rwt_vsa,
     vs_a_collect,
 )
 from .synth import SynthConfig, build_synthetic_hybrid, generate_ba, orient_edges

@@ -27,7 +27,6 @@ from .estimators import EstimateReport, nrmse, vsa_theta_unknown_n, walk_theta
 from .graphs import HybridNetwork, LabelDistribution, LabelTable, degree_labels, ground_truth_theta
 from .samplers import (
     AuxDistribution,
-    Jumps,
     WalkError,
     WeightSystem,
     compute_qu,
@@ -203,9 +202,8 @@ class PreparedExperiment:
     alpha_total: float
     beta_total: float
     source: AuxDistribution | geo.ZoomInSource | None = None  # auxiliary draws
-    qu: object = None
-    jumps: Jumps | None = None  # RWT-VSA
-    weights: WeightSystem | None = None  # RWT-RWA
+    weight: np.ndarray | None = None  # walks: visit weight of each target node
+    weights: WeightSystem | None = None  # RWT-RWA: the weighted hybrid graph
 
 
 def _parse_bbox(text: str) -> geo.Region:
@@ -289,15 +287,17 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     beta_total = cfg.beta * max(1, hybrid.auxiliary.n)
     prep = PreparedExperiment(cfg, hybrid, labels, truth, budget, alpha_total, beta_total)
 
-    if cfg.method == "VS-A":
+    if cfg.method == "SRW":
+        prep.weight = target.degrees
+    elif cfg.method == "VS-A":
         prep.source = AuxDistribution.uniform(hybrid.auxiliary.n)
     elif cfg.method == "RWT-VSA":
         support = np.flatnonzero(hybrid.affiliation.right_degrees)
         prep.source = AuxDistribution.uniform_over(hybrid.auxiliary.n, support)
-        prep.qu = compute_qu(hybrid, prep.source)
-        prep.jumps = Jumps(target.degrees, alpha_total * prep.qu)
+        prep.weight = target.degrees + alpha_total * compute_qu(hybrid, prep.source)
     elif cfg.method == "RWT-RWA":
         prep.weights = fixed_weight_scheme(hybrid, alpha_total, beta_total)
+        prep.weight = prep.weights.total[:target.n]
     elif cfg.method == "RRZI-VSA":
         if index is None:
             raise ValueError("RRZI-VSA needs venue coordinates (venues_path or lbsn source)")
@@ -310,71 +310,65 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
 def _walk_batch(prep: PreparedExperiment, seeds: list):
     """Run the walk replications of ``seeds`` as one lockstep batch.
 
-    Each replication starts at a usable target node picked by u_0, the
-    first uniform of stream 98 of its seed, separate from the walk's
-    streams: entry floor(u_0 * c) of the c usable nodes.  With no usable
-    node the batch raises WalkError.
+    Each replication starts at a target node of positive visit weight,
+    picked by u_0, the first uniform of stream 98 of its seed, separate
+    from the walk's streams: entry floor(u_0 * c) of the c such nodes.
+    With none the batch raises WalkError.
     """
-    cfg = prep.cfg
-    hybrid = prep.hybrid
-    target = hybrid.target
-    if cfg.method == "SRW":
-        usable = target.degrees > 0
-    elif cfg.method == "RWT-VSA":
-        usable = (target.degrees > 0) | (prep.qu > 0)
-    else:
-        usable = prep.weights.total[:target.n] > 0
-    pool = np.flatnonzero(usable)
+    pool = np.flatnonzero(prep.weight > 0)
     if not len(pool):
         raise WalkError(0, "no usable start node")
     u = np.array([spawn_generator(rep_seed, 98).random() for rep_seed in seeds])
     starts = pool[(u * len(pool)).astype(np.int64)]
-    if cfg.method == "SRW":
-        return simple_rw_run(target, prep.budget, starts, seeds)
-    if cfg.method == "RWT-VSA":
-        return rwt_vsa_run(
-            hybrid, prep.source, prep.alpha_total, prep.budget, starts, seeds, jumps=prep.jumps
-        )
+    method, hybrid = prep.cfg.method, prep.hybrid
+    if method == "SRW":
+        return simple_rw_run(hybrid.target, prep.budget, starts, seeds)
+    if method == "RWT-VSA":
+        return rwt_vsa_run(hybrid, prep.source, prep.weight, prep.budget, starts, seeds)
     return rwt_rwa_run(hybrid, prep.weights, prep.budget, starts, seeds)
 
 
 def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:
+    """The estimate of one harvest replication (VS-A or RRZI-VSA)."""
+    if prep.cfg.method not in HARVEST_METHODS:
+        raise ValueError(f"{prep.cfg.method} walks: its replications run in replicate")
+    sample = vs_a_collect(prep.hybrid, prep.source, prep.budget, rep_seed)
+    # the known-size normalization rides along with the ratio form
+    report = vsa_theta_unknown_n(sample, prep.labels, seed=rep_seed, n=prep.hybrid.target.n)
+    report.method = prep.cfg.method
+    return report
+
+
+def replicate(prep: PreparedExperiment, seeds: list) -> list:
+    """Estimates of the replications of ``seeds``, in order.
+
+    A harvest method runs them one after another (run_replication); a walk
+    method in lockstep batches of at most CHUNK_VISITS visits, and writes
+    replication 0's trace to trace_out.  A failure raises RuntimeError
+    naming the replication and its seed.
+    """
     cfg = prep.cfg
-    if cfg.method in HARVEST_METHODS:
-        sample = vs_a_collect(prep.hybrid, prep.source, prep.budget, rep_seed)
-        # the known-size normalization rides along with the ratio form
-        report = vsa_theta_unknown_n(sample, prep.labels, seed=rep_seed, n=prep.hybrid.target.n)
-        report.method = cfg.method
-        return report
-    trace = _walk_batch(prep, [rep_seed]).trace(0)
-    return walk_theta(trace, prep.labels, method=cfg.method, seed=rep_seed)
-
-
-def _failure(idx: int, rep_seed: int, exc: Exception) -> RuntimeError:
-    reason = exc.reason if isinstance(exc, WalkError) else exc
-    return RuntimeError(f"replication {idx} (seed {rep_seed}) failed: {reason}")
-
-
-def _walk_reports(prep: PreparedExperiment, seeds: list) -> list:
-    """Estimates of all walk replications, run in lockstep batches of at
-    most CHUNK_VISITS visits; replication 0's trace goes to trace_out."""
-    cfg = prep.cfg
-    per_batch = max(1, CHUNK_VISITS // prep.budget)
+    walk = cfg.method not in HARVEST_METHODS
+    per_batch = max(1, CHUNK_VISITS // prep.budget) if walk else 1
     reports = []
     for lo in range(0, len(seeds), per_batch):
         chunk = seeds[lo:lo + per_batch]
+        r = 0
         try:
-            batch = _walk_batch(prep, chunk)
-        except WalkError as exc:
-            raise _failure(lo + exc.replication, chunk[exc.replication], exc) from exc
-        for r, rep_seed in enumerate(chunk):
-            trace = batch.trace(r)
-            if lo + r == 0 and cfg.trace_out:
-                write_trace(trace, cfg.trace_out)
-            try:
-                reports.append(walk_theta(trace, prep.labels, method=cfg.method, seed=rep_seed))
-            except Exception as exc:
-                raise _failure(lo + r, rep_seed, exc) from exc
+            if walk:
+                batch = _walk_batch(prep, chunk)
+                for r, rep_seed in enumerate(chunk):
+                    reports.append(walk_theta(batch.trace(r), prep.labels, method=cfg.method,
+                                              seed=rep_seed))
+            else:
+                reports.append(run_replication(prep, chunk[0]))
+        except Exception as exc:
+            reason = exc
+            if isinstance(exc, WalkError):
+                r, reason = exc.replication, exc.reason
+            raise RuntimeError(f"replication {lo + r} (seed {chunk[r]}) failed: {reason}") from exc
+        if lo == 0 and walk and cfg.trace_out:
+            write_trace(batch.trace(0), cfg.trace_out)
     return reports
 
 
@@ -420,16 +414,7 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
     """
     if prep is None:
         prep = prepare_experiment(cfg)
-    seeds = replication_seeds(cfg.seed, cfg.runs)
-    if cfg.method in HARVEST_METHODS:
-        reports = []
-        for idx, rep_seed in enumerate(seeds):
-            try:
-                reports.append(run_replication(prep, rep_seed))
-            except Exception as exc:
-                raise _failure(idx, rep_seed, exc) from exc
-    else:
-        reports = _walk_reports(prep, seeds)
+    reports = replicate(prep, replication_seeds(cfg.seed, cfg.runs))
 
     if cfg.raw_out:
         with open(cfg.raw_out, "w", encoding="utf-8") as fh:

@@ -29,7 +29,6 @@ import numpy as np
 from .graphs import BipartiteGraph, Graph, HybridNetwork
 from .seeds import STREAM_AUX, STREAM_TARGET, spawn_generator
 
-KERNEL_SIZE_LIMIT = 2000
 BLOCK_STEPS = 256  # steps of uniforms a walk draws from each stream at a time
 
 
@@ -224,21 +223,6 @@ class SampleTrace:
         return len(self.nodes)
 
 
-class Jumps:
-    """Jump weights omega_x of a walk on a graph with degrees d_x, and the
-    totals d_x + omega_x that are its visit weights.
-
-    A step scales its uniform u by the total: the walker moves to neighbour
-    floor(s) of its row when s = u (d_x + omega_x) < d_x, and jumps
-    otherwise (the virtual jumper edge of weight omega_x).  At omega_x = 0
-    that is a plain walk's pick from the same uniform.
-    """
-
-    def __init__(self, degrees: np.ndarray, omega: np.ndarray):
-        self.omega = omega
-        self.total = degrees + omega
-
-
 @dataclass
 class WalkBatch:
     """R walks of one budget run in lockstep.
@@ -284,12 +268,13 @@ class WalkError(RuntimeError):
 
 
 class _Uniforms:
-    """One logical stream of each walk of a batch: k uniforms a step from
-    the walk's own generator, drawn BLOCK_STEPS steps at a time.  A walk
-    reads the same numbers whatever the batch size or block length."""
+    """One logical stream (spawn key ``key``) of each walk of a batch: k
+    uniforms a step from the walk's own generator, drawn BLOCK_STEPS steps
+    at a time.  A walk reads the same numbers whatever the batch size or
+    block length."""
 
-    def __init__(self, seeds, stream: int, k: int):
-        self.gens = [spawn_generator(s, stream) for s in seeds]
+    def __init__(self, seeds, key: int, k: int):
+        self.gens = [spawn_generator(s, key) for s in seeds]
         self.k = k
 
     def block(self, steps: int) -> np.ndarray:
@@ -316,32 +301,31 @@ def _entries(indices: np.ndarray) -> np.ndarray:
     return indices if len(indices) else np.zeros(1, dtype=np.int64)
 
 
-def _batch_args(start, seed):
-    """(starts as an int64 array, seeds as a list, whether one walk was asked)."""
-    one = np.ndim(seed) == 0
-    seeds = [seed] if one else list(seed)
-    starts = np.array([start] if one else start, dtype=np.int64)
-    if len(starts) != len(seeds):
+def _walk_args(weight: np.ndarray, budget: int, starts, seeds) -> tuple:
+    """(starts as an int64 array, seeds as a list) of a batch, after the
+    checks every walk makes before its first step: ``weight`` is the visit
+    weight of each node a walk may start on, and each start needs weight to
+    leave by."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    starts = np.asarray(starts, dtype=np.int64)
+    seeds = list(seeds)
+    if starts.shape != (len(seeds),):
         raise ValueError("need one start per seed")
-    return starts, seeds, one
+    if ((starts < 0) | (starts >= len(weight))).any():
+        raise ValueError("start node out of range")
+    _check_absorbing(weight, starts[None])
+    return starts, seeds
 
 
-def _first_error(checks, states: dict):
-    """Raise WalkError for the first (step, walk) flagged by any check.
-
-    ``checks`` is a list of ((steps, R) masks, message template) in the
-    order a round makes them; ``states`` maps each template field to the
-    (steps, R) nodes it names.
-    """
-    flagged = checks[0][0].copy()
-    for mask, _ in checks[1:]:
-        flagged |= mask
-    if not flagged.any():
-        return
-    t, r = np.unravel_index(np.argmax(flagged), flagged.shape)
-    for mask, template in checks:
-        if mask[t, r]:
-            raise WalkError(int(r), template.format(**{k: v[t, r] for k, v in states.items()}))
+def _check_absorbing(weight: np.ndarray, nodes: np.ndarray) -> None:
+    """Raise WalkError for the first (step, walk) of the (steps, R) array
+    ``nodes`` at a node of zero visit weight, which a walk cannot leave."""
+    stuck = weight[nodes] == 0.0
+    if stuck.any():
+        t, r = np.unravel_index(np.argmax(stuck), stuck.shape)
+        raise WalkError(int(r), f"absorbing node {nodes[t, r]}: zero visit weight, "
+                        "so the walk cannot leave it")
 
 
 def write_trace(trace: SampleTrace, path) -> None:
@@ -353,31 +337,20 @@ def write_trace(trace: SampleTrace, path) -> None:
             fh.write(f"{i},{x},{w!r},{int(j)}\n")
 
 
-def simple_rw_run(
-    graph: Graph, budget: int, start, seed, *, stream: int = STREAM_TARGET
-) -> SampleTrace | WalkBatch:
-    """Uniform-neighbor random walk; visit weight is the node degree.
+def simple_rw_run(graph: Graph, budget: int, starts, seeds) -> WalkBatch:
+    """R uniform-neighbor random walks from ``starts`` on ``seeds`` (one
+    start per seed), run in lockstep; visit weight is the node degree.
 
-    ``start`` and ``seed`` are one walk's, giving its SampleTrace, or
-    sequences of R walks', giving a WalkBatch of R walks run in lockstep.
     Step t sets x = indices[indptr[x] + floor(u_t d_x)] with u_t the walk's
-    t-th uniform of ``stream``, so the jump walks at zero jump weight
+    t-th STREAM_TARGET uniform, so the jump walks at zero jump weight
     reproduce it exactly.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    starts, seeds, one = _batch_args(start, seed)
-    if ((starts < 0) | (starts >= graph.n)).any():
-        raise ValueError("start node out of range")
-    stuck = graph.degrees[starts] == 0
-    if stuck.any():
-        r = int(np.argmax(stuck))
-        raise WalkError(r, f"absorbing node {starts[r]}: walk cannot leave it")
     deg = graph.degrees.astype(float)
+    starts, seeds = _walk_args(deg, budget, starts, seeds)
     base, cols = graph.indptr, graph.indices
     nodes = np.empty((budget, len(seeds)), dtype=np.int64)
     nodes[0] = starts
-    uniforms = _Uniforms(seeds, stream, 1)
+    uniforms = _Uniforms(seeds, STREAM_TARGET, 1)
     # every node entered has the edge it was entered by, so none is absorbing
     for t0, steps in _blocks(budget):
         u = uniforms.block(steps)[0]
@@ -385,48 +358,30 @@ def simple_rw_run(
             x = nodes[t0 + i - 1]
             cols.take(base[x] + (u[i] * deg[x]).astype(np.int64), mode="clip", out=nodes[t0 + i])
     flags = np.zeros(nodes.shape, dtype=bool)
-    batch = WalkBatch(nodes, flags, deg, [budget] * len(seeds), graph.n)
-    return batch.trace(0) if one else batch
+    return WalkBatch(nodes, flags, deg, [budget] * len(seeds), graph.n)
 
 
 def rwt_vsa_run(
-    hybrid: HybridNetwork,
-    p: AuxDistribution,
-    alpha: float,
-    budget: int,
-    start,
-    seed,
-    *,
-    jumps: Jumps | None = None,
-) -> SampleTrace | WalkBatch:
-    """Random walk on the target graph with jumps through auxiliary vertex
-    sampling.
+    hybrid: HybridNetwork, p: AuxDistribution, total: np.ndarray, budget: int, starts, seeds
+) -> WalkBatch:
+    """Random walks on the target graph with jumps through auxiliary vertex
+    sampling; ``starts`` and ``seeds`` as in simple_rw_run.
 
-    At each step the walker at x jumps with probability
-    omega_x / (d_x + omega_x) where omega_x = alpha * q_x; a jump draws an
-    auxiliary node from p and lands on a uniform affiliation neighbor of it,
-    one query.  Otherwise the walker moves to a uniform target-graph
-    neighbor.  Recorded visit weights are d_x + omega_x.  ``jumps`` is
-    ``Jumps(target.degrees, alpha * compute_qu(hybrid, p))``, made here when
-    not given; ``start`` and ``seed`` are as in simple_rw_run.
+    ``total`` is the visit weight d_x + omega_x of every target node, with
+    jump weight omega_x = alpha * q_x (q from compute_qu(hybrid, p)).  A
+    step scales its uniform u by the total: the walker moves to neighbour
+    floor(s) of its row when s = u (d_x + omega_x) < d_x, and otherwise
+    jumps (the virtual jumper edge of weight omega_x): it draws an
+    auxiliary node from p and lands on a uniform affiliation neighbor of
+    it, one query.
 
-    Streams: the move takes one STREAM_TARGET uniform a step (see Jumps),
-    so alpha = 0 gives simple_rw_run's trace; the landing takes two
-    STREAM_AUX uniforms a step, the node of p and the neighbor.
+    Streams: the move takes one STREAM_TARGET uniform a step, so alpha = 0
+    gives simple_rw_run's trace; the landing takes two STREAM_AUX uniforms
+    a step, the node of p and the neighbor.
     """
-    target = hybrid.target
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    starts, seeds, one = _batch_args(start, seed)
-    if ((starts < 0) | (starts >= target.n)).any():
-        raise ValueError("start node out of range")
-    if jumps is None:
-        jumps = Jumps(target.degrees, alpha * compute_qu(hybrid, p))
-    aff = hybrid.affiliation
+    target, aff = hybrid.target, hybrid.affiliation
+    starts, seeds = _walk_args(total, budget, starts, seeds)
     deg = target.degrees.astype(float)
-    total = jumps.total
     base, cols = target.indptr, _entries(target.indices)
     nodes = np.empty((budget, len(seeds)), dtype=np.int64)
     nodes[0] = starts
@@ -446,48 +401,9 @@ def rwt_vsa_run(
             np.greater_equal(s, deg[x], out=flags[t])
             cols.take(base[x] + s.astype(np.int64), mode="clip", out=nodes[t])
             np.copyto(nodes[t], land[i], where=flags[t])
-        left = nodes[t0 - 1:t0 + steps - 1]
-        _first_error(
-            [(total[left] == 0.0,
-              "absorbing node {x}; increase alpha or fix affiliation coverage")],
-            {"x": left},
-        )
+        _check_absorbing(total, nodes[t0 - 1:t0 + steps - 1])
     queries = (budget + flags.sum(axis=0)).tolist()
-    batch = WalkBatch(nodes, flags, total, queries, target.n)
-    return batch.trace(0) if one else batch
-
-
-def stationary_rwt_vsa(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
-    """Stationary law of the jump-augmented target walk:
-    pi_u = (d_u + alpha*q_u) / (2|E| + alpha)."""
-    qu = compute_qu(hybrid, p)
-    deg = hybrid.target.degrees.astype(float)
-    return (deg + alpha * qu) / (hybrid.target.degree_sum + alpha)
-
-
-def rwt_vsa_transition_matrix(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
-    """Dense one-step kernel of the jump-augmented walk with the virtual
-    jumper node marginalized out:
-
-        P[u, u'] = 1{u~u'} / (d_u + omega_u) + omega_u/(d_u+omega_u) * q_{u'}
-
-    Intended for small instances (stationarity and reversibility checks).
-    """
-    n = hybrid.target.n
-    if n > KERNEL_SIZE_LIMIT:
-        raise ValueError(f"kernel construction limited to {KERNEL_SIZE_LIMIT} nodes")
-    qu = compute_qu(hybrid, p)
-    omega = alpha * qu
-    target = hybrid.target
-    tot = target.degrees + omega
-    stuck = tot == 0
-    inv = np.divide(1.0, tot, out=np.zeros(n), where=~stuck)
-    jump = np.divide(omega, tot, out=np.zeros(n), where=~stuck)
-    P = jump[:, None] * qu[None, :]
-    rows = np.repeat(np.arange(n), target.degrees)
-    P[rows, target.indices] += inv[rows]
-    P[stuck, stuck] = 1.0
-    return P
+    return WalkBatch(nodes, flags, total, queries, target.n)
 
 
 @dataclass
@@ -588,9 +504,7 @@ def fixed_weight_scheme(
     )
 
 
-def rwt_rwa_run(
-    hybrid: HybridNetwork, ws: WeightSystem, budget: int, start, seed
-) -> SampleTrace | WalkBatch:
+def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, seeds) -> WalkBatch:
     """Random walk on the weighted hybrid graph of ``ws``, started on the
     target.  The walk is reversible, so target visits have stationary law
     proportional to d_x + omega_x, their recorded weight.
@@ -604,15 +518,11 @@ def rwt_rwa_run(
     Every step is one query, so a walk of ``budget`` steps costs ``budget``
     queries; its trace keeps the target visits in order (WalkBatch.trace),
     each flagged jumped when it was entered from an auxiliary node.
-    ``start`` (target nodes) and ``seed`` are as in simple_rw_run.
+    ``starts`` (target nodes) and ``seeds`` are as in simple_rw_run.
     """
     target, aux = hybrid.target, hybrid.auxiliary
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    starts, seeds, one = _batch_args(start, seed)
-    if ((starts < 0) | (starts >= target.n)).any():
-        raise ValueError("start node out of range")
     n_t = target.n
+    starts, seeds = _walk_args(ws.total[:n_t], budget, starts, seeds)
     total, deg, base, shift, last = ws.total, ws.deg, ws.base, ws.shift, ws.last
     cum, dest = ws.cum, _entries(ws.dest)
     t_cols, a_cols = _entries(target.indices), _entries(aux.indices)
@@ -636,11 +546,8 @@ def rwt_rwa_run(
             j = cum.searchsorted(s, side="right")
             np.minimum(j, last.take(z), out=j)
             np.copyto(nxt, dest.take(j, mode="clip"), where=jump)
-        left = nodes[t0 - 1:t0 + steps - 1]
-        _first_error([(total[left] == 0.0, "absorbing node {x}; increase alpha or fix "
-                      "affiliation coverage")], {"x": left})
+        _check_absorbing(total, nodes[t0 - 1:t0 + steps - 1])
     flags = np.zeros(nodes.shape, dtype=bool)
     np.greater_equal(nodes[:-1], n_t, out=flags[1:])
     flags[1:] &= nodes[1:] < n_t
-    batch = WalkBatch(nodes, flags, total, [budget] * len(seeds), n_t)
-    return batch.trace(0) if one else batch
+    return WalkBatch(nodes, flags, total, [budget] * len(seeds), n_t)

@@ -15,7 +15,9 @@ import numpy as np
 
 from hybridsample.geo import Region, VenueIndex
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
-from hybridsample.samplers import VsaSample
+from hybridsample.samplers import AuxDistribution, VsaSample, compute_qu
+
+KERNEL_SIZE_LIMIT = 2000
 
 
 def two_user_hybrid():
@@ -234,6 +236,43 @@ def hybrid_rows(h: HybridNetwork, ws) -> np.ndarray:
             rows[z, int(ws.dest[j])] += entry[j]
         first = last + 1
     return rows
+
+
+def rwt_vsa_weight(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
+    """Visit weights d_u + alpha*q_u of the jump-augmented target walk, the
+    ``total`` that rwt_vsa_run takes."""
+    return hybrid.target.degrees + alpha * compute_qu(hybrid, p)
+
+
+def stationary_rwt_vsa(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
+    """Stationary law of the jump-augmented target walk:
+    pi_u = (d_u + alpha*q_u) / (2|E| + alpha)."""
+    return rwt_vsa_weight(hybrid, p, alpha) / (hybrid.target.degree_sum + alpha)
+
+
+def rwt_vsa_transition_matrix(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
+    """Dense one-step kernel of the jump-augmented walk with the virtual
+    jumper node marginalized out:
+
+        P[u, u'] = 1{u~u'} / (d_u + omega_u) + omega_u/(d_u+omega_u) * q_{u'}
+
+    Intended for small instances (stationarity and reversibility checks).
+    """
+    n = hybrid.target.n
+    if n > KERNEL_SIZE_LIMIT:
+        raise ValueError(f"kernel construction limited to {KERNEL_SIZE_LIMIT} nodes")
+    qu = compute_qu(hybrid, p)
+    omega = alpha * qu
+    target = hybrid.target
+    tot = target.degrees + omega
+    stuck = tot == 0
+    inv = np.divide(1.0, tot, out=np.zeros(n), where=~stuck)
+    jump = np.divide(omega, tot, out=np.zeros(n), where=~stuck)
+    P = jump[:, None] * qu[None, :]
+    rows = np.repeat(np.arange(n), target.degrees)
+    P[rows, target.indices] += inv[rows]
+    P[stuck, stuck] = 1.0
+    return P
 
 
 def stationary_solve(P: np.ndarray) -> np.ndarray:

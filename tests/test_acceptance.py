@@ -16,6 +16,9 @@ from helpers import (
     hybrid_rows,
     random_hybrid,
     rrzi_exact_probabilities,
+    rwt_vsa_transition_matrix,
+    rwt_vsa_weight,
+    stationary_rwt_vsa,
     stationary_solve,
     three_user_hybrid,
 )
@@ -30,9 +33,7 @@ from hybridsample.samplers import (
     harvest,
     rwt_rwa_run,
     rwt_vsa_run,
-    rwt_vsa_transition_matrix,
     simple_rw_run,
-    stationary_rwt_vsa,
     vs_a_collect,
 )
 from hybridsample.seeds import replication_seeds
@@ -247,12 +248,12 @@ def test_criterion_5_reduction_identities():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=200, m1=2, m2=3, m3=5, extra_pairs=150, seed=8))
     support = np.flatnonzero(h.affiliation.right_degrees)
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-    walk = rwt_vsa_run(h, p, 0.0, 5000, 17, seed=MASTER_SEED)
-    plain = simple_rw_run(h.target, 5000, 17, seed=MASTER_SEED)
+    walk = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 0.0), 5000, [17], [MASTER_SEED]).trace(0)
+    plain = simple_rw_run(h.target, 5000, [17], [MASTER_SEED]).trace(0)
     assert np.array_equal(walk.nodes, plain.nodes) and np.array_equal(walk.weights, plain.weights)
 
     ws = fixed_weight_scheme(h, 0.0, 0.0)
-    coupled = rwt_rwa_run(h, ws, 5000, 17, seed=MASTER_SEED)
+    coupled = rwt_rwa_run(h, ws, 5000, [17], [MASTER_SEED]).trace(0)
     assert np.array_equal(coupled.nodes, plain.nodes) and np.array_equal(coupled.weights, plain.weights)
     report(5, "alpha=0 and alpha=beta=0 walks are trace-identical to the plain walk", time.time() - t0, 30.0)
 
@@ -277,7 +278,7 @@ def test_criterion_6_convergence():
                 alpha=alpha, beta=beta, **DESK,
             )
             prep = ex.prepare_experiment(cfg)
-            reps = [ex.run_replication(prep, s) for s in replication_seeds(cfg.seed, cfg.runs)]
+            reps = ex.replicate(prep, replication_seeds(cfg.seed, cfg.runs))
             for label in (2, 12):
                 truth = prep.truth[label]
                 ests = np.array([r.theta.get(label, 0.0) for r in reps])
@@ -382,26 +383,39 @@ def test_criterion_8_rrzi_probability_closure():
 
 
 def test_criterion_9_disconnection_robustness():
+    # the two halves of the target are joined by one bridge edge, and hybrid
+    # walks from a first-half node cross through the auxiliary side: the
+    # mean share of target visits in the first half over 50 lockstep walks
+    # is the stationary share of d + omega within 4 SE (the SE from the
+    # spread of the walks' shares), and every walk visits both halves.  A
+    # plain walk from the same node stays in the first half.
     t0 = time.time()
     h = build_synthetic_hybrid(SynthConfig(seed=MASTER_SEED, **DESK))
     n_half = DESK["n_per_graph"]
-    n_cov = len(h.covered_targets())
-    alpha = 1.0 * n_cov          # per-node jump strength 1
+    covered = h.covered_targets()
+    alpha = 1.0 * len(covered)   # per-node jump strength 1
     beta = 1.0 * h.auxiliary.n
     ws = fixed_weight_scheme(h, alpha, beta)
     start = 152                  # ordinary low-degree node inside the first half
     budget = 10_000
+    walks = 50
 
-    coupled = rwt_rwa_run(h, ws, budget, start, seed=MASTER_SEED)
-    occ_first = sum(1 for x in coupled.nodes if x < n_half) / len(coupled.nodes)
-    assert min(occ_first, 1 - occ_first) >= 0.2
+    batch = rwt_rwa_run(h, ws, budget, [start] * walks, replication_seeds(MASTER_SEED, walks))
+    share = np.array([np.mean(batch.trace(r).nodes < n_half) for r in range(walks)])
+    weight = h.target.degrees.astype(float)
+    weight[covered] += alpha / len(covered)
+    exact = weight[:n_half].sum() / weight.sum()
+    se = share.std(ddof=1) / np.sqrt(walks)
+    assert abs(share.mean() - exact) < 4 * se
+    assert share.min() > 0.0 and share.max() < 1.0
 
-    plain = simple_rw_run(h.target, budget, start, seed=MASTER_SEED)
-    stay = sum(1 for x in plain.nodes if x < n_half) / budget
+    plain = simple_rw_run(h.target, budget, [start], [MASTER_SEED]).trace(0)
+    stay = np.mean(plain.nodes < n_half)
     assert stay >= 0.99
     report(
         9,
-        f"hybrid walk occupancy {occ_first:.2f}/{1-occ_first:.2f}; plain walk stayed {stay:.3f}",
+        f"hybrid walks' first-half share {share.mean():.3f} (exact {exact:.3f}, SE {se:.4f}); "
+        f"plain walk stayed {stay:.3f}",
         time.time() - t0,
         60.0,
     )

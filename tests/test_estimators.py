@@ -10,6 +10,7 @@ from helpers import (
     hand_sample,
     reference_theta,
     reference_walk_theta,
+    rwt_vsa_weight,
     three_user_hybrid,
     two_user_hybrid,
 )
@@ -216,7 +217,7 @@ def test_walk_theta_long_run_rwt_vsa():
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
     # 1000 lockstep walks, 50 from each node: 1e6 visits after burn-in
     walks = 1000
-    batch = rwt_vsa_run(h, p, 1.0, 1300, np.arange(walks) % h.target.n,
+    batch = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), 1300, np.arange(walks) % h.target.n,
                         [17 + r for r in range(walks)])
     rep = walk_theta(_pooled_trace(batch, 300), degree_labels(h.target.degrees))
     for l, t in truth.theta.items():

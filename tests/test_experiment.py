@@ -137,6 +137,36 @@ def test_walk_batches_do_not_move_results(tmp_path, monkeypatch, method):
     assert (tmp_path / "raw.csv").read_text() == raw
 
 
+def test_zero_jump_walks_start_where_the_plain_walk_does(tmp_path):
+    # check-in-only users c, d and e are covered but isolated target nodes,
+    # with no visit weight at zero jump strength: no walk starts there, so
+    # the three walks are the same plain walk from the same starts
+    (tmp_path / "social.txt").write_text("a b\n")
+    checkins = [("a", "v1"), ("b", "v1"), ("c", "v2"), ("d", "v2"), ("e", "v3")]
+    (tmp_path / "checkins.tsv").write_text(
+        "".join(f"{user}\tts\t40.7\t-74.0\t{venue}\n" for user, venue in checkins))
+    raws = []
+    for method in ("SRW", "RWT-VSA", "RWT-RWA"):
+        raw = tmp_path / f"{method}.csv"
+        ex.run_experiment(ex.make_config({
+            "source": "lbsn", "social_path": str(tmp_path / "social.txt"),
+            "checkins_path": str(tmp_path / "checkins.tsv"), "method": method,
+            "alpha": "0", "beta": "0", "budget": "20", "runs": "5", "seed": "2",
+            "raw_out": str(raw),
+        }))
+        raws.append([line.split(",", 1)[1] for line in raw.read_text().splitlines()])
+    assert len(raws[0]) > 1
+    assert raws[0] == raws[1] == raws[2]
+
+
+@pytest.mark.parametrize("method", ["SRW", "RWT-VSA", "RWT-RWA"])
+def test_run_replication_rejects_walk_methods(method):
+    # RWT-VSA's prep carries an auxiliary distribution a harvest would draw from
+    prep = ex.prepare_experiment(small_cfg(method=method))
+    with pytest.raises(ValueError, match=f"{method} walks"):
+        ex.run_replication(prep, 1)
+
+
 def test_walk_failure_names_replication_across_batches(monkeypatch):
     cfg = small_cfg(method="SRW", runs=5)
     prep = ex.prepare_experiment(cfg)
@@ -146,12 +176,14 @@ def test_walk_failure_names_replication_across_batches(monkeypatch):
 
     def fail_replication_3(graph, budget, starts, seeds):
         if failing_seed in seeds:
-            raise ex.WalkError(seeds.index(failing_seed), "absorbing node 9: walk cannot leave it")
+            raise ex.WalkError(seeds.index(failing_seed),
+                               "absorbing node 9: zero visit weight, so the walk cannot leave it")
         return walk(graph, budget, starts, seeds)
 
     monkeypatch.setattr(ex, "simple_rw_run", fail_replication_3)
     with pytest.raises(RuntimeError, match=rf"^replication 3 \(seed {failing_seed}\) failed: "
-                                           r"absorbing node 9: walk cannot leave it$"):
+                                           r"absorbing node 9: zero visit weight, so the walk "
+                                           r"cannot leave it$"):
         ex.run_experiment(cfg, prep)
 
 

@@ -8,6 +8,9 @@ from helpers import (
     csr_rows,
     left_stationary,
     random_hybrid,
+    rwt_vsa_transition_matrix,
+    rwt_vsa_weight,
+    stationary_rwt_vsa,
 )
 from hybridsample import samplers
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
@@ -19,9 +22,7 @@ from hybridsample.samplers import (
     harvest,
     rwt_rwa_run,
     rwt_vsa_run,
-    rwt_vsa_transition_matrix,
     simple_rw_run,
-    stationary_rwt_vsa,
     vs_a_collect,
     write_trace,
 )
@@ -178,10 +179,13 @@ def test_harvest_rejects_bad_draws():
 
 # ---------------------------------------------------------------- simple walk
 
+# the one message of a walk at a node it cannot leave, here node 2
+ABSORBING_2 = "absorbing node 2: zero visit weight, so the walk cannot leave it"
+
 
 def test_simple_rw_path_transition_probabilities():
     g = Graph(3, [(0, 1), (1, 2)])
-    trace = simple_rw_run(g, 40_001, 1, seed=3)
+    trace = simple_rw_run(g, 40_001, [1], [3]).trace(0)
     nxt = [trace.nodes[i + 1] for i in range(len(trace) - 1) if trace.nodes[i] == 1]
     frac0 = nxt.count(0) / len(nxt)
     assert set(nxt) <= {0, 2}
@@ -218,8 +222,8 @@ def test_simple_rw_degree_stationary_law():
 
 def test_simple_rw_absorbing_error():
     g = Graph(3, [(0, 1)])
-    with pytest.raises(RuntimeError, match="absorbing"):
-        simple_rw_run(g, 10, 2, seed=0)
+    with pytest.raises(WalkError, match=ABSORBING_2):
+        simple_rw_run(g, 10, [2], [0])
 
 
 # ---------------------------------------------------------------- rwt_vsa
@@ -228,8 +232,8 @@ def test_simple_rw_absorbing_error():
 def test_rwt_vsa_alpha_zero_equals_simple_rw():
     h = small_synthetic()
     p = covered_uniform(h)
-    a = rwt_vsa_run(h, p, 0.0, 5000, 5, seed=42)
-    b = simple_rw_run(h.target, 5000, 5, seed=42)
+    a = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 0.0), 5000, [5], [42]).trace(0)
+    b = simple_rw_run(h.target, 5000, [5], [42]).trace(0)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.weights, b.weights)
     assert not any(a.jumped)
@@ -243,7 +247,8 @@ def test_rwt_vsa_empirical_stationarity_four_nodes():
     p = AuxDistribution.uniform(2)
     # 1000 lockstep walks, 250 from each node: 1e6 visits after burn-in
     walks = 1000
-    batch = rwt_vsa_run(h, p, 1.0, 1100, np.arange(walks) % 4, [13 + r for r in range(walks)])
+    batch = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), 1100, np.arange(walks) % 4,
+                        [13 + r for r in range(walks)])
     pi = stationary_rwt_vsa(h, p, 1.0)
     assert np.abs(_visit_freq(batch, 100, 4) - pi).max() < 0.01
     assert batch.queries == (1100 + batch.flags.sum(axis=0)).tolist()
@@ -254,8 +259,44 @@ def test_rwt_vsa_absorbing_error():
     aux = Graph(1, [])
     aff = BipartiteGraph(3, 1, [(0, 0), (1, 0)])  # node 2 uncovered and isolated
     h = HybridNetwork(target, aux, aff)
-    with pytest.raises(RuntimeError, match="absorbing node"):
-        rwt_vsa_run(h, AuxDistribution.uniform(1), 1.0, 10, 2, seed=0)
+    p = AuxDistribution.uniform(1)
+    with pytest.raises(WalkError, match=ABSORBING_2):
+        rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), 10, [2], [0])
+
+
+@pytest.mark.parametrize("method", ["SRW", "RWT-VSA", "RWT-RWA"])
+def test_walks_share_one_start_check(method):
+    # node 2 has no edge and no affiliation, so no visit weight
+    h = HybridNetwork(Graph(3, [(0, 1)]), Graph(2, [(0, 1)]),
+                      BipartiteGraph(3, 2, [(0, 0), (1, 1)]))
+    p = AuxDistribution.uniform(2)
+    walk = {
+        "SRW": lambda *args: simple_rw_run(h.target, *args),
+        "RWT-VSA": lambda *args: rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), *args),
+        "RWT-RWA": lambda *args: rwt_rwa_run(h, fixed_weight_scheme(h, 1.0, 1.0), *args),
+    }[method]
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        walk(0, [0], [0])
+    with pytest.raises(ValueError, match="one start per seed"):
+        walk(10, [0, 1], [0])
+    with pytest.raises(ValueError, match="start node out of range"):
+        walk(10, [0, 3], [0, 1])
+    with pytest.raises(WalkError, match="replication 1: " + ABSORBING_2):
+        walk(10, [0, 2], [0, 1])
+    assert walk(10, [0, 1], [0, 1]).nodes.shape == (10, 2)
+
+
+def test_rwt_vsa_stops_at_a_zero_weight_landing():
+    # a total that gives node 2 no weight, though a jump can land there:
+    # the walk stops at the block's end instead of recording weight 0
+    target = Graph(3, [(0, 1)])
+    aff = BipartiteGraph(3, 1, [(0, 0), (2, 0)])
+    h = HybridNetwork(target, Graph(1, []), aff)
+    p = AuxDistribution.uniform(1)
+    total = rwt_vsa_weight(h, p, 1.0)
+    total[2] = 0.0
+    with pytest.raises(WalkError, match=ABSORBING_2):
+        rwt_vsa_run(h, p, total, 100, [0] * 20, list(range(20)))
 
 
 # ---------------------------------------------------------------- stationary law
@@ -354,9 +395,9 @@ def test_fixed_weight_scheme_rejects_uncovered_q_mass():
 def test_rwt_rwa_zero_jump_reduction():
     # at alpha = 0 a target walk never jumps, whatever beta
     h = small_synthetic()
-    ref = simple_rw_run(h.target, 4000, 5, seed=42)
+    ref = simple_rw_run(h.target, 4000, [5], [42]).trace(0)
     for beta in (0.0, 1.0):
-        trace = rwt_rwa_run(h, fixed_weight_scheme(h, 0.0, beta), 4000, 5, seed=42)
+        trace = rwt_rwa_run(h, fixed_weight_scheme(h, 0.0, beta), 4000, [5], [42]).trace(0)
         assert np.array_equal(trace.nodes, ref.nodes)
         assert np.array_equal(trace.weights, ref.weights)
         assert not any(trace.jumped) and trace.query_count == 4000
@@ -394,7 +435,7 @@ def test_rwt_rwa_absorbing_start():
     aff = BipartiteGraph(3, 2, [(0, 0), (1, 1)])
     h = HybridNetwork(target, aux, aff)
     ws = fixed_weight_scheme(h, 1.0, 1.0)
-    with pytest.raises(WalkError, match=r"replication 1: absorbing node 2;") as info:
+    with pytest.raises(WalkError, match=r"replication 1: " + ABSORBING_2) as info:
         rwt_rwa_run(h, ws, 100, [0, 2], [0, 1])
     assert info.value.replication == 1
 
@@ -402,22 +443,19 @@ def test_rwt_rwa_absorbing_start():
 def test_runs_deterministic_per_seed():
     h = small_synthetic()
     p = covered_uniform(h)
-    t1 = rwt_vsa_run(h, p, 2.0, 2000, 0, seed=5)
-    t2 = rwt_vsa_run(h, p, 2.0, 2000, 0, seed=5)
-    t3 = rwt_vsa_run(h, p, 2.0, 2000, 0, seed=6)
+    total = rwt_vsa_weight(h, p, 2.0)
+    t1, t2, t3 = (rwt_vsa_run(h, p, total, 2000, [0], [s]).trace(0) for s in (5, 5, 6))
     assert np.array_equal(t1.nodes, t2.nodes) and t1.jumped == t2.jumped
     assert not np.array_equal(t1.nodes, t3.nodes)
     ws = fixed_weight_scheme(h, 1.0, 1.0)
-    r1 = rwt_rwa_run(h, ws, 2000, 0, seed=5)
-    r2 = rwt_rwa_run(h, ws, 2000, 0, seed=5)
-    r3 = rwt_rwa_run(h, ws, 2000, 0, seed=6)
+    r1, r2, r3 = (rwt_rwa_run(h, ws, 2000, [0], [s]).trace(0) for s in (5, 5, 6))
     assert np.array_equal(r1.nodes, r2.nodes) and r1.jumped == r2.jumped
     assert not np.array_equal(r1.nodes, r3.nodes)
 
 
 def test_write_trace_format(tmp_path):
     h = small_synthetic()
-    trace = simple_rw_run(h.target, 50, 0, seed=1)
+    trace = simple_rw_run(h.target, 50, [0], [1]).trace(0)
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
     lines = path.read_text().splitlines()
@@ -472,16 +510,16 @@ def _case_trace(h, method, alpha, beta):
     alpha_total, beta_total = alpha * len(covered), beta * h.auxiliary.n
     start = covered[0]
     if method == "SRW":
-        return simple_rw_run(h.target, 3000, start, seed=4), np.zeros(h.target.n)
+        return simple_rw_run(h.target, 3000, [start], [4]).trace(0), np.zeros(h.target.n)
     if method == "RWT-VSA":
         support = np.flatnonzero(h.affiliation.right_degrees).tolist()
         p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-        trace = rwt_vsa_run(h, p, alpha_total, 3000, start, seed=4)
+        trace = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, alpha_total), 3000, [start], [4]).trace(0)
         return trace, alpha_total * compute_qu(h, p)
     q = np.zeros(h.target.n)
     q[covered] = 1.0 / len(covered)
     ws = fixed_weight_scheme(h, alpha_total, beta_total)
-    return rwt_rwa_run(h, ws, 3000, start, seed=4), alpha_total * q
+    return rwt_rwa_run(h, ws, 3000, [start], [4]).trace(0), alpha_total * q
 
 
 @pytest.mark.parametrize("method,alpha,beta", TRACE_CASES)
@@ -507,8 +545,8 @@ def test_traces_match_pinned_digests(net_2x500, method, alpha, beta):
 
 
 def _case_run(h, method, alpha, beta, starts, seeds):
-    """A 600-step run of a TRACE_CASES case; starts and seeds as the walk
-    functions take them (one walk's, or sequences)."""
+    """A 600-step lockstep batch of a TRACE_CASES case from ``starts`` on
+    ``seeds``."""
     covered = h.covered_targets()
     alpha_total, beta_total = alpha * len(covered), beta * h.auxiliary.n
     if method == "SRW":
@@ -516,7 +554,7 @@ def _case_run(h, method, alpha, beta, starts, seeds):
     if method == "RWT-VSA":
         support = np.flatnonzero(h.affiliation.right_degrees).tolist()
         p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-        return rwt_vsa_run(h, p, alpha_total, 600, starts, seeds)
+        return rwt_vsa_run(h, p, rwt_vsa_weight(h, p, alpha_total), 600, starts, seeds)
     ws = fixed_weight_scheme(h, alpha_total, beta_total)
     return rwt_rwa_run(h, ws, 600, starts, seeds)
 
@@ -534,7 +572,7 @@ def test_batch_replication_equals_lone_run(net_2x500, monkeypatch, method, alpha
         runs.append(_case_run(net_2x500, method, alpha, beta, starts, seeds))
     monkeypatch.undo()
     for r in range(5):
-        lone = _case_run(net_2x500, method, alpha, beta, starts[r], seeds[r])
+        lone = _case_run(net_2x500, method, alpha, beta, [starts[r]], [seeds[r]]).trace(0)
         for batch in runs:
             trace = batch.trace(r)
             assert np.array_equal(trace.nodes, lone.nodes)
@@ -548,8 +586,9 @@ def test_rwt_vsa_batch_error_names_node_and_replication():
     aux = Graph(1, [])
     aff = BipartiteGraph(3, 1, [(0, 0), (1, 0)])  # node 2 uncovered and isolated
     h = HybridNetwork(target, aux, aff)
-    with pytest.raises(WalkError, match=r"replication 1: absorbing node 2;") as info:
-        rwt_vsa_run(h, AuxDistribution.uniform(1), 1.0, 10, [0, 2], [0, 1])
+    p = AuxDistribution.uniform(1)
+    with pytest.raises(WalkError, match=r"replication 1: " + ABSORBING_2) as info:
+        rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), 10, [0, 2], [0, 1])
     assert info.value.replication == 1
 
 
@@ -562,7 +601,8 @@ def test_rwt_vsa_one_step_law_matches_kernel(alpha):
     h = HybridNetwork(target, aux, aff)
     p = AuxDistribution.uniform(2)
     walks = 8000
-    batch = rwt_vsa_run(h, p, alpha, 2, np.arange(walks) % 4, list(range(walks)))
+    batch = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, alpha), 2, np.arange(walks) % 4,
+                        list(range(walks)))
     counts = np.zeros((4, 4))
     np.add.at(counts, (batch.nodes[0], batch.nodes[1]), 1.0)
     P = rwt_vsa_transition_matrix(h, p, alpha)
