@@ -6,7 +6,7 @@ from .estimators import (
     vsa_theta_unknown_n,
     walk_theta,
 )
-from .geo import NYC_REGION, Region, RrziDraw, Venue, VenueIndex, ZoomInSource, rrzi_draw
+from .geo import NYC_REGION, Region, Venue, VenueIndex, zoom_in_law
 from .graphs import (
     BipartiteGraph,
     Graph,

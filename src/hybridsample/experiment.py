@@ -37,7 +37,7 @@ from .samplers import (
     vs_a_collect,
     write_trace,
 )
-from .seeds import replication_seeds, spawn_generator
+from .seeds import STREAM_VENUES, STREAM_WALK_START, replication_seeds, spawn_generator
 from .synth import SynthConfig, build_synthetic_hybrid, orient_edges
 
 METHODS = ("SRW", "VS-A", "RWT-VSA", "RWT-RWA", "RRZI-VSA")
@@ -201,7 +201,7 @@ class PreparedExperiment:
     budget: int
     alpha_total: float
     beta_total: float
-    source: AuxDistribution | geo.ZoomInSource | None = None  # auxiliary draws
+    source: AuxDistribution | None = None  # auxiliary draws
     weight: np.ndarray | None = None  # walks: visit weight of each target node
     weights: WeightSystem | None = None  # RWT-RWA: the weighted hybrid graph
 
@@ -220,7 +220,7 @@ def _parse_bbox(text: str) -> geo.Region:
 
 def synthetic_venues(n: int, region: geo.Region, seed: int) -> list:
     """Uniform venue coordinates inside a region, one per auxiliary node."""
-    u = spawn_generator(seed, 6).random((n, 2))
+    u = spawn_generator(seed, STREAM_VENUES).random((n, 2))
     lat = region.lat_min + u[:, 0] * (region.lat_max - region.lat_min)
     lon = region.lon_min + u[:, 1] * (region.lon_max - region.lon_min)
     return [geo.Venue(i, a, b) for i, (a, b) in enumerate(zip(lat.tolist(), lon.tolist()))]
@@ -303,7 +303,14 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             raise ValueError("RRZI-VSA needs venue coordinates (venues_path or lbsn source)")
         if len(index) == 0:
             raise ValueError("venue index is empty")
-        prep.source = geo.ZoomInSource(index, index.bounding_region(), cfg.rrzi_k)
+        ids, p, calls = geo.zoom_in_law(index, index.bounding_region(), cfg.rrzi_k)
+        n_aux = hybrid.auxiliary.n
+        off_range = (ids < 0) | (ids >= n_aux)
+        if off_range.any():
+            raise ValueError(f"venue id {ids[off_range][0]} is not an auxiliary node")
+        probs, costs = np.zeros(n_aux), np.zeros(n_aux, dtype=np.int64)
+        probs[ids], costs[ids] = p, calls
+        prep.source = AuxDistribution(n_aux, probs, costs)
     return prep
 
 
@@ -311,14 +318,14 @@ def _walk_batch(prep: PreparedExperiment, seeds: list):
     """Run the walk replications of ``seeds`` as one lockstep batch.
 
     Each replication starts at a target node of positive visit weight,
-    picked by u_0, the first uniform of stream 98 of its seed, separate
-    from the walk's streams: entry floor(u_0 * c) of the c such nodes.
-    With none the batch raises WalkError.
+    picked by u_0, the first uniform of its seed's STREAM_WALK_START,
+    separate from the walk's streams: entry floor(u_0 * c) of the c such
+    nodes.  With none the batch raises WalkError.
     """
     pool = np.flatnonzero(prep.weight > 0)
     if not len(pool):
         raise WalkError(0, "no usable start node")
-    u = np.array([spawn_generator(rep_seed, 98).random() for rep_seed in seeds])
+    u = np.array([spawn_generator(rep_seed, STREAM_WALK_START).random() for rep_seed in seeds])
     starts = pool[(u * len(pool)).astype(np.int64)]
     method, hybrid = prep.cfg.method, prep.hybrid
     if method == "SRW":

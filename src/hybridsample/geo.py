@@ -6,8 +6,9 @@ truncated region into four equal quadrants, descends into a uniformly
 chosen nonempty quadrant, and finally picks one venue uniformly in a fully
 accessible leaf.  Because a venue sits in exactly one leaf, the product of
 branching factors times the leaf pick gives the exact draw probability,
-which is what the indirect estimators need; ``ZoomInSource`` feeds these
-draws to ``samplers.vs_a_collect``.  Venue ids are auxiliary node ids.
+which is what the indirect estimators need.  ``zoom_in_law`` computes it
+for every venue at once, so RRZI-VSA draws from a fixed AuxDistribution.
+Venue ids are auxiliary node ids.
 
 Region membership is half-open, [lat_min, lat_max) x [lon_min, lon_max),
 so quadrant splits partition a region exactly and no probability mass is
@@ -83,12 +84,11 @@ class VenueIndex:
 
     def __init__(self, venues):
         self.venues = sorted(venues, key=lambda v: v.id)
-        ids = [v.id for v in self.venues]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate venue ids")
+        for a, b in zip(self.venues, self.venues[1:]):
+            if a.id == b.id:
+                raise ValueError(f"duplicate venue id {a.id}")
         self._lats = np.array([v.lat for v in self.venues])
         self._lons = np.array([v.lon for v in self.venues])
-        self._steps = {}  # (region, k) -> zoom step; see zoom_step
 
     def __len__(self) -> int:
         return len(self.venues)
@@ -100,40 +100,19 @@ class VenueIndex:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        mask = (
+        idx = self.inside(region)
+        if len(idx) > k:
+            return [self.venues[i] for i in idx[:k]], True
+        return [self.venues[i] for i in idx], False
+
+    def inside(self, region: Region) -> np.ndarray:
+        """Positions in ``venues`` of the venues in the region (half-open)."""
+        return np.flatnonzero(
             (self._lats >= region.lat_min)
             & (self._lats < region.lat_max)
             & (self._lons >= region.lon_min)
             & (self._lons < region.lon_max)
         )
-        idx = np.flatnonzero(mask)
-        if len(idx) > k:
-            return [self.venues[i] for i in idx[:k]], True
-        return [self.venues[i] for i in idx], False
-
-    def zoom_step(self, region: Region, k: int) -> tuple:
-        """One zoom-in level at a region: (hits, truncated, quads, nonempty).
-
-        ``hits`` (as a tuple) and ``truncated`` are ``query(region, k)``.
-        For a truncated region that still splits in float precision,
-        ``quads`` are its quadrants and ``nonempty`` the indices of those a
-        ``query(quad, 1)`` finds nonempty; otherwise both are empty.  Zoom
-        cells repeat across draws and the index is immutable, so each step
-        is computed once and kept.
-        """
-        key = (region, k)
-        step = self._steps.get(key)
-        if step is None:
-            hits, truncated = self.query(region, k)
-            quads = nonempty = ()
-            mid_lat = (region.lat_min + region.lat_max) / 2.0
-            mid_lon = (region.lon_min + region.lon_max) / 2.0
-            if truncated and (region.lat_min < mid_lat < region.lat_max
-                              and region.lon_min < mid_lon < region.lon_max):
-                quads = region.quadrants()
-                nonempty = tuple(qi for qi, quad in enumerate(quads) if self.query(quad, 1)[0])
-            step = self._steps[key] = (tuple(hits), truncated, quads, nonempty)
-        return step
 
     def bounding_region(self, pad: float = 1e-6) -> Region:
         if not self.venues:
@@ -143,67 +122,59 @@ class VenueIndex:
         return Region(min(lats), max(lats) + pad, min(lons), max(lons) + pad)
 
 
-@dataclass
-class RrziDraw:
-    """One venue draw with its exact inclusion probability and cost."""
+def zoom_in_law(index: VenueIndex, root: Region, k: int) -> tuple:
+    """The law of one zoom-in draw: (venue ids, their p, their API calls).
 
-    venue: Venue
-    p: float
-    zoom_path: list
-    api_calls: int
-
-
-def rrzi_draw(index: VenueIndex, root: Region, k: int, gen: np.random.Generator) -> RrziDraw:
-    """Zoom into the root region until a query is no longer truncated, then
-    pick one venue uniformly in the leaf.
-
-    Each level splits into four equal quadrants, probes each with one query
-    to find the nonempty ones, and descends into one of those uniformly at
-    random.  The recorded probability is the product of the per-level
-    branching choices times the uniform leaf pick and equals the overall
-    probability of drawing that venue.  Each choice among c options reads
-    one uniform u of ``gen`` and takes option floor(u * c): one per level and
-    one for the leaf.  Levels are read from ``index.zoom_step``, which runs
-    each query once per cell; ``api_calls`` still charges every query of the
-    draw.
+    A draw queries the root; while the answer is truncated it splits the
+    cell into its four quadrants, probes each, and descends into a uniform
+    nonempty one; in a complete cell it picks a venue uniformly.  So a
+    venue's p is 1/(nonempty quadrants) per level, then 1/(leaf size),
+    divided in that order, and its draw costs 1 + 5 * depth calls.  One pass
+    over the zoom tree splits each truncated cell's venues by the float
+    midpoints and half-open bounds of Region.quadrants; venues outside the
+    root get p = 0.  Every cell is reached with positive probability, so a
+    cell no draw could finish fails here.
     """
-    region = root
-    p = 1.0
-    path = []
-    api_calls = 0
-    for _ in range(MAX_ZOOM_DEPTH + 1):
-        hits, truncated, quads, nonempty = index.zoom_step(region, k)
-        api_calls += 1
-        if not truncated:
-            if not hits:
-                raise ValueError("region contains no venues")
-            venue = hits[int(gen.random() * len(hits))]
-            return RrziDraw(venue, p / len(hits), path, api_calls)
-        if not quads:
-            break  # region no longer splittable in float precision
-        api_calls += len(quads)
-        choice = nonempty[int(gen.random() * len(nonempty))]
-        p /= len(nonempty)
-        path.append(choice)
-        region = quads[choice]
-    raise RuntimeError(
-        f"zoom exhausted (depth limit {MAX_ZOOM_DEPTH}); more than {k} venues share a location"
-    )
-
-
-@dataclass(frozen=True)
-class ZoomInSource:
-    """Draw source for vs_a_collect: one zoom-in per draw, costing its API calls."""
-
-    index: VenueIndex
-    root: Region
-    k: int
-
-    def draws(self, gen: np.random.Generator, count: int) -> tuple:
-        """(venue ids, their p, API calls) of ``count`` zoom-ins on ``gen``."""
-        draws = [rrzi_draw(self.index, self.root, self.k, gen) for _ in range(count)]
-        return ([d.venue.id for d in draws], [d.p for d in draws],
-                sum(d.api_calls for d in draws))
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    lats, lons = index._lats, index._lons
+    ids = np.array([v.id for v in index.venues], dtype=np.int64)
+    p = np.zeros(len(ids))
+    calls = np.zeros(len(ids), dtype=np.int64)
+    member = index.inside(root)
+    if not len(member):
+        raise ValueError("region contains no venues")
+    cell = np.zeros(len(member), dtype=np.int64)  # cell of each member
+    bounds = np.array([[root.lat_min, root.lat_max, root.lon_min, root.lon_max]])
+    reach = np.ones(1)  # probability of entering each cell
+    for depth in range(MAX_ZOOM_DEPTH + 1):
+        size = np.bincount(cell, minlength=len(bounds))
+        leaf = size[cell] <= k
+        done, at = member[leaf], cell[leaf]
+        p[done] = reach[at] / size[at]
+        calls[done] = 1 + 5 * depth
+        member, cell = member[~leaf], cell[~leaf]
+        if not len(member):
+            return ids, p, calls
+        mid = (bounds[:, 0::2] + bounds[:, 1::2]) / 2.0  # (lat, lon) midpoints
+        split = (bounds[:, 0::2] < mid).all(axis=1) & (mid < bounds[:, 1::2]).all(axis=1)
+        stuck = member if depth == MAX_ZOOM_DEPTH else member[~split[cell]]
+        if len(stuck):
+            lat, lon = float(lats[stuck[0]]), float(lons[stuck[0]])
+            raise RuntimeError(
+                f"zoom exhausted (depth limit {MAX_ZOOM_DEPTH}): more than {k} venues "
+                f"share the location ({lat!r}, {lon!r})"
+            )
+        upper = np.column_stack((lats[member], lons[member])) >= mid[cell]
+        # quadrant q of Region.quadrants: bit 1 upper latitude half, bit 0 upper longitude
+        child, cell = np.unique(cell * 4 + upper @ [2, 1], return_inverse=True)
+        parent, quad = np.divmod(child, 4)
+        reach = reach[parent] / np.bincount(parent)[parent]
+        up = np.column_stack((quad >= 2, quad % 2 == 1))
+        b, m = bounds[parent], mid[parent]
+        bounds = np.empty_like(b)
+        bounds[:, 0::2] = np.where(up, m, b[:, 0::2])
+        bounds[:, 1::2] = np.where(up, b[:, 1::2], m)
 
 
 def load_venues(path, node_names=None) -> list:
@@ -211,6 +182,7 @@ def load_venues(path, node_names=None) -> list:
     Given ``node_names`` (the auxiliary graph's id dictionary), ids resolve by name."""
     node_ids = None if node_names is None else {name: i for i, name in enumerate(node_names)}
     venues = []
+    first_line = {}  # venue id -> line it was read from
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -226,6 +198,10 @@ def load_venues(path, node_names=None) -> list:
                 venues.append(Venue(int(vid), float(parts[1]), float(parts[2])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            earlier = first_line.setdefault(venues[-1].id, lineno)
+            if earlier != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate venue id {parts[0]!r} "
+                                 f"(first on line {earlier})")
     return venues
 
 

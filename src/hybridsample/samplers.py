@@ -34,13 +34,17 @@ BLOCK_STEPS = 256  # steps of uniforms a walk draws from each stream at a time
 
 class AuxDistribution:
     """Sampling distribution over auxiliary nodes: ``probs[v]`` is the
-    probability of node v, uniform over all n' nodes unless given.
+    probability of node v, uniform over all n' nodes unless given, and
+    ``calls[v]`` the API calls one draw of v costs, 1 each unless given.
     """
 
-    def __init__(self, n: int, probs=None):
+    def __init__(self, n: int, probs=None, calls=None):
         if n <= 0:
             raise ValueError("auxiliary graph must be nonempty")
         self.n = n
+        self.calls = None if calls is None else np.asarray(calls, dtype=np.int64)
+        if self.calls is not None and self.calls.shape != (n,):
+            raise ValueError("call count vector length must equal n'")
         if probs is None:
             self.probs = np.full(n, 1.0 / n)
             return
@@ -95,12 +99,6 @@ class AuxDistribution:
         cum[-1] = 1.0
         return support, cum
 
-    def draws(self, gen: np.random.Generator, count: int) -> tuple:
-        """(nodes, their p, query count) of ``count`` draws for vs_a_collect:
-        one uniform of ``gen`` and one query a draw."""
-        v = self.pick(gen.random(count))
-        return v, self.probs[v], count
-
 
 @dataclass
 class VsaSample:
@@ -153,21 +151,18 @@ def harvest(aff: BipartiteGraph, venues, p, query_count: int) -> VsaSample:
     return VsaSample(venues, p, offsets, users, aff.left_degrees[users], int(query_count))
 
 
-def vs_a_collect(hybrid: HybridNetwork, source, b_prime: int, seed) -> VsaSample:
-    """B' i.i.d. auxiliary draws, each harvesting the drawn node's
-    affiliation row (see harvest).  ``source.draws(gen, b_prime)`` gives
-    the nodes, probabilities and query count of all draws, read from the
-    STREAM_AUX generator of ``seed``: an AuxDistribution reads one uniform
-    and costs one query a draw, a ``geo.ZoomInSource`` reads one uniform per
-    zoom level plus one for the leaf and costs its API calls.
+def vs_a_collect(hybrid: HybridNetwork, p: AuxDistribution, b_prime: int, seed) -> VsaSample:
+    """B' i.i.d. draws from p, each harvesting the drawn node's affiliation
+    row (see harvest).  Each draw is p.pick of one uniform of the STREAM_AUX
+    generator of ``seed`` and costs its node's p.calls.
     """
     if b_prime < 1:
         raise ValueError("b_prime must be >= 1")
-    n_aux = hybrid.auxiliary.n
-    if getattr(source, "n", n_aux) != n_aux:  # only sized sources can be checked up front
+    if p.n != hybrid.auxiliary.n:
         raise ValueError("distribution size must match auxiliary graph")
-    venues, p, queries = source.draws(spawn_generator(seed, STREAM_AUX), b_prime)
-    return harvest(hybrid.affiliation, venues, p, queries)
+    venues = p.pick(spawn_generator(seed, STREAM_AUX).random(b_prime))
+    queries = b_prime if p.calls is None else p.calls[venues].sum()
+    return harvest(hybrid.affiliation, venues, p.probs[venues], queries)
 
 
 def compute_qu(hybrid: HybridNetwork, p: AuxDistribution) -> np.ndarray:

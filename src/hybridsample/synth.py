@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import BipartiteGraph, Graph, HybridNetwork
-from .seeds import spawn_generator
+from .seeds import (STREAM_AFFILIATION, STREAM_AUX_GRAPH, STREAM_BRIDGE, STREAM_HALF_A,
+                    STREAM_HALF_B, STREAM_ORIENT, spawn_generator)
 
 ORIENT_ONE_WAY = 0.45  # per direction; both arcs with the remaining 0.1
 CHUNK_GROWTH = 1.5  # attachment resolves nodes [a, CHUNK_GROWTH * a) together
@@ -193,21 +194,22 @@ def build_synthetic_hybrid(cfg: SynthConfig) -> HybridNetwork:
     """Two attachment graphs bridged by one edge as the target, a third as the
     auxiliary graph, and an affiliation graph built by (1) linking every
     target node to one random auxiliary node and (2) adding extra_pairs
-    distinct random pairs on top.  Streams 0-2 of cfg.seed draw the three
-    graphs, 3 the bridge and 4 the affiliation pairs.
+    distinct random pairs on top.  Each part has its own stream of cfg.seed
+    (seeds.STREAM_HALF_A to STREAM_AFFILIATION).
     """
     n = cfg.n_per_graph
-    g1 = ba_endpoints(n, cfg.m1, spawn_generator(cfg.seed, 0)).reshape(-1, 2)
-    g3 = ba_endpoints(n, cfg.m3, spawn_generator(cfg.seed, 2)).reshape(-1, 2)
+    g1 = ba_endpoints(n, cfg.m1, spawn_generator(cfg.seed, STREAM_HALF_A)).reshape(-1, 2)
+    g3 = ba_endpoints(n, cfg.m3, spawn_generator(cfg.seed, STREAM_HALF_B)).reshape(-1, 2)
     g3 += n
-    u, v = (spawn_generator(cfg.seed, 3).random(2) * n).astype(np.int64).tolist()
+    u, v = (spawn_generator(cfg.seed, STREAM_BRIDGE).random(2) * n).astype(np.int64).tolist()
     edges = np.concatenate((g1, g3, [(u, n + v)]))
     del g1, g3  # the target's CSR build is the peak of set-up; build it alone
     target = Graph(2 * n, edges)
     del edges
-    aux = generate_ba(n, cfg.m2, cfg.seed, 1)
+    aux = generate_ba(n, cfg.m2, cfg.seed, STREAM_AUX_GRAPH)
 
-    u, v = np.divmod(affiliation_keys(n, cfg.extra_pairs, spawn_generator(cfg.seed, 4)), n)
+    keys = affiliation_keys(n, cfg.extra_pairs, spawn_generator(cfg.seed, STREAM_AFFILIATION))
+    u, v = np.divmod(keys, n)
     affiliation = BipartiteGraph(2 * n, n, np.column_stack((u, v)))
     return HybridNetwork(target, aux, affiliation)
 
@@ -220,7 +222,7 @@ def orient_edges(graph: Graph, seed: int) -> np.ndarray:
     give in- and out-degree labels; the walks use the undirected graph.
     """
     edges = graph.edge_array()
-    r = spawn_generator(seed, 5).random(len(edges))
+    r = spawn_generator(seed, STREAM_ORIENT).random(len(edges))
     forward = r < ORIENT_ONE_WAY
     backward = ~forward & (r < 2 * ORIENT_ONE_WAY)
     return np.concatenate((edges[~backward], edges[~forward][:, ::-1]))

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from hybridsample.geo import Region, VenueIndex
+from hybridsample.geo import Region, VenueIndex, zoom_in_law
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
 from hybridsample.samplers import AuxDistribution, VsaSample, compute_qu
 
@@ -196,8 +196,9 @@ def ba_exact_law(n: int, m: int) -> dict:
     return law
 
 
-def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int) -> dict:
-    """Exact draw probability of every venue via recursion over the zoom tree."""
+def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int, depths=None) -> dict:
+    """Exact draw probability of every venue via recursion over the zoom tree.
+    Given a dict ``depths``, fills in the zoom depth of each venue's leaf."""
     out: dict = {}
 
     def descend(region: Region, prob: float, depth: int):
@@ -208,6 +209,8 @@ def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int) -> dict:
             share = prob / len(hits)
             for v in hits:
                 out[v.id] = out.get(v.id, 0.0) + share
+                if depths is not None:
+                    depths[v.id] = depth
             return
         quads = region.quadrants()
         nonempty = [q for q in quads if index.query(q, 1)[0]]
@@ -216,6 +219,15 @@ def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int) -> dict:
 
     descend(root, 1.0, 0)
     return out
+
+
+def zoom_in_distribution(index: VenueIndex, root: Region, k: int, n: int) -> AuxDistribution:
+    """RRZI-VSA's draw source over n auxiliary nodes: zoom_in_law's p and
+    calls, spread over the node ids as prepare_experiment does."""
+    ids, p, calls = zoom_in_law(index, root, k)
+    probs, costs = np.zeros(n), np.zeros(n, dtype=np.int64)
+    probs[ids], costs[ids] = p, calls
+    return AuxDistribution(n, probs, costs)
 
 
 def hybrid_rows(h: HybridNetwork, ws) -> np.ndarray:

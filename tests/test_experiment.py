@@ -370,8 +370,8 @@ def test_cli_orientation_label_needs_synthetic_source(tmp_path, capsys):
 
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
-    # coincident venues above the truncation limit make every zoom-in draw
-    # fail at run time, which must surface as exit code 2 with the seed named
+    # coincident venues above the truncation limit leave the zoom-in law
+    # undefined, which must surface as exit code 2 naming k and the location
     (tmp_path / "target.txt").write_text("a b\nb c\n")
     (tmp_path / "aux.txt").write_text("0 1\n1 2\n")
     (tmp_path / "aff.txt").write_text("a 0\nb 1\nc 2\n")
@@ -390,7 +390,26 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert "runtime error" in err and "seed" in err
+    assert "runtime error" in err and "more than 2 venues share the location (40.5, -74.0)" in err
+
+
+def test_cli_duplicate_venue_id_is_config_error_naming_the_line(tmp_path, capsys):
+    (tmp_path / "target.txt").write_text("a b\nb c\n")
+    (tmp_path / "aux.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "aff.txt").write_text("a 0\nb 1\nc 2\n")
+    (tmp_path / "venues.txt").write_text("0 40.5 -74.0\n1 40.6 -74.0\n0 40.7 -74.0\n")
+    code = cli.main([
+        "run",
+        "--set", "source=files",
+        "--set", f"target_path={tmp_path/'target.txt'}",
+        "--set", f"auxiliary_path={tmp_path/'aux.txt'}",
+        "--set", f"affiliation_path={tmp_path/'aff.txt'}",
+        "--set", f"venues_path={tmp_path/'venues.txt'}",
+        "--set", "method=RRZI-VSA",
+        "--set", "budget=5",
+    ])
+    assert code == 1
+    assert "venues.txt:3: duplicate venue id '0' (first on line 1)" in capsys.readouterr().err
 
 
 def test_cli_lbsn_source(tmp_path, capsys):
@@ -423,18 +442,19 @@ def test_cli_lbsn_source(tmp_path, capsys):
 # sha256 of (result CSV, raw_out) for n_per_graph=2000, extra_pairs=4000,
 # runs=20, keyed by (case, seed), recorded at seed version 4, when the
 # harvests and the walks' start nodes moved to numpy streams; RWT-RWA's at
-# seed version 5, when it became one walk on the hybrid graph. The RNG
-# streams, the graph construction and the estimator arithmetic must not
-# move them.
+# seed version 5, when it became one walk on the hybrid graph; RRZI-VSA's at
+# seed version 6, when its draws became one uniform each from zoom_in_law.
+# The RNG streams, the graph construction and the estimator arithmetic must
+# not move them.
 PINNED_DIGESTS = {
     ("VS-A", 1): ("41a0cf7b20301a83ea91d62df6f4dfc3d5e66cbf98ba87d80abc8cf4006ea42a",
                   "47e59179a1da255e0a67fe515a8bae098c7a19edf3b8d89ed401081107d2e838"),
     ("VS-A", 2): ("485563b5209797c8a7e472807bc6392cfe5d27c889d023981a0a19ab5617894a",
                   "9c01edb45c0527a4b63d384ea4b46a06e7f079f29b5fe97506092e6691d0c29d"),
-    ("RRZI-VSA", 1): ("a652cb37ebb1edd972f1bd63cdb487ab0d38df3f70c1658fee7204dd8e4b298c",
-                      "6d8dae5958d092a2934347c00c90a86f38813a05fee93512048c627e1ee840a2"),
-    ("RRZI-VSA", 2): ("cf39ef6cc5fd05dca5376cd4ce9edeeb99d9f6d0798324ecf0288d7daf369963",
-                      "92a536b249e97f0f225a8661a54948648e8f84c12f5f03a16f81f4c43597b97b"),
+    ("RRZI-VSA", 1): ("9cbadddbbeaf374279bab68171b74c4fd75ababae95679147310aa29edcc6d19",
+                      "503c6278e360ea0d993b30f54d069bfc50200cb7f00602db6d1f9af0bbaa3b97"),
+    ("RRZI-VSA", 2): ("c1c3b2aca49bfb09c042d6d8602f944efa74c56e1ab52b7ad094faa6780abd5e",
+                      "c5d9f31113582039888e5f5ef0c9b17aa366515c00ab419501a8355b732f6feb"),
     ("RWT-VSA", 1): ("a78b9166f23b49b14dded87fe371db2edc0038054ee2c5510d6758f20a3403cd",
                      "87d3ac0a37ed828ee5cf7c6675d99d928819907abc60f657bfb73fabb7941853"),
     ("RWT-VSA", 2): ("1038ab70f9d09245d26cca3de07dc18d2649aac8cabea4c0d2e01a6ac4ab95ec",

@@ -1,19 +1,25 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from helpers import csr_rows, rrzi_exact_probabilities, three_user_hybrid
+from helpers import (
+    csr_rows,
+    rrzi_exact_probabilities,
+    three_user_hybrid,
+    zoom_in_distribution,
+)
+from hybridsample import experiment as ex
 from hybridsample.estimators import nrmse, vsa_theta_unknown_n
 from hybridsample.geo import (
     NYC_REGION,
     Region,
     Venue,
     VenueIndex,
-    ZoomInSource,
     load_venues,
-    rrzi_draw,
     write_venues,
+    zoom_in_law,
 )
 from hybridsample.graphs import (
     BipartiteGraph,
@@ -26,12 +32,10 @@ from hybridsample.samplers import vs_a_collect
 from hybridsample.seeds import STREAM_AUX, spawn_generator
 
 
-def aux_stream(seed):
-    """The generator a harvest of ``seed`` draws its zoom-ins from."""
-    return spawn_generator(seed, STREAM_AUX)
+ROOT = Region(0.0, 1.0, 0.0, 1.0)
 
 
-def grid_index(n, region=Region(0.0, 1.0, 0.0, 1.0), seed=5):
+def grid_index(n, region=ROOT, seed=5):
     rng = random.Random(seed)
     venues = [
         Venue(
@@ -71,104 +75,80 @@ def test_query_region_basics():
 
 
 def test_rrzi_no_zoom_uniform_leaf():
-    idx = grid_index(4)
-    root = Region(0.0, 1.0, 0.0, 1.0)
-    draw = rrzi_draw(idx, root, 5, aux_stream(3))
-    assert draw.p == pytest.approx(1 / 4)
-    assert draw.zoom_path == []
-    assert draw.api_calls == 1
+    ids, p, calls = zoom_in_law(grid_index(4), ROOT, 5)
+    assert ids.tolist() == [0, 1, 2, 3]
+    assert p.tolist() == [0.25] * 4
+    assert calls.tolist() == [1] * 4
 
 
 def test_rrzi_four_quadrant_symmetry():
     venues = [Venue(0, 0.25, 0.25), Venue(1, 0.25, 0.75), Venue(2, 0.75, 0.25), Venue(3, 0.75, 0.75)]
-    idx = VenueIndex(venues)
-    root = Region(0.0, 1.0, 0.0, 1.0)
-    seen = set()
-    for s in range(40):
-        draw = rrzi_draw(idx, root, 1, aux_stream(s))
-        assert draw.p == pytest.approx(0.25, abs=1e-15)
-        assert len(draw.zoom_path) == 1
-        assert draw.api_calls == 1 + 4 + 1  # root query, 4 probes, leaf query
-        seen.add(draw.venue.id)
-    assert seen == {0, 1, 2, 3}
+    _, p, calls = zoom_in_law(VenueIndex(venues), ROOT, 1)
+    assert p.tolist() == [0.25] * 4
+    assert calls.tolist() == [1 + 4 + 1] * 4  # root query, 4 probes, leaf query
+
+
+def path_hybrid(n):
+    """n users on a path, each affiliated with its own one of n venues."""
+    return HybridNetwork(
+        Graph(n, [(i, i + 1) for i in range(n - 1)]),
+        Graph(n, []),
+        BipartiteGraph(n, n, [(u, u) for u in range(n)]),
+    )
 
 
 def test_rrzi_probability_closure_and_match():
     idx = grid_index(20, seed=8)
-    root = Region(0.0, 1.0, 0.0, 1.0)
-    exact = rrzi_exact_probabilities(idx, root, k=3)
+    exact = rrzi_exact_probabilities(idx, ROOT, k=3)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
     assert len(exact) == 20 and min(exact.values()) > 0.0
-    # the recorded p of each draw equals the exact inclusion probability
-    gen = aux_stream(123)
-    counts = {}
-    for _ in range(6000):
-        draw = rrzi_draw(idx, root, 3, gen)
-        assert draw.p == pytest.approx(exact[draw.venue.id], abs=1e-12)
-        counts[draw.venue.id] = counts.get(draw.venue.id, 0) + 1
-    for vid, c in counts.items():
-        assert c / 6000 == pytest.approx(exact[vid], abs=0.03)
+    ids, p, calls = zoom_in_law(idx, ROOT, 3)
+    assert p.tolist() == [exact[v] for v in ids.tolist()]
+    # the draws of a harvest follow p, and each costs its venue's calls
+    sample = vs_a_collect(path_hybrid(20), zoom_in_distribution(idx, ROOT, 3, 20), 6000, seed=123)
+    assert sample.p.tolist() == p[sample.venues].tolist()
+    assert sample.query_count == calls[sample.venues].sum()
+    freq = np.bincount(sample.venues, minlength=20) / 6000
+    assert np.abs(freq - p).max() < 0.03
 
 
 def test_rrzi_deterministic_and_cost_tracks_depth():
     idx = grid_index(50, seed=2)
-    root = Region(0.0, 1.0, 0.0, 1.0)
-    a = rrzi_draw(idx, root, 2, aux_stream(9))
-    b = rrzi_draw(idx, root, 2, aux_stream(9))
-    assert (a.venue, a.p, a.zoom_path, a.api_calls) == (b.venue, b.p, b.zoom_path, b.api_calls)
-    # one query per visited region plus four probes per zoom level
-    assert a.api_calls == 1 + 5 * len(a.zoom_path)
-    assert len(a.zoom_path) >= 1
-
-
-def test_rrzi_empty_root_and_max_depth():
-    # each error is raised again by a second draw on the same (memoising) index
-    idx = grid_index(5)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="no venues"):
-            rrzi_draw(idx, Region(5.0, 6.0, 5.0, 6.0), 2, aux_stream(0))
-    # more than K venues at one point can never become fully accessible
-    stacked = VenueIndex([Venue(i, 0.5, 0.5) for i in range(3)])
-    for seed in (0, 0, 1):
-        with pytest.raises(RuntimeError, match="depth"):
-            rrzi_draw(stacked, Region(0.0, 1.0, 0.0, 1.0), 2, aux_stream(seed))
-
-
-def _draws(idx, root, k, seeds):
-    return [
-        (d.venue, d.p, d.zoom_path, d.api_calls)
-        for d in (rrzi_draw(idx, root, k, aux_stream(s)) for s in seeds)
-    ]
+    depths = {}
+    rrzi_exact_probabilities(idx, ROOT, 2, depths)
+    ids, p, calls = zoom_in_law(idx, ROOT, 2)
+    again = zoom_in_law(idx, ROOT, 2)
+    assert all(np.array_equal(a, b) for a, b in zip((ids, p, calls), again))
+    # one query per visited cell plus four probes per zoom level
+    assert calls.tolist() == [1 + 5 * depths[v] for v in ids.tolist()]
+    assert calls.min() >= 6
 
 
 @pytest.mark.parametrize("k", [1, 3, 25])
-def test_rrzi_zoom_cache_does_not_change_draws(k):
-    root = Region(0.0, 1.0, 0.0, 1.0)
-    fresh = _draws(grid_index(2000, seed=11), root, k, range(200))
-    # warmed by other seeds, and at every k, since steps are kept per (cell, k)
-    warmed = grid_index(2000, seed=11)
-    for warm_k in (1, 3, 25):
-        _draws(warmed, root, warm_k, range(1000, 1200))
-    assert _draws(warmed, root, k, range(200)) == fresh
-
-
-def test_rrzi_zoom_cache_serves_repeated_draws(monkeypatch):
+def test_zoom_in_law_matches_oracle_on_grid(k):
     idx = grid_index(2000, seed=11)
-    root = Region(0.0, 1.0, 0.0, 1.0)
-    first = _draws(idx, root, 3, range(100))
-    calls = []
-    real_query = VenueIndex.query
+    depths = {}
+    exact = rrzi_exact_probabilities(idx, ROOT, k, depths)
+    ids, p, calls = zoom_in_law(idx, ROOT, k)
+    assert p.tolist() == [exact[v] for v in ids.tolist()]  # bit for bit
+    assert calls.tolist() == [1 + 5 * depths[v] for v in ids.tolist()]
 
-    def counting_query(self, region, k):
-        calls.append((region, k))
-        return real_query(self, region, k)
 
-    monkeypatch.setattr(VenueIndex, "query", counting_query)
-    assert _draws(idx, root, 3, range(100)) == first
-    assert calls == []
-    # new seeds query only the cells they reach first, each once
-    _draws(idx, root, 3, range(100, 300))
-    assert len(calls) == len(set(calls)) > 0
+def test_rrzi_empty_root_and_max_depth():
+    with pytest.raises(ValueError, match="no venues"):
+        zoom_in_law(grid_index(5), Region(5.0, 6.0, 5.0, 6.0), 2)
+    # more than K venues at one point can never become fully accessible: at
+    # 0.5 the midpoints stop splitting in float precision, at 0.0 the zoom
+    # reaches MAX_ZOOM_DEPTH first
+    for at in (0.5, 0.0):
+        stacked = VenueIndex([Venue(i, at, at) for i in range(3)])
+        with pytest.raises(RuntimeError, match=rf"depth limit.*more than 2 venues .*\({at}, {at}\)"):
+            zoom_in_law(stacked, ROOT, 2)
+    # venues outside the root are never drawn
+    idx = grid_index(6)
+    ids, p, _ = zoom_in_law(idx, Region(0.0, 0.5, 0.0, 1.0), 10)
+    inside = [v.lat < 0.5 for v in idx.venues]
+    assert (p > 0).tolist() == inside and math.fsum(p.tolist()) == 1.0
 
 
 def test_rrzi_vsa_single_full_venue_exact():
@@ -178,9 +158,8 @@ def test_rrzi_vsa_single_full_venue_exact():
     aff = BipartiteGraph(n, 1, [(u, 0) for u in range(n)])
     h = HybridNetwork(target, aux, aff)
     idx = VenueIndex([Venue(0, 0.5, 0.5)])
-    root = Region(0.0, 1.0, 0.0, 1.0)
     truth = ground_truth_theta(target, degree_labels(target.degrees))
-    sample = vs_a_collect(h, ZoomInSource(idx, root, 3), 4, seed=2)
+    sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3, 1), 4, seed=2)
     rep = vsa_theta_unknown_n(sample, degree_labels(target.degrees), seed=2, n=h.target.n)
     for l, t in truth.theta.items():
         assert rep.theta[l] == pytest.approx(t, abs=1e-12)
@@ -188,27 +167,21 @@ def test_rrzi_vsa_single_full_venue_exact():
 
 
 def test_zoom_in_source_harvest_cost_is_api_calls():
-    h = HybridNetwork(
-        Graph(20, [(i, i + 1) for i in range(19)]),
-        Graph(20, []),
-        BipartiteGraph(20, 20, [(u, u) for u in range(20)]),
-    )
     idx = grid_index(20, seed=8)
-    root = Region(0.0, 1.0, 0.0, 1.0)
-    sample = vs_a_collect(h, ZoomInSource(idx, root, 3), 30, seed=4)
-    # the same draws, replayed from the harvest's stream
-    gen = aux_stream(4)
-    draws = [rrzi_draw(idx, root, 3, gen) for _ in range(30)]
-    assert sample.venues.tolist() == [d.venue.id for d in draws]
-    assert sample.p.tolist() == [d.p for d in draws]
-    assert sample.query_count == sum(d.api_calls for d in draws) > 30
+    zoom = zoom_in_distribution(idx, ROOT, 3, 20)
+    sample = vs_a_collect(path_hybrid(20), zoom, 30, seed=4)
+    # one uniform of the harvest's stream a draw, as for VS-A
+    assert sample.venues.tolist() == zoom.pick(spawn_generator(4, STREAM_AUX).random(30)).tolist()
+    assert sample.query_count == zoom.calls[sample.venues].sum() > 30
 
 
-def test_rrzi_vsa_rejects_venue_outside_auxiliary_graph():
+def test_rrzi_vsa_rejects_venue_outside_auxiliary_graph(monkeypatch):
     h = three_user_hybrid()
     idx = VenueIndex([Venue(h.auxiliary.n, 0.5, 0.5)])
-    with pytest.raises(ValueError, match="not an auxiliary node"):
-        vs_a_collect(h, ZoomInSource(idx, Region(0.0, 1.0, 0.0, 1.0), 3), 2, seed=0)
+    monkeypatch.setattr(ex, "build_network", lambda cfg: (h, idx))
+    cfg = ex.make_config({"method": "RRZI-VSA", "budget": "2"})
+    with pytest.raises(ValueError, match=f"venue id {h.auxiliary.n} is not an auxiliary node"):
+        ex.prepare_experiment(cfg)
 
 
 def test_rrzi_vsa_enumeration_ratio_unbiased():
@@ -259,7 +232,7 @@ def test_rrzi_vsa_lbsn_city_pattern():
     truth = ground_truth_theta(social, labeler)
 
     def runs(b_prime, n_runs=25):
-        zoom = ZoomInSource(idx, root, 20)
+        zoom = zoom_in_distribution(idx, root, 20, n_venues)
         return [
             vsa_theta_unknown_n(vs_a_collect(h, zoom, b_prime, seed=s), labeler,
                                 seed=s, n=h.target.n)
@@ -301,3 +274,14 @@ def test_venue_ids_resolve_by_auxiliary_name(tmp_path):
     assert loaded == [Venue(2, 41.0, -73.5), Venue(0, 40.5, -74.0)]
     with pytest.raises(ValueError, match="venues.txt:2: venue id '7'"):
         load_venues(path, node_names=["3"])
+
+
+def test_duplicate_venue_id_names_the_id_and_lines(tmp_path):
+    path = tmp_path / "venues.txt"
+    path.write_text("0 40.5 -74.0\n1 40.6 -74.0\n# again\n0 40.7 -74.1\n")
+    with pytest.raises(ValueError, match=r"venues.txt:4: duplicate venue id '0' \(first on line 1\)"):
+        load_venues(path)
+    with pytest.raises(ValueError, match="venues.txt:4: duplicate venue id '0'"):
+        load_venues(path, node_names=["1", "0"])
+    with pytest.raises(ValueError, match="duplicate venue id 7"):
+        VenueIndex([Venue(7, 0.1, 0.1), Venue(2, 0.2, 0.2), Venue(7, 0.3, 0.3)])
