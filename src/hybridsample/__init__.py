@@ -19,13 +19,13 @@ from .graphs import (
 from .ingest import CheckinRecord, build_hybrid_from_lbsn, load_checkins, load_edge_list
 from .samplers import (
     AuxDistribution,
+    JumpLaw,
     SampleTrace,
     VsaSample,
     compute_qu,
     fixed_weight_scheme,
     rwt_rwa_run,
     rwt_vsa_run,
-    simple_rw_run,
     vs_a_collect,
 )
 from .synth import SynthConfig, build_synthetic_hybrid, generate_ba, orient_edges

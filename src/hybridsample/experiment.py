@@ -27,13 +27,13 @@ from .estimators import EstimateReport, nrmse, vsa_theta_unknown_n, walk_theta
 from .graphs import HybridNetwork, LabelDistribution, LabelTable, degree_labels, ground_truth_theta
 from .samplers import (
     AuxDistribution,
+    JumpLaw,
     WalkError,
     WeightSystem,
     compute_qu,
     fixed_weight_scheme,
     rwt_rwa_run,
     rwt_vsa_run,
-    simple_rw_run,
     vs_a_collect,
     write_trace,
 )
@@ -106,8 +106,12 @@ class ExperimentConfig:
             raise ValueError(f"label={self.label} needs source=synthetic, got {self.source}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        for key in ("alpha", "beta"):
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{key}={value!r}: must be a finite number >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed!r}: must be >= 0")
         if self.method == "RWT-RWA" and self.alpha > 0 and self.beta == 0:
             raise ValueError(f"beta=0 with alpha={self.alpha!r}: an RWT-RWA walk on an "
                              "auxiliary node returns to the target only through jump mass")
@@ -181,7 +185,7 @@ def resolve_budget(budget, n: int) -> int:
                 value = round(float(text) * n)
             else:
                 value = int(text)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ValueError(
                 f"budget {budget!r}: expected a count (2000), percent (2%) or fraction (0.02)"
             ) from None
@@ -201,8 +205,9 @@ class PreparedExperiment:
     budget: int
     alpha_total: float
     beta_total: float
-    source: AuxDistribution | None = None  # auxiliary draws
+    source: AuxDistribution | None = None  # harvests: auxiliary draws
     weight: np.ndarray | None = None  # walks: visit weight of each target node
+    jumps: JumpLaw | None = None  # RWT-VSA: the target walk's jumps
     weights: WeightSystem | None = None  # RWT-RWA: the weighted hybrid graph
 
 
@@ -256,9 +261,8 @@ def build_network(cfg: ExperimentConfig):
         auxiliary = ingest.load_edge_list(cfg.auxiliary_path)
         affiliation = ingest.load_affiliation(cfg.affiliation_path, target, auxiliary)
         index = None
-        if cfg.venues_path:
-            venues = geo.load_venues(cfg.venues_path, auxiliary.node_names)
-            index = geo.VenueIndex(venues)
+        if cfg.method == "RRZI-VSA" and cfg.venues_path:
+            index = geo.VenueIndex(geo.load_venues(cfg.venues_path, auxiliary.node_names))
         return HybridNetwork(target, auxiliary, affiliation), index
     # lbsn
     if not (cfg.social_path and cfg.checkins_path):
@@ -293,8 +297,9 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         prep.source = AuxDistribution.uniform(hybrid.auxiliary.n)
     elif cfg.method == "RWT-VSA":
         support = np.flatnonzero(hybrid.affiliation.right_degrees)
-        prep.source = AuxDistribution.uniform_over(hybrid.auxiliary.n, support)
-        prep.weight = target.degrees + alpha_total * compute_qu(hybrid, prep.source)
+        p = AuxDistribution.uniform_over(hybrid.auxiliary.n, support)
+        prep.weight = target.degrees + alpha_total * compute_qu(hybrid, p)
+        prep.jumps = JumpLaw(p, hybrid.affiliation, prep.weight)
     elif cfg.method == "RWT-RWA":
         prep.weights = fixed_weight_scheme(hybrid, alpha_total, beta_total)
         prep.weight = prep.weights.total[:target.n]
@@ -327,12 +332,10 @@ def _walk_batch(prep: PreparedExperiment, seeds: list):
         raise WalkError(0, "no usable start node")
     u = np.array([spawn_generator(rep_seed, STREAM_WALK_START).random() for rep_seed in seeds])
     starts = pool[(u * len(pool)).astype(np.int64)]
-    method, hybrid = prep.cfg.method, prep.hybrid
-    if method == "SRW":
-        return simple_rw_run(hybrid.target, prep.budget, starts, seeds)
-    if method == "RWT-VSA":
-        return rwt_vsa_run(hybrid, prep.source, prep.weight, prep.budget, starts, seeds)
-    return rwt_rwa_run(hybrid, prep.weights, prep.budget, starts, seeds)
+    if prep.cfg.method == "RWT-RWA":
+        return rwt_rwa_run(prep.hybrid, prep.weights, prep.budget, starts, seeds)
+    # SRW is the target walk without a jump law
+    return rwt_vsa_run(prep.hybrid.target, prep.budget, starts, seeds, prep.jumps)
 
 
 def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:

@@ -3,8 +3,8 @@
 Three families are implemented:
 
 * auxiliary vertex sampling that harvests affiliation neighbors,
-* a target-graph random walk whose jumps route through auxiliary vertex
-  sampling plus a uniform affiliation-neighbor step,
+* a target-graph random walk, plain or with jumps that route through
+  auxiliary vertex sampling plus a uniform affiliation-neighbor step,
 * one random walk on the weighted hybrid graph: the target and auxiliary
   graphs joined by weighted affiliation edges, which carry the jumps of
   each side into the other.
@@ -51,8 +51,8 @@ class AuxDistribution:
         probs = np.array(probs, dtype=float)
         if probs.shape != (n,):
             raise ValueError("probability vector length must equal n'")
-        if (probs < 0).any():
-            raise ValueError("probabilities must be nonnegative")
+        if not (np.isfinite(probs) & (probs >= 0)).all():
+            raise ValueError("probabilities must be finite and nonnegative")
         # fsum: a naive sum of ~1e5 equal shares misses 1 by ~2e-12
         total = math.fsum(probs.tolist())
         if abs(total - 1.0) > 1e-12:
@@ -332,73 +332,65 @@ def write_trace(trace: SampleTrace, path) -> None:
             fh.write(f"{i},{x},{w!r},{int(j)}\n")
 
 
-def simple_rw_run(graph: Graph, budget: int, starts, seeds) -> WalkBatch:
-    """R uniform-neighbor random walks from ``starts`` on ``seeds`` (one
-    start per seed), run in lockstep; visit weight is the node degree.
+@dataclass
+class JumpLaw:
+    """Jumps of a target-graph walk through auxiliary vertex sampling: a
+    node drawn from ``p``, then a uniform neighbour in ``affiliation``.
+    ``total`` is the visit weight d_x + omega_x of every target node, with
+    jump weight omega_x = alpha * q_x (q from compute_qu(hybrid, p))."""
 
-    Step t sets x = indices[indptr[x] + floor(u_t d_x)] with u_t the walk's
-    t-th STREAM_TARGET uniform, so the jump walks at zero jump weight
-    reproduce it exactly.
+    p: AuxDistribution
+    affiliation: BipartiteGraph
+    total: np.ndarray
+
+
+def rwt_vsa_run(graph: Graph, budget: int, starts, seeds, jumps: JumpLaw | None = None) -> WalkBatch:
+    """R random walks on ``graph`` from ``starts`` on ``seeds`` (one start
+    per seed), run in lockstep; with ``jumps`` each walk also jumps through
+    auxiliary vertex sampling.  The visit weight is ``jumps.total``, or the
+    node degree d_x for the plain walk (SRW).
+
+    Step t scales the walk's t-th STREAM_TARGET uniform u_t by the visit
+    weight: the walker moves to neighbour floor(s) of its row when
+    s = u_t (d_x + omega_x) < d_x, and otherwise jumps (the virtual jumper
+    edge of weight omega_x): it draws an auxiliary node from p and lands on
+    a uniform affiliation neighbour of it, one query.  A landing takes two
+    STREAM_AUX uniforms a step, the node of p and the neighbour; the plain
+    walk draws none.  At alpha = 0 a jump law never fires, so the walk
+    gives the plain walk's trace.
     """
     deg = graph.degrees.astype(float)
-    starts, seeds = _walk_args(deg, budget, starts, seeds)
-    base, cols = graph.indptr, graph.indices
-    nodes = np.empty((budget, len(seeds)), dtype=np.int64)
-    nodes[0] = starts
-    uniforms = _Uniforms(seeds, STREAM_TARGET, 1)
-    # every node entered has the edge it was entered by, so none is absorbing
-    for t0, steps in _blocks(budget):
-        u = uniforms.block(steps)[0]
-        for i in range(steps):
-            x = nodes[t0 + i - 1]
-            cols.take(base[x] + (u[i] * deg[x]).astype(np.int64), mode="clip", out=nodes[t0 + i])
-    flags = np.zeros(nodes.shape, dtype=bool)
-    return WalkBatch(nodes, flags, deg, [budget] * len(seeds), graph.n)
-
-
-def rwt_vsa_run(
-    hybrid: HybridNetwork, p: AuxDistribution, total: np.ndarray, budget: int, starts, seeds
-) -> WalkBatch:
-    """Random walks on the target graph with jumps through auxiliary vertex
-    sampling; ``starts`` and ``seeds`` as in simple_rw_run.
-
-    ``total`` is the visit weight d_x + omega_x of every target node, with
-    jump weight omega_x = alpha * q_x (q from compute_qu(hybrid, p)).  A
-    step scales its uniform u by the total: the walker moves to neighbour
-    floor(s) of its row when s = u (d_x + omega_x) < d_x, and otherwise
-    jumps (the virtual jumper edge of weight omega_x): it draws an
-    auxiliary node from p and lands on a uniform affiliation neighbor of
-    it, one query.
-
-    Streams: the move takes one STREAM_TARGET uniform a step, so alpha = 0
-    gives simple_rw_run's trace; the landing takes two STREAM_AUX uniforms
-    a step, the node of p and the neighbor.
-    """
-    target, aff = hybrid.target, hybrid.affiliation
+    total = deg if jumps is None else jumps.total
     starts, seeds = _walk_args(total, budget, starts, seeds)
-    deg = target.degrees.astype(float)
-    base, cols = target.indptr, _entries(target.indices)
+    base, cols = graph.indptr, _entries(graph.indices)
     nodes = np.empty((budget, len(seeds)), dtype=np.int64)
     nodes[0] = starts
     flags = np.zeros(nodes.shape, dtype=bool)
     moves = _Uniforms(seeds, STREAM_TARGET, 1)
-    landings = _Uniforms(seeds, STREAM_AUX, 2)
+    if jumps is not None:
+        p, aff = jumps.p, jumps.affiliation
+        landings = _Uniforms(seeds, STREAM_AUX, 2)
     for t0, steps in _blocks(budget):
         u = moves.block(steps)[0]
-        a = landings.block(steps)
-        # compute_qu vetoes p-mass on unaffiliated nodes up front
-        v = p.pick(a[0])
-        land = aff.right_indices[aff.right_indptr[v] + (a[1] * aff.right_degrees[v]).astype(np.int64)]
+        if jumps is not None:
+            a = landings.block(steps)
+            # compute_qu vetoes p-mass on unaffiliated nodes up front
+            v = p.pick(a[0])
+            pick = (a[1] * aff.right_degrees[v]).astype(np.int64)
+            land = aff.right_indices[aff.right_indptr[v] + pick]
         for i in range(steps):
             t = t0 + i
             x = nodes[t - 1]
             s = u[i] * total[x]
-            np.greater_equal(s, deg[x], out=flags[t])
             cols.take(base[x] + s.astype(np.int64), mode="clip", out=nodes[t])
-            np.copyto(nodes[t], land[i], where=flags[t])
-        _check_absorbing(total, nodes[t0 - 1:t0 + steps - 1])
+            if jumps is not None:
+                np.greater_equal(s, deg[x], out=flags[t])
+                np.copyto(nodes[t], land[i], where=flags[t])
+        # a plain walk leaves by the edge it came in on; a landing may be stuck
+        if jumps is not None:
+            _check_absorbing(total, nodes[t0 - 1:t0 + steps - 1])
     queries = (budget + flags.sum(axis=0)).tolist()
-    return WalkBatch(nodes, flags, total, queries, target.n)
+    return WalkBatch(nodes, flags, total, queries, graph.n)
 
 
 @dataclass
@@ -458,8 +450,8 @@ def fixed_weight_scheme(
     needs no division.  q defaults to uniform over the affiliation-covered
     target nodes.
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be >= 0")
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+        raise ValueError(f"alpha and beta must be finite and >= 0, got {alpha!r}, {beta!r}")
     if alpha > 0 and beta == 0:
         raise ValueError("beta must be > 0 when alpha > 0: an auxiliary visit "
                          "returns to the target only through jump mass")
@@ -468,6 +460,8 @@ def fixed_weight_scheme(
     q = np.asarray(q, dtype=float)
     if q.shape != (hybrid.target.n,):
         raise ValueError("q must have one entry per target node")
+    if not (np.isfinite(q) & (q >= 0)).all():
+        raise ValueError("q must be finite and nonnegative")
     if abs(float(q.sum()) - 1.0) > 1e-9:
         raise ValueError(f"q not normalized (sum={float(q.sum())!r})")
     target, aux, aff = hybrid.target, hybrid.auxiliary, hybrid.affiliation
@@ -508,12 +502,12 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
     t-th STREAM_TARGET uniform: s < deg[z] moves to graph neighbour
     floor(s) of z, and otherwise s - deg[z] picks z's affiliation entry by
     cumulative weight, a jump.  At alpha = 0 a target walk never jumps and
-    its trace is simple_rw_run's.
+    its trace is the plain walk's (rwt_vsa_run without a jump law).
 
     Every step is one query, so a walk of ``budget`` steps costs ``budget``
     queries; its trace keeps the target visits in order (WalkBatch.trace),
     each flagged jumped when it was entered from an auxiliary node.
-    ``starts`` (target nodes) and ``seeds`` are as in simple_rw_run.
+    ``starts`` (target nodes) and ``seeds`` are as in rwt_vsa_run.
     """
     target, aux = hybrid.target, hybrid.auxiliary
     n_t = target.n

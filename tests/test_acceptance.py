@@ -16,8 +16,8 @@ from helpers import (
     hybrid_rows,
     random_hybrid,
     rrzi_exact_probabilities,
+    rwt_vsa_jumps,
     rwt_vsa_transition_matrix,
-    rwt_vsa_weight,
     stationary_rwt_vsa,
     stationary_solve,
     three_user_hybrid,
@@ -34,7 +34,6 @@ from hybridsample.samplers import (
     harvest,
     rwt_rwa_run,
     rwt_vsa_run,
-    simple_rw_run,
     vs_a_collect,
 )
 from hybridsample.seeds import replication_seeds
@@ -249,8 +248,8 @@ def test_criterion_5_reduction_identities():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=200, m1=2, m2=3, m3=5, extra_pairs=150, seed=8))
     support = np.flatnonzero(h.affiliation.right_degrees)
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-    walk = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 0.0), 5000, [17], [MASTER_SEED]).trace(0)
-    plain = simple_rw_run(h.target, 5000, [17], [MASTER_SEED]).trace(0)
+    walk = rwt_vsa_run(h.target, 5000, [17], [MASTER_SEED], rwt_vsa_jumps(h, p, 0.0)).trace(0)
+    plain = rwt_vsa_run(h.target, 5000, [17], [MASTER_SEED]).trace(0)
     assert np.array_equal(walk.nodes, plain.nodes) and np.array_equal(walk.weights, plain.weights)
 
     ws = fixed_weight_scheme(h, 0.0, 0.0)
@@ -416,7 +415,7 @@ def test_criterion_9_disconnection_robustness():
     assert abs(share.mean() - exact) < 4 * se
     assert share.min() > 0.0 and share.max() < 1.0
 
-    plain = simple_rw_run(h.target, budget, [start] * walks, seeds)
+    plain = rwt_vsa_run(h.target, budget, [start] * walks, seeds)
     stay = np.mean(plain.nodes < n_half, axis=0)
     volume = h.target.degrees[:n_half].sum() / h.target.degree_sum
     stay_se = stay.std(ddof=1) / np.sqrt(walks)

@@ -10,7 +10,7 @@ from helpers import (
     hand_sample,
     reference_theta,
     reference_walk_theta,
-    rwt_vsa_weight,
+    rwt_vsa_jumps,
     three_user_hybrid,
     two_user_hybrid,
 )
@@ -21,7 +21,6 @@ from hybridsample.samplers import (
     SampleTrace,
     harvest,
     rwt_vsa_run,
-    simple_rw_run,
     vs_a_collect,
 )
 from hybridsample.synth import SynthConfig, build_synthetic_hybrid
@@ -217,8 +216,8 @@ def test_walk_theta_long_run_rwt_vsa():
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
     # 1000 lockstep walks, 50 from each node: 1e6 visits after burn-in
     walks = 1000
-    batch = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), 1300, np.arange(walks) % h.target.n,
-                        [17 + r for r in range(walks)])
+    batch = rwt_vsa_run(h.target, 1300, np.arange(walks) % h.target.n,
+                        [17 + r for r in range(walks)], rwt_vsa_jumps(h, p, 1.0))
     rep = walk_theta(_pooled_trace(batch, 300), degree_labels(h.target.degrees))
     for l, t in truth.theta.items():
         assert rep.theta.get(l, 0.0) == pytest.approx(t, abs=0.01)
@@ -230,8 +229,8 @@ def test_walk_theta_simple_rw_reweighted():
     truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
     # 1000 lockstep walks, 50 from each node: 1e6 visits after burn-in
     walks = 1000
-    batch = simple_rw_run(h.target, 1300, np.arange(walks) % h.target.n,
-                          [23 + r for r in range(walks)])
+    batch = rwt_vsa_run(h.target, 1300, np.arange(walks) % h.target.n,
+                        [23 + r for r in range(walks)])
     rep = walk_theta(_pooled_trace(batch, 300), degree_labels(h.target.degrees))
     for l, t in truth.theta.items():
         assert rep.theta.get(l, 0.0) == pytest.approx(t, abs=0.01)

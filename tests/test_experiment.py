@@ -42,6 +42,8 @@ def test_config_validation_errors():
 
 @pytest.mark.parametrize("key,value", [
     ("runs", "abc"), ("alpha", "x"), ("budget", "1e3"), ("bbox", "1,2,a,4"), ("bbox", "2,1,3,4"),
+    ("alpha", "nan"), ("alpha", "inf"), ("beta", "nan"), ("beta", "inf"), ("budget", "inf%"),
+    ("seed", "-1"),
 ])
 def test_config_value_that_fails_to_convert_names_its_key(key, value):
     with pytest.raises(ValueError, match=key):
@@ -161,7 +163,7 @@ def test_zero_jump_walks_start_where_the_plain_walk_does(tmp_path):
 
 @pytest.mark.parametrize("method", ["SRW", "RWT-VSA", "RWT-RWA"])
 def test_run_replication_rejects_walk_methods(method):
-    # RWT-VSA's prep carries an auxiliary distribution a harvest would draw from
+    # RWT-VSA's jump law carries an auxiliary distribution a harvest could draw from
     prep = ex.prepare_experiment(small_cfg(method=method))
     with pytest.raises(ValueError, match=f"{method} walks"):
         ex.run_replication(prep, 1)
@@ -172,15 +174,15 @@ def test_walk_failure_names_replication_across_batches(monkeypatch):
     prep = ex.prepare_experiment(cfg)
     failing_seed = replication_seeds(cfg.seed, cfg.runs)[3]
     monkeypatch.setattr(ex, "CHUNK_VISITS", 2 * prep.budget)
-    walk = ex.simple_rw_run
+    walk = ex.rwt_vsa_run
 
-    def fail_replication_3(graph, budget, starts, seeds):
+    def fail_replication_3(graph, budget, starts, seeds, jumps=None):
         if failing_seed in seeds:
             raise ex.WalkError(seeds.index(failing_seed),
                                "absorbing node 9: zero visit weight, so the walk cannot leave it")
-        return walk(graph, budget, starts, seeds)
+        return walk(graph, budget, starts, seeds, jumps)
 
-    monkeypatch.setattr(ex, "simple_rw_run", fail_replication_3)
+    monkeypatch.setattr(ex, "rwt_vsa_run", fail_replication_3)
     with pytest.raises(RuntimeError, match=rf"^replication 3 \(seed {failing_seed}\) failed: "
                                            r"absorbing node 9: zero visit weight, so the walk "
                                            r"cannot leave it$"):
@@ -352,6 +354,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--set", "source=lbsn"]) == 1
 
 
+def test_cli_non_finite_beta_is_config_error(tmp_path, capsys):
+    # a NaN jump mass would let RWT-RWA drift through rows of NaN weight
+    cfgp = _write_cfg(tmp_path, method="RWT-RWA")
+    assert cli.main(["run", "--config", str(cfgp), "--set", "beta=nan"]) == 1
+    assert "beta=nan" in capsys.readouterr().err
+
+
 def test_cli_orientation_label_needs_synthetic_source(tmp_path, capsys):
     cfgp = _write_cfg(tmp_path, method="SRW")
     net = tmp_path / "net"
@@ -505,6 +514,26 @@ def test_trace_out_matches_pinned_digest(tmp_path, method):
                           "runs": "20", "method": method, "trace_out": str(path)})
     ex.run_experiment(cfg)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACE_OUT[method]
+
+
+def test_venues_path_is_read_only_by_rrzi_vsa(tmp_path):
+    cfgp = _write_cfg(tmp_path)
+    net = tmp_path / "net"
+    assert cli.main(["generate", "--config", str(cfgp), "--out-dir", str(net)]) == 0
+    missing = tmp_path / "no_venues.txt"
+    files = {
+        "source": "files",
+        "target_path": str(net / "target.txt"),
+        "auxiliary_path": str(net / "auxiliary.txt"),
+        "affiliation_path": str(net / "affiliation.txt"),
+        "venues_path": str(missing),
+    }
+    prep = ex.prepare_experiment(ex.make_config(ex.parse_config_file(cfgp),
+                                                {**files, "method": "VS-A"}))
+    assert prep.source.n == prep.hybrid.auxiliary.n
+    cfg = ex.make_config(ex.parse_config_file(cfgp), {**files, "method": "RRZI-VSA"})
+    with pytest.raises(FileNotFoundError, match="no_venues.txt"):
+        ex.prepare_experiment(cfg)
 
 
 def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):

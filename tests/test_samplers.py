@@ -9,6 +9,7 @@ from helpers import (
     left_stationary,
     random_hybrid,
     rwt_vsa_transition_matrix,
+    rwt_vsa_jumps,
     rwt_vsa_weight,
     stationary_rwt_vsa,
 )
@@ -16,13 +17,13 @@ from hybridsample import samplers
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
 from hybridsample.samplers import (
     AuxDistribution,
+    JumpLaw,
     WalkError,
     compute_qu,
     fixed_weight_scheme,
     harvest,
     rwt_rwa_run,
     rwt_vsa_run,
-    simple_rw_run,
     vs_a_collect,
     write_trace,
 )
@@ -53,6 +54,13 @@ def test_aux_distribution_validation():
     d = AuxDistribution.explicit([0.25, 0.75])
     assert d.probs[1] == 0.75
     assert AuxDistribution.uniform(4).probs[2] == 0.25
+
+
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]])
+def test_aux_distribution_rejects_non_finite_probabilities(probs):
+    # a NaN sum passes an abs(total - 1) > tol test, so finiteness is checked first
+    with pytest.raises(ValueError, match="finite"):
+        AuxDistribution(2, probs)
 
 
 def test_aux_distribution_sampling_frequencies():
@@ -185,7 +193,7 @@ ABSORBING_2 = "absorbing node 2: zero visit weight, so the walk cannot leave it"
 
 def test_simple_rw_path_transition_probabilities():
     g = Graph(3, [(0, 1), (1, 2)])
-    trace = simple_rw_run(g, 40_001, [1], [3]).trace(0)
+    trace = rwt_vsa_run(g, 40_001, [1], [3]).trace(0)
     nxt = [trace.nodes[i + 1] for i in range(len(trace) - 1) if trace.nodes[i] == 1]
     frac0 = nxt.count(0) / len(nxt)
     assert set(nxt) <= {0, 2}
@@ -203,7 +211,7 @@ def test_simple_rw_cycle_uniform():
     n = 11
     g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
     walks = 1100
-    batch = simple_rw_run(g, 1100, np.arange(walks) % n, [4 + r for r in range(walks)])
+    batch = rwt_vsa_run(g, 1100, np.arange(walks) % n, [4 + r for r in range(walks)])
     assert np.abs(_visit_freq(batch, 100, n) - 1.0 / n).max() < 0.01
 
 
@@ -215,7 +223,7 @@ def test_simple_rw_degree_stationary_law():
     # five walks from each CSR entry's row start at the degree law: 1190
     # walks, 1.19e6 visits after burn-in
     starts = np.tile(np.repeat(np.arange(g.n), g.degrees), 5)
-    batch = simple_rw_run(g, 1100, starts, [7 + r for r in range(len(starts))])
+    batch = rwt_vsa_run(g, 1100, starts, [7 + r for r in range(len(starts))])
     pi = np.array([g.degree(u) for u in range(g.n)]) / g.degree_sum
     assert np.abs(_visit_freq(batch, 100, g.n) - pi).max() < 0.01
 
@@ -223,7 +231,24 @@ def test_simple_rw_degree_stationary_law():
 def test_simple_rw_absorbing_error():
     g = Graph(3, [(0, 1)])
     with pytest.raises(WalkError, match=ABSORBING_2):
-        simple_rw_run(g, 10, [2], [0])
+        rwt_vsa_run(g, 10, [2], [0])
+
+
+def test_plain_walk_opens_no_landing_stream(monkeypatch):
+    # without a jump law the walk draws moves only; with one, landings too
+    h = small_synthetic()
+    keys = []
+
+    def spy(seed, *key):
+        keys.append(key)
+        return spawn_generator(seed, *key)
+
+    monkeypatch.setattr(samplers, "spawn_generator", spy)
+    rwt_vsa_run(h.target, 300, [5, 6], [1, 2])
+    assert keys and (STREAM_AUX,) not in keys
+    keys.clear()
+    rwt_vsa_run(h.target, 300, [5, 6], [1, 2], rwt_vsa_jumps(h, covered_uniform(h), 1.0))
+    assert keys.count((STREAM_AUX,)) == 2
 
 
 # ---------------------------------------------------------------- rwt_vsa
@@ -232,8 +257,8 @@ def test_simple_rw_absorbing_error():
 def test_rwt_vsa_alpha_zero_equals_simple_rw():
     h = small_synthetic()
     p = covered_uniform(h)
-    a = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 0.0), 5000, [5], [42]).trace(0)
-    b = simple_rw_run(h.target, 5000, [5], [42]).trace(0)
+    a = rwt_vsa_run(h.target, 5000, [5], [42], rwt_vsa_jumps(h, p, 0.0)).trace(0)
+    b = rwt_vsa_run(h.target, 5000, [5], [42]).trace(0)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.weights, b.weights)
     assert not any(a.jumped)
@@ -247,8 +272,8 @@ def test_rwt_vsa_empirical_stationarity_four_nodes():
     p = AuxDistribution.uniform(2)
     # 1000 lockstep walks, 250 from each node: 1e6 visits after burn-in
     walks = 1000
-    batch = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), 1100, np.arange(walks) % 4,
-                        [13 + r for r in range(walks)])
+    batch = rwt_vsa_run(h.target, 1100, np.arange(walks) % 4, [13 + r for r in range(walks)],
+                        rwt_vsa_jumps(h, p, 1.0))
     pi = stationary_rwt_vsa(h, p, 1.0)
     assert np.abs(_visit_freq(batch, 100, 4) - pi).max() < 0.01
     assert batch.queries == (1100 + batch.flags.sum(axis=0)).tolist()
@@ -261,7 +286,7 @@ def test_rwt_vsa_absorbing_error():
     h = HybridNetwork(target, aux, aff)
     p = AuxDistribution.uniform(1)
     with pytest.raises(WalkError, match=ABSORBING_2):
-        rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), 10, [2], [0])
+        rwt_vsa_run(h.target, 10, [2], [0], rwt_vsa_jumps(h, p, 1.0))
 
 
 @pytest.mark.parametrize("method", ["SRW", "RWT-VSA", "RWT-RWA"])
@@ -271,8 +296,8 @@ def test_walks_share_one_start_check(method):
                       BipartiteGraph(3, 2, [(0, 0), (1, 1)]))
     p = AuxDistribution.uniform(2)
     walk = {
-        "SRW": lambda *args: simple_rw_run(h.target, *args),
-        "RWT-VSA": lambda *args: rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), *args),
+        "SRW": lambda *args: rwt_vsa_run(h.target, *args),
+        "RWT-VSA": lambda *args: rwt_vsa_run(h.target, *args, rwt_vsa_jumps(h, p, 1.0)),
         "RWT-RWA": lambda *args: rwt_rwa_run(h, fixed_weight_scheme(h, 1.0, 1.0), *args),
     }[method]
     with pytest.raises(ValueError, match="budget must be >= 1"):
@@ -296,7 +321,7 @@ def test_rwt_vsa_stops_at_a_zero_weight_landing():
     total = rwt_vsa_weight(h, p, 1.0)
     total[2] = 0.0
     with pytest.raises(WalkError, match=ABSORBING_2):
-        rwt_vsa_run(h, p, total, 100, [0] * 20, list(range(20)))
+        rwt_vsa_run(h.target, 100, [0] * 20, list(range(20)), JumpLaw(p, h.affiliation, total))
 
 
 # ---------------------------------------------------------------- stationary law
@@ -383,6 +408,19 @@ def test_fixed_weight_scheme_jump_masses_on_synthetic():
     assert abs(ws.cum[-1] - 5.0) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha,beta", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+def test_fixed_weight_scheme_rejects_non_finite_masses(alpha, beta):
+    with pytest.raises(ValueError, match="finite"):
+        fixed_weight_scheme(small_synthetic(), alpha, beta)
+
+
+def test_fixed_weight_scheme_rejects_non_finite_q():
+    h = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0), (1, 0)]))
+    for q in ([np.nan, np.nan], [np.inf, -np.inf], [1.5, -0.5]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fixed_weight_scheme(h, 1.0, 1.0, np.array(q))
+
+
 def test_fixed_weight_scheme_rejects_uncovered_q_mass():
     h = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0)]))
     with pytest.raises(ValueError, match="no affiliation edges"):
@@ -395,7 +433,7 @@ def test_fixed_weight_scheme_rejects_uncovered_q_mass():
 def test_rwt_rwa_zero_jump_reduction():
     # at alpha = 0 a target walk never jumps, whatever beta
     h = small_synthetic()
-    ref = simple_rw_run(h.target, 4000, [5], [42]).trace(0)
+    ref = rwt_vsa_run(h.target, 4000, [5], [42]).trace(0)
     for beta in (0.0, 1.0):
         trace = rwt_rwa_run(h, fixed_weight_scheme(h, 0.0, beta), 4000, [5], [42]).trace(0)
         assert np.array_equal(trace.nodes, ref.nodes)
@@ -443,8 +481,8 @@ def test_rwt_rwa_absorbing_start():
 def test_runs_deterministic_per_seed():
     h = small_synthetic()
     p = covered_uniform(h)
-    total = rwt_vsa_weight(h, p, 2.0)
-    t1, t2, t3 = (rwt_vsa_run(h, p, total, 2000, [0], [s]).trace(0) for s in (5, 5, 6))
+    jumps = rwt_vsa_jumps(h, p, 2.0)
+    t1, t2, t3 = (rwt_vsa_run(h.target, 2000, [0], [s], jumps).trace(0) for s in (5, 5, 6))
     assert np.array_equal(t1.nodes, t2.nodes) and t1.jumped == t2.jumped
     assert not np.array_equal(t1.nodes, t3.nodes)
     ws = fixed_weight_scheme(h, 1.0, 1.0)
@@ -455,7 +493,7 @@ def test_runs_deterministic_per_seed():
 
 def test_write_trace_format(tmp_path):
     h = small_synthetic()
-    trace = simple_rw_run(h.target, 50, [0], [1]).trace(0)
+    trace = rwt_vsa_run(h.target, 50, [0], [1]).trace(0)
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
     lines = path.read_text().splitlines()
@@ -510,11 +548,11 @@ def _case_trace(h, method, alpha, beta):
     alpha_total, beta_total = alpha * len(covered), beta * h.auxiliary.n
     start = covered[0]
     if method == "SRW":
-        return simple_rw_run(h.target, 3000, [start], [4]).trace(0), np.zeros(h.target.n)
+        return rwt_vsa_run(h.target, 3000, [start], [4]).trace(0), np.zeros(h.target.n)
     if method == "RWT-VSA":
         support = np.flatnonzero(h.affiliation.right_degrees).tolist()
         p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-        trace = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, alpha_total), 3000, [start], [4]).trace(0)
+        trace = rwt_vsa_run(h.target, 3000, [start], [4], rwt_vsa_jumps(h, p, alpha_total)).trace(0)
         return trace, alpha_total * compute_qu(h, p)
     q = np.zeros(h.target.n)
     q[covered] = 1.0 / len(covered)
@@ -550,11 +588,11 @@ def _case_run(h, method, alpha, beta, starts, seeds):
     covered = h.covered_targets()
     alpha_total, beta_total = alpha * len(covered), beta * h.auxiliary.n
     if method == "SRW":
-        return simple_rw_run(h.target, 600, starts, seeds)
+        return rwt_vsa_run(h.target, 600, starts, seeds)
     if method == "RWT-VSA":
         support = np.flatnonzero(h.affiliation.right_degrees).tolist()
         p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-        return rwt_vsa_run(h, p, rwt_vsa_weight(h, p, alpha_total), 600, starts, seeds)
+        return rwt_vsa_run(h.target, 600, starts, seeds, rwt_vsa_jumps(h, p, alpha_total))
     ws = fixed_weight_scheme(h, alpha_total, beta_total)
     return rwt_rwa_run(h, ws, 600, starts, seeds)
 
@@ -588,7 +626,7 @@ def test_rwt_vsa_batch_error_names_node_and_replication():
     h = HybridNetwork(target, aux, aff)
     p = AuxDistribution.uniform(1)
     with pytest.raises(WalkError, match=r"replication 1: " + ABSORBING_2) as info:
-        rwt_vsa_run(h, p, rwt_vsa_weight(h, p, 1.0), 10, [0, 2], [0, 1])
+        rwt_vsa_run(h.target, 10, [0, 2], [0, 1], rwt_vsa_jumps(h, p, 1.0))
     assert info.value.replication == 1
 
 
@@ -601,8 +639,8 @@ def test_rwt_vsa_one_step_law_matches_kernel(alpha):
     h = HybridNetwork(target, aux, aff)
     p = AuxDistribution.uniform(2)
     walks = 8000
-    batch = rwt_vsa_run(h, p, rwt_vsa_weight(h, p, alpha), 2, np.arange(walks) % 4,
-                        list(range(walks)))
+    batch = rwt_vsa_run(h.target, 2, np.arange(walks) % 4, list(range(walks)),
+                        rwt_vsa_jumps(h, p, alpha))
     counts = np.zeros((4, 4))
     np.add.at(counts, (batch.nodes[0], batch.nodes[1]), 1.0)
     P = rwt_vsa_transition_matrix(h, p, alpha)
