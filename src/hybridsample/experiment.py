@@ -223,18 +223,19 @@ def _parse_bbox(text: str) -> geo.Region:
     raise ValueError(f"bbox {text!r}: expected 'lat_min,lat_max,lon_min,lon_max' or 'nyc'")
 
 
-def synthetic_venues(n: int, region: geo.Region, seed: int) -> list:
-    """Uniform venue coordinates inside a region, one per auxiliary node."""
+def synthetic_venues(n: int, region: geo.Region, seed: int) -> tuple:
+    """Uniform venue coordinates inside a region, one per auxiliary node:
+    the (ids, lats, lons) arrays."""
     u = spawn_generator(seed, STREAM_VENUES).random((n, 2))
     lat = region.lat_min + u[:, 0] * (region.lat_max - region.lat_min)
     lon = region.lon_min + u[:, 1] * (region.lon_max - region.lon_min)
-    return [geo.Venue(i, a, b) for i, (a, b) in enumerate(zip(lat.tolist(), lon.tolist()))]
+    return np.arange(n), lat, lon
 
 
 def build_network(cfg: ExperimentConfig):
     """Build or load the hybrid network named by the config.
 
-    Returns (hybrid, venue_index_or_None).
+    Returns (hybrid, venue_index_or_None); only RRZI-VSA gets the index.
     """
     if cfg.source == "synthetic":
         n = cfg.n_per_graph
@@ -251,7 +252,7 @@ def build_network(cfg: ExperimentConfig):
         index = None
         if cfg.method == "RRZI-VSA":
             index = geo.VenueIndex(
-                synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
+                *synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
             )
         return hybrid, index
     if cfg.source == "files":
@@ -262,7 +263,7 @@ def build_network(cfg: ExperimentConfig):
         affiliation = ingest.load_affiliation(cfg.affiliation_path, target, auxiliary)
         index = None
         if cfg.method == "RRZI-VSA" and cfg.venues_path:
-            index = geo.VenueIndex(geo.load_venues(cfg.venues_path, auxiliary.node_names))
+            index = geo.VenueIndex(*geo.load_venues(cfg.venues_path, auxiliary.node_names))
         return HybridNetwork(target, auxiliary, affiliation), index
     # lbsn
     if not (cfg.social_path and cfg.checkins_path):
@@ -270,7 +271,8 @@ def build_network(cfg: ExperimentConfig):
     social = ingest.load_edge_list(cfg.social_path)
     bbox = _parse_bbox(cfg.bbox) if cfg.bbox else None
     checkins = ingest.load_checkins(cfg.checkins_path, bbox)
-    return ingest.build_hybrid_from_lbsn(social, checkins)
+    hybrid, venues = ingest.build_hybrid_from_lbsn(social, checkins)
+    return hybrid, geo.VenueIndex(*venues) if cfg.method == "RRZI-VSA" else None
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:

@@ -1,10 +1,10 @@
-"""Simulated venue-query API and the random region zoom-in sampler.
+"""The venue index and the law of the random region zoom-in sampler.
 
-The index answers rectangle queries truncated to at most K venues, the way
-location-based service APIs do.  The zoom-in sampler recursively splits a
-truncated region into four equal quadrants, descends into a uniformly
-chosen nonempty quadrant, and finally picks one venue uniformly in a fully
-accessible leaf.  Because a venue sits in exactly one leaf, the product of
+A location-based service API answers rectangle queries truncated to at
+most K venues.  The zoom-in sampler recursively splits a truncated region
+into four equal quadrants, descends into a uniformly chosen nonempty
+quadrant, and finally picks one venue uniformly in a fully accessible
+leaf.  Because a venue sits in exactly one leaf, the product of
 branching factors times the leaf pick gives the exact draw probability,
 which is what the indirect estimators need.  ``zoom_in_law`` computes it
 for every venue at once, so RRZI-VSA draws from a fixed AuxDistribution.
@@ -22,20 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _tokens
+
 MAX_ZOOM_DEPTH = 60
-
-
-@dataclass(frozen=True)
-class Venue:
-    id: int
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} out of range")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} out of range")
 
 
 @dataclass(frozen=True)
@@ -49,29 +38,11 @@ class Region:
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError(f"degenerate region {self}")
 
-    def contains(self, lat: float, lon: float) -> bool:
-        """Half-open membership used by the venue index."""
-        return (
-            self.lat_min <= lat < self.lat_max
-            and self.lon_min <= lon < self.lon_max
-        )
-
     def contains_closed(self, lat: float, lon: float) -> bool:
         """Inclusive membership, used for bounding-box record filters."""
         return (
             self.lat_min <= lat <= self.lat_max
             and self.lon_min <= lon <= self.lon_max
-        )
-
-    def quadrants(self) -> tuple:
-        """Four equal quadrants partitioning the region (half-open)."""
-        mid_lat = (self.lat_min + self.lat_max) / 2.0
-        mid_lon = (self.lon_min + self.lon_max) / 2.0
-        return (
-            Region(self.lat_min, mid_lat, self.lon_min, mid_lon),
-            Region(self.lat_min, mid_lat, mid_lon, self.lon_max),
-            Region(mid_lat, self.lat_max, self.lon_min, mid_lon),
-            Region(mid_lat, self.lat_max, mid_lon, self.lon_max),
         )
 
 
@@ -80,46 +51,37 @@ NYC_REGION = Region(40.4, 41.4, -74.3, -73.3)
 
 
 class VenueIndex:
-    """Immutable spatial point set with truncated rectangle queries."""
+    """Venue coordinates as three arrays sorted by id: ``ids``, ``lats`` and
+    ``lons``."""
 
-    def __init__(self, venues):
-        self.venues = sorted(venues, key=lambda v: v.id)
-        for a, b in zip(self.venues, self.venues[1:]):
-            if a.id == b.id:
-                raise ValueError(f"duplicate venue id {a.id}")
-        self._lats = np.array([v.lat for v in self.venues])
-        self._lons = np.array([v.lon for v in self.venues])
+    def __init__(self, ids, lats, lons):
+        order = np.argsort(ids, kind="stable")
+        self.ids = np.asarray(ids, dtype=np.int64)[order]
+        self.lats = np.asarray(lats, dtype=np.float64)[order]
+        self.lons = np.asarray(lons, dtype=np.float64)[order]
+        twice = self.ids[1:][self.ids[1:] == self.ids[:-1]]
+        if len(twice):
+            raise ValueError(f"duplicate venue id {twice[0]}")
+        if not ((np.abs(self.lats) <= 90.0) & (np.abs(self.lons) <= 180.0)).all():
+            raise ValueError("venue coordinates out of range (or not finite)")
 
     def __len__(self) -> int:
-        return len(self.venues)
-
-    def query(self, region: Region, k: int):
-        """Venues inside the region, truncated to the K smallest ids.
-
-        Returns (venues, truncated).
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        idx = self.inside(region)
-        if len(idx) > k:
-            return [self.venues[i] for i in idx[:k]], True
-        return [self.venues[i] for i in idx], False
+        return len(self.ids)
 
     def inside(self, region: Region) -> np.ndarray:
-        """Positions in ``venues`` of the venues in the region (half-open)."""
+        """Positions in ``ids`` of the venues in the region (half-open)."""
         return np.flatnonzero(
-            (self._lats >= region.lat_min)
-            & (self._lats < region.lat_max)
-            & (self._lons >= region.lon_min)
-            & (self._lons < region.lon_max)
+            (self.lats >= region.lat_min)
+            & (self.lats < region.lat_max)
+            & (self.lons >= region.lon_min)
+            & (self.lons < region.lon_max)
         )
 
     def bounding_region(self, pad: float = 1e-6) -> Region:
-        if not self.venues:
+        if not len(self.ids):
             raise ValueError("empty index has no bounding region")
-        lats = [v.lat for v in self.venues]
-        lons = [v.lon for v in self.venues]
-        return Region(min(lats), max(lats) + pad, min(lons), max(lons) + pad)
+        return Region(float(self.lats.min()), float(self.lats.max()) + pad,
+                      float(self.lons.min()), float(self.lons.max()) + pad)
 
 
 def zoom_in_law(index: VenueIndex, root: Region, k: int) -> tuple:
@@ -131,14 +93,14 @@ def zoom_in_law(index: VenueIndex, root: Region, k: int) -> tuple:
     venue's p is 1/(nonempty quadrants) per level, then 1/(leaf size),
     divided in that order, and its draw costs 1 + 5 * depth calls.  One pass
     over the zoom tree splits each truncated cell's venues by the float
-    midpoints and half-open bounds of Region.quadrants; venues outside the
+    midpoints into four equal half-open quadrants; venues outside the
     root get p = 0.  Every cell is reached with positive probability, so a
     cell no draw could finish fails here.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    lats, lons = index._lats, index._lons
-    ids = np.array([v.id for v in index.venues], dtype=np.int64)
+    lats, lons = index.lats, index.lons
+    ids = index.ids.copy()
     p = np.zeros(len(ids))
     calls = np.zeros(len(ids), dtype=np.int64)
     member = index.inside(root)
@@ -166,7 +128,7 @@ def zoom_in_law(index: VenueIndex, root: Region, k: int) -> tuple:
                 f"share the location ({lat!r}, {lon!r})"
             )
         upper = np.column_stack((lats[member], lons[member])) >= mid[cell]
-        # quadrant q of Region.quadrants: bit 1 upper latitude half, bit 0 upper longitude
+        # quadrant q: bit 1 upper latitude half, bit 0 upper longitude half
         child, cell = np.unique(cell * 4 + upper @ [2, 1], return_inverse=True)
         parent, quad = np.divmod(child, 4)
         reach = reach[parent] / np.bincount(parent)[parent]
@@ -177,35 +139,38 @@ def zoom_in_law(index: VenueIndex, root: Region, k: int) -> tuple:
         bounds[:, 1::2] = np.where(up, b[:, 1::2], m)
 
 
-def load_venues(path, node_names=None) -> list:
+def load_venues(path, node_names) -> tuple:
     """Read a venue file: one "id lat lon" triple per line, '#' comments.
-    Given ``node_names`` (the auxiliary graph's id dictionary), ids resolve by name."""
-    node_ids = None if node_names is None else {name: i for i, name in enumerate(node_names)}
-    venues = []
-    first_line = {}  # venue id -> line it was read from
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'id lat lon', got {line!r}")
-            vid = parts[0] if node_ids is None else node_ids.get(parts[0])
-            if vid is None:
-                raise ValueError(f"{path}:{lineno}: venue id {parts[0]!r} is not an auxiliary node id")
-            try:
-                venues.append(Venue(int(vid), float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            earlier = first_line.setdefault(venues[-1].id, lineno)
-            if earlier != lineno:
-                raise ValueError(f"{path}:{lineno}: duplicate venue id {parts[0]!r} "
-                                 f"(first on line {earlier})")
-    return venues
+    Each id names an auxiliary node, resolved through its id dictionary
+    ``node_names``.  Returns the (ids, lats, lons) arrays in file order."""
+    data, starts, lens, lines, pending = _tokens.records(path, 3, "expected 'id lat lon'")
+    ids = _tokens.resolve(data, starts[:, 0], lens[:, 0], node_names)
+    (lats, bad_lat), (lons, bad_lon) = (_tokens.floats(data, starts[:, j], lens[:, j])
+                                        for j in (1, 2))
+    again = np.ones(len(ids), dtype=bool)  # the id is on an earlier line
+    again[np.unique(ids, return_index=True)[1]] = False
+
+    def token(i, j=0):
+        return _tokens.token_text(data, starts[i, j], lens[i, j])
+
+    _tokens.raise_first(path, lines, [
+        (ids < 0, lambda i: f"venue id {token(i)!r} is not an auxiliary node id"),
+        (bad_lat, lambda i: f"could not convert string to float: {token(i, 1)!r}"),
+        (bad_lon, lambda i: f"could not convert string to float: {token(i, 2)!r}"),
+        (~((-90.0 <= lats) & (lats <= 90.0)), lambda i: f"latitude {lats[i]} out of range"),
+        (~((-180.0 <= lons) & (lons <= 180.0)), lambda i: f"longitude {lons[i]} out of range"),
+        (again, lambda i: f"duplicate venue id {token(i)!r} "
+                          f"(first on line {lines[np.argmax(ids == ids[i])]})"),
+    ], pending)
+    return ids, lats, lons
 
 
 def write_venues(venues, path) -> None:
+    """Write the (ids, lats, lons) arrays one "id lat lon" line per venue,
+    sorted by id, the coordinates as repr floats."""
+    ids, lats, lons = (np.asarray(a) for a in venues)
+    order = np.argsort(ids, kind="stable")
+    rows = map("{} {!r} {!r}\n".format, ids[order].tolist(), lats[order].tolist(),
+               lons[order].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for v in sorted(venues, key=lambda v: v.id):
-            fh.write(f"{v.id} {v.lat!r} {v.lon!r}\n")
+        fh.write("".join(rows))

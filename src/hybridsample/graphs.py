@@ -10,7 +10,7 @@ through an ingest-time dictionary kept on the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,14 +102,11 @@ class Graph:
         return int(self.degrees[u])
 
     def edge_array(self) -> np.ndarray:
-        """(m, 2) array of the edges in ``edges()`` order."""
+        """(m, 2) array of the edges, each once as (u, v) with u < v, sorted
+        by u, then v."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         keep = rows < self.indices
         return np.column_stack((rows[keep], self.indices[keep]))
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Each edge once as (u, v) with u < v, sorted by u, then v."""
-        return map(tuple, self.edge_array().tolist())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"

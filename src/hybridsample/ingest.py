@@ -1,6 +1,7 @@
 """Loading edge lists and check-in records into hybrid networks.
 
-Edge lists are plain text, one "u v" pair per line, '#' comments allowed.
+Edge lists and affiliation files hold one "u v" pair per line, '#'
+comments allowed, and are read by the byte tokenizer of ``_tokens``.
 Check-ins are 5-field tab-separated lines: user, timestamp, lat, lon,
 venue.  External string ids map to dense integer ids through first-seen
 dictionaries kept on the resulting graphs.
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import Region, Venue, VenueIndex
+from . import _tokens
+from .geo import Region
 from .graphs import BipartiteGraph, Graph, HybridNetwork
 
 log = logging.getLogger(__name__)
@@ -38,75 +40,55 @@ def load_edge_list(path) -> Graph:
     Duplicate lines and reversed duplicates merge into one edge.  The
     first-seen id dictionary is kept on the graph as node_names.
     """
-    ids: dict = {}
-    names: list = []
-    edges = []
-
-    def intern(token: str) -> int:
-        i = ids.get(token)
-        if i is None:
-            i = ids[token] = len(names)
-            names.append(token)
-        return i
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two ids, got {line!r}")
-            a, b = parts
-            if a == b:
-                raise ValueError(f"{path}:{lineno}: self-loop {a!r}")
-            edges.append((intern(a), intern(b)))
+    data, starts, lens, lines, pending = _tokens.records(path, 2, "expected two ids")
+    codes, names = _tokens.intern(data, starts, lens)
+    del data, starts, lens  # the CSR build is the peak: hold little else
+    edges = codes.reshape(-1, 2)
+    _tokens.raise_first(path, lines, [
+        (edges[:, 0] == edges[:, 1], lambda i: f"self-loop {names[edges[i, 0]]!r}"),
+    ], pending)
+    del lines
     return Graph(len(names), edges, node_names=names)
 
 
 def write_edge_list(graph: Graph, path) -> None:
     """Write one edge per line using external names when present."""
-    names = graph.node_names
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in graph.edges():
-            if names is not None:
-                fh.write(f"{names[u]} {names[v]}\n")
-            else:
-                fh.write(f"{u} {v}\n")
+    u, v = graph.edge_array().T
+    _write_pairs(path, u, v, graph.node_names, graph.node_names)
 
 
 def load_affiliation(path, left_graph: Graph, right_graph: Graph) -> BipartiteGraph:
     """Bipartite pairs from a "u v" file, resolved through the id
-    dictionaries of the two side graphs."""
+    dictionaries of the two side graphs: one lookup per distinct id."""
     if left_graph.node_names is None or right_graph.node_names is None:
         raise ValueError("side graphs need id dictionaries (load_edge_list)")
-    left_ids = {name: i for i, name in enumerate(left_graph.node_names)}
-    right_ids = {name: i for i, name in enumerate(right_graph.node_names)}
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two ids, got {line!r}")
-            a, b = parts
-            if a not in left_ids:
-                raise ValueError(f"{path}:{lineno}: unknown target id {a!r}")
-            if b not in right_ids:
-                raise ValueError(f"{path}:{lineno}: unknown auxiliary id {b!r}")
-            pairs.append((left_ids[a], right_ids[b]))
+    data, starts, lens, lines, pending = _tokens.records(path, 2, "expected two ids")
+    pairs = np.column_stack([_tokens.resolve(data, starts[:, j], lens[:, j], graph.node_names)
+                             for j, graph in enumerate((left_graph, right_graph))])
+
+    def unknown(j, side):
+        return lambda i: f"unknown {side} id {_tokens.token_text(data, starts[i, j], lens[i, j])!r}"
+
+    _tokens.raise_first(path, lines, [
+        (pairs[:, 0] < 0, unknown(0, "target")),
+        (pairs[:, 1] < 0, unknown(1, "auxiliary")),
+    ], pending)
     return BipartiteGraph(left_graph.n, right_graph.n, pairs)
 
 
 def write_affiliation(aff: BipartiteGraph, path, left_names=None, right_names=None) -> None:
-    rows = np.repeat(np.arange(aff.n_left), aff.left_degrees).tolist()
+    rows = np.repeat(np.arange(aff.n_left), aff.left_degrees)
+    _write_pairs(path, rows, aff.left_indices, left_names, right_names)
+
+
+def _write_pairs(path, left, right, left_names, right_names) -> None:
+    """One "a b" line per pair of ids, each written as its name where names are given."""
+    def column(ids, names):
+        return ids.tolist() if names is None else list(map(names.__getitem__, ids.tolist()))
+
+    rows = map("{} {}\n".format, column(left, left_names), column(right, right_names))
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in zip(rows, aff.left_indices.tolist()):
-            a = left_names[u] if left_names is not None else u
-            b = right_names[v] if right_names is not None else v
-            fh.write(f"{a} {b}\n")
+        fh.write("".join(rows))
 
 
 def load_checkins(path, bbox: Region | None = None) -> list:
@@ -151,8 +133,8 @@ def build_hybrid_from_lbsn(social: Graph, checkins) -> tuple:
 
     Venues become auxiliary nodes with an empty edge set; deduplicated
     (user, venue) pairs become the affiliation graph.  Users appearing only
-    in check-ins are added as isolated target nodes.  Returns
-    (HybridNetwork, VenueIndex).
+    in check-ins are added as isolated target nodes.  Returns the
+    HybridNetwork and the venues' (ids, lats, lons) arrays.
     """
     if social.node_names is None:
         raise ValueError("social graph needs an id dictionary (load_edge_list)")
@@ -186,7 +168,5 @@ def build_hybrid_from_lbsn(social: Graph, checkins) -> tuple:
     )
     auxiliary = Graph(len(venue_coords), ())
     affiliation = BipartiteGraph(n_users, len(venue_coords), list(pairs))
-    index = VenueIndex(
-        [Venue(i, lat, lon) for i, (lat, lon) in enumerate(venue_coords)]
-    )
-    return HybridNetwork(target, auxiliary, affiliation), index
+    lats, lons = np.array(venue_coords, dtype=np.float64).reshape(-1, 2).T
+    return HybridNetwork(target, auxiliary, affiliation), (np.arange(len(lats)), lats, lons)

@@ -43,6 +43,11 @@ def csr_rows(indptr, indices) -> list:
     return [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
 
 
+def edges(graph: Graph) -> list:
+    """Each edge once as (u, v) with u < v, sorted by u, then v."""
+    return list(map(tuple, graph.edge_array().tolist()))
+
+
 def hand_sample(draws, degree) -> VsaSample:
     """VsaSample of hand-made (venue, p, harvested users) draws, with
     ``degree[u]`` the affiliation degree recorded for user u."""
@@ -196,6 +201,39 @@ def ba_exact_law(n: int, m: int) -> dict:
     return law
 
 
+def contains(region: Region, lat: float, lon: float) -> bool:
+    """Half-open membership, as the venue index reads a region."""
+    return region.lat_min <= lat < region.lat_max and region.lon_min <= lon < region.lon_max
+
+
+def quadrants(region: Region) -> tuple:
+    """Four equal quadrants partitioning the region (half-open): lower then
+    upper latitude half, each lower then upper longitude half."""
+    mid_lat = (region.lat_min + region.lat_max) / 2.0
+    mid_lon = (region.lon_min + region.lon_max) / 2.0
+    return (
+        Region(region.lat_min, mid_lat, region.lon_min, mid_lon),
+        Region(region.lat_min, mid_lat, mid_lon, region.lon_max),
+        Region(mid_lat, region.lat_max, region.lon_min, mid_lon),
+        Region(mid_lat, region.lat_max, mid_lon, region.lon_max),
+    )
+
+
+def venue_index(triples) -> VenueIndex:
+    """The VenueIndex of (id, lat, lon) triples."""
+    ids, lats, lons = zip(*triples)
+    return VenueIndex(ids, lats, lons)
+
+
+def query(index: VenueIndex, region: Region, k: int):
+    """The simulated venue-query API: the ids of the venues inside the
+    region, truncated to the K smallest.  Returns (ids, truncated)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ids = index.ids[index.inside(region)].tolist()
+    return ids[:k], len(ids) > k
+
+
 def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int, depths=None) -> dict:
     """Exact draw probability of every venue via recursion over the zoom tree.
     Given a dict ``depths``, fills in the zoom depth of each venue's leaf."""
@@ -203,17 +241,16 @@ def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int, depths=Non
 
     def descend(region: Region, prob: float, depth: int):
         assert depth <= 80, "runaway recursion"
-        hits, truncated = index.query(region, k)
+        hits, truncated = query(index, region, k)
         if not truncated:
             assert hits, "descended into an empty region"
             share = prob / len(hits)
             for v in hits:
-                out[v.id] = out.get(v.id, 0.0) + share
+                out[v] = out.get(v, 0.0) + share
                 if depths is not None:
-                    depths[v.id] = depth
+                    depths[v] = depth
             return
-        quads = region.quadrants()
-        nonempty = [q for q in quads if index.query(q, 1)[0]]
+        nonempty = [q for q in quadrants(region) if query(index, q, 1)[0]]
         for q in nonempty:
             descend(q, prob / len(nonempty), depth + 1)
 
@@ -309,3 +346,115 @@ def left_stationary(P: np.ndarray) -> np.ndarray:
     pi = np.real(vecs[:, i])
     pi = np.abs(pi)
     return pi / pi.sum()
+
+
+# ------------------------------------------------- line-loop file oracles
+
+
+def oracle_load_edge_list(path):
+    """(n, edges, names) of an edge list, read one line at a time."""
+    ids: dict = {}
+    names: list = []
+    edges = []
+
+    def intern(token: str) -> int:
+        i = ids.get(token)
+        if i is None:
+            i = ids[token] = len(names)
+            names.append(token)
+        return i
+
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two ids, got {line!r}")
+            a, b = parts
+            if a == b:
+                raise ValueError(f"{path}:{lineno}: self-loop {a!r}")
+            edges.append((intern(a), intern(b)))
+    return len(names), edges, names
+
+
+def oracle_load_affiliation(path, left_names, right_names) -> list:
+    """The (left, right) id pairs of an affiliation file, one line at a time."""
+    left_ids = {name: i for i, name in enumerate(left_names)}
+    right_ids = {name: i for i, name in enumerate(right_names)}
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two ids, got {line!r}")
+            a, b = parts
+            if a not in left_ids:
+                raise ValueError(f"{path}:{lineno}: unknown target id {a!r}")
+            if b not in right_ids:
+                raise ValueError(f"{path}:{lineno}: unknown auxiliary id {b!r}")
+            pairs.append((left_ids[a], right_ids[b]))
+    return pairs
+
+
+def oracle_load_venues(path, node_names) -> list:
+    """The (id, lat, lon) triples of a venue file in file order, one line at
+    a time."""
+    node_ids = {name: i for i, name in enumerate(node_names)}
+    venues = []
+    first_line = {}  # venue id -> line it was read from
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'id lat lon', got {line!r}")
+            vid = node_ids.get(parts[0])
+            if vid is None:
+                raise ValueError(f"{path}:{lineno}: venue id {parts[0]!r} is not an auxiliary node id")
+            try:
+                lat, lon = float(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not -90.0 <= lat <= 90.0:
+                raise ValueError(f"{path}:{lineno}: latitude {lat} out of range")
+            if not -180.0 <= lon <= 180.0:
+                raise ValueError(f"{path}:{lineno}: longitude {lon} out of range")
+            earlier = first_line.setdefault(vid, lineno)
+            if earlier != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate venue id {parts[0]!r} "
+                                 f"(first on line {earlier})")
+            venues.append((vid, lat, lon))
+    return venues
+
+
+def oracle_write_edge_list(graph: Graph, path) -> None:
+    names = graph.node_names
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, v in edges(graph):
+            if names is not None:
+                fh.write(f"{names[u]} {names[v]}\n")
+            else:
+                fh.write(f"{u} {v}\n")
+
+
+def oracle_write_affiliation(aff: BipartiteGraph, path, left_names=None, right_names=None) -> None:
+    rows = np.repeat(np.arange(aff.n_left), aff.left_degrees).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, v in zip(rows, aff.left_indices.tolist()):
+            a = left_names[u] if left_names is not None else u
+            b = right_names[v] if right_names is not None else v
+            fh.write(f"{a} {b}\n")
+
+
+def oracle_write_venues(venues, path) -> None:
+    """``venues``: (id, lat, lon) triples."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for vid, lat, lon in sorted(venues):
+            fh.write(f"{vid} {lat!r} {lon!r}\n")

@@ -21,11 +21,12 @@ from helpers import (
     stationary_rwt_vsa,
     stationary_solve,
     three_user_hybrid,
+    venue_index,
     zoom_in_distribution,
 )
 from hybridsample import experiment as ex
 from hybridsample.estimators import vsa_theta_unknown_n
-from hybridsample.geo import Region, Venue, VenueIndex, zoom_in_law
+from hybridsample.geo import Region, zoom_in_law
 from hybridsample.graphs import LabelTable
 from hybridsample.samplers import (
     AuxDistribution,
@@ -350,8 +351,7 @@ def test_criterion_8_rrzi_probability_closure():
     rng = random.Random(808)
     root = Region(0.0, 1.0, 0.0, 1.0)
     for n, k in ((10, 1), (37, 3), (100, 10), (64, 2)):
-        venues = [Venue(i, rng.random() * 0.999, rng.random() * 0.999) for i in range(n)]
-        idx = VenueIndex(venues)
+        idx = venue_index([(i, rng.random() * 0.999, rng.random() * 0.999) for i in range(n)])
         exact = rrzi_exact_probabilities(idx, root, k)
         assert abs(sum(exact.values()) - 1.0) < 1e-12
         assert len(exact) == n and min(exact.values()) > 0.0
@@ -360,7 +360,7 @@ def test_criterion_8_rrzi_probability_closure():
 
     # combined sampler: exact draw probabilities feed the indirect estimators
     h = three_user_hybrid()
-    idx = VenueIndex([Venue(0, 0.1, 0.6), Venue(1, 0.7, 0.2)])
+    idx = venue_index([(0, 0.1, 0.6), (1, 0.7, 0.2)])
     exact = rrzi_exact_probabilities(idx, root, k=1)
     assert abs(sum(exact.values()) - 1.0) < 1e-12
     aff = h.affiliation

@@ -516,6 +516,53 @@ def test_trace_out_matches_pinned_digest(tmp_path, method):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACE_OUT[method]
 
 
+# sha256 of (result CSV, raw_out) of the files source at seed 1, runs=20, on
+# the files `hybridsample generate` writes at n_per_graph=2000,
+# extra_pairs=4000, recorded at seed version 6 with the line-loop loaders.
+# The loaders must not move them.
+PINNED_FILES_DIGESTS = {
+    "RRZI-VSA": ("1158782398efba64ce45510a0d8667b8f8c8e0237f5e20da707051503d1ae4b0",
+                 "b33b9d61e71aebb3cc5ac55a260e5cf39f456d3d66a78e9afbd902eee6cb4486"),
+    "VS-A": ("7f7108882527f4e09ddb966ac57d5ac3b6651cde59d73f8c405886350eb45438",
+             "c3ff7e9bb46511c5778177ff246601df66a6fb0c7c4a020dd72b8e024748e967"),
+}
+
+
+@pytest.fixture(scope="module")
+def generated_net(tmp_path_factory):
+    net = tmp_path_factory.mktemp("net")
+    assert cli.main(["generate", "--set", "n_per_graph=2000", "--set", "extra_pairs=4000",
+                     "--out-dir", str(net)]) == 0
+    return net
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_FILES_DIGESTS))
+def test_files_source_matches_pinned_digests(tmp_path, generated_net, method):
+    raw = tmp_path / "raw.csv"
+    cfg = ex.make_config({
+        "source": "files", "method": method, "seed": "1", "runs": "20", "raw_out": str(raw),
+        **{f"{part}_path": str(generated_net / f"{part}.txt")
+           for part in ("target", "auxiliary", "affiliation", "venues")},
+    })
+    text = ex.format_result_csv(ex.run_experiment(cfg))
+    digests = (hashlib.sha256(text.encode()).hexdigest(),
+               hashlib.sha256(raw.read_bytes()).hexdigest())
+    assert digests == PINNED_FILES_DIGESTS[method]
+
+
+def test_lbsn_source_builds_the_venue_index_only_for_rrzi_vsa(tmp_path, monkeypatch):
+    (tmp_path / "social.txt").write_text("a b\nb c\n")
+    (tmp_path / "checkins.tsv").write_text("a\tts\t40.7\t-74.0\tv1\nc\tts\t40.8\t-73.9\tv2\n")
+    lbsn = {"source": "lbsn", "social_path": str(tmp_path / "social.txt"),
+            "checkins_path": str(tmp_path / "checkins.tsv"), "budget": "2", "runs": "2"}
+    built = []
+    monkeypatch.setattr(ex.geo, "VenueIndex", lambda *venues: built.append(venues) or venues)
+    ex.run_experiment(ex.make_config({**lbsn, "method": "VS-A"}))
+    assert built == []
+    _, index = ex.build_network(ex.make_config({**lbsn, "method": "RRZI-VSA"}))
+    assert [a.tolist() for a in index] == [[0, 1], [40.7, 40.8], [-74.0, -73.9]]
+
+
 def test_venues_path_is_read_only_by_rrzi_vsa(tmp_path):
     cfgp = _write_cfg(tmp_path)
     net = tmp_path / "net"
@@ -548,13 +595,12 @@ def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):
         "venues_path": str(net / "venues.txt"),
     })
     hybrid, index = ex.build_network(cfg)
-    written = ex.synthetic_venues(hybrid.auxiliary.n, ex.geo.NYC_REGION, cfg.seed)
+    _, lats, lons = ex.synthetic_venues(hybrid.auxiliary.n, ex.geo.NYC_REGION, cfg.seed)
     names = hybrid.auxiliary.node_names
     assert names != [str(i) for i in range(len(names))]  # ids were re-interned
-    assert len(index) == hybrid.auxiliary.n
-    for v in index.venues:
-        own = written[int(names[v.id])]
-        assert (v.lat, v.lon) == (own.lat, own.lon)
+    assert index.ids.tolist() == list(range(hybrid.auxiliary.n))
+    own = np.array([int(name) for name in names])
+    assert index.lats.tolist() == lats[own].tolist() and index.lons.tolist() == lons[own].tolist()
     # an id that names no auxiliary node is an error naming the venues file
     with open(net / "venues.txt", "a", encoding="utf-8") as fh:
         fh.write("999999 40.5 -74.0\n")

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    contains,
     csr_rows,
+    oracle_load_venues,
+    quadrants,
+    query,
     rrzi_exact_probabilities,
     three_user_hybrid,
+    venue_index,
     zoom_in_distribution,
 )
 from hybridsample import experiment as ex
@@ -15,7 +20,6 @@ from hybridsample.estimators import nrmse, vsa_theta_unknown_n
 from hybridsample.geo import (
     NYC_REGION,
     Region,
-    Venue,
     VenueIndex,
     load_venues,
     write_venues,
@@ -37,41 +41,40 @@ ROOT = Region(0.0, 1.0, 0.0, 1.0)
 
 def grid_index(n, region=ROOT, seed=5):
     rng = random.Random(seed)
-    venues = [
-        Venue(
+    return venue_index([
+        (
             i,
             region.lat_min + rng.random() * (region.lat_max - region.lat_min),
             region.lon_min + rng.random() * (region.lon_max - region.lon_min),
         )
         for i in range(n)
-    ]
-    return VenueIndex(venues)
+    ])
 
 
 def test_region_validation_and_membership():
     with pytest.raises(ValueError, match="degenerate"):
         Region(1.0, 1.0, 0.0, 2.0)
     r = Region(0.0, 1.0, 0.0, 1.0)
-    assert r.contains(0.0, 0.0) and not r.contains(1.0, 0.5)
+    assert contains(r, 0.0, 0.0) and not contains(r, 1.0, 0.5)
     assert r.contains_closed(1.0, 1.0)
-    quads = r.quadrants()
+    quads = quadrants(r)
     # quadrants partition: every interior point in exactly one quadrant
     rng = random.Random(0)
     for _ in range(200):
         lat, lon = rng.random(), rng.random()
-        assert sum(q.contains(lat, lon) for q in quads) == 1
+        assert sum(contains(q, lat, lon) for q in quads) == 1
 
 
 def test_query_region_basics():
     idx = grid_index(10)
     empty = Region(5.0, 6.0, 5.0, 6.0)
-    assert idx.query(empty, 3) == ([], False)
-    all_, truncated = idx.query(Region(0.0, 1.0, 0.0, 1.0), 10)
+    assert query(idx, empty, 3) == ([], False)
+    all_, truncated = query(idx, Region(0.0, 1.0, 0.0, 1.0), 10)
     assert len(all_) == 10 and not truncated
-    some, truncated = idx.query(Region(0.0, 1.0, 0.0, 1.0), 9)
-    assert truncated and [v.id for v in some] == list(range(9))  # smallest ids win
+    some, truncated = query(idx, Region(0.0, 1.0, 0.0, 1.0), 9)
+    assert truncated and some == list(range(9))  # smallest ids win
     with pytest.raises(ValueError):
-        idx.query(empty, 0)
+        query(idx, empty, 0)
 
 
 def test_rrzi_no_zoom_uniform_leaf():
@@ -82,8 +85,8 @@ def test_rrzi_no_zoom_uniform_leaf():
 
 
 def test_rrzi_four_quadrant_symmetry():
-    venues = [Venue(0, 0.25, 0.25), Venue(1, 0.25, 0.75), Venue(2, 0.75, 0.25), Venue(3, 0.75, 0.75)]
-    _, p, calls = zoom_in_law(VenueIndex(venues), ROOT, 1)
+    venues = [(0, 0.25, 0.25), (1, 0.25, 0.75), (2, 0.75, 0.25), (3, 0.75, 0.75)]
+    _, p, calls = zoom_in_law(venue_index(venues), ROOT, 1)
     assert p.tolist() == [0.25] * 4
     assert calls.tolist() == [1 + 4 + 1] * 4  # root query, 4 probes, leaf query
 
@@ -141,13 +144,13 @@ def test_rrzi_empty_root_and_max_depth():
     # 0.5 the midpoints stop splitting in float precision, at 0.0 the zoom
     # reaches MAX_ZOOM_DEPTH first
     for at in (0.5, 0.0):
-        stacked = VenueIndex([Venue(i, at, at) for i in range(3)])
+        stacked = venue_index([(i, at, at) for i in range(3)])
         with pytest.raises(RuntimeError, match=rf"depth limit.*more than 2 venues .*\({at}, {at}\)"):
             zoom_in_law(stacked, ROOT, 2)
     # venues outside the root are never drawn
     idx = grid_index(6)
     ids, p, _ = zoom_in_law(idx, Region(0.0, 0.5, 0.0, 1.0), 10)
-    inside = [v.lat < 0.5 for v in idx.venues]
+    inside = (idx.lats < 0.5).tolist()
     assert (p > 0).tolist() == inside and math.fsum(p.tolist()) == 1.0
 
 
@@ -157,7 +160,7 @@ def test_rrzi_vsa_single_full_venue_exact():
     aux = Graph(1, [])
     aff = BipartiteGraph(n, 1, [(u, 0) for u in range(n)])
     h = HybridNetwork(target, aux, aff)
-    idx = VenueIndex([Venue(0, 0.5, 0.5)])
+    idx = venue_index([(0, 0.5, 0.5)])
     truth = ground_truth_theta(target, degree_labels(target.degrees))
     sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3, 1), 4, seed=2)
     rep = vsa_theta_unknown_n(sample, degree_labels(target.degrees), seed=2, n=h.target.n)
@@ -177,7 +180,7 @@ def test_zoom_in_source_harvest_cost_is_api_calls():
 
 def test_rrzi_vsa_rejects_venue_outside_auxiliary_graph(monkeypatch):
     h = three_user_hybrid()
-    idx = VenueIndex([Venue(h.auxiliary.n, 0.5, 0.5)])
+    idx = venue_index([(h.auxiliary.n, 0.5, 0.5)])
     monkeypatch.setattr(ex, "build_network", lambda cfg: (h, idx))
     cfg = ex.make_config({"method": "RRZI-VSA", "budget": "2"})
     with pytest.raises(ValueError, match=f"venue id {h.auxiliary.n} is not an auxiliary node"):
@@ -187,7 +190,7 @@ def test_rrzi_vsa_rejects_venue_outside_auxiliary_graph(monkeypatch):
 def test_rrzi_vsa_enumeration_ratio_unbiased():
     # both venues inside one fully accessible leaf; draws are uniform over them
     h = three_user_hybrid()
-    idx = VenueIndex([Venue(0, 0.2, 0.2), Venue(1, 0.3, 0.3)])
+    idx = venue_index([(0, 0.2, 0.2), (1, 0.3, 0.3)])
     root = Region(0.0, 1.0, 0.0, 1.0)
     exact = rrzi_exact_probabilities(idx, root, k=2)
     assert exact == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
@@ -214,7 +217,7 @@ def test_rrzi_vsa_lbsn_city_pattern():
 
     social = random_connected_graph(rng, n_users, 2500)
     venues = [
-        Venue(
+        (
             i,
             NYC_REGION.lat_min + rng.random() * 0.999,
             NYC_REGION.lon_min + rng.random() * 0.999,
@@ -226,7 +229,7 @@ def test_rrzi_vsa_lbsn_city_pattern():
         for _ in range(3):
             pairs.add((u, rng.randrange(n_venues)))
     h = HybridNetwork(social, Graph(n_venues, []), BipartiteGraph(n_users, n_venues, sorted(pairs)))
-    idx = VenueIndex(venues)
+    idx = venue_index(venues)
     root = idx.bounding_region()
     labeler = degree_labels(social.degrees)
     truth = ground_truth_theta(social, labeler)
@@ -255,23 +258,22 @@ def test_rrzi_vsa_lbsn_city_pattern():
 
 
 def test_venue_file_roundtrip(tmp_path):
-    venues = [Venue(3, 40.5, -74.0), Venue(1, 41.0, -73.5)]
     path = tmp_path / "venues.txt"
-    write_venues(venues, path)
-    loaded = load_venues(path)
-    assert [v.id for v in loaded] == [1, 3]
-    assert loaded[1] == Venue(3, 40.5, -74.0)
+    write_venues(([3, 1], [40.5, 41.0], [-74.0, -73.5]), path)
+    assert path.read_text() == "1 41.0 -73.5\n3 40.5 -74.0\n"
+    ids, lats, lons = load_venues(path, ["0", "1", "2", "3"])
+    assert (ids.tolist(), lats.tolist(), lons.tolist()) == ([1, 3], [41.0, 40.5], [-73.5, -74.0])
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
-        load_venues(bad)
+        load_venues(bad, ["1"])
 
 
 def test_venue_ids_resolve_by_auxiliary_name(tmp_path):
     path = tmp_path / "venues.txt"
-    write_venues([Venue(7, 40.5, -74.0), Venue(3, 41.0, -73.5)], path)
-    loaded = load_venues(path, node_names=["7", "5", "3"])
-    assert loaded == [Venue(2, 41.0, -73.5), Venue(0, 40.5, -74.0)]
+    write_venues(([7, 3], [40.5, 41.0], [-74.0, -73.5]), path)
+    ids, lats, lons = load_venues(path, node_names=["7", "5", "3"])
+    assert list(zip(ids.tolist(), lats.tolist(), lons.tolist())) == [(2, 41.0, -73.5), (0, 40.5, -74.0)]
     with pytest.raises(ValueError, match="venues.txt:2: venue id '7'"):
         load_venues(path, node_names=["3"])
 
@@ -280,8 +282,12 @@ def test_duplicate_venue_id_names_the_id_and_lines(tmp_path):
     path = tmp_path / "venues.txt"
     path.write_text("0 40.5 -74.0\n1 40.6 -74.0\n# again\n0 40.7 -74.1\n")
     with pytest.raises(ValueError, match=r"venues.txt:4: duplicate venue id '0' \(first on line 1\)"):
-        load_venues(path)
-    with pytest.raises(ValueError, match="venues.txt:4: duplicate venue id '0'"):
         load_venues(path, node_names=["1", "0"])
     with pytest.raises(ValueError, match="duplicate venue id 7"):
-        VenueIndex([Venue(7, 0.1, 0.1), Venue(2, 0.2, 0.2), Venue(7, 0.3, 0.3)])
+        VenueIndex([7, 2, 7], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("lat,lon", [(90.5, 0.0), (0.0, -180.5), (math.nan, 0.0), (0.0, math.inf)])
+def test_venue_index_rejects_coordinates_out_of_range(lat, lon):
+    with pytest.raises(ValueError, match="out of range"):
+        VenueIndex([0, 1], [0.0, lat], [0.0, lon])

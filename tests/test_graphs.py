@@ -13,7 +13,7 @@ from hybridsample.graphs import (
     degree_labels,
     ground_truth_theta,
 )
-from helpers import csr_rows
+from helpers import csr_rows, edges
 from hybridsample.ingest import (
     CheckinRecord,
     build_hybrid_from_lbsn,
@@ -71,7 +71,7 @@ def test_theta_permutation_invariant():
     g = generate_ba(200, 3, seed=9)
     perm = list(range(g.n))
     rng.shuffle(perm)
-    relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
     a = ground_truth_theta(g, degree_labels(g.degrees))
     b = ground_truth_theta(relabeled, degree_labels(relabeled.degrees))
     assert a.theta == b.theta

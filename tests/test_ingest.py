@@ -1,11 +1,25 @@
 import logging
+import random
+import re
 
 import numpy as np
 import pytest
 
-from helpers import csr_rows
+from helpers import (
+    csr_rows,
+    edges,
+    oracle_load_affiliation,
+    oracle_load_edge_list,
+    oracle_load_venues,
+    oracle_write_affiliation,
+    oracle_write_edge_list,
+    oracle_write_venues,
+)
 
-from hybridsample.geo import Region
+from hybridsample import _tokens
+from hybridsample.experiment import synthetic_venues
+from hybridsample.geo import Region, load_venues, write_venues
+from hybridsample.graphs import BipartiteGraph, Graph
 from hybridsample.ingest import (
     CheckinRecord,
     build_hybrid_from_lbsn,
@@ -15,7 +29,7 @@ from hybridsample.ingest import (
     write_affiliation,
     write_edge_list,
 )
-from hybridsample.synth import generate_ba
+from hybridsample.synth import SynthConfig, build_synthetic_hybrid, generate_ba
 
 NYC = Region(40.4, 41.4, -74.3, -73.3)
 
@@ -51,8 +65,8 @@ def test_edge_list_roundtrip_ba(tmp_path):
     assert back.n == g.n
     # identical under the dictionary: translate reloaded edges to original ids
     names = [int(t) for t in back.node_names]
-    edges_back = {tuple(sorted((names[u], names[v]))) for u, v in back.edges()}
-    assert edges_back == set(g.edges())
+    edges_back = {tuple(sorted((names[u], names[v]))) for u, v in edges(back)}
+    assert edges_back == set(edges(g))
 
 
 def test_load_edge_list_order_insensitive(tmp_path):
@@ -64,7 +78,7 @@ def test_load_edge_list_order_insensitive(tmp_path):
     g1, g2 = load_edge_list(p1), load_edge_list(p2)
 
     def named_edges(g):
-        return {tuple(sorted((g.node_names[u], g.node_names[v]))) for u, v in g.edges()}
+        return {tuple(sorted((g.node_names[u], g.node_names[v]))) for u, v in edges(g)}
 
     assert named_edges(g1) == named_edges(g2)
     # adjacency is normalized: sorted and deduplicated on both loads
@@ -103,9 +117,9 @@ def test_load_checkins_skips_malformed(tmp_path, caplog):
 def test_build_hybrid_dedups_checkins(tmp_path):
     social = _social(tmp_path, "a b\n")
     recs = [CheckinRecord("a", 40.7, -74.0, "v9", "t")] * 3
-    hybrid, index = build_hybrid_from_lbsn(social, recs)
+    hybrid, (ids, lats, lons) = build_hybrid_from_lbsn(social, recs)
     assert hybrid.affiliation.left_degree(0) == 1
-    assert len(index) == 1
+    assert (ids.tolist(), lats.tolist(), lons.tolist()) == ([0], [40.7], [-74.0])
 
 
 def _social(tmp_path, text):
@@ -152,8 +166,8 @@ def test_build_hybrid_coordinate_conflict_keeps_first(tmp_path, caplog):
         CheckinRecord("b", 40.9, -73.9, "v1", "t"),
     ]
     with caplog.at_level(logging.WARNING):
-        _, index = build_hybrid_from_lbsn(social, recs)
-    assert index.venues[0].lat == 40.7
+        _, (_, lats, _) = build_hybrid_from_lbsn(social, recs)
+    assert lats.tolist() == [40.7]
     assert "first-seen" in caplog.text
 
 
@@ -175,3 +189,206 @@ def test_affiliation_roundtrip(tmp_path):
     bad.write_text("a zz\n")
     with pytest.raises(ValueError, match="unknown auxiliary id"):
         load_affiliation(bad, left, right)
+
+
+# ------------------------------------------- the byte tokenizer vs the oracles
+
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", " \t ", "\x1c", "\x1f"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+ID_CHARS = "abcxyz0123456789_-.#\x00éß中😀"
+
+
+def random_id(rng, max_bytes=20) -> str:
+    """An id of 1 to max_bytes UTF-8 bytes that does not start with '#'."""
+    while True:
+        text = "".join(rng.choice(ID_CHARS) for _ in range(rng.randint(1, max_bytes)))
+        text = text.encode("utf-8")[:max_bytes].decode("utf-8", "ignore")
+        if text and not text.startswith("#"):
+            return text
+
+
+def random_file(rng, rows) -> str:
+    """The rows (lists of fields) as lines, mixed with comment and blank
+    lines, random whitespace between and around the fields, the three line
+    ends and sometimes no final newline."""
+    lines = []
+    for row in rows:
+        while rng.random() < 0.15:
+            lines.append(rng.choice(["", " \t", "#", "# a comment", "   # indented",
+                                     "\t#" + random_id(rng)]))
+        pad = [rng.choice(["", "", " ", "\t", "\x0b "]) for _ in range(2)]
+        seps = [rng.choice(SEPARATORS) for _ in row[1:]]
+        lines.append(pad[0] + row[0] + "".join(s + f for s, f in zip(seps, row[1:])) + pad[1])
+    text = "".join(line + rng.choice(LINE_ENDS) for line in lines)
+    return text.rstrip("\r\n") if rng.random() < 0.3 else text
+
+
+def write_text(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def assert_graph_matches(graph, oracle):
+    n, edges, names = oracle
+    expected = Graph(n, edges, node_names=names)
+    assert graph.node_names == expected.node_names
+    assert np.array_equal(graph.indptr, expected.indptr)
+    assert np.array_equal(graph.indices, expected.indices)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_loaders_match_line_loop_oracles(tmp_path, seed):
+    rng = random.Random(seed)
+    width = rng.choice([3, 8, 20])  # ids above 8 bytes take several packed words
+    pool = list(dict.fromkeys(random_id(rng, width) for _ in range(rng.randint(2, 60))))
+    rows = []
+    for _ in range(rng.randint(1, 150)):
+        a, b = rng.sample(pool, 2) if len(pool) > 1 else (pool[0], pool[0] + "x")
+        rows.append([a, b])
+        if rng.random() < 0.2:  # a duplicate, maybe reversed
+            rows.append(rng.choice([[a, b], [b, a]]))
+    target_path = write_text(tmp_path / "target.txt", random_file(rng, rows))
+    aux_rows = [[f"v{i}", f"v{(i + 1) % 7}"] for i in range(7)]
+    aux_path = write_text(tmp_path / "aux.txt", random_file(rng, aux_rows))
+    target, aux = load_edge_list(target_path), load_edge_list(aux_path)
+    assert_graph_matches(target, oracle_load_edge_list(target_path))
+    assert_graph_matches(aux, oracle_load_edge_list(aux_path))
+
+    pairs = [[rng.choice(target.node_names), rng.choice(aux.node_names)] for _ in range(80)]
+    aff_path = write_text(tmp_path / "aff.txt", random_file(rng, pairs))
+    aff = load_affiliation(aff_path, target, aux)
+    expected = BipartiteGraph(target.n, aux.n,
+                              oracle_load_affiliation(aff_path, target.node_names, aux.node_names))
+    for side in ("left", "right"):
+        for part in ("indptr", "indices"):
+            assert np.array_equal(getattr(aff, f"{side}_{part}"), getattr(expected, f"{side}_{part}"))
+
+    formats = [repr, "{:.3f}".format, "{:g}".format, "{:e}".format, "{:+}".format]
+    rows = [[name, rng.choice(formats)(rng.uniform(-90, 90)), rng.choice(formats)(rng.uniform(-180, 180))]
+            for name in rng.sample(aux.node_names, 5)]
+    venues_path = write_text(tmp_path / "venues.txt", random_file(rng, rows))
+    ids, lats, lons = load_venues(venues_path, aux.node_names)
+    assert list(zip(ids.tolist(), lats.tolist(), lons.tolist())) == \
+        oracle_load_venues(venues_path, aux.node_names)
+
+
+# (file text, message): each error names path:line of the first bad line and
+# reads as the line loop's did
+EDGE_ERRORS = [
+    ("a b\n\n# c\nx y z\n", ":4: expected two ids, got 'x y z'"),
+    ("a b\r\nc d\re\n", ":3: expected two ids, got 'e'"),
+    ("a b\nc c\nx y z\n", ":2: self-loop 'c'"),
+    ("a b\nx y z\nc c\n", ":2: expected two ids"),
+    ("a b\n  \tq\tq  ", ":2: self-loop 'q'"),
+]
+
+
+@pytest.mark.parametrize("text,message", EDGE_ERRORS)
+def test_edge_list_errors_name_the_first_bad_line(tmp_path, text, message):
+    path = write_text(tmp_path / "edges.txt", text)
+    with pytest.raises(ValueError, match=re.escape(str(path) + message)):
+        oracle_load_edge_list(path)
+    with pytest.raises(ValueError, match=re.escape(str(path) + message)):
+        load_edge_list(path)
+
+
+AFFILIATION_ERRORS = [
+    ("a x\nzz x\n", ":2: unknown target id 'zz'"),
+    ("a x\nb zz\n", ":2: unknown auxiliary id 'zz'"),
+    ("a x\nzz zz\n", ":2: unknown target id 'zz'"),  # the target id is checked first
+    ("a x\nb\nzz x\n", ":2: expected two ids, got 'b'"),
+    ("a x\nzz x\nb\n", ":2: unknown target id 'zz'"),
+]
+
+
+@pytest.mark.parametrize("text,message", AFFILIATION_ERRORS)
+def test_affiliation_errors_name_the_first_bad_line(tmp_path, text, message):
+    left = _social(tmp_path, "a b\n")
+    right = load_edge_list(write_text(tmp_path / "right.txt", "x y\n"))
+    path = write_text(tmp_path / "aff.txt", text)
+    with pytest.raises(ValueError, match=re.escape(str(path) + message)):
+        oracle_load_affiliation(path, left.node_names, right.node_names)
+    with pytest.raises(ValueError, match=re.escape(str(path) + message)):
+        load_affiliation(path, left, right)
+
+
+VENUE_ERRORS = [
+    ("0 40.5 -74.0\n1 40.6\n", ":2: expected 'id lat lon', got '1 40.6'"),
+    ("0 40.5 -74.0\n7 40.6 -74.0\n", ":2: venue id '7' is not an auxiliary node id"),
+    ("0 40.5 -74.0\n1 91.0 -74.0\n", ":2: latitude 91.0 out of range"),
+    ("0 40.5 -74.0\n1 40.5 -180.5\n", ":2: longitude -180.5 out of range"),
+    ("0 nan -74.0\n", ":1: latitude nan out of range"),
+    ("0 40.5 -74.0\n1 40.5 inf\n", ":2: longitude inf out of range"),
+    ("0 40.5 -74.0\n1 north -74.0\n", ":2: could not convert string to float: 'north'"),
+    ("0 40.5 -74.0\n1 40.5 0x1\n2 40.5 west\n", ":2: could not convert string to float: '0x1'"),
+    ("0 40.5 -74.0\n1 40.6 -74.0\n# again\n0 40.7 -74.1\n",
+     ":4: duplicate venue id '0' (first on line 1)"),
+    ("0 40.5 -74.0\n1 95 -74.0\n0 40.7 -74.1\n", ":2: latitude 95.0 out of range"),
+    ("0 40.5 -74.0\n9 x y\n", ":2: venue id '9' is not an auxiliary node id"),
+    ("0 0 nan\n1 40.5 x\n", ":1: longitude nan out of range"),
+    ("0 40.5 -74.0\n1 2\x00 -74.0\n", ":2: could not convert string to float: '2\\x00'"),
+]
+
+
+@pytest.mark.parametrize("text,message", VENUE_ERRORS)
+def test_venue_errors_name_the_first_bad_line(tmp_path, text, message):
+    path = write_text(tmp_path / "venues.txt", text)
+    names = ["0", "1", "2"]
+    with pytest.raises(ValueError, match=re.escape(str(path) + message)):
+        oracle_load_venues(path, names)
+    with pytest.raises(ValueError, match=re.escape(str(path) + message)):
+        load_venues(path, names)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("a b\nc d e\n", 2),      # str.split() would split here: refused
+    ("a b\r\n　a c\n", 2),
+    ("# café\na b c\nx\n", 2),  # before the bad field count of line 3
+    ("a b\nx\nc d e\n", 2),  # the bad field count of line 2 comes first
+])
+def test_non_ascii_whitespace_is_an_error(tmp_path, text, line):
+    path = write_text(tmp_path / "edges.txt", text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+        load_edge_list(path)
+
+
+def test_whitespace_is_exactly_what_str_split_splits_on():
+    ascii_space = [c for c in range(128) if chr(c).isspace()]
+    assert np.flatnonzero(_tokens.SPACE).tolist() == ascii_space
+    every = "".join(map(chr, range(0x80, 0x110000)))
+    assert _tokens.WIDE_SPACE.findall(every) == [ch for ch in every if ch.isspace()]
+
+
+def test_long_and_nul_ids_stay_distinct(tmp_path):
+    ids = ["a", "a\x00", "a\x00\x00", "abcdefg", "abcdefgh", "abcdefgh\x00", "x" * 40, "x" * 41]
+    path = write_text(tmp_path / "edges.txt", "".join(f"{a} {b}\n" for a, b in zip(ids, ids[1:])))
+    g = load_edge_list(path)
+    assert g.node_names == ids and g.num_edges == len(ids) - 1
+
+
+def test_empty_and_comment_only_files(tmp_path):
+    for text in ("", "# nothing\n", "\n\n  \r\n"):
+        g = load_edge_list(write_text(tmp_path / "edges.txt", text))
+        assert (g.n, g.num_edges, g.node_names) == (0, 0, [])
+
+
+def test_writers_match_the_line_loop_writers(tmp_path):
+    hybrid = build_synthetic_hybrid(SynthConfig(n_per_graph=2000, extra_pairs=4000, seed=3))
+    write_edge_list(hybrid.target, tmp_path / "named.txt")
+    named = load_edge_list(tmp_path / "named.txt")  # ids written as re-interned names
+    names = [f"u{i}" for i in range(hybrid.auxiliary.n)]
+    _, lats, lons = synthetic_venues(hybrid.auxiliary.n, NYC, seed=3)
+    order = np.random.default_rng(3).permutation(len(lats))
+    venues = (order, lats[order], lons[order])
+    for new, old in [
+        (lambda p: write_edge_list(hybrid.target, p), lambda p: oracle_write_edge_list(hybrid.target, p)),
+        (lambda p: write_edge_list(named, p), lambda p: oracle_write_edge_list(named, p)),
+        (lambda p: write_affiliation(hybrid.affiliation, p),
+         lambda p: oracle_write_affiliation(hybrid.affiliation, p)),
+        (lambda p: write_affiliation(hybrid.affiliation, p, named.node_names, names),
+         lambda p: oracle_write_affiliation(hybrid.affiliation, p, named.node_names, names)),
+        (lambda p: write_venues(venues, p), lambda p: oracle_write_venues(list(zip(*(a.tolist() for a in venues))), p)),
+    ]:
+        new(tmp_path / "new.txt")
+        old(tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ba_exact_law
+from helpers import ba_exact_law, edges
 
 from hybridsample import synth
 from hybridsample.graphs import Graph
@@ -56,8 +56,8 @@ def test_ba_deterministic_per_seed():
     a = generate_ba(500, 3, seed=11)
     b = generate_ba(500, 3, seed=11)
     c = generate_ba(500, 3, seed=12)
-    assert list(a.edges()) == list(b.edges())
-    assert list(a.edges()) != list(c.edges())
+    assert edges(a) == edges(b)
+    assert edges(a) != edges(c)
 
 
 def test_ba_connected():
@@ -92,7 +92,7 @@ def test_hybrid_two_components_bridged():
     h = build_synthetic_hybrid(cfg)
     assert _components(h.target) == [160]
     # removing the bridge edge splits the target into the two halves
-    bridge = [(u, v) for u, v in h.target.edges() if u < 80 <= v]
+    bridge = [(u, v) for u, v in edges(h.target) if u < 80 <= v]
     assert len(bridge) == 1
 
 
@@ -100,8 +100,8 @@ def test_hybrid_deterministic():
     cfg = SynthConfig(n_per_graph=60, m1=2, m2=3, m3=4, extra_pairs=30, seed=9)
     a = build_synthetic_hybrid(cfg)
     b = build_synthetic_hybrid(cfg)
-    assert list(a.target.edges()) == list(b.target.edges())
-    assert list(a.auxiliary.edges()) == list(b.auxiliary.edges())
+    assert edges(a.target) == edges(b.target)
+    assert edges(a.auxiliary) == edges(b.auxiliary)
     assert np.array_equal(a.affiliation.left_indptr, b.affiliation.left_indptr)
     assert np.array_equal(a.affiliation.left_indices, b.affiliation.left_indices)
 
@@ -113,10 +113,10 @@ def test_orient_edges_roundtrip():
     pairs = set(map(tuple, arcs.tolist()))
     assert len(pairs) == len(arcs)  # no arc repeats
     # every edge keeps at least one arc, and the arcs give back the edges
-    assert all((u, v) in pairs or (v, u) in pairs for u, v in g.edges())
-    assert list(Graph(g.n, arcs).edges()) == list(g.edges())
+    assert all((u, v) in pairs or (v, u) in pairs for u, v in edges(g))
+    assert edges(Graph(g.n, arcs)) == edges(g)
     # all three arc outcomes occur at this size
-    outcomes = collections.Counter(((u, v) in pairs, (v, u) in pairs) for u, v in g.edges())
+    outcomes = collections.Counter(((u, v) in pairs, (v, u) in pairs) for u, v in edges(g))
     assert set(outcomes) == {(True, False), (False, True), (True, True)}
     assert np.array_equal(orient_edges(g, 44), arcs)
 
