@@ -59,22 +59,18 @@ def cmd_generate(args) -> int:
 
 def cmd_truth(args) -> int:
     cfg = _load_cfg(args)
-    prep = experiment.prepare_experiment(cfg)
-    lines = ["label,theta"]
-    for label in prep.truth.labels():
-        lines.append(f"{label},{prep.truth[label]!r}")
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    truth = experiment.prepare_experiment(cfg).truth
+    lines = ["label,theta"] + [f"{label},{truth[label]!r}" for label in truth.labels()]
+    return _emit(cfg, "\n".join(lines) + "\n")
 
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    table = experiment.run_experiment(cfg)
-    text = experiment.format_result_csv(table)
+    return _emit(cfg, experiment.format_result_csv(experiment.run_experiment(cfg)))
+
+
+def _emit(cfg, text: str) -> int:
+    """Write text to the config's out path, else to stdout."""
     if cfg.out:
         Path(cfg.out).write_text(text, encoding="utf-8")
     else:

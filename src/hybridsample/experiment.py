@@ -17,7 +17,7 @@ target nodes (alpha) or auxiliary nodes (beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -45,21 +45,6 @@ HARVEST_METHODS = ("VS-A", "RRZI-VSA")  # independent auxiliary draws; the rest 
 LABEL_KINDS = ("degree", "in-degree", "out-degree")
 CHUNK_VISITS = 1 << 20  # most visits (budget x replications) of one lockstep batch
 SOURCES = ("synthetic", "files", "lbsn")
-
-RESULT_COLUMNS = (
-    "method",
-    "label",
-    "theta_true",
-    "mean_estimate",
-    "nrmse",
-    "runs",
-    "budget",
-    "alpha",
-    "beta",
-    "seed",
-    "target_samples",
-    "query_count",
-)
 
 
 @dataclass
@@ -237,6 +222,7 @@ def build_network(cfg: ExperimentConfig):
 
     Returns (hybrid, venue_index_or_None); only RRZI-VSA gets the index.
     """
+    rrzi, venues = cfg.method == "RRZI-VSA", None
     if cfg.source == "synthetic":
         n = cfg.n_per_graph
         extra_pairs = min(20_000, 2 * n * (n - 1)) if cfg.extra_pairs is None else cfg.extra_pairs
@@ -249,30 +235,25 @@ def build_network(cfg: ExperimentConfig):
             seed=cfg.seed,
         )
         hybrid = build_synthetic_hybrid(syn)
-        index = None
-        if cfg.method == "RRZI-VSA":
-            index = geo.VenueIndex(
-                *synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
-            )
-        return hybrid, index
-    if cfg.source == "files":
+        if rrzi:
+            venues = synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
+    elif cfg.source == "files":
         if not (cfg.target_path and cfg.auxiliary_path and cfg.affiliation_path):
             raise ValueError("files source needs target_path, auxiliary_path, affiliation_path")
         target = ingest.load_edge_list(cfg.target_path)
         auxiliary = ingest.load_edge_list(cfg.auxiliary_path)
-        affiliation = ingest.load_affiliation(cfg.affiliation_path, target, auxiliary)
-        index = None
-        if cfg.method == "RRZI-VSA" and cfg.venues_path:
-            index = geo.VenueIndex(*geo.load_venues(cfg.venues_path, auxiliary.node_names))
-        return HybridNetwork(target, auxiliary, affiliation), index
-    # lbsn
-    if not (cfg.social_path and cfg.checkins_path):
-        raise ValueError("lbsn source needs social_path and checkins_path")
-    social = ingest.load_edge_list(cfg.social_path)
-    bbox = _parse_bbox(cfg.bbox) if cfg.bbox else None
-    checkins = ingest.load_checkins(cfg.checkins_path, bbox)
-    hybrid, venues = ingest.build_hybrid_from_lbsn(social, checkins)
-    return hybrid, geo.VenueIndex(*venues) if cfg.method == "RRZI-VSA" else None
+        hybrid = HybridNetwork(target, auxiliary,
+                               ingest.load_affiliation(cfg.affiliation_path, target, auxiliary))
+        if rrzi and cfg.venues_path:
+            venues = geo.load_venues(cfg.venues_path, auxiliary.node_names)
+    else:  # lbsn
+        if not (cfg.social_path and cfg.checkins_path):
+            raise ValueError("lbsn source needs social_path and checkins_path")
+        social = ingest.load_edge_list(cfg.social_path)
+        bbox = _parse_bbox(cfg.bbox) if cfg.bbox else None
+        checkins = ingest.load_checkins(cfg.checkins_path, bbox)
+        hybrid, venues = ingest.build_hybrid_from_lbsn(social, checkins)
+    return hybrid, geo.VenueIndex(*venues) if rrzi and venues is not None else None
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
@@ -384,6 +365,13 @@ def replicate(prep: PreparedExperiment, seeds: list) -> list:
     return reports
 
 
+def _parse_label(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _label_key(label):
     """Numeric labels sort numerically, anything else lexically after them."""
     if isinstance(label, (int, float)):
@@ -407,15 +395,17 @@ class ResultRow:
     query_count: float
 
 
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+# the type each column parses as; a label is an int where it reads as one
+_COLUMN_TYPES = [_parse_label if t is object else t for t in get_type_hints(ResultRow).values()]
+
+
 @dataclass
 class ResultTable:
     rows: list = field(default_factory=list)
 
     def label_axis(self) -> list:
         return sorted({row.label for row in self.rows}, key=_label_key)
-
-    def by_label(self) -> dict:
-        return {row.label: row for row in self.rows}
 
 
 def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None) -> ResultTable:
@@ -435,6 +425,9 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
                 for row in rep.csv_rows(prep.truth):
                     fh.write(row + "\n")
 
+    runs = len(reports)
+    samples = math.fsum(rep.target_samples or 0 for rep in reports) / runs
+    queries = math.fsum(rep.query_count or 0 for rep in reports) / runs
     rows = []
     for label in prep.truth.labels():
         t_true = prep.truth[label]
@@ -446,28 +439,19 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
                 method=cfg.method,
                 label=label,
                 theta_true=t_true,
-                mean_estimate=math.fsum(estimates) / len(estimates),
+                mean_estimate=math.fsum(estimates) / runs,
                 nrmse=nrmse(estimates, t_true),
                 runs=cfg.runs,
                 budget=prep.budget,
                 alpha=cfg.alpha,
                 beta=cfg.beta,
                 seed=cfg.seed,
-                target_samples=math.fsum(
-                    rep.target_samples or 0 for rep in reports
-                ) / len(reports),
-                query_count=math.fsum(
-                    rep.query_count or 0 for rep in reports
-                ) / len(reports),
+                target_samples=samples,
+                query_count=queries,
             )
         )
     rows.sort(key=lambda r: (r.method, _label_key(r.label)))
     return ResultTable(rows)
-
-
-def write_result_csv(table: ResultTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_result_csv(table))
 
 
 def format_result_csv(table: ResultTable) -> str:
@@ -494,30 +478,8 @@ def read_result_csv(path) -> ResultTable:
             parts = line.split(",")
             if len(parts) != len(RESULT_COLUMNS):
                 raise ValueError(f"{path}: malformed result row {line!r}")
-            rows.append(
-                ResultRow(
-                    method=parts[0],
-                    label=_parse_label(parts[1]),
-                    theta_true=float(parts[2]),
-                    mean_estimate=float(parts[3]),
-                    nrmse=float(parts[4]),
-                    runs=int(parts[5]),
-                    budget=int(parts[6]),
-                    alpha=float(parts[7]),
-                    beta=float(parts[8]),
-                    seed=int(parts[9]),
-                    target_samples=float(parts[10]),
-                    query_count=float(parts[11]),
-                )
-            )
+            rows.append(ResultRow(*(kind(x) for kind, x in zip(_COLUMN_TYPES, parts))))
     return ResultTable(rows)
-
-
-def _parse_label(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return text
 
 
 FIGURE_KINDS = {

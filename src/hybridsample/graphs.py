@@ -93,14 +93,6 @@ class Graph:
         self.indptr, self.indices, self.degrees = _csr(((u, v), (v, u)), n, n)
         self.num_edges = len(self.indices) // 2
 
-    @property
-    def degree_sum(self) -> int:
-        """Sum of degrees, 2|E|."""
-        return 2 * self.num_edges
-
-    def degree(self, u: int) -> int:
-        return int(self.degrees[u])
-
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of the edges, each once as (u, v) with u < v, sorted
         by u, then v."""
@@ -139,12 +131,6 @@ class BipartiteGraph:
         self.left_indptr, self.left_indices, self.left_degrees = _csr(((u, v),), n_left, n_right)
         self.right_indptr, self.right_indices, self.right_degrees = _csr(((v, u),), n_right, n_left)
         self.num_edges = len(self.left_indices)
-
-    def left_degree(self, u: int) -> int:
-        return int(self.left_degrees[u])
-
-    def right_degree(self, v: int) -> int:
-        return int(self.right_degrees[v])
 
     def __repr__(self) -> str:
         return f"BipartiteGraph({self.n_left}x{self.n_right}, m={self.num_edges})"
@@ -208,10 +194,6 @@ class LabelTable:
     @property
     def n(self) -> int:
         return len(self.indptr) - 1
-
-    def of(self, u: int) -> tuple:
-        """The labels of node u."""
-        return tuple(self.values[c] for c in self.codes[self.indptr[u]:self.indptr[u + 1]].tolist())
 
 
 @dataclass

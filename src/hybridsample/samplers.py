@@ -64,10 +64,6 @@ class AuxDistribution:
         return cls(n)
 
     @classmethod
-    def explicit(cls, probs) -> "AuxDistribution":
-        return cls(len(probs), probs)
-
-    @classmethod
     def uniform_over(cls, n: int, support) -> "AuxDistribution":
         """Uniform over a subset of auxiliary nodes, zero elsewhere."""
         support = np.unique(np.asarray(support, dtype=np.int64))

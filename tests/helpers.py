@@ -48,6 +48,16 @@ def edges(graph: Graph) -> list:
     return list(map(tuple, graph.edge_array().tolist()))
 
 
+def labels_of(table, u: int) -> tuple:
+    """The labels of node u of a LabelTable."""
+    return tuple(table.values[c] for c in table.codes[table.indptr[u]:table.indptr[u + 1]].tolist())
+
+
+def by_label(table) -> dict:
+    """The rows of a ResultTable keyed by label."""
+    return {row.label: row for row in table.rows}
+
+
 def hand_sample(draws, degree) -> VsaSample:
     """VsaSample of hand-made (venue, p, harvested users) draws, with
     ``degree[u]`` the affiliation degree recorded for user u."""
@@ -300,7 +310,7 @@ def rwt_vsa_jumps(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> Ju
 def stationary_rwt_vsa(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
     """Stationary law of the jump-augmented target walk:
     pi_u = (d_u + alpha*q_u) / (2|E| + alpha)."""
-    return rwt_vsa_weight(hybrid, p, alpha) / (hybrid.target.degree_sum + alpha)
+    return rwt_vsa_weight(hybrid, p, alpha) / (2 * hybrid.target.num_edges + alpha)
 
 
 def rwt_vsa_transition_matrix(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    by_label,
     enumerate_bipartite,
     hybrid_rows,
+    labels_of,
     random_hybrid,
     rrzi_exact_probabilities,
     rwt_vsa_jumps,
@@ -114,7 +116,7 @@ def test_criterion_1_exact_unbiasedness():
         labels = _mixed_labels(n_t)
         truth = {}
         for u in range(n_t):
-            for l in labels.of(u):
+            for l in labels_of(labels, u):
                 truth[l] = truth.get(l, 0.0) + 1.0 / n_t
         for gi, neighbor_sets in enumerate(enumerate_bipartite(n_t, n_a, full_coverage=True)):
             probs_list = p_vectors if not big else p_vectors[:1]
@@ -311,10 +313,10 @@ def _desk_table(method, alpha=1.0, beta=1.0):
 
 def test_criterion_7_nrmse_crossover():
     t0 = time.time()
-    srw = _desk_table("SRW").by_label()
-    vsa = _desk_table("VS-A").by_label()
-    rv1 = _desk_table("RWT-VSA", alpha=1.0).by_label()
-    rv10 = _desk_table("RWT-VSA", alpha=10.0).by_label()
+    srw = by_label(_desk_table("SRW"))
+    vsa = by_label(_desk_table("VS-A"))
+    rv1 = by_label(_desk_table("RWT-VSA", alpha=1.0))
+    rv10 = by_label(_desk_table("RWT-VSA", alpha=10.0))
 
     labels = sorted(srw)
     low = [l for l in labels if l <= 5]
@@ -417,7 +419,7 @@ def test_criterion_9_disconnection_robustness():
 
     plain = rwt_vsa_run(h.target, budget, [start] * walks, seeds)
     stay = np.mean(plain.nodes < n_half, axis=0)
-    volume = h.target.degrees[:n_half].sum() / h.target.degree_sum
+    volume = h.target.degrees[:n_half].sum() / h.target.degrees.sum()
     stay_se = stay.std(ddof=1) / np.sqrt(walks)
     assert stay.mean() > volume + 10 * stay_se
     report(

@@ -71,7 +71,7 @@ def test_estimate_n_single_full_venue_exact():
 
     h = HybridNetwork(Graph(n, [(0, 1)]), Graph(1, []), BipartiteGraph(n, 1, [(u, 0) for u in range(n)]))
     for b_prime in (1, 4):
-        sample = vs_a_collect(h, AuxDistribution.explicit([1.0]), b_prime, seed=0)
+        sample = vs_a_collect(h, AuxDistribution(1, [1.0]), b_prime, seed=0)
         assert vsa_theta_unknown_n(sample, constant_labels(n)).n_hat == pytest.approx(n, abs=1e-12)
 
 
@@ -177,7 +177,7 @@ def test_unknown_n_error_shrinks_with_budget():
 
 def test_unknown_n_scale_free_in_p():
     h = three_user_hybrid()
-    sample = vs_a_collect(h, AuxDistribution.explicit([0.25, 0.75]), 30, seed=6)
+    sample = vs_a_collect(h, AuxDistribution(2, [0.25, 0.75]), 30, seed=6)
     scaled = dataclasses.replace(sample, p=sample.p * 3.0)
     a = vsa_theta_unknown_n(sample, LABEL_A_FIRST_USER).theta
     b = vsa_theta_unknown_n(scaled, LABEL_A_FIRST_USER).theta

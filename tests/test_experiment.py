@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from helpers import labels_of
 from hybridsample import cli, experiment as ex
 from hybridsample.seeds import replication_seeds
 from hybridsample.synth import orient_edges
@@ -216,7 +217,7 @@ def test_orientation_label_truth_counts_arcs(label, end):
     n = prep.hybrid.target.n
     arcs = orient_edges(prep.hybrid.target, cfg.seed)
     per_node = collections.Counter(arcs[:, end].tolist())
-    assert all(prep.labels.of(u) == (per_node[u],) for u in range(n))
+    assert all(labels_of(prep.labels, u) == (per_node[u],) for u in range(n))
     counts = collections.Counter(per_node[u] for u in range(n))
     assert prep.truth.theta == {d: c / n for d, c in counts.items()}
     assert sum(d * c for d, c in counts.items()) == len(arcs)
@@ -225,7 +226,7 @@ def test_orientation_label_truth_counts_arcs(label, end):
 def test_result_csv_roundtrip(tmp_path):
     table = ex.run_experiment(small_cfg(method="SRW"))
     path = tmp_path / "res.csv"
-    ex.write_result_csv(table, path)
+    path.write_text(ex.format_result_csv(table), encoding="utf-8")
     back = ex.read_result_csv(path)
     assert back.label_axis() == table.label_axis()
     assert [r.nrmse for r in back.rows] == [r.nrmse for r in table.rows]

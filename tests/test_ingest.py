@@ -118,7 +118,7 @@ def test_build_hybrid_dedups_checkins(tmp_path):
     social = _social(tmp_path, "a b\n")
     recs = [CheckinRecord("a", 40.7, -74.0, "v9", "t")] * 3
     hybrid, (ids, lats, lons) = build_hybrid_from_lbsn(social, recs)
-    assert hybrid.affiliation.left_degree(0) == 1
+    assert hybrid.affiliation.left_degrees[0] == 1
     assert (ids.tolist(), lats.tolist(), lons.tolist()) == ([0], [40.7], [-74.0])
 
 
@@ -135,7 +135,7 @@ def test_build_hybrid_shared_venue_degree(tmp_path):
         CheckinRecord("b", 40.7, -74.0, "v1", "t"),
     ]
     hybrid, _ = build_hybrid_from_lbsn(social, recs)
-    assert hybrid.affiliation.right_degree(0) == 2
+    assert hybrid.affiliation.right_degrees[0] == 2
     assert hybrid.auxiliary.num_edges == 0
 
 
@@ -357,6 +357,40 @@ def test_whitespace_is_exactly_what_str_split_splits_on():
     assert np.flatnonzero(_tokens.SPACE).tolist() == ascii_space
     every = "".join(map(chr, range(0x80, 0x110000)))
     assert _tokens.WIDE_SPACE.findall(every) == [ch for ch in every if ch.isspace()]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
+def test_first_non_ascii_error_offsets_across_chunks(chunk):
+    """Byte offsets stay exact when a chunk ends inside a UTF-8 sequence."""
+    for text, bad, reason in [
+        ("é中 x\n😀\u3000y", "\u3000".encode("utf-8"), "non-ASCII whitespace '\\u3000'"),
+        ("ab é\n\xa0", "\xa0".encode("utf-8"), "non-ASCII whitespace '\\xa0'"),
+        ("é中 x\n😀", None, None),
+    ]:
+        data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        found = _tokens.first_non_ascii_error(data, chunk)
+        if bad is None:
+            assert found is None
+        else:
+            assert found[0] == text.encode("utf-8").index(bad) and found[1].startswith(reason)
+    raw = "é中 x\n".encode("utf-8") + b"\xe4\xb8 y"  # a sequence cut short by a space
+    found = _tokens.first_non_ascii_error(np.frombuffer(raw, dtype=np.uint8), chunk)
+    assert found[0] == raw.rindex(b"\xe4") and found[1].startswith("not UTF-8")
+
+
+@pytest.mark.parametrize("raw,line", [
+    (b"a b\nc \xff\n", 2),
+    (b"a b\n# \xe9t\xe9\nc d e\n", 2),  # a comment is decoded too
+    (b"a b\nc d e\n\xff x\n", 2),  # the bad field count of line 2 comes first
+    (b"a b\nx \xc3\n", 2),  # a sequence cut short at the line end
+])
+def test_bytes_that_are_not_utf8_are_an_error(tmp_path, raw, line):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError):  # the line loop's UnicodeDecodeError
+        oracle_load_edge_list(path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+        load_edge_list(path)
 
 
 def test_long_and_nul_ids_stay_distinct(tmp_path):

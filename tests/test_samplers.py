@@ -48,10 +48,10 @@ def covered_uniform(h):
 
 def test_aux_distribution_validation():
     with pytest.raises(ValueError, match="not normalized"):
-        AuxDistribution.explicit([0.5, 0.4])
+        AuxDistribution(2, [0.5, 0.4])
     with pytest.raises(ValueError, match="nonnegative"):
-        AuxDistribution.explicit([1.5, -0.5])
-    d = AuxDistribution.explicit([0.25, 0.75])
+        AuxDistribution(2, [1.5, -0.5])
+    d = AuxDistribution(2, [0.25, 0.75])
     assert d.probs[1] == 0.75
     assert AuxDistribution.uniform(4).probs[2] == 0.25
 
@@ -70,7 +70,7 @@ def test_aux_distribution_sampling_frequencies():
     n_cells = 1024
     u = (np.arange(n_cells) + 0.5) / n_cells
     for probs in ([0.125, 0.5, 0.0, 0.375], [0.25, 0.0, 0.25, 0.25, 0.25], [0.5, 0.5]):
-        d = AuxDistribution.explicit(probs)
+        d = AuxDistribution(len(probs), probs)
         counts = np.bincount(d.pick(u), minlength=len(probs))
         assert counts.tolist() == [n_cells * p for p in probs]
 
@@ -80,13 +80,13 @@ def test_aux_distribution_sampling_frequencies():
 
 def test_compute_qu_symmetric_pair():
     h = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0), (1, 0)]))
-    q = compute_qu(h, AuxDistribution.explicit([1.0]))
+    q = compute_qu(h, AuxDistribution(1, [1.0]))
     assert q.tolist() == [0.5, 0.5]
 
 
 def test_compute_qu_uncovered_user_gets_zero():
     h = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0)]))
-    q = compute_qu(h, AuxDistribution.explicit([1.0]))
+    q = compute_qu(h, AuxDistribution(1, [1.0]))
     assert q.tolist() == [1.0, 0.0]
 
 
@@ -127,7 +127,7 @@ def test_vsa_collect_full_venue():
     h = HybridNetwork(
         Graph(n, [(0, 1)]), Graph(1, []), BipartiteGraph(n, 1, [(u, 0) for u in range(n)])
     )
-    sample = vs_a_collect(h, AuxDistribution.explicit([1.0]), 3, seed=1)
+    sample = vs_a_collect(h, AuxDistribution(1, [1.0]), 3, seed=1)
     assert sample.b_prime == 3
     assert sample.offsets.tolist() == [0, n, 2 * n, 3 * n]
     assert sample.users.tolist() == list(range(n)) * 3
@@ -224,7 +224,7 @@ def test_simple_rw_degree_stationary_law():
     # walks, 1.19e6 visits after burn-in
     starts = np.tile(np.repeat(np.arange(g.n), g.degrees), 5)
     batch = rwt_vsa_run(g, 1100, starts, [7 + r for r in range(len(starts))])
-    pi = np.array([g.degree(u) for u in range(g.n)]) / g.degree_sum
+    pi = g.degrees / g.degrees.sum()
     assert np.abs(_visit_freq(batch, 100, g.n) - pi).max() < 0.01
 
 
@@ -331,8 +331,7 @@ def test_stationary_alpha_zero_is_degree_law():
     h = small_synthetic()
     p = covered_uniform(h)
     pi = stationary_rwt_vsa(h, p, 0.0)
-    deg = np.array([h.target.degree(u) for u in range(h.target.n)], dtype=float)
-    assert np.allclose(pi, deg / h.target.degree_sum)
+    assert np.allclose(pi, h.target.degrees / h.target.degrees.sum())
 
 
 def test_stationary_regular_graph_uniform_q():
@@ -341,7 +340,7 @@ def test_stationary_regular_graph_uniform_q():
     aux = Graph(1, [])
     aff = BipartiteGraph(n, 1, [(u, 0) for u in range(n)])
     h = HybridNetwork(target, aux, aff)
-    pi = stationary_rwt_vsa(h, AuxDistribution.explicit([1.0]), 3.0)
+    pi = stationary_rwt_vsa(h, AuxDistribution(1, [1.0]), 3.0)
     assert np.allclose(pi, 1.0 / n)
 
 
@@ -386,7 +385,7 @@ def test_fixed_weight_scheme_hand_numbers():
     # omega = (1, 1), each affiliation edge weighs c = 1 in target units and
     # c / k = 1/2 in the venue's (k = alpha / beta = 2)
     hb = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0), (1, 0)]))
-    q = compute_qu(hb, AuxDistribution.explicit([1.0]))
+    q = compute_qu(hb, AuxDistribution(1, [1.0]))
     ws = fixed_weight_scheme(hb, 2.0, 1.0, q)
     assert ws.total.tolist() == [2.0, 2.0, 1.0]
     assert ws.deg.tolist() == [1.0, 1.0, 0.0]
@@ -564,7 +563,7 @@ def _case_trace(h, method, alpha, beta):
 def test_trace_weights_are_degree_plus_omega(net_2x500, method, alpha, beta):
     trace, omega = _case_trace(net_2x500, method, alpha, beta)
     for i, x in enumerate(trace.nodes):
-        assert trace.weights[i] == net_2x500.target.degree(x) + float(omega[x])
+        assert trace.weights[i] == net_2x500.target.degrees[x] + float(omega[x])
     assert any(trace.jumped) == (alpha > 0)
 
 

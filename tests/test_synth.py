@@ -48,7 +48,7 @@ def test_ba_edge_count_formula_and_mean_degree():
     n, m = 10_000, 2
     g = generate_ba(n, m, seed=4)
     assert g.num_edges == ba_edge_count(n, m) == m * (m + 1) // 2 + (n - m - 1) * m
-    mean_deg = g.degree_sum / n
+    mean_deg = 2 * g.num_edges / n
     assert 3.9 <= mean_deg <= 4.0
 
 
