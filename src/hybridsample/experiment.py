@@ -5,7 +5,8 @@ files), one sampling method, its parameters, and the replication count.
 ``run_experiment`` builds the network once, computes ground truth, runs the
 replications with seeds derived from the master seed (the walk methods'
 in lockstep batches, the harvest methods' one after another), and
-aggregates per-label mean estimates and NRMSE.
+aggregates per-label mean estimates and NRMSE.  Consecutive experiments on
+the same synthetic network share one build of it (``synthetic_network``).
 
 Jump-strength units: config ``alpha``/``beta`` are per-node (an alpha of 1
 gives a node of degree d a jump probability of about 1/(d+1), the scale the
@@ -16,6 +17,7 @@ target nodes (alpha) or auxiliary nodes (beta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import get_args, get_type_hints
@@ -217,10 +219,22 @@ def synthetic_venues(n: int, region: geo.Region, seed: int) -> tuple:
     return np.arange(n), lat, lon
 
 
+@functools.lru_cache(maxsize=1)
+def synthetic_network(syn: SynthConfig) -> HybridNetwork:
+    """The synthetic network of ``syn``, kept until a different one is built.
+
+    Its graph arrays are read-only, so the experiments on one network share
+    a single build; ``synthetic_network.cache_clear()`` drops it.
+    """
+    return build_synthetic_hybrid(syn)
+
+
 def build_network(cfg: ExperimentConfig):
     """Build or load the hybrid network named by the config.
 
     Returns (hybrid, venue_index_or_None); only RRZI-VSA gets the index.
+    A synthetic network is built once for its keys (``synthetic_network``);
+    files are read again on every call.
     """
     rrzi, venues = cfg.method == "RRZI-VSA", None
     if cfg.source == "synthetic":
@@ -234,7 +248,7 @@ def build_network(cfg: ExperimentConfig):
             extra_pairs=extra_pairs,
             seed=cfg.seed,
         )
-        hybrid = build_synthetic_hybrid(syn)
+        hybrid = synthetic_network(syn)
         if rrzi:
             venues = synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
     elif cfg.source == "files":
@@ -270,7 +284,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     truth = ground_truth_theta(target, labels)
 
     budget = resolve_budget(cfg.budget, hybrid.target.n)
-    alpha_total = cfg.alpha * max(1, len(hybrid.covered_targets()))
+    alpha_total = cfg.alpha * max(1, np.count_nonzero(hybrid.affiliation.left_degrees))
     beta_total = cfg.beta * max(1, hybrid.auxiliary.n)
     prep = PreparedExperiment(cfg, hybrid, labels, truth, budget, alpha_total, beta_total)
 

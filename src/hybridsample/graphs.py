@@ -36,7 +36,8 @@ def _csr(blocks, n_rows: int, n_cols: int):
     increasing.  Row r starts where the keys reach r * n_cols, and the keys
     become the column indices in place, so the build holds about twice its
     output at most.  (np.unique would dedupe too, but its hash path is ~70x
-    slower on millions of keys.)
+    slower on millions of keys.)  The three arrays are read-only, so a
+    network can be shared by every experiment that runs on it.
     """
     width = max(n_cols, 1)
     keys = np.empty(sum(len(rows) for rows, _ in blocks), dtype=np.int64)
@@ -54,7 +55,10 @@ def _csr(blocks, n_rows: int, n_cols: int):
             keys = keys[keep]
     indptr = keys.searchsorted(np.arange(0, (n_rows + 1) * width, width, dtype=np.int64))
     np.remainder(keys, width, out=keys)
-    return indptr, keys, indptr[1:] - indptr[:-1]
+    arrays = indptr, keys, indptr[1:] - indptr[:-1]
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 class Graph:
@@ -62,9 +66,9 @@ class Graph:
 
     ``indptr``/``indices`` hold the sorted, deduplicated neighbors of every
     node (row u is ``indices[indptr[u]:indptr[u + 1]]``), both directions
-    of each edge stored, and ``degrees`` the row lengths.  Self-loops are
-    rejected; duplicate input edges, in either direction, are merged
-    silently.
+    of each edge stored, and ``degrees`` the row lengths; all three are
+    read-only.  Self-loops are rejected; duplicate input edges, in either
+    direction, are merged silently.
     """
 
     def __init__(
@@ -108,7 +112,8 @@ class BipartiteGraph:
     """Simple bipartite graph in CSR form, indexed from both sides.
 
     ``left_indptr``/``left_indices``/``left_degrees`` hold the sorted right
-    neighbors of every left node; ``right_*`` the transpose.
+    neighbors of every left node; ``right_*`` the transpose.  All six arrays
+    are read-only.
     """
 
     def __init__(
@@ -150,9 +155,9 @@ class HybridNetwork:
         if self.affiliation.n_right != self.auxiliary.n:
             raise ValueError("affiliation right side must match auxiliary node count")
 
-    def covered_targets(self) -> list[int]:
-        """Target nodes with at least one affiliation edge."""
-        return np.flatnonzero(self.affiliation.left_degrees).tolist()
+    def covered_targets(self) -> np.ndarray:
+        """Target nodes with at least one affiliation edge, in increasing order."""
+        return np.flatnonzero(self.affiliation.left_degrees)
 
 
 class LabelTable:

@@ -418,7 +418,7 @@ class WeightSystem:
 def default_desired_distribution(hybrid: HybridNetwork) -> np.ndarray:
     """Uniform over target nodes that have affiliation edges, renormalized."""
     covered = hybrid.covered_targets()
-    if not covered:
+    if not len(covered):
         raise ValueError("no target node has affiliation edges")
     q = np.zeros(hybrid.target.n)
     q[covered] = 1.0 / len(covered)

@@ -8,7 +8,7 @@ import pytest
 from helpers import labels_of
 from hybridsample import cli, experiment as ex
 from hybridsample.seeds import replication_seeds
-from hybridsample.synth import orient_edges
+from hybridsample.synth import SynthConfig, build_synthetic_hybrid, orient_edges
 
 SMALL = dict(n_per_graph=60, m1=2, m2=3, m3=4, extra_pairs=40, runs=2, seed=5, budget="2%")
 
@@ -16,6 +16,13 @@ SMALL = dict(n_per_graph=60, m1=2, m2=3, m3=4, extra_pairs=40, runs=2, seed=5, b
 def small_cfg(**kw):
     merged = {**SMALL, **kw}
     return ex.ExperimentConfig(**merged)
+
+
+def uncached_network(cfg):
+    """A build of the config's synthetic network that shares nothing with
+    the one prepare_experiment reuses."""
+    return build_synthetic_hybrid(SynthConfig(**{f.name: getattr(cfg, f.name)
+                                                 for f in fields(SynthConfig)}))
 
 
 def test_budget_resolution():
@@ -124,7 +131,7 @@ def test_list_views_built_in_prepare_only(method):
     def attributes(hybrid):
         return [set(vars(getattr(hybrid, part))) for part in parts]
 
-    fresh, _ = ex.build_network(prep.cfg)
+    fresh = uncached_network(prep.cfg)
     assert attributes(prep.hybrid) == attributes(fresh)
     ex.run_experiment(prep.cfg, prep)
     assert attributes(prep.hybrid) == attributes(fresh)
@@ -203,11 +210,71 @@ def test_directed_target_labels():
     for label in ("in-degree", "out-degree"):
         cfg = small_cfg(method="SRW", label=label)
         prep = ex.prepare_experiment(cfg)
-        built, _ = ex.build_network(cfg)
+        built = uncached_network(cfg)
         assert np.array_equal(prep.hybrid.target.indices, built.target.indices)
         assert ex.run_experiment(cfg, prep).rows
     with pytest.raises(ValueError, match="label=in-degree"):
         small_cfg(label="in-degree", source="files").validate()
+
+
+def test_experiments_on_one_network_share_its_build():
+    ex.synthetic_network.cache_clear()
+    first = ex.prepare_experiment(small_cfg())
+    # method, jump strengths, budget, runs and label are not network keys;
+    # labels and truth are still the experiment's own
+    for kw in ({"method": "RWT-RWA"}, {"alpha": 3.0, "beta": 2.0}, {"budget": "5%"},
+               {"runs": 7}, {"method": "RRZI-VSA"}):
+        assert ex.prepare_experiment(small_cfg(**kw)).hybrid is first.hybrid
+    oriented = ex.prepare_experiment(small_cfg(label="in-degree"))
+    assert oriented.hybrid is first.hybrid
+    assert oriented.truth.theta != first.truth.theta
+    assert ex.synthetic_network.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(SynthConfig)])
+def test_each_network_key_builds_a_new_network(key):
+    base = small_cfg()
+    changed = small_cfg(**{key: getattr(base, key) + 1})
+    ex.synthetic_network.cache_clear()
+    old = ex.prepare_experiment(base).hybrid
+    new = ex.prepare_experiment(changed).hybrid
+    assert new is not old
+
+    def arrays(h):
+        return (h.target.indices, h.auxiliary.indices, h.affiliation.left_indices)
+
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(arrays(a), arrays(b)))
+
+    assert same(new, uncached_network(changed)) and not same(new, old)
+    # one network stays resident: going back builds the first again
+    assert ex.prepare_experiment(base).hybrid is not old
+    assert ex.synthetic_network.cache_info().hits == 0
+
+
+def test_shared_network_gives_the_bytes_of_a_fresh_build(tmp_path):
+    def run(method, name):
+        cfg = small_cfg(method=method, alpha=2.0, runs=3, raw_out=str(tmp_path / name))
+        return ex.format_result_csv(ex.run_experiment(cfg)), (tmp_path / name).read_bytes()
+
+    ex.synthetic_network.cache_clear()
+    warm = {method: run(method, f"warm-{method}.csv") for method in ex.METHODS}
+    assert ex.synthetic_network.cache_info().hits == len(ex.METHODS) - 1
+    for method in ex.METHODS:
+        ex.synthetic_network.cache_clear()
+        assert run(method, f"cold-{method}.csv") == warm[method]
+
+
+def test_files_network_is_read_again_on_every_build(tmp_path):
+    (tmp_path / "target.txt").write_text("a b\nb c\n")
+    (tmp_path / "auxiliary.txt").write_text("v w\n")
+    (tmp_path / "affiliation.txt").write_text("a v\nc w\n")
+    cfg = ex.make_config({"source": "files", **{f"{part}_path": str(tmp_path / f"{part}.txt")
+                                                for part in ("target", "auxiliary", "affiliation")}})
+    first, _ = ex.build_network(cfg)
+    (tmp_path / "target.txt").write_text("a b\nb c\nc a\n")
+    second, _ = ex.build_network(cfg)
+    assert (first.target.num_edges, second.target.num_edges) == (2, 3)
 
 
 @pytest.mark.parametrize("label,end", [("in-degree", 1), ("out-degree", 0)])

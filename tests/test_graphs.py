@@ -99,6 +99,17 @@ def test_edge_out_of_range():
         Graph(2, [(0, 5)])
 
 
+def test_graph_arrays_are_read_only():
+    # experiments on one network share its build, so nothing may write into it
+    g = Graph(3, [(0, 1), (1, 2)])
+    b = BipartiteGraph(3, 2, [(0, 0), (2, 1)])
+    arrays = [a for graph in (g, b) for a in vars(graph).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 3 + 6
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
 def test_bip_neighbors_basics():
     # a node's affiliation neighbors are its CSR row on its side
     aff = BipartiteGraph(2, 3, [(0, 2), (0, 0), (0, 1)])
@@ -165,7 +176,7 @@ def _assert_hybrid_invariants(h):
     )
     _assert_transposes(rows, aff.left_indices, t_rows, aff.right_indices, aff.n_right)
     assert aff.left_degrees.sum() == aff.right_degrees.sum() == aff.num_edges
-    assert h.covered_targets() == [u for u in range(aff.n_left) if aff.left_degrees[u]]
+    assert h.covered_targets().tolist() == [u for u in range(aff.n_left) if aff.left_degrees[u]]
 
 
 def test_csr_invariants_synthetic_hybrid():
