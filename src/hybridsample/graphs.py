@@ -185,17 +185,6 @@ class LabelTable:
         node = np.repeat(np.arange(self.n), per_node)
         self.slots[np.arange(len(self.codes)) - self.indptr[node], node] = self.codes + 1
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "LabelTable":
-        """Table from one iterable of labels per node, in node order."""
-        index: dict = {}
-        codes = []
-        indptr = [0]
-        for row in rows:
-            codes.extend(index.setdefault(l, len(index)) for l in row)
-            indptr.append(len(codes))
-        return cls(indptr, codes, index)
-
     @property
     def n(self) -> int:
         return len(self.indptr) - 1

@@ -399,19 +399,16 @@ class WeightSystem:
     entries weigh 1 each: ``total[z]`` is the degree ``deg[z]`` plus the
     row's jump mass, d_x + omega_x on the target (the visit weight) and
     d_v + w_v/k on the auxiliary side.  ``base[z]`` is where z's row of
-    its own graph starts.  The jump mass sits on z's affiliation entries:
-    ``cum`` holds their cumulative weights, the target rows' entries first,
-    then the auxiliary rows'; ``dest`` the hybrid node each leads to; row z's
-    last entry is ``last[z]``, and ``shift[z] + deg[z]`` is the cumulative
-    weight before its first.
+    its own graph starts.  The jump mass sits on z's affiliation entries,
+    the target rows' entries first, then the auxiliary rows': entry j of
+    row z leads to hybrid node ``dest[j]`` and covers ``[key[j], key[j+1])``
+    inside ``[2z, 2z + 1)``, a width its share of the row's jump mass.
     """
 
     total: np.ndarray
     deg: np.ndarray
     base: np.ndarray
-    shift: np.ndarray
-    last: np.ndarray
-    cum: np.ndarray
+    key: np.ndarray
     dest: np.ndarray
 
 
@@ -443,8 +440,9 @@ def fixed_weight_scheme(
     reversible with stationary law proportional to d_x + omega_x on the
     target and k d_v + w_v on the auxiliary side.  In an auxiliary row
     (units of k) the edge to x weighs beta * q_x / d_x_bip, so alpha = 0
-    needs no division.  q defaults to uniform over the affiliation-covered
-    target nodes.
+    needs no division.  The keys split each row by q_x / d_x_bip over its
+    row sum, where alpha and beta cancel.  q defaults to uniform over the
+    affiliation-covered target nodes.
     """
     if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
         raise ValueError(f"alpha and beta must be finite and >= 0, got {alpha!r}, {beta!r}")
@@ -470,25 +468,34 @@ def fixed_weight_scheme(
         )
 
     share = np.divide(q, aff.left_degrees, out=np.zeros(target.n), where=aff.left_degrees > 0)
+    spread = _spread(q, aff.left_degrees, aff.left_indices, aux.n)
     n_aff = aff.num_edges
-    cum = np.zeros(2 * n_aff + 1)  # cum[j + 1]: weight of the entries up to j
-    np.multiply(np.repeat(share, aff.left_degrees), alpha, out=cum[1:n_aff + 1])
-    np.multiply(share[aff.right_indices], beta, out=cum[n_aff + 1:])
-    np.cumsum(cum, out=cum)
+    key = np.empty(2 * n_aff)
+    _row_keys(key[:n_aff], np.repeat(share, aff.left_degrees), aff.left_indptr, q, 0)
+    _row_keys(key[n_aff:], share[aff.right_indices], aff.right_indptr, spread, target.n)
     deg = np.concatenate((target.degrees, aux.degrees)).astype(float)
-    mass = np.concatenate((alpha * q, beta * _spread(q, aff.left_degrees, aff.left_indices, aux.n)))
-    first = np.concatenate((aff.left_indptr[:-1], n_aff + aff.right_indptr))
     return WeightSystem(
-        total=deg + mass,
+        total=deg + np.concatenate((alpha * q, beta * spread)),
         deg=deg,
         base=np.concatenate((target.indptr[:-1], aux.indptr[:-1])),
-        shift=cum[first[:-1]] - deg,
-        last=first[1:] - 1,
-        cum=cum[1:],
+        key=key,
         dest=np.concatenate((aff.left_indices + target.n, aff.right_indices)),
     )
 
 
+def _row_keys(out: np.ndarray, weight: np.ndarray, indptr: np.ndarray, mass: np.ndarray, row0: int):
+    """Write the keys of the CSR rows ``indptr`` into ``out``: entry j of
+    row i starts at 2 (row0 + i) plus the summed ``weight`` of the row's
+    entries before j, divided by ``mass[i]``, the row's total weight."""
+    deg = np.diff(indptr)
+    out[0] = 0.0
+    np.cumsum(weight[:-1], out=out[1:])
+    out -= np.repeat(out.take(indptr[:-1], mode="clip"), deg)
+    out /= np.repeat(np.where(mass > 0, mass, 1.0), deg)  # a row without mass is never picked
+    out += np.repeat(2.0 * np.arange(row0, row0 + len(deg)), deg)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # a row without jump mass divides by 0; none jumps
 def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, seeds) -> WalkBatch:
     """Random walk on the weighted hybrid graph of ``ws``, started on the
     target.  The walk is reversible, so target visits have stationary law
@@ -496,9 +503,10 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
 
     Step t from hybrid node z sets s = u_t total[z], with u_t the walk's
     t-th STREAM_TARGET uniform: s < deg[z] moves to graph neighbour
-    floor(s) of z, and otherwise s - deg[z] picks z's affiliation entry by
-    cumulative weight, a jump.  At alpha = 0 a target walk never jumps and
-    its trace is the plain walk's (rwt_vsa_run without a jump law).
+    floor(s) of z, and otherwise it jumps along the affiliation entry whose
+    key range holds 2z + (s - deg[z]) / (total[z] - deg[z]), a pick within
+    z's own row.  At alpha = 0 a target walk never jumps and its trace is
+    the plain walk's (rwt_vsa_run without a jump law).
 
     Every step is one query, so a walk of ``budget`` steps costs ``budget``
     queries; its trace keeps the target visits in order (WalkBatch.trace),
@@ -508,8 +516,8 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
     target, aux = hybrid.target, hybrid.auxiliary
     n_t = target.n
     starts, seeds = _walk_args(ws.total[:n_t], budget, starts, seeds)
-    total, deg, base, shift, last = ws.total, ws.deg, ws.base, ws.shift, ws.last
-    cum, dest = ws.cum, _entries(ws.dest)
+    total, deg, base, later, dest = ws.total, ws.deg, ws.base, ws.key[1:], _entries(ws.dest)
+    origin = np.arange(0.0, 2.0 * len(total), 2.0)  # 2z: where the keys of row z start
     t_cols, a_cols = _entries(target.indices), _entries(aux.indices)
     nodes = np.empty((budget, len(seeds)), dtype=np.int64)
     nodes[0] = starts
@@ -518,18 +526,21 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
         u = moves.block(steps)[0]
         for i in range(steps):
             z, nxt = nodes[t0 + i - 1], nodes[t0 + i]
-            s = total.take(z)
-            s *= u[i]
-            jump = s >= deg.take(z)
+            span = total.take(z)
+            s = span * u[i]
+            d = deg.take(z)
+            jump = s >= d
             pos = base.take(z)
             pos += s.astype(np.int64)
             t_cols.take(pos, mode="clip", out=nxt)
             on_aux = z >= n_t
             np.copyto(nxt, a_cols.take(pos, mode="clip") + n_t, where=on_aux)
-            # jump: the entry whose cumulative weight passes s - deg[z]
-            s += shift.take(z)
-            j = cum.searchsorted(s, side="right")
-            np.minimum(j, last.take(z), out=j)
+            # jump: entry j of z's row holds 2z + fraction; j keys after the first are <= it
+            s -= d
+            span -= d
+            s /= span
+            s += origin.take(z)
+            j = later.searchsorted(s, side="right")
             np.copyto(nxt, dest.take(j, mode="clip"), where=jump)
         _check_absorbing(total, nodes[t0 - 1:t0 + steps - 1])
     flags = np.zeros(nodes.shape, dtype=bool)

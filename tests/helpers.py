@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from hybridsample.geo import Region, VenueIndex, zoom_in_law
-from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
+from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork, LabelTable
 from hybridsample.samplers import AuxDistribution, JumpLaw, VsaSample, compute_qu
 
 KERNEL_SIZE_LIMIT = 2000
@@ -46,6 +46,18 @@ def csr_rows(indptr, indices) -> list:
 def edges(graph: Graph) -> list:
     """Each edge once as (u, v) with u < v, sorted by u, then v."""
     return list(map(tuple, graph.edge_array().tolist()))
+
+
+def label_table(rows) -> LabelTable:
+    """The LabelTable of one iterable of labels per node, in node order; a
+    label's code is the order of its first appearance."""
+    index: dict = {}
+    codes = []
+    indptr = [0]
+    for row in rows:
+        codes.extend(index.setdefault(l, len(index)) for l in row)
+        indptr.append(len(codes))
+    return LabelTable(indptr, codes, index)
 
 
 def labels_of(table, u: int) -> tuple:
@@ -277,23 +289,27 @@ def zoom_in_distribution(index: VenueIndex, root: Region, k: int, n: int) -> Aux
     return AuxDistribution(n, probs, costs)
 
 
-def hybrid_rows(h: HybridNetwork, ws) -> np.ndarray:
+def hybrid_rows(h: HybridNetwork, alpha: float, beta: float, q=None) -> np.ndarray:
     """Dense (N, N) weights of the RWT-RWA walk's rows over the hybrid
-    nodes (target x is x, auxiliary v is n_t + v), in each row's own units:
-    1 per graph edge, and the cumulative-weight steps of the row's
-    affiliation entries, which the walk's tables place in rows in node order.
+    nodes (target x is x, auxiliary v is n_t + v), in each row's own units,
+    from q, alpha, beta and the affiliation degrees alone: 1 per graph
+    edge, alpha * q_x / d_bip(x) on each affiliation edge of x, and
+    beta * q_x / d_bip(x) on v's edge to x.  q defaults to uniform over the
+    affiliation-covered target nodes.
     """
-    n_t = h.target.n
+    n_t, aff = h.target.n, h.affiliation
+    d_bip = aff.left_degrees.tolist()
+    if q is None:
+        covered = [x for x in range(n_t) if d_bip[x]]
+        q = [1.0 / len(covered) if d_bip[x] else 0.0 for x in range(n_t)]
     rows = np.zeros((n_t + h.auxiliary.n, n_t + h.auxiliary.n))
     for offset, g in ((0, h.target), (n_t, h.auxiliary)):
         for z, nbrs in enumerate(csr_rows(g.indptr, g.indices)):
             rows[offset + z, [offset + y for y in nbrs]] = 1.0
-    entry = np.diff(ws.cum, prepend=0.0).tolist()
-    first = 0
-    for z, last in enumerate(ws.last.tolist()):
-        for j in range(first, last + 1):
-            rows[z, int(ws.dest[j])] += entry[j]
-        first = last + 1
+    for x, venues in enumerate(csr_rows(aff.left_indptr, aff.left_indices)):
+        for v in venues:
+            rows[x, n_t + v] += alpha * q[x] / d_bip[x]
+            rows[n_t + v, x] += beta * q[x] / d_bip[x]
     return rows
 
 

@@ -15,6 +15,7 @@ from helpers import (
     by_label,
     enumerate_bipartite,
     hybrid_rows,
+    label_table,
     labels_of,
     random_hybrid,
     rrzi_exact_probabilities,
@@ -29,7 +30,6 @@ from helpers import (
 from hybridsample import experiment as ex
 from hybridsample.estimators import vsa_theta_unknown_n
 from hybridsample.geo import Region, zoom_in_law
-from hybridsample.graphs import LabelTable
 from hybridsample.samplers import (
     AuxDistribution,
     VsaSample,
@@ -56,7 +56,7 @@ def report(num, detail, elapsed, limit):
 
 def _mixed_labels(n):
     """Even nodes carry ("a", "x"), odd nodes ("b", "x")."""
-    return LabelTable.from_rows(("a", "x") if u % 2 == 0 else ("b", "x") for u in range(n))
+    return label_table(("a", "x") if u % 2 == 0 else ("b", "x") for u in range(n))
 
 
 def _expected_estimates(neighbor_sets, n_a, probs, labels, b_prime):
@@ -135,7 +135,7 @@ def test_criterion_1_exact_unbiasedness():
         for neighbor_sets in enumerate_bipartite(n_t, n_a, full_coverage=False):
             covered = frozenset(u for u, vs in enumerate(neighbor_sets) if vs)
 
-            labels = LabelTable.from_rows(
+            labels = label_table(
                 ("a",) if (u in covered and u % 2 == 0) else () for u in range(n_t)
             )
 
@@ -177,30 +177,38 @@ def _row_units(h, alpha, beta):
     return np.concatenate((np.ones(h.target.n), np.full(h.auxiliary.n, alpha / beta)))
 
 
+def _rel_err(a, b) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the entries, 0 where both are 0:
+    a relative residual, comparable whatever the scale of the weights."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return float(np.divide(np.abs(a - b), scale, out=np.zeros(a.shape), where=scale > 0).max())
+
+
 def test_criterion_3_hybrid_weight_system():
     t0 = time.time()
     rng = random.Random(505)
     worst = 0.0
     for i in range(10):
         h = random_hybrid(rng, rng.randrange(20, 101), rng.randrange(10, 101))
-        alpha = (0.5, 1.0, 3.0, 7.0)[i % 4]
-        beta = (2.0, 0.7, 1.0, 0.1)[i % 4]
+        n_t, n_a = h.target.n, h.auxiliary.n
+        # four total masses, then (1e8, 1e-8) per node (every node is covered)
+        alpha, beta = ((0.5, 2.0), (1.0, 0.7), (3.0, 1.0), (7.0, 0.1), (1e8 * n_t, 1e-8 * n_a))[i % 5]
         ws = fixed_weight_scheme(h, alpha, beta)
-        n_t = h.target.n
-        rows = hybrid_rows(h, ws)
+        rows = hybrid_rows(h, alpha, beta)
         # the walk scales its uniform by total: the row weights it picks from
-        worst = max(worst, float(np.abs(rows.sum(axis=1) - ws.total).max()))
-        # each side's jump mass, in its own edge units
-        jump = rows.sum(axis=1) - ws.deg
-        worst = max(worst, abs(jump[:n_t].sum() - alpha), abs(jump[n_t:].sum() - beta))
+        worst = max(worst, _rel_err(rows.sum(axis=1), ws.total))
+        # each side's jump mass, in its own edge units: its rows' weights
+        # on the other side's columns
+        worst = max(worst, _rel_err(rows[:n_t, n_t:].sum(), alpha), _rel_err(rows[n_t:, :n_t].sum(), beta))
         # symmetric weights in common units, so pi = unit * total is stationary
         unit = _row_units(h, alpha, beta)
         weights = unit[:, None] * rows
-        worst = max(worst, float(np.abs(weights - weights.T).max()))
+        worst = max(worst, _rel_err(weights, weights.T))
         pi = unit * ws.total / (unit * ws.total).sum()
-        worst = max(worst, float(np.abs(pi @ (rows / ws.total[:, None]) - pi).max()))
+        worst = max(worst, _rel_err(pi @ (rows / ws.total[:, None]), pi))
     assert worst < 1e-12
-    report(3, f"max hybrid weight residual {worst:.2e} over 10 hybrids", time.time() - t0, 10.0)
+    report(3, f"max relative hybrid weight residual {worst:.2e} over 10 hybrids", time.time() - t0, 10.0)
 
 
 # --------------------------------------------------------------------------- 4
@@ -216,7 +224,7 @@ def test_criterion_4_rwt_rwa_law():
         for a, b in itertools.product((0.2, 1.0, 5.0), repeat=2):
             alpha, beta = a * len(covered), b * h.auxiliary.n
             ws = fixed_weight_scheme(h, alpha, beta)
-            rows = hybrid_rows(h, ws)
+            rows = hybrid_rows(h, alpha, beta)
             pi = stationary_solve(rows / rows.sum(axis=1, keepdims=True))
             # the estimator's limit: target visits reweighted by 1/(d + omega)
             weight = h.target.degrees.astype(float)
@@ -228,8 +236,9 @@ def test_criterion_4_rwt_rwa_law():
     # the walk's transitions against that kernel: 8000 lockstep walks of 40
     # steps, each transition a fresh uniform given the node it leaves
     h = random_hybrid(random.Random(1), 6, 5, aff_per_user=1)
-    ws = fixed_weight_scheme(h, 1.0 * len(h.covered_targets()), 1.0 * h.auxiliary.n)
-    rows = hybrid_rows(h, ws)
+    alpha, beta = 1.0 * len(h.covered_targets()), 1.0 * h.auxiliary.n
+    ws = fixed_weight_scheme(h, alpha, beta)
+    rows = hybrid_rows(h, alpha, beta)
     P = rows / rows.sum(axis=1, keepdims=True)
     walks = 8000
     batch = rwt_rwa_run(h, ws, 40, np.arange(walks) % h.target.n, list(range(walks)))
@@ -366,7 +375,7 @@ def test_criterion_8_rrzi_probability_closure():
     exact = rrzi_exact_probabilities(idx, root, k=1)
     assert abs(sum(exact.values()) - 1.0) < 1e-12
     aff = h.affiliation
-    label_a = LabelTable.from_rows([("a",), (), ()])
+    label_a = label_table([("a",), (), ()])
 
     reports = {v: vsa_theta_unknown_n(harvest(aff, [v], [p], 1), label_a, n=3)
                for v, p in exact.items()}

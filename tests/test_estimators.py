@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     exact_vsa_expectations,
     hand_sample,
+    label_table,
     reference_theta,
     reference_walk_theta,
     rwt_vsa_jumps,
@@ -15,7 +16,7 @@ from helpers import (
     two_user_hybrid,
 )
 from hybridsample.estimators import nrmse, vsa_theta_unknown_n, walk_theta
-from hybridsample.graphs import Graph, LabelTable, degree_labels, ground_truth_theta
+from hybridsample.graphs import Graph, degree_labels, ground_truth_theta
 from hybridsample.samplers import (
     AuxDistribution,
     SampleTrace,
@@ -32,11 +33,11 @@ def make_sample(hybrid, venues, probs):
 
 
 # node 0 carries "a"; nodes 1 and 2 carry no label
-LABEL_A_FIRST_USER = LabelTable.from_rows([("a",), (), ()])
+LABEL_A_FIRST_USER = label_table([("a",), (), ()])
 
 
 def constant_labels(n, label="a"):
-    return LabelTable.from_rows([(label,)] * n)
+    return label_table([(label,)] * n)
 
 
 # ------------------------------------------------------------ exact expectations
@@ -197,7 +198,7 @@ def test_walk_theta_single_node():
 def test_walk_theta_uniform_weights_is_frequency():
     nodes = [0, 1, 1, 2, 2, 2]
     trace = SampleTrace(nodes, [5.0] * 6, [False] * 6, 6, 6)
-    rep = walk_theta(trace, LabelTable.from_rows((u,) for u in range(3)))
+    rep = walk_theta(trace, label_table((u,) for u in range(3)))
     assert rep.theta == {0: pytest.approx(1 / 6), 1: pytest.approx(2 / 6), 2: pytest.approx(3 / 6)}
 
 
@@ -249,7 +250,7 @@ def test_compensated_summation_matches_fsum():
     weights = [10.0 ** rng.uniform(-6, 12) for _ in range(5000)]
     nodes = [rng.randrange(2) for _ in weights]
     trace = SampleTrace(np.array(nodes), np.array(weights), [False] * 5000, 5000, 5000)
-    rep = walk_theta(trace, LabelTable.from_rows([("even",), ("odd",)]))
+    rep = walk_theta(trace, label_table([("even",), ("odd",)]))
     inv = [1.0 / w for w in weights]
     for label, node in (("even", 0), ("odd", 1)):
         want = math.fsum(t for t, x in zip(inv, nodes) if x == node) / math.fsum(inv)
@@ -281,7 +282,7 @@ def test_label_table_estimators_match_fsum_reference(trial):
     rng = random.Random(100 + trial)
     n = rng.randrange(1, 40)
     rows = _random_rows(rng, n)
-    labels = LabelTable.from_rows(rows)
+    labels = label_table(rows)
 
     counts = {}
     for row in rows:

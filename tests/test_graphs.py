@@ -13,7 +13,7 @@ from hybridsample.graphs import (
     degree_labels,
     ground_truth_theta,
 )
-from helpers import csr_rows, edges, labels_of
+from helpers import csr_rows, edges, label_table, labels_of
 from hybridsample.ingest import (
     CheckinRecord,
     build_hybrid_from_lbsn,
@@ -38,13 +38,13 @@ def test_path_graph_degree_theta():
 
 def test_constant_labeler_theta_is_one():
     g = Graph(5, [(0, 1), (2, 3)])
-    dist = ground_truth_theta(g, LabelTable.from_rows([("a",)] * g.n))
+    dist = ground_truth_theta(g, label_table([("a",)] * g.n))
     assert dist.theta == {"a": 1.0}
 
 
 def test_label_table_rows_roundtrip_and_checks():
     rows = [("a", 3), (), (3,), ("b", "a", 7)]
-    table = LabelTable.from_rows(rows)
+    table = label_table(rows)
     assert [labels_of(table, u) for u in range(table.n)] == rows
     with pytest.raises(ValueError, match="indptr"):
         LabelTable([0, 2], [0], ["a"])
@@ -53,7 +53,7 @@ def test_label_table_rows_roundtrip_and_checks():
     with pytest.raises(ValueError, match="codes out of range"):
         LabelTable([0, 1], [1], ["a"])
     with pytest.raises(ValueError, match="covers 3 nodes"):
-        ground_truth_theta(Graph(2, [(0, 1)]), LabelTable.from_rows([("a",)] * 3))
+        ground_truth_theta(Graph(2, [(0, 1)]), label_table([("a",)] * 3))
 
 
 def test_theta_matches_independent_degree_histogram():
@@ -80,7 +80,7 @@ def test_theta_permutation_invariant():
 def test_empty_graph_rejected():
     g = Graph(0, [])
     with pytest.raises(ValueError, match="empty target graph"):
-        ground_truth_theta(g, LabelTable.from_rows([]))
+        ground_truth_theta(g, label_table([]))
 
 
 def test_self_loop_rejected():

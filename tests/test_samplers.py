@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     csr_rows,
+    hybrid_rows,
     left_stationary,
     random_hybrid,
     rwt_vsa_transition_matrix,
@@ -389,22 +390,25 @@ def test_fixed_weight_scheme_hand_numbers():
     ws = fixed_weight_scheme(hb, 2.0, 1.0, q)
     assert ws.total.tolist() == [2.0, 2.0, 1.0]
     assert ws.deg.tolist() == [1.0, 1.0, 0.0]
-    assert ws.cum.tolist() == [1.0, 2.0, 2.5, 3.0]
+    # one entry in each user's row; the venue's two halves share row 2's [4, 5)
+    assert ws.key.tolist() == [0.0, 2.0, 4.0, 4.5]
     assert ws.dest.tolist() == [2, 2, 0, 1]
-    assert ws.last.tolist() == [0, 1, 3]
-    assert (ws.shift + ws.deg).tolist() == [0.0, 1.0, 2.0]  # weight before each row
 
 
 def test_fixed_weight_scheme_jump_masses_on_synthetic():
     # each side's jump mass in its own edge units: alpha, then beta
     h = small_synthetic(50, 80, seed=10)
     ws = fixed_weight_scheme(h, 2.0, 3.0)
-    n_t, n_aff = h.target.n, h.affiliation.num_edges
+    n_t, aff = h.target.n, h.affiliation
     mass = ws.total - ws.deg
     assert abs(mass[:n_t].sum() - 2.0) <= 1e-12
     assert abs(mass[n_t:].sum() - 3.0) <= 1e-12
-    assert abs(ws.cum[n_aff - 1] - 2.0) <= 1e-12
-    assert abs(ws.cum[-1] - 5.0) <= 1e-12
+    # the keys of row z lie in [2z, 2z + 1), increasing along the row
+    row = np.repeat(np.arange(n_t + h.auxiliary.n),
+                    np.concatenate((aff.left_degrees, aff.right_degrees)))
+    assert ((2 * row <= ws.key) & (ws.key < 2 * row + 1)).all()
+    same_row = row[1:] == row[:-1]
+    assert (np.diff(ws.key)[same_row] > 0).all()
 
 
 @pytest.mark.parametrize("alpha,beta", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
@@ -502,6 +506,31 @@ def test_write_trace_format(tmp_path):
     assert (int(step), int(node)) == (0, trace.nodes[0])
     assert float(weight) == trace.weights[0]
     assert jumped in ("0", "1")
+
+
+def test_rwt_rwa_venue_rows_exact_at_extreme_jump_ratio():
+    # no venue links to another, so every venue step jumps; at (1e8, 1e-8)
+    # per node a venue row's weights are 1e-16 of the target rows', and the
+    # pick out of it must still follow them (independent oracle rows)
+    h = HybridNetwork(
+        Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]), Graph(3, []),
+        BipartiteGraph(6, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2),
+                              (4, 2), (5, 0), (5, 1), (5, 2)]))
+    n_t = h.target.n
+    alpha, beta = 1e8 * n_t, 1e-8 * h.auxiliary.n
+    rows = hybrid_rows(h, alpha, beta)[n_t:]
+    law = rows / rows.sum(axis=1, keepdims=True)
+    # about 60,000 venue steps: 3000 walks of 41 steps, every other one a venue's
+    batch = rwt_rwa_run(h, fixed_weight_scheme(h, alpha, beta), 41, np.arange(3000) % n_t,
+                        list(range(3000)))
+    src, dst = batch.nodes[:-1].ravel(), batch.nodes[1:].ravel()
+    counts = np.zeros(law.shape)
+    at_venue = src >= n_t
+    np.add.at(counts, (src[at_venue] - n_t, dst[at_venue]), 1.0)
+    assert counts.sum() >= 59_000
+    tv = 0.5 * np.abs(counts / counts.sum(axis=1, keepdims=True) - law).sum(axis=1)
+    # sampling floor about 0.007; always taking a venue's last entry reads 0.86
+    assert tv.max() < 0.03
 
 
 # ------------------------------------------------------------ trace arrays
