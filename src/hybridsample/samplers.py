@@ -504,9 +504,9 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
     Step t from hybrid node z sets s = u_t total[z], with u_t the walk's
     t-th STREAM_TARGET uniform: s < deg[z] moves to graph neighbour
     floor(s) of z, and otherwise it jumps along the affiliation entry whose
-    key range holds 2z + (s - deg[z]) / (total[z] - deg[z]), a pick within
-    z's own row.  At alpha = 0 a target walk never jumps and its trace is
-    the plain walk's (rwt_vsa_run without a jump law).
+    key range holds 2z + (s - deg[z]) / (total[z] - deg[z]), normalised by
+    z's own jump mass.  At alpha = 0 a target walk never jumps and its
+    trace is the plain walk's (rwt_vsa_run without a jump law).
 
     Every step is one query, so a walk of ``budget`` steps costs ``budget``
     queries; its trace keeps the target visits in order (WalkBatch.trace),
