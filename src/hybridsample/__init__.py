@@ -6,7 +6,7 @@ from .estimators import (
     vsa_theta_unknown_n,
     walk_theta,
 )
-from .geo import NYC_REGION, Region, VenueIndex, zoom_in_law
+from .geo import NYC_REGION, Region, bounding_region, zoom_in_law
 from .graphs import (
     BipartiteGraph,
     Graph,

@@ -41,7 +41,7 @@ def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     if cfg.source != "synthetic":
         raise ValueError("generate only writes synthetic networks")
-    hybrid, _ = experiment.build_network(cfg)
+    hybrid, _ = experiment.build_network(cfg, venues=False)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_edge_list(hybrid.target, out_dir / "target.txt")
@@ -59,7 +59,8 @@ def cmd_generate(args) -> int:
 
 def cmd_truth(args) -> int:
     cfg = _load_cfg(args)
-    truth = experiment.prepare_experiment(cfg).truth
+    hybrid, _ = experiment.build_network(cfg, venues=False)
+    _, truth = experiment.label_truth(cfg, hybrid.target)
     lines = ["label,theta"] + [f"{label},{truth[label]!r}" for label in truth.labels()]
     return _emit(cfg, "\n".join(lines) + "\n")
 

@@ -229,14 +229,16 @@ def synthetic_network(syn: SynthConfig) -> HybridNetwork:
     return build_synthetic_hybrid(syn)
 
 
-def build_network(cfg: ExperimentConfig):
+def build_network(cfg: ExperimentConfig, venues: bool = True):
     """Build or load the hybrid network named by the config.
 
-    Returns (hybrid, venue_index_or_None); only RRZI-VSA gets the index.
+    Returns (hybrid, venues): for RRZI-VSA, unless ``venues`` is false, the
+    venues' (lats, lons) over the auxiliary nodes, NaN where a node has none;
+    else None.
     A synthetic network is built once for its keys (``synthetic_network``);
     files are read again on every call.
     """
-    rrzi, venues = cfg.method == "RRZI-VSA", None
+    rrzi, placed = venues and cfg.method == "RRZI-VSA", None
     if cfg.source == "synthetic":
         n = cfg.n_per_graph
         extra_pairs = min(20_000, 2 * n * (n - 1)) if cfg.extra_pairs is None else cfg.extra_pairs
@@ -250,7 +252,7 @@ def build_network(cfg: ExperimentConfig):
         )
         hybrid = synthetic_network(syn)
         if rrzi:
-            venues = synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
+            placed = synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
     elif cfg.source == "files":
         if not (cfg.target_path and cfg.auxiliary_path and cfg.affiliation_path):
             raise ValueError("files source needs target_path, auxiliary_path, affiliation_path")
@@ -259,21 +261,23 @@ def build_network(cfg: ExperimentConfig):
         hybrid = HybridNetwork(target, auxiliary,
                                ingest.load_affiliation(cfg.affiliation_path, target, auxiliary))
         if rrzi and cfg.venues_path:
-            venues = geo.load_venues(cfg.venues_path, auxiliary.node_names)
+            placed = geo.load_venues(cfg.venues_path, auxiliary.node_names)
     else:  # lbsn
         if not (cfg.social_path and cfg.checkins_path):
             raise ValueError("lbsn source needs social_path and checkins_path")
         social = ingest.load_edge_list(cfg.social_path)
         bbox = _parse_bbox(cfg.bbox) if cfg.bbox else None
         checkins = ingest.load_checkins(cfg.checkins_path, bbox)
-        hybrid, venues = ingest.build_hybrid_from_lbsn(social, checkins)
-    return hybrid, geo.VenueIndex(*venues) if rrzi and venues is not None else None
+        hybrid, placed = ingest.build_hybrid_from_lbsn(social, checkins)
+    if not rrzi or placed is None:
+        return hybrid, None
+    lats, lons = np.full((2, hybrid.auxiliary.n), np.nan)
+    lats[placed[0]], lons[placed[0]] = placed[1:]
+    return hybrid, (lats, lons)
 
 
-def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
-    cfg.validate()
-    hybrid, index = build_network(cfg)
-    target = hybrid.target
+def label_truth(cfg: ExperimentConfig, target) -> tuple:
+    """The target graph's node labels of kind ``cfg.label`` and their ground truth."""
     if cfg.label == "degree":
         degrees = target.degrees
     else:
@@ -281,7 +285,14 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         arcs = orient_edges(target, cfg.seed)
         degrees = np.bincount(arcs[:, 1 if cfg.label == "in-degree" else 0], minlength=target.n)
     labels = degree_labels(degrees)
-    truth = ground_truth_theta(target, labels)
+    return labels, ground_truth_theta(target, labels)
+
+
+def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
+    cfg.validate()
+    hybrid, venues = build_network(cfg)
+    target = hybrid.target
+    labels, truth = label_truth(cfg, target)
 
     budget = resolve_budget(cfg.budget, hybrid.target.n)
     alpha_total = cfg.alpha * max(1, np.count_nonzero(hybrid.affiliation.left_degrees))
@@ -301,18 +312,10 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         prep.weights = fixed_weight_scheme(hybrid, alpha_total, beta_total)
         prep.weight = prep.weights.total[:target.n]
     elif cfg.method == "RRZI-VSA":
-        if index is None:
+        if venues is None:
             raise ValueError("RRZI-VSA needs venue coordinates (venues_path or lbsn source)")
-        if len(index) == 0:
-            raise ValueError("venue index is empty")
-        ids, p, calls = geo.zoom_in_law(index, index.bounding_region(), cfg.rrzi_k)
-        n_aux = hybrid.auxiliary.n
-        off_range = (ids < 0) | (ids >= n_aux)
-        if off_range.any():
-            raise ValueError(f"venue id {ids[off_range][0]} is not an auxiliary node")
-        probs, costs = np.zeros(n_aux), np.zeros(n_aux, dtype=np.int64)
-        probs[ids], costs[ids] = p, calls
-        prep.source = AuxDistribution(n_aux, probs, costs)
+        law = geo.zoom_in_law(*venues, geo.bounding_region(*venues), cfg.rrzi_k)
+        prep.source = AuxDistribution(hybrid.auxiliary.n, *law)
     return prep
 
 
@@ -340,8 +343,7 @@ def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:
     if prep.cfg.method not in HARVEST_METHODS:
         raise ValueError(f"{prep.cfg.method} walks: its replications run in replicate")
     sample = vs_a_collect(prep.hybrid, prep.source, prep.budget, rep_seed)
-    # the known-size normalization rides along with the ratio form
-    report = vsa_theta_unknown_n(sample, prep.labels, seed=rep_seed, n=prep.hybrid.target.n)
+    report = vsa_theta_unknown_n(sample, prep.labels, seed=rep_seed)
     report.method = prep.cfg.method
     return report
 
@@ -464,7 +466,6 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
                 query_count=queries,
             )
         )
-    rows.sort(key=lambda r: (r.method, _label_key(r.label)))
     return ResultTable(rows)
 
 

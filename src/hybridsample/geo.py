@@ -1,4 +1,4 @@
-"""The venue index and the law of the random region zoom-in sampler.
+"""Venue coordinates and the law of the random region zoom-in sampler.
 
 A location-based service API answers rectangle queries truncated to at
 most K venues.  The zoom-in sampler recursively splits a truncated region
@@ -8,12 +8,13 @@ leaf.  Because a venue sits in exactly one leaf, the product of
 branching factors times the leaf pick gives the exact draw probability,
 which is what the indirect estimators need.  ``zoom_in_law`` computes it
 for every venue at once, so RRZI-VSA draws from a fixed AuxDistribution.
-Venue ids are auxiliary node ids.
+Venues are auxiliary nodes: their coordinates are two arrays over the
+nodes, NaN where a node has no venue.
 
 Region membership is half-open, [lat_min, lat_max) x [lon_min, lon_max),
 so quadrant splits partition a region exactly and no probability mass is
 lost or counted twice.  Build the root region with a little headroom above
-the largest coordinates (see VenueIndex.bounding_region).
+the largest coordinates (see bounding_region).
 """
 
 from __future__ import annotations
@@ -50,42 +51,19 @@ class Region:
 NYC_REGION = Region(40.4, 41.4, -74.3, -73.3)
 
 
-class VenueIndex:
-    """Venue coordinates as three arrays sorted by id: ``ids``, ``lats`` and
-    ``lons``."""
-
-    def __init__(self, ids, lats, lons):
-        order = np.argsort(ids, kind="stable")
-        self.ids = np.asarray(ids, dtype=np.int64)[order]
-        self.lats = np.asarray(lats, dtype=np.float64)[order]
-        self.lons = np.asarray(lons, dtype=np.float64)[order]
-        twice = self.ids[1:][self.ids[1:] == self.ids[:-1]]
-        if len(twice):
-            raise ValueError(f"duplicate venue id {twice[0]}")
-        if not ((np.abs(self.lats) <= 90.0) & (np.abs(self.lons) <= 180.0)).all():
-            raise ValueError("venue coordinates out of range (or not finite)")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def inside(self, region: Region) -> np.ndarray:
-        """Positions in ``ids`` of the venues in the region (half-open)."""
-        return np.flatnonzero(
-            (self.lats >= region.lat_min)
-            & (self.lats < region.lat_max)
-            & (self.lons >= region.lon_min)
-            & (self.lons < region.lon_max)
-        )
-
-    def bounding_region(self, pad: float = 1e-6) -> Region:
-        if not len(self.ids):
-            raise ValueError("empty index has no bounding region")
-        return Region(float(self.lats.min()), float(self.lats.max()) + pad,
-                      float(self.lons.min()), float(self.lons.max()) + pad)
+def bounding_region(lats, lons, pad: float = 1e-6) -> Region:
+    """The smallest region holding every venue, padded above the largest
+    coordinates; NaN entries are nodes without a venue."""
+    if np.isnan(lats).all():
+        raise ValueError("no venue coordinates")
+    return Region(float(np.nanmin(lats)), float(np.nanmax(lats)) + pad,
+                  float(np.nanmin(lons)), float(np.nanmax(lons)) + pad)
 
 
-def zoom_in_law(index: VenueIndex, root: Region, k: int) -> tuple:
-    """The law of one zoom-in draw: (venue ids, their p, their API calls).
+def zoom_in_law(lats, lons, root: Region, k: int) -> tuple:
+    """The law of one zoom-in draw over the auxiliary nodes: (p, API calls)
+    of each node, from its venue's coordinates ``lats[v]``, ``lons[v]``
+    (both NaN where node v has no venue).
 
     A draw queries the root; while the answer is truncated it splits the
     cell into its four quadrants, probes each, and descends into a uniform
@@ -93,17 +71,20 @@ def zoom_in_law(index: VenueIndex, root: Region, k: int) -> tuple:
     venue's p is 1/(nonempty quadrants) per level, then 1/(leaf size),
     divided in that order, and its draw costs 1 + 5 * depth calls.  One pass
     over the zoom tree splits each truncated cell's venues by the float
-    midpoints into four equal half-open quadrants; venues outside the
-    root get p = 0.  Every cell is reached with positive probability, so a
-    cell no draw could finish fails here.
+    midpoints into four equal half-open quadrants; nodes outside the root,
+    or without a venue, get p = 0.  Every cell is reached with positive
+    probability, so a cell no draw could finish fails here.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    lats, lons = index.lats, index.lons
-    ids = index.ids.copy()
-    p = np.zeros(len(ids))
-    calls = np.zeros(len(ids), dtype=np.int64)
-    member = index.inside(root)
+    lats, lons = np.asarray(lats, dtype=np.float64), np.asarray(lons, dtype=np.float64)
+    bad = ~((np.abs(lats) <= 90.0) & (np.abs(lons) <= 180.0) | np.isnan(lats) & np.isnan(lons))
+    if bad.any():
+        v = np.argmax(bad)
+        raise ValueError(f"node {v}: venue coordinates ({lats[v]}, {lons[v]}) out of range")
+    p, calls = np.zeros(len(lats)), np.zeros(len(lats), dtype=np.int64)
+    member = np.flatnonzero((lats >= root.lat_min) & (lats < root.lat_max)
+                            & (lons >= root.lon_min) & (lons < root.lon_max))
     if not len(member):
         raise ValueError("region contains no venues")
     cell = np.zeros(len(member), dtype=np.int64)  # cell of each member
@@ -117,7 +98,7 @@ def zoom_in_law(index: VenueIndex, root: Region, k: int) -> tuple:
         calls[done] = 1 + 5 * depth
         member, cell = member[~leaf], cell[~leaf]
         if not len(member):
-            return ids, p, calls
+            return p, calls
         mid = (bounds[:, 0::2] + bounds[:, 1::2]) / 2.0  # (lat, lon) midpoints
         split = (bounds[:, 0::2] < mid).all(axis=1) & (mid < bounds[:, 1::2]).all(axis=1)
         stuck = member if depth == MAX_ZOOM_DEPTH else member[~split[cell]]

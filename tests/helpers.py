@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from hybridsample.geo import Region, VenueIndex, zoom_in_law
+from hybridsample.geo import Region, zoom_in_law
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork, LabelTable
 from hybridsample.samplers import AuxDistribution, JumpLaw, VsaSample, compute_qu
 
@@ -224,7 +224,7 @@ def ba_exact_law(n: int, m: int) -> dict:
 
 
 def contains(region: Region, lat: float, lon: float) -> bool:
-    """Half-open membership, as the venue index reads a region."""
+    """Half-open membership, as the zoom-in law reads a region."""
     return region.lat_min <= lat < region.lat_max and region.lon_min <= lon < region.lon_max
 
 
@@ -241,29 +241,32 @@ def quadrants(region: Region) -> tuple:
     )
 
 
-def venue_index(triples) -> VenueIndex:
-    """The VenueIndex of (id, lat, lon) triples."""
-    ids, lats, lons = zip(*triples)
-    return VenueIndex(ids, lats, lons)
+def venues(points) -> tuple:
+    """The (lats, lons) arrays of (lat, lon) points, point v on auxiliary
+    node v; a (nan, nan) point is a node without a venue."""
+    lats, lons = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    return lats, lons
 
 
-def query(index: VenueIndex, region: Region, k: int):
-    """The simulated venue-query API: the ids of the venues inside the
-    region, truncated to the K smallest.  Returns (ids, truncated)."""
+def query(venues: tuple, region: Region, k: int):
+    """The simulated venue-query API: the nodes whose venue lies in the
+    region, truncated to the K smallest ids.  Returns (ids, truncated)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids = index.ids[index.inside(region)].tolist()
+    lats, lons = venues
+    ids = np.flatnonzero((lats >= region.lat_min) & (lats < region.lat_max)
+                         & (lons >= region.lon_min) & (lons < region.lon_max)).tolist()
     return ids[:k], len(ids) > k
 
 
-def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int, depths=None) -> dict:
+def rrzi_exact_probabilities(venues: tuple, root: Region, k: int, depths=None) -> dict:
     """Exact draw probability of every venue via recursion over the zoom tree.
     Given a dict ``depths``, fills in the zoom depth of each venue's leaf."""
     out: dict = {}
 
     def descend(region: Region, prob: float, depth: int):
         assert depth <= 80, "runaway recursion"
-        hits, truncated = query(index, region, k)
+        hits, truncated = query(venues, region, k)
         if not truncated:
             assert hits, "descended into an empty region"
             share = prob / len(hits)
@@ -272,7 +275,7 @@ def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int, depths=Non
                 if depths is not None:
                     depths[v] = depth
             return
-        nonempty = [q for q in quadrants(region) if query(index, q, 1)[0]]
+        nonempty = [q for q in quadrants(region) if query(venues, q, 1)[0]]
         for q in nonempty:
             descend(q, prob / len(nonempty), depth + 1)
 
@@ -280,13 +283,10 @@ def rrzi_exact_probabilities(index: VenueIndex, root: Region, k: int, depths=Non
     return out
 
 
-def zoom_in_distribution(index: VenueIndex, root: Region, k: int, n: int) -> AuxDistribution:
-    """RRZI-VSA's draw source over n auxiliary nodes: zoom_in_law's p and
-    calls, spread over the node ids as prepare_experiment does."""
-    ids, p, calls = zoom_in_law(index, root, k)
-    probs, costs = np.zeros(n), np.zeros(n, dtype=np.int64)
-    probs[ids], costs[ids] = p, calls
-    return AuxDistribution(n, probs, costs)
+def zoom_in_distribution(venues: tuple, root: Region, k: int) -> AuxDistribution:
+    """RRZI-VSA's draw source over the auxiliary nodes of ``venues``, as
+    prepare_experiment builds it from zoom_in_law."""
+    return AuxDistribution(len(venues[0]), *zoom_in_law(*venues, root, k))
 
 
 def hybrid_rows(h: HybridNetwork, alpha: float, beta: float, q=None) -> np.ndarray:

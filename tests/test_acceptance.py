@@ -24,7 +24,7 @@ from helpers import (
     stationary_rwt_vsa,
     stationary_solve,
     three_user_hybrid,
-    venue_index,
+    venues,
     zoom_in_distribution,
 )
 from hybridsample import experiment as ex
@@ -385,17 +385,17 @@ def test_criterion_8_rrzi_probability_closure():
     rng = random.Random(808)
     root = Region(0.0, 1.0, 0.0, 1.0)
     for n, k in ((10, 1), (37, 3), (100, 10), (64, 2)):
-        idx = venue_index([(i, rng.random() * 0.999, rng.random() * 0.999) for i in range(n)])
-        exact = rrzi_exact_probabilities(idx, root, k)
+        coords = venues([(rng.random() * 0.999, rng.random() * 0.999) for _ in range(n)])
+        exact = rrzi_exact_probabilities(coords, root, k)
         assert abs(sum(exact.values()) - 1.0) < 1e-12
         assert len(exact) == n and min(exact.values()) > 0.0
-        ids, p, _ = zoom_in_law(idx, root, k)
-        assert p.tolist() == [exact[v] for v in ids.tolist()]  # the sampler's law, bit for bit
+        p, _ = zoom_in_law(*coords, root, k)
+        assert p.tolist() == [exact[v] for v in range(n)]  # the sampler's law, bit for bit
 
     # combined sampler: exact draw probabilities feed the indirect estimators
     h = three_user_hybrid()
-    idx = venue_index([(0, 0.1, 0.6), (1, 0.7, 0.2)])
-    exact = rrzi_exact_probabilities(idx, root, k=1)
+    coords = venues([(0.1, 0.6), (0.7, 0.2)])
+    exact = rrzi_exact_probabilities(coords, root, k=1)
     assert abs(sum(exact.values()) - 1.0) < 1e-12
     aff = h.affiliation
     label_a = label_table([("a",), (), ()])
@@ -409,7 +409,7 @@ def test_criterion_8_rrzi_probability_closure():
     # ratio form recovers theta_a from the two expectations
     assert abs((e_theta * 3.0) / e_n - 1.0 / 3.0) < 1e-12
 
-    sample = vs_a_collect(h, zoom_in_distribution(idx, root, 1, 2), 20_000, seed=MASTER_SEED)
+    sample = vs_a_collect(h, zoom_in_distribution(coords, root, 1), 20_000, seed=MASTER_SEED)
     rep = vsa_theta_unknown_n(sample, label_a, seed=MASTER_SEED, n=h.target.n)
     assert rep.theta["a"] == pytest.approx(1.0 / 3.0, abs=0.02)
     report(8, "closure exact and zoom_in_law equal to it on 4 layouts; "

@@ -618,17 +618,18 @@ def test_files_source_matches_pinned_digests(tmp_path, generated_net, method):
     assert digests == PINNED_FILES_DIGESTS[method]
 
 
-def test_lbsn_source_builds_the_venue_index_only_for_rrzi_vsa(tmp_path, monkeypatch):
+def test_lbsn_source_builds_the_venue_index_only_for_rrzi_vsa(tmp_path):
+    # the venues' coordinates are placed on the auxiliary nodes only for
+    # RRZI-VSA, and not when the caller asks for the network alone
     (tmp_path / "social.txt").write_text("a b\nb c\n")
     (tmp_path / "checkins.tsv").write_text("a\tts\t40.7\t-74.0\tv1\nc\tts\t40.8\t-73.9\tv2\n")
     lbsn = {"source": "lbsn", "social_path": str(tmp_path / "social.txt"),
             "checkins_path": str(tmp_path / "checkins.tsv"), "budget": "2", "runs": "2"}
-    built = []
-    monkeypatch.setattr(ex.geo, "VenueIndex", lambda *venues: built.append(venues) or venues)
-    ex.run_experiment(ex.make_config({**lbsn, "method": "VS-A"}))
-    assert built == []
-    _, index = ex.build_network(ex.make_config({**lbsn, "method": "RRZI-VSA"}))
-    assert [a.tolist() for a in index] == [[0, 1], [40.7, 40.8], [-74.0, -73.9]]
+    assert ex.build_network(ex.make_config({**lbsn, "method": "VS-A"}))[1] is None
+    rrzi = ex.make_config({**lbsn, "method": "RRZI-VSA"})
+    assert ex.build_network(rrzi, venues=False)[1] is None
+    _, coords = ex.build_network(rrzi)
+    assert [a.tolist() for a in coords] == [[40.7, 40.8], [-74.0, -73.9]]
 
 
 def test_venues_path_is_read_only_by_rrzi_vsa(tmp_path):
@@ -651,6 +652,25 @@ def test_venues_path_is_read_only_by_rrzi_vsa(tmp_path):
         ex.prepare_experiment(cfg)
 
 
+def test_truth_reads_only_the_network_and_label_keys(tmp_path, generated_net, monkeypatch):
+    # truth builds no weights and reads no venue file, so it prints the
+    # same bytes for every method
+    monkeypatch.setattr(ex, "fixed_weight_scheme", None)
+    files = [f"{part}_path={generated_net / part}.txt"
+             for part in ("target", "auxiliary", "affiliation")]
+    missing = f"venues_path={tmp_path / 'no_venues.txt'}"
+    outputs = set()
+    for i, sets in enumerate([[missing, f"method={m}"] for m in ex.METHODS]
+                             + [["method=RRZI-VSA"]]):
+        out = tmp_path / f"truth{i}.csv"
+        args = ["truth", "-o", str(out)]
+        for item in ["source=files", *files, *sets]:
+            args += ["--set", item]
+        assert cli.main(args) == 0
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+
+
 def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):
     cfgp = _write_cfg(tmp_path)
     net = tmp_path / "net"
@@ -662,13 +682,12 @@ def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):
         "affiliation_path": str(net / "affiliation.txt"),
         "venues_path": str(net / "venues.txt"),
     })
-    hybrid, index = ex.build_network(cfg)
+    hybrid, (node_lats, node_lons) = ex.build_network(cfg)
     _, lats, lons = ex.synthetic_venues(hybrid.auxiliary.n, ex.geo.NYC_REGION, cfg.seed)
     names = hybrid.auxiliary.node_names
     assert names != [str(i) for i in range(len(names))]  # ids were re-interned
-    assert index.ids.tolist() == list(range(hybrid.auxiliary.n))
     own = np.array([int(name) for name in names])
-    assert index.lats.tolist() == lats[own].tolist() and index.lons.tolist() == lons[own].tolist()
+    assert node_lats.tolist() == lats[own].tolist() and node_lons.tolist() == lons[own].tolist()
     # an id that names no auxiliary node is an error naming the venues file
     with open(net / "venues.txt", "a", encoding="utf-8") as fh:
         fh.write("999999 40.5 -74.0\n")

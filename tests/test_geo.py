@@ -12,7 +12,7 @@ from helpers import (
     query,
     rrzi_exact_probabilities,
     three_user_hybrid,
-    venue_index,
+    venues,
     zoom_in_distribution,
 )
 from hybridsample import experiment as ex
@@ -20,7 +20,7 @@ from hybridsample.estimators import nrmse, vsa_theta_unknown_n
 from hybridsample.geo import (
     NYC_REGION,
     Region,
-    VenueIndex,
+    bounding_region,
     load_venues,
     write_venues,
     zoom_in_law,
@@ -39,15 +39,14 @@ from hybridsample.seeds import STREAM_AUX, spawn_generator
 ROOT = Region(0.0, 1.0, 0.0, 1.0)
 
 
-def grid_index(n, region=ROOT, seed=5):
+def grid_venues(n, region=ROOT, seed=5):
     rng = random.Random(seed)
-    return venue_index([
+    return venues([
         (
-            i,
             region.lat_min + rng.random() * (region.lat_max - region.lat_min),
             region.lon_min + rng.random() * (region.lon_max - region.lon_min),
         )
-        for i in range(n)
+        for _ in range(n)
     ])
 
 
@@ -66,7 +65,7 @@ def test_region_validation_and_membership():
 
 
 def test_query_region_basics():
-    idx = grid_index(10)
+    idx = grid_venues(10)
     empty = Region(5.0, 6.0, 5.0, 6.0)
     assert query(idx, empty, 3) == ([], False)
     all_, truncated = query(idx, Region(0.0, 1.0, 0.0, 1.0), 10)
@@ -78,15 +77,14 @@ def test_query_region_basics():
 
 
 def test_rrzi_no_zoom_uniform_leaf():
-    ids, p, calls = zoom_in_law(grid_index(4), ROOT, 5)
-    assert ids.tolist() == [0, 1, 2, 3]
+    p, calls = zoom_in_law(*grid_venues(4), ROOT, 5)
     assert p.tolist() == [0.25] * 4
     assert calls.tolist() == [1] * 4
 
 
 def test_rrzi_four_quadrant_symmetry():
-    venues = [(0, 0.25, 0.25), (1, 0.25, 0.75), (2, 0.75, 0.25), (3, 0.75, 0.75)]
-    _, p, calls = zoom_in_law(venue_index(venues), ROOT, 1)
+    p, calls = zoom_in_law(*venues([(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]),
+                           ROOT, 1)
     assert p.tolist() == [0.25] * 4
     assert calls.tolist() == [1 + 4 + 1] * 4  # root query, 4 probes, leaf query
 
@@ -101,14 +99,14 @@ def path_hybrid(n):
 
 
 def test_rrzi_probability_closure_and_match():
-    idx = grid_index(20, seed=8)
+    idx = grid_venues(20, seed=8)
     exact = rrzi_exact_probabilities(idx, ROOT, k=3)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
     assert len(exact) == 20 and min(exact.values()) > 0.0
-    ids, p, calls = zoom_in_law(idx, ROOT, 3)
-    assert p.tolist() == [exact[v] for v in ids.tolist()]
+    p, calls = zoom_in_law(*idx, ROOT, 3)
+    assert p.tolist() == [exact[v] for v in range(20)]
     # the draws of a harvest follow p, and each costs its venue's calls
-    sample = vs_a_collect(path_hybrid(20), zoom_in_distribution(idx, ROOT, 3, 20), 6000, seed=123)
+    sample = vs_a_collect(path_hybrid(20), zoom_in_distribution(idx, ROOT, 3), 6000, seed=123)
     assert sample.p.tolist() == p[sample.venues].tolist()
     assert sample.query_count == calls[sample.venues].sum()
     freq = np.bincount(sample.venues, minlength=20) / 6000
@@ -116,41 +114,58 @@ def test_rrzi_probability_closure_and_match():
 
 
 def test_rrzi_deterministic_and_cost_tracks_depth():
-    idx = grid_index(50, seed=2)
+    idx = grid_venues(50, seed=2)
     depths = {}
     rrzi_exact_probabilities(idx, ROOT, 2, depths)
-    ids, p, calls = zoom_in_law(idx, ROOT, 2)
-    again = zoom_in_law(idx, ROOT, 2)
-    assert all(np.array_equal(a, b) for a, b in zip((ids, p, calls), again))
+    p, calls = zoom_in_law(*idx, ROOT, 2)
+    again = zoom_in_law(*idx, ROOT, 2)
+    assert all(np.array_equal(a, b) for a, b in zip((p, calls), again))
     # one query per visited cell plus four probes per zoom level
-    assert calls.tolist() == [1 + 5 * depths[v] for v in ids.tolist()]
+    assert calls.tolist() == [1 + 5 * depths[v] for v in range(50)]
     assert calls.min() >= 6
 
 
 @pytest.mark.parametrize("k", [1, 3, 25])
 def test_zoom_in_law_matches_oracle_on_grid(k):
-    idx = grid_index(2000, seed=11)
+    idx = grid_venues(2000, seed=11)
     depths = {}
     exact = rrzi_exact_probabilities(idx, ROOT, k, depths)
-    ids, p, calls = zoom_in_law(idx, ROOT, k)
-    assert p.tolist() == [exact[v] for v in ids.tolist()]  # bit for bit
-    assert calls.tolist() == [1 + 5 * depths[v] for v in ids.tolist()]
+    p, calls = zoom_in_law(*idx, ROOT, k)
+    assert p.tolist() == [exact[v] for v in range(2000)]  # bit for bit
+    assert calls.tolist() == [1 + 5 * depths[v] for v in range(2000)]
+
+
+def test_zoom_in_law_gives_nodes_without_a_venue_no_draws():
+    # every third node has no venue: the law over the others is the
+    # oracle's law of those venues alone, position for position
+    idx = grid_venues(60, seed=3)
+    hole = np.arange(60) % 3 == 0
+    holed = tuple(np.where(hole, np.nan, a) for a in idx)
+    placed = venues(np.column_stack(idx)[~hole])
+    root = bounding_region(*holed)
+    assert root == bounding_region(*placed)
+    depths = {}
+    exact = rrzi_exact_probabilities(placed, root, 3, depths)
+    p, calls = zoom_in_law(*holed, root, 3)
+    assert p[hole].tolist() == [0.0] * 20 and calls[hole].tolist() == [0] * 20
+    assert p[~hole].tolist() == [exact[v] for v in range(40)]
+    assert calls[~hole].tolist() == [1 + 5 * depths[v] for v in range(40)]
 
 
 def test_rrzi_empty_root_and_max_depth():
     with pytest.raises(ValueError, match="no venues"):
-        zoom_in_law(grid_index(5), Region(5.0, 6.0, 5.0, 6.0), 2)
+        zoom_in_law(*grid_venues(5), Region(5.0, 6.0, 5.0, 6.0), 2)
     # more than K venues at one point can never become fully accessible: at
     # 0.5 the midpoints stop splitting in float precision, at 0.0 the zoom
     # reaches MAX_ZOOM_DEPTH first
     for at in (0.5, 0.0):
-        stacked = venue_index([(i, at, at) for i in range(3)])
+        stacked = venues([(at, at)] * 3)
         with pytest.raises(RuntimeError, match=rf"depth limit.*more than 2 venues .*\({at}, {at}\)"):
-            zoom_in_law(stacked, ROOT, 2)
+            zoom_in_law(*stacked, ROOT, 2)
     # venues outside the root are never drawn
-    idx = grid_index(6)
-    ids, p, _ = zoom_in_law(idx, Region(0.0, 0.5, 0.0, 1.0), 10)
-    inside = (idx.lats < 0.5).tolist()
+    idx = grid_venues(6)
+    p, _ = zoom_in_law(*idx, Region(0.0, 0.5, 0.0, 1.0), 10)
+    inside = (idx[0] < 0.5).tolist()
     assert (p > 0).tolist() == inside and math.fsum(p.tolist()) == 1.0
 
 
@@ -160,9 +175,9 @@ def test_rrzi_vsa_single_full_venue_exact():
     aux = Graph(1, [])
     aff = BipartiteGraph(n, 1, [(u, 0) for u in range(n)])
     h = HybridNetwork(target, aux, aff)
-    idx = venue_index([(0, 0.5, 0.5)])
+    idx = venues([(0.5, 0.5)])
     truth = ground_truth_theta(target, degree_labels(target.degrees))
-    sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3, 1), 4, seed=2)
+    sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3), 4, seed=2)
     rep = vsa_theta_unknown_n(sample, degree_labels(target.degrees), seed=2, n=h.target.n)
     for l, t in truth.theta.items():
         assert rep.theta[l] == pytest.approx(t, abs=1e-12)
@@ -170,8 +185,8 @@ def test_rrzi_vsa_single_full_venue_exact():
 
 
 def test_zoom_in_source_harvest_cost_is_api_calls():
-    idx = grid_index(20, seed=8)
-    zoom = zoom_in_distribution(idx, ROOT, 3, 20)
+    idx = grid_venues(20, seed=8)
+    zoom = zoom_in_distribution(idx, ROOT, 3)
     sample = vs_a_collect(path_hybrid(20), zoom, 30, seed=4)
     # one uniform of the harvest's stream a draw, as for VS-A
     assert sample.venues.tolist() == zoom.pick(spawn_generator(4, STREAM_AUX).random(30)).tolist()
@@ -179,18 +194,20 @@ def test_zoom_in_source_harvest_cost_is_api_calls():
 
 
 def test_rrzi_vsa_rejects_venue_outside_auxiliary_graph(monkeypatch):
+    # venue arrays over more (or fewer) nodes than the auxiliary graph has
     h = three_user_hybrid()
-    idx = venue_index([(h.auxiliary.n, 0.5, 0.5)])
-    monkeypatch.setattr(ex, "build_network", lambda cfg: (h, idx))
     cfg = ex.make_config({"method": "RRZI-VSA", "budget": "2"})
-    with pytest.raises(ValueError, match=f"venue id {h.auxiliary.n} is not an auxiliary node"):
-        ex.prepare_experiment(cfg)
+    for n in (h.auxiliary.n + 1, h.auxiliary.n - 1):
+        idx = venues([(0.25 + 0.5 * v / n, 0.5) for v in range(n)])
+        monkeypatch.setattr(ex, "build_network", lambda cfg: (h, idx))
+        with pytest.raises(ValueError, match="length must equal n'"):
+            ex.prepare_experiment(cfg)
 
 
 def test_rrzi_vsa_enumeration_ratio_unbiased():
     # both venues inside one fully accessible leaf; draws are uniform over them
     h = three_user_hybrid()
-    idx = venue_index([(0, 0.2, 0.2), (1, 0.3, 0.3)])
+    idx = venues([(0.2, 0.2), (0.3, 0.3)])
     root = Region(0.0, 1.0, 0.0, 1.0)
     exact = rrzi_exact_probabilities(idx, root, k=2)
     assert exact == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
@@ -216,26 +233,24 @@ def test_rrzi_vsa_lbsn_city_pattern():
     from helpers import random_connected_graph
 
     social = random_connected_graph(rng, n_users, 2500)
-    venues = [
+    idx = venues([
         (
-            i,
             NYC_REGION.lat_min + rng.random() * 0.999,
             NYC_REGION.lon_min + rng.random() * 0.999,
         )
-        for i in range(n_venues)
-    ]
+        for _ in range(n_venues)
+    ])
     pairs = set()
     for u in range(n_users):
         for _ in range(3):
             pairs.add((u, rng.randrange(n_venues)))
     h = HybridNetwork(social, Graph(n_venues, []), BipartiteGraph(n_users, n_venues, sorted(pairs)))
-    idx = venue_index(venues)
-    root = idx.bounding_region()
+    root = bounding_region(*idx)
     labeler = degree_labels(social.degrees)
     truth = ground_truth_theta(social, labeler)
 
     def runs(b_prime, n_runs=25):
-        zoom = zoom_in_distribution(idx, root, 20, n_venues)
+        zoom = zoom_in_distribution(idx, root, 20)
         return [
             vsa_theta_unknown_n(vs_a_collect(h, zoom, b_prime, seed=s), labeler,
                                 seed=s, n=h.target.n)
@@ -283,11 +298,10 @@ def test_duplicate_venue_id_names_the_id_and_lines(tmp_path):
     path.write_text("0 40.5 -74.0\n1 40.6 -74.0\n# again\n0 40.7 -74.1\n")
     with pytest.raises(ValueError, match=r"venues.txt:4: duplicate venue id '0' \(first on line 1\)"):
         load_venues(path, node_names=["1", "0"])
-    with pytest.raises(ValueError, match="duplicate venue id 7"):
-        VenueIndex([7, 2, 7], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
 
 
 @pytest.mark.parametrize("lat,lon", [(90.5, 0.0), (0.0, -180.5), (math.nan, 0.0), (0.0, math.inf)])
 def test_venue_index_rejects_coordinates_out_of_range(lat, lon):
-    with pytest.raises(ValueError, match="out of range"):
-        VenueIndex([0, 1], [0.0, lat], [0.0, lon])
+    # the zoom-in law checks every node's pair: both NaN (no venue), or in range
+    with pytest.raises(ValueError, match=rf"node 1: venue coordinates \({lat}, {lon}\) out of range"):
+        zoom_in_law([0.0, lat, math.nan], [0.0, lon, math.nan], ROOT, 1)
