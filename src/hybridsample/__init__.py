@@ -16,7 +16,7 @@ from .graphs import (
     degree_labels,
     ground_truth_theta,
 )
-from .ingest import CheckinRecord, build_hybrid_from_lbsn, load_checkins, load_edge_list
+from .ingest import load_checkins, load_edge_list
 from .samplers import (
     AuxDistribution,
     JumpLaw,

@@ -1,5 +1,5 @@
-"""The byte tokenizer of the edge, affiliation and venue files (their
-format is in the README).  A file is read once into a byte array; token
+"""The byte tokenizer of the edge, affiliation, venue and check-in files
+(their format is in the README).  A file is read once into a byte array; token
 and line bounds, comments and field counts come from array operations,
 and ids are interned on packed 8-byte words, so only distinct ids become
 strings.

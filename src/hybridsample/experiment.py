@@ -212,11 +212,11 @@ def _parse_bbox(text: str) -> geo.Region:
 
 def synthetic_venues(n: int, region: geo.Region, seed: int) -> tuple:
     """Uniform venue coordinates inside a region, one per auxiliary node:
-    the (ids, lats, lons) arrays."""
+    the (lats, lons) arrays."""
     u = spawn_generator(seed, STREAM_VENUES).random((n, 2))
     lat = region.lat_min + u[:, 0] * (region.lat_max - region.lat_min)
     lon = region.lon_min + u[:, 1] * (region.lon_max - region.lon_min)
-    return np.arange(n), lat, lon
+    return lat, lon
 
 
 @functools.lru_cache(maxsize=1)
@@ -238,7 +238,7 @@ def build_network(cfg: ExperimentConfig, venues: bool = True):
     A synthetic network is built once for its keys (``synthetic_network``);
     files are read again on every call.
     """
-    rrzi, placed = venues and cfg.method == "RRZI-VSA", None
+    rrzi, coords = venues and cfg.method == "RRZI-VSA", None
     if cfg.source == "synthetic":
         n = cfg.n_per_graph
         extra_pairs = min(20_000, 2 * n * (n - 1)) if cfg.extra_pairs is None else cfg.extra_pairs
@@ -252,7 +252,7 @@ def build_network(cfg: ExperimentConfig, venues: bool = True):
         )
         hybrid = synthetic_network(syn)
         if rrzi:
-            placed = synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
+            coords = synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
     elif cfg.source == "files":
         if not (cfg.target_path and cfg.auxiliary_path and cfg.affiliation_path):
             raise ValueError("files source needs target_path, auxiliary_path, affiliation_path")
@@ -261,19 +261,14 @@ def build_network(cfg: ExperimentConfig, venues: bool = True):
         hybrid = HybridNetwork(target, auxiliary,
                                ingest.load_affiliation(cfg.affiliation_path, target, auxiliary))
         if rrzi and cfg.venues_path:
-            placed = geo.load_venues(cfg.venues_path, auxiliary.node_names)
+            coords = geo.load_venues(cfg.venues_path, auxiliary.node_names)
     else:  # lbsn
         if not (cfg.social_path and cfg.checkins_path):
             raise ValueError("lbsn source needs social_path and checkins_path")
         social = ingest.load_edge_list(cfg.social_path)
         bbox = _parse_bbox(cfg.bbox) if cfg.bbox else None
-        checkins = ingest.load_checkins(cfg.checkins_path, bbox)
-        hybrid, placed = ingest.build_hybrid_from_lbsn(social, checkins)
-    if not rrzi or placed is None:
-        return hybrid, None
-    lats, lons = np.full((2, hybrid.auxiliary.n), np.nan)
-    lats[placed[0]], lons[placed[0]] = placed[1:]
-    return hybrid, (lats, lons)
+        hybrid, coords = ingest.load_checkins(cfg.checkins_path, social, bbox)
+    return hybrid, coords if rrzi else None
 
 
 def label_truth(cfg: ExperimentConfig, target) -> tuple:
@@ -470,13 +465,9 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
 
 
 def format_result_csv(table: ResultTable) -> str:
+    """The header and one line per row; str of a float is its repr."""
     lines = [",".join(RESULT_COLUMNS)]
-    for r in table.rows:
-        lines.append(
-            f"{r.method},{r.label},{r.theta_true!r},{r.mean_estimate!r},{r.nrmse!r},"
-            f"{r.runs},{r.budget},{r.alpha!r},{r.beta!r},{r.seed},"
-            f"{r.target_samples!r},{r.query_count!r}"
-        )
+    lines += (",".join(str(getattr(row, c)) for c in RESULT_COLUMNS) for row in table.rows)
     return "\n".join(lines) + "\n"
 
 

@@ -39,13 +39,6 @@ class Region:
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError(f"degenerate region {self}")
 
-    def contains_closed(self, lat: float, lon: float) -> bool:
-        """Inclusive membership, used for bounding-box record filters."""
-        return (
-            self.lat_min <= lat <= self.lat_max
-            and self.lon_min <= lon <= self.lon_max
-        )
-
 
 # Default demo bounding box: New York City.
 NYC_REGION = Region(40.4, 41.4, -74.3, -73.3)
@@ -123,7 +116,8 @@ def zoom_in_law(lats, lons, root: Region, k: int) -> tuple:
 def load_venues(path, node_names) -> tuple:
     """Read a venue file: one "id lat lon" triple per line, '#' comments.
     Each id names an auxiliary node, resolved through its id dictionary
-    ``node_names``.  Returns the (ids, lats, lons) arrays in file order."""
+    ``node_names``.  Returns the (lats, lons) arrays over those nodes, NaN
+    where a node has no venue."""
     data, starts, lens, lines, pending = _tokens.records(path, 3, "expected 'id lat lon'")
     ids = _tokens.resolve(data, starts[:, 0], lens[:, 0], node_names)
     (lats, bad_lat), (lons, bad_lon) = (_tokens.floats(data, starts[:, j], lens[:, j])
@@ -143,15 +137,16 @@ def load_venues(path, node_names) -> tuple:
         (again, lambda i: f"duplicate venue id {token(i)!r} "
                           f"(first on line {lines[np.argmax(ids == ids[i])]})"),
     ], pending)
-    return ids, lats, lons
+    placed = np.full((2, len(node_names)), np.nan)
+    placed[:, ids] = lats, lons
+    return placed[0], placed[1]
 
 
 def write_venues(venues, path) -> None:
-    """Write the (ids, lats, lons) arrays one "id lat lon" line per venue,
-    sorted by id, the coordinates as repr floats."""
-    ids, lats, lons = (np.asarray(a) for a in venues)
-    order = np.argsort(ids, kind="stable")
-    rows = map("{} {!r} {!r}\n".format, ids[order].tolist(), lats[order].tolist(),
-               lons[order].tolist())
+    """Write the (lats, lons) arrays over the auxiliary nodes one "id lat lon"
+    line per node with a venue, in node order, the coordinates as repr floats."""
+    lats, lons = (np.asarray(a) for a in venues)
+    ids = np.flatnonzero(~np.isnan(lats))
+    rows = map("{} {!r} {!r}\n".format, ids.tolist(), lats[ids].tolist(), lons[ids].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(rows))

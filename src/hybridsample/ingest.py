@@ -1,16 +1,15 @@
-"""Loading edge lists and check-in records into hybrid networks.
+"""Loading edge lists, affiliations and check-ins into hybrid networks.
 
-Edge lists and affiliation files hold one "u v" pair per line, '#'
-comments allowed, and are read by the byte tokenizer of ``_tokens``.
-Check-ins are 5-field tab-separated lines: user, timestamp, lat, lon,
-venue.  External string ids map to dense integer ids through first-seen
-dictionaries kept on the resulting graphs.
+Edge lists and affiliation files hold one "u v" pair per line, check-in
+files one "user time lat lon venue" record; all three allow '#' comments
+and are read by the byte tokenizer of ``_tokens``, which names
+``path:line`` of the first bad line.  External string ids map to dense
+integer ids through first-seen dictionaries kept on the resulting graphs.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +18,6 @@ from .geo import Region
 from .graphs import BipartiteGraph, Graph, HybridNetwork
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class CheckinRecord:
-    user: str
-    lat: float
-    lon: float
-    venue: str
-    timestamp: str = ""
-
-    def __post_init__(self):
-        if not self.user or not self.venue:
-            raise ValueError("user and venue ids must be nonempty")
 
 
 def load_edge_list(path) -> Graph:
@@ -91,82 +77,53 @@ def _write_pairs(path, left, right, left_names, right_names) -> None:
         fh.write("".join(rows))
 
 
-def load_checkins(path, bbox: Region | None = None) -> list:
-    """Parse check-in records, optionally keeping only those inside bbox
-    (inclusive bounds).  Malformed records are skipped and counted in a
-    single warning.
-    """
-    records = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                skipped += 1
-                continue
-            user, ts, lat_s, lon_s, venue = parts
-            try:
-                lat = float(lat_s)
-                lon = float(lon_s)
-            except ValueError:
-                skipped += 1
-                continue
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                skipped += 1
-                continue
-            if not user or not venue:
-                skipped += 1
-                continue
-            if bbox is not None and not bbox.contains_closed(lat, lon):
-                continue
-            records.append(CheckinRecord(user, lat, lon, venue, ts))
-    if skipped:
-        log.warning("%s: skipped %d malformed check-in record(s)", path, skipped)
-    return records
+def load_checkins(path, social: Graph, bbox: Region | None = None) -> tuple:
+    """The hybrid network of a friendship graph plus a check-in file, and
+    the venues' (lats, lons) over its auxiliary nodes.
 
-
-def build_hybrid_from_lbsn(social: Graph, checkins) -> tuple:
-    """Assemble a hybrid network from a friendship graph plus check-ins.
-
-    Venues become auxiliary nodes with an empty edge set; deduplicated
-    (user, venue) pairs become the affiliation graph.  Users appearing only
-    in check-ins are added as isolated target nodes.  Returns the
-    HybridNetwork and the venues' (ids, lats, lons) arrays.
+    A check-in is one "user time lat lon venue" line; the time is not used.
+    With a bbox only check-ins inside it (bounds inclusive) are read.  Users
+    not in ``social`` become isolated target nodes after its own, and venues
+    auxiliary nodes without edges, each numbered by first appearance; a
+    venue keeps its first-seen coordinates.  Repeated (user, venue) pairs
+    make one affiliation edge.
     """
     if social.node_names is None:
         raise ValueError("social graph needs an id dictionary (load_edge_list)")
-    user_ids = {name: i for i, name in enumerate(social.node_names)}
-    names = list(social.node_names)
+    data, starts, lens, lines, pending = _tokens.records(
+        path, 5, "expected 'user time lat lon venue'")
+    (lats, bad_lat), (lons, bad_lon) = (_tokens.floats(data, starts[:, j], lens[:, j])
+                                        for j in (2, 3))
 
-    venue_ids: dict = {}
-    venue_coords: list = []
-    coord_conflicts = 0
-    pairs = set()
-    for rec in checkins:
-        uid = user_ids.get(rec.user)
-        if uid is None:
-            uid = user_ids[rec.user] = len(names)
-            names.append(rec.user)
-        vid = venue_ids.get(rec.venue)
-        if vid is None:
-            vid = venue_ids[rec.venue] = len(venue_coords)
-            venue_coords.append((rec.lat, rec.lon))
-        elif venue_coords[vid] != (rec.lat, rec.lon):
-            coord_conflicts += 1
-        pairs.add((uid, vid))
-    if coord_conflicts:
-        log.warning(
-            "%d check-in(s) disagreed with a venue's first-seen coordinates", coord_conflicts
-        )
+    def number(j):
+        return lambda i: (f"could not convert string to float: "
+                          f"{_tokens.token_text(data, starts[i, j], lens[i, j])!r}")
 
-    n_users = len(names)
-    target = social if n_users == social.n else Graph(
-        n_users, social.edge_array(), node_names=names
-    )
-    auxiliary = Graph(len(venue_coords), ())
-    affiliation = BipartiteGraph(n_users, len(venue_coords), list(pairs))
-    lats, lons = np.array(venue_coords, dtype=np.float64).reshape(-1, 2).T
-    return HybridNetwork(target, auxiliary, affiliation), (np.arange(len(lats)), lats, lons)
+    _tokens.raise_first(path, lines, [
+        (bad_lat, number(2)),
+        (bad_lon, number(3)),
+        (~((-90.0 <= lats) & (lats <= 90.0)), lambda i: f"latitude {lats[i]} out of range"),
+        (~((-180.0 <= lons) & (lons <= 180.0)), lambda i: f"longitude {lons[i]} out of range"),
+    ], pending)
+    if bbox is not None:
+        keep = ((bbox.lat_min <= lats) & (lats <= bbox.lat_max)
+                & (bbox.lon_min <= lons) & (lons <= bbox.lon_max))
+        starts, lens, lats, lons = starts[keep], lens[keep], lats[keep], lons[keep]
+    users = _tokens.resolve(data, starts[:, 0], lens[:, 0], social.node_names)
+    new = users < 0
+    codes, extra = _tokens.intern(data, starts[new, 0], lens[new, 0])
+    users[new] = social.n + codes
+    venues, names = _tokens.intern(data, starts[:, 4], lens[:, 4])
+    del data, starts, lens
+    first = np.unique(venues, return_index=True)[1]  # each venue's first check-in
+    at = lats[first], lons[first]
+    conflicts = np.count_nonzero((lats != at[0][venues]) | (lons != at[1][venues]))
+    if conflicts:
+        log.warning("%d check-in(s) disagreed with a venue's first-seen coordinates", conflicts)
+
+    n_users = social.n + len(extra)
+    target = social if not extra else Graph(
+        n_users, social.edge_array(), node_names=social.node_names + extra)
+    affiliation = BipartiteGraph(n_users, len(names), np.column_stack((users, venues)))
+    auxiliary = Graph(len(names), (), node_names=names)
+    return HybridNetwork(target, auxiliary, affiliation), at

@@ -514,6 +514,12 @@ def test_cli_lbsn_source(tmp_path, capsys):
     assert code == 0
     text = res.read_text()
     assert text.count("VS-A") == 1  # one populated degree label (triangle)
+    # a malformed line is an error naming it, not a skipped record
+    with open(tmp_path / "checkins.tsv", "a") as fh:
+        fh.write("a\tts\t40.7\t-74.0\n")
+    assert cli.main(["run", "--set", "source=lbsn", "--set", f"social_path={tmp_path/'social.txt'}",
+                     "--set", f"checkins_path={tmp_path/'checkins.tsv'}", "--set", "method=VS-A"]) == 1
+    assert f"{tmp_path/'checkins.tsv'}:5: expected 'user time lat lon venue'" in capsys.readouterr().err
 
 
 # sha256 of (result CSV, raw_out) for n_per_graph=2000, extra_pairs=4000,
@@ -683,7 +689,7 @@ def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):
         "venues_path": str(net / "venues.txt"),
     })
     hybrid, (node_lats, node_lons) = ex.build_network(cfg)
-    _, lats, lons = ex.synthetic_venues(hybrid.auxiliary.n, ex.geo.NYC_REGION, cfg.seed)
+    lats, lons = ex.synthetic_venues(hybrid.auxiliary.n, ex.geo.NYC_REGION, cfg.seed)
     names = hybrid.auxiliary.node_names
     assert names != [str(i) for i in range(len(names))]  # ids were re-interned
     own = np.array([int(name) for name in names])

@@ -55,7 +55,6 @@ def test_region_validation_and_membership():
         Region(1.0, 1.0, 0.0, 2.0)
     r = Region(0.0, 1.0, 0.0, 1.0)
     assert contains(r, 0.0, 0.0) and not contains(r, 1.0, 0.5)
-    assert r.contains_closed(1.0, 1.0)
     quads = quadrants(r)
     # quadrants partition: every interior point in exactly one quadrant
     rng = random.Random(0)
@@ -274,10 +273,10 @@ def test_rrzi_vsa_lbsn_city_pattern():
 
 def test_venue_file_roundtrip(tmp_path):
     path = tmp_path / "venues.txt"
-    write_venues(([3, 1], [40.5, 41.0], [-74.0, -73.5]), path)
+    venues = ([math.nan, 41.0, math.nan, 40.5], [math.nan, -73.5, math.nan, -74.0])
+    write_venues(venues, path)
     assert path.read_text() == "1 41.0 -73.5\n3 40.5 -74.0\n"
-    ids, lats, lons = load_venues(path, ["0", "1", "2", "3"])
-    assert (ids.tolist(), lats.tolist(), lons.tolist()) == ([1, 3], [41.0, 40.5], [-73.5, -74.0])
+    assert np.array_equal(load_venues(path, ["0", "1", "2", "3"]), venues, equal_nan=True)
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
@@ -286,9 +285,10 @@ def test_venue_file_roundtrip(tmp_path):
 
 def test_venue_ids_resolve_by_auxiliary_name(tmp_path):
     path = tmp_path / "venues.txt"
-    write_venues(([7, 3], [40.5, 41.0], [-74.0, -73.5]), path)
-    ids, lats, lons = load_venues(path, node_names=["7", "5", "3"])
-    assert list(zip(ids.tolist(), lats.tolist(), lons.tolist())) == [(2, 41.0, -73.5), (0, 40.5, -74.0)]
+    path.write_text("3 41.0 -73.5\n7 40.5 -74.0\n")
+    lats, lons = load_venues(path, node_names=["7", "5", "3"])
+    assert np.array_equal(lats, [40.5, math.nan, 41.0], equal_nan=True)
+    assert np.array_equal(lons, [-74.0, math.nan, -73.5], equal_nan=True)
     with pytest.raises(ValueError, match="venues.txt:2: venue id '7'"):
         load_venues(path, node_names=["3"])
 

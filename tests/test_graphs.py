@@ -15,9 +15,8 @@ from hybridsample.graphs import (
 )
 from helpers import csr_rows, edges, label_table, labels_of
 from hybridsample.ingest import (
-    CheckinRecord,
-    build_hybrid_from_lbsn,
     load_affiliation,
+    load_checkins,
     load_edge_list,
     write_affiliation,
     write_edge_list,
@@ -206,11 +205,9 @@ def test_csr_invariants_lbsn_hybrid(tmp_path):
         "".join(f"{line}\n" for line in sorted(lines) if len(set(line.split())) == 2)
     )
     social = load_edge_list(tmp_path / "social.txt")
-    recs = [
-        CheckinRecord(f"u{rng.randrange(50)}", 40.7, -74.0, f"v{rng.randrange(30)}", "t")
-        for _ in range(200)
-    ]
-    h, _ = build_hybrid_from_lbsn(social, recs)
+    (tmp_path / "checkins.tsv").write_text("".join(
+        f"u{rng.randrange(50)}\tt\t40.7\t-74.0\tv{rng.randrange(30)}\n" for _ in range(200)))
+    h, _ = load_checkins(tmp_path / "checkins.tsv", social)
     assert h.target.n > social.n  # users seen only in check-ins
     _assert_hybrid_invariants(h)
 

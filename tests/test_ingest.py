@@ -21,8 +21,6 @@ from hybridsample.experiment import synthetic_venues
 from hybridsample.geo import Region, load_venues, write_venues
 from hybridsample.graphs import BipartiteGraph, Graph
 from hybridsample.ingest import (
-    CheckinRecord,
-    build_hybrid_from_lbsn,
     load_affiliation,
     load_checkins,
     load_edge_list,
@@ -86,6 +84,19 @@ def test_load_edge_list_order_insensitive(tmp_path):
         assert all(list(adj) == sorted(set(adj)) for adj in csr_rows(g.indptr, g.indices))
 
 
+def _social(tmp_path, text):
+    p = tmp_path / "social.txt"
+    p.write_text(text)
+    return load_edge_list(p)
+
+
+def _checkins(tmp_path, rows, social="a b\n"):
+    """load_checkins of (user, lat, lon, venue) rows, tab separated."""
+    p = tmp_path / "checkins.tsv"
+    p.write_text("".join(f"{u}\t2010-10-17T01:48:53Z\t{lat}\t{lon}\t{v}\n" for u, lat, lon, v in rows))
+    return load_checkins(p, _social(tmp_path, social))
+
+
 def test_load_checkins_bbox_inclusive(tmp_path):
     p = tmp_path / "checkins.tsv"
     rows = [
@@ -94,81 +105,92 @@ def test_load_checkins_bbox_inclusive(tmp_path):
         "u3\t2010-10-17T01:48:53Z\t40.4\t-74.0\tv3",     # exactly on the boundary
     ]
     p.write_text("\n".join(rows) + "\n")
-    recs = load_checkins(p, bbox=NYC)
-    assert [r.user for r in recs] == ["u1", "u3"]
-    assert recs[0].venue == "v1" and recs[0].timestamp == "2010-10-17T01:48:53Z"
+    hybrid, (lats, lons) = load_checkins(p, _social(tmp_path, "a b\n"), bbox=NYC)
+    assert hybrid.target.node_names == ["a", "b", "u1", "u3"]
+    assert hybrid.auxiliary.node_names == ["v1", "v3"]
+    assert (lats.tolist(), lons.tolist()) == ([40.7, 40.4], [-74.0, -74.0])
+    assert csr_rows(hybrid.affiliation.left_indptr, hybrid.affiliation.left_indices) == \
+        [(), (), (0,), (1,)]
 
 
-def test_load_checkins_skips_malformed(tmp_path, caplog):
+# (file text, message): every kind of bad line fails naming path:line
+BAD_CHECKINS = [
+    ("a t 40.7 -74.0 v1\nb t 40.6 -74.0\n", ":2: expected 'user time lat lon venue', got 'b t 40.6 -74.0'"),
+    ("a t 40.7 -74.0 v1\nb t 40.6 -74.0 v2 x\n", ":2: expected 'user time lat lon venue'"),
+    ("a t 40.7 -74.0 v1\n# c\nb t north -74.0 v2\n", ":3: could not convert string to float: 'north'"),
+    ("a t 40.7 -74.0 v1\nb t 40.6 west v2\n", ":2: could not convert string to float: 'west'"),
+    ("a t 40.7 -74.0 v1\nb t 90.5 -74.0 v2\n", ":2: latitude 90.5 out of range"),
+    ("a t 40.7 -180.5 v1\n", ":1: longitude -180.5 out of range"),
+    ("a t nan -74.0 v1\n", ":1: latitude nan out of range"),
+    ("a t 40.7 inf v1\n", ":1: longitude inf out of range"),
+    ("a t 40.7 -74.0 v1\nb t 40.6 -74.0 v\xe9\n".encode("latin-1"), ":2: not UTF-8"),
+    ("a t 40.7 -74.0 v1\nb t 40.6 -74.0 v2\xa0\n", ":2: non-ASCII whitespace '\\xa0'"),
+    ("a t 95 -74.0 v1\nb t 40.6 -74.0\n", ":1: latitude 95.0 out of range"),  # the first bad line
+]
+
+
+@pytest.mark.parametrize("text,message", BAD_CHECKINS)
+def test_load_checkins_errors_name_the_line(tmp_path, text, message):
     p = tmp_path / "checkins.tsv"
-    rows = [
-        "u1\tts\t40.7\t-74.0\tv1",
-        "u2\tts\tnot-a-number\t-74.0\tv2",
-        "u3\tts\t40.6",
-        "u4\tts\t40.6\t-74.0\tv4",
-    ]
-    p.write_text("\n".join(rows) + "\n")
-    with caplog.at_level(logging.WARNING):
-        recs = load_checkins(p)
-    assert [r.user for r in recs] == ["u1", "u4"]
-    assert "skipped 2" in caplog.text
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    with pytest.raises(ValueError, match=re.escape(f"{p}{message}")):
+        load_checkins(p, _social(tmp_path, "a b\n"))
+
+
+def test_load_checkins_crlf_gives_the_lf_network(tmp_path):
+    text = "a\tt\t40.7\t-74.0\tv1\nc\tt\t40.8\t-73.9\tv2\nb\tt\t40.7\t-74.0\tv1\n"
+    social = _social(tmp_path, "a b\n")
+    loaded = []
+    for name, ends in (("lf.tsv", text), ("crlf.tsv", text.replace("\n", "\r\n"))):
+        (tmp_path / name).write_bytes(ends.encode("utf-8"))
+        loaded.append(load_checkins(tmp_path / name, social))
+    (lf, lf_at), (crlf, crlf_at) = loaded
+    assert crlf.auxiliary.node_names == lf.auxiliary.node_names == ["v1", "v2"]
+    assert crlf.target.node_names == lf.target.node_names == ["a", "b", "c"]
+    for side in ("left", "right"):
+        for part in ("indptr", "indices"):
+            assert np.array_equal(getattr(crlf.affiliation, f"{side}_{part}"),
+                                  getattr(lf.affiliation, f"{side}_{part}"))
+    assert np.array_equal(crlf_at, lf_at)
 
 
 def test_build_hybrid_dedups_checkins(tmp_path):
-    social = _social(tmp_path, "a b\n")
-    recs = [CheckinRecord("a", 40.7, -74.0, "v9", "t")] * 3
-    hybrid, (ids, lats, lons) = build_hybrid_from_lbsn(social, recs)
-    assert hybrid.affiliation.left_degrees[0] == 1
-    assert (ids.tolist(), lats.tolist(), lons.tolist()) == ([0], [40.7], [-74.0])
-
-
-def _social(tmp_path, text):
-    p = tmp_path / "social.txt"
-    p.write_text(text)
-    return load_edge_list(p)
+    hybrid, (lats, lons) = _checkins(tmp_path, [("a", 40.7, -74.0, "v9")] * 3)
+    assert hybrid.affiliation.left_degrees.tolist() == [1, 0]
+    assert (lats.tolist(), lons.tolist()) == ([40.7], [-74.0])
 
 
 def test_build_hybrid_shared_venue_degree(tmp_path):
-    social = _social(tmp_path, "a b\n")
-    recs = [
-        CheckinRecord("a", 40.7, -74.0, "v1", "t"),
-        CheckinRecord("b", 40.7, -74.0, "v1", "t"),
-    ]
-    hybrid, _ = build_hybrid_from_lbsn(social, recs)
+    hybrid, _ = _checkins(tmp_path, [("a", 40.7, -74.0, "v1"), ("b", 40.7, -74.0, "v1")])
     assert hybrid.affiliation.right_degrees[0] == 2
     assert hybrid.auxiliary.num_edges == 0
 
 
 def test_build_hybrid_edge_count_matches_pair_set(tmp_path):
-    import random
-
     rng = random.Random(3)
-    social = _social(tmp_path, "u0 u1\nu1 u2\nu2 u3\n")
-    recs = []
-    for _ in range(300):
-        recs.append(
-            CheckinRecord(f"u{rng.randrange(6)}", 40.5, -74.0, f"v{rng.randrange(8)}", "t")
-        )
-    hybrid, _ = build_hybrid_from_lbsn(social, recs)
-    distinct = {(r.user, r.venue) for r in recs}
+    rows = [(f"u{rng.randrange(6)}", 40.5, -74.0, f"v{rng.randrange(8)}") for _ in range(300)]
+    hybrid, _ = _checkins(tmp_path, rows, social="u0 u1\nu1 u2\nu2 u3\n")
+    distinct = {(u, v) for u, _, _, v in rows}
     assert hybrid.affiliation.num_edges == len(distinct)
-    # users u4, u5 only exist in check-ins: isolated target nodes
+    # users u4, u5 only exist in check-ins: isolated target nodes after the social ones
     assert hybrid.target.n == 6
     names = hybrid.target.node_names
+    assert names[:4] == ["u0", "u1", "u2", "u3"] and sorted(names[4:]) == ["u4", "u5"]
     for extra in ("u4", "u5"):
         assert hybrid.target.degrees[names.index(extra)] == 0
+    aux = hybrid.auxiliary.node_names
+    assert aux == list(dict.fromkeys(v for *_, v in rows))  # first-seen order
+    pairs = {(names[u], aux[v]) for u, v in zip(
+        np.repeat(np.arange(hybrid.target.n), hybrid.affiliation.left_degrees).tolist(),
+        hybrid.affiliation.left_indices.tolist())}
+    assert pairs == distinct
 
 
 def test_build_hybrid_coordinate_conflict_keeps_first(tmp_path, caplog):
-    social = _social(tmp_path, "a b\n")
-    recs = [
-        CheckinRecord("a", 40.7, -74.0, "v1", "t"),
-        CheckinRecord("b", 40.9, -73.9, "v1", "t"),
-    ]
     with caplog.at_level(logging.WARNING):
-        _, (_, lats, _) = build_hybrid_from_lbsn(social, recs)
-    assert lats.tolist() == [40.7]
-    assert "first-seen" in caplog.text
+        _, (lats, lons) = _checkins(tmp_path, [("a", 40.7, -74.0, "v1"), ("b", 40.9, -73.9, "v1")])
+    assert (lats.tolist(), lons.tolist()) == ([40.7], [-74.0])
+    assert "1 check-in(s) disagreed with a venue's first-seen coordinates" in caplog.text
 
 
 def test_affiliation_roundtrip(tmp_path):
@@ -267,9 +289,10 @@ def test_loaders_match_line_loop_oracles(tmp_path, seed):
     rows = [[name, rng.choice(formats)(rng.uniform(-90, 90)), rng.choice(formats)(rng.uniform(-180, 180))]
             for name in rng.sample(aux.node_names, 5)]
     venues_path = write_text(tmp_path / "venues.txt", random_file(rng, rows))
-    ids, lats, lons = load_venues(venues_path, aux.node_names)
-    assert list(zip(ids.tolist(), lats.tolist(), lons.tolist())) == \
-        oracle_load_venues(venues_path, aux.node_names)
+    expected = np.full((2, aux.n), np.nan)
+    for vid, lat, lon in oracle_load_venues(venues_path, aux.node_names):
+        expected[:, vid] = lat, lon
+    assert np.array_equal(load_venues(venues_path, aux.node_names), expected, equal_nan=True)
 
 
 # (file text, message): each error names path:line of the first bad line and
@@ -411,9 +434,10 @@ def test_writers_match_the_line_loop_writers(tmp_path):
     write_edge_list(hybrid.target, tmp_path / "named.txt")
     named = load_edge_list(tmp_path / "named.txt")  # ids written as re-interned names
     names = [f"u{i}" for i in range(hybrid.auxiliary.n)]
-    _, lats, lons = synthetic_venues(hybrid.auxiliary.n, NYC, seed=3)
-    order = np.random.default_rng(3).permutation(len(lats))
-    venues = (order, lats[order], lons[order])
+    lats, lons = synthetic_venues(hybrid.auxiliary.n, NYC, seed=3)
+    hole = np.random.default_rng(3).random(len(lats)) < 0.3  # nodes without a venue
+    venues = (np.where(hole, np.nan, lats), np.where(hole, np.nan, lons))
+    own = np.flatnonzero(~hole)
     for new, old in [
         (lambda p: write_edge_list(hybrid.target, p), lambda p: oracle_write_edge_list(hybrid.target, p)),
         (lambda p: write_edge_list(named, p), lambda p: oracle_write_edge_list(named, p)),
@@ -421,7 +445,8 @@ def test_writers_match_the_line_loop_writers(tmp_path):
          lambda p: oracle_write_affiliation(hybrid.affiliation, p)),
         (lambda p: write_affiliation(hybrid.affiliation, p, named.node_names, names),
          lambda p: oracle_write_affiliation(hybrid.affiliation, p, named.node_names, names)),
-        (lambda p: write_venues(venues, p), lambda p: oracle_write_venues(list(zip(*(a.tolist() for a in venues))), p)),
+        (lambda p: write_venues(venues, p),
+         lambda p: oracle_write_venues(list(zip(own.tolist(), lats[own].tolist(), lons[own].tolist())), p)),
     ]:
         new(tmp_path / "new.txt")
         old(tmp_path / "old.txt")
