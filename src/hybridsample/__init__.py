@@ -11,7 +11,6 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     HybridNetwork,
-    LabelDistribution,
     LabelTable,
     degree_labels,
     ground_truth_theta,
@@ -20,7 +19,6 @@ from .ingest import load_checkins, load_edge_list
 from .samplers import (
     AuxDistribution,
     JumpLaw,
-    SampleTrace,
     VsaSample,
     compute_qu,
     fixed_weight_scheme,

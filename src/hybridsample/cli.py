@@ -61,7 +61,7 @@ def cmd_truth(args) -> int:
     cfg = _load_cfg(args)
     hybrid, _ = experiment.build_network(cfg, venues=False)
     _, truth = experiment.label_truth(cfg, hybrid.target)
-    lines = ["label,theta"] + [f"{label},{truth[label]!r}" for label in truth.labels()]
+    lines = ["label,theta"] + [f"{label},{truth[label]!r}" for label in sorted(truth)]
     return _emit(cfg, "\n".join(lines) + "\n")
 
 

@@ -1,4 +1,4 @@
-"""Estimators of label fractions from indirect samples and walk traces.
+"""Estimators of label fractions from indirect samples and walks.
 
 Two families:
 
@@ -7,8 +7,8 @@ Two families:
   also estimates the population size.  They need only each draw's p_v and
   neighbors, whatever the draw source of ``vs_a_collect``: a known
   distribution (VS-A) or the zoom-in sampler (RRZI-VSA, venue id = node id);
-* a ratio estimator over walk traces that divides out the stationary visit
-  weights d_x + omega_x.
+* a ratio estimator over one walk of a lockstep batch that divides out the
+  stationary visit weights d_x + omega_x of its target visits.
 
 Note on coverage: auxiliary draws can only reach target nodes with at least
 one affiliation edge.  The size estimator therefore converges to the count
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import LabelTable
-from .samplers import SampleTrace, VsaSample
+from .samplers import VsaSample, WalkBatch
 
 
 @dataclass
@@ -46,13 +46,10 @@ class EstimateReport:
             if not (math.isfinite(t) and t >= 0.0):
                 raise ValueError(f"estimate theta[{l!r}]={t} must be finite and >= 0")
 
-    def csv_rows(self, truth=None) -> list[str]:
+    def csv_rows(self, truth: dict) -> list[str]:
         """Rows "method,label,theta_hat,theta_true,budget,seed"."""
-        rows = []
-        for l in sorted(self.theta):
-            t_true = "" if truth is None or l not in truth.theta else repr(truth.theta[l])
-            rows.append(f"{self.method},{l},{self.theta[l]!r},{t_true},{self.budget},{self.seed}")
-        return rows
+        return [f"{self.method},{l},{self.theta[l]!r},{truth[l]!r},{self.budget},{self.seed}"
+                for l in sorted(self.theta)]
 
 
 def _label_sums(labels: LabelTable, nodes: np.ndarray, terms: np.ndarray):
@@ -113,19 +110,20 @@ def vsa_theta_unknown_n(
     )
 
 
-def walk_theta(trace: SampleTrace, labels: LabelTable, method: str = "RW", seed: int = 0) -> EstimateReport:
-    """Ratio estimator over a walk trace:
+def walk_theta(batch: WalkBatch, r: int, labels: LabelTable, method: str = "RW",
+               seed: int = 0) -> EstimateReport:
+    """Ratio estimator over the target visits x_i of walk r of ``batch``:
 
         theta_hat_l = sum_i 1{l in L(x_i)}/w_i  /  sum_i 1/w_i
 
-    with w_i the recorded visit weight (degree plus jump weight; plain
-    degree for a simple walk).  ``target_samples`` counts the visits, which
-    are fewer than the budget for the hybrid walk.
+    with w_i = batch.weight[x_i], the visit weight (degree plus jump weight;
+    plain degree for a simple walk).  ``target_samples`` counts the visits,
+    which are fewer than the budget for the hybrid walk.
     """
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    nodes = np.asarray(trace.nodes, dtype=np.int64)
-    weights = np.asarray(trace.weights, dtype=float)
+    nodes, _ = batch.visits(r)
+    if not len(nodes):
+        raise ValueError(f"walk {r} has no target visit")
+    weights = batch.weight[nodes]
     bad = ~(np.isfinite(weights) & (weights > 0.0))
     if bad.any():
         i = int(np.argmax(bad))
@@ -133,8 +131,8 @@ def walk_theta(trace: SampleTrace, labels: LabelTable, method: str = "RW", seed:
     per_label, z = _label_sums(labels, nodes, 1.0 / weights)
     theta = {l: s / z for l, s in per_label.items()}
     return EstimateReport(
-        method, theta, trace.budget, seed,
-        target_samples=len(trace), query_count=trace.query_count,
+        method, theta, len(batch.nodes), seed,
+        target_samples=len(nodes), query_count=batch.queries[r],
     )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import geo, ingest
 from .estimators import EstimateReport, nrmse, vsa_theta_unknown_n, walk_theta
-from .graphs import HybridNetwork, LabelDistribution, LabelTable, degree_labels, ground_truth_theta
+from .graphs import HybridNetwork, LabelTable, degree_labels, ground_truth_theta
 from .samplers import (
     AuxDistribution,
     JumpLaw,
@@ -188,7 +188,7 @@ class PreparedExperiment:
     cfg: ExperimentConfig
     hybrid: HybridNetwork
     labels: LabelTable
-    truth: LabelDistribution
+    truth: dict  # {label: theta}
     budget: int
     alpha_total: float
     beta_total: float
@@ -362,7 +362,7 @@ def replicate(prep: PreparedExperiment, seeds: list) -> list:
             if walk:
                 batch = _walk_batch(prep, chunk)
                 for r, rep_seed in enumerate(chunk):
-                    reports.append(walk_theta(batch.trace(r), prep.labels, method=cfg.method,
+                    reports.append(walk_theta(batch, r, prep.labels, method=cfg.method,
                                               seed=rep_seed))
             else:
                 reports.append(run_replication(prep, chunk[0]))
@@ -372,7 +372,7 @@ def replicate(prep: PreparedExperiment, seeds: list) -> list:
                 r, reason = exc.replication, exc.reason
             raise RuntimeError(f"replication {lo + r} (seed {chunk[r]}) failed: {reason}") from exc
         if lo == 0 and walk and cfg.trace_out:
-            write_trace(batch.trace(0), cfg.trace_out)
+            write_trace(batch, cfg.trace_out)
     return reports
 
 
@@ -440,7 +440,7 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
     samples = math.fsum(rep.target_samples or 0 for rep in reports) / runs
     queries = math.fsum(rep.query_count or 0 for rep in reports) / runs
     rows = []
-    for label in prep.truth.labels():
+    for label in sorted(prep.truth):
         t_true = prep.truth[label]
         if t_true <= 0.0:
             continue

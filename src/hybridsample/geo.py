@@ -144,7 +144,9 @@ def load_venues(path, node_names) -> tuple:
 
 def write_venues(venues, path) -> None:
     """Write the (lats, lons) arrays over the auxiliary nodes one "id lat lon"
-    line per node with a venue, in node order, the coordinates as repr floats."""
+    line per node with a venue, in node order, the coordinates as repr floats.
+    Node v is written as id v, so the file reads back onto the same nodes
+    where index and name agree, as in the synthetic networks `generate` writes."""
     lats, lons = (np.asarray(a) for a in venues)
     ids = np.flatnonzero(~np.isnan(lats))
     rows = map("{} {!r} {!r}\n".format, ids.tolist(), lats[ids].tolist(), lons[ids].tolist())

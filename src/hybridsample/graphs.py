@@ -1,4 +1,4 @@
-"""Graph containers and label-distribution ground truth.
+"""Graph containers, node labels and their ground-truth fractions.
 
 A hybrid network couples a target graph (the one being measured), an
 auxiliary graph (the one that is easy to sample), and a bipartite
@@ -190,27 +190,8 @@ class LabelTable:
         return len(self.indptr) - 1
 
 
-@dataclass
-class LabelDistribution:
-    """Per-label fractions theta_l over the n nodes of a graph."""
-
-    theta: dict
-    n: int
-
-    def __post_init__(self):
-        for l, t in self.theta.items():
-            if not (0.0 <= t <= 1.0 + 1e-12):
-                raise ValueError(f"theta[{l!r}]={t} outside [0,1]")
-
-    def labels(self) -> list:
-        return sorted(self.theta)
-
-    def __getitem__(self, label) -> float:
-        return self.theta[label]
-
-
-def ground_truth_theta(graph: Graph, labels: LabelTable) -> LabelDistribution:
-    """Exhaustive label fractions: theta_l = (1/n) * #{u : l in L(u)}.
+def ground_truth_theta(graph: Graph, labels: LabelTable) -> dict:
+    """Exhaustive label fractions {l: theta_l}, theta_l = (1/n) * #{u : l in L(u)}.
 
     Labels that no node carries are omitted.  The counts are integers, so
     every fraction is exactly rounded.
@@ -220,8 +201,7 @@ def ground_truth_theta(graph: Graph, labels: LabelTable) -> LabelDistribution:
     if labels.n != graph.n:
         raise ValueError(f"label table covers {labels.n} nodes, graph has {graph.n}")
     counts = np.bincount(labels.codes, minlength=len(labels.values)).tolist()
-    theta = {l: c / graph.n for l, c in zip(labels.values, counts) if c}
-    return LabelDistribution(theta, graph.n)
+    return {l: c / graph.n for l, c in zip(labels.values, counts) if c}
 
 
 def degree_labels(degrees) -> LabelTable:

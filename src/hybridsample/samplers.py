@@ -194,27 +194,6 @@ def _spread(mass: np.ndarray, degrees: np.ndarray, indices: np.ndarray, n_out: i
 
 
 @dataclass
-class SampleTrace:
-    """Ordered target visits of a walk (int64 array) with per-visit
-    estimator weights (float64 array) and jump flags.  ``budget`` is the
-    walk's step count: one step a visit on the target graph, more for the
-    hybrid walk, whose auxiliary steps are not visits."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    jumped: list
-    budget: int
-    query_count: int
-
-    def __post_init__(self):
-        if not (len(self.nodes) == len(self.weights) == len(self.jumped) <= self.budget):
-            raise ValueError("trace arrays must have one length, at most budget")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass
 class WalkBatch:
     """R walks of one budget run in lockstep.
 
@@ -239,13 +218,11 @@ class WalkBatch:
         """Jump flags of every step, walk by walk."""
         return self.flags.T.ravel().tolist()
 
-    def trace(self, r: int) -> SampleTrace:
-        """Walk r's target visits, in order."""
-        steps = self.nodes[:, r]
-        visit = steps < self.n_target
-        nodes = steps[visit]
-        jumped = self.flags[visit, r].tolist()
-        return SampleTrace(nodes, self.weight[nodes], jumped, len(steps), self.queries[r])
+    def visits(self, r: int) -> tuple:
+        """Walk r's target visits in order: (nodes, jumped), an int64 and a
+        bool array."""
+        visit = self.nodes[:, r] < self.n_target
+        return self.nodes[visit, r], self.flags[visit, r]
 
 
 class WalkError(RuntimeError):
@@ -319,9 +296,10 @@ def _check_absorbing(weight: np.ndarray, nodes: np.ndarray) -> None:
                         "so the walk cannot leave it")
 
 
-def write_trace(trace: SampleTrace, path) -> None:
-    """Export a trace as line-oriented records: step,node,weight,jumped."""
-    rows = zip(trace.nodes.tolist(), trace.weights.tolist(), trace.jumped)
+def write_trace(batch: WalkBatch, path) -> None:
+    """Export walk 0's target visits as line-oriented records: step,node,weight,jumped."""
+    nodes, jumped = batch.visits(0)
+    rows = zip(nodes.tolist(), batch.weight[nodes].tolist(), jumped.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,node,weight,jumped\n")
         for i, (x, w, j) in enumerate(rows):
@@ -509,7 +487,7 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
     trace is the plain walk's (rwt_vsa_run without a jump law).
 
     Every step is one query, so a walk of ``budget`` steps costs ``budget``
-    queries; its trace keeps the target visits in order (WalkBatch.trace),
+    queries; its target visits are kept in order (WalkBatch.visits),
     each flagged jumped when it was entered from an auxiliary node.
     ``starts`` (target nodes) and ``seeds`` are as in rwt_vsa_run.
     """

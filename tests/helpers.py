@@ -15,7 +15,7 @@ import numpy as np
 
 from hybridsample.geo import Region, zoom_in_law
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork, LabelTable
-from hybridsample.samplers import AuxDistribution, JumpLaw, VsaSample, compute_qu
+from hybridsample.samplers import AuxDistribution, JumpLaw, VsaSample, WalkBatch, compute_qu
 
 KERNEL_SIZE_LIMIT = 2000
 
@@ -144,6 +144,13 @@ def exact_vsa_expectations(aff: BipartiteGraph, probs, labeler, b_prime, estimat
             continue
         total += weight * estimator(list(seq))
     return total
+
+
+def one_walk(nodes, weight) -> WalkBatch:
+    """A batch of one walk visiting target ``nodes`` in order, with visit weight ``weight[x]``."""
+    steps = np.asarray(nodes, dtype=np.int64).reshape(-1, 1)
+    flags = np.zeros(steps.shape, dtype=bool)
+    return WalkBatch(steps, flags, np.asarray(weight, dtype=float), [len(steps)], len(weight))
 
 
 def reference_walk_theta(nodes, weights, rows) -> dict:

@@ -283,13 +283,15 @@ def test_criterion_5_reduction_identities():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=200, m1=2, m2=3, m3=5, extra_pairs=150, seed=8))
     support = np.flatnonzero(h.affiliation.right_degrees)
     p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-    walk = rwt_vsa_run(h.target, 5000, [17], [MASTER_SEED], rwt_vsa_jumps(h, p, 0.0)).trace(0)
-    plain = rwt_vsa_run(h.target, 5000, [17], [MASTER_SEED]).trace(0)
-    assert np.array_equal(walk.nodes, plain.nodes) and np.array_equal(walk.weights, plain.weights)
+    walk = rwt_vsa_run(h.target, 5000, [17], [MASTER_SEED], rwt_vsa_jumps(h, p, 0.0))
+    plain = rwt_vsa_run(h.target, 5000, [17], [MASTER_SEED])
+    assert np.array_equal(walk.nodes, plain.nodes) and np.array_equal(walk.weight, plain.weight)
 
     ws = fixed_weight_scheme(h, 0.0, 0.0)
-    coupled = rwt_rwa_run(h, ws, 5000, [17], [MASTER_SEED]).trace(0)
-    assert np.array_equal(coupled.nodes, plain.nodes) and np.array_equal(coupled.weights, plain.weights)
+    coupled = rwt_rwa_run(h, ws, 5000, [17], [MASTER_SEED])
+    nodes, _ = coupled.visits(0)
+    assert np.array_equal(nodes, plain.nodes[:, 0])
+    assert np.array_equal(coupled.weight[nodes], plain.weight[nodes])
     report(5, "alpha=0 and alpha=beta=0 walks are trace-identical to the plain walk", time.time() - t0, 30.0)
 
 
@@ -441,7 +443,7 @@ def test_criterion_9_disconnection_robustness():
 
     seeds = replication_seeds(MASTER_SEED, walks)
     batch = rwt_rwa_run(h, ws, budget, [start] * walks, seeds)
-    share = np.array([np.mean(batch.trace(r).nodes < n_half) for r in range(walks)])
+    share = np.array([np.mean(batch.visits(r)[0] < n_half) for r in range(walks)])
     weight = h.target.degrees.astype(float)
     weight[covered] += alpha / len(covered)
     exact = weight[:n_half].sum() / weight.sum()

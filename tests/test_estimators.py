@@ -9,6 +9,7 @@ from helpers import (
     exact_vsa_expectations,
     hand_sample,
     label_table,
+    one_walk,
     reference_theta,
     reference_walk_theta,
     rwt_vsa_jumps,
@@ -19,8 +20,9 @@ from hybridsample.estimators import nrmse, vsa_theta_unknown_n, walk_theta
 from hybridsample.graphs import Graph, degree_labels, ground_truth_theta
 from hybridsample.samplers import (
     AuxDistribution,
-    SampleTrace,
+    fixed_weight_scheme,
     harvest,
+    rwt_rwa_run,
     rwt_vsa_run,
     vs_a_collect,
 )
@@ -190,24 +192,20 @@ def test_unknown_n_scale_free_in_p():
 
 
 def test_walk_theta_single_node():
-    trace = SampleTrace([3], [2.0], [False], 1, 1)
-    rep = walk_theta(trace, constant_labels(4))
+    rep = walk_theta(one_walk([3], [1.0, 1.0, 1.0, 2.0]), 0, constant_labels(4))
     assert rep.theta == {"a": 1.0}
 
 
 def test_walk_theta_uniform_weights_is_frequency():
-    nodes = [0, 1, 1, 2, 2, 2]
-    trace = SampleTrace(nodes, [5.0] * 6, [False] * 6, 6, 6)
-    rep = walk_theta(trace, label_table((u,) for u in range(3)))
+    batch = one_walk([0, 1, 1, 2, 2, 2], [5.0] * 3)
+    rep = walk_theta(batch, 0, label_table((u,) for u in range(3)))
     assert rep.theta == {0: pytest.approx(1 / 6), 1: pytest.approx(2 / 6), 2: pytest.approx(3 / 6)}
 
 
-def _pooled_trace(batch, burn_in: int) -> SampleTrace:
-    """One trace of the visits of every walk of a lockstep batch after its
+def _pooled_walk(batch, burn_in: int):
+    """One walk of the visits of every walk of a lockstep batch after its
     first burn_in steps (walk_theta's sums do not depend on visit order)."""
-    nodes = batch.nodes[burn_in:].ravel()
-    jumped = batch.flags[burn_in:].ravel().tolist()
-    return SampleTrace(nodes, batch.weight[nodes], jumped, len(nodes), len(nodes))
+    return one_walk(batch.nodes[burn_in:].ravel(), batch.weight)
 
 
 def test_walk_theta_long_run_rwt_vsa():
@@ -219,8 +217,8 @@ def test_walk_theta_long_run_rwt_vsa():
     walks = 1000
     batch = rwt_vsa_run(h.target, 1300, np.arange(walks) % h.target.n,
                         [17 + r for r in range(walks)], rwt_vsa_jumps(h, p, 1.0))
-    rep = walk_theta(_pooled_trace(batch, 300), degree_labels(h.target.degrees))
-    for l, t in truth.theta.items():
+    rep = walk_theta(_pooled_walk(batch, 300), 0, degree_labels(h.target.degrees))
+    for l, t in truth.items():
         assert rep.theta.get(l, 0.0) == pytest.approx(t, abs=0.01)
 
 
@@ -232,36 +230,51 @@ def test_walk_theta_simple_rw_reweighted():
     walks = 1000
     batch = rwt_vsa_run(h.target, 1300, np.arange(walks) % h.target.n,
                         [23 + r for r in range(walks)])
-    rep = walk_theta(_pooled_trace(batch, 300), degree_labels(h.target.degrees))
-    for l, t in truth.theta.items():
+    rep = walk_theta(_pooled_walk(batch, 300), 0, degree_labels(h.target.degrees))
+    for l, t in truth.items():
         assert rep.theta.get(l, 0.0) == pytest.approx(t, abs=0.01)
 
 
+def test_walk_theta_counts_only_target_steps_of_rwt_rwa():
+    # the hybrid walk's auxiliary steps are queries but not visits
+    h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=12, seed=2))
+    n_t = h.target.n
+    ws = fixed_weight_scheme(h, 1.0 * len(h.covered_targets()), 1.0 * h.auxiliary.n)
+    batch = rwt_rwa_run(h, ws, 500, [0, 3, 5], [1, 2, 3])
+    rows = [(d,) for d in h.target.degrees.tolist()]
+    for r in range(3):
+        steps = batch.nodes[:, r]
+        visits = steps[steps < n_t].tolist()
+        rep = walk_theta(batch, r, degree_labels(h.target.degrees))
+        assert rep.target_samples == (steps < n_t).sum() == len(visits) < 500
+        assert (rep.budget, rep.query_count) == (500, 500)
+        assert rep.theta == reference_walk_theta(visits, ws.total[visits].tolist(), rows)
+
+
 def test_walk_theta_rejects_empty_and_bad_weights():
-    with pytest.raises(ValueError):
-        walk_theta(SampleTrace([], [], [], 0, 0), constant_labels(1))
+    with pytest.raises(ValueError, match="no target visit"):
+        walk_theta(one_walk([], [1.0]), 0, constant_labels(1))
     with pytest.raises(ValueError, match="weight"):
-        walk_theta(SampleTrace([0], [0.0], [False], 1, 1), constant_labels(1))
+        walk_theta(one_walk([0], [0.0]), 0, constant_labels(1))
 
 
 def test_compensated_summation_matches_fsum():
-    # visit weights over 18 orders of magnitude, on two labels
+    # visit weights over 18 orders of magnitude, on two labels: node x
+    # carries "even" or "odd" by its parity
     rng = random.Random(9)
     weights = [10.0 ** rng.uniform(-6, 12) for _ in range(5000)]
-    nodes = [rng.randrange(2) for _ in weights]
-    trace = SampleTrace(np.array(nodes), np.array(weights), [False] * 5000, 5000, 5000)
-    rep = walk_theta(trace, label_table([("even",), ("odd",)]))
-    inv = [1.0 / w for w in weights]
-    for label, node in (("even", 0), ("odd", 1)):
-        want = math.fsum(t for t, x in zip(inv, nodes) if x == node) / math.fsum(inv)
+    nodes = [rng.randrange(5000) for _ in weights]
+    rep = walk_theta(one_walk(nodes, weights), 0, label_table([("even",), ("odd",)] * 2500))
+    inv = [1.0 / weights[x] for x in nodes]
+    for label, parity in (("even", 0), ("odd", 1)):
+        want = math.fsum(t for t, x in zip(inv, nodes) if x % 2 == parity) / math.fsum(inv)
         assert rep.theta[label] == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_walk_theta_rejects_nonfinite_weight_naming_node(bad):
-    trace = SampleTrace(np.array([0, 2, 1]), np.array([1.0, bad, 2.0]), [False] * 3, 3, 3)
     with pytest.raises(ValueError, match=f"visit weight {bad} at node 2"):
-        walk_theta(trace, constant_labels(3))
+        walk_theta(one_walk([0, 2, 1], [1.0, 2.0, bad]), 0, constant_labels(3))
 
 
 def test_vsa_zero_affiliation_degree_names_node():
@@ -288,13 +301,13 @@ def test_label_table_estimators_match_fsum_reference(trial):
     for row in rows:
         for l in row:
             counts[l] = counts.get(l, 0) + 1
-    assert ground_truth_theta(Graph(n), labels).theta == {l: c / n for l, c in counts.items()}
+    assert ground_truth_theta(Graph(n), labels) == {l: c / n for l, c in counts.items()}
 
     steps = rng.randrange(1, 400)
     nodes = [rng.randrange(n) for _ in range(steps)]
-    weights = [10.0 ** rng.uniform(-3, 9) for _ in range(steps)]
-    trace = SampleTrace(np.array(nodes), np.array(weights), [False] * steps, steps, steps)
-    assert walk_theta(trace, labels).theta == reference_walk_theta(nodes, weights, rows)
+    weight = [10.0 ** rng.uniform(-3, 9) for _ in range(n)]
+    want = reference_walk_theta(nodes, [weight[x] for x in nodes], rows)
+    assert walk_theta(one_walk(nodes, weight), 0, labels).theta == want
 
     draws = [
         (v, rng.uniform(1e-4, 1.0), tuple(rng.sample(range(n), rng.randrange(min(n, 5) + 1))))

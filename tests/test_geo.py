@@ -178,7 +178,7 @@ def test_rrzi_vsa_single_full_venue_exact():
     truth = ground_truth_theta(target, degree_labels(target.degrees))
     sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3), 4, seed=2)
     rep = vsa_theta_unknown_n(sample, degree_labels(target.degrees), seed=2, n=h.target.n)
-    for l, t in truth.theta.items():
+    for l, t in truth.items():
         assert rep.theta[l] == pytest.approx(t, abs=1e-12)
         assert rep.theta_known_n[l] == pytest.approx(t, abs=1e-12)
 
@@ -256,7 +256,7 @@ def test_rrzi_vsa_lbsn_city_pattern():
             for s in range(n_runs)
         ]
 
-    labels = sorted(l for l, t in truth.theta.items() if t > 0)
+    labels = sorted(l for l, t in truth.items() if t > 0)
     low = [l for l in labels if l <= 5]
     high = [l for l in labels if l >= np.percentile(labels, 80)]
 

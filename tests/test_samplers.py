@@ -194,8 +194,8 @@ ABSORBING_2 = "absorbing node 2: zero visit weight, so the walk cannot leave it"
 
 def test_simple_rw_path_transition_probabilities():
     g = Graph(3, [(0, 1), (1, 2)])
-    trace = rwt_vsa_run(g, 40_001, [1], [3]).trace(0)
-    nxt = [trace.nodes[i + 1] for i in range(len(trace) - 1) if trace.nodes[i] == 1]
+    nodes, _ = rwt_vsa_run(g, 40_001, [1], [3]).visits(0)
+    nxt = [nodes[i + 1] for i in range(len(nodes) - 1) if nodes[i] == 1]
     frac0 = nxt.count(0) / len(nxt)
     assert set(nxt) <= {0, 2}
     assert frac0 == pytest.approx(0.5, abs=0.02)
@@ -258,11 +258,11 @@ def test_plain_walk_opens_no_landing_stream(monkeypatch):
 def test_rwt_vsa_alpha_zero_equals_simple_rw():
     h = small_synthetic()
     p = covered_uniform(h)
-    a = rwt_vsa_run(h.target, 5000, [5], [42], rwt_vsa_jumps(h, p, 0.0)).trace(0)
-    b = rwt_vsa_run(h.target, 5000, [5], [42]).trace(0)
+    a = rwt_vsa_run(h.target, 5000, [5], [42], rwt_vsa_jumps(h, p, 0.0))
+    b = rwt_vsa_run(h.target, 5000, [5], [42])
     assert np.array_equal(a.nodes, b.nodes)
-    assert np.array_equal(a.weights, b.weights)
-    assert not any(a.jumped)
+    assert np.array_equal(a.weight, b.weight)
+    assert not a.flags.any()
 
 
 def test_rwt_vsa_empirical_stationarity_four_nodes():
@@ -436,12 +436,13 @@ def test_fixed_weight_scheme_rejects_uncovered_q_mass():
 def test_rwt_rwa_zero_jump_reduction():
     # at alpha = 0 a target walk never jumps, whatever beta
     h = small_synthetic()
-    ref = rwt_vsa_run(h.target, 4000, [5], [42]).trace(0)
+    ref = rwt_vsa_run(h.target, 4000, [5], [42])
     for beta in (0.0, 1.0):
-        trace = rwt_rwa_run(h, fixed_weight_scheme(h, 0.0, beta), 4000, [5], [42]).trace(0)
-        assert np.array_equal(trace.nodes, ref.nodes)
-        assert np.array_equal(trace.weights, ref.weights)
-        assert not any(trace.jumped) and trace.query_count == 4000
+        batch = rwt_rwa_run(h, fixed_weight_scheme(h, 0.0, beta), 4000, [5], [42])
+        nodes, jumped = batch.visits(0)
+        assert np.array_equal(nodes, ref.nodes[:, 0])
+        assert np.array_equal(batch.weight[nodes], ref.weight[nodes])
+        assert not jumped.any() and batch.queries == [4000]
 
 
 def test_rwt_rwa_crosses_components_via_jumps():
@@ -459,7 +460,7 @@ def test_rwt_rwa_crosses_components_via_jumps():
     ws = fixed_weight_scheme(h, alpha, beta)
     walks = 20
     batch = rwt_rwa_run(h, ws, 10_000, [10] * walks, [2 + r for r in range(walks)])
-    share = np.array([np.mean(batch.trace(r).nodes < n) for r in range(walks)])
+    share = np.array([np.mean(batch.visits(r)[0] < n) for r in range(walks)])
     weight = h.target.degrees.astype(float)
     weight[covered] += alpha / len(covered)
     exact = weight[:n].sum() / weight.sum()
@@ -485,26 +486,26 @@ def test_runs_deterministic_per_seed():
     h = small_synthetic()
     p = covered_uniform(h)
     jumps = rwt_vsa_jumps(h, p, 2.0)
-    t1, t2, t3 = (rwt_vsa_run(h.target, 2000, [0], [s], jumps).trace(0) for s in (5, 5, 6))
-    assert np.array_equal(t1.nodes, t2.nodes) and t1.jumped == t2.jumped
+    t1, t2, t3 = (rwt_vsa_run(h.target, 2000, [0], [s], jumps) for s in (5, 5, 6))
+    assert np.array_equal(t1.nodes, t2.nodes) and np.array_equal(t1.flags, t2.flags)
     assert not np.array_equal(t1.nodes, t3.nodes)
     ws = fixed_weight_scheme(h, 1.0, 1.0)
-    r1, r2, r3 = (rwt_rwa_run(h, ws, 2000, [0], [s]).trace(0) for s in (5, 5, 6))
-    assert np.array_equal(r1.nodes, r2.nodes) and r1.jumped == r2.jumped
+    r1, r2, r3 = (rwt_rwa_run(h, ws, 2000, [0], [s]) for s in (5, 5, 6))
+    assert np.array_equal(r1.nodes, r2.nodes) and np.array_equal(r1.flags, r2.flags)
     assert not np.array_equal(r1.nodes, r3.nodes)
 
 
 def test_write_trace_format(tmp_path):
     h = small_synthetic()
-    trace = rwt_vsa_run(h.target, 50, [0], [1]).trace(0)
+    batch = rwt_vsa_run(h.target, 50, [0, 1], [1, 2])
     path = tmp_path / "trace.csv"
-    write_trace(trace, path)
+    write_trace(batch, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,node,weight,jumped"
     assert len(lines) == 51
     step, node, weight, jumped = lines[1].split(",")
-    assert (int(step), int(node)) == (0, trace.nodes[0])
-    assert float(weight) == trace.weights[0]
+    assert (int(step), int(node)) == (0, batch.nodes[0, 0])
+    assert float(weight) == batch.weight[batch.nodes[0, 0]]
     assert jumped in ("0", "1")
 
 
@@ -570,39 +571,42 @@ def net_2x500():
 
 
 def _case_trace(h, method, alpha, beta):
-    """(trace, omega) of a 3000-step walk; alpha and beta are per node, as
-    in experiment configs."""
+    """(nodes, weights, jumped) of the target visits of a 3000-step walk,
+    and omega; alpha and beta are per node, as in experiment configs."""
     covered = h.covered_targets()
     alpha_total, beta_total = alpha * len(covered), beta * h.auxiliary.n
     start = covered[0]
     if method == "SRW":
-        return rwt_vsa_run(h.target, 3000, [start], [4]).trace(0), np.zeros(h.target.n)
-    if method == "RWT-VSA":
+        batch, omega = rwt_vsa_run(h.target, 3000, [start], [4]), np.zeros(h.target.n)
+    elif method == "RWT-VSA":
         support = np.flatnonzero(h.affiliation.right_degrees).tolist()
         p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-        trace = rwt_vsa_run(h.target, 3000, [start], [4], rwt_vsa_jumps(h, p, alpha_total)).trace(0)
-        return trace, alpha_total * compute_qu(h, p)
-    q = np.zeros(h.target.n)
-    q[covered] = 1.0 / len(covered)
-    ws = fixed_weight_scheme(h, alpha_total, beta_total)
-    return rwt_rwa_run(h, ws, 3000, [start], [4]).trace(0), alpha_total * q
+        batch = rwt_vsa_run(h.target, 3000, [start], [4], rwt_vsa_jumps(h, p, alpha_total))
+        omega = alpha_total * compute_qu(h, p)
+    else:
+        q = np.zeros(h.target.n)
+        q[covered] = 1.0 / len(covered)
+        ws = fixed_weight_scheme(h, alpha_total, beta_total)
+        batch, omega = rwt_rwa_run(h, ws, 3000, [start], [4]), alpha_total * q
+    nodes, jumped = batch.visits(0)
+    return (nodes, batch.weight[nodes], jumped), omega
 
 
 @pytest.mark.parametrize("method,alpha,beta", TRACE_CASES)
 def test_trace_weights_are_degree_plus_omega(net_2x500, method, alpha, beta):
-    trace, omega = _case_trace(net_2x500, method, alpha, beta)
-    for i, x in enumerate(trace.nodes):
-        assert trace.weights[i] == net_2x500.target.degrees[x] + float(omega[x])
-    assert any(trace.jumped) == (alpha > 0)
+    (nodes, weights, jumped), omega = _case_trace(net_2x500, method, alpha, beta)
+    for i, x in enumerate(nodes):
+        assert weights[i] == net_2x500.target.degrees[x] + float(omega[x])
+    assert jumped.any() == (alpha > 0)
 
 
 @pytest.mark.parametrize("method,alpha,beta", TRACE_CASES)
 def test_traces_match_pinned_digests(net_2x500, method, alpha, beta):
-    trace, _ = _case_trace(net_2x500, method, alpha, beta)
+    (nodes, weights, jumped), _ = _case_trace(net_2x500, method, alpha, beta)
     digest = hashlib.sha256(
-        np.asarray(trace.nodes, dtype=np.int64).tobytes()
-        + np.asarray(trace.weights, dtype=np.float64).tobytes()
-        + np.asarray(trace.jumped, dtype=bool).tobytes()
+        np.asarray(nodes, dtype=np.int64).tobytes()
+        + np.asarray(weights, dtype=np.float64).tobytes()
+        + np.asarray(jumped, dtype=bool).tobytes()
     ).hexdigest()
     assert digest == PINNED_TRACE_DIGESTS[(method, alpha, beta)]
 
@@ -638,13 +642,12 @@ def test_batch_replication_equals_lone_run(net_2x500, monkeypatch, method, alpha
         runs.append(_case_run(net_2x500, method, alpha, beta, starts, seeds))
     monkeypatch.undo()
     for r in range(5):
-        lone = _case_run(net_2x500, method, alpha, beta, [starts[r]], [seeds[r]]).trace(0)
+        lone = _case_run(net_2x500, method, alpha, beta, [starts[r]], [seeds[r]])
         for batch in runs:
-            trace = batch.trace(r)
-            assert np.array_equal(trace.nodes, lone.nodes)
-            assert np.array_equal(trace.weights, lone.weights)
-            assert trace.jumped == lone.jumped
-            assert (trace.budget, trace.query_count) == (lone.budget, lone.query_count)
+            assert np.array_equal(batch.nodes[:, r], lone.nodes[:, 0])
+            assert np.array_equal(batch.flags[:, r], lone.flags[:, 0])
+            assert np.array_equal(batch.weight, lone.weight)
+            assert batch.queries[r] == lone.queries[0]
 
 
 def test_rwt_vsa_batch_error_names_node_and_replication():
