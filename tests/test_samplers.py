@@ -1,5 +1,6 @@
 import hashlib
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -482,6 +483,19 @@ def test_rwt_rwa_absorbing_start():
     assert info.value.replication == 1
 
 
+def test_rwt_rwa_jump_onto_absorbing_node_raises_without_warning():
+    # fixed_weight_scheme leaves no absorbing node a walk can reach, so the
+    # edgeless auxiliary node 0 (hybrid node 2) loses its jump mass by hand:
+    # with total = deg = 0, a walker there takes the jump branch at 0/0
+    h = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0)]))
+    ws = fixed_weight_scheme(h, 1.0, 1.0)
+    ws.total[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(WalkError, match=ABSORBING_2):
+            rwt_rwa_run(h, ws, 100, [0], [3])
+
+
 def test_runs_deterministic_per_seed():
     h = small_synthetic()
     p = covered_uniform(h)
@@ -648,6 +662,25 @@ def test_batch_replication_equals_lone_run(net_2x500, monkeypatch, method, alpha
             assert np.array_equal(batch.flags[:, r], lone.flags[:, 0])
             assert np.array_equal(batch.weight, lone.weight)
             assert batch.queries[r] == lone.queries[0]
+
+
+# sha256 of the int64 nodes and bool flags of a whole (600, 64) RWT-RWA
+# batch, recorded at seed version 6; unlike the one-walk pins above, most
+# of its steps mix several jumpers with graph moves on both sides.
+PINNED_WIDE_BATCH_DIGESTS = {
+    (1, 1): "f62a5087c5903f60a4a31f0761d8060bc6c2d690d1b04a253574a15ce827a2a0",
+    (1, 5): "4448e72770782450041db822f42c1901b103f1919dc6df0c5eaad54563a14881",
+}
+
+
+@pytest.mark.parametrize("alpha,beta", sorted(PINNED_WIDE_BATCH_DIGESTS))
+def test_rwt_rwa_wide_batch_matches_pinned_digest(net_2x500, alpha, beta):
+    covered = net_2x500.covered_targets()
+    starts = [covered[(7 * r) % len(covered)] for r in range(64)]
+    batch = _case_run(net_2x500, "RWT-RWA", alpha, beta, starts, [101 + r for r in range(64)])
+    assert batch.nodes.shape == (600, 64)
+    digest = hashlib.sha256(batch.nodes.tobytes() + batch.flags.tobytes()).hexdigest()
+    assert digest == PINNED_WIDE_BATCH_DIGESTS[(alpha, beta)]
 
 
 def test_rwt_vsa_batch_error_names_node_and_replication():
