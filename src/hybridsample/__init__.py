@@ -22,6 +22,7 @@ from .samplers import (
     VsaSample,
     compute_qu,
     fixed_weight_scheme,
+    jump_law,
     rwt_rwa_run,
     rwt_vsa_run,
     vs_a_collect,

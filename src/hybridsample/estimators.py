@@ -32,10 +32,7 @@ from .samplers import VsaSample, WalkBatch
 class EstimateReport:
     """Per-label estimates plus enough bookkeeping to compare methods."""
 
-    method: str
     theta: dict
-    budget: int
-    seed: int
     n_hat: float | None = None
     theta_known_n: dict | None = None
     target_samples: int | None = None
@@ -45,11 +42,6 @@ class EstimateReport:
         for l, t in self.theta.items():
             if not (math.isfinite(t) and t >= 0.0):
                 raise ValueError(f"estimate theta[{l!r}]={t} must be finite and >= 0")
-
-    def csv_rows(self, truth: dict) -> list[str]:
-        """Rows "method,label,theta_hat,theta_true,budget,seed"."""
-        return [f"{self.method},{l},{self.theta[l]!r},{truth[l]!r},{self.budget},{self.seed}"
-                for l in sorted(self.theta)]
 
 
 def _label_sums(labels: LabelTable, nodes: np.ndarray, terms: np.ndarray):
@@ -71,9 +63,7 @@ def _label_sums(labels: LabelTable, nodes: np.ndarray, terms: np.ndarray):
     return per_label, total
 
 
-def vsa_theta_unknown_n(
-    sample: VsaSample, labels: LabelTable, seed: int = 0, n: int | None = None
-) -> EstimateReport:
+def vsa_theta_unknown_n(sample: VsaSample, labels: LabelTable, n: int | None = None) -> EstimateReport:
     """Ratio form of the Hansen-Hurwitz estimators over the draws:
 
         theta_hat_l = sum_i (1/p_i) sum_{u in nbrs_i} 1{l in L(u)}/d_u_bip
@@ -104,14 +94,12 @@ def vsa_theta_unknown_n(
         scale = 1.0 / (n * b_prime)
         known = {l: s * scale for l, s in per_label.items()}
     return EstimateReport(
-        "VS-A", {l: s / size for l, s in per_label.items()}, b_prime, seed,
-        n_hat=size / b_prime, theta_known_n=known,
+        {l: s / size for l, s in per_label.items()}, n_hat=size / b_prime, theta_known_n=known,
         target_samples=sample.harvested, query_count=sample.query_count,
     )
 
 
-def walk_theta(batch: WalkBatch, r: int, labels: LabelTable, method: str = "RW",
-               seed: int = 0) -> EstimateReport:
+def walk_theta(batch: WalkBatch, r: int, labels: LabelTable) -> EstimateReport:
     """Ratio estimator over the target visits x_i of walk r of ``batch``:
 
         theta_hat_l = sum_i 1{l in L(x_i)}/w_i  /  sum_i 1/w_i
@@ -130,10 +118,7 @@ def walk_theta(batch: WalkBatch, r: int, labels: LabelTable, method: str = "RW",
         raise ValueError(f"nonpositive or non-finite visit weight {weights[i]} at node {nodes[i]}")
     per_label, z = _label_sums(labels, nodes, 1.0 / weights)
     theta = {l: s / z for l, s in per_label.items()}
-    return EstimateReport(
-        method, theta, len(batch.nodes), seed,
-        target_samples=len(nodes), query_count=batch.queries[r],
-    )
+    return EstimateReport(theta, target_samples=len(nodes), query_count=batch.queries[r])
 
 
 def nrmse(estimates, truth: float) -> float:

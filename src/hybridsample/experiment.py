@@ -32,8 +32,8 @@ from .samplers import (
     JumpLaw,
     WalkError,
     WeightSystem,
-    compute_qu,
     fixed_weight_scheme,
+    jump_law,
     rwt_rwa_run,
     rwt_vsa_run,
     vs_a_collect,
@@ -297,12 +297,10 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     if cfg.method == "SRW":
         prep.weight = target.degrees
     elif cfg.method == "VS-A":
-        prep.source = AuxDistribution.uniform(hybrid.auxiliary.n)
+        prep.source = AuxDistribution(hybrid.auxiliary.n)
     elif cfg.method == "RWT-VSA":
-        support = np.flatnonzero(hybrid.affiliation.right_degrees)
-        p = AuxDistribution.uniform_over(hybrid.auxiliary.n, support)
-        prep.weight = target.degrees + alpha_total * compute_qu(hybrid, p)
-        prep.jumps = JumpLaw(p, hybrid.affiliation, prep.weight)
+        prep.jumps = jump_law(hybrid, alpha_total)
+        prep.weight = prep.jumps.total
     elif cfg.method == "RWT-RWA":
         prep.weights = fixed_weight_scheme(hybrid, alpha_total, beta_total)
         prep.weight = prep.weights.total[:target.n]
@@ -338,9 +336,7 @@ def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:
     if prep.cfg.method not in HARVEST_METHODS:
         raise ValueError(f"{prep.cfg.method} walks: its replications run in replicate")
     sample = vs_a_collect(prep.hybrid, prep.source, prep.budget, rep_seed)
-    report = vsa_theta_unknown_n(sample, prep.labels, seed=rep_seed)
-    report.method = prep.cfg.method
-    return report
+    return vsa_theta_unknown_n(sample, prep.labels)
 
 
 def replicate(prep: PreparedExperiment, seeds: list) -> list:
@@ -361,9 +357,8 @@ def replicate(prep: PreparedExperiment, seeds: list) -> list:
         try:
             if walk:
                 batch = _walk_batch(prep, chunk)
-                for r, rep_seed in enumerate(chunk):
-                    reports.append(walk_theta(batch, r, prep.labels, method=cfg.method,
-                                              seed=rep_seed))
+                for r in range(len(chunk)):
+                    reports.append(walk_theta(batch, r, prep.labels))
             else:
                 reports.append(run_replication(prep, chunk[0]))
         except Exception as exc:
@@ -427,14 +422,16 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
     """
     if prep is None:
         prep = prepare_experiment(cfg)
-    reports = replicate(prep, replication_seeds(cfg.seed, cfg.runs))
+    seeds = replication_seeds(cfg.seed, cfg.runs)
+    reports = replicate(prep, seeds)
 
     if cfg.raw_out:
         with open(cfg.raw_out, "w", encoding="utf-8") as fh:
             fh.write("method,label,theta_hat,theta_true,budget,seed\n")
-            for rep in reports:
-                for row in rep.csv_rows(prep.truth):
-                    fh.write(row + "\n")
+            for rep_seed, rep in zip(seeds, reports):
+                for l in sorted(rep.theta):
+                    fh.write(f"{cfg.method},{l},{rep.theta[l]!r},{prep.truth[l]!r},"
+                             f"{prep.budget},{rep_seed}\n")
 
     runs = len(reports)
     samples = math.fsum(rep.target_samples or 0 for rep in reports) / runs

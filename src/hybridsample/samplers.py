@@ -59,23 +59,6 @@ class AuxDistribution:
             raise ValueError(f"probabilities not normalized (sum={total!r})")
         self.probs = probs
 
-    @classmethod
-    def uniform(cls, n: int) -> "AuxDistribution":
-        return cls(n)
-
-    @classmethod
-    def uniform_over(cls, n: int, support) -> "AuxDistribution":
-        """Uniform over a subset of auxiliary nodes, zero elsewhere."""
-        support = np.unique(np.asarray(support, dtype=np.int64))
-        if not len(support):
-            raise ValueError("support must be nonempty")
-        for v in (support[0], support[-1]):
-            if not 0 <= v < n:
-                raise ValueError(f"support id {v} out of range for n'={n}")
-        probs = np.zeros(n)
-        probs[support] = 1.0 / len(support)
-        return cls(n, probs)
-
     def pick(self, u: np.ndarray) -> np.ndarray:
         """Nodes drawn from p by uniforms u in [0, 1), one per uniform;
         never a node without p-mass."""
@@ -311,11 +294,25 @@ class JumpLaw:
     """Jumps of a target-graph walk through auxiliary vertex sampling: a
     node drawn from ``p``, then a uniform neighbour in ``affiliation``.
     ``total`` is the visit weight d_x + omega_x of every target node, with
-    jump weight omega_x = alpha * q_x (q from compute_qu(hybrid, p))."""
+    jump weight omega_x = alpha * q_x (q from compute_qu(hybrid, p)).
+    jump_law builds it with p fixed: uniform over the affiliated auxiliary
+    nodes."""
 
     p: AuxDistribution
     affiliation: BipartiteGraph
     total: np.ndarray
+
+
+def jump_law(hybrid: HybridNetwork, alpha: float) -> JumpLaw:
+    """The jump law of total jump mass ``alpha``, with p uniform over the
+    auxiliary nodes that have affiliation edges."""
+    aff = hybrid.affiliation
+    has_edges = aff.right_degrees > 0
+    count = np.count_nonzero(has_edges)
+    if not count:
+        raise ValueError("no auxiliary node has affiliation edges")
+    p = AuxDistribution(aff.n_right, has_edges / count)
+    return JumpLaw(p, aff, hybrid.target.degrees + alpha * compute_qu(hybrid, p))
 
 
 def rwt_vsa_run(graph: Graph, budget: int, starts, seeds, jumps: JumpLaw | None = None) -> WalkBatch:
@@ -390,22 +387,7 @@ class WeightSystem:
     dest: np.ndarray
 
 
-def default_desired_distribution(hybrid: HybridNetwork) -> np.ndarray:
-    """Uniform over target nodes that have affiliation edges, renormalized."""
-    covered = hybrid.covered_targets()
-    if not len(covered):
-        raise ValueError("no target node has affiliation edges")
-    q = np.zeros(hybrid.target.n)
-    q[covered] = 1.0 / len(covered)
-    return q
-
-
-def fixed_weight_scheme(
-    hybrid: HybridNetwork,
-    alpha: float,
-    beta: float,
-    q: np.ndarray | None = None,
-) -> WeightSystem:
+def fixed_weight_scheme(hybrid: HybridNetwork, alpha: float, beta: float) -> WeightSystem:
     """The weighted hybrid graph with jump masses alpha and beta:
 
         omega_x = alpha * q_x                     target jump weight
@@ -419,7 +401,7 @@ def fixed_weight_scheme(
     target and k d_v + w_v on the auxiliary side.  In an auxiliary row
     (units of k) the edge to x weighs beta * q_x / d_x_bip, so alpha = 0
     needs no division.  The keys split each row by q_x / d_x_bip over its
-    row sum, where alpha and beta cancel.  q defaults to uniform over the
+    row sum, where alpha and beta cancel.  q is fixed: uniform over the
     affiliation-covered target nodes.
     """
     if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
@@ -427,23 +409,12 @@ def fixed_weight_scheme(
     if alpha > 0 and beta == 0:
         raise ValueError("beta must be > 0 when alpha > 0: an auxiliary visit "
                          "returns to the target only through jump mass")
-    if q is None:
-        q = default_desired_distribution(hybrid)
-    q = np.asarray(q, dtype=float)
-    if q.shape != (hybrid.target.n,):
-        raise ValueError("q must have one entry per target node")
-    if not (np.isfinite(q) & (q >= 0)).all():
-        raise ValueError("q must be finite and nonnegative")
-    if abs(float(q.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"q not normalized (sum={float(q.sum())!r})")
     target, aux, aff = hybrid.target, hybrid.auxiliary, hybrid.affiliation
-    stranded = (q != 0) & (aff.left_degrees == 0)
-    if stranded.any():
-        u = int(np.argmax(stranded))
-        raise ValueError(
-            f"q-mass on target node {u} with no affiliation edges; "
-            "jumps cannot reach it"
-        )
+    covered = hybrid.covered_targets()
+    if not len(covered):
+        raise ValueError("no target node has affiliation edges")
+    q = np.zeros(target.n)
+    q[covered] = 1.0 / len(covered)
 
     share = np.divide(q, aff.left_degrees, out=np.zeros(target.n), where=aff.left_degrees > 0)
     spread = _spread(q, aff.left_degrees, aff.left_indices, aux.n)

@@ -15,7 +15,7 @@ import numpy as np
 
 from hybridsample.geo import Region, zoom_in_law
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork, LabelTable
-from hybridsample.samplers import AuxDistribution, JumpLaw, VsaSample, WalkBatch, compute_qu
+from hybridsample.samplers import AuxDistribution, VsaSample, WalkBatch, compute_qu
 
 KERNEL_SIZE_LIMIT = 2000
 
@@ -323,11 +323,6 @@ def hybrid_rows(h: HybridNetwork, alpha: float, beta: float, q=None) -> np.ndarr
 def rwt_vsa_weight(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
     """Visit weights d_u + alpha*q_u of the jump-augmented target walk."""
     return hybrid.target.degrees + alpha * compute_qu(hybrid, p)
-
-
-def rwt_vsa_jumps(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> JumpLaw:
-    """The jump law of rwt_vsa_run through p at total jump mass alpha."""
-    return JumpLaw(p, hybrid.affiliation, rwt_vsa_weight(hybrid, p, alpha))
 
 
 def stationary_rwt_vsa(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:

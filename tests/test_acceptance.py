@@ -19,7 +19,6 @@ from helpers import (
     labels_of,
     random_hybrid,
     rrzi_exact_probabilities,
-    rwt_vsa_jumps,
     rwt_vsa_transition_matrix,
     stationary_rwt_vsa,
     stationary_solve,
@@ -35,6 +34,7 @@ from hybridsample.samplers import (
     VsaSample,
     fixed_weight_scheme,
     harvest,
+    jump_law,
     rwt_rwa_run,
     rwt_vsa_run,
     vs_a_collect,
@@ -158,7 +158,7 @@ def test_criterion_2_detailed_balance():
     worst = 0.0
     for _ in range(10):
         h = random_hybrid(rng, rng.randrange(5, 51), rng.randrange(3, 13))
-        p = AuxDistribution.uniform(h.auxiliary.n)
+        p = AuxDistribution(h.auxiliary.n)
         for alpha in (0.1, 1.0, 10.0):
             P = rwt_vsa_transition_matrix(h, p, alpha)
             pi = stationary_rwt_vsa(h, p, alpha)
@@ -281,9 +281,7 @@ def test_criterion_4_rwt_rwa_law():
 def test_criterion_5_reduction_identities():
     t0 = time.time()
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=200, m1=2, m2=3, m3=5, extra_pairs=150, seed=8))
-    support = np.flatnonzero(h.affiliation.right_degrees)
-    p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-    walk = rwt_vsa_run(h.target, 5000, [17], [MASTER_SEED], rwt_vsa_jumps(h, p, 0.0))
+    walk = rwt_vsa_run(h.target, 5000, [17], [MASTER_SEED], jump_law(h, 0.0))
     plain = rwt_vsa_run(h.target, 5000, [17], [MASTER_SEED])
     assert np.array_equal(walk.nodes, plain.nodes) and np.array_equal(walk.weight, plain.weight)
 
@@ -412,7 +410,7 @@ def test_criterion_8_rrzi_probability_closure():
     assert abs((e_theta * 3.0) / e_n - 1.0 / 3.0) < 1e-12
 
     sample = vs_a_collect(h, zoom_in_distribution(coords, root, 1), 20_000, seed=MASTER_SEED)
-    rep = vsa_theta_unknown_n(sample, label_a, seed=MASTER_SEED, n=h.target.n)
+    rep = vsa_theta_unknown_n(sample, label_a, n=h.target.n)
     assert rep.theta["a"] == pytest.approx(1.0 / 3.0, abs=0.02)
     report(8, "closure exact and zoom_in_law equal to it on 4 layouts; "
               "combined sampler unbiased on the enumeration instance", time.time() - t0, 5.0)

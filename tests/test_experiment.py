@@ -624,6 +624,45 @@ def test_files_source_matches_pinned_digests(tmp_path, generated_net, method):
     assert digests == PINNED_FILES_DIGESTS[method]
 
 
+# sha256 of the set-up arrays of the jump walks, keyed by (method, seed), on
+# the PINNED_DIGESTS network at alpha=2, beta=0.5 per node: RWT-VSA's p and
+# visit weights, RWT-RWA's WeightSystem tables.  Recorded when the RWT-VSA
+# law moved into samplers.jump_law; moving the law must not move them.
+PINNED_SETUP_DIGESTS = {
+    ("RWT-VSA", 1): "43bef31cdfe4e90334632ae737e10fc33b91733879f3ec3b650019c947fc3071",
+    ("RWT-VSA", 2): "4f7467942c4b43bc934749823d02a2927f8d178edca832a6d44c938a5a2f8256",
+    ("RWT-RWA", 1): "fff36d08ac676639c6306fcbabdcea707c3eddeda00973483499f369bb1a1518",
+    ("RWT-RWA", 2): "fde6bd9a59d4719cbe90cbb5ebaf47033411e9ddb23236f10d44bb21077b112f",
+}
+
+
+@pytest.mark.parametrize("method,seed", sorted(PINNED_SETUP_DIGESTS))
+def test_setup_arrays_match_pinned_digests(method, seed):
+    prep = ex.prepare_experiment(ex.make_config({
+        "n_per_graph": "2000", "extra_pairs": "4000", "seed": str(seed),
+        "alpha": "2", "beta": "0.5", "method": method}))
+    if method == "RWT-VSA":
+        arrays = (prep.jumps.p.probs, prep.jumps.total)
+    else:
+        ws = prep.weights
+        arrays = (ws.total, ws.deg, ws.base, ws.key, ws.dest)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == PINNED_SETUP_DIGESTS[(method, seed)]
+
+
+@pytest.mark.parametrize("method,side", [("RWT-VSA", "auxiliary"), ("RWT-RWA", "target")])
+def test_jump_walk_without_affiliation_edges_is_config_error(tmp_path, generated_net, capsys,
+                                                            method, side):
+    empty = tmp_path / "affiliation.txt"
+    empty.write_text("")
+    args = ["run", "--set", "source=files", "--set", f"method={method}",
+            "--set", f"target_path={generated_net / 'target.txt'}",
+            "--set", f"auxiliary_path={generated_net / 'auxiliary.txt'}",
+            "--set", f"affiliation_path={empty}"]
+    assert cli.main(args) == 1
+    assert f"no {side} node has affiliation edges" in capsys.readouterr().err
+
+
 def test_lbsn_source_builds_the_venue_index_only_for_rrzi_vsa(tmp_path):
     # the venues' coordinates are placed on the auxiliary nodes only for
     # RRZI-VSA, and not when the caller asks for the network alone

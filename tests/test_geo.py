@@ -177,7 +177,7 @@ def test_rrzi_vsa_single_full_venue_exact():
     idx = venues([(0.5, 0.5)])
     truth = ground_truth_theta(target, degree_labels(target.degrees))
     sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3), 4, seed=2)
-    rep = vsa_theta_unknown_n(sample, degree_labels(target.degrees), seed=2, n=h.target.n)
+    rep = vsa_theta_unknown_n(sample, degree_labels(target.degrees), n=h.target.n)
     for l, t in truth.items():
         assert rep.theta[l] == pytest.approx(t, abs=1e-12)
         assert rep.theta_known_n[l] == pytest.approx(t, abs=1e-12)
@@ -251,8 +251,7 @@ def test_rrzi_vsa_lbsn_city_pattern():
     def runs(b_prime, n_runs=25):
         zoom = zoom_in_distribution(idx, root, 20)
         return [
-            vsa_theta_unknown_n(vs_a_collect(h, zoom, b_prime, seed=s), labeler,
-                                seed=s, n=h.target.n)
+            vsa_theta_unknown_n(vs_a_collect(h, zoom, b_prime, seed=s), labeler, n=h.target.n)
             for s in range(n_runs)
         ]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import warnings
@@ -11,7 +12,6 @@ from helpers import (
     left_stationary,
     random_hybrid,
     rwt_vsa_transition_matrix,
-    rwt_vsa_jumps,
     rwt_vsa_weight,
     stationary_rwt_vsa,
 )
@@ -19,11 +19,11 @@ from hybridsample import samplers
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
 from hybridsample.samplers import (
     AuxDistribution,
-    JumpLaw,
     WalkError,
     compute_qu,
     fixed_weight_scheme,
     harvest,
+    jump_law,
     rwt_rwa_run,
     rwt_vsa_run,
     vs_a_collect,
@@ -42,7 +42,10 @@ def small_synthetic(n=12, extra=10, seed=3):
 def covered_uniform(h):
     """Uniform p over the auxiliary nodes that have affiliation edges, the
     support a jump needs; a small synthetic network may leave some uncovered."""
-    return AuxDistribution.uniform_over(h.auxiliary.n, np.flatnonzero(h.affiliation.right_degrees).tolist())
+    support = np.flatnonzero(h.affiliation.right_degrees)
+    probs = np.zeros(h.auxiliary.n)
+    probs[support] = 1.0 / len(support)
+    return AuxDistribution(h.auxiliary.n, probs)
 
 
 # ---------------------------------------------------------------- AuxDistribution
@@ -55,7 +58,7 @@ def test_aux_distribution_validation():
         AuxDistribution(2, [1.5, -0.5])
     d = AuxDistribution(2, [0.25, 0.75])
     assert d.probs[1] == 0.75
-    assert AuxDistribution.uniform(4).probs[2] == 0.25
+    assert AuxDistribution(4).probs[2] == 0.25
 
 
 @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]])
@@ -94,31 +97,38 @@ def test_compute_qu_uncovered_user_gets_zero():
 
 def test_compute_qu_sums_to_one_on_synthetic():
     h = small_synthetic(40, 60, seed=8)
-    support = np.flatnonzero(h.affiliation.right_degrees)
-    p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-    q = compute_qu(h, p)
+    q = compute_qu(h, covered_uniform(h))
     assert abs(q.sum() - 1.0) <= 1e-12
 
 
 def test_compute_qu_unreachable_mass():
     h = HybridNetwork(Graph(2, [(0, 1)]), Graph(2, []), BipartiteGraph(2, 2, [(0, 0), (1, 0)]))
     with pytest.raises(ValueError, match="unreachable probability mass"):
-        compute_qu(h, AuxDistribution.uniform(2))
+        compute_qu(h, AuxDistribution(2))
 
 
-def test_uniform_over_accepts_its_own_output_at_scale():
+def test_aux_distribution_accepts_equal_shares_at_scale():
     # a naive sum of 99,991 equal shares misses 1 by more than 1e-12
     n = 99_991
     share = 1.0 / n
     assert abs(sum([share] * n) - 1.0) > 1e-12
-    d = AuxDistribution.uniform_over(n, range(n))
+    d = AuxDistribution(n, np.full(n, 1 / n))
     assert d.probs[0] == d.probs[n - 1] == share
 
 
-@pytest.mark.parametrize("bad", [-1, 7])
-def test_uniform_over_rejects_ids_outside_range(bad):
-    with pytest.raises(ValueError, match=f"support id {bad} out of range"):
-        AuxDistribution.uniform_over(5, [0, bad])
+# ---------------------------------------------------------------- jump_law
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2000.0])
+def test_jump_law_matches_the_oracle_weights(alpha):
+    # some auxiliary nodes of this network have no affiliation edges
+    h = small_synthetic(40, 60, seed=8)
+    assert not h.affiliation.right_degrees.all()
+    p = covered_uniform(h)
+    law = jump_law(h, alpha)
+    assert law.p.probs.tobytes() == p.probs.tobytes()
+    assert law.affiliation is h.affiliation
+    assert law.total.tobytes() == rwt_vsa_weight(h, p, alpha).tobytes()
 
 
 # ---------------------------------------------------------------- vs_a_collect
@@ -140,7 +150,7 @@ def test_vsa_collect_full_venue():
 
 def test_vsa_collect_isolated_venue_draw_kept():
     h = HybridNetwork(Graph(1, []), Graph(1, []), BipartiteGraph(1, 1, []))
-    sample = vs_a_collect(h, AuxDistribution.uniform(1), 2, seed=0)
+    sample = vs_a_collect(h, AuxDistribution(1), 2, seed=0)
     assert sample.b_prime == 2
     assert sample.offsets.tolist() == [0, 0, 0]
 
@@ -148,7 +158,7 @@ def test_vsa_collect_isolated_venue_draw_kept():
 def test_vsa_collect_reaches_exactly_covered_nodes():
     h = small_synthetic(30, 40, seed=6)
     aff = h.affiliation
-    sample = vs_a_collect(h, AuxDistribution.uniform(h.auxiliary.n), 4000, seed=2)
+    sample = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 4000, seed=2)
     reached = set(sample.users.tolist())
     covered = set(np.flatnonzero(aff.left_degrees).tolist())
     assert reached <= covered
@@ -165,8 +175,8 @@ def test_vsa_collect_reaches_exactly_covered_nodes():
 
 def test_vsa_collect_deterministic():
     h = small_synthetic()
-    a = vs_a_collect(h, AuxDistribution.uniform(h.auxiliary.n), 50, seed=9)
-    b = vs_a_collect(h, AuxDistribution.uniform(h.auxiliary.n), 50, seed=9)
+    a = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 50, seed=9)
+    b = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 50, seed=9)
     assert a.venues.tolist() == b.venues.tolist()
 
 
@@ -249,7 +259,7 @@ def test_plain_walk_opens_no_landing_stream(monkeypatch):
     rwt_vsa_run(h.target, 300, [5, 6], [1, 2])
     assert keys and (STREAM_AUX,) not in keys
     keys.clear()
-    rwt_vsa_run(h.target, 300, [5, 6], [1, 2], rwt_vsa_jumps(h, covered_uniform(h), 1.0))
+    rwt_vsa_run(h.target, 300, [5, 6], [1, 2], jump_law(h, 1.0))
     assert keys.count((STREAM_AUX,)) == 2
 
 
@@ -258,8 +268,7 @@ def test_plain_walk_opens_no_landing_stream(monkeypatch):
 
 def test_rwt_vsa_alpha_zero_equals_simple_rw():
     h = small_synthetic()
-    p = covered_uniform(h)
-    a = rwt_vsa_run(h.target, 5000, [5], [42], rwt_vsa_jumps(h, p, 0.0))
+    a = rwt_vsa_run(h.target, 5000, [5], [42], jump_law(h, 0.0))
     b = rwt_vsa_run(h.target, 5000, [5], [42])
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.weight, b.weight)
@@ -271,11 +280,11 @@ def test_rwt_vsa_empirical_stationarity_four_nodes():
     aux = Graph(2, [(0, 1)])
     aff = BipartiteGraph(4, 2, [(0, 0), (1, 0), (2, 1), (3, 1), (0, 1)])
     h = HybridNetwork(target, aux, aff)
-    p = AuxDistribution.uniform(2)
+    p = AuxDistribution(2)
     # 1000 lockstep walks, 250 from each node: 1e6 visits after burn-in
     walks = 1000
     batch = rwt_vsa_run(h.target, 1100, np.arange(walks) % 4, [13 + r for r in range(walks)],
-                        rwt_vsa_jumps(h, p, 1.0))
+                        jump_law(h, 1.0))
     pi = stationary_rwt_vsa(h, p, 1.0)
     assert np.abs(_visit_freq(batch, 100, 4) - pi).max() < 0.01
     assert batch.queries == (1100 + batch.flags.sum(axis=0)).tolist()
@@ -286,9 +295,8 @@ def test_rwt_vsa_absorbing_error():
     aux = Graph(1, [])
     aff = BipartiteGraph(3, 1, [(0, 0), (1, 0)])  # node 2 uncovered and isolated
     h = HybridNetwork(target, aux, aff)
-    p = AuxDistribution.uniform(1)
     with pytest.raises(WalkError, match=ABSORBING_2):
-        rwt_vsa_run(h.target, 10, [2], [0], rwt_vsa_jumps(h, p, 1.0))
+        rwt_vsa_run(h.target, 10, [2], [0], jump_law(h, 1.0))
 
 
 @pytest.mark.parametrize("method", ["SRW", "RWT-VSA", "RWT-RWA"])
@@ -296,10 +304,9 @@ def test_walks_share_one_start_check(method):
     # node 2 has no edge and no affiliation, so no visit weight
     h = HybridNetwork(Graph(3, [(0, 1)]), Graph(2, [(0, 1)]),
                       BipartiteGraph(3, 2, [(0, 0), (1, 1)]))
-    p = AuxDistribution.uniform(2)
     walk = {
         "SRW": lambda *args: rwt_vsa_run(h.target, *args),
-        "RWT-VSA": lambda *args: rwt_vsa_run(h.target, *args, rwt_vsa_jumps(h, p, 1.0)),
+        "RWT-VSA": lambda *args: rwt_vsa_run(h.target, *args, jump_law(h, 1.0)),
         "RWT-RWA": lambda *args: rwt_rwa_run(h, fixed_weight_scheme(h, 1.0, 1.0), *args),
     }[method]
     with pytest.raises(ValueError, match="budget must be >= 1"):
@@ -319,11 +326,11 @@ def test_rwt_vsa_stops_at_a_zero_weight_landing():
     target = Graph(3, [(0, 1)])
     aff = BipartiteGraph(3, 1, [(0, 0), (2, 0)])
     h = HybridNetwork(target, Graph(1, []), aff)
-    p = AuxDistribution.uniform(1)
-    total = rwt_vsa_weight(h, p, 1.0)
+    law = jump_law(h, 1.0)
+    total = law.total.copy()
     total[2] = 0.0
     with pytest.raises(WalkError, match=ABSORBING_2):
-        rwt_vsa_run(h.target, 100, [0] * 20, list(range(20)), JumpLaw(p, h.affiliation, total))
+        rwt_vsa_run(h.target, 100, [0] * 20, list(range(20)), dataclasses.replace(law, total=total))
 
 
 # ---------------------------------------------------------------- stationary law
@@ -349,7 +356,7 @@ def test_stationary_regular_graph_uniform_q():
 def test_stationary_matches_eigenvector_of_kernel():
     rng = random.Random(2)
     h = random_hybrid(rng, 15, 6)
-    p = AuxDistribution.uniform(h.auxiliary.n)
+    p = AuxDistribution(h.auxiliary.n)
     for alpha in (0.5, 2.0):
         P = rwt_vsa_transition_matrix(h, p, alpha)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
@@ -362,7 +369,7 @@ def test_detailed_balance_small_hybrids():
     rng = random.Random(77)
     for _ in range(3):
         h = random_hybrid(rng, rng.randrange(5, 30), rng.randrange(3, 10))
-        p = AuxDistribution.uniform(h.auxiliary.n)
+        p = AuxDistribution(h.auxiliary.n)
         for alpha in (0.1, 1.0, 10.0):
             P = rwt_vsa_transition_matrix(h, p, alpha)
             pi = stationary_rwt_vsa(h, p, alpha)
@@ -387,8 +394,7 @@ def test_fixed_weight_scheme_hand_numbers():
     # omega = (1, 1), each affiliation edge weighs c = 1 in target units and
     # c / k = 1/2 in the venue's (k = alpha / beta = 2)
     hb = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0), (1, 0)]))
-    q = compute_qu(hb, AuxDistribution(1, [1.0]))
-    ws = fixed_weight_scheme(hb, 2.0, 1.0, q)
+    ws = fixed_weight_scheme(hb, 2.0, 1.0)
     assert ws.total.tolist() == [2.0, 2.0, 1.0]
     assert ws.deg.tolist() == [1.0, 1.0, 0.0]
     # one entry in each user's row; the venue's two halves share row 2's [4, 5)
@@ -416,19 +422,6 @@ def test_fixed_weight_scheme_jump_masses_on_synthetic():
 def test_fixed_weight_scheme_rejects_non_finite_masses(alpha, beta):
     with pytest.raises(ValueError, match="finite"):
         fixed_weight_scheme(small_synthetic(), alpha, beta)
-
-
-def test_fixed_weight_scheme_rejects_non_finite_q():
-    h = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0), (1, 0)]))
-    for q in ([np.nan, np.nan], [np.inf, -np.inf], [1.5, -0.5]):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            fixed_weight_scheme(h, 1.0, 1.0, np.array(q))
-
-
-def test_fixed_weight_scheme_rejects_uncovered_q_mass():
-    h = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0)]))
-    with pytest.raises(ValueError, match="no affiliation edges"):
-        fixed_weight_scheme(h, 1.0, 1.0, np.array([0.5, 0.5]))
 
 
 # ---------------------------------------------------------------- rwt_rwa
@@ -498,8 +491,7 @@ def test_rwt_rwa_jump_onto_absorbing_node_raises_without_warning():
 
 def test_runs_deterministic_per_seed():
     h = small_synthetic()
-    p = covered_uniform(h)
-    jumps = rwt_vsa_jumps(h, p, 2.0)
+    jumps = jump_law(h, 2.0)
     t1, t2, t3 = (rwt_vsa_run(h.target, 2000, [0], [s], jumps) for s in (5, 5, 6))
     assert np.array_equal(t1.nodes, t2.nodes) and np.array_equal(t1.flags, t2.flags)
     assert not np.array_equal(t1.nodes, t3.nodes)
@@ -593,10 +585,8 @@ def _case_trace(h, method, alpha, beta):
     if method == "SRW":
         batch, omega = rwt_vsa_run(h.target, 3000, [start], [4]), np.zeros(h.target.n)
     elif method == "RWT-VSA":
-        support = np.flatnonzero(h.affiliation.right_degrees).tolist()
-        p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-        batch = rwt_vsa_run(h.target, 3000, [start], [4], rwt_vsa_jumps(h, p, alpha_total))
-        omega = alpha_total * compute_qu(h, p)
+        batch = rwt_vsa_run(h.target, 3000, [start], [4], jump_law(h, alpha_total))
+        omega = alpha_total * compute_qu(h, covered_uniform(h))
     else:
         q = np.zeros(h.target.n)
         q[covered] = 1.0 / len(covered)
@@ -636,9 +626,7 @@ def _case_run(h, method, alpha, beta, starts, seeds):
     if method == "SRW":
         return rwt_vsa_run(h.target, 600, starts, seeds)
     if method == "RWT-VSA":
-        support = np.flatnonzero(h.affiliation.right_degrees).tolist()
-        p = AuxDistribution.uniform_over(h.auxiliary.n, support)
-        return rwt_vsa_run(h.target, 600, starts, seeds, rwt_vsa_jumps(h, p, alpha_total))
+        return rwt_vsa_run(h.target, 600, starts, seeds, jump_law(h, alpha_total))
     ws = fixed_weight_scheme(h, alpha_total, beta_total)
     return rwt_rwa_run(h, ws, 600, starts, seeds)
 
@@ -688,9 +676,8 @@ def test_rwt_vsa_batch_error_names_node_and_replication():
     aux = Graph(1, [])
     aff = BipartiteGraph(3, 1, [(0, 0), (1, 0)])  # node 2 uncovered and isolated
     h = HybridNetwork(target, aux, aff)
-    p = AuxDistribution.uniform(1)
     with pytest.raises(WalkError, match=r"replication 1: " + ABSORBING_2) as info:
-        rwt_vsa_run(h.target, 10, [0, 2], [0, 1], rwt_vsa_jumps(h, p, 1.0))
+        rwt_vsa_run(h.target, 10, [0, 2], [0, 1], jump_law(h, 1.0))
     assert info.value.replication == 1
 
 
@@ -701,10 +688,9 @@ def test_rwt_vsa_one_step_law_matches_kernel(alpha):
     aux = Graph(2, [(0, 1)])
     aff = BipartiteGraph(4, 2, [(0, 0), (1, 0), (2, 1), (3, 1), (0, 1)])
     h = HybridNetwork(target, aux, aff)
-    p = AuxDistribution.uniform(2)
+    p = AuxDistribution(2)
     walks = 8000
-    batch = rwt_vsa_run(h.target, 2, np.arange(walks) % 4, list(range(walks)),
-                        rwt_vsa_jumps(h, p, alpha))
+    batch = rwt_vsa_run(h.target, 2, np.arange(walks) % 4, list(range(walks)), jump_law(h, alpha))
     counts = np.zeros((4, 4))
     np.add.at(counts, (batch.nodes[0], batch.nodes[1]), 1.0)
     P = rwt_vsa_transition_matrix(h, p, alpha)
