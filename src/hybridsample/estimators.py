@@ -33,10 +33,10 @@ class EstimateReport:
     """Per-label estimates plus enough bookkeeping to compare methods."""
 
     theta: dict
+    target_samples: int
+    query_count: int
     n_hat: float | None = None
     theta_known_n: dict | None = None
-    target_samples: int | None = None
-    query_count: int | None = None
 
     def __post_init__(self):
         for l, t in self.theta.items():

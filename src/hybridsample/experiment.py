@@ -25,7 +25,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import geo, ingest
-from .estimators import EstimateReport, nrmse, vsa_theta_unknown_n, walk_theta
+from .estimators import nrmse, vsa_theta_unknown_n, walk_theta
 from .graphs import HybridNetwork, LabelTable, degree_labels, ground_truth_theta
 from .samplers import (
     AuxDistribution,
@@ -331,21 +331,13 @@ def _walk_batch(prep: PreparedExperiment, seeds: list):
     return rwt_vsa_run(prep.hybrid.target, prep.budget, starts, seeds, prep.jumps)
 
 
-def run_replication(prep: PreparedExperiment, rep_seed: int) -> EstimateReport:
-    """The estimate of one harvest replication (VS-A or RRZI-VSA)."""
-    if prep.cfg.method not in HARVEST_METHODS:
-        raise ValueError(f"{prep.cfg.method} walks: its replications run in replicate")
-    sample = vs_a_collect(prep.hybrid, prep.source, prep.budget, rep_seed)
-    return vsa_theta_unknown_n(sample, prep.labels)
-
-
 def replicate(prep: PreparedExperiment, seeds: list) -> list:
     """Estimates of the replications of ``seeds``, in order.
 
-    A harvest method runs them one after another (run_replication); a walk
-    method in lockstep batches of at most CHUNK_VISITS visits, and writes
-    replication 0's trace to trace_out.  A failure raises RuntimeError
-    naming the replication and its seed.
+    A harvest method runs them one after another (vs_a_collect, then
+    vsa_theta_unknown_n); a walk method in lockstep batches of at most
+    CHUNK_VISITS visits, and writes replication 0's trace to trace_out.
+    A failure raises RuntimeError naming the replication and its seed.
     """
     cfg = prep.cfg
     walk = cfg.method not in HARVEST_METHODS
@@ -360,7 +352,8 @@ def replicate(prep: PreparedExperiment, seeds: list) -> list:
                 for r in range(len(chunk)):
                     reports.append(walk_theta(batch, r, prep.labels))
             else:
-                reports.append(run_replication(prep, chunk[0]))
+                reports.append(vsa_theta_unknown_n(
+                    vs_a_collect(prep.hybrid, prep.source, prep.budget, chunk[0]), prep.labels))
         except Exception as exc:
             reason = exc
             if isinstance(exc, WalkError):
@@ -434,13 +427,11 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
                              f"{prep.budget},{rep_seed}\n")
 
     runs = len(reports)
-    samples = math.fsum(rep.target_samples or 0 for rep in reports) / runs
-    queries = math.fsum(rep.query_count or 0 for rep in reports) / runs
+    samples = math.fsum(rep.target_samples for rep in reports) / runs
+    queries = math.fsum(rep.query_count for rep in reports) / runs
     rows = []
     for label in sorted(prep.truth):
         t_true = prep.truth[label]
-        if t_true <= 0.0:
-            continue
         estimates = [rep.theta.get(label, 0.0) for rep in reports]
         rows.append(
             ResultRow(

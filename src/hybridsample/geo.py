@@ -44,13 +44,13 @@ class Region:
 NYC_REGION = Region(40.4, 41.4, -74.3, -73.3)
 
 
-def bounding_region(lats, lons, pad: float = 1e-6) -> Region:
-    """The smallest region holding every venue, padded above the largest
-    coordinates; NaN entries are nodes without a venue."""
+def bounding_region(lats, lons) -> Region:
+    """The smallest region holding every venue, padded by 1e-6 above the
+    largest coordinates; NaN entries are nodes without a venue."""
     if np.isnan(lats).all():
         raise ValueError("no venue coordinates")
-    return Region(float(np.nanmin(lats)), float(np.nanmax(lats)) + pad,
-                  float(np.nanmin(lons)), float(np.nanmax(lons)) + pad)
+    return Region(float(np.nanmin(lats)), float(np.nanmax(lats)) + 1e-6,
+                  float(np.nanmin(lons)), float(np.nanmax(lons)) + 1e-6)
 
 
 def zoom_in_law(lats, lons, root: Region, k: int) -> tuple:

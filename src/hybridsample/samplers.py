@@ -184,7 +184,7 @@ class WalkBatch:
     says whether a jump entered it; nodes below ``n_target`` are target
     visits, the others the hybrid walk's auxiliary nodes.  ``weight`` is
     the visit weight of every node and ``queries[r]`` walk r's query count.
-    ``len()`` and ``jumped`` count the steps and jumps of all walks together.
+    ``len()`` counts the steps of all walks together.
     """
 
     nodes: np.ndarray
@@ -195,11 +195,6 @@ class WalkBatch:
 
     def __len__(self) -> int:
         return self.nodes.size
-
-    @property
-    def jumped(self) -> list:
-        """Jump flags of every step, walk by walk."""
-        return self.flags.T.ravel().tolist()
 
     def visits(self, r: int) -> tuple:
         """Walk r's target visits in order: (nodes, jumped), an int64 and a

@@ -106,10 +106,11 @@ def _attach_chunk(ends, draws, extra, start, m, core) -> None:
     even position is its newer node, and an odd one holds whatever its
     edge's accepted draw position holds: ``src`` maps chunk edges to those
     positions, which always lie earlier, so following them ends.  src starts
-    at each node's first m draws; a node whose values repeat is redone
-    from its further draws, in node order.  A pass resolves the nodes from
-    ``lo`` on and redoes them; the first node whose picks change is then
-    right (every node before it was), so the next pass starts after it.
+    at each node's first m draws and is iterated to a fixpoint: each pass
+    resolves the chunk, marks the nodes whose values repeat as redone (for
+    good), and redoes them in node order from their further draws.  A node's
+    picks read only earlier nodes, so a pass that changes no pick leaves
+    the sequential graph.
     """
     f0 = 2 * (m * (m + 1) // 2 + (start - core) * m)  # endpoints before the chunk
     size = len(draws)
@@ -117,8 +118,8 @@ def _attach_chunk(ends, draws, extra, start, m, core) -> None:
     f = f0 + 2 * m * np.arange(size)  # endpoints before each node
     src = (draws * f[:, None]).astype(np.int64).ravel()
 
-    def resolve(pos: np.ndarray) -> np.ndarray:
-        pos = pos.copy()
+    def resolve() -> np.ndarray:
+        pos = src.copy()
         live = np.flatnonzero((pos >= f0) & (pos % 2 == 1))
         while live.size:
             hop = src[(pos[live] - f0) >> 1]
@@ -126,8 +127,8 @@ def _attach_chunk(ends, draws, extra, start, m, core) -> None:
             live = live[(hop >= f0) & (hop % 2 == 1)]
         return ends[pos]
 
-    def picks(row: int) -> tuple[list[int], list[int]]:
-        """Accepted draw positions of a node, and their values."""
+    def picks(row: int) -> list[int]:
+        """Accepted draw positions of a node."""
         fj = int(f[row])
         values: list[int] = []
         accepted: list[int] = []
@@ -142,28 +143,20 @@ def _attach_chunk(ends, draws, extra, start, m, core) -> None:
                 values.append(value)
                 accepted.append(p)
             a += 1
-        return accepted, values
+        return accepted
 
-    values = np.empty(size * m, dtype=np.int64)
-    redone: list[int] = []
-    lo = 0  # nodes before lo are final
-    while lo < size:
-        values[lo * m:] = resolve(src[lo * m:])
-        if m > 1:
-            ordered = np.sort(values[lo * m:].reshape(-1, m), axis=1)
-            repeats = lo + np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-            redone = sorted(set(redone).union(repeats.tolist()))
-        first = size
-        for row in redone:
-            if row < lo:
-                continue
-            accepted, picked = picks(row)
+    redone = np.zeros(size, dtype=bool)
+    changed = True
+    while changed:
+        values = resolve()
+        ordered = np.sort(values.reshape(-1, m), axis=1)
+        redone |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        changed = False
+        for row in np.flatnonzero(redone).tolist():
+            accepted = picks(row)
             if accepted != src[row * m:(row + 1) * m].tolist():
                 src[row * m:(row + 1) * m] = accepted
-                if first == size:
-                    first = row
-                    values[row * m:(row + 1) * m] = picked
-        lo = first + 1
+                changed = True
     ends[f0 + 1:f0 + 2 * size * m:2] = values
 
 

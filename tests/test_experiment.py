@@ -169,14 +169,6 @@ def test_zero_jump_walks_start_where_the_plain_walk_does(tmp_path):
     assert raws[0] == raws[1] == raws[2]
 
 
-@pytest.mark.parametrize("method", ["SRW", "RWT-VSA", "RWT-RWA"])
-def test_run_replication_rejects_walk_methods(method):
-    # RWT-VSA's jump law carries an auxiliary distribution a harvest could draw from
-    prep = ex.prepare_experiment(small_cfg(method=method))
-    with pytest.raises(ValueError, match=f"{method} walks"):
-        ex.run_replication(prep, 1)
-
-
 def test_walk_failure_names_replication_across_batches(monkeypatch):
     cfg = small_cfg(method="SRW", runs=5)
     prep = ex.prepare_experiment(cfg)
@@ -574,10 +566,12 @@ def test_outputs_match_pinned_digests(tmp_path, case, seed):
 
 
 # sha256 of the trace_out file (replication 0) of the PINNED_DIGESTS config
-# at seed 1, recorded at seed version 4 (RWT-RWA's at seed version 5).
+# at seed 1, recorded at seed version 4 (RWT-RWA's at seed version 5, RWT-VSA's
+# at seed version 6).
 PINNED_TRACE_OUT = {
     "SRW": "481e7b453a35f1c9f6be0d49ccaf385f097e29ee98e58fc411c452e07cbfefb0",
     "RWT-RWA": "8b4e0783a31c400df42a84debb2642966519ab31a8c1c6279e581d3a90d15e91",
+    "RWT-VSA": "15966b60f07f48964b16ab7d04980ddb6387bab1341f32a88be3b0ae497c290b",
 }
 
 

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from helpers import ba_exact_law, edges
 
 from hybridsample import synth
 from hybridsample.graphs import Graph
-from hybridsample.seeds import spawn_generator
+from hybridsample.seeds import STREAM_AUX_GRAPH, STREAM_HALF_A, STREAM_HALF_B, spawn_generator
 from hybridsample.synth import (
     SynthConfig,
     affiliation_keys,
@@ -152,6 +153,23 @@ def test_ba_endpoints_do_not_depend_on_chunking(monkeypatch, n, m):
     for growth in (1.0, math.inf):  # one node per chunk (sequential), one chunk
         monkeypatch.setattr(synth, "CHUNK_GROWTH", growth)
         assert np.array_equal(ba_endpoints(n, m, spawn_generator(7, n)), want)
+
+
+# sha256 of the int64 endpoint lists of the seed-1 synthetic network's three
+# attachment graphs at n_per_graph=100,000, recorded with the resolution
+# passes that restarted after the first changed node.  Resolving each chunk
+# to a fixpoint must not move them.
+PINNED_BA_DIGESTS = {
+    (2, STREAM_HALF_A): "c8542f2fb215207f6e6f4b340c3a9604bb116a1280cc521d1cafb0f031b2e94f",
+    (5, STREAM_AUX_GRAPH): "2137b7b8a202248c7b254d70047dc3e40992faaa0667066407b7e293c0763c53",
+    (10, STREAM_HALF_B): "398830990c71cc1ac86ad72425a3d809890f87516c129e501d20f11d688543e7",
+}
+
+
+@pytest.mark.parametrize("m,key", sorted(PINNED_BA_DIGESTS))
+def test_ba_endpoints_match_pinned_digest(m, key):
+    ends = ba_endpoints(100_000, m, spawn_generator(1, key))
+    assert hashlib.sha256(ends.tobytes()).hexdigest() == PINNED_BA_DIGESTS[m, key]
 
 
 @pytest.mark.parametrize("n,extra", [(10, 0), (10, 37), (10, 180), (300, 5000)])
