@@ -31,10 +31,7 @@ def _split_sets(pairs) -> dict:
 
 def _load_cfg(args) -> experiment.ExperimentConfig:
     mapping = experiment.parse_config_file(args.config) if args.config else {}
-    overrides = _split_sets(getattr(args, "set", None))
-    if getattr(args, "out", None):
-        overrides["out"] = args.out
-    return experiment.make_config(mapping, overrides)
+    return experiment.make_config(mapping, _split_sets(args.set))
 
 
 def cmd_generate(args) -> int:
@@ -62,18 +59,18 @@ def cmd_truth(args) -> int:
     hybrid, _ = experiment.build_network(cfg, venues=False)
     _, truth = experiment.label_truth(cfg, hybrid.target)
     lines = ["label,theta"] + [f"{label},{truth[label]!r}" for label in sorted(truth)]
-    return _emit(cfg, "\n".join(lines) + "\n")
+    return _emit(args.out, "\n".join(lines) + "\n")
 
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    return _emit(cfg, experiment.format_result_csv(experiment.run_experiment(cfg)))
+    return _emit(args.out, experiment.format_result_csv(experiment.run_experiment(cfg)))
 
 
-def _emit(cfg, text: str) -> int:
-    """Write text to the config's out path, else to stdout."""
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+def _emit(out, text: str) -> int:
+    """Write text to the path ``out`` (-o), else to stdout."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

@@ -78,7 +78,6 @@ class ExperimentConfig:
     rrzi_k: int = 25
     workers: int = 1
     # outputs
-    out: str = ""
     raw_out: str = ""
     trace_out: str = ""
 

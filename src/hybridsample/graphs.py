@@ -34,10 +34,11 @@ def _csr(blocks, n_rows: int, n_cols: int):
     Pairs are packed into one preallocated array of int64 keys, sorted, and
     adjacent duplicates are dropped, which leaves every row strictly
     increasing.  Row r starts where the keys reach r * n_cols, and the keys
-    become the column indices in place, so the build holds about twice its
-    output at most.  (np.unique would dedupe too, but its hash path is ~70x
-    slower on millions of keys.)  The three arrays are read-only, so a
-    network can be shared by every experiment that runs on it.
+    become the column indices in place.  (np.unique would dedupe too, but
+    its hash path is ~70x slower on millions of keys.)  The three arrays
+    are int32 when every column id and offset fits, i.e. when
+    max(n_cols, entries) < 2**31, and int64 otherwise.  They are read-only,
+    so a network can be shared by every experiment that runs on it.
     """
     width = max(n_cols, 1)
     keys = np.empty(sum(len(rows) for rows, _ in blocks), dtype=np.int64)
@@ -53,8 +54,11 @@ def _csr(blocks, n_rows: int, n_cols: int):
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         if np.count_nonzero(keep) < len(keys):
             keys = keys[keep]
+        del keep
     indptr = keys.searchsorted(np.arange(0, (n_rows + 1) * width, width, dtype=np.int64))
     np.remainder(keys, width, out=keys)
+    if max(n_cols, len(keys)) < 2**31:
+        indptr, keys = indptr.astype(np.int32), keys.astype(np.int32)
     arrays = indptr, keys, indptr[1:] - indptr[:-1]
     for a in arrays:
         a.flags.writeable = False
@@ -93,6 +97,7 @@ class Graph:
             if out_of_range[i]:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             raise ValueError(f"self-loop at node {u} not allowed")
+        del out_of_range, bad  # the CSR build is the peak: hold little else
         u, v = e[:, 0], e[:, 1]
         self.indptr, self.indices, self.degrees = _csr(((u, v), (v, u)), n, n)
         self.num_edges = len(self.indices) // 2

@@ -40,7 +40,7 @@ def load_edge_list(path) -> Graph:
 def write_edge_list(graph: Graph, path) -> None:
     """Write one edge per line using external names when present."""
     u, v = graph.edge_array().T
-    _write_pairs(path, u, v, graph.node_names, graph.node_names)
+    _write_pairs(path, u, v, graph.node_names)
 
 
 def load_affiliation(path, left_graph: Graph, right_graph: Graph) -> BipartiteGraph:
@@ -62,17 +62,18 @@ def load_affiliation(path, left_graph: Graph, right_graph: Graph) -> BipartiteGr
     return BipartiteGraph(left_graph.n, right_graph.n, pairs)
 
 
-def write_affiliation(aff: BipartiteGraph, path, left_names=None, right_names=None) -> None:
+def write_affiliation(aff: BipartiteGraph, path) -> None:
+    """Write one "u v" line per affiliation edge, as node indices, sorted by u, then v."""
     rows = np.repeat(np.arange(aff.n_left), aff.left_degrees)
-    _write_pairs(path, rows, aff.left_indices, left_names, right_names)
+    _write_pairs(path, rows, aff.left_indices)
 
 
-def _write_pairs(path, left, right, left_names, right_names) -> None:
+def _write_pairs(path, left, right, names=None) -> None:
     """One "a b" line per pair of ids, each written as its name where names are given."""
-    def column(ids, names):
+    def column(ids):
         return ids.tolist() if names is None else list(map(names.__getitem__, ids.tolist()))
 
-    rows = map("{} {}\n".format, column(left, left_names), column(right, right_names))
+    rows = map("{} {}\n".format, column(left), column(right))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(rows))
 

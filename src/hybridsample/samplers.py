@@ -244,7 +244,7 @@ def _entries(indices: np.ndarray) -> np.ndarray:
     """CSR entries to pick from with ``take(mode="clip")``: a pick past its
     row (a jump's, or an empty row's) reads some valid id, which the step
     then discards or flags as an error."""
-    return indices if len(indices) else np.zeros(1, dtype=np.int64)
+    return indices if len(indices) else np.zeros(1, dtype=indices.dtype)
 
 
 def _walk_args(weight: np.ndarray, budget: int, starts, seeds) -> tuple:
@@ -348,7 +348,7 @@ def rwt_vsa_run(graph: Graph, budget: int, starts, seeds, jumps: JumpLaw | None 
             t = t0 + i
             x = nodes[t - 1]
             s = u[i] * total[x]
-            cols.take(base[x] + s.astype(np.int64), mode="clip", out=nodes[t])
+            nodes[t] = cols.take(base[x] + s.astype(np.int64), mode="clip")
             if jumps is not None:
                 np.greater_equal(s, deg[x], out=flags[t])
                 np.copyto(nodes[t], land[i], where=flags[t])
@@ -421,9 +421,11 @@ def fixed_weight_scheme(hybrid: HybridNetwork, alpha: float, beta: float) -> Wei
     return WeightSystem(
         total=deg + np.concatenate((alpha * q, beta * spread)),
         deg=deg,
-        base=np.concatenate((target.indptr[:-1], aux.indptr[:-1])),
+        base=np.concatenate((target.indptr[:-1], aux.indptr[:-1]), dtype=np.int64),
         key=key,
-        dest=np.concatenate((aff.left_indices + target.n, aff.right_indices)),
+        # hybrid ids in int64: left_indices + n_t in the CSR's int32 could wrap
+        dest=np.concatenate((np.add(aff.left_indices, target.n, dtype=np.int64),
+                             aff.right_indices)),
     )
 
 
@@ -478,9 +480,9 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
             d = deg.take(z)
             pos = base.take(z)
             pos += s.astype(np.int64)
-            t_cols.take(pos, mode="clip", out=nxt)
+            nxt[:] = t_cols.take(pos, mode="clip")
             on_aux = z >= n_t
-            np.copyto(nxt, a_cols.take(pos, mode="clip") + n_t, where=on_aux)
+            np.add(a_cols.take(pos, mode="clip"), n_t, out=nxt, where=on_aux, dtype=np.int64)
             hop = (s >= d).nonzero()[0]
             if len(hop):
                 # entry j of z's row holds 2z + fraction; j keys after the first are <= it

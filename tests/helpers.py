@@ -472,13 +472,11 @@ def oracle_write_edge_list(graph: Graph, path) -> None:
                 fh.write(f"{u} {v}\n")
 
 
-def oracle_write_affiliation(aff: BipartiteGraph, path, left_names=None, right_names=None) -> None:
+def oracle_write_affiliation(aff: BipartiteGraph, path) -> None:
     rows = np.repeat(np.arange(aff.n_left), aff.left_degrees).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in zip(rows, aff.left_indices.tolist()):
-            a = left_names[u] if left_names is not None else u
-            b = right_names[v] if right_names is not None else v
-            fh.write(f"{a} {b}\n")
+            fh.write(f"{u} {v}\n")
 
 
 def oracle_write_venues(venues, path) -> None:

@@ -351,6 +351,12 @@ def test_cli_truth_and_run(tmp_path, capsys):
     assert res.read_text().startswith(",".join(ex.RESULT_COLUMNS))
 
 
+def test_result_path_is_not_a_config_key(tmp_path):
+    # the result CSV goes to the CLI's -o only
+    with pytest.raises(ValueError, match="unknown config key 'out'"):
+        ex.make_config({"out": str(tmp_path / "res.csv")})
+
+
 def test_cli_truth_small_network_default_extra_pairs(capsys):
     # the default extra_pairs shrinks to the 2n(n-1) free pairs of a small network
     assert cli.main(["truth", "--set", "n_per_graph=100"]) == 0

@@ -10,6 +10,7 @@ from hybridsample.graphs import (
     Graph,
     HybridNetwork,
     LabelTable,
+    _csr,
     degree_labels,
     ground_truth_theta,
 )
@@ -162,7 +163,7 @@ def _assert_graph_invariants(g):
     assert not np.any(rows == g.indices)  # no self-loops
     _assert_transposes(rows, g.indices, rows, g.indices, g.n)  # symmetric rows
     assert g.degrees.sum() == 2 * g.num_edges
-    assert g.indptr.dtype == g.indices.dtype == g.degrees.dtype == np.int64
+    assert g.indptr.dtype == g.indices.dtype == g.degrees.dtype == np.int32  # all < 2**31
 
 
 def _assert_hybrid_invariants(h):
@@ -256,7 +257,7 @@ def test_csr_build_matches_plain_definition(n, m, n_right):
     g = Graph(n, e)
     want = _plain_csr(np.concatenate((e[:, 0], e[:, 1])), np.concatenate((e[:, 1], e[:, 0])), n, n)
     for got, ref in zip((g.indptr, g.indices, g.degrees), want):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert got.dtype == np.int32 and np.array_equal(got, ref)
     pairs = np.column_stack((e[:, 0], e[:, 1] % n_right))
     bip = BipartiteGraph(n, n_right, pairs)
     left = _plain_csr(pairs[:, 0], pairs[:, 1], n, n_right)
@@ -264,14 +265,23 @@ def test_csr_build_matches_plain_definition(n, m, n_right):
     got = (bip.left_indptr, bip.left_indices, bip.left_degrees,
            bip.right_indptr, bip.right_indices, bip.right_degrees)
     for got_arr, ref in zip(got, left + right):
-        assert got_arr.dtype == ref.dtype and np.array_equal(got_arr, ref)
+        assert got_arr.dtype == np.int32 and np.array_equal(got_arr, ref)
+
+
+@pytest.mark.parametrize("n_cols,dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_csr_arrays_are_int32_below_2_31_columns(n_cols, dtype):
+    # one row whose one entry is the last column: nothing big is allocated
+    arrays = _csr(((np.array([0]), np.array([n_cols - 1])),), 1, n_cols)
+    assert [a.dtype for a in arrays] == [dtype] * 3
+    assert [a.tolist() for a in arrays] == [[0, 1], [n_cols - 1], [1]]
 
 
 def test_csr_build_peak_memory():
     # 1M edges on 200k nodes. Building the keys from two concatenated copies
     # of the endpoints and splitting them with divmod peaked at 84.0 MB of
-    # numpy allocations (tracemalloc), 4.4 times the 19.2 MB output; the
-    # preallocated keys, turned into the indices in place, need at most half
+    # numpy allocations (tracemalloc), 4.4 times the 19.2 MB int64 output;
+    # the preallocated keys, turned into the indices in place, need at most
+    # half.  The stored arrays are int32: 9.6 MB
     gen = np.random.default_rng(0)
     e = gen.integers(0, 200_000, size=(1_000_000, 2))
     e = e[e[:, 0] != e[:, 1]]
@@ -282,7 +292,7 @@ def test_csr_build_peak_memory():
     finally:
         tracemalloc.stop()
     out = g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes
-    assert out == pytest.approx(19.2e6, rel=0.01)
+    assert out == pytest.approx(9.6e6, rel=0.01)
     assert peak <= 84.0e6 / 2
 
 

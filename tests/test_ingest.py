@@ -194,21 +194,24 @@ def test_build_hybrid_coordinate_conflict_keeps_first(tmp_path, caplog):
 
 
 def test_affiliation_roundtrip(tmp_path):
-    left = _social(tmp_path, "a b\nb c\n")
+    # write_affiliation writes node indices: ids named by their first-seen
+    # index read back as the same pairs
+    left = _social(tmp_path, "0 1\n1 2\n")
     right_p = tmp_path / "right.txt"
-    right_p.write_text("x y\n")
+    right_p.write_text("0 1\n")
     right = load_edge_list(right_p)
     aff_p = tmp_path / "aff.txt"
-    aff_p.write_text("a x\nb y\nc x\n")
+    aff_p.write_text("0 0\n1 1\n2 0\n")
     aff = load_affiliation(aff_p, left, right)
     assert aff.num_edges == 3
     out = tmp_path / "aff_out.txt"
-    write_affiliation(aff, out, left_names=left.node_names, right_names=right.node_names)
+    write_affiliation(aff, out)
+    assert out.read_text() == aff_p.read_text()
     again = load_affiliation(out, left, right)
     assert np.array_equal(again.left_indptr, aff.left_indptr)
     assert np.array_equal(again.left_indices, aff.left_indices)
     bad = tmp_path / "aff_bad.txt"
-    bad.write_text("a zz\n")
+    bad.write_text("0 zz\n")
     with pytest.raises(ValueError, match="unknown auxiliary id"):
         load_affiliation(bad, left, right)
 
@@ -443,8 +446,6 @@ def test_writers_match_the_line_loop_writers(tmp_path):
         (lambda p: write_edge_list(named, p), lambda p: oracle_write_edge_list(named, p)),
         (lambda p: write_affiliation(hybrid.affiliation, p),
          lambda p: oracle_write_affiliation(hybrid.affiliation, p)),
-        (lambda p: write_affiliation(hybrid.affiliation, p, named.node_names, names),
-         lambda p: oracle_write_affiliation(hybrid.affiliation, p, named.node_names, names)),
         (lambda p: write_venues(venues, p),
          lambda p: oracle_write_venues(list(zip(own.tolist(), lats[own].tolist(), lons[own].tolist())), p)),
     ]:

@@ -418,6 +418,19 @@ def test_fixed_weight_scheme_jump_masses_on_synthetic():
     assert (np.diff(ws.key)[same_row] > 0).all()
 
 
+def test_hybrid_ids_are_int64_over_int32_graphs():
+    # the CSR arrays are int32 here, but hybrid ids are not computed in it:
+    # left_indices + n_t in int32 would wrap once n_t + n_a reaches 2**31
+    h = small_synthetic(50, 80, seed=10)
+    ws = fixed_weight_scheme(h, 2.0, 3.0)
+    aff, n_t = h.affiliation, h.target.n
+    assert aff.left_indices.dtype == h.target.indptr.dtype == np.int32
+    assert ws.base.dtype == ws.dest.dtype == np.int64
+    assert np.array_equal(ws.dest[:aff.num_edges], aff.left_indices.astype(np.int64) + n_t)
+    assert rwt_rwa_run(h, ws, 50, [0, 1], [1, 2]).nodes.dtype == np.int64
+    assert rwt_vsa_run(h.target, 50, [0, 1], [1, 2], jump_law(h, 2.0)).nodes.dtype == np.int64
+
+
 @pytest.mark.parametrize("alpha,beta", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
 def test_fixed_weight_scheme_rejects_non_finite_masses(alpha, beta):
     with pytest.raises(ValueError, match="finite"):
