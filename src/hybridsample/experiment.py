@@ -191,10 +191,9 @@ class PreparedExperiment:
     budget: int
     alpha_total: float
     beta_total: float
-    source: AuxDistribution | None = None  # harvests: auxiliary draws
-    weight: np.ndarray | None = None  # walks: visit weight of each target node
-    jumps: JumpLaw | None = None  # RWT-VSA: the target walk's jumps
-    weights: WeightSystem | None = None  # RWT-RWA: the weighted hybrid graph
+    # the method's law: auxiliary draws (VS-A, RRZI-VSA), the target walk's
+    # jumps (RWT-VSA) or the weighted hybrid graph (RWT-RWA); None for SRW
+    law: AuxDistribution | JumpLaw | WeightSystem | None = None
 
 
 def _parse_bbox(text: str) -> geo.Region:
@@ -285,29 +284,24 @@ def label_truth(cfg: ExperimentConfig, target) -> tuple:
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     cfg.validate()
     hybrid, venues = build_network(cfg)
-    target = hybrid.target
-    labels, truth = label_truth(cfg, target)
+    labels, truth = label_truth(cfg, hybrid.target)
 
     budget = resolve_budget(cfg.budget, hybrid.target.n)
     alpha_total = cfg.alpha * max(1, np.count_nonzero(hybrid.affiliation.left_degrees))
     beta_total = cfg.beta * max(1, hybrid.auxiliary.n)
     prep = PreparedExperiment(cfg, hybrid, labels, truth, budget, alpha_total, beta_total)
 
-    if cfg.method == "SRW":
-        prep.weight = target.degrees
-    elif cfg.method == "VS-A":
-        prep.source = AuxDistribution(hybrid.auxiliary.n)
+    if cfg.method == "VS-A":
+        prep.law = AuxDistribution(hybrid.auxiliary.n)
     elif cfg.method == "RWT-VSA":
-        prep.jumps = jump_law(hybrid, alpha_total)
-        prep.weight = prep.jumps.total
+        prep.law = jump_law(hybrid, alpha_total)
     elif cfg.method == "RWT-RWA":
-        prep.weights = fixed_weight_scheme(hybrid, alpha_total, beta_total)
-        prep.weight = prep.weights.total[:target.n]
+        prep.law = fixed_weight_scheme(hybrid, alpha_total, beta_total)
     elif cfg.method == "RRZI-VSA":
         if venues is None:
             raise ValueError("RRZI-VSA needs venue coordinates (venues_path or lbsn source)")
         law = geo.zoom_in_law(*venues, geo.bounding_region(*venues), cfg.rrzi_k)
-        prep.source = AuxDistribution(hybrid.auxiliary.n, *law)
+        prep.law = AuxDistribution(hybrid.auxiliary.n, *law)
     return prep
 
 
@@ -319,15 +313,17 @@ def _walk_batch(prep: PreparedExperiment, seeds: list):
     separate from the walk's streams: entry floor(u_0 * c) of the c such
     nodes.  With none the batch raises WalkError.
     """
-    pool = np.flatnonzero(prep.weight > 0)
+    target, law = prep.hybrid.target, prep.law
+    # both laws' total starts with the target nodes' visit weights
+    pool = np.flatnonzero((target.degrees if law is None else law.total[:target.n]) > 0)
     if not len(pool):
         raise WalkError(0, "no usable start node")
     u = np.array([spawn_generator(rep_seed, STREAM_WALK_START).random() for rep_seed in seeds])
     starts = pool[(u * len(pool)).astype(np.int64)]
-    if prep.cfg.method == "RWT-RWA":
-        return rwt_rwa_run(prep.hybrid, prep.weights, prep.budget, starts, seeds)
+    if isinstance(law, WeightSystem):
+        return rwt_rwa_run(prep.hybrid, law, prep.budget, starts, seeds)
     # SRW is the target walk without a jump law
-    return rwt_vsa_run(prep.hybrid.target, prep.budget, starts, seeds, prep.jumps)
+    return rwt_vsa_run(target, prep.budget, starts, seeds, law)
 
 
 def replicate(prep: PreparedExperiment, seeds: list) -> list:
@@ -339,7 +335,7 @@ def replicate(prep: PreparedExperiment, seeds: list) -> list:
     A failure raises RuntimeError naming the replication and its seed.
     """
     cfg = prep.cfg
-    walk = cfg.method not in HARVEST_METHODS
+    walk = not isinstance(prep.law, AuxDistribution)
     per_batch = max(1, CHUNK_VISITS // prep.budget) if walk else 1
     reports = []
     for lo in range(0, len(seeds), per_batch):
@@ -352,7 +348,7 @@ def replicate(prep: PreparedExperiment, seeds: list) -> list:
                     reports.append(walk_theta(batch, r, prep.labels))
             else:
                 reports.append(vsa_theta_unknown_n(
-                    vs_a_collect(prep.hybrid, prep.source, prep.budget, chunk[0]), prep.labels))
+                    vs_a_collect(prep.hybrid, prep.law, prep.budget, chunk[0]), prep.labels))
         except Exception as exc:
             reason = exc
             if isinstance(exc, WalkError):
@@ -503,7 +499,7 @@ def emit_figure_data(kind: str, tables, out_path) -> None:
             out_rows.append(
                 (r.method, getattr(r, param_field), r.label, getattr(r, value_field))
             )
-    out_rows.sort(key=lambda row: (row[0], str(row[1]), _label_key(row[2])))
+    out_rows.sort(key=lambda row: (row[0], row[1], _label_key(row[2])))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("method,param,label,value\n")
         for method, param, label, value in out_rows:

@@ -182,7 +182,9 @@ class WalkBatch:
 
     ``nodes[t, r]`` is the node of walk r after step t and ``flags[t, r]``
     says whether a jump entered it; nodes below ``n_target`` are target
-    visits, the others the hybrid walk's auxiliary nodes.  ``weight`` is
+    visits, the others the hybrid walk's auxiliary nodes.  The hybrid walk
+    flags only target visits entered from an auxiliary node, so its
+    auxiliary nodes read False even when a jump entered them.  ``weight`` is
     the visit weight of every node and ``queries[r]`` walk r's query count.
     ``len()`` counts the steps of all walks together.
     """

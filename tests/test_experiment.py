@@ -7,6 +7,7 @@ import pytest
 
 from helpers import labels_of
 from hybridsample import cli, experiment as ex
+from hybridsample.samplers import AuxDistribution, JumpLaw, WeightSystem
 from hybridsample.seeds import replication_seeds
 from hybridsample.synth import SynthConfig, build_synthetic_hybrid, orient_edges
 
@@ -306,6 +307,18 @@ def test_emit_figure_data(tmp_path):
     total = sum(float(l.split(",")[3]) for l in lines[1:])
     expect = sum(r.mean_estimate for t in tables for r in t.rows)
     assert total == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind,key,values,order", [
+    ("fig2-convergence", "budget", ("40", "100", "8"), ["8", "40", "100"]),
+    ("fig3-nrmse", "alpha", (2.0, 10.0, 0.5), ["0.5", "2.0", "10.0"]),
+])
+def test_emit_figure_data_sorts_params_as_numbers(tmp_path, kind, key, values, order):
+    tables = [ex.run_experiment(small_cfg(method="SRW", **{key: v})) for v in values]
+    out = tmp_path / "fig.csv"
+    ex.emit_figure_data(kind, tables, out)
+    params = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    assert list(dict.fromkeys(params)) == order
 
 
 def test_emit_figure_data_errors(tmp_path):
@@ -642,12 +655,23 @@ def test_setup_arrays_match_pinned_digests(method, seed):
         "n_per_graph": "2000", "extra_pairs": "4000", "seed": str(seed),
         "alpha": "2", "beta": "0.5", "method": method}))
     if method == "RWT-VSA":
-        arrays = (prep.jumps.p.probs, prep.jumps.total)
+        arrays = (prep.law.p.probs, prep.law.total)
     else:
-        ws = prep.weights
+        ws = prep.law
         arrays = (ws.total, ws.deg, ws.base, ws.key, ws.dest)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
     assert digest == PINNED_SETUP_DIGESTS[(method, seed)]
+
+
+LAW_TYPES = {"SRW": type(None), "VS-A": AuxDistribution, "RWT-VSA": JumpLaw,
+             "RWT-RWA": WeightSystem, "RRZI-VSA": AuxDistribution}
+
+
+@pytest.mark.parametrize("method", ex.METHODS)
+def test_prepared_experiment_holds_the_law_of_its_method(method):
+    # the synthetic source places venues on the auxiliary nodes for RRZI-VSA
+    prep = ex.prepare_experiment(small_cfg(method=method))
+    assert type(prep.law) is LAW_TYPES[method]
 
 
 @pytest.mark.parametrize("method,side", [("RWT-VSA", "auxiliary"), ("RWT-RWA", "target")])
@@ -691,7 +715,7 @@ def test_venues_path_is_read_only_by_rrzi_vsa(tmp_path):
     }
     prep = ex.prepare_experiment(ex.make_config(ex.parse_config_file(cfgp),
                                                 {**files, "method": "VS-A"}))
-    assert prep.source.n == prep.hybrid.auxiliary.n
+    assert prep.law.n == prep.hybrid.auxiliary.n
     cfg = ex.make_config(ex.parse_config_file(cfgp), {**files, "method": "RRZI-VSA"})
     with pytest.raises(FileNotFoundError, match="no_venues.txt"):
         ex.prepare_experiment(cfg)
