@@ -2,7 +2,8 @@
 (their format is in the README).  A file is read once into a byte array; token
 and line bounds, comments and field counts come from array operations,
 and ids are interned on packed 8-byte words, so only distinct ids become
-strings.
+strings.  ``raise_first`` names the first bad record of a file, and of the
+in-memory inputs too (edges, draws, visit weights, venue coordinates).
 """
 
 from __future__ import annotations
@@ -173,14 +174,15 @@ def floats(data, starts, lens):
         return np.concatenate((col[:lo].astype(np.float64), np.zeros(len(col) - lo))), failed
 
 
-def raise_first(path, lines, checks, pending=None) -> None:
-    """Raise a ValueError naming ``path:line`` of the first record failing
-    one of ``checks``, (mask, message of record i) in the order they apply
-    to a line; else the pending error."""
-    firsts = [int(np.argmax(mask)) if mask.any() else len(lines) for mask, _ in checks]
-    i = min(firsts, default=len(lines))
-    if i < len(lines):
-        message = next(msg for (_, msg), f in zip(checks, firsts) if f == i)
-        raise ValueError(f"{path}:{lines[i]}: {message(i)}")
+def raise_first(checks, path=None, lines=None, pending=None) -> None:
+    """Raise a ValueError naming the earliest bad record, by the first of
+    ``checks`` it fails: (mask over the records, message of record i) pairs.
+    File records get a ``path:line`` prefix from ``lines``; with no bad
+    record, raise the pending error."""
+    firsts = [int(np.argmax(mask)) if mask.any() else len(mask) for mask, _ in checks]
+    i = min(firsts)
+    if i < len(checks[0][0]):
+        message = checks[firsts.index(i)][1](i)
+        raise ValueError(message if path is None else f"{path}:{lines[i]}: {message}")
     if pending is not None:
         raise ValueError(pending)

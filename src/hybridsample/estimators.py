@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tokens import raise_first
 from .graphs import LabelTable
 from .samplers import VsaSample, WalkBatch
 
@@ -74,13 +75,8 @@ def vsa_theta_unknown_n(sample: VsaSample, labels: LabelTable, n: int | None = N
     ``theta_known_n`` (same pass).
     """
     degrees, offsets, b_prime = sample.degrees, sample.offsets, sample.b_prime
-    bad = degrees <= 0
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ValueError(
-            f"harvested node {sample.users[j]} recorded with affiliation degree "
-            f"{degrees[j]}; expected > 0"
-        )
+    raise_first([(degrees <= 0, lambda j: f"harvested node {sample.users[j]} recorded with "
+                                          f"affiliation degree {degrees[j]}; expected > 0")])
     # the term of user u harvested by draw i: (1/p_i) / d_u_bip
     terms = (1.0 / sample.p).repeat(offsets[1:] - offsets[:-1])
     terms /= degrees
@@ -112,10 +108,8 @@ def walk_theta(batch: WalkBatch, r: int, labels: LabelTable) -> EstimateReport:
     if not len(nodes):
         raise ValueError(f"walk {r} has no target visit")
     weights = batch.weight[nodes]
-    bad = ~(np.isfinite(weights) & (weights > 0.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"nonpositive or non-finite visit weight {weights[i]} at node {nodes[i]}")
+    raise_first([(~(np.isfinite(weights) & (weights > 0.0)),
+                  lambda i: f"nonpositive or non-finite visit weight {weights[i]} at node {nodes[i]}")])
     per_label, z = _label_sums(labels, nodes, 1.0 / weights)
     theta = {l: s / z for l, s in per_label.items()}
     return EstimateReport(theta, target_samples=len(nodes), query_count=batch.queries[r])

@@ -359,24 +359,10 @@ def replicate(prep: PreparedExperiment, seeds: list) -> list:
     return reports
 
 
-def _parse_label(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
-def _label_key(label):
-    """Numeric labels sort numerically, anything else lexically after them."""
-    if isinstance(label, (int, float)):
-        return (0, label, "")
-    return (1, 0, str(label))
-
-
 @dataclass
 class ResultRow:
     method: str
-    label: object
+    label: int
     theta_true: float
     mean_estimate: float
     nrmse: float
@@ -390,8 +376,7 @@ class ResultRow:
 
 
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
-# the type each column parses as; a label is an int where it reads as one
-_COLUMN_TYPES = [_parse_label if t is object else t for t in get_type_hints(ResultRow).values()]
+_COLUMN_TYPES = list(get_type_hints(ResultRow).values())
 
 
 @dataclass
@@ -399,7 +384,7 @@ class ResultTable:
     rows: list = field(default_factory=list)
 
     def label_axis(self) -> list:
-        return sorted({row.label for row in self.rows}, key=_label_key)
+        return sorted({row.label for row in self.rows})
 
 
 def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None) -> ResultTable:
@@ -455,19 +440,26 @@ def format_result_csv(table: ResultTable) -> str:
 
 
 def read_result_csv(path) -> ResultTable:
+    """The rows of a result CSV; a bad row or value fails naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ",".join(RESULT_COLUMNS):
-            raise ValueError(f"{path}: unexpected result header {header!r}")
+            raise ValueError(f"{path}:1: unexpected result header {header!r}")
         rows = []
-        for line in fh:
-            line = line.strip()
+        for lineno, line in enumerate(map(str.strip, fh), 2):
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != len(RESULT_COLUMNS):
-                raise ValueError(f"{path}: malformed result row {line!r}")
-            rows.append(ResultRow(*(kind(x) for kind, x in zip(_COLUMN_TYPES, parts))))
+                raise ValueError(f"{path}:{lineno}: malformed result row {line!r}")
+            values = []
+            for name, kind, text in zip(RESULT_COLUMNS, _COLUMN_TYPES, parts):
+                try:
+                    values.append(kind(text))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {name} {text!r} is not "
+                                     f"{'an' if kind is int else 'a'} {kind.__name__}") from None
+            rows.append(ResultRow(*values))
     return ResultTable(rows)
 
 
@@ -499,7 +491,7 @@ def emit_figure_data(kind: str, tables, out_path) -> None:
             out_rows.append(
                 (r.method, getattr(r, param_field), r.label, getattr(r, value_field))
             )
-    out_rows.sort(key=lambda row: (row[0], row[1], _label_key(row[2])))
+    out_rows.sort(key=lambda row: row[:3])
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("method,param,label,value\n")
         for method, param, label, value in out_rows:

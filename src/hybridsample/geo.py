@@ -71,10 +71,10 @@ def zoom_in_law(lats, lons, root: Region, k: int) -> tuple:
     if k < 1:
         raise ValueError("k must be >= 1")
     lats, lons = np.asarray(lats, dtype=np.float64), np.asarray(lons, dtype=np.float64)
-    bad = ~((np.abs(lats) <= 90.0) & (np.abs(lons) <= 180.0) | np.isnan(lats) & np.isnan(lons))
-    if bad.any():
-        v = np.argmax(bad)
-        raise ValueError(f"node {v}: venue coordinates ({lats[v]}, {lons[v]}) out of range")
+    _tokens.raise_first([
+        (~((np.abs(lats) <= 90.0) & (np.abs(lons) <= 180.0) | np.isnan(lats) & np.isnan(lons)),
+         lambda v: f"node {v}: venue coordinates ({lats[v]}, {lons[v]}) out of range"),
+    ])
     p, calls = np.zeros(len(lats)), np.zeros(len(lats), dtype=np.int64)
     member = np.flatnonzero((lats >= root.lat_min) & (lats < root.lat_max)
                             & (lons >= root.lon_min) & (lons < root.lon_max))
@@ -128,7 +128,7 @@ def load_venues(path, node_names) -> tuple:
     def token(i, j=0):
         return _tokens.token_text(data, starts[i, j], lens[i, j])
 
-    _tokens.raise_first(path, lines, [
+    _tokens.raise_first([
         (ids < 0, lambda i: f"venue id {token(i)!r} is not an auxiliary node id"),
         (bad_lat, lambda i: f"could not convert string to float: {token(i, 1)!r}"),
         (bad_lon, lambda i: f"could not convert string to float: {token(i, 2)!r}"),
@@ -136,7 +136,7 @@ def load_venues(path, node_names) -> tuple:
         (~((-180.0 <= lons) & (lons <= 180.0)), lambda i: f"longitude {lons[i]} out of range"),
         (again, lambda i: f"duplicate venue id {token(i)!r} "
                           f"(first on line {lines[np.argmax(ids == ids[i])]})"),
-    ], pending)
+    ], path, lines, pending)
     placed = np.full((2, len(node_names)), np.nan)
     placed[:, ids] = lats, lons
     return placed[0], placed[1]

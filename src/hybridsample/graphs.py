@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._tokens import raise_first
+
 
 def _pair_array(pairs) -> np.ndarray:
     """An (m, 2) int64 array from an (m, 2) array or an iterable of pairs."""
@@ -89,15 +91,11 @@ class Graph:
         self.node_names = list(node_names) if node_names is not None else None
 
         e = _pair_array(edges)
-        out_of_range = ((e < 0) | (e >= n)).any(axis=1)
-        bad = out_of_range | (e[:, 0] == e[:, 1])
-        if bad.any():
-            i = int(np.argmax(bad))
-            u, v = e[i].tolist()
-            if out_of_range[i]:
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            raise ValueError(f"self-loop at node {u} not allowed")
-        del out_of_range, bad  # the CSR build is the peak: hold little else
+        raise_first([
+            (((e < 0) | (e >= n)).any(axis=1),
+             lambda i: f"edge ({e[i, 0]},{e[i, 1]}) out of range for n={n}"),
+            (e[:, 0] == e[:, 1], lambda i: f"self-loop at node {e[i, 0]} not allowed"),
+        ])
         u, v = e[:, 0], e[:, 1]
         self.indptr, self.indices, self.degrees = _csr(((u, v), (v, u)), n, n)
         self.num_edges = len(self.indices) // 2
@@ -129,14 +127,10 @@ class BipartiteGraph:
         self.n_left = n_left
         self.n_right = n_right
         e = _pair_array(pairs)
-        bad_left = (e[:, 0] < 0) | (e[:, 0] >= n_left)
-        bad = bad_left | (e[:, 1] < 0) | (e[:, 1] >= n_right)
-        if bad.any():
-            i = int(np.argmax(bad))
-            u, v = e[i].tolist()
-            if bad_left[i]:
-                raise ValueError(f"left id {u} out of range")
-            raise ValueError(f"right id {v} out of range")
+        raise_first([
+            ((e[:, 0] < 0) | (e[:, 0] >= n_left), lambda i: f"left id {e[i, 0]} out of range"),
+            ((e[:, 1] < 0) | (e[:, 1] >= n_right), lambda i: f"right id {e[i, 1]} out of range"),
+        ])
         u, v = e[:, 0], e[:, 1]
         self.left_indptr, self.left_indices, self.left_degrees = _csr(((u, v),), n_left, n_right)
         self.right_indptr, self.right_indices, self.right_degrees = _csr(((v, u),), n_right, n_left)

@@ -30,9 +30,9 @@ def load_edge_list(path) -> Graph:
     codes, names = _tokens.intern(data, starts, lens)
     del data, starts, lens  # the CSR build is the peak: hold little else
     edges = codes.reshape(-1, 2)
-    _tokens.raise_first(path, lines, [
+    _tokens.raise_first([
         (edges[:, 0] == edges[:, 1], lambda i: f"self-loop {names[edges[i, 0]]!r}"),
-    ], pending)
+    ], path, lines, pending)
     del lines
     return Graph(len(names), edges, node_names=names)
 
@@ -55,10 +55,10 @@ def load_affiliation(path, left_graph: Graph, right_graph: Graph) -> BipartiteGr
     def unknown(j, side):
         return lambda i: f"unknown {side} id {_tokens.token_text(data, starts[i, j], lens[i, j])!r}"
 
-    _tokens.raise_first(path, lines, [
+    _tokens.raise_first([
         (pairs[:, 0] < 0, unknown(0, "target")),
         (pairs[:, 1] < 0, unknown(1, "auxiliary")),
-    ], pending)
+    ], path, lines, pending)
     return BipartiteGraph(left_graph.n, right_graph.n, pairs)
 
 
@@ -100,12 +100,12 @@ def load_checkins(path, social: Graph, bbox: Region | None = None) -> tuple:
         return lambda i: (f"could not convert string to float: "
                           f"{_tokens.token_text(data, starts[i, j], lens[i, j])!r}")
 
-    _tokens.raise_first(path, lines, [
+    _tokens.raise_first([
         (bad_lat, number(2)),
         (bad_lon, number(3)),
         (~((-90.0 <= lats) & (lats <= 90.0)), lambda i: f"latitude {lats[i]} out of range"),
         (~((-180.0 <= lons) & (lons <= 180.0)), lambda i: f"longitude {lons[i]} out of range"),
-    ], pending)
+    ], path, lines, pending)
     if bbox is not None:
         keep = ((bbox.lat_min <= lats) & (lats <= bbox.lat_max)
                 & (bbox.lon_min <= lons) & (lons <= bbox.lon_max))

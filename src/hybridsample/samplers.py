@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._tokens import raise_first
 from .graphs import BipartiteGraph, Graph, HybridNetwork
 from .seeds import STREAM_AUX, STREAM_TARGET, spawn_generator
 
@@ -113,13 +114,11 @@ def harvest(aff: BipartiteGraph, venues, p, query_count: int) -> VsaSample:
     """
     venues = np.asarray(venues, dtype=np.int64)
     p = np.asarray(p, dtype=float)
-    off_range = (venues < 0) | (venues >= aff.n_right)
-    bad = off_range | ~(p > 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if off_range[i]:
-            raise ValueError(f"venue id {venues[i]} is not an auxiliary node")
-        raise ValueError(f"draw of venue {venues[i]} with nonpositive probability {p[i]}")
+    raise_first([
+        ((venues < 0) | (venues >= aff.n_right),
+         lambda i: f"venue id {venues[i]} is not an auxiliary node"),
+        (~(p > 0.0), lambda i: f"draw of venue {venues[i]} with nonpositive probability {p[i]}"),
+    ])
     counts = aff.right_degrees[venues]
     offsets = np.zeros(len(venues) + 1, dtype=np.int64)
     counts.cumsum(out=offsets[1:])
@@ -155,15 +154,9 @@ def compute_qu(hybrid: HybridNetwork, p: AuxDistribution) -> np.ndarray:
     aff = hybrid.affiliation
     if p.n != aff.n_right:
         raise ValueError("distribution size must match auxiliary graph")
-    pv = p.probs
-    stranded = (pv > 0.0) & (aff.right_degrees == 0)
-    if stranded.any():
-        v = int(np.argmax(stranded))
-        raise ValueError(
-            f"unreachable probability mass: auxiliary node {v} has p>0 "
-            "but no affiliation edges"
-        )
-    return _spread(pv, aff.right_degrees, aff.right_indices, hybrid.target.n)
+    raise_first([((p.probs > 0.0) & (aff.right_degrees == 0), lambda v: (
+        f"unreachable probability mass: auxiliary node {v} has p>0 but no affiliation edges"))])
+    return _spread(p.probs, aff.right_degrees, aff.right_indices, hybrid.target.n)
 
 
 def _spread(mass: np.ndarray, degrees: np.ndarray, indices: np.ndarray, n_out: int) -> np.ndarray:

@@ -292,6 +292,34 @@ def test_result_csv_roundtrip(tmp_path):
     assert [r.nrmse for r in back.rows] == [r.nrmse for r in table.rows]
 
 
+@pytest.mark.parametrize("column,text,message", [
+    ("nrmse", "abc", "nrmse 'abc' is not a float"),
+    ("label", "2x", "label '2x' is not an int"),
+    ("runs", "3.0", "runs '3.0' is not an int"),
+])
+def test_result_csv_names_the_bad_value(tmp_path, capsys, column, text, message):
+    row = ex.ResultRow("SRW", 2, 0.5, 0.4, 0.1, 3, 80, 10.0, 1.0, 7, 80.0, 80.0)
+    lines = ex.format_result_csv(ex.ResultTable([row, row])).splitlines()
+    fields = lines[2].split(",")
+    fields[ex.RESULT_COLUMNS.index(column)] = text
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join(lines[:2] + [",".join(fields)]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        ex.read_result_csv(path)
+    assert str(exc.value) == f"{path}:3: {message}"
+    # figdata reports it as a configuration error naming the file and line
+    assert cli.main(["figdata", "--kind", "fig3-nrmse", str(path), "-o", str(tmp_path / "f.csv")]) == 1
+    assert f"{path}:3: {message}" in capsys.readouterr().err
+
+
+def test_result_csv_names_a_malformed_row(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text(",".join(ex.RESULT_COLUMNS) + "\n\nSRW,2,0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        ex.read_result_csv(path)
+    assert str(exc.value) == f"{path}:3: malformed result row 'SRW,2,0.5'"
+
+
 def test_emit_figure_data(tmp_path):
     tables = [ex.run_experiment(small_cfg(method="SRW", budget=b)) for b in ("2%", "5%", "10%")]
     out = tmp_path / "fig2.csv"
