@@ -174,15 +174,19 @@ def floats(data, starts, lens):
         return np.concatenate((col[:lo].astype(np.float64), np.zeros(len(col) - lo))), failed
 
 
+class InputError(ValueError):
+    """A bad record of a data file, named by ``path:line``."""
+
+
 def raise_first(checks, path=None, lines=None, pending=None) -> None:
     """Raise a ValueError naming the earliest bad record, by the first of
     ``checks`` it fails: (mask over the records, message of record i) pairs.
-    File records get a ``path:line`` prefix from ``lines``; with no bad
-    record, raise the pending error."""
+    File records get a ``path:line`` prefix from ``lines`` and raise an
+    InputError; with no bad record, so does the pending error."""
     firsts = [int(np.argmax(mask)) if mask.any() else len(mask) for mask, _ in checks]
     i = min(firsts)
     if i < len(checks[0][0]):
         message = checks[firsts.index(i)][1](i)
-        raise ValueError(message if path is None else f"{path}:{lines[i]}: {message}")
+        raise ValueError(message) if path is None else InputError(f"{path}:{lines[i]}: {message}")
     if pending is not None:
-        raise ValueError(pending)
+        raise InputError(pending)

@@ -7,7 +7,7 @@ Subcommands:
 * run       - run a configured experiment, write the aggregated result CSV
 * figdata   - merge result CSVs into tidy figure data
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration or input-file error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import experiment, geo, ingest
+from ._tokens import InputError
 
 
 def _split_sets(pairs) -> dict:
@@ -38,13 +39,12 @@ def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     if cfg.source != "synthetic":
         raise ValueError("generate only writes synthetic networks")
-    hybrid, _ = experiment.build_network(cfg, venues=False)
+    hybrid, venues = experiment.build_network(cfg, venues=True)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_edge_list(hybrid.target, out_dir / "target.txt")
     ingest.write_edge_list(hybrid.auxiliary, out_dir / "auxiliary.txt")
     ingest.write_affiliation(hybrid.affiliation, out_dir / "affiliation.txt")
-    venues = experiment.synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
     geo.write_venues(venues, out_dir / "venues.txt")
     print(
         f"wrote {out_dir}/: target n={hybrid.target.n} m={hybrid.target.num_edges}, "
@@ -56,7 +56,7 @@ def cmd_generate(args) -> int:
 
 def cmd_truth(args) -> int:
     cfg = _load_cfg(args)
-    hybrid, _ = experiment.build_network(cfg, venues=False)
+    hybrid, _ = experiment.build_network(cfg)
     _, truth = experiment.label_truth(cfg, hybrid.target)
     lines = ["label,theta"] + [f"{label},{truth[label]!r}" for label in sorted(truth)]
     return _emit(args.out, "\n".join(lines) + "\n")
@@ -118,7 +118,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        kind = "input" if isinstance(exc, InputError) else "config"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

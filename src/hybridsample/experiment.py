@@ -25,6 +25,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import geo, ingest
+from ._tokens import InputError
 from .estimators import nrmse, vsa_theta_unknown_n, walk_theta
 from .graphs import HybridNetwork, LabelTable, degree_labels, ground_truth_theta
 from .samplers import (
@@ -36,6 +37,7 @@ from .samplers import (
     jump_law,
     rwt_rwa_run,
     rwt_vsa_run,
+    target_share,
     vs_a_collect,
     write_trace,
 )
@@ -46,6 +48,7 @@ METHODS = ("SRW", "VS-A", "RWT-VSA", "RWT-RWA", "RRZI-VSA")
 HARVEST_METHODS = ("VS-A", "RRZI-VSA")  # independent auxiliary draws; the rest walk
 LABEL_KINDS = ("degree", "in-degree", "out-degree")
 CHUNK_VISITS = 1 << 20  # most visits (budget x replications) of one lockstep batch
+STALL_VISITS = 0.01  # fewest expected target visits of an RWT-RWA run: one in 100 runs
 SOURCES = ("synthetic", "files", "lbsn")
 
 
@@ -227,29 +230,22 @@ def synthetic_network(syn: SynthConfig) -> HybridNetwork:
     return build_synthetic_hybrid(syn)
 
 
-def build_network(cfg: ExperimentConfig, venues: bool = True):
+def build_network(cfg: ExperimentConfig, venues: bool = False):
     """Build or load the hybrid network named by the config.
 
-    Returns (hybrid, venues): for RRZI-VSA, unless ``venues`` is false, the
-    venues' (lats, lons) over the auxiliary nodes, NaN where a node has none;
-    else None.
+    Returns (hybrid, coords): with ``venues``, the venues' (lats, lons) over
+    the auxiliary nodes, NaN where a node has none (None for a files source
+    without venues_path); else None.
     A synthetic network is built once for its keys (``synthetic_network``);
     files are read again on every call.
     """
-    rrzi, coords = venues and cfg.method == "RRZI-VSA", None
+    coords = None
     if cfg.source == "synthetic":
         n = cfg.n_per_graph
         extra_pairs = min(20_000, 2 * n * (n - 1)) if cfg.extra_pairs is None else cfg.extra_pairs
-        syn = SynthConfig(
-            n_per_graph=n,
-            m1=cfg.m1,
-            m2=cfg.m2,
-            m3=cfg.m3,
-            extra_pairs=extra_pairs,
-            seed=cfg.seed,
-        )
-        hybrid = synthetic_network(syn)
-        if rrzi:
+        hybrid = synthetic_network(SynthConfig(n_per_graph=n, m1=cfg.m1, m2=cfg.m2, m3=cfg.m3,
+                                               extra_pairs=extra_pairs, seed=cfg.seed))
+        if venues:
             coords = synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
     elif cfg.source == "files":
         if not (cfg.target_path and cfg.auxiliary_path and cfg.affiliation_path):
@@ -258,7 +254,7 @@ def build_network(cfg: ExperimentConfig, venues: bool = True):
         auxiliary = ingest.load_edge_list(cfg.auxiliary_path)
         hybrid = HybridNetwork(target, auxiliary,
                                ingest.load_affiliation(cfg.affiliation_path, target, auxiliary))
-        if rrzi and cfg.venues_path:
+        if venues and cfg.venues_path:
             coords = geo.load_venues(cfg.venues_path, auxiliary.node_names)
     else:  # lbsn
         if not (cfg.social_path and cfg.checkins_path):
@@ -266,7 +262,7 @@ def build_network(cfg: ExperimentConfig, venues: bool = True):
         social = ingest.load_edge_list(cfg.social_path)
         bbox = _parse_bbox(cfg.bbox) if cfg.bbox else None
         hybrid, coords = ingest.load_checkins(cfg.checkins_path, social, bbox)
-    return hybrid, coords if rrzi else None
+    return hybrid, coords if venues else None
 
 
 def label_truth(cfg: ExperimentConfig, target) -> tuple:
@@ -283,7 +279,7 @@ def label_truth(cfg: ExperimentConfig, target) -> tuple:
 
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     cfg.validate()
-    hybrid, venues = build_network(cfg)
+    hybrid, venues = build_network(cfg, venues=cfg.method == "RRZI-VSA")
     labels, truth = label_truth(cfg, hybrid.target)
 
     budget = resolve_budget(cfg.budget, hybrid.target.n)
@@ -297,6 +293,10 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         prep.law = jump_law(hybrid, alpha_total)
     elif cfg.method == "RWT-RWA":
         prep.law = fixed_weight_scheme(hybrid, alpha_total, beta_total)
+        visits = budget * target_share(prep.law, hybrid.target.n, alpha_total, beta_total)
+        if visits < STALL_VISITS:
+            raise ValueError(f"alpha={cfg.alpha!r}, beta={cfg.beta!r}: an RWT-RWA walk of budget "
+                             f"{budget} expects {visits:.3g} target visits, below {STALL_VISITS}")
     elif cfg.method == "RRZI-VSA":
         if venues is None:
             raise ValueError("RRZI-VSA needs venue coordinates (venues_path or lbsn source)")
@@ -388,13 +388,15 @@ class ResultTable:
 
 
 def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None) -> ResultTable:
-    """Run all replications of a configured experiment and aggregate.
-
-    Any replication failure aborts the experiment with a diagnostic naming
-    the failing replication seed.
+    """Run all replications of a configured experiment and aggregate, on
+    ``prep`` when given, which must come from an equal config.  Any
+    replication failure aborts the experiment naming its seed.
     """
     if prep is None:
         prep = prepare_experiment(cfg)
+    elif prep.cfg != cfg:
+        keys = [f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(prep.cfg, f.name)]
+        raise ValueError(f"prep was prepared from a config that differs in {', '.join(keys)}")
     seeds = replication_seeds(cfg.seed, cfg.runs)
     reports = replicate(prep, seeds)
 
@@ -444,20 +446,20 @@ def read_result_csv(path) -> ResultTable:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ",".join(RESULT_COLUMNS):
-            raise ValueError(f"{path}:1: unexpected result header {header!r}")
+            raise InputError(f"{path}:1: unexpected result header {header!r}")
         rows = []
         for lineno, line in enumerate(map(str.strip, fh), 2):
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != len(RESULT_COLUMNS):
-                raise ValueError(f"{path}:{lineno}: malformed result row {line!r}")
+                raise InputError(f"{path}:{lineno}: malformed result row {line!r}")
             values = []
             for name, kind, text in zip(RESULT_COLUMNS, _COLUMN_TYPES, parts):
                 try:
                     values.append(kind(text))
                 except ValueError:
-                    raise ValueError(f"{path}:{lineno}: {name} {text!r} is not "
+                    raise InputError(f"{path}:{lineno}: {name} {text!r} is not "
                                      f"{'an' if kind is int else 'a'} {kind.__name__}") from None
             rows.append(ResultRow(*values))
     return ResultTable(rows)

@@ -160,33 +160,28 @@ class HybridNetwork:
 
 
 class LabelTable:
-    """The labels L(u) of every node as a CSR of integer codes.
-
-    Node u carries ``values[c]`` for each c in ``codes[indptr[u]:indptr[u + 1]]``;
-    a node may carry several labels or none.  ``values`` holds the label
-    values as Python objects, so estimates are keyed by them.
+    """The labels L(u) of every node, given as a CSR of integer codes:
+    node u carries ``values[c]`` for each c in ``codes[indptr[u]:indptr[u + 1]]``,
+    a node may carry several labels or none, and ``values`` holds the label
+    values as Python objects, so estimates are keyed by them.  The table
+    keeps the codes only as ``slots``: ``slots[j, u]`` is 1 + the code of
+    node u's j-th label, 0 where u has fewer, so the estimators gather the
+    codes of many visits with one take.
     """
 
     def __init__(self, indptr, codes, values: Sequence):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.codes = np.asarray(codes, dtype=np.int64)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        codes = np.asarray(codes, dtype=np.int64)
         self.values = list(values)
-        per_node = self.indptr[1:] - self.indptr[:-1]
-        if (len(self.indptr) == 0 or self.indptr[0] != 0 or self.indptr[-1] != len(self.codes)
-                or (per_node < 0).any()):
+        per_node = indptr[1:] - indptr[:-1]
+        if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(codes) or (per_node < 0).any():
             raise ValueError("indptr must run from 0 to len(codes) without decreasing")
-        if len(self.codes) and not 0 <= self.codes.min() <= self.codes.max() < len(self.values):
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(self.values):
             raise ValueError("label codes out of range")
-        # slots[j, u] is 1 + the code of node u's j-th label, 0 where u has
-        # fewer labels: the estimators gather the codes of many visits with
-        # one take, a fixed few numpy calls however short the sample.
+        self.n = len(per_node)
         self.slots = np.zeros((max(1, int(per_node.max(initial=0))), self.n), dtype=np.int64)
         node = np.repeat(np.arange(self.n), per_node)
-        self.slots[np.arange(len(self.codes)) - self.indptr[node], node] = self.codes + 1
-
-    @property
-    def n(self) -> int:
-        return len(self.indptr) - 1
+        self.slots[np.arange(len(codes)) - indptr[node], node] = codes + 1
 
 
 def ground_truth_theta(graph: Graph, labels: LabelTable) -> dict:
@@ -199,7 +194,7 @@ def ground_truth_theta(graph: Graph, labels: LabelTable) -> dict:
         raise ValueError("empty target graph")
     if labels.n != graph.n:
         raise ValueError(f"label table covers {labels.n} nodes, graph has {graph.n}")
-    counts = np.bincount(labels.codes, minlength=len(labels.values)).tolist()
+    counts = np.bincount(labels.slots.ravel(), minlength=len(labels.values) + 1)[1:].tolist()
     return {l: c / graph.n for l, c in zip(labels.values, counts) if c}
 
 

@@ -43,8 +43,9 @@ class AuxDistribution:
         if n <= 0:
             raise ValueError("auxiliary graph must be nonempty")
         self.n = n
-        self.calls = None if calls is None else np.asarray(calls, dtype=np.int64)
-        if self.calls is not None and self.calls.shape != (n,):
+        # unless given, a read-only view of ones: no n entries are held
+        self.calls = np.asarray(calls, np.int64) if calls is not None else np.broadcast_to(np.int64(1), n)
+        if self.calls.shape != (n,):
             raise ValueError("call count vector length must equal n'")
         if probs is None:
             self.probs = np.full(n, 1.0 / n)
@@ -139,8 +140,7 @@ def vs_a_collect(hybrid: HybridNetwork, p: AuxDistribution, b_prime: int, seed) 
     if p.n != hybrid.auxiliary.n:
         raise ValueError("distribution size must match auxiliary graph")
     venues = p.pick(spawn_generator(seed, STREAM_AUX).random(b_prime))
-    queries = b_prime if p.calls is None else p.calls[venues].sum()
-    return harvest(hybrid.affiliation, venues, p.probs[venues], queries)
+    return harvest(hybrid.affiliation, venues, p.probs[venues], p.calls[venues].sum())
 
 
 def compute_qu(hybrid: HybridNetwork, p: AuxDistribution) -> np.ndarray:
@@ -434,6 +434,14 @@ def _row_keys(out: np.ndarray, weight: np.ndarray, indptr: np.ndarray, mass: np.
     out -= np.repeat(out.take(indptr[:-1], mode="clip"), deg)
     out /= np.repeat(np.where(mass > 0, mass, 1.0), deg)  # a row without mass is never picked
     out += np.repeat(2.0 * np.arange(row0, row0 + len(deg)), deg)
+
+
+def target_share(ws: WeightSystem, n_target: int, alpha: float, beta: float) -> float:
+    """The stationary share of an RWT-RWA walk's steps on the target: its law
+    is proportional to ``total`` on the target rows and to k = alpha/beta
+    times it on the auxiliary rows, which are in units of k (1 at alpha = 0)."""
+    t, a = ws.total[:n_target].sum(), ws.total[n_target:].sum()
+    return float(t / (t + alpha / beta * a)) if alpha else 1.0
 
 
 @np.errstate(invalid="ignore")  # 0/0 only on an absorbing node, which _check_absorbing reports

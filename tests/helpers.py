@@ -62,7 +62,7 @@ def label_table(rows) -> LabelTable:
 
 def labels_of(table, u: int) -> tuple:
     """The labels of node u of a LabelTable."""
-    return tuple(table.values[c] for c in table.codes[table.indptr[u]:table.indptr[u + 1]].tolist())
+    return tuple(table.values[c - 1] for c in table.slots[:, u].tolist() if c)
 
 
 def by_label(table) -> dict:

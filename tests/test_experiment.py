@@ -1,6 +1,7 @@
 import collections
 import hashlib
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ def test_result_csv_names_the_bad_value(tmp_path, capsys, column, text, message)
     with pytest.raises(ValueError) as exc:
         ex.read_result_csv(path)
     assert str(exc.value) == f"{path}:3: {message}"
-    # figdata reports it as a configuration error naming the file and line
+    # figdata reports it as an input error naming the file and line
     assert cli.main(["figdata", "--kind", "fig3-nrmse", str(path), "-o", str(tmp_path / "f.csv")]) == 1
     assert f"{path}:3: {message}" in capsys.readouterr().err
 
@@ -459,6 +460,47 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     # lbsn source without paths is a config error too
     assert cli.main(["run", "--set", "source=lbsn"]) == 1
+
+
+def test_cli_rwt_rwa_that_would_stall_on_the_auxiliary_side_is_config_error(capsys):
+    # the demo network at (1e8, 1e-8) per node: 8.0e-8 expected target
+    # visits in 80 steps, so the run is refused before any walk
+    demo = str(Path(__file__).resolve().parents[1] / "configs" / "demo.cfg")
+    args = ["run", "--config", demo, "--set", "method=RWT-RWA", "--set", "runs=3"]
+    assert cli.main(args + ["--set", "alpha=1e8", "--set", "beta=1e-8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: alpha=100000000.0, beta=1e-08: ")
+    assert "budget 80 expects 8.01e-08 target visits" in err
+    # at (1, 1e-3) 0.104 visits are expected, above the floor of 0.01
+    assert cli.main(args + ["--set", "alpha=1", "--set", "beta=1e-3"]) == 0
+
+
+def test_run_experiment_refuses_a_prep_of_another_config():
+    # the rows would carry one config's alpha and the other's estimates
+    prep = ex.prepare_experiment(small_cfg(method="RWT-VSA", alpha=1.0))
+    with pytest.raises(ValueError, match="prep was prepared from a config that differs in alpha$"):
+        ex.run_experiment(small_cfg(method="RWT-VSA", alpha=5.0), prep)
+    assert ex.run_experiment(small_cfg(method="RWT-VSA", alpha=1.0), prep).rows
+
+
+def test_cli_data_file_errors_are_input_errors(tmp_path, capsys):
+    # a bad line of a data file is an input error; a bad config value, or a
+    # file that is not there, stays a config error
+    bad = tmp_path / "r.csv"
+    bad.write_text(",".join(ex.RESULT_COLUMNS) + "\nSRW,2,0.5,0.4,abc,3,80,10.0,1.0,7,80.0,80.0\n")
+    assert cli.main(["figdata", "--kind", "fig3-nrmse", str(bad), "-o", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == f"input error: {bad}:2: nrmse 'abc' is not a float\n"
+    (tmp_path / "target.txt").write_text("a b\nb\n")
+    files = ["--set", "source=files", "--set", f"target_path={tmp_path / 'target.txt'}",
+             "--set", f"auxiliary_path={tmp_path / 'aux.txt'}",
+             "--set", f"affiliation_path={tmp_path / 'aff.txt'}"]
+    assert cli.main(["truth"] + files) == 1
+    assert capsys.readouterr().err.startswith(f"input error: {tmp_path / 'target.txt'}:2: ")
+    (tmp_path / "target.txt").write_text("a b\n")
+    assert cli.main(["truth"] + files) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert cli.main(["truth", "--set", "runs=0"]) == 1
+    assert capsys.readouterr().err.startswith("config error: runs")
 
 
 def test_cli_non_finite_beta_is_config_error(tmp_path, capsys):
@@ -716,16 +758,16 @@ def test_jump_walk_without_affiliation_edges_is_config_error(tmp_path, generated
 
 
 def test_lbsn_source_builds_the_venue_index_only_for_rrzi_vsa(tmp_path):
-    # the venues' coordinates are placed on the auxiliary nodes only for
-    # RRZI-VSA, and not when the caller asks for the network alone
+    # the venues' coordinates are placed on the auxiliary nodes only when
+    # asked for, which prepare_experiment does for RRZI-VSA alone
     (tmp_path / "social.txt").write_text("a b\nb c\n")
     (tmp_path / "checkins.tsv").write_text("a\tts\t40.7\t-74.0\tv1\nc\tts\t40.8\t-73.9\tv2\n")
     lbsn = {"source": "lbsn", "social_path": str(tmp_path / "social.txt"),
             "checkins_path": str(tmp_path / "checkins.tsv"), "budget": "2", "runs": "2"}
-    assert ex.build_network(ex.make_config({**lbsn, "method": "VS-A"}))[1] is None
+    assert ex.build_network(ex.make_config({**lbsn, "method": "VS-A"}), venues=False)[1] is None
     rrzi = ex.make_config({**lbsn, "method": "RRZI-VSA"})
     assert ex.build_network(rrzi, venues=False)[1] is None
-    _, coords = ex.build_network(rrzi)
+    _, coords = ex.build_network(rrzi, venues=True)
     assert [a.tolist() for a in coords] == [[40.7, 40.8], [-74.0, -73.9]]
 
 
@@ -779,7 +821,7 @@ def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):
         "affiliation_path": str(net / "affiliation.txt"),
         "venues_path": str(net / "venues.txt"),
     })
-    hybrid, (node_lats, node_lons) = ex.build_network(cfg)
+    hybrid, (node_lats, node_lons) = ex.build_network(cfg, venues=True)
     lats, lons = ex.synthetic_venues(hybrid.auxiliary.n, ex.geo.NYC_REGION, cfg.seed)
     names = hybrid.auxiliary.node_names
     assert names != [str(i) for i in range(len(names))]  # ids were re-interned
@@ -789,4 +831,4 @@ def test_files_source_pairs_venues_with_their_auxiliary_nodes(tmp_path):
     with open(net / "venues.txt", "a", encoding="utf-8") as fh:
         fh.write("999999 40.5 -74.0\n")
     with pytest.raises(ValueError, match="venues.txt"):
-        ex.build_network(cfg)
+        ex.build_network(cfg, venues=True)

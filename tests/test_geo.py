@@ -198,7 +198,7 @@ def test_rrzi_vsa_rejects_venue_outside_auxiliary_graph(monkeypatch):
     cfg = ex.make_config({"method": "RRZI-VSA", "budget": "2"})
     for n in (h.auxiliary.n + 1, h.auxiliary.n - 1):
         idx = venues([(0.25 + 0.5 * v / n, 0.5) for v in range(n)])
-        monkeypatch.setattr(ex, "build_network", lambda cfg: (h, idx))
+        monkeypatch.setattr(ex, "build_network", lambda cfg, venues: (h, idx))
         with pytest.raises(ValueError, match="length must equal n'"):
             ex.prepare_experiment(cfg)
 

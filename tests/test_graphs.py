@@ -56,6 +56,14 @@ def test_label_table_rows_roundtrip_and_checks():
         ground_truth_theta(Graph(2, [(0, 1)]), label_table([("a",)] * 3))
 
 
+def test_label_table_keeps_one_slot_table():
+    # the CSR given is not kept: the estimators and ground truth read slots
+    table = label_table([("a", 3), (), (3,), ("b", "a", 7)])
+    assert set(vars(table)) == {"n", "slots", "values"}
+    assert table.slots.tolist() == [[1, 0, 2, 3], [2, 0, 0, 1], [0, 0, 0, 4]]
+    assert ground_truth_theta(Graph(4), table) == {"a": 0.5, 3: 0.5, "b": 0.25, 7: 0.25}
+
+
 def test_theta_matches_independent_degree_histogram():
     g = generate_ba(10_000, 2, seed=5)
     dist = ground_truth_theta(g, degree_labels(g.degrees))

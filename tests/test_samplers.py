@@ -14,6 +14,7 @@ from helpers import (
     rwt_vsa_transition_matrix,
     rwt_vsa_weight,
     stationary_rwt_vsa,
+    stationary_solve,
 )
 from hybridsample import samplers
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
@@ -59,6 +60,16 @@ def test_aux_distribution_validation():
     d = AuxDistribution(2, [0.25, 0.75])
     assert d.probs[1] == 0.75
     assert AuxDistribution(4).probs[2] == 0.25
+
+
+def test_aux_distribution_calls_default_to_one_without_n_entries():
+    d = AuxDistribution(5)
+    assert d.calls.tolist() == [1] * 5 and d.calls.strides == (0,)
+    assert not d.calls.flags.writeable
+    h = small_synthetic()
+    assert vs_a_collect(h, AuxDistribution(h.auxiliary.n), 7, seed=2).query_count == 7
+    with pytest.raises(ValueError, match="call count"):
+        AuxDistribution(2, calls=[1, 1, 1])
 
 
 @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]])
@@ -551,6 +562,21 @@ def test_rwt_rwa_venue_rows_exact_at_extreme_jump_ratio():
     tv = 0.5 * np.abs(counts / counts.sum(axis=1, keepdims=True) - law).sum(axis=1)
     # sampling floor about 0.007; always taking a venue's last entry reads 0.86
     assert tv.max() < 0.03
+
+
+def test_target_share_is_the_stationary_target_mass():
+    # the share behind the set-up stall check, against the dense kernel's law
+    for s in (1, 2, 3):
+        h = random_hybrid(random.Random(s), 6, 5, aff_per_user=1)
+        n_t = h.target.n
+        for a, b in ((1.0, 1.0), (5.0, 0.2), (0.2, 5.0), (1e3, 1e-3)):
+            alpha, beta = a * len(h.covered_targets()), b * h.auxiliary.n
+            rows = hybrid_rows(h, alpha, beta)
+            pi = stationary_solve(rows / rows.sum(axis=1, keepdims=True))
+            share = samplers.target_share(fixed_weight_scheme(h, alpha, beta), n_t, alpha, beta)
+            assert share == pytest.approx(pi[:n_t].sum(), rel=1e-9)
+        # no jump mass: a walk started on the target never leaves it
+        assert samplers.target_share(fixed_weight_scheme(h, 0.0, 1.0), n_t, 0.0, 1.0) == 1.0
 
 
 # ------------------------------------------------------------ trace arrays
