@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import labels_of
-from hybridsample import cli, experiment as ex
+from hybridsample import cli, experiment as ex, geo, ingest
 from hybridsample.samplers import AuxDistribution, JumpLaw, WeightSystem
 from hybridsample.seeds import replication_seeds
 from hybridsample.synth import SynthConfig, build_synthetic_hybrid, orient_edges
@@ -25,6 +26,18 @@ def uncached_network(cfg):
     the one prepare_experiment reuses."""
     return build_synthetic_hybrid(SynthConfig(**{f.name: getattr(cfg, f.name)
                                                  for f in fields(SynthConfig)}))
+
+
+def small_files(out) -> dict:
+    """The config keys of a files source holding small_cfg()'s network and
+    venues, written as generate writes them."""
+    hybrid, venues = ex.build_network(small_cfg(), venues=True)
+    ingest.write_edge_list(hybrid.target, out / "target.txt")
+    ingest.write_edge_list(hybrid.auxiliary, out / "auxiliary.txt")
+    ingest.write_affiliation(hybrid.affiliation, out / "affiliation.txt")
+    geo.write_venues(venues, out / "venues.txt")
+    return {"source": "files", **{f"{part}_path": str(out / f"{part}.txt")
+                                  for part in ("target", "auxiliary", "affiliation", "venues")}}
 
 
 def test_budget_resolution():
@@ -212,7 +225,7 @@ def test_directed_target_labels():
 
 
 def test_experiments_on_one_network_share_its_build():
-    ex.synthetic_network.cache_clear()
+    ex.shared_network.cache_clear()
     first = ex.prepare_experiment(small_cfg())
     # method, jump strengths, budget, runs and label are not network keys;
     # labels and truth are still the experiment's own
@@ -222,14 +235,14 @@ def test_experiments_on_one_network_share_its_build():
     oriented = ex.prepare_experiment(small_cfg(label="in-degree"))
     assert oriented.hybrid is first.hybrid
     assert oriented.truth != first.truth
-    assert ex.synthetic_network.cache_info().misses == 1
+    assert ex.shared_network.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("key", [f.name for f in fields(SynthConfig)])
 def test_each_network_key_builds_a_new_network(key):
     base = small_cfg()
     changed = small_cfg(**{key: getattr(base, key) + 1})
-    ex.synthetic_network.cache_clear()
+    ex.shared_network.cache_clear()
     old = ex.prepare_experiment(base).hybrid
     new = ex.prepare_experiment(changed).hybrid
     assert new is not old
@@ -243,20 +256,34 @@ def test_each_network_key_builds_a_new_network(key):
     assert same(new, uncached_network(changed)) and not same(new, old)
     # one network stays resident: going back builds the first again
     assert ex.prepare_experiment(base).hybrid is not old
-    assert ex.synthetic_network.cache_info().hits == 0
+    assert ex.shared_network.cache_info().hits == 0
 
 
 def test_shared_network_gives_the_bytes_of_a_fresh_build(tmp_path):
-    def run(method, name):
-        cfg = small_cfg(method=method, alpha=2.0, runs=3, raw_out=str(tmp_path / name))
-        return ex.format_result_csv(ex.run_experiment(cfg)), (tmp_path / name).read_bytes()
+    def run(source, method, name):
+        raw = tmp_path / name
+        cfg = small_cfg(**source, method=method, alpha=2.0, runs=3, raw_out=str(raw))
+        return ex.format_result_csv(ex.run_experiment(cfg)), raw.read_bytes()
 
-    ex.synthetic_network.cache_clear()
-    warm = {method: run(method, f"warm-{method}.csv") for method in ex.METHODS}
-    assert ex.synthetic_network.cache_info().hits == len(ex.METHODS) - 1
-    for method in ex.METHODS:
-        ex.synthetic_network.cache_clear()
-        assert run(method, f"cold-{method}.csv") == warm[method]
+    for source in ({}, small_files(tmp_path)):
+        ex.shared_network.cache_clear()
+        warm = {method: run(source, method, f"warm-{method}.csv") for method in ex.METHODS}
+        assert ex.shared_network.cache_info().hits == len(ex.METHODS) - 1
+        for method in ex.METHODS:
+            ex.shared_network.cache_clear()
+            assert run(source, method, f"cold-{method}.csv") == warm[method]
+
+
+def test_experiments_on_one_file_set_parse_it_once(tmp_path, monkeypatch):
+    files = small_files(tmp_path)
+    ex.shared_network.cache_clear()
+    parsed = []
+    load = ingest.load_edge_list
+    monkeypatch.setattr(ingest, "load_edge_list", lambda path: parsed.append(path) or load(path))
+    rrzi = ex.prepare_experiment(small_cfg(**files, method="RRZI-VSA"))
+    vsa = ex.prepare_experiment(small_cfg(**files, method="VS-A"))
+    assert parsed == [files["target_path"], files["auxiliary_path"]]
+    assert vsa.hybrid is rrzi.hybrid
 
 
 def test_files_network_is_read_again_on_every_build(tmp_path):
@@ -269,6 +296,16 @@ def test_files_network_is_read_again_on_every_build(tmp_path):
     (tmp_path / "target.txt").write_text("a b\nb c\nc a\n")
     second, _ = ex.build_network(cfg)
     assert (first.target.num_edges, second.target.num_edges) == (2, 3)
+    # bytes of the same length and mtime, which a stat key would take as unchanged
+    (tmp_path / "target.txt").write_text("a b\nb c\n")
+    ex.build_network(cfg)
+    stat = os.stat(tmp_path / "target.txt")
+    (tmp_path / "target.txt").write_text("a c\nb c\n")
+    os.utime(tmp_path / "target.txt", ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    third, _ = ex.build_network(cfg)
+    names = third.target.node_names
+    assert {(names[u], names[v]) for u, v in third.target.edge_array().tolist()} == {
+        ("a", "c"), ("c", "b")}
 
 
 @pytest.mark.parametrize("label,end", [("in-degree", 1), ("out-degree", 0)])
@@ -769,6 +806,18 @@ def test_lbsn_source_builds_the_venue_index_only_for_rrzi_vsa(tmp_path):
     assert ex.build_network(rrzi, venues=False)[1] is None
     _, coords = ex.build_network(rrzi, venues=True)
     assert [a.tolist() for a in coords] == [[40.7, 40.8], [-74.0, -73.9]]
+
+
+def test_shared_lbsn_coordinates_are_read_only(tmp_path):
+    # every experiment on an lbsn network shares its venues' coordinates
+    (tmp_path / "social.txt").write_text("a b\n")
+    (tmp_path / "checkins.tsv").write_text("a\tts\t40.7\t-74.0\tv1\n")
+    _, coords = ex.build_network(ex.make_config({
+        "source": "lbsn", "social_path": str(tmp_path / "social.txt"),
+        "checkins_path": str(tmp_path / "checkins.tsv")}), venues=True)
+    for array in coords:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_venues_path_is_read_only_by_rrzi_vsa(tmp_path):
