@@ -6,7 +6,7 @@ files), one sampling method, its parameters, and the replication count.
 replications with seeds derived from the master seed (the walk methods'
 in lockstep batches, the harvest methods' one after another), and
 aggregates per-label mean estimates and NRMSE.  Consecutive experiments on
-one network, synthetic or read from files, share one build (``shared_network``).
+one synthetic network or one set of files share one build (``shared_network``).
 
 Jump-strength units: config ``alpha``/``beta`` are per-node (an alpha of 1
 gives a node of degree d a jump probability of about 1/(d+1), the scale the
@@ -222,31 +222,28 @@ def synthetic_venues(n: int, region: geo.Region, seed: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def shared_network(source: str, inputs, bbox: str = "", digests: tuple = ()) -> tuple:
-    """The (hybrid, coords) of a ``SynthConfig`` or of the files at the paths
-    ``inputs`` with the sha256 ``digests`` (a rewritten file is read again),
-    kept until a different network is built.  Its arrays are read-only, so the
-    experiments on one network share one build; ``cache_clear()`` drops it."""
-    if source == "synthetic":
-        return build_synthetic_hybrid(inputs), None
-    if source == "files":
-        target, auxiliary = map(ingest.load_edge_list, inputs[:2])
-        return HybridNetwork(target, auxiliary,
-                             ingest.load_affiliation(inputs[2], target, auxiliary)), None
-    social = ingest.load_edge_list(inputs[0])
-    hybrid, coords = ingest.load_checkins(inputs[1], social, _parse_bbox(bbox) if bbox else None)
-    coords[0].flags.writeable = coords[1].flags.writeable = False
-    return hybrid, coords
+def shared_network(inputs, digests: tuple = ()) -> HybridNetwork:
+    """The network of a ``SynthConfig``, or of the files at the paths ``inputs``
+    with the sha256 ``digests`` (a rewritten file is read again), kept until
+    a different one is built.  Its arrays are read-only, so experiments on
+    one network share one build; ``cache_clear()`` drops it."""
+    if isinstance(inputs, SynthConfig):
+        return build_synthetic_hybrid(inputs)
+    target, auxiliary = map(ingest.load_edge_list, inputs[:2])
+    return HybridNetwork(target, auxiliary, ingest.load_affiliation(inputs[2], target, auxiliary))
 
 
-def _read_network(source: str, paths: tuple, bbox: str = "") -> tuple:
+def _read_network(paths: tuple) -> HybridNetwork:
     """``shared_network`` of files and their content; a file that cannot be
     read is left to its loader, to fail in the usual order."""
     try:
-        digests = tuple(hashlib.sha256(np.fromfile(path, np.uint8)).digest() for path in paths)
+        digests = []
+        for path in paths:
+            with open(path, "rb") as fh:
+                digests.append(hashlib.file_digest(fh, "sha256").digest())
     except OSError:
-        return shared_network.__wrapped__(source, paths, bbox)
-    return shared_network(source, paths, bbox, digests)
+        return shared_network.__wrapped__(paths)
+    return shared_network(paths, tuple(digests))
 
 
 def build_network(cfg: ExperimentConfig, venues: bool = False):
@@ -255,27 +252,30 @@ def build_network(cfg: ExperimentConfig, venues: bool = False):
     Returns (hybrid, coords): with ``venues``, the venues' (lats, lons) over
     the auxiliary nodes, NaN where a node has none (None for a files source
     without venues_path); else None.
-    One network is built once for its keys, or for its files' content, and
-    is shared until a different one is built (``shared_network``).
+    A synthetic network is built once for its keys, a files network once
+    for its files' content (``shared_network``); check-ins are read again
+    on every call.
     """
+    coords = None
     if cfg.source == "synthetic":
         n = cfg.n_per_graph
         extra_pairs = min(20_000, 2 * n * (n - 1)) if cfg.extra_pairs is None else cfg.extra_pairs
-        hybrid, coords = shared_network("synthetic", SynthConfig(
-            n_per_graph=n, m1=cfg.m1, m2=cfg.m2, m3=cfg.m3, extra_pairs=extra_pairs, seed=cfg.seed))
+        hybrid = shared_network(SynthConfig(n_per_graph=n, m1=cfg.m1, m2=cfg.m2, m3=cfg.m3,
+                                            extra_pairs=extra_pairs, seed=cfg.seed))
         if venues:
             coords = synthetic_venues(hybrid.auxiliary.n, geo.NYC_REGION, cfg.seed)
     elif cfg.source == "files":
         if not (cfg.target_path and cfg.auxiliary_path and cfg.affiliation_path):
             raise ValueError("files source needs target_path, auxiliary_path, affiliation_path")
-        hybrid, coords = _read_network(
-            "files", (cfg.target_path, cfg.auxiliary_path, cfg.affiliation_path))
+        hybrid = _read_network((cfg.target_path, cfg.auxiliary_path, cfg.affiliation_path))
         if venues and cfg.venues_path:
             coords = geo.load_venues(cfg.venues_path, hybrid.auxiliary.node_names)
     else:  # lbsn
         if not (cfg.social_path and cfg.checkins_path):
             raise ValueError("lbsn source needs social_path and checkins_path")
-        hybrid, coords = _read_network("lbsn", (cfg.social_path, cfg.checkins_path), cfg.bbox)
+        social = ingest.load_edge_list(cfg.social_path)
+        bbox = _parse_bbox(cfg.bbox) if cfg.bbox else None
+        hybrid, coords = ingest.load_checkins(cfg.checkins_path, social, bbox)
     return hybrid, coords if venues else None
 
 

@@ -323,7 +323,7 @@ def rwt_vsa_run(graph: Graph, budget: int, starts, seeds, jumps: JumpLaw | None 
     deg = graph.degrees.astype(float)
     total = deg if jumps is None else jumps.total
     starts, seeds = _walk_args(total, budget, starts, seeds)
-    base, cols = graph.indptr.astype(np.int64), _entries(graph.indices)  # no int32 add a step
+    base, cols = graph.indptr.astype(np.int64, copy=False), _entries(graph.indices)
     nodes = np.empty((budget, len(seeds)), dtype=np.int64)
     nodes[0] = starts
     flags = np.zeros(nodes.shape, dtype=bool)

@@ -808,18 +808,6 @@ def test_lbsn_source_builds_the_venue_index_only_for_rrzi_vsa(tmp_path):
     assert [a.tolist() for a in coords] == [[40.7, 40.8], [-74.0, -73.9]]
 
 
-def test_shared_lbsn_coordinates_are_read_only(tmp_path):
-    # every experiment on an lbsn network shares its venues' coordinates
-    (tmp_path / "social.txt").write_text("a b\n")
-    (tmp_path / "checkins.tsv").write_text("a\tts\t40.7\t-74.0\tv1\n")
-    _, coords = ex.build_network(ex.make_config({
-        "source": "lbsn", "social_path": str(tmp_path / "social.txt"),
-        "checkins_path": str(tmp_path / "checkins.tsv")}), venues=True)
-    for array in coords:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
-
-
 def test_venues_path_is_read_only_by_rrzi_vsa(tmp_path):
     cfgp = _write_cfg(tmp_path)
     net = tmp_path / "net"
