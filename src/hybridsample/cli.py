@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         kind = "input" if isinstance(exc, InputError) else "config"
         print(f"{kind} error: {exc}", file=sys.stderr)
         return 1

@@ -142,8 +142,7 @@ def parse_config_file(path) -> dict:
 
 def make_config(mapping: dict, overrides: dict | None = None) -> ExperimentConfig:
     merged = dict(mapping)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged.update(overrides or {})
     kwargs = {}
     for key, value in merged.items():
         if key not in _KEY_TYPES:

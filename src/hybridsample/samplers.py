@@ -30,7 +30,7 @@ from ._tokens import raise_first
 from .graphs import BipartiteGraph, Graph, HybridNetwork
 from .seeds import STREAM_AUX, STREAM_TARGET, spawn_generator
 
-BLOCK_STEPS = 256  # steps of uniforms a walk draws from each stream at a time
+BLOCK_STEPS = 256  # steps of uniforms _blocks draws from each walk's stream at a time
 
 
 class AuxDistribution:
@@ -208,30 +208,20 @@ class WalkError(RuntimeError):
         self.reason = reason
 
 
-class _Uniforms:
-    """One logical stream (spawn key ``key``) of each walk of a batch: k
-    uniforms a step from the walk's own generator, drawn BLOCK_STEPS steps
-    at a time.  A walk reads the same numbers whatever the batch size or
-    block length."""
-
-    def __init__(self, seeds, key: int, k: int):
-        self.gens = [spawn_generator(s, key) for s in seeds]
-        self.k = k
-
-    def block(self, steps: int) -> np.ndarray:
-        """(k, steps, R) array: [j, i, r] is walk r's j-th uniform at step i."""
-        buf = np.empty((len(self.gens), steps, self.k))
-        for gen, out in zip(self.gens, buf):
-            gen.random(out=out)
-        return buf.transpose(2, 1, 0).copy()
-
-
-def _blocks(budget: int):
-    """(first step, steps) of each block of steps 1..budget-1."""
+def _blocks(seeds, budget: int, key: int, k: int):
+    """(first step, uniforms) of each block of at most BLOCK_STEPS of steps
+    1..budget-1, from stream ``key`` of each walk's own generator: uniforms
+    is a (k, steps, R) array, [j, i, r] walk r's j-th uniform at the
+    block's i-th step.  A walk takes k uniforms a step, so it reads the
+    same numbers whatever the batch size or block length."""
+    gens = [spawn_generator(s, key) for s in seeds]
     t = 1
     while t < budget:
         steps = min(BLOCK_STEPS, budget - t)
-        yield t, steps
+        buf = np.empty((len(gens), steps, k))
+        for gen, out in zip(gens, buf):
+            gen.random(out=out)
+        yield t, buf.transpose(2, 1, 0).copy()
         t += steps
 
 
@@ -243,10 +233,10 @@ def _entries(indices: np.ndarray) -> np.ndarray:
 
 
 def _walk_args(weight: np.ndarray, budget: int, starts, seeds) -> tuple:
-    """(starts as an int64 array, seeds as a list) of a batch, after the
-    checks every walk makes before its first step: ``weight`` is the visit
-    weight of each node a walk may start on, and each start needs weight to
-    leave by."""
+    """(the batch's (budget, R) int64 node array with the starts in row 0,
+    seeds as a list), after the checks every walk makes before its first
+    step: ``weight`` is the visit weight of each node a walk may start on,
+    and each start needs weight to leave by."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     starts = np.asarray(starts, dtype=np.int64)
@@ -256,7 +246,9 @@ def _walk_args(weight: np.ndarray, budget: int, starts, seeds) -> tuple:
     if ((starts < 0) | (starts >= len(weight))).any():
         raise ValueError("start node out of range")
     _check_absorbing(weight, starts[None])
-    return starts, seeds
+    nodes = np.empty((budget, len(seeds)), dtype=np.int64)
+    nodes[0] = starts
+    return nodes, seeds
 
 
 def _check_absorbing(weight: np.ndarray, nodes: np.ndarray) -> None:
@@ -322,24 +314,20 @@ def rwt_vsa_run(graph: Graph, budget: int, starts, seeds, jumps: JumpLaw | None 
     """
     deg = graph.degrees.astype(float)
     total = deg if jumps is None else jumps.total
-    starts, seeds = _walk_args(total, budget, starts, seeds)
+    nodes, seeds = _walk_args(total, budget, starts, seeds)
     base, cols = graph.indptr.astype(np.int64, copy=False), _entries(graph.indices)
-    nodes = np.empty((budget, len(seeds)), dtype=np.int64)
-    nodes[0] = starts
     flags = np.zeros(nodes.shape, dtype=bool)
-    moves = _Uniforms(seeds, STREAM_TARGET, 1)
     if jumps is not None:
         p, aff = jumps.p, jumps.affiliation
-        landings = _Uniforms(seeds, STREAM_AUX, 2)
-    for t0, steps in _blocks(budget):
-        u = moves.block(steps)[0]
+        landings = _blocks(seeds, budget, STREAM_AUX, 2)
+    for t0, (u,) in _blocks(seeds, budget, STREAM_TARGET, 1):
         if jumps is not None:
-            a = landings.block(steps)
+            _, a = next(landings)
             # compute_qu vetoes p-mass on unaffiliated nodes up front
             v = p.pick(a[0])
             pick = (a[1] * aff.right_degrees[v]).astype(np.int64)
             land = aff.right_indices[aff.right_indptr[v] + pick]
-        for i in range(steps):
+        for i in range(len(u)):
             t = t0 + i
             x = nodes[t - 1]
             s = u[i] * total[x]
@@ -349,7 +337,7 @@ def rwt_vsa_run(graph: Graph, budget: int, starts, seeds, jumps: JumpLaw | None 
                 np.copyto(nodes[t], land[i], where=flags[t])
         # a plain walk leaves by the edge it came in on; a landing may be stuck
         if jumps is not None:
-            _check_absorbing(total, nodes[t0 - 1:t0 + steps - 1])
+            _check_absorbing(total, nodes[t0 - 1:t0 + len(u) - 1])
     queries = (budget + flags.sum(axis=0)).tolist()
     return WalkBatch(nodes, flags, total, queries, graph.n)
 
@@ -468,15 +456,11 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
     """
     target, aux = hybrid.target, hybrid.auxiliary
     n_t = target.n
-    starts, seeds = _walk_args(ws.total[:n_t], budget, starts, seeds)
+    nodes, seeds = _walk_args(ws.total[:n_t], budget, starts, seeds)
     total, deg, base, later, dest = ws.total, ws.deg, ws.base, ws.key[1:], _entries(ws.dest)
     t_cols, a_cols = _entries(target.indices), _entries(aux.indices)
-    nodes = np.empty((budget, len(seeds)), dtype=np.int64)
-    nodes[0] = starts
-    moves = _Uniforms(seeds, STREAM_TARGET, 1)
-    for t0, steps in _blocks(budget):
-        u = moves.block(steps)[0]
-        for i in range(steps):
+    for t0, (u,) in _blocks(seeds, budget, STREAM_TARGET, 1):
+        for i in range(len(u)):
             z, nxt = nodes[t0 + i - 1], nodes[t0 + i]
             span = total.take(z)
             s = span * u[i]
@@ -492,7 +476,7 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
                 zh, dh = z.take(hop), d.take(hop)
                 f = (s.take(hop) - dh) / (span.take(hop) - dh) + 2.0 * zh
                 nxt[hop] = dest.take(later.searchsorted(f, side="right"), mode="clip")
-        _check_absorbing(total, nodes[t0 - 1:t0 + steps - 1])
+        _check_absorbing(total, nodes[t0 - 1:t0 + len(u) - 1])
     flags = np.zeros(nodes.shape, dtype=bool)
     np.greater_equal(nodes[:-1], n_t, out=flags[1:])
     flags[1:] &= nodes[1:] < n_t

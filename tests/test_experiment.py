@@ -499,6 +499,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--set", "source=lbsn"]) == 1
 
 
+def test_cli_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    # a path that cannot be read or written is the caller's to fix
+    cfgp = _write_cfg(tmp_path, method="SRW")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for args in (["truth", "--set", "source=files", "--set", f"target_path={folder}",
+                  "--set", f"auxiliary_path={folder}", "--set", f"affiliation_path={folder}"],
+                 ["run", "--config", str(cfgp), "--set", f"raw_out={folder}"],
+                 ["run", "--config", str(folder)]):
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(folder) in err
+
+
 def test_cli_rwt_rwa_that_would_stall_on_the_auxiliary_side_is_config_error(capsys):
     # the demo network at (1e8, 1e-8) per node: 8.0e-8 expected target
     # visits in 80 steps, so the run is refused before any walk

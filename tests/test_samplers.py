@@ -329,6 +329,11 @@ def test_walks_share_one_start_check(method):
     with pytest.raises(WalkError, match="replication 1: " + ABSORBING_2):
         walk(10, [0, 2], [0, 1])
     assert walk(10, [0, 1], [0, 1]).nodes.shape == (10, 2)
+    # budget 1: the starts alone, no block of uniforms drawn
+    lone = walk(1, [0, 1], [0, 1])
+    assert lone.nodes.tolist() == [[0, 1]]
+    assert not lone.flags.any()
+    assert lone.queries == [1, 1]
 
 
 def test_rwt_vsa_stops_at_a_zero_weight_landing():
