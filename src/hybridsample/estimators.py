@@ -45,23 +45,62 @@ class EstimateReport:
                 raise ValueError(f"estimate theta[{l!r}]={t} must be finite and >= 0")
 
 
+# from this many terms on, _label_sums adds by limbs (measured crossover:
+# about 300 terms; below it one sort and a math.fsum per label is faster)
+LIMB_SUMS_MIN = 300
+
+
 def _label_sums(labels: LabelTable, nodes: np.ndarray, terms: np.ndarray):
     """({label: sum of terms[i] over the i whose node carries it}, sum of all
-    terms).  Every sum is one math.fsum, exactly rounded whatever the order
-    of its terms, so the terms are grouped by label code in any order."""
-    total = math.fsum(terms.tolist())
-    # entry j * len(nodes) + i: 1 + the code of the j-th label of nodes[i], or 0
-    slots = labels.slots.take(nodes, axis=1).ravel()
-    order = slots.argsort()
-    grouped = terms.take(order, mode="wrap").tolist()  # wrap: entry k is terms[k % len]
-    counts = np.bincount(slots, minlength=len(labels.values) + 1).tolist()
+    terms), for finite terms >= 0.  Every sum is exactly rounded, as one
+    math.fsum of its terms gives it, whatever their order."""
+    # [j, i]: 1 + the code of the j-th label of nodes[i], or 0
+    slots = labels.slots.take(nodes, axis=1)
+    counts = np.bincount(slots.ravel(), minlength=len(labels.values) + 1).tolist()
+    if len(terms) >= LIMB_SUMS_MIN:
+        top = math.frexp(terms.max())[1]
+        # every limb sum and every sum is below 2**(top + bit_length) - 2**top,
+        # so none overflows while that power is at most 2**1024; past it the
+        # sort path's math.fsum raises OverflowError where a sum overflows
+        if top + slots.size.bit_length() <= 1024:
+            sums, totals = _limb_sums(slots, terms, top, len(counts))
+            return {value: math.fsum(s) for value, count, s in zip(labels.values, counts[1:], sums[1:])
+                    if count}, math.fsum(totals)
+    order = slots.ravel().argsort()
+    grouped = terms.take(order, mode="wrap").tolist()  # wrap: entry j * len + i is terms[i]
     per_label = {}
     end = counts[0]  # slot 0 (a node short of labels) sorts first and adds nowhere
     for value, count in zip(labels.values, counts[1:]):
         if count:
             per_label[value] = math.fsum(grouped[end:end + count])
             end += count
-    return per_label, total
+    return per_label, math.fsum(terms.tolist())
+
+
+def _limb_sums(slots: np.ndarray, terms: np.ndarray, top: int, bins: int):
+    """([per slot code: its limb sums], [per limb: the sum of all terms' limbs]),
+    for finite terms >= 0, all below 2**top.  Each term is split into limbs
+    on fixed binary grids, each grid spanning fewer than 2**width units, so
+    that each limb sum of slots.size limbs holds in 53 bits and numpy adds
+    it exactly, in any order (the error-free extraction of Rump, Ogita and
+    Oishi, "Accurate floating-point summation, part I", 2008).  The limbs
+    of a term add up to it exactly, so the math.fsum of a slot's limb sums
+    is its sum, exactly rounded."""
+    width = 53 - slots.size.bit_length()
+    low = terms.min()
+    # every term is a multiple of the smallest one's last bit, 2**bottom
+    bottom = max(math.frexp(low)[1] - 53, -1074) if low else -1074
+    grid, rest, part = top, terms.copy(), np.empty_like(terms)
+    sums, totals = [], []
+    while grid > bottom:
+        grid = max(grid - width, -1074)
+        np.ldexp(rest, -grid, out=part)
+        np.floor(part, out=part)
+        np.ldexp(part, grid, out=part)
+        rest -= part
+        sums.append(sum(np.bincount(row, weights=part, minlength=bins) for row in slots))
+        totals.append(part.sum())
+    return np.array(sums).T.tolist(), totals
 
 
 def vsa_theta_unknown_n(sample: VsaSample, labels: LabelTable, n: int | None = None) -> EstimateReport:
@@ -77,7 +116,8 @@ def vsa_theta_unknown_n(sample: VsaSample, labels: LabelTable, n: int | None = N
     degrees, offsets, b_prime = sample.degrees, sample.offsets, sample.b_prime
     raise_first([(degrees <= 0, lambda j: f"harvested node {sample.users[j]} recorded with "
                                           f"affiliation degree {degrees[j]}; expected > 0")])
-    # the term of user u harvested by draw i: (1/p_i) / d_u_bip
+    # the term of user u harvested by draw i: (1/p_i) / d_u_bip, finite and
+    # > 0 for the draws harvest admits
     terms = (1.0 / sample.p).repeat(offsets[1:] - offsets[:-1])
     terms /= degrees
     per_label, size = _label_sums(labels, sample.users, terms)
@@ -104,13 +144,20 @@ def walk_theta(batch: WalkBatch, r: int, labels: LabelTable) -> EstimateReport:
     plain degree for a simple walk).  ``target_samples`` counts the visits,
     which are fewer than the budget for the hybrid walk.
     """
-    nodes, _ = batch.visits(r)
+    column = batch.nodes[:, r]
+    nodes = column[column < batch.n_target]
     if not len(nodes):
         raise ValueError(f"walk {r} has no target visit")
     weights = batch.weight[nodes]
-    raise_first([(~(np.isfinite(weights) & (weights > 0.0)),
-                  lambda i: f"nonpositive or non-finite visit weight {weights[i]} at node {nodes[i]}")])
-    per_label, z = _label_sums(labels, nodes, 1.0 / weights)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_w = 1.0 / weights
+    raise_first([
+        (~(np.isfinite(weights) & (weights > 0.0)),
+         lambda i: f"nonpositive or non-finite visit weight {weights[i]} at node {nodes[i]}"),
+        (~np.isfinite(inv_w),
+         lambda i: f"visit weight {weights[i]} at node {nodes[i]} has no finite reciprocal"),
+    ])
+    per_label, z = _label_sums(labels, nodes, inv_w)
     theta = {l: s / z for l, s in per_label.items()}
     return EstimateReport(theta, target_samples=len(nodes), query_count=batch.queries[r])
 

@@ -109,16 +109,21 @@ class VsaSample:
 
 def harvest(aff: BipartiteGraph, venues, p, query_count: int) -> VsaSample:
     """The sample of draws of auxiliary nodes ``venues`` with probabilities
-    ``p``.  Each draw harvests the node's affiliation row (empty for an
-    unaffiliated node, which adds zero to the estimators); the rows of all
-    draws are gathered at once from the CSR arrays.
+    ``p``, each > 0 with a finite reciprocal.  Each draw harvests the node's
+    affiliation row (empty for an unaffiliated node, which adds zero to the
+    estimators); the rows of all draws are gathered at once from the CSR
+    arrays.
     """
     venues = np.asarray(venues, dtype=np.int64)
     p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_p = 1.0 / p
     raise_first([
         ((venues < 0) | (venues >= aff.n_right),
          lambda i: f"venue id {venues[i]} is not an auxiliary node"),
         (~(p > 0.0), lambda i: f"draw of venue {venues[i]} with nonpositive probability {p[i]}"),
+        (~np.isfinite(inv_p),
+         lambda i: f"draw of venue {venues[i]} with probability {p[i]} has no finite reciprocal"),
     ])
     counts = aff.right_degrees[venues]
     offsets = np.zeros(len(venues) + 1, dtype=np.int64)

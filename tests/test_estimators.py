@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     three_user_hybrid,
     two_user_hybrid,
 )
+from hybridsample import estimators
 from hybridsample.estimators import nrmse, vsa_theta_unknown_n, walk_theta
 from hybridsample.graphs import Graph, degree_labels, ground_truth_theta
 from hybridsample.samplers import (
@@ -317,6 +319,62 @@ def test_label_table_estimators_match_fsum_reference(trial):
     theta, known, n_hat = reference_theta(sample, rows, n)
     rep = vsa_theta_unknown_n(sample, labels, n=n)
     assert (rep.theta, rep.theta_known_n, rep.n_hat) == (theta, known, n_hat)
+
+
+def _fsum_by_label(rows, nodes, terms):
+    """_label_sums one group at a time: ({label: math.fsum of the terms of
+    the nodes carrying it}, math.fsum of every term)."""
+    groups: dict = {}
+    for x, t in zip(nodes, terms):
+        for l in rows[x]:
+            groups.setdefault(l, []).append(t)
+    return {l: math.fsum(g) for l, g in groups.items()}, math.fsum(terms)
+
+
+def _spread_terms(rng, size):
+    """size finite terms >= 0 in a random band of magnitudes within 1e-320
+    to 1e300, a tenth of them zeros or subnormals."""
+    lo = rng.uniform(-320, 300)
+    hi = rng.uniform(lo, 300)
+    terms = [10.0 ** rng.uniform(lo, hi) for _ in range(size)]
+    for i in rng.sample(range(size), size // 10):
+        terms[i] = rng.choice((0.0, rng.randrange(1, 2 ** 52) * 5e-324))
+    return terms
+
+
+# both paths of _label_sums: limbs for every size, or the sort for every size
+BOTH_PATHS = pytest.mark.parametrize("limb_min", [1, sys.maxsize], ids=["limbs", "sort"])
+
+
+@BOTH_PATHS
+@pytest.mark.parametrize("trial", range(24))
+def test_label_sums_equal_fsum_per_label(monkeypatch, trial, limb_min):
+    monkeypatch.setattr(estimators, "LIMB_SUMS_MIN", limb_min)
+    rng = random.Random(500 + trial)
+    n = rng.randrange(1, 60)
+    rows = _random_rows(rng, n) if trial % 4 else [()] * n  # every fourth unlabelled
+    nodes = [rng.randrange(n) for _ in range(rng.randrange(1, 1500))]
+    terms = _spread_terms(rng, len(nodes))
+    got = estimators._label_sums(label_table(rows), np.array(nodes), np.array(terms))
+    assert got == _fsum_by_label(rows, nodes, terms)
+
+
+@BOTH_PATHS
+def test_label_sums_near_the_float_limit_match_fsum(monkeypatch, limb_min):
+    monkeypatch.setattr(estimators, "LIMB_SUMS_MIN", limb_min)
+    rows = [("a",), ("b",)]
+    labels = label_table(rows)
+    # a finite sum over a term near the largest float
+    nodes, terms = [0] * 999 + [1], [1.0] * 999 + [1.7e308]
+    got = estimators._label_sums(labels, np.array(nodes), np.array(terms))
+    assert got == _fsum_by_label(rows, nodes, terms)
+    # a label's sum, or only the total, overflows: OverflowError, never inf
+    # (terms this close to the limit take the sort path whatever the size)
+    for nodes, terms in (([0] * 600, [1e306] * 600), ([0, 1] * 300, [5e305] * 600)):
+        with pytest.raises(OverflowError):
+            _fsum_by_label(rows, nodes, terms)
+        with pytest.raises(OverflowError):
+            estimators._label_sums(labels, np.array(nodes), np.array(terms))
 
 
 # ------------------------------------------------------------ NRMSE

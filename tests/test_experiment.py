@@ -705,6 +705,35 @@ def test_outputs_match_pinned_digests(tmp_path, case, seed):
     assert digests == PINNED_DIGESTS[(case, seed)]
 
 
+# sha256 of (result CSV, raw_out) of the PINNED_DIGESTS config at seed 1 at
+# sizes where every estimate adds more than estimators.LIMB_SUMS_MIN terms
+# (2,000-step walks, about 6,300 users per 40% harvest), recorded before the
+# label sums were added by limbs: the limb path must not move them.
+PINNED_LIMB_DIGESTS = {
+    ("SRW", "2000"): ("6f34d98fa2d8ffd930b21b9f8b25101c2631872f65c0a9b4472c779f5a696d49",
+                      "d5ac27d96356a7cdc8cb4289e5565f135703b4caf6485137fbe52c0076f4c490"),
+    ("RWT-VSA", "2000"): ("7fd5a2a01daf444d19f47f609ca9d98901c7802c706a8fc05ffe5c94b3437142",
+                          "7808416537bea5d61c65cd7bb7df05878df47483ad300dede510abf19956477c"),
+    ("RWT-RWA", "2000"): ("1f18d002aab6fed02da472521aa1f9b043bdbf8fab6c38b55f16e7694f765994",
+                          "245dd4a9a9776e817d04b14e30e92dfce16f3582ec9ac541b34cdb879daf1b93"),
+    ("VS-A", "40%"): ("9562efcf11de29a05c90414bcbf5aec26152b91aa648e34a4fb77b0fe44a466f",
+                      "70dc0d7c80eae95e5cd1009bfcdc15cdd764c453f8b42395b7009e5603186481"),
+    ("RRZI-VSA", "40%"): ("033488598aef71676132ae061eb664fbf7b8e0c96bd553895b6b219149465449",
+                          "c83361b321647b6c8479136c4fc9862e7ee07a7a2bfdee6ddb3605941366f3ee"),
+}
+
+
+@pytest.mark.parametrize("method,budget", sorted(PINNED_LIMB_DIGESTS))
+def test_limb_sum_outputs_match_pinned_digests(tmp_path, method, budget):
+    raw = tmp_path / "raw.csv"
+    cfg = ex.make_config({"n_per_graph": "2000", "extra_pairs": "4000", "seed": "1",
+                          "runs": "20", "raw_out": str(raw), "method": method, "budget": budget})
+    text = ex.format_result_csv(ex.run_experiment(cfg))
+    digests = (hashlib.sha256(text.encode()).hexdigest(),
+               hashlib.sha256(raw.read_bytes()).hexdigest())
+    assert digests == PINNED_LIMB_DIGESTS[(method, budget)]
+
+
 # sha256 of the trace_out file (replication 0) of the PINNED_DIGESTS config
 # at seed 1, recorded at seed version 4 (RWT-RWA's at seed version 5, RWT-VSA's
 # at seed version 6).

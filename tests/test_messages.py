@@ -3,6 +3,7 @@ names when several fail: the earliest record, and on one record the first
 check listed."""
 
 import math
+import warnings
 
 import pytest
 
@@ -40,4 +41,25 @@ CASES = [
 def test_first_bad_entry_message(call, message):
     with pytest.raises(ValueError) as exc:
         call()
+    assert str(exc.value) == message
+
+
+# a visit weight or draw probability whose reciprocal overflows is named,
+# with no numpy overflow warning first; kept out of CASES, where the draw
+# message's first word would clash with the id of the nonpositive draw case
+RECIPROCAL_CASES = {
+    "walk": (lambda: walk_theta(one_walk([0, 1, 2], [1.0, 1e-310, 2.0]), 0, UNLABELLED),
+             "visit weight 1e-310 at node 1 has no finite reciprocal"),
+    "harvest": (lambda: harvest(AFF, [1, 0, 1], [0.5, 1e-310, 2e-310], 3),
+                "draw of venue 0 with probability 1e-310 has no finite reciprocal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECIPROCAL_CASES))
+def test_reciprocal_overflow_message(case):
+    call, message = RECIPROCAL_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call()
     assert str(exc.value) == message
