@@ -18,10 +18,10 @@ from ._tokens import raise_first
 
 
 def _pair_array(pairs) -> np.ndarray:
-    """An (m, 2) int64 array from an (m, 2) array or an iterable of pairs."""
+    """An (m, 2) int64 array (int32 stays int32) from an (m, 2) array or an iterable of pairs."""
     if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
-    arr = np.asarray(pairs, dtype=np.int64)
+        pairs = np.asarray(list(pairs), dtype=np.int64)
+    arr = pairs if pairs.dtype == np.int32 else pairs.astype(np.int64, copy=False)
     if arr.size == 0:
         return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -35,18 +35,21 @@ def _csr(blocks, n_rows: int, n_cols: int):
 
     Pairs are packed into one preallocated array of int64 keys, sorted, and
     adjacent duplicates are dropped, which leaves every row strictly
-    increasing.  Row r starts where the keys reach r * n_cols, and the keys
-    become the column indices in place.  (np.unique would dedupe too, but
-    its hash path is ~70x slower on millions of keys.)  The three arrays
-    are int32 when every column id and offset fits, i.e. when
-    max(n_cols, entries) < 2**31, and int64 otherwise.  They are read-only,
-    so a network can be shared by every experiment that runs on it.
+    increasing.  A row's length is its count in the row blocks less its
+    dropped duplicates, and the keys become the column indices in place.
+    (np.unique would dedupe too, but its hash path is ~70x slower on
+    millions of keys.)  The rows may be int32: the keys are multiplied out
+    in int64.  The three arrays are int32 when every column id and offset
+    fits, i.e. when max(n_cols, entries) < 2**31, and int64 otherwise.
+    They are read-only, so a network can be shared by every experiment
+    that runs on it.
     """
     width = max(n_cols, 1)
+    counts = sum(np.bincount(rows, minlength=n_rows) for rows, _ in blocks)
     keys = np.empty(sum(len(rows) for rows, _ in blocks), dtype=np.int64)
     end = 0
     for rows, cols in blocks:
-        np.multiply(rows, width, out=keys[end:end + len(rows)])
+        np.multiply(rows, width, out=keys[end:end + len(rows)], dtype=np.int64)
         keys[end:end + len(rows)] += cols
         end += len(rows)
     keys.sort()
@@ -55,9 +58,10 @@ def _csr(blocks, n_rows: int, n_cols: int):
         keep[0] = True
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         if np.count_nonzero(keep) < len(keys):
+            counts -= np.bincount(keys[~keep] // width, minlength=n_rows)
             keys = keys[keep]
         del keep
-    indptr = keys.searchsorted(np.arange(0, (n_rows + 1) * width, width, dtype=np.int64))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
     np.remainder(keys, width, out=keys)
     if max(n_cols, len(keys)) < 2**31:
         indptr, keys = indptr.astype(np.int32), keys.astype(np.int32)
@@ -91,12 +95,13 @@ class Graph:
         self.node_names = list(node_names) if node_names is not None else None
 
         e = _pair_array(edges)
-        raise_first([
-            (((e < 0) | (e >= n)).any(axis=1),
-             lambda i: f"edge ({e[i, 0]},{e[i, 1]}) out of range for n={n}"),
-            (e[:, 0] == e[:, 1], lambda i: f"self-loop at node {e[i, 0]} not allowed"),
-        ])
         u, v = e[:, 0], e[:, 1]
+        if len(e) and (e.min() < 0 or e.max() >= n or (u == v).any()):
+            raise_first([
+                (((e < 0) | (e >= n)).any(axis=1),
+                 lambda i: f"edge ({e[i, 0]},{e[i, 1]}) out of range for n={n}"),
+                (u == v, lambda i: f"self-loop at node {e[i, 0]} not allowed"),
+            ])
         self.indptr, self.indices, self.degrees = _csr(((u, v), (v, u)), n, n)
         self.num_edges = len(self.indices) // 2
 
@@ -127,11 +132,12 @@ class BipartiteGraph:
         self.n_left = n_left
         self.n_right = n_right
         e = _pair_array(pairs)
-        raise_first([
-            ((e[:, 0] < 0) | (e[:, 0] >= n_left), lambda i: f"left id {e[i, 0]} out of range"),
-            ((e[:, 1] < 0) | (e[:, 1] >= n_right), lambda i: f"right id {e[i, 1]} out of range"),
-        ])
         u, v = e[:, 0], e[:, 1]
+        if len(e) and (e.min() < 0 or u.max() >= n_left or v.max() >= n_right):
+            raise_first([
+                ((u < 0) | (u >= n_left), lambda i: f"left id {u[i]} out of range"),
+                ((v < 0) | (v >= n_right), lambda i: f"right id {v[i]} out of range"),
+            ])
         self.left_indptr, self.left_indices, self.left_degrees = _csr(((u, v),), n_left, n_right)
         self.right_indptr, self.right_indices, self.right_degrees = _csr(((v, u),), n_right, n_left)
         self.num_edges = len(self.left_indices)
@@ -199,6 +205,8 @@ def ground_truth_theta(graph: Graph, labels: LabelTable) -> dict:
 
 
 def degree_labels(degrees) -> LabelTable:
-    """One label per node: node u's label is ``degrees[u]``."""
-    values, codes = np.unique(np.asarray(degrees), return_inverse=True)
-    return LabelTable(np.arange(len(codes) + 1), codes.astype(np.int64), values.tolist())
+    """One label per node: node u's label is the count ``degrees[u]``."""
+    d = np.asarray(degrees, dtype=np.int64)
+    present = np.bincount(d) > 0
+    codes = (np.cumsum(present) - 1)[d]
+    return LabelTable(np.arange(len(d) + 1), codes, np.flatnonzero(present).tolist())

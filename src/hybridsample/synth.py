@@ -74,33 +74,44 @@ def ba_endpoints(n: int, m: int, gen: np.random.Generator) -> np.ndarray:
     first m distinct endpoint values in draw order (Batagelj and Brandes,
     Phys. Rev. E 71, 036113, 2005).  Its first m uniforms are row j-m-1 of
     one (n-m-1, m) block; its draw m+k is entry j-m-1 of extra round k, a
-    (n-m-1,) vector drawn only once some node needs it.  So the graph does
-    not depend on CHUNK_GROWTH, which only sets how many nodes are resolved
-    together with numpy.
+    (n-m-1,) vector that follows the block in gen's stream.  A chunk draws
+    its rows of the block, and reads its slice of a round only once one of
+    its nodes needs it, with a copy of gen's PCG64 advanced there (one
+    output per uniform).  So the graph does not depend on CHUNK_GROWTH,
+    which only sets how many nodes are resolved together with numpy.
+    ``ends`` is int32 below 2**31 entries.
     """
     core = m + 1
-    ends = np.empty(2 * ba_edge_count(n, m), dtype=np.int64)
+    size = 2 * ba_edge_count(n, m)
+    ends = np.empty(size, dtype=np.int32 if size < 2**31 else np.int64)
     newer = np.repeat(np.arange(core), np.arange(core))  # core edge (v, u), u < v
     ends[0:len(newer) * 2:2] = newer
     ends[1:len(newer) * 2:2] = np.arange(len(newer)) - newer * (newer - 1) // 2
-    draws = gen.random((n - core, m))
-    rounds: list[np.ndarray] = []
-
-    def extra(k: int) -> np.ndarray:
-        while len(rounds) <= k:
-            rounds.append(gen.random(n - core))
-        return rounds[k]
+    state, spare = gen.bit_generator.state, np.random.Generator(type(gen.bit_generator)())
+    used = 0  # extra rounds that some node needed
 
     start = core
     while start < n:
         stop = int(min(n, max(start + 1, start * CHUNK_GROWTH)))
-        _attach_chunk(ends, draws[start - core:stop - core], extra, start, m, core)
+        rounds: list[np.ndarray] = []
+
+        def extra(k: int) -> np.ndarray:
+            while len(rounds) <= k:
+                spare.bit_generator.state = state
+                spare.bit_generator.advance((n - core) * (m + len(rounds)) + start - core)
+                rounds.append(spare.random(stop - start))
+            return rounds[k]
+
+        _attach_chunk(ends, gen.random((stop - start, m)), extra, start, m, core)
+        used = max(used, len(rounds))
         start = stop
+    gen.bit_generator.advance((n - core) * used)  # where drawing the rounds left it
     return ends
 
 
 def _attach_chunk(ends, draws, extra, start, m, core) -> None:
-    """Fill the edges of nodes start .. start+len(draws)-1 into ends.
+    """Fill the edges of nodes start .. start+len(draws)-1 into ends;
+    ``extra(k)`` is their uniforms of extra round k.
 
     An endpoint before the chunk is read from ends.  Inside the chunk an
     even position is its newer node, and an odd one holds whatever its
@@ -134,7 +145,7 @@ def _attach_chunk(ends, draws, extra, start, m, core) -> None:
         accepted: list[int] = []
         a = 0
         while len(values) < m:
-            u = draws[row, a] if a < m else extra(a - m)[start - core + row]
+            u = draws[row, a] if a < m else extra(a - m)[row]
             p = q = int(u * fj)
             while q >= f0 and q % 2:
                 q = int(src[(q - f0) >> 1])
@@ -195,7 +206,7 @@ def build_synthetic_hybrid(cfg: SynthConfig) -> HybridNetwork:
     g3 = ba_endpoints(n, cfg.m3, spawn_generator(cfg.seed, STREAM_HALF_B)).reshape(-1, 2)
     g3 += n
     u, v = (spawn_generator(cfg.seed, STREAM_BRIDGE).random(2) * n).astype(np.int64).tolist()
-    edges = np.concatenate((g1, g3, [(u, n + v)]))
+    edges = np.concatenate((g1, g3, np.array([(u, n + v)], dtype=g1.dtype)))
     del g1, g3  # the target's CSR build is the peak of set-up; build it alone
     target = Graph(2 * n, edges)
     del edges

@@ -56,6 +56,17 @@ def test_label_table_rows_roundtrip_and_checks():
         ground_truth_theta(Graph(2, [(0, 1)]), label_table([("a",)] * 3))
 
 
+@pytest.mark.parametrize("size,top", [(0, 1), (1, 0), (50, 7), (3000, 10_000)])
+def test_degree_labels_match_unique(size, top):
+    # counts with gaps and repeats: values and codes as np.unique gives them
+    d = np.random.default_rng(size).integers(0, top + 1, size=size).astype(np.int32)
+    values, codes = np.unique(d, return_inverse=True)
+    labels = degree_labels(d)
+    assert labels.values == values.tolist()
+    assert all(type(v) is int for v in labels.values)
+    assert np.array_equal(labels.slots[0] - 1, codes)
+
+
 def test_label_table_keeps_one_slot_table():
     # the CSR given is not kept: the estimators and ground truth read slots
     table = label_table([("a", 3), (), (3,), ("b", "a", 7)])
@@ -276,6 +287,32 @@ def test_csr_build_matches_plain_definition(n, m, n_right):
         assert got_arr.dtype == np.int32 and np.array_equal(got_arr, ref)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize(
+    "n_rows,n_cols,m", [(1, 1, 0), (9, 9, 60), (2000, 2000, 20000), (5, 2**30, 80)])
+def test_csr_matches_unique_reference(dtype, n_rows, n_cols, m):
+    # a multigraph with repeated pairs, and the last two rows and columns
+    # left empty; at 2**30 columns row * width passes 2**31, which int32
+    # rows would wrap if the keys were multiplied out in int32
+    gen = np.random.default_rng(n_rows + m)
+    rows = gen.integers(0, max(n_rows - 2, 1), size=m)
+    cols = gen.integers(0, max(n_cols - 2, 1), size=m)
+    rows, cols = (np.concatenate((a, a[: m // 3])).astype(dtype) for a in (rows, cols))
+    blocks = ((rows, cols),)
+    if n_rows == n_cols:  # each pair in both directions, as Graph stores it
+        blocks += ((cols, rows),)
+    want = _plain_csr(*(np.concatenate(side).astype(np.int64) for side in zip(*blocks)),
+                      n_rows, n_cols)
+    for got, ref in zip(_csr(blocks, n_rows, n_cols), want):
+        assert got.dtype == np.int32 and np.array_equal(got, ref)
+    if n_rows == n_cols and m:
+        e = np.column_stack((rows, cols))
+        e = e[e[:, 0] != e[:, 1]]
+        g, g64 = Graph(n_rows, e), Graph(n_rows, e.astype(np.int64))
+        for name in ("indptr", "indices", "degrees"):
+            assert np.array_equal(getattr(g, name), getattr(g64, name))
+
+
 @pytest.mark.parametrize("n_cols,dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
 def test_csr_arrays_are_int32_below_2_31_columns(n_cols, dtype):
     # one row whose one entry is the last column: nothing big is allocated
@@ -315,3 +352,8 @@ def test_first_bad_edge_named():
         BipartiteGraph(2, 2, [(5, 4)])
     with pytest.raises(ValueError, match="pairs"):
         Graph(3, [(0, 1, 2)])
+    # int32 pairs, kept as they are, name the same first bad pair
+    with pytest.raises(ValueError, match="self-loop at node 1"):
+        Graph(3, np.array([(0, 1), (1, 1), (0, 5)], dtype=np.int32))
+    with pytest.raises(ValueError, match="left id -1 out of range"):
+        BipartiteGraph(2, 2, np.array([(0, 1), (-1, 0)], dtype=np.int32))

@@ -148,17 +148,22 @@ def test_ba_matches_exact_law(n, m):
 
 @pytest.mark.parametrize("n,m", [(50, 1), (500, 4), (3000, 10)])
 def test_ba_endpoints_do_not_depend_on_chunking(monkeypatch, n, m):
-    want = ba_endpoints(n, m, spawn_generator(7, n))
+    gen = spawn_generator(7, n)
+    want, after = ba_endpoints(n, m, gen), gen.random()
     assert len(want) == 2 * ba_edge_count(n, m)
     for growth in (1.0, math.inf):  # one node per chunk (sequential), one chunk
         monkeypatch.setattr(synth, "CHUNK_GROWTH", growth)
-        assert np.array_equal(ba_endpoints(n, m, spawn_generator(7, n)), want)
+        gen = spawn_generator(7, n)
+        assert np.array_equal(ba_endpoints(n, m, gen), want)
+        # gen is left past every extra round that some node read
+        assert gen.random() == after
 
 
 # sha256 of the int64 endpoint lists of the seed-1 synthetic network's three
 # attachment graphs at n_per_graph=100,000, recorded with the resolution
 # passes that restarted after the first changed node.  Resolving each chunk
-# to a fixpoint must not move them.
+# to a fixpoint, storing the list as int32 and reading the extra rounds
+# chunk by chunk must not move them.
 PINNED_BA_DIGESTS = {
     (2, STREAM_HALF_A): "c8542f2fb215207f6e6f4b340c3a9604bb116a1280cc521d1cafb0f031b2e94f",
     (5, STREAM_AUX_GRAPH): "2137b7b8a202248c7b254d70047dc3e40992faaa0667066407b7e293c0763c53",
@@ -169,7 +174,8 @@ PINNED_BA_DIGESTS = {
 @pytest.mark.parametrize("m,key", sorted(PINNED_BA_DIGESTS))
 def test_ba_endpoints_match_pinned_digest(m, key):
     ends = ba_endpoints(100_000, m, spawn_generator(1, key))
-    assert hashlib.sha256(ends.tobytes()).hexdigest() == PINNED_BA_DIGESTS[m, key]
+    assert ends.dtype == np.int32
+    assert hashlib.sha256(ends.astype(np.int64).tobytes()).hexdigest() == PINNED_BA_DIGESTS[m, key]
 
 
 @pytest.mark.parametrize("n,extra", [(10, 0), (10, 37), (10, 180), (300, 5000)])
