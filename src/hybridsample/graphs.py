@@ -148,7 +148,13 @@ class BipartiteGraph:
 
 @dataclass
 class HybridNetwork:
-    """Target graph, auxiliary graph and the affiliation graph joining them."""
+    """Target graph, auxiliary graph and the affiliation graph joining them.
+
+    ``columns`` is the target's CSR ``indices`` followed by the auxiliary
+    graph's, each in its own local ids, and read-only; the two graphs'
+    ``indices`` are views of its halves, so no second copy is held and
+    the hybrid walk picks a neighbour on either side from one array.
+    """
 
     target: Graph
     auxiliary: Graph
@@ -159,6 +165,10 @@ class HybridNetwork:
             raise ValueError("affiliation left side must match target node count")
         if self.affiliation.n_right != self.auxiliary.n:
             raise ValueError("affiliation right side must match auxiliary node count")
+        m_t = len(self.target.indices)
+        self.columns = np.concatenate((self.target.indices, self.auxiliary.indices))
+        self.columns.flags.writeable = False
+        self.target.indices, self.auxiliary.indices = self.columns[:m_t], self.columns[m_t:]
 
     def covered_targets(self) -> np.ndarray:
         """Target nodes with at least one affiliation edge, in increasing order."""

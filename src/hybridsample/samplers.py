@@ -356,16 +356,20 @@ class WeightSystem:
     graph edge and k = alpha/beta for an auxiliary one, so that its graph
     entries weigh 1 each: ``total[z]`` is the degree ``deg[z]`` plus the
     row's jump mass, d_x + omega_x on the target (the visit weight) and
-    d_v + w_v/k on the auxiliary side.  ``base[z]`` is where z's row of
-    its own graph starts.  The jump mass sits on z's affiliation entries,
-    the target rows' entries first, then the auxiliary rows': entry j of
-    row z leads to hybrid node ``dest[j]`` and covers ``[key[j], key[j+1])``
-    inside ``[2z, 2z + 1)``, a width its share of the row's jump mass.
+    d_v + w_v/k on the auxiliary side.  ``base[z]`` is where z's row
+    starts in ``HybridNetwork.columns`` (an auxiliary row after all of the
+    target's entries), whose entries are local ids: ``shift[z]``, 0 on a
+    target row and n_t on an auxiliary one, makes them hybrid ids in int64.
+    The jump mass sits on z's affiliation entries, the target rows' entries
+    first, then the auxiliary rows': entry j of row z leads to hybrid node
+    ``dest[j]`` and covers ``[key[j], key[j+1])`` inside ``[2z, 2z + 1)``,
+    a width its share of the row's jump mass.
     """
 
     total: np.ndarray
     deg: np.ndarray
     base: np.ndarray
+    shift: np.ndarray
     key: np.ndarray
     dest: np.ndarray
 
@@ -406,10 +410,13 @@ def fixed_weight_scheme(hybrid: HybridNetwork, alpha: float, beta: float) -> Wei
     _row_keys(key[:n_aff], np.repeat(share, aff.left_degrees), aff.left_indptr, q, 0)
     _row_keys(key[n_aff:], share[aff.right_indices], aff.right_indptr, spread, target.n)
     deg = np.concatenate((target.degrees, aux.degrees)).astype(float)
+    base = np.concatenate((target.indptr[:-1], aux.indptr[:-1]), dtype=np.int64)
+    base[target.n:] += len(target.indices)
     return WeightSystem(
         total=deg + np.concatenate((alpha * q, beta * spread)),
         deg=deg,
-        base=np.concatenate((target.indptr[:-1], aux.indptr[:-1]), dtype=np.int64),
+        base=base,
+        shift=np.repeat(np.array([0, target.n], dtype=np.int64), [target.n, aux.n]),
         key=key,
         # hybrid ids in int64: left_indices + n_t in the CSR's int32 could wrap
         dest=np.concatenate((np.add(aff.left_indices, target.n, dtype=np.int64),
@@ -445,9 +452,11 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
 
     Step t from hybrid node z sets s = u_t total[z], with u_t the walk's
     t-th STREAM_TARGET uniform: s < deg[z] moves to graph neighbour
-    floor(s) of z, and otherwise it jumps along the affiliation entry whose
-    key range holds 2z + (s - deg[z]) / (total[z] - deg[z]), normalised by
-    z's own jump mass.  Only the walkers whose s reaches deg[z] compute that
+    floor(s) of z, ``shift[z] + columns[base[z] + floor(s)]``, one pick
+    from ``hybrid.columns`` on either side.  Otherwise the pick is dropped
+    and the walker jumps along the affiliation entry whose key range holds
+    2z + (s - deg[z]) / (total[z] - deg[z]), normalised by z's own jump
+    mass.  Only the walkers whose s reaches deg[z] compute that
     fraction, add 2z (from z itself), and search ``key``: a cache-missing
     binary search over all 2 * n_aff keys, while about 8% of steps jump
     (alpha = beta = 1 per node on the default 2x10k network).  At alpha = 0
@@ -459,28 +468,22 @@ def rwt_rwa_run(hybrid: HybridNetwork, ws: WeightSystem, budget: int, starts, se
     each flagged jumped when it was entered from an auxiliary node.
     ``starts`` (target nodes) and ``seeds`` are as in rwt_vsa_run.
     """
-    target, aux = hybrid.target, hybrid.auxiliary
-    n_t = target.n
+    n_t = hybrid.target.n
     nodes, seeds = _walk_args(ws.total[:n_t], budget, starts, seeds)
-    total, deg, base, later, dest = ws.total, ws.deg, ws.base, ws.key[1:], _entries(ws.dest)
-    t_cols, a_cols = _entries(target.indices), _entries(aux.indices)
+    total, deg, base, shift = ws.total, ws.deg, ws.base, ws.shift
+    later, dest, cols = ws.key[1:], _entries(ws.dest), _entries(hybrid.columns)
     for t0, (u,) in _blocks(seeds, budget, STREAM_TARGET, 1):
         for i in range(len(u)):
             z, nxt = nodes[t0 + i - 1], nodes[t0 + i]
-            span = total.take(z)
-            s = span * u[i]
-            d = deg.take(z)
-            pos = base.take(z)
-            pos += s.astype(np.int64)
-            nxt[:] = t_cols.take(pos, mode="clip")
-            on_aux = z >= n_t
-            np.add(a_cols.take(pos, mode="clip"), n_t, out=nxt, where=on_aux, dtype=np.int64)
-            hop = (s >= d).nonzero()[0]
+            s = total[z] * u[i]
+            pos = base[z] + s.astype(np.int64)
+            np.add(shift[z], cols.take(pos, mode="clip"), out=nxt)
+            hop = (s >= deg[z]).nonzero()[0]
             if len(hop):
                 # entry j of z's row holds 2z + fraction; j keys after the first are <= it
-                zh, dh = z.take(hop), d.take(hop)
-                f = (s.take(hop) - dh) / (span.take(hop) - dh) + 2.0 * zh
-                nxt[hop] = dest.take(later.searchsorted(f, side="right"), mode="clip")
+                zh = z[hop]
+                f = (s[hop] - deg[zh]) / (total[zh] - deg[zh]) + 2.0 * zh
+                nxt[hop] = dest[later.searchsorted(f, side="right")]
         _check_absorbing(total, nodes[t0 - 1:t0 + len(u) - 1])
     flags = np.zeros(nodes.shape, dtype=bool)
     np.greater_equal(nodes[:-1], n_t, out=flags[1:])

@@ -791,6 +791,8 @@ def test_files_source_matches_pinned_digests(tmp_path, generated_net, method):
 # the PINNED_DIGESTS network at alpha=2, beta=0.5 per node: RWT-VSA's p and
 # visit weights, RWT-RWA's WeightSystem tables.  Recorded when the RWT-VSA
 # law moved into samplers.jump_law; moving the law must not move them.
+# RWT-RWA's row starts are hashed per graph, as recorded: ``base`` counts
+# auxiliary rows from after the target's entries in the joint column array.
 PINNED_SETUP_DIGESTS = {
     ("RWT-VSA", 1): "43bef31cdfe4e90334632ae737e10fc33b91733879f3ec3b650019c947fc3071",
     ("RWT-VSA", 2): "4f7467942c4b43bc934749823d02a2927f8d178edca832a6d44c938a5a2f8256",
@@ -807,8 +809,9 @@ def test_setup_arrays_match_pinned_digests(method, seed):
     if method == "RWT-VSA":
         arrays = (prep.law.p.probs, prep.law.total)
     else:
-        ws = prep.law
-        arrays = (ws.total, ws.deg, ws.base, ws.key, ws.dest)
+        ws, target = prep.law, prep.hybrid.target
+        own_rows = ws.base - np.where(np.arange(len(ws.base)) < target.n, 0, len(target.indices))
+        arrays = (ws.total, ws.deg, own_rows, ws.key, ws.dest)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
     assert digest == PINNED_SETUP_DIGESTS[(method, seed)]
 

@@ -196,6 +196,12 @@ def _assert_hybrid_invariants(h):
     _assert_transposes(rows, aff.left_indices, t_rows, aff.right_indices, aff.n_right)
     assert aff.left_degrees.sum() == aff.right_degrees.sum() == aff.num_edges
     assert h.covered_targets().tolist() == [u for u in range(aff.n_left) if aff.left_degrees[u]]
+    # one read-only column array, of which both graphs' indices are views
+    assert not h.columns.flags.writeable
+    assert np.array_equal(h.columns, np.concatenate((h.target.indices, h.auxiliary.indices)))
+    for g in (h.target, h.auxiliary):
+        assert g.indices.base is h.columns
+        assert np.shares_memory(g.indices, h.columns) or not len(g.indices)
 
 
 def test_csr_invariants_synthetic_hybrid():

@@ -441,7 +441,8 @@ def test_hybrid_ids_are_int64_over_int32_graphs():
     ws = fixed_weight_scheme(h, 2.0, 3.0)
     aff, n_t = h.affiliation, h.target.n
     assert aff.left_indices.dtype == h.target.indptr.dtype == np.int32
-    assert ws.base.dtype == ws.dest.dtype == np.int64
+    assert ws.base.dtype == ws.shift.dtype == ws.dest.dtype == np.int64
+    assert np.array_equal(ws.shift, np.repeat([0, n_t], [n_t, h.auxiliary.n]))
     assert np.array_equal(ws.dest[:aff.num_edges], aff.left_indices.astype(np.int64) + n_t)
     assert rwt_rwa_run(h, ws, 50, [0, 1], [1, 2]).nodes.dtype == np.int64
     assert rwt_vsa_run(h.target, 50, [0, 1], [1, 2], jump_law(h, 2.0)).nodes.dtype == np.int64
@@ -567,6 +568,32 @@ def test_rwt_rwa_venue_rows_exact_at_extreme_jump_ratio():
     tv = 0.5 * np.abs(counts / counts.sum(axis=1, keepdims=True) - law).sum(axis=1)
     # sampling floor about 0.007; always taking a venue's last entry reads 0.86
     assert tv.max() < 0.03
+
+
+@pytest.mark.parametrize("seed,variant", [
+    (1, "random"), (2, "random"), (3, "random"),
+    (4, "no auxiliary edges"), (5, "isolated covered target")])
+def test_rwt_rwa_steps_only_along_positive_weights(seed, variant):
+    # every step of a batch follows a row entry of positive weight in the
+    # independent dense rows: a row start off by the target's entries, or
+    # a wrong id shift, breaks this on every seed, where the law test
+    # (criterion 4) sees it only statistically
+    h = random_hybrid(random.Random(seed), 12, 7)
+    n_t, n_a, aff = h.target.n, h.auxiliary.n, h.affiliation
+    if variant == "no auxiliary edges":
+        h = HybridNetwork(h.target, Graph(n_a, []), aff)
+    elif variant == "isolated covered target":
+        # target node n_t has no target edges, only one to auxiliary node 0
+        pairs = np.column_stack((np.repeat(np.arange(n_t), aff.left_degrees), aff.left_indices))
+        n_t += 1
+        h = HybridNetwork(Graph(n_t, h.target.edge_array()), h.auxiliary,
+                          BipartiteGraph(n_t, n_a, np.vstack((pairs, [[n_t - 1, 0]]))))
+    alpha, beta = 0.5 * n_t, 0.5 * n_a
+    batch = rwt_rwa_run(h, fixed_weight_scheme(h, alpha, beta), 2000, h.covered_targets()[-4:],
+                        range(4))
+    rows = hybrid_rows(h, alpha, beta)
+    assert (rows[batch.nodes[:-1], batch.nodes[1:]] > 0).all()
+    assert (batch.nodes >= n_t).any() and (batch.nodes == n_t - 1).any()
 
 
 def test_target_share_is_the_stationary_target_mass():
