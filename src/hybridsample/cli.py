@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
-    common.add_argument("-o", "--out", help="output path (default: stdout)")
 
     p_gen = sub.add_parser("generate", parents=[common],
                            help="write a synthetic network to files")
@@ -103,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[common], help="run an experiment")
     p_run.set_defaults(func=cmd_run)
+    for p in (p_truth, p_run):
+        p.add_argument("-o", "--out", help="output path (default: stdout)")
 
     p_fig = sub.add_parser("figdata", help="merge result CSVs into figure data")
     p_fig.add_argument("--kind", required=True, choices=sorted(experiment.FIGURE_KINDS))

@@ -51,6 +51,9 @@ LABEL_KINDS = ("degree", "in-degree", "out-degree")
 CHUNK_VISITS = 1 << 20  # most visits (budget x replications) of one lockstep batch
 STALL_VISITS = 0.01  # fewest expected target visits of an RWT-RWA run: one in 100 runs
 SOURCES = ("synthetic", "files", "lbsn")
+# config key -> the one source that reads it
+SOURCE_KEYS = {**dict.fromkeys(("target_path", "auxiliary_path", "affiliation_path", "venues_path"), "files"),
+               **dict.fromkeys(("social_path", "checkins_path", "bbox"), "lbsn")}
 
 
 @dataclass
@@ -112,9 +115,10 @@ class ExperimentConfig:
         if self.trace_out and self.method in HARVEST_METHODS:
             raise ValueError(f"trace_out: {self.method} draws no walk, so there is no trace")
         resolve_budget(self.budget, 10**6)  # syntax check; real n applied later
+        for key, source in SOURCE_KEYS.items():
+            if getattr(self, key) and self.source != source:
+                raise ValueError(f"{key} is read by source={source}, not by source={self.source}")
         if self.bbox:
-            if self.source != "lbsn":
-                raise ValueError(f"bbox filters check-ins of source=lbsn; source={self.source} has none")
             _parse_bbox(self.bbox)
 
 
@@ -296,9 +300,12 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     labels, truth = label_truth(cfg, hybrid.target)
 
     budget = resolve_budget(cfg.budget, hybrid.target.n)
-    alpha_total = cfg.alpha * max(1, np.count_nonzero(hybrid.affiliation.left_degrees))
+    alpha_total = cfg.alpha * max(1, int(np.count_nonzero(hybrid.affiliation.left_degrees)))
     beta_total = cfg.beta * max(1, hybrid.auxiliary.n)
     prep = PreparedExperiment(cfg, hybrid, labels, truth, budget, alpha_total, beta_total)
+    for key in {"RWT-VSA": ("alpha",), "RWT-RWA": ("alpha", "beta")}.get(cfg.method, ()):
+        if getattr(prep, f"{key}_total") == math.inf:
+            raise ValueError(f"{key}={getattr(cfg, key)!r}: its total over the nodes overflows a float")
 
     if cfg.method == "VS-A":
         prep.law = AuxDistribution(hybrid.auxiliary.n)

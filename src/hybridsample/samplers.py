@@ -279,27 +279,28 @@ def write_trace(batch: WalkBatch, path) -> None:
 @dataclass
 class JumpLaw:
     """Jumps of a target-graph walk through auxiliary vertex sampling: a
-    node drawn from ``p``, then a uniform neighbour in ``affiliation``.
-    ``total`` is the visit weight d_x + omega_x of every target node, with
-    jump weight omega_x = alpha * q_x (q from compute_qu(hybrid, p)).
-    jump_law builds it with p fixed: uniform over the affiliated auxiliary
-    nodes."""
+    uniform draw from ``venues``, the auxiliary nodes with affiliation
+    edges, then a uniform neighbour in ``affiliation``.  ``total`` is the
+    visit weight d_x + omega_x of every target node, with jump weight
+    omega_x = alpha * q_x (q from compute_qu with p uniform on venues)."""
 
-    p: AuxDistribution
+    venues: np.ndarray
     affiliation: BipartiteGraph
     total: np.ndarray
 
 
 def jump_law(hybrid: HybridNetwork, alpha: float) -> JumpLaw:
-    """The jump law of total jump mass ``alpha``, with p uniform over the
+    """The jump law of total jump mass ``alpha``, drawing uniformly over the
     auxiliary nodes that have affiliation edges."""
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
     aff = hybrid.affiliation
     has_edges = aff.right_degrees > 0
-    count = np.count_nonzero(has_edges)
-    if not count:
+    venues = np.flatnonzero(has_edges)
+    if not len(venues):
         raise ValueError("no auxiliary node has affiliation edges")
-    p = AuxDistribution(aff.n_right, has_edges / count)
-    return JumpLaw(p, aff, hybrid.target.degrees + alpha * compute_qu(hybrid, p))
+    q = _spread(has_edges / len(venues), aff.right_degrees, aff.right_indices, hybrid.target.n)
+    return JumpLaw(venues, aff, hybrid.target.degrees + alpha * q)
 
 
 def rwt_vsa_run(graph: Graph, budget: int, starts, seeds, jumps: JumpLaw | None = None) -> WalkBatch:
@@ -311,9 +312,9 @@ def rwt_vsa_run(graph: Graph, budget: int, starts, seeds, jumps: JumpLaw | None 
     Step t scales the walk's t-th STREAM_TARGET uniform u_t by the visit
     weight: the walker moves to neighbour floor(s) of its row when
     s = u_t (d_x + omega_x) < d_x, and otherwise jumps (the virtual jumper
-    edge of weight omega_x): it draws an auxiliary node from p and lands on
-    a uniform affiliation neighbour of it, one query.  A landing takes two
-    STREAM_AUX uniforms a step, the node of p and the neighbour; the plain
+    edge of weight omega_x): it draws a node of ``jumps.venues`` and lands
+    on a uniform affiliation neighbour of it, one query.  A landing takes
+    two STREAM_AUX uniforms a step, the venue and the neighbour; the plain
     walk draws none.  At alpha = 0 a jump law never fires, so the walk
     gives the plain walk's trace.
     """
@@ -323,13 +324,13 @@ def rwt_vsa_run(graph: Graph, budget: int, starts, seeds, jumps: JumpLaw | None 
     base, cols = graph.indptr.astype(np.int64, copy=False), _entries(graph.indices)
     flags = np.zeros(nodes.shape, dtype=bool)
     if jumps is not None:
-        p, aff = jumps.p, jumps.affiliation
+        venues, aff = jumps.venues, jumps.affiliation
         landings = _blocks(seeds, budget, STREAM_AUX, 2)
     for t0, (u,) in _blocks(seeds, budget, STREAM_TARGET, 1):
         if jumps is not None:
             _, a = next(landings)
-            # compute_qu vetoes p-mass on unaffiliated nodes up front
-            v = p.pick(a[0])
+            # every venue has affiliation edges, so each landing has a row to pick from
+            v = venues[(a[0] * len(venues)).astype(np.int64)]
             pick = (a[1] * aff.right_degrees[v]).astype(np.int64)
             land = aff.right_indices[aff.right_indptr[v] + pick]
         for i in range(len(u)):

@@ -1,6 +1,8 @@
 import collections
 import hashlib
+import math
 import os
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -79,10 +81,16 @@ def test_bbox_parse_error_names_bbox_on_lbsn_source(value):
         ex.make_config({"source": "lbsn", "bbox": value})
 
 
-@pytest.mark.parametrize("source", ["synthetic", "files"])
-def test_bbox_rejected_for_sources_without_checkins(source):
-    with pytest.raises(ValueError, match=f"bbox.*source={source}"):
-        ex.make_config({"source": source, "bbox": "nyc"})
+@pytest.mark.parametrize("key,reader,source", [
+    *(pytest.param("bbox", "lbsn", source, id=source) for source in ("synthetic", "files")),
+    *((key, "files", source) for key in ("target_path", "auxiliary_path", "affiliation_path", "venues_path")
+      for source in ("synthetic", "lbsn")),
+    *((key, "lbsn", source) for key in ("social_path", "checkins_path") for source in ("synthetic", "files")),
+])
+def test_bbox_rejected_for_sources_without_checkins(key, reader, source):
+    # a key of one source is refused under the others, naming it and both sources
+    with pytest.raises(ValueError, match=f"{key}.*source={reader}.*source={source}"):
+        ex.make_config({"source": source, key: "nyc" if key == "bbox" else "/nonexistent/t.txt"})
 
 
 @pytest.mark.parametrize("method", ex.HARVEST_METHODS)
@@ -561,6 +569,33 @@ def test_cli_non_finite_beta_is_config_error(tmp_path, capsys):
     assert "beta=nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method,key", [("RWT-VSA", "alpha"), ("RWT-RWA", "alpha"), ("RWT-RWA", "beta")])
+def test_cli_jump_total_that_overflows_is_config_error(capsys, method, key):
+    # 1e306 per node passes validate, but its total over the demo's nodes is inf
+    demo = str(Path(__file__).resolve().parents[1] / "configs" / "demo.cfg")
+    assert cli.main(["run", "--config", demo, "--set", f"method={method}", "--set", f"{key}=1e306"]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}=1e+306")
+
+
+@pytest.mark.parametrize("method", ["SRW", "VS-A"])
+def test_overflowing_jump_total_is_unused_by_other_methods(method):
+    # the totals come from Python ints, so no numpy overflow warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prep = ex.prepare_experiment(small_cfg(method=method, alpha=1e307, beta=1e307))
+    assert prep.alpha_total == prep.beta_total == math.inf
+
+
+def test_cli_generate_refuses_out(tmp_path):
+    # generate writes a directory; -o belongs to truth and run
+    out, net = tmp_path / "ignored.txt", tmp_path / "net"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--set", "n_per_graph=50", "--set", "extra_pairs=10",
+                  "--out-dir", str(net), "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists() and not net.exists()
+
+
 def test_cli_orientation_label_needs_synthetic_source(tmp_path, capsys):
     cfgp = _write_cfg(tmp_path, method="SRW")
     net = tmp_path / "net"
@@ -807,7 +842,10 @@ def test_setup_arrays_match_pinned_digests(method, seed):
         "n_per_graph": "2000", "extra_pairs": "4000", "seed": str(seed),
         "alpha": "2", "beta": "0.5", "method": method}))
     if method == "RWT-VSA":
-        arrays = (prep.law.p.probs, prep.law.total)
+        # the uniform p over the law's venues, as recorded
+        probs = np.zeros(prep.hybrid.auxiliary.n)
+        probs[prep.law.venues] = 1.0 / len(prep.law.venues)
+        arrays = (probs, prep.law.total)
     else:
         ws, target = prep.law, prep.hybrid.target
         own_rows = ws.base - np.where(np.arange(len(ws.base)) < target.n, 0, len(target.indices))

@@ -137,9 +137,22 @@ def test_jump_law_matches_the_oracle_weights(alpha):
     assert not h.affiliation.right_degrees.all()
     p = covered_uniform(h)
     law = jump_law(h, alpha)
-    assert law.p.probs.tobytes() == p.probs.tobytes()
+    venues = law.venues
+    assert venues.tolist() == np.flatnonzero(p.probs).tolist()
     assert law.affiliation is h.affiliation
     assert law.total.tobytes() == rwt_vsa_weight(h, p, alpha).tobytes()
+    # a walk lands from venues[floor(u len(venues))]: the oracle's pick,
+    # also at each entry boundary k / len and just below it
+    bounds = np.arange(1, len(venues) + 1) / len(venues)
+    u = np.concatenate(([0.0], bounds[:-1], np.nextafter(bounds, 0.0),
+                        np.random.default_rng(8).random(500)))
+    assert venues[(u * len(venues)).astype(np.int64)].tolist() == p.pick(u).tolist()
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+def test_jump_law_rejects_a_non_finite_or_negative_mass(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        jump_law(small_synthetic(), alpha)
 
 
 # ---------------------------------------------------------------- vs_a_collect
