@@ -20,7 +20,6 @@ from .samplers import (
     AuxDistribution,
     JumpLaw,
     VsaSample,
-    compute_qu,
     fixed_weight_scheme,
     jump_law,
     rwt_rwa_run,

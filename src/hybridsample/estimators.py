@@ -2,11 +2,12 @@
 
 Two families:
 
-* probability-weighted (Hansen-Hurwitz style) estimators over independent
-  auxiliary draws, in a known-population-size form and a ratio form that
-  also estimates the population size.  They need only each draw's p_v and
-  neighbors, whatever the draw source of ``vs_a_collect``: a known
-  distribution (VS-A) or the zoom-in sampler (RRZI-VSA, venue id = node id);
+* probability-weighted (Hansen-Hurwitz style) estimators over one
+  replication's independent auxiliary draws, in a known-population-size
+  form and a ratio form that also estimates the population size.  They
+  need only each draw's p_v and neighbors, whatever the draw source of
+  ``vs_a_collect``: a known distribution (VS-A) or the zoom-in sampler
+  (RRZI-VSA, venue id = node id);
 * a ratio estimator over one walk of a lockstep batch that divides out the
   stationary visit weights d_x + omega_x of its target visits.
 
@@ -103,8 +104,9 @@ def _limb_sums(slots: np.ndarray, terms: np.ndarray, top: int, bins: int):
     return np.array(sums).T.tolist(), totals
 
 
-def vsa_theta_unknown_n(sample: VsaSample, labels: LabelTable, n: int | None = None) -> EstimateReport:
-    """Ratio form of the Hansen-Hurwitz estimators over the draws:
+def vsa_theta_unknown_n(sample: VsaSample, r: int, labels: LabelTable, n: int | None = None) -> EstimateReport:
+    """Ratio form of the Hansen-Hurwitz estimators over the B' draws i of
+    replication r of ``sample``:
 
         theta_hat_l = sum_i (1/p_i) sum_{u in nbrs_i} 1{l in L(u)}/d_u_bip
                       / sum_i (1/p_i) sum_{u in nbrs_i} 1/d_u_bip
@@ -113,14 +115,16 @@ def vsa_theta_unknown_n(sample: VsaSample, labels: LabelTable, n: int | None = N
     the known-n form, the numerator over n B', rides along as
     ``theta_known_n`` (same pass).
     """
-    degrees, offsets, b_prime = sample.degrees, sample.offsets, sample.b_prime
-    raise_first([(degrees <= 0, lambda j: f"harvested node {sample.users[j]} recorded with "
+    b_prime = sample.b_prime
+    offsets = sample.offsets[r * b_prime:(r + 1) * b_prime + 1]
+    users, degrees = (a[offsets[0]:offsets[-1]] for a in (sample.users, sample.degrees))
+    raise_first([(degrees <= 0, lambda j: f"harvested node {users[j]} recorded with "
                                           f"affiliation degree {degrees[j]}; expected > 0")])
     # the term of user u harvested by draw i: (1/p_i) / d_u_bip, finite and
     # > 0 for the draws harvest admits
-    terms = (1.0 / sample.p).repeat(offsets[1:] - offsets[:-1])
+    terms = (1.0 / sample.p[r * b_prime:(r + 1) * b_prime]).repeat(np.diff(offsets))
     terms /= degrees
-    per_label, size = _label_sums(labels, sample.users, terms)
+    per_label, size = _label_sums(labels, users, terms)
     if size <= 0.0:
         raise RuntimeError("no effective samples: every draw hit an unaffiliated node")
     known = None
@@ -131,7 +135,7 @@ def vsa_theta_unknown_n(sample: VsaSample, labels: LabelTable, n: int | None = N
         known = {l: s * scale for l, s in per_label.items()}
     return EstimateReport(
         {l: s / size for l, s in per_label.items()}, n_hat=size / b_prime, theta_known_n=known,
-        target_samples=sample.harvested, query_count=sample.query_count,
+        target_samples=len(users), query_count=sample.queries[r],
     )
 
 

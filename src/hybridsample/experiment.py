@@ -3,9 +3,9 @@
 A config names a network source (synthetic, plain files, or LBSN-style
 files), one sampling method, its parameters, and the replication count.
 ``run_experiment`` builds the network once, computes ground truth, runs the
-replications with seeds derived from the master seed (the walk methods'
-in lockstep batches, the harvest methods' one after another), and
-aggregates per-label mean estimates and NRMSE.  Consecutive experiments on
+replications with seeds derived from the master seed in lockstep batches
+(walks or harvests, one estimate per replication), and aggregates
+per-label mean estimates and NRMSE.  Consecutive experiments on
 one synthetic network or one set of files share one build (``shared_network``).
 
 Jump-strength units: config ``alpha``/``beta`` are per-node (an alpha of 1
@@ -48,7 +48,8 @@ from .synth import SynthConfig, build_synthetic_hybrid, orient_edges
 METHODS = ("SRW", "VS-A", "RWT-VSA", "RWT-RWA", "RRZI-VSA")
 HARVEST_METHODS = ("VS-A", "RRZI-VSA")  # independent auxiliary draws; the rest walk
 LABEL_KINDS = ("degree", "in-degree", "out-degree")
-CHUNK_VISITS = 1 << 20  # most visits (budget x replications) of one lockstep batch
+CHUNK_VISITS = 1 << 20  # most visits (budget x replications) of one walk batch
+CHUNK_DRAWS = 1 << 14  # most draws of one harvest batch: each holds its whole affiliation row
 STALL_VISITS = 0.01  # fewest expected target visits of an RWT-RWA run: one in 100 runs
 SOURCES = ("synthetic", "files", "lbsn")
 # config key -> the one source that reads it
@@ -322,18 +323,28 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             raise ValueError("RRZI-VSA needs venue coordinates (venues_path or lbsn source)")
         law = geo.zoom_in_law(*venues, geo.bounding_region(*venues), cfg.rrzi_k)
         prep.law = AuxDistribution(hybrid.auxiliary.n, *law)
+    if cfg.method in ("RWT-VSA", "RWT-RWA"):
+        # a walk step casts u * total, for a uniform u < 1, to int64
+        big = np.flatnonzero(prep.law.total >= 2.0**63)
+        if len(big):
+            key = "alpha" if big[0] < hybrid.target.n else "beta"
+            raise ValueError(f"{key}={getattr(cfg, key)!r}: a visit weight reaches 2**63, "
+                             "past the int64 range of a walk step")
     return prep
 
 
-def _walk_batch(prep: PreparedExperiment, seeds: list):
-    """Run the walk replications of ``seeds`` as one lockstep batch.
+def _batch(prep: PreparedExperiment, seeds: list) -> tuple:
+    """(batch, estimator) of the replications of ``seeds``, run as one
+    lockstep batch: ``estimator(batch, r, labels)`` estimates replication r.
 
-    Each replication starts at a target node of positive visit weight,
-    picked by u_0, the first uniform of its seed's STREAM_WALK_START,
-    separate from the walk's streams: entry floor(u_0 * c) of the c such
-    nodes.  With none the batch raises WalkError.
+    A walk starts at a target node of positive visit weight, picked by u_0,
+    the first uniform of its seed's STREAM_WALK_START, separate from the
+    walk's streams: entry floor(u_0 * c) of the c such nodes.  With none
+    the batch raises WalkError.
     """
     target, law = prep.hybrid.target, prep.law
+    if isinstance(law, AuxDistribution):
+        return vs_a_collect(prep.hybrid, law, prep.budget, seeds), vsa_theta_unknown_n
     # both laws' total starts with the target nodes' visit weights
     pool = np.flatnonzero((target.degrees if law is None else law.total[:target.n]) > 0)
     if not len(pool):
@@ -341,41 +352,40 @@ def _walk_batch(prep: PreparedExperiment, seeds: list):
     u = np.array([spawn_generator(rep_seed, STREAM_WALK_START).random() for rep_seed in seeds])
     starts = pool[(u * len(pool)).astype(np.int64)]
     if isinstance(law, WeightSystem):
-        return rwt_rwa_run(prep.hybrid, law, prep.budget, starts, seeds)
+        return rwt_rwa_run(prep.hybrid, law, prep.budget, starts, seeds), walk_theta
     # SRW is the target walk without a jump law
-    return rwt_vsa_run(target, prep.budget, starts, seeds, law)
+    return rwt_vsa_run(target, prep.budget, starts, seeds, law), walk_theta
+
+
+def _per_batch(prep: PreparedExperiment) -> int:
+    """Replications of one batch: at most CHUNK_DRAWS draws of a harvest or
+    CHUNK_VISITS visits of a walk, and at least one."""
+    chunk = CHUNK_DRAWS if isinstance(prep.law, AuxDistribution) else CHUNK_VISITS
+    return max(1, chunk // prep.budget)
 
 
 def replicate(prep: PreparedExperiment, seeds: list) -> list:
-    """Estimates of the replications of ``seeds``, in order.
-
-    A harvest method runs them one after another (vs_a_collect, then
-    vsa_theta_unknown_n); a walk method in lockstep batches of at most
-    CHUNK_VISITS visits, and writes replication 0's trace to trace_out.
-    A failure raises RuntimeError naming the replication and its seed.
+    """Estimates of the replications of ``seeds``, in order, from lockstep
+    batches of at most _per_batch replications (_batch).  Replication 0's
+    walk trace goes to trace_out.  A failure raises RuntimeError naming the
+    replication and its seed.
     """
-    cfg = prep.cfg
-    walk = not isinstance(prep.law, AuxDistribution)
-    per_batch = max(1, CHUNK_VISITS // prep.budget) if walk else 1
+    per_batch = _per_batch(prep)
     reports = []
     for lo in range(0, len(seeds), per_batch):
         chunk = seeds[lo:lo + per_batch]
         r = 0
         try:
-            if walk:
-                batch = _walk_batch(prep, chunk)
-                for r in range(len(chunk)):
-                    reports.append(walk_theta(batch, r, prep.labels))
-            else:
-                reports.append(vsa_theta_unknown_n(
-                    vs_a_collect(prep.hybrid, prep.law, prep.budget, chunk[0]), prep.labels))
+            batch, estimate = _batch(prep, chunk)
+            for r in range(len(chunk)):
+                reports.append(estimate(batch, r, prep.labels))
         except Exception as exc:
             reason = exc
             if isinstance(exc, WalkError):
                 r, reason = exc.replication, exc.reason
             raise RuntimeError(f"replication {lo + r} (seed {chunk[r]}) failed: {reason}") from exc
-        if lo == 0 and walk and cfg.trace_out:
-            write_trace(batch, cfg.trace_out)
+        if lo == 0 and prep.cfg.trace_out:
+            write_trace(batch, prep.cfg.trace_out)
     return reports
 
 

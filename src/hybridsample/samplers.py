@@ -88,7 +88,8 @@ class VsaSample:
     Draw i drew auxiliary node ``venues[i]`` with probability ``p[i]`` and
     harvested its affiliation row ``users[offsets[i]:offsets[i + 1]]``.
     ``degrees[j]`` is the affiliation degree of ``users[j]`` as recorded at
-    collection time, so estimation does not need the network.
+    collection time, so estimation does not need the network.  Replication
+    r is draws r B'..(r+1) B' - 1 and costs ``queries[r]`` API calls.
     """
 
     venues: np.ndarray
@@ -96,23 +97,19 @@ class VsaSample:
     offsets: np.ndarray
     users: np.ndarray
     degrees: np.ndarray
-    query_count: int
+    queries: list
 
     @property
     def b_prime(self) -> int:
-        return len(self.venues)
-
-    @property
-    def harvested(self) -> int:
-        return len(self.users)
+        return len(self.venues) // len(self.queries)
 
 
-def harvest(aff: BipartiteGraph, venues, p, query_count: int) -> VsaSample:
+def harvest(aff: BipartiteGraph, venues, p, queries: list) -> VsaSample:
     """The sample of draws of auxiliary nodes ``venues`` with probabilities
-    ``p``, each > 0 with a finite reciprocal.  Each draw harvests the node's
-    affiliation row (empty for an unaffiliated node, which adds zero to the
-    estimators); the rows of all draws are gathered at once from the CSR
-    arrays.
+    ``p``, each > 0 with a finite reciprocal, split evenly into replications
+    of API costs ``queries``.  Each draw harvests the node's affiliation row
+    (empty for an unaffiliated node, which adds zero to the estimators); the
+    rows of all draws are gathered at once from the CSR arrays.
     """
     venues = np.asarray(venues, dtype=np.int64)
     p = np.asarray(p, dtype=float)
@@ -132,36 +129,22 @@ def harvest(aff: BipartiteGraph, venues, p, query_count: int) -> VsaSample:
     pos = (aff.right_indptr[venues] - offsets[:-1]).repeat(counts)
     pos += np.arange(offsets[-1])
     users = aff.right_indices[pos]
-    return VsaSample(venues, p, offsets, users, aff.left_degrees[users], int(query_count))
+    return VsaSample(venues, p, offsets, users, aff.left_degrees[users], queries)
 
 
-def vs_a_collect(hybrid: HybridNetwork, p: AuxDistribution, b_prime: int, seed) -> VsaSample:
-    """B' i.i.d. draws from p, each harvesting the drawn node's affiliation
-    row (see harvest).  Each draw is p.pick of one uniform of the STREAM_AUX
-    generator of ``seed`` and costs its node's p.calls.
+def vs_a_collect(hybrid: HybridNetwork, p: AuxDistribution, b_prime: int, seeds) -> VsaSample:
+    """B' i.i.d. draws from p for each of ``seeds``, each harvesting the
+    drawn node's affiliation row (see harvest).  Each draw is p.pick of one
+    uniform of its seed's STREAM_AUX generator and costs its node's p.calls.
     """
     if b_prime < 1:
         raise ValueError("b_prime must be >= 1")
     if p.n != hybrid.auxiliary.n:
         raise ValueError("distribution size must match auxiliary graph")
-    venues = p.pick(spawn_generator(seed, STREAM_AUX).random(b_prime))
-    return harvest(hybrid.affiliation, venues, p.probs[venues], p.calls[venues].sum())
-
-
-def compute_qu(hybrid: HybridNetwork, p: AuxDistribution) -> np.ndarray:
-    """Jump-target distribution induced by auxiliary vertex sampling followed
-    by a uniform affiliation-neighbor step:
-
-        q_u = sum over affiliated v of p_v / d_v_bip.
-
-    Sums to 1 whenever every node carrying p-mass has affiliation edges.
-    """
-    aff = hybrid.affiliation
-    if p.n != aff.n_right:
-        raise ValueError("distribution size must match auxiliary graph")
-    raise_first([((p.probs > 0.0) & (aff.right_degrees == 0), lambda v: (
-        f"unreachable probability mass: auxiliary node {v} has p>0 but no affiliation edges"))])
-    return _spread(p.probs, aff.right_degrees, aff.right_indices, hybrid.target.n)
+    u = np.array([spawn_generator(seed, STREAM_AUX).random(b_prime) for seed in seeds])
+    venues = p.pick(u.ravel())
+    queries = p.calls[venues].reshape(u.shape).sum(axis=1)
+    return harvest(hybrid.affiliation, venues, p.probs[venues], queries.tolist())
 
 
 def _spread(mass: np.ndarray, degrees: np.ndarray, indices: np.ndarray, n_out: int) -> np.ndarray:
@@ -282,7 +265,8 @@ class JumpLaw:
     uniform draw from ``venues``, the auxiliary nodes with affiliation
     edges, then a uniform neighbour in ``affiliation``.  ``total`` is the
     visit weight d_x + omega_x of every target node, with jump weight
-    omega_x = alpha * q_x (q from compute_qu with p uniform on venues)."""
+    omega_x = alpha * q_x: q_x = sum over the venues v of x of
+    1 / (len(venues) d_v_bip), the chance that one jump lands on x."""
 
     venues: np.ndarray
     affiliation: BipartiteGraph
@@ -441,8 +425,9 @@ def target_share(ws: WeightSystem, n_target: int, alpha: float, beta: float) -> 
     """The stationary share of an RWT-RWA walk's steps on the target: its law
     is proportional to ``total`` on the target rows and to k = alpha/beta
     times it on the auxiliary rows, which are in units of k (1 at alpha = 0)."""
-    t, a = ws.total[:n_target].sum(), ws.total[n_target:].sum()
-    return float(t / (t + alpha / beta * a)) if alpha else 1.0
+    # Python floats: a product past the float range is inf, a share of 0
+    t, a = float(ws.total[:n_target].sum()), float(ws.total[n_target:].sum())
+    return t / (t + alpha / beta * a) if alpha else 1.0
 
 
 @np.errstate(invalid="ignore")  # 0/0 only on an absorbing node, which _check_absorbing reports

@@ -15,7 +15,7 @@ import numpy as np
 
 from hybridsample.geo import Region, zoom_in_law
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork, LabelTable
-from hybridsample.samplers import AuxDistribution, VsaSample, WalkBatch, compute_qu
+from hybridsample.samplers import AuxDistribution, VsaSample, WalkBatch
 
 KERNEL_SIZE_LIMIT = 2000
 
@@ -80,7 +80,7 @@ def hand_sample(draws, degree) -> VsaSample:
         np.cumsum([0] + [len(nbrs) for _, _, nbrs in draws], dtype=np.int64),
         np.array(users, dtype=np.int64),
         np.array([degree[u] for u in users], dtype=np.int64),
-        len(draws),
+        [len(draws)],
     )
 
 
@@ -320,9 +320,21 @@ def hybrid_rows(h: HybridNetwork, alpha: float, beta: float, q=None) -> np.ndarr
     return rows
 
 
+def jump_target_law(hybrid: HybridNetwork, p: AuxDistribution) -> np.ndarray:
+    """q_u = sum over the auxiliary nodes v of u of p_v / d_v_bip: where a
+    p-draw followed by a uniform affiliation neighbour lands, one venue at a
+    time (in venue order, as the package's bincount adds)."""
+    aff = hybrid.affiliation
+    q = np.zeros(hybrid.target.n)
+    for v, users in enumerate(csr_rows(aff.right_indptr, aff.right_indices)):
+        for u in users:
+            q[u] += p.probs[v] / len(users)
+    return q
+
+
 def rwt_vsa_weight(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
     """Visit weights d_u + alpha*q_u of the jump-augmented target walk."""
-    return hybrid.target.degrees + alpha * compute_qu(hybrid, p)
+    return hybrid.target.degrees + alpha * jump_target_law(hybrid, p)
 
 
 def stationary_rwt_vsa(hybrid: HybridNetwork, p: AuxDistribution, alpha: float) -> np.ndarray:
@@ -342,7 +354,7 @@ def rwt_vsa_transition_matrix(hybrid: HybridNetwork, p: AuxDistribution, alpha: 
     n = hybrid.target.n
     if n > KERNEL_SIZE_LIMIT:
         raise ValueError(f"kernel construction limited to {KERNEL_SIZE_LIMIT} nodes")
-    qu = compute_qu(hybrid, p)
+    qu = jump_target_law(hybrid, p)
     omega = alpha * qu
     target = hybrid.target
     tot = target.degrees + omega

@@ -66,8 +66,8 @@ def _expected_estimates(neighbor_sets, n_a, probs, labels, b_prime):
 
     A draw of venue v harvests the users whose venue set in
     ``neighbor_sets`` holds v, each recorded with its set size as degree.
-    The samples of all sequences are built as one set of arrays, and
-    sequence s is draws s*B'..(s+1)*B'-1 of it.
+    The draws of all sequences are one sample, and sequence s is its
+    replication s, draws s*B'..(s+1)*B'-1.
     """
     n_t = len(neighbor_sets)
     users_of = [[u for u in range(n_t) if v in neighbor_sets[u]] for v in range(n_a)]
@@ -81,21 +81,16 @@ def _expected_estimates(neighbor_sets, n_a, probs, labels, b_prime):
     flat = [v for seq in weights for v in seq]
     users = [u for v in flat for u in users_of[v]]
     offsets = list(itertools.accumulate((len(users_of[v]) for v in flat), initial=0))
-    venues_a = np.array(flat, dtype=np.int64)
-    p_a = np.array([probs[v] for v in flat])
-    offsets_a = np.array(offsets, dtype=np.int64)
-    users_a = np.array(users, dtype=np.int64)
-    degrees_a = np.array([len(neighbor_sets[u]) for u in users], dtype=np.int64)
+    sample = VsaSample(np.array(flat, dtype=np.int64), np.array([probs[v] for v in flat]),
+                       np.array(offsets, dtype=np.int64), np.array(users, dtype=np.int64),
+                       np.array([len(neighbor_sets[u]) for u in users], dtype=np.int64),
+                       [b_prime] * len(weights))
     e_theta = {}
     e_n = 0.0
     for s, weight in enumerate(weights.values()):
-        a, b = s * b_prime, (s + 1) * b_prime
-        lo, hi = offsets[a], offsets[b]
-        if lo == hi:
+        if offsets[s * b_prime] == offsets[(s + 1) * b_prime]:
             continue  # no harvested user: every estimate, n_hat too, is 0
-        sample = VsaSample(venues_a[a:b], p_a[a:b], offsets_a[a:b + 1] - lo,
-                           users_a[lo:hi], degrees_a[lo:hi], b_prime)
-        rep = vsa_theta_unknown_n(sample, labels, n=n_t)
+        rep = vsa_theta_unknown_n(sample, s, labels, n=n_t)
         for l, t in rep.theta_known_n.items():
             e_theta[l] = e_theta.get(l, 0.0) + weight * t
         e_n += weight * rep.n_hat
@@ -400,7 +395,7 @@ def test_criterion_8_rrzi_probability_closure():
     aff = h.affiliation
     label_a = label_table([("a",), (), ()])
 
-    reports = {v: vsa_theta_unknown_n(harvest(aff, [v], [p], 1), label_a, n=3)
+    reports = {v: vsa_theta_unknown_n(harvest(aff, [v], [p], [1]), 0, label_a, n=3)
                for v, p in exact.items()}
     e_theta = sum(exact[v] * rep.theta_known_n.get("a", 0.0) for v, rep in reports.items())
     e_n = sum(exact[v] * rep.n_hat for v, rep in reports.items())
@@ -409,8 +404,8 @@ def test_criterion_8_rrzi_probability_closure():
     # ratio form recovers theta_a from the two expectations
     assert abs((e_theta * 3.0) / e_n - 1.0 / 3.0) < 1e-12
 
-    sample = vs_a_collect(h, zoom_in_distribution(coords, root, 1), 20_000, seed=MASTER_SEED)
-    rep = vsa_theta_unknown_n(sample, label_a, n=h.target.n)
+    sample = vs_a_collect(h, zoom_in_distribution(coords, root, 1), 20_000, seeds=[MASTER_SEED])
+    rep = vsa_theta_unknown_n(sample, 0, label_a, n=h.target.n)
     assert rep.theta["a"] == pytest.approx(1.0 / 3.0, abs=0.02)
     report(8, "closure exact and zoom_in_law equal to it on 4 layouts; "
               "combined sampler unbiased on the enumeration instance", time.time() - t0, 5.0)

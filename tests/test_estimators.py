@@ -33,7 +33,7 @@ from hybridsample.synth import SynthConfig, build_synthetic_hybrid
 
 def make_sample(hybrid, venues, probs):
     """VsaSample for a fixed draw sequence (the enumeration oracle's path)."""
-    return harvest(hybrid.affiliation, venues, [probs[v] for v in venues], len(venues))
+    return harvest(hybrid.affiliation, venues, [probs[v] for v in venues], [len(venues)])
 
 
 # node 0 carries "a"; nodes 1 and 2 carry no label
@@ -52,7 +52,7 @@ def test_known_n_unbiased_two_user_enumeration():
     probs = [0.5, 0.5]
 
     def estimate(seq):
-        return vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=2).theta_known_n.get("a", 0.0)
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), 0, LABEL_A_FIRST_USER, n=2).theta_known_n.get("a", 0.0)
 
     for b_prime in (1, 2):
         expect = exact_vsa_expectations(h.affiliation, probs, LABEL_A_FIRST_USER, b_prime, estimate)
@@ -64,7 +64,7 @@ def test_known_n_all_one_label_expectation_is_one():
     probs = [0.3, 0.7]
 
     def estimate(seq):
-        return vsa_theta_unknown_n(make_sample(h, seq, probs), constant_labels(3, "x"), n=3).theta_known_n.get("x", 0.0)
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), 0, constant_labels(3, "x"), n=3).theta_known_n.get("x", 0.0)
 
     expect = exact_vsa_expectations(h.affiliation, probs, constant_labels(3, "x"), 2, estimate)
     assert expect == pytest.approx(1.0, abs=1e-12)
@@ -76,8 +76,8 @@ def test_estimate_n_single_full_venue_exact():
 
     h = HybridNetwork(Graph(n, [(0, 1)]), Graph(1, []), BipartiteGraph(n, 1, [(u, 0) for u in range(n)]))
     for b_prime in (1, 4):
-        sample = vs_a_collect(h, AuxDistribution(1, [1.0]), b_prime, seed=0)
-        assert vsa_theta_unknown_n(sample, constant_labels(n)).n_hat == pytest.approx(n, abs=1e-12)
+        sample = vs_a_collect(h, AuxDistribution(1, [1.0]), b_prime, seeds=[0])
+        assert vsa_theta_unknown_n(sample, 0, constant_labels(n)).n_hat == pytest.approx(n, abs=1e-12)
 
 
 def test_estimate_n_three_user_enumeration():
@@ -85,7 +85,7 @@ def test_estimate_n_three_user_enumeration():
     probs = [0.5, 0.5]
 
     def estimate(seq):
-        return vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER).n_hat
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), 0, LABEL_A_FIRST_USER).n_hat
 
     for b_prime in (1, 2):
         expect = exact_vsa_expectations(h.affiliation, probs, None, b_prime, estimate)
@@ -94,9 +94,9 @@ def test_estimate_n_three_user_enumeration():
 
 def test_estimate_n_monte_carlo_synthetic():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=300, m1=2, m2=3, m3=5, extra_pairs=300, seed=14))
-    sample = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 10_000, seed=5)
+    sample = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 10_000, seeds=[5])
     covered = len(h.covered_targets())
-    n_hat = vsa_theta_unknown_n(sample, constant_labels(h.target.n)).n_hat
+    n_hat = vsa_theta_unknown_n(sample, 0, constant_labels(h.target.n)).n_hat
     assert n_hat == pytest.approx(covered, rel=0.05)
 
 
@@ -111,10 +111,10 @@ def test_exact_unbiasedness_five_venue_instance():
     theta_a_truth = 1 / 3
 
     def theta_of(seq):
-        return vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), 0, LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
 
     def n_of(seq):
-        return vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER).n_hat
+        return vsa_theta_unknown_n(make_sample(h, seq, probs), 0, LABEL_A_FIRST_USER).n_hat
 
     for b_prime in (1, 2):
         assert exact_vsa_expectations(aff, probs, None, b_prime, theta_of) == pytest.approx(
@@ -127,9 +127,9 @@ def test_duplicating_a_draw_blends_estimate():
     h = three_user_hybrid()
     probs = [0.4, 0.6]
     seq = [0, 1, 1]
-    base = vsa_theta_unknown_n(make_sample(h, seq, probs), LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
-    dup = vsa_theta_unknown_n(make_sample(h, seq + [0], probs), LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
-    solo = vsa_theta_unknown_n(make_sample(h, [0], probs), LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
+    base = vsa_theta_unknown_n(make_sample(h, seq, probs), 0, LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
+    dup = vsa_theta_unknown_n(make_sample(h, seq + [0], probs), 0, LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
+    solo = vsa_theta_unknown_n(make_sample(h, [0], probs), 0, LABEL_A_FIRST_USER, n=3).theta_known_n.get("a", 0.0)
     assert dup == pytest.approx((3 * base + solo) / 4, abs=1e-12)
 
 
@@ -138,9 +138,9 @@ def test_duplicating_a_draw_blends_estimate():
 
 def test_unknown_n_equals_known_n_rescaled():
     h = three_user_hybrid()
-    sample = vs_a_collect(h, AuxDistribution(2), 40, seed=3)
+    sample = vs_a_collect(h, AuxDistribution(2), 40, seeds=[3])
     labeler = LABEL_A_FIRST_USER
-    ratio = vsa_theta_unknown_n(sample, labeler, n=3)
+    ratio = vsa_theta_unknown_n(sample, 0, labeler, n=3)
     _, _, n_hat = reference_theta(sample, [("a",), (), ()], 3)
     assert ratio.n_hat == pytest.approx(n_hat, abs=1e-15)
     for l, v in ratio.theta.items():
@@ -149,8 +149,8 @@ def test_unknown_n_equals_known_n_rescaled():
 
 def test_unknown_n_single_label_is_one():
     h = three_user_hybrid()
-    sample = vs_a_collect(h, AuxDistribution(2), 5, seed=1)
-    rep = vsa_theta_unknown_n(sample, constant_labels(3, "z"))
+    sample = vs_a_collect(h, AuxDistribution(2), 5, seeds=[1])
+    rep = vsa_theta_unknown_n(sample, 0, constant_labels(3, "z"))
     assert rep.theta == {"z": pytest.approx(1.0, abs=1e-12)}
 
 
@@ -158,9 +158,9 @@ def test_unknown_n_no_effective_samples():
     from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
 
     h = HybridNetwork(Graph(1, []), Graph(1, []), BipartiteGraph(1, 1, []))
-    sample = vs_a_collect(h, AuxDistribution(1), 3, seed=0)
+    sample = vs_a_collect(h, AuxDistribution(1), 3, seeds=[0])
     with pytest.raises(RuntimeError, match="no effective samples"):
-        vsa_theta_unknown_n(sample, constant_labels(1))
+        vsa_theta_unknown_n(sample, 0, constant_labels(1))
 
 
 def test_unknown_n_error_shrinks_with_budget():
@@ -172,8 +172,8 @@ def test_unknown_n_error_shrinks_with_budget():
     def mean_abs_err(b_prime, runs=30):
         errs = []
         for r in range(runs):
-            sample = vs_a_collect(h, p, b_prime, seed=1000 + r)
-            rep = vsa_theta_unknown_n(sample, labeler)
+            sample = vs_a_collect(h, p, b_prime, seeds=[1000 + r])
+            rep = vsa_theta_unknown_n(sample, 0, labeler)
             errs.append(abs(rep.theta.get(2, 0.0) - truth[2]))
         return sum(errs) / len(errs)
 
@@ -182,10 +182,10 @@ def test_unknown_n_error_shrinks_with_budget():
 
 def test_unknown_n_scale_free_in_p():
     h = three_user_hybrid()
-    sample = vs_a_collect(h, AuxDistribution(2, [0.25, 0.75]), 30, seed=6)
+    sample = vs_a_collect(h, AuxDistribution(2, [0.25, 0.75]), 30, seeds=[6])
     scaled = dataclasses.replace(sample, p=sample.p * 3.0)
-    a = vsa_theta_unknown_n(sample, LABEL_A_FIRST_USER).theta
-    b = vsa_theta_unknown_n(scaled, LABEL_A_FIRST_USER).theta
+    a = vsa_theta_unknown_n(sample, 0, LABEL_A_FIRST_USER).theta
+    b = vsa_theta_unknown_n(scaled, 0, LABEL_A_FIRST_USER).theta
     for l in a:
         assert a[l] == pytest.approx(b[l], rel=1e-12)
 
@@ -281,7 +281,7 @@ def test_vsa_zero_affiliation_degree_names_node():
     # the check must survive python -O, unlike an assert
     sample = hand_sample([(0, 0.5, (1, 2))], {1: 1, 2: 0})
     with pytest.raises(ValueError, match="harvested node 2 .*affiliation degree 0"):
-        vsa_theta_unknown_n(sample, constant_labels(3))
+        vsa_theta_unknown_n(sample, 0, constant_labels(3))
 
 
 def _random_rows(rng, n):
@@ -317,7 +317,7 @@ def test_label_table_estimators_match_fsum_reference(trial):
     degree = {u: rng.randrange(1, 9) for u in range(n)}
     sample = hand_sample(draws, degree)
     theta, known, n_hat = reference_theta(sample, rows, n)
-    rep = vsa_theta_unknown_n(sample, labels, n=n)
+    rep = vsa_theta_unknown_n(sample, 0, labels, n=n)
     assert (rep.theta, rep.theta_known_n, rep.n_hat) == (theta, known, n_hat)
 
 

@@ -160,14 +160,20 @@ def test_list_views_built_in_prepare_only(method):
     assert attributes(prep.hybrid) == attributes(fresh)
 
 
-@pytest.mark.parametrize("method", ["SRW", "RWT-VSA", "RWT-RWA"])
+@pytest.mark.parametrize("method", ex.METHODS)
 def test_walk_batches_do_not_move_results(tmp_path, monkeypatch, method):
-    cfg = small_cfg(method=method, runs=5, raw_out=str(tmp_path / "raw.csv"))
+    # walks and harvests alike: one batch of 5 replications, then 2, 2 and 1
+    cfg = small_cfg(method=method, runs=5, budget="5%", raw_out=str(tmp_path / "raw.csv"))
     whole = ex.format_result_csv(ex.run_experiment(cfg))
     raw = (tmp_path / "raw.csv").read_text()
-    monkeypatch.setattr(ex, "CHUNK_VISITS", 2 * ex.prepare_experiment(cfg).budget)
-    assert ex.format_result_csv(ex.run_experiment(cfg)) == whole  # batches of 2, 2, 1
+    budget = ex.prepare_experiment(cfg).budget
+    monkeypatch.setattr(ex, "CHUNK_VISITS", 2 * budget)
+    monkeypatch.setattr(ex, "CHUNK_DRAWS", 2 * budget)
+    sizes, batch = [], ex._batch
+    monkeypatch.setattr(ex, "_batch", lambda prep, seeds: sizes.append(len(seeds)) or batch(prep, seeds))
+    assert ex.format_result_csv(ex.run_experiment(cfg)) == whole
     assert (tmp_path / "raw.csv").read_text() == raw
+    assert sizes == [2, 2, 1]
 
 
 def test_zero_jump_walks_start_where_the_plain_walk_does(tmp_path):
@@ -209,6 +215,19 @@ def test_walk_failure_names_replication_across_batches(monkeypatch):
     with pytest.raises(RuntimeError, match=rf"^replication 3 \(seed {failing_seed}\) failed: "
                                            r"absorbing node 9: zero visit weight, so the walk "
                                            r"cannot leave it$"):
+        ex.run_experiment(cfg, prep)
+
+
+@pytest.mark.parametrize("per_batch", [2, 3])
+def test_harvest_failure_names_replication_across_batches(monkeypatch, per_batch):
+    # replication 4's two draws hit auxiliary nodes without affiliation
+    # edges; it is the last batch's first or second replication
+    cfg = small_cfg(method="VS-A", runs=5)
+    prep = ex.prepare_experiment(cfg)
+    failing_seed = replication_seeds(cfg.seed, cfg.runs)[4]
+    monkeypatch.setattr(ex, "CHUNK_DRAWS", per_batch * prep.budget)
+    with pytest.raises(RuntimeError, match=rf"^replication 4 \(seed {failing_seed}\) failed: no effective "
+                                           r"samples: every draw hit an unaffiliated node$"):
         ex.run_experiment(cfg, prep)
 
 
@@ -575,6 +594,23 @@ def test_cli_jump_total_that_overflows_is_config_error(capsys, method, key):
     demo = str(Path(__file__).resolve().parents[1] / "configs" / "demo.cfg")
     assert cli.main(["run", "--config", demo, "--set", f"method={method}", "--set", f"{key}=1e306"]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {key}=1e+306")
+
+
+@pytest.mark.parametrize("sets,key", [
+    (["method=RWT-VSA", "alpha=1e19"], "alpha=1e+19"),
+    (["method=RWT-RWA", "alpha=1e19"], "alpha=1e+19"),
+    (["method=RWT-RWA", "beta=1e19"], "beta=1e+19"),
+    (["method=RWT-RWA", "n_per_graph=60", "extra_pairs=100", "alpha=1e306"], "alpha=1e+306"),
+], ids=["RWT-VSA-alpha", "RWT-RWA-alpha", "RWT-RWA-beta", "RWT-RWA-stall"])
+def test_cli_visit_weight_past_int64_is_config_error(capsys, sets, key):
+    # finite totals, but a visit weight a walk step cannot cast to int64,
+    # or an RWT-RWA walk whose target share rounds to 0, refused before any walk
+    demo = str(Path(__file__).resolve().parents[1] / "configs" / "demo.cfg")
+    args = ["run", "--config", demo, "--set", "runs=2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args + [arg for kv in sets for arg in ("--set", kv)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
 
 
 @pytest.mark.parametrize("method", ["SRW", "VS-A"])

@@ -105,9 +105,9 @@ def test_rrzi_probability_closure_and_match():
     p, calls = zoom_in_law(*idx, ROOT, 3)
     assert p.tolist() == [exact[v] for v in range(20)]
     # the draws of a harvest follow p, and each costs its venue's calls
-    sample = vs_a_collect(path_hybrid(20), zoom_in_distribution(idx, ROOT, 3), 6000, seed=123)
+    sample = vs_a_collect(path_hybrid(20), zoom_in_distribution(idx, ROOT, 3), 6000, seeds=[123])
     assert sample.p.tolist() == p[sample.venues].tolist()
-    assert sample.query_count == calls[sample.venues].sum()
+    assert sample.queries[0] == calls[sample.venues].sum()
     freq = np.bincount(sample.venues, minlength=20) / 6000
     assert np.abs(freq - p).max() < 0.03
 
@@ -176,8 +176,8 @@ def test_rrzi_vsa_single_full_venue_exact():
     h = HybridNetwork(target, aux, aff)
     idx = venues([(0.5, 0.5)])
     truth = ground_truth_theta(target, degree_labels(target.degrees))
-    sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3), 4, seed=2)
-    rep = vsa_theta_unknown_n(sample, degree_labels(target.degrees), n=h.target.n)
+    sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3), 4, seeds=[2])
+    rep = vsa_theta_unknown_n(sample, 0, degree_labels(target.degrees), n=h.target.n)
     for l, t in truth.items():
         assert rep.theta[l] == pytest.approx(t, abs=1e-12)
         assert rep.theta_known_n[l] == pytest.approx(t, abs=1e-12)
@@ -186,10 +186,10 @@ def test_rrzi_vsa_single_full_venue_exact():
 def test_zoom_in_source_harvest_cost_is_api_calls():
     idx = grid_venues(20, seed=8)
     zoom = zoom_in_distribution(idx, ROOT, 3)
-    sample = vs_a_collect(path_hybrid(20), zoom, 30, seed=4)
+    sample = vs_a_collect(path_hybrid(20), zoom, 30, seeds=[4])
     # one uniform of the harvest's stream a draw, as for VS-A
     assert sample.venues.tolist() == zoom.pick(spawn_generator(4, STREAM_AUX).random(30)).tolist()
-    assert sample.query_count == zoom.calls[sample.venues].sum() > 30
+    assert sample.queries[0] == zoom.calls[sample.venues].sum() > 30
 
 
 def test_rrzi_vsa_rejects_venue_outside_auxiliary_graph(monkeypatch):
@@ -251,7 +251,7 @@ def test_rrzi_vsa_lbsn_city_pattern():
     def runs(b_prime, n_runs=25):
         zoom = zoom_in_distribution(idx, root, 20)
         return [
-            vsa_theta_unknown_n(vs_a_collect(h, zoom, b_prime, seed=s), labeler, n=h.target.n)
+            vsa_theta_unknown_n(vs_a_collect(h, zoom, b_prime, seeds=[s]), 0, labeler, n=h.target.n)
             for s in range(n_runs)
         ]
 

@@ -11,7 +11,7 @@ from helpers import hand_sample, label_table, one_walk
 from hybridsample.estimators import vsa_theta_unknown_n, walk_theta
 from hybridsample.geo import Region, zoom_in_law
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
-from hybridsample.samplers import AuxDistribution, compute_qu, harvest
+from hybridsample.samplers import harvest, jump_law
 
 AFF = BipartiteGraph(2, 2, [(0, 0), (1, 0)])
 UNLABELLED = label_table([()] * 4)
@@ -22,13 +22,13 @@ CASES = [
     (lambda: Graph(3, [(1, 1), (0, 5)]), "self-loop at node 1 not allowed"),
     (lambda: BipartiteGraph(2, 2, [(0, 0), (5, 7)]), "left id 5 out of range"),
     (lambda: BipartiteGraph(2, 2, [(0, 7), (5, 0)]), "right id 7 out of range"),
-    (lambda: harvest(AFF, [0, 2], [0.5, 0.0], 2), "venue id 2 is not an auxiliary node"),
-    (lambda: harvest(AFF, [1, 0], [0.0, 0.5], 2),
+    (lambda: harvest(AFF, [0, 2], [0.5, 0.0], [2]), "venue id 2 is not an auxiliary node"),
+    (lambda: harvest(AFF, [1, 0], [0.0, 0.5], [2]),
      "draw of venue 1 with nonpositive probability 0.0"),
-    (lambda: compute_qu(HybridNetwork(Graph(2, [(0, 1)]), Graph(2, []), AFF), AuxDistribution(2)),
-     "unreachable probability mass: auxiliary node 1 has p>0 but no affiliation edges"),
+    (lambda: jump_law(HybridNetwork(Graph(2, [(0, 1)]), Graph(2, []), BipartiteGraph(2, 2, [])), 1.0),
+     "no auxiliary node has affiliation edges"),
     (lambda: vsa_theta_unknown_n(hand_sample([(0, 0.5, (1, 2)), (1, 0.5, (3,))],
-                                             {1: 1, 2: 0, 3: -1}), UNLABELLED),
+                                             {1: 1, 2: 0, 3: -1}), 0, UNLABELLED),
      "harvested node 2 recorded with affiliation degree 0; expected > 0"),
     (lambda: walk_theta(one_walk([0, 2, 1], [1.0, -1.0, math.nan]), 0, UNLABELLED),
      "nonpositive or non-finite visit weight nan at node 2"),
@@ -50,7 +50,7 @@ def test_first_bad_entry_message(call, message):
 RECIPROCAL_CASES = {
     "walk": (lambda: walk_theta(one_walk([0, 1, 2], [1.0, 1e-310, 2.0]), 0, UNLABELLED),
              "visit weight 1e-310 at node 1 has no finite reciprocal"),
-    "harvest": (lambda: harvest(AFF, [1, 0, 1], [0.5, 1e-310, 2e-310], 3),
+    "harvest": (lambda: harvest(AFF, [1, 0, 1], [0.5, 1e-310, 2e-310], [3]),
                 "draw of venue 0 with probability 1e-310 has no finite reciprocal"),
 }
 

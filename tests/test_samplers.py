@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     csr_rows,
     hybrid_rows,
+    jump_target_law,
     left_stationary,
     random_hybrid,
     rwt_vsa_transition_matrix,
@@ -21,7 +22,6 @@ from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
 from hybridsample.samplers import (
     AuxDistribution,
     WalkError,
-    compute_qu,
     fixed_weight_scheme,
     harvest,
     jump_law,
@@ -67,7 +67,7 @@ def test_aux_distribution_calls_default_to_one_without_n_entries():
     assert d.calls.tolist() == [1] * 5 and d.calls.strides == (0,)
     assert not d.calls.flags.writeable
     h = small_synthetic()
-    assert vs_a_collect(h, AuxDistribution(h.auxiliary.n), 7, seed=2).query_count == 7
+    assert vs_a_collect(h, AuxDistribution(h.auxiliary.n), 7, seeds=[2]).queries[0] == 7
     with pytest.raises(ValueError, match="call count"):
         AuxDistribution(2, calls=[1, 1, 1])
 
@@ -91,31 +91,31 @@ def test_aux_distribution_sampling_frequencies():
         assert counts.tolist() == [n_cells * p for p in probs]
 
 
-# ---------------------------------------------------------------- compute_qu
+# ---------------------------------------------------------------- jump weights
 
 
-def test_compute_qu_symmetric_pair():
+def test_jump_law_symmetric_pair():
     h = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0), (1, 0)]))
-    q = compute_qu(h, AuxDistribution(1, [1.0]))
-    assert q.tolist() == [0.5, 0.5]
+    assert jump_law(h, 1.0).total.tolist() == [1.5, 1.5]
 
 
-def test_compute_qu_uncovered_user_gets_zero():
+def test_jump_law_uncovered_user_gets_no_jump_weight():
     h = HybridNetwork(Graph(2, [(0, 1)]), Graph(1, []), BipartiteGraph(2, 1, [(0, 0)]))
-    q = compute_qu(h, AuxDistribution(1, [1.0]))
-    assert q.tolist() == [1.0, 0.0]
+    assert jump_law(h, 1.0).total.tolist() == [2.0, 1.0]
 
 
-def test_compute_qu_sums_to_one_on_synthetic():
+def test_jump_law_weights_sum_to_alpha_on_synthetic():
     h = small_synthetic(40, 60, seed=8)
-    q = compute_qu(h, covered_uniform(h))
+    q = jump_law(h, 1.0).total - h.target.degrees
     assert abs(q.sum() - 1.0) <= 1e-12
 
 
-def test_compute_qu_unreachable_mass():
+def test_jump_law_draws_no_venue_without_affiliation_edges():
+    # auxiliary node 1 has no affiliation edges, so no jump draws it
     h = HybridNetwork(Graph(2, [(0, 1)]), Graph(2, []), BipartiteGraph(2, 2, [(0, 0), (1, 0)]))
-    with pytest.raises(ValueError, match="unreachable probability mass"):
-        compute_qu(h, AuxDistribution(2))
+    law = jump_law(h, 1.0)
+    assert law.venues.tolist() == [0]
+    assert law.total.tolist() == [1.5, 1.5]
 
 
 def test_aux_distribution_accepts_equal_shares_at_scale():
@@ -163,18 +163,18 @@ def test_vsa_collect_full_venue():
     h = HybridNetwork(
         Graph(n, [(0, 1)]), Graph(1, []), BipartiteGraph(n, 1, [(u, 0) for u in range(n)])
     )
-    sample = vs_a_collect(h, AuxDistribution(1, [1.0]), 3, seed=1)
+    sample = vs_a_collect(h, AuxDistribution(1, [1.0]), 3, seeds=[1])
     assert sample.b_prime == 3
     assert sample.offsets.tolist() == [0, n, 2 * n, 3 * n]
     assert sample.users.tolist() == list(range(n)) * 3
     assert sample.p.tolist() == [1.0] * 3
-    assert sample.harvested == 15
-    assert sample.query_count == 3
+    assert len(sample.users) == 15
+    assert sample.queries[0] == 3
 
 
 def test_vsa_collect_isolated_venue_draw_kept():
     h = HybridNetwork(Graph(1, []), Graph(1, []), BipartiteGraph(1, 1, []))
-    sample = vs_a_collect(h, AuxDistribution(1), 2, seed=0)
+    sample = vs_a_collect(h, AuxDistribution(1), 2, seeds=[0])
     assert sample.b_prime == 2
     assert sample.offsets.tolist() == [0, 0, 0]
 
@@ -182,7 +182,7 @@ def test_vsa_collect_isolated_venue_draw_kept():
 def test_vsa_collect_reaches_exactly_covered_nodes():
     h = small_synthetic(30, 40, seed=6)
     aff = h.affiliation
-    sample = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 4000, seed=2)
+    sample = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 4000, seeds=[2])
     reached = set(sample.users.tolist())
     covered = set(np.flatnonzero(aff.left_degrees).tolist())
     assert reached <= covered
@@ -199,26 +199,38 @@ def test_vsa_collect_reaches_exactly_covered_nodes():
 
 def test_vsa_collect_deterministic():
     h = small_synthetic()
-    a = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 50, seed=9)
-    b = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 50, seed=9)
+    a = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 50, seeds=[9])
+    b = vs_a_collect(h, AuxDistribution(h.auxiliary.n), 50, seeds=[9])
     assert a.venues.tolist() == b.venues.tolist()
 
 
 def test_vsa_collect_reads_one_aux_uniform_a_draw():
     h = small_synthetic(30, 40, seed=6)
     p = covered_uniform(h)
-    sample = vs_a_collect(h, p, 300, seed=11)
+    sample = vs_a_collect(h, p, 300, seeds=[11])
     venues = p.pick(spawn_generator(11, STREAM_AUX).random(300))
     assert sample.venues.tolist() == venues.tolist()
     assert sample.p.tolist() == p.probs[venues].tolist()
 
 
+def test_vsa_collect_batch_equals_lone_collections():
+    # each replication reads its own seed's stream and pays its own draws
+    h = small_synthetic(30, 40, seed=6)
+    p = AuxDistribution(h.auxiliary.n, calls=np.arange(h.auxiliary.n) % 4 + 1)
+    batch = vs_a_collect(h, p, 25, seeds=[3, 4, 5])
+    assert batch.b_prime == 25
+    lone = [vs_a_collect(h, p, 25, seeds=[s]) for s in (3, 4, 5)]
+    assert batch.venues.tolist() == [v for one in lone for v in one.venues.tolist()]
+    assert batch.users.tolist() == [u for one in lone for u in one.users.tolist()]
+    assert batch.queries == [one.queries[0] for one in lone]
+
+
 def test_harvest_rejects_bad_draws():
     aff = BipartiteGraph(2, 2, [(0, 0), (1, 0)])
     with pytest.raises(ValueError, match="venue id 2 is not an auxiliary node"):
-        harvest(aff, [0, 2], [0.5, 0.5], 2)
+        harvest(aff, [0, 2], [0.5, 0.5], [2])
     with pytest.raises(ValueError, match="venue 1 with nonpositive probability 0.0"):
-        harvest(aff, [0, 1], [0.5, 0.0], 2)
+        harvest(aff, [0, 1], [0.5, 0.0], [2])
 
 
 # ---------------------------------------------------------------- simple walk
@@ -670,7 +682,7 @@ def _case_trace(h, method, alpha, beta):
         batch, omega = rwt_vsa_run(h.target, 3000, [start], [4]), np.zeros(h.target.n)
     elif method == "RWT-VSA":
         batch = rwt_vsa_run(h.target, 3000, [start], [4], jump_law(h, alpha_total))
-        omega = alpha_total * compute_qu(h, covered_uniform(h))
+        omega = alpha_total * jump_target_law(h, covered_uniform(h))
     else:
         q = np.zeros(h.target.n)
         q[covered] = 1.0 / len(covered)
