@@ -140,7 +140,7 @@ def vsa_theta_unknown_n(sample: VsaSample, r: int, labels: LabelTable, n: int | 
 
 
 def walk_theta(batch: WalkBatch, r: int, labels: LabelTable) -> EstimateReport:
-    """Ratio estimator over the target visits x_i of walk r of ``batch``:
+    """Ratio estimator over walk r's target visits x_i, ``batch.visits(r)``:
 
         theta_hat_l = sum_i 1{l in L(x_i)}/w_i  /  sum_i 1/w_i
 
@@ -148,8 +148,7 @@ def walk_theta(batch: WalkBatch, r: int, labels: LabelTable) -> EstimateReport:
     plain degree for a simple walk).  ``target_samples`` counts the visits,
     which are fewer than the budget for the hybrid walk.
     """
-    column = batch.nodes[:, r]
-    nodes = column[column < batch.n_target]
+    nodes = batch.visits(r)[0]
     if not len(nodes):
         raise ValueError(f"walk {r} has no target visit")
     weights = batch.weight[nodes]

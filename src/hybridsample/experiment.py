@@ -284,7 +284,7 @@ def build_network(cfg: ExperimentConfig, venues: bool = False):
 
 
 def label_truth(cfg: ExperimentConfig, target) -> tuple:
-    """The target graph's node labels of kind ``cfg.label`` and their ground truth."""
+    """The target graph's labels of kind ``cfg.label``, one per node, and their ground truth."""
     if cfg.label == "degree":
         degrees = target.degrees
     else:
@@ -292,7 +292,7 @@ def label_truth(cfg: ExperimentConfig, target) -> tuple:
         arcs = orient_edges(target, cfg.seed)
         degrees = np.bincount(arcs[:, 1 if cfg.label == "in-degree" else 0], minlength=target.n)
     labels = degree_labels(degrees)
-    return labels, ground_truth_theta(target, labels)
+    return labels, ground_truth_theta(labels)
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:

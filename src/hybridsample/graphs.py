@@ -176,47 +176,37 @@ class HybridNetwork:
 
 
 class LabelTable:
-    """The labels L(u) of every node, given as a CSR of integer codes:
-    node u carries ``values[c]`` for each c in ``codes[indptr[u]:indptr[u + 1]]``,
-    a node may carry several labels or none, and ``values`` holds the label
-    values as Python objects, so estimates are keyed by them.  The table
-    keeps the codes only as ``slots``: ``slots[j, u]`` is 1 + the code of
-    node u's j-th label, 0 where u has fewer, so the estimators gather the
-    codes of many visits with one take.
+    """The labels L(u) of every node, as one (J, n) int array ``slots``:
+    ``slots[j, u]`` is 1 + the code of node u's j-th label, and 0 means no
+    label, so a node may carry several labels or none.  Code c stands for
+    ``values[c]``, a Python object, so estimates are keyed by the values.
+    The estimators gather the codes of many visits with one take.
     """
 
-    def __init__(self, indptr, codes, values: Sequence):
-        indptr = np.asarray(indptr, dtype=np.int64)
-        codes = np.asarray(codes, dtype=np.int64)
+    def __init__(self, slots, values: Sequence):
+        self.slots = np.asarray(slots, dtype=np.int64)
         self.values = list(values)
-        per_node = indptr[1:] - indptr[:-1]
-        if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(codes) or (per_node < 0).any():
-            raise ValueError("indptr must run from 0 to len(codes) without decreasing")
-        if len(codes) and not 0 <= codes.min() <= codes.max() < len(self.values):
-            raise ValueError("label codes out of range")
-        self.n = len(per_node)
-        self.slots = np.zeros((max(1, int(per_node.max(initial=0))), self.n), dtype=np.int64)
-        node = np.repeat(np.arange(self.n), per_node)
-        self.slots[np.arange(len(codes)) - indptr[node], node] = codes + 1
+        if self.slots.ndim != 2 or len(self.slots) == 0:
+            raise ValueError("slots must be a (J, n) array with J >= 1")
+        if self.slots.size and not 0 <= self.slots.min() <= self.slots.max() <= len(self.values):
+            raise ValueError(f"label slots out of range [0, {len(self.values)}]")
+        self.n = self.slots.shape[1]
 
 
-def ground_truth_theta(graph: Graph, labels: LabelTable) -> dict:
-    """Exhaustive label fractions {l: theta_l}, theta_l = (1/n) * #{u : l in L(u)}.
+def ground_truth_theta(labels: LabelTable) -> dict:
+    """Exhaustive label fractions {l: theta_l}, theta_l = #{u : l in L(u)} / labels.n.
 
     Labels that no node carries are omitted.  The counts are integers, so
     every fraction is exactly rounded.
     """
-    if graph.n == 0:
+    if labels.n == 0:
         raise ValueError("empty target graph")
-    if labels.n != graph.n:
-        raise ValueError(f"label table covers {labels.n} nodes, graph has {graph.n}")
     counts = np.bincount(labels.slots.ravel(), minlength=len(labels.values) + 1)[1:].tolist()
-    return {l: c / graph.n for l, c in zip(labels.values, counts) if c}
+    return {l: c / labels.n for l, c in zip(labels.values, counts) if c}
 
 
 def degree_labels(degrees) -> LabelTable:
     """One label per node: node u's label is the count ``degrees[u]``."""
     d = np.asarray(degrees, dtype=np.int64)
     present = np.bincount(d) > 0
-    codes = (np.cumsum(present) - 1)[d]
-    return LabelTable(np.arange(len(d) + 1), codes, np.flatnonzero(present).tolist())
+    return LabelTable(np.cumsum(present)[d][None], np.flatnonzero(present).tolist())

@@ -182,8 +182,9 @@ class WalkBatch:
     def visits(self, r: int) -> tuple:
         """Walk r's target visits in order: (nodes, jumped), an int64 and a
         bool array."""
-        visit = self.nodes[:, r] < self.n_target
-        return self.nodes[visit, r], self.flags[visit, r]
+        column = self.nodes[:, r]
+        visit = column < self.n_target
+        return column[visit], self.flags[:, r][visit]
 
 
 class WalkError(RuntimeError):

@@ -50,14 +50,14 @@ def edges(graph: Graph) -> list:
 
 def label_table(rows) -> LabelTable:
     """The LabelTable of one iterable of labels per node, in node order; a
-    label's code is the order of its first appearance."""
+    label's code is the order of its first appearance.  Each node's slots
+    are 1 + its codes, padded with 0, in at least one row."""
     index: dict = {}
-    codes = []
-    indptr = [0]
-    for row in rows:
-        codes.extend(index.setdefault(l, len(index)) for l in row)
-        indptr.append(len(codes))
-    return LabelTable(indptr, codes, index)
+    columns = [[index.setdefault(l, len(index)) + 1 for l in row] for row in rows]
+    slots = np.zeros((max([1, *map(len, columns)]), len(columns)), dtype=np.int64)
+    for u, column in enumerate(columns):
+        slots[:len(column), u] = column
+    return LabelTable(slots, index)
 
 
 def labels_of(table, u: int) -> tuple:

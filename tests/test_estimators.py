@@ -18,7 +18,7 @@ from helpers import (
 )
 from hybridsample import estimators
 from hybridsample.estimators import nrmse, vsa_theta_unknown_n, walk_theta
-from hybridsample.graphs import Graph, degree_labels, ground_truth_theta
+from hybridsample.graphs import LabelTable, degree_labels, ground_truth_theta
 from hybridsample.samplers import (
     AuxDistribution,
     fixed_weight_scheme,
@@ -165,7 +165,7 @@ def test_unknown_n_no_effective_samples():
 
 def test_unknown_n_error_shrinks_with_budget():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=400, m1=2, m2=3, m3=5, extra_pairs=400, seed=4))
-    truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
+    truth = ground_truth_theta(degree_labels(h.target.degrees))
     labeler = degree_labels(h.target.degrees)
     p = AuxDistribution(h.auxiliary.n)
 
@@ -212,7 +212,7 @@ def _pooled_walk(batch, burn_in: int):
 
 def test_walk_theta_long_run_rwt_vsa():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=12, seed=2))
-    truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
+    truth = ground_truth_theta(degree_labels(h.target.degrees))
     # 1000 lockstep walks, 50 from each node: 1e6 visits after burn-in
     walks = 1000
     batch = rwt_vsa_run(h.target, 1300, np.arange(walks) % h.target.n,
@@ -225,7 +225,7 @@ def test_walk_theta_long_run_rwt_vsa():
 def test_walk_theta_simple_rw_reweighted():
     h = build_synthetic_hybrid(SynthConfig(n_per_graph=10, m1=2, m2=3, m3=4, extra_pairs=12, seed=2))
     # bridge makes the target connected, so the degree-weighted walk covers it
-    truth = ground_truth_theta(h.target, degree_labels(h.target.degrees))
+    truth = ground_truth_theta(degree_labels(h.target.degrees))
     # 1000 lockstep walks, 50 from each node: 1e6 visits after burn-in
     walks = 1000
     batch = rwt_vsa_run(h.target, 1300, np.arange(walks) % h.target.n,
@@ -301,7 +301,7 @@ def test_label_table_estimators_match_fsum_reference(trial):
     for row in rows:
         for l in row:
             counts[l] = counts.get(l, 0) + 1
-    assert ground_truth_theta(Graph(n), labels) == {l: c / n for l, c in counts.items()}
+    assert ground_truth_theta(labels) == {l: c / n for l, c in counts.items()}
 
     steps = rng.randrange(1, 400)
     nodes = [rng.randrange(n) for _ in range(steps)]
@@ -375,6 +375,18 @@ def test_label_sums_near_the_float_limit_match_fsum(monkeypatch, limb_min):
             _fsum_by_label(rows, nodes, terms)
         with pytest.raises(OverflowError):
             estimators._label_sums(labels, np.array(nodes), np.array(terms))
+
+
+@BOTH_PATHS
+def test_zero_slot_before_a_label_adds_to_no_label(monkeypatch, limb_min):
+    monkeypatch.setattr(estimators, "LIMB_SUMS_MIN", limb_min)
+    # node 0's first slot is empty and its second holds "a", a gap that no
+    # per-node list of codes can give: node 0 carries "a" alone
+    gap = LabelTable([[0, 1, 2], [1, 0, 0]], ["a", "b"])
+    same = label_table([("a",), ("a",), ("b",)])
+    assert ground_truth_theta(gap) == ground_truth_theta(same) == {"a": 2 / 3, "b": 1 / 3}
+    nodes, terms = np.array([0, 0, 1, 2]), np.array([1.0, 2.0, 4.0, 8.0])
+    assert estimators._label_sums(gap, nodes, terms) == ({"a": 7.0, "b": 8.0}, 15.0)
 
 
 # ------------------------------------------------------------ NRMSE

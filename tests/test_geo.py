@@ -175,7 +175,7 @@ def test_rrzi_vsa_single_full_venue_exact():
     aff = BipartiteGraph(n, 1, [(u, 0) for u in range(n)])
     h = HybridNetwork(target, aux, aff)
     idx = venues([(0.5, 0.5)])
-    truth = ground_truth_theta(target, degree_labels(target.degrees))
+    truth = ground_truth_theta(degree_labels(target.degrees))
     sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3), 4, seeds=[2])
     rep = vsa_theta_unknown_n(sample, 0, degree_labels(target.degrees), n=h.target.n)
     for l, t in truth.items():
@@ -246,7 +246,7 @@ def test_rrzi_vsa_lbsn_city_pattern():
     h = HybridNetwork(social, Graph(n_venues, []), BipartiteGraph(n_users, n_venues, sorted(pairs)))
     root = bounding_region(*idx)
     labeler = degree_labels(social.degrees)
-    truth = ground_truth_theta(social, labeler)
+    truth = ground_truth_theta(labeler)
 
     def runs(b_prime, n_runs=25):
         zoom = zoom_in_distribution(idx, root, 20)
