@@ -1,7 +1,7 @@
 """Indirect graph sampling on hybrid social-affiliation networks."""
 
 from .estimators import (
-    EstimateReport,
+    BatchEstimate,
     nrmse,
     vsa_theta_unknown_n,
     walk_theta,

@@ -4,8 +4,8 @@ A config names a network source (synthetic, plain files, or LBSN-style
 files), one sampling method, its parameters, and the replication count.
 ``run_experiment`` builds the network once, computes ground truth, runs the
 replications with seeds derived from the master seed in lockstep batches
-(walks or harvests, one estimate per replication), and aggregates
-per-label mean estimates and NRMSE.  Consecutive experiments on
+(walks or harvests, one estimate array per batch), and aggregates
+per-label mean estimates and NRMSE column by column.  Consecutive experiments on
 one synthetic network or one set of files share one build (``shared_network``).
 
 Jump-strength units: config ``alpha``/``beta`` are per-node (an alpha of 1
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geo, ingest
 from ._tokens import InputError
-from .estimators import nrmse, vsa_theta_unknown_n, walk_theta
+from .estimators import BatchEstimate, nrmse, vsa_theta_unknown_n, walk_theta
 from .graphs import HybridNetwork, LabelTable, degree_labels, ground_truth_theta
 from .samplers import (
     AuxDistribution,
@@ -335,7 +335,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
 
 def _batch(prep: PreparedExperiment, seeds: list) -> tuple:
     """(batch, estimator) of the replications of ``seeds``, run as one
-    lockstep batch: ``estimator(batch, r, labels)`` estimates replication r.
+    lockstep batch: ``estimator(batch, labels)`` estimates all of them.
 
     A walk starts at a target node of positive visit weight, picked by u_0,
     the first uniform of its seed's STREAM_WALK_START, separate from the
@@ -364,29 +364,27 @@ def _per_batch(prep: PreparedExperiment) -> int:
     return max(1, chunk // prep.budget)
 
 
-def replicate(prep: PreparedExperiment, seeds: list) -> list:
-    """Estimates of the replications of ``seeds``, in order, from lockstep
-    batches of at most _per_batch replications (_batch).  Replication 0's
-    walk trace goes to trace_out.  A failure raises RuntimeError naming the
-    replication and its seed.
+def replicate(prep: PreparedExperiment, seeds: list) -> BatchEstimate:
+    """Estimates of the replications of ``seeds``, row r replication r,
+    stacked from lockstep batches of at most _per_batch replications
+    (_batch).  Replication 0's walk trace goes to trace_out.  A failure
+    raises RuntimeError naming the replication, the ``replication`` the
+    error carries (0 without one), and its seed.
     """
     per_batch = _per_batch(prep)
-    reports = []
+    parts = []
     for lo in range(0, len(seeds), per_batch):
         chunk = seeds[lo:lo + per_batch]
-        r = 0
         try:
             batch, estimate = _batch(prep, chunk)
-            for r in range(len(chunk)):
-                reports.append(estimate(batch, r, prep.labels))
+            parts.append(estimate(batch, prep.labels))
         except Exception as exc:
-            reason = exc
-            if isinstance(exc, WalkError):
-                r, reason = exc.replication, exc.reason
+            r = getattr(exc, "replication", 0)
+            reason = exc.reason if isinstance(exc, WalkError) else exc
             raise RuntimeError(f"replication {lo + r} (seed {chunk[r]}) failed: {reason}") from exc
         if lo == 0 and prep.cfg.trace_out:
             write_trace(batch, prep.cfg.trace_out)
-    return reports
+    return BatchEstimate.concat(parts)
 
 
 @dataclass
@@ -428,39 +426,45 @@ def run_experiment(cfg: ExperimentConfig, prep: PreparedExperiment | None = None
         keys = [f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(prep.cfg, f.name)]
         raise ValueError(f"prep was prepared from a config that differs in {', '.join(keys)}")
     seeds = replication_seeds(cfg.seed, cfg.runs)
-    reports = replicate(prep, seeds)
+    est = replicate(prep, seeds)
+    # the estimates' columns of the labels with a truth, in label order
+    labels = sorted(prep.truth)
+    column = {l: c for c, l in enumerate(est.labels)}
+    columns = [column[l] for l in labels]
+    theta = est.theta[:, columns]
+    truths = [prep.truth[l] for l in labels]
 
     if cfg.raw_out:
+        # a replication's lines are the labels it saw
+        heads = [f"{cfg.method},{l}," for l in labels]
+        tails = [f",{t!r},{prep.budget}," for t in truths]
         with open(cfg.raw_out, "w", encoding="utf-8") as fh:
             fh.write("method,label,theta_hat,theta_true,budget,seed\n")
-            for rep_seed, rep in zip(seeds, reports):
-                for l in sorted(rep.theta):
-                    fh.write(f"{cfg.method},{l},{rep.theta[l]!r},{prep.truth[l]!r},"
-                             f"{prep.budget},{rep_seed}\n")
+            for rep_seed, row, seen in zip(seeds, theta.tolist(), est.seen[:, columns].tolist()):
+                fh.writelines(f"{head}{t!r}{tail}{rep_seed}\n"
+                              for head, t, tail, s in zip(heads, row, tails, seen) if s)
 
-    runs = len(reports)
-    samples = math.fsum(rep.target_samples for rep in reports) / runs
-    queries = math.fsum(rep.query_count for rep in reports) / runs
-    rows = []
-    for label in sorted(prep.truth):
-        t_true = prep.truth[label]
-        estimates = [rep.theta.get(label, 0.0) for rep in reports]
-        rows.append(
-            ResultRow(
-                method=cfg.method,
-                label=label,
-                theta_true=t_true,
-                mean_estimate=math.fsum(estimates) / runs,
-                nrmse=nrmse(estimates, t_true),
-                runs=cfg.runs,
-                budget=prep.budget,
-                alpha=cfg.alpha,
-                beta=cfg.beta,
-                seed=cfg.seed,
-                target_samples=samples,
-                query_count=queries,
-            )
+    runs = len(seeds)
+    samples = math.fsum(est.target_samples.tolist()) / runs
+    queries = math.fsum(est.query_count.tolist()) / runs
+    means = [math.fsum(estimates) / runs for estimates in theta.T.tolist()]
+    rows = [
+        ResultRow(
+            method=cfg.method,
+            label=label,
+            theta_true=t_true,
+            mean_estimate=mean,
+            nrmse=error,
+            runs=cfg.runs,
+            budget=prep.budget,
+            alpha=cfg.alpha,
+            beta=cfg.beta,
+            seed=cfg.seed,
+            target_samples=samples,
+            query_count=queries,
         )
+        for label, t_true, mean, error in zip(labels, truths, means, nrmse(theta, truths).tolist())
+    ]
     return ResultTable(rows)
 
 

@@ -179,12 +179,10 @@ class WalkBatch:
     def __len__(self) -> int:
         return self.nodes.size
 
-    def visits(self, r: int) -> tuple:
-        """Walk r's target visits in order: (nodes, jumped), an int64 and a
-        bool array."""
-        column = self.nodes[:, r]
-        visit = column < self.n_target
-        return column[visit], self.flags[:, r][visit]
+    def visits(self, r: int) -> np.ndarray:
+        """Walk r's target visits: the bool mask over its steps, true where
+        ``nodes[t, r]`` is a target node."""
+        return self.nodes[:, r] < self.n_target
 
 
 class WalkError(RuntimeError):
@@ -252,8 +250,9 @@ def _check_absorbing(weight: np.ndarray, nodes: np.ndarray) -> None:
 
 def write_trace(batch: WalkBatch, path) -> None:
     """Export walk 0's target visits as line-oriented records: step,node,weight,jumped."""
-    nodes, jumped = batch.visits(0)
-    rows = zip(nodes.tolist(), batch.weight[nodes].tolist(), jumped.tolist())
+    visit = batch.visits(0)
+    nodes = batch.nodes[:, 0][visit]
+    rows = zip(nodes.tolist(), batch.weight[nodes].tolist(), batch.flags[:, 0][visit].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,node,weight,jumped\n")
         for i, (x, w, j) in enumerate(rows):

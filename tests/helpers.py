@@ -153,6 +153,13 @@ def one_walk(nodes, weight) -> WalkBatch:
     return WalkBatch(steps, flags, np.asarray(weight, dtype=float), [len(steps)], len(weight))
 
 
+def walk_visits(batch: WalkBatch, r: int) -> tuple:
+    """Walk r's target visits in order, at the steps ``batch.visits(r)``
+    marks: (nodes, jumped), an int64 and a bool array."""
+    visit = batch.visits(r)
+    return batch.nodes[:, r][visit], batch.flags[:, r][visit]
+
+
 def reference_walk_theta(nodes, weights, rows) -> dict:
     """walk_theta one visit at a time: per label, the math.fsum of 1/w_i
     over the visits whose node carries it (``rows[x]`` holds the labels of

@@ -24,6 +24,7 @@ from helpers import (
     stationary_solve,
     three_user_hybrid,
     venues,
+    walk_visits,
     zoom_in_distribution,
 )
 from hybridsample import experiment as ex
@@ -66,8 +67,9 @@ def _expected_estimates(neighbor_sets, n_a, probs, labels, b_prime):
 
     A draw of venue v harvests the users whose venue set in
     ``neighbor_sets`` holds v, each recorded with its set size as degree.
-    The draws of all sequences are one sample, and sequence s is its
-    replication s, draws s*B'..(s+1)*B'-1.
+    A sequence that harvests no user estimates 0, n_hat too; the draws of
+    all the others are one sample, the s-th of them its replication s,
+    draws s*B'..(s+1)*B'-1, and one estimator call estimates them all.
     """
     n_t = len(neighbor_sets)
     users_of = [[u for u in range(n_t) if v in neighbor_sets[u]] for v in range(n_a)]
@@ -76,8 +78,10 @@ def _expected_estimates(neighbor_sets, n_a, probs, labels, b_prime):
         weight = 1.0
         for v in seq:
             weight *= probs[v]
-        if weight != 0.0:
+        if weight != 0.0 and any(users_of[v] for v in seq):
             weights[seq] = weight
+    if not weights:
+        return {}, 0.0
     flat = [v for seq in weights for v in seq]
     users = [u for v in flat for u in users_of[v]]
     offsets = list(itertools.accumulate((len(users_of[v]) for v in flat), initial=0))
@@ -85,16 +89,10 @@ def _expected_estimates(neighbor_sets, n_a, probs, labels, b_prime):
                        np.array(offsets, dtype=np.int64), np.array(users, dtype=np.int64),
                        np.array([len(neighbor_sets[u]) for u in users], dtype=np.int64),
                        [b_prime] * len(weights))
-    e_theta = {}
-    e_n = 0.0
-    for s, weight in enumerate(weights.values()):
-        if offsets[s * b_prime] == offsets[(s + 1) * b_prime]:
-            continue  # no harvested user: every estimate, n_hat too, is 0
-        rep = vsa_theta_unknown_n(sample, s, labels, n=n_t)
-        for l, t in rep.theta_known_n.items():
-            e_theta[l] = e_theta.get(l, 0.0) + weight * t
-        e_n += weight * rep.n_hat
-    return e_theta, e_n
+    est = vsa_theta_unknown_n(sample, labels, n=n_t)
+    # an unseen label's known-n estimate is 0.0, adding nothing
+    w = np.array(list(weights.values()))
+    return dict(zip(est.labels, (w @ est.theta_known_n).tolist())), float(w @ est.n_hat)
 
 
 def test_criterion_1_exact_unbiasedness():
@@ -282,7 +280,7 @@ def test_criterion_5_reduction_identities():
 
     ws = fixed_weight_scheme(h, 0.0, 0.0)
     coupled = rwt_rwa_run(h, ws, 5000, [17], [MASTER_SEED])
-    nodes, _ = coupled.visits(0)
+    nodes, _ = walk_visits(coupled, 0)
     assert np.array_equal(nodes, plain.nodes[:, 0])
     assert np.array_equal(coupled.weight[nodes], plain.weight[nodes])
     report(5, "alpha=0 and alpha=beta=0 walks are trace-identical to the plain walk", time.time() - t0, 30.0)
@@ -308,10 +306,10 @@ def test_criterion_6_convergence():
                 alpha=alpha, beta=beta, **DESK,
             )
             prep = ex.prepare_experiment(cfg)
-            reps = ex.replicate(prep, replication_seeds(cfg.seed, cfg.runs))
+            est = ex.replicate(prep, replication_seeds(cfg.seed, cfg.runs))
             for label in (2, 12):
                 truth = prep.truth[label]
-                ests = np.array([r.theta.get(label, 0.0) for r in reps])
+                ests = est.theta[:, est.labels.index(label)]  # 0.0 where unseen
                 maes[label].append(float(np.mean(np.abs(ests - truth))))
                 if budget == "5%":
                     final_rel_err[label] = abs(float(ests.mean()) - truth) / truth
@@ -395,18 +393,18 @@ def test_criterion_8_rrzi_probability_closure():
     aff = h.affiliation
     label_a = label_table([("a",), (), ()])
 
-    reports = {v: vsa_theta_unknown_n(harvest(aff, [v], [p], [1]), 0, label_a, n=3)
+    reports = {v: vsa_theta_unknown_n(harvest(aff, [v], [p], [1]), label_a, n=3)
                for v, p in exact.items()}
-    e_theta = sum(exact[v] * rep.theta_known_n.get("a", 0.0) for v, rep in reports.items())
-    e_n = sum(exact[v] * rep.n_hat for v, rep in reports.items())
+    e_theta = sum(exact[v] * rep.theta_of(0, known_n=True).get("a", 0.0) for v, rep in reports.items())
+    e_n = sum(exact[v] * rep.n_hat[0] for v, rep in reports.items())
     assert abs(e_theta - 1.0 / 3.0) < 1e-12        # theta_a over all 3 users
     assert abs(e_n - 3.0) < 1e-12                  # all users are covered
     # ratio form recovers theta_a from the two expectations
     assert abs((e_theta * 3.0) / e_n - 1.0 / 3.0) < 1e-12
 
     sample = vs_a_collect(h, zoom_in_distribution(coords, root, 1), 20_000, seeds=[MASTER_SEED])
-    rep = vsa_theta_unknown_n(sample, 0, label_a, n=h.target.n)
-    assert rep.theta["a"] == pytest.approx(1.0 / 3.0, abs=0.02)
+    rep = vsa_theta_unknown_n(sample, label_a, n=h.target.n)
+    assert rep.theta_of(0)["a"] == pytest.approx(1.0 / 3.0, abs=0.02)
     report(8, "closure exact and zoom_in_law equal to it on 4 layouts; "
               "combined sampler unbiased on the enumeration instance", time.time() - t0, 5.0)
 
@@ -436,7 +434,7 @@ def test_criterion_9_disconnection_robustness():
 
     seeds = replication_seeds(MASTER_SEED, walks)
     batch = rwt_rwa_run(h, ws, budget, [start] * walks, seeds)
-    share = np.array([np.mean(batch.visits(r)[0] < n_half) for r in range(walks)])
+    share = np.array([np.mean(walk_visits(batch, r)[0] < n_half) for r in range(walks)])
     weight = h.target.degrees.astype(float)
     weight[covered] += alpha / len(covered)
     exact = weight[:n_half].sum() / weight.sum()

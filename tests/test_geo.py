@@ -177,10 +177,11 @@ def test_rrzi_vsa_single_full_venue_exact():
     idx = venues([(0.5, 0.5)])
     truth = ground_truth_theta(degree_labels(target.degrees))
     sample = vs_a_collect(h, zoom_in_distribution(idx, ROOT, 3), 4, seeds=[2])
-    rep = vsa_theta_unknown_n(sample, 0, degree_labels(target.degrees), n=h.target.n)
+    rep = vsa_theta_unknown_n(sample, degree_labels(target.degrees), n=h.target.n)
+    theta, known = rep.theta_of(0), rep.theta_of(0, known_n=True)
     for l, t in truth.items():
-        assert rep.theta[l] == pytest.approx(t, abs=1e-12)
-        assert rep.theta_known_n[l] == pytest.approx(t, abs=1e-12)
+        assert theta[l] == pytest.approx(t, abs=1e-12)
+        assert known[l] == pytest.approx(t, abs=1e-12)
 
 
 def test_zoom_in_source_harvest_cost_is_api_calls():
@@ -251,7 +252,7 @@ def test_rrzi_vsa_lbsn_city_pattern():
     def runs(b_prime, n_runs=25):
         zoom = zoom_in_distribution(idx, root, 20)
         return [
-            vsa_theta_unknown_n(vs_a_collect(h, zoom, b_prime, seeds=[s]), 0, labeler, n=h.target.n)
+            vsa_theta_unknown_n(vs_a_collect(h, zoom, b_prime, seeds=[s]), labeler, n=h.target.n).theta_of(0)
             for s in range(n_runs)
         ]
 
@@ -261,12 +262,12 @@ def test_rrzi_vsa_lbsn_city_pattern():
 
     small, large = runs(40), runs(640)
     def mean_err(reports, label):
-        return np.mean([abs(r.theta.get(label, 0.0) - truth[label]) for r in reports])
+        return np.mean([abs(r.get(label, 0.0) - truth[label]) for r in reports])
 
     # estimates tighten as the number of draws grows
     assert mean_err(large, 2) < mean_err(small, 2)
     # low-degree labels are estimated better than high-degree ones
-    nr = {l: nrmse([r.theta.get(l, 0.0) for r in large], truth[l]) for l in low + high}
+    nr = {l: nrmse([r.get(l, 0.0) for r in large], truth[l]) for l in low + high}
     assert np.mean([nr[l] for l in low]) < np.mean([nr[l] for l in high])
 
 

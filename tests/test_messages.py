@@ -28,9 +28,9 @@ CASES = [
     (lambda: jump_law(HybridNetwork(Graph(2, [(0, 1)]), Graph(2, []), BipartiteGraph(2, 2, [])), 1.0),
      "no auxiliary node has affiliation edges"),
     (lambda: vsa_theta_unknown_n(hand_sample([(0, 0.5, (1, 2)), (1, 0.5, (3,))],
-                                             {1: 1, 2: 0, 3: -1}), 0, UNLABELLED),
+                                             {1: 1, 2: 0, 3: -1}), UNLABELLED),
      "harvested node 2 recorded with affiliation degree 0; expected > 0"),
-    (lambda: walk_theta(one_walk([0, 2, 1], [1.0, -1.0, math.nan]), 0, UNLABELLED),
+    (lambda: walk_theta(one_walk([0, 2, 1], [1.0, -1.0, math.nan]), UNLABELLED),
      "nonpositive or non-finite visit weight nan at node 2"),
     (lambda: zoom_in_law([0.0, 95.0, math.nan], [0.0, 0.0, math.nan], Region(-1, 1, -1, 1), 1),
      "node 1: venue coordinates (95.0, 0.0) out of range"),
@@ -48,7 +48,7 @@ def test_first_bad_entry_message(call, message):
 # with no numpy overflow warning first; kept out of CASES, where the draw
 # message's first word would clash with the id of the nonpositive draw case
 RECIPROCAL_CASES = {
-    "walk": (lambda: walk_theta(one_walk([0, 1, 2], [1.0, 1e-310, 2.0]), 0, UNLABELLED),
+    "walk": (lambda: walk_theta(one_walk([0, 1, 2], [1.0, 1e-310, 2.0]), UNLABELLED),
              "visit weight 1e-310 at node 1 has no finite reciprocal"),
     "harvest": (lambda: harvest(AFF, [1, 0, 1], [0.5, 1e-310, 2e-310], [3]),
                 "draw of venue 0 with probability 1e-310 has no finite reciprocal"),

@@ -16,6 +16,7 @@ from helpers import (
     rwt_vsa_weight,
     stationary_rwt_vsa,
     stationary_solve,
+    walk_visits,
 )
 from hybridsample import samplers
 from hybridsample.graphs import BipartiteGraph, Graph, HybridNetwork
@@ -241,7 +242,7 @@ ABSORBING_2 = "absorbing node 2: zero visit weight, so the walk cannot leave it"
 
 def test_simple_rw_path_transition_probabilities():
     g = Graph(3, [(0, 1), (1, 2)])
-    nodes, _ = rwt_vsa_run(g, 40_001, [1], [3]).visits(0)
+    nodes, _ = walk_visits(rwt_vsa_run(g, 40_001, [1], [3]), 0)
     nxt = [nodes[i + 1] for i in range(len(nodes) - 1) if nodes[i] == 1]
     frac0 = nxt.count(0) / len(nxt)
     assert set(nxt) <= {0, 2}
@@ -488,7 +489,7 @@ def test_rwt_rwa_zero_jump_reduction():
     ref = rwt_vsa_run(h.target, 4000, [5], [42])
     for beta in (0.0, 1.0):
         batch = rwt_rwa_run(h, fixed_weight_scheme(h, 0.0, beta), 4000, [5], [42])
-        nodes, jumped = batch.visits(0)
+        nodes, jumped = walk_visits(batch, 0)
         assert np.array_equal(nodes, ref.nodes[:, 0])
         assert np.array_equal(batch.weight[nodes], ref.weight[nodes])
         assert not jumped.any() and batch.queries == [4000]
@@ -509,7 +510,7 @@ def test_rwt_rwa_crosses_components_via_jumps():
     ws = fixed_weight_scheme(h, alpha, beta)
     walks = 20
     batch = rwt_rwa_run(h, ws, 10_000, [10] * walks, [2 + r for r in range(walks)])
-    share = np.array([np.mean(batch.visits(r)[0] < n) for r in range(walks)])
+    share = np.array([np.mean(walk_visits(batch, r)[0] < n) for r in range(walks)])
     weight = h.target.degrees.astype(float)
     weight[covered] += alpha / len(covered)
     exact = weight[:n].sum() / weight.sum()
@@ -688,7 +689,7 @@ def _case_trace(h, method, alpha, beta):
         q[covered] = 1.0 / len(covered)
         ws = fixed_weight_scheme(h, alpha_total, beta_total)
         batch, omega = rwt_rwa_run(h, ws, 3000, [start], [4]), alpha_total * q
-    nodes, jumped = batch.visits(0)
+    nodes, jumped = walk_visits(batch, 0)
     return (nodes, batch.weight[nodes], jumped), omega
 
 
